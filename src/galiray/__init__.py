@@ -5,16 +5,22 @@ algebra, the known projective phase exponents, and the explicit ray
 representations on polynomial-Gaussian momentum states, then checks every
 algebraic identity they are supposed to satisfy.
 """
-from .group import (GalileiElement, act_on_momentum, element_from_dict,
-                    element_to_dict, embed_matrix, identity, inverse,
-                    multiply, random_element, rotation_2d, rotation_angle)
-from .algebra import (AlgebraElement, algebra_from_dict, algebra_to_dict,
-                      basis_element, basis_names, commutator, embed_algebra,
-                      exponential, jacobi_residual, random_algebra_element,
-                      zero)
+from .group import (GalileiBatch, GalileiElement, act_on_momentum,
+                    element_from_dict, element_to_dict, embed_matrix,
+                    embed_matrix_batch, identity, identity_batch, inverse,
+                    inverse_batch, multiply, multiply_batch, random_element,
+                    random_element_batch, rotation_2d, rotation_angle)
+from .algebra import (AlgebraBatch, AlgebraElement,
+                      algebra_batch_from_uniforms, algebra_from_dict,
+                      algebra_to_dict, basis_element, basis_names, commutator,
+                      commutator_batch, embed_algebra, embed_algebra_batch,
+                      exponential, exponential_batch, jacobi_residual,
+                      jacobi_residual_batch, random_algebra_batch,
+                      random_algebra_element, zero)
 from .cocycles import (DEFAULT_TAU_SEQUENCE, InfinitesimalExponentValue,
-                       PhaseExponent, action_contribution, cocycle_residual,
-                       equivalence_transform, evaluate, infinitesimal_exponent)
+                       PhaseExponent, cocycle_residual, cocycle_residual_batch,
+                       equivalence_transform, evaluate, evaluate_batch,
+                       infinitesimal_exponent)
 from .states import (DegreeOverflowError, PolyDiffOperator, PolyGaussianState,
                      PolyGaussianTerm, Polynomial, inner_product, normalized,
                      random_state, state_from_dict, state_norm, state_to_dict)
@@ -27,7 +33,8 @@ from .verify import (HeisenbergFitResult, MultiplierReport,
                      default_sample_points, expected_multiplier_exponent,
                      exponent_cocycle_residual, extract_multiplier,
                      heisenberg_fit, match_exponent)
-from .harness import (SuiteConfig, config_from_dict, config_to_dict,
-                      default_config, load_config, report_json, run_suite)
+from .harness import (SuiteConfig, cocycle_sweep, config_from_dict,
+                      config_to_dict, default_config, load_config, report_json,
+                      run_suite)
 
 __version__ = "0.1.0"

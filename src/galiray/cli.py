@@ -11,12 +11,12 @@ import sys
 
 import numpy as np
 
-from .cocycles import (DEFAULT_TAU_SEQUENCE, PhaseExponent, action_contribution,
-                       cocycle_residual, infinitesimal_exponent)
+from .cocycles import (DEFAULT_TAU_SEQUENCE, PhaseExponent,
+                       infinitesimal_exponent)
 from .algebra import basis_element
 from .group import element_from_dict, random_element
-from .harness import (_json_safe, default_config, load_config, report_json,
-                      run_suite)
+from .harness import (DEFAULT_TOLERANCES, _json_safe, cocycle_sweep,
+                      default_config, load_config, report_json, run_suite)
 from .representations import MOMENTUM_KINDS, rep_to_dict
 from .states import random_state
 from .verify import (default_sample_points, extract_multiplier,
@@ -67,14 +67,7 @@ def _cmd_cocycle(args) -> int:
     dim = args.dim if args.dim is not None else _DEFAULT_XI_DIMS[args.name]
     xi = PhaseExponent(args.name, dim, gamma=args.gamma, lam=args.lam,
                        S=args.S, a1=args.a1, a2=args.a2, t=args.t)
-    rng = np.random.default_rng(args.seed)
-    max_angle = min(args.scale, math.pi / 3.5)
-    worst = 0.0
-    for _ in range(args.triples):
-        r = random_element(rng, dim, args.scale, max_angle)
-        s = random_element(rng, dim, args.scale, max_angle)
-        q = random_element(rng, dim, args.scale, max_angle)
-        worst = max(worst, cocycle_residual(xi, r, s, q))
+    worst = cocycle_sweep(xi, args.seed, args.triples, args.scale)
     passed = worst < args.tolerance
     _print({"name": args.name, "params": xi.params(),
             "n_triples": args.triples, "max_residual": worst,
@@ -89,9 +82,10 @@ def _cmd_multiplier(args) -> int:
     points = default_sample_points(state, seed=args.seed + 2)
     report = extract_multiplier(rep, r, s, args.t, state, points)
     report = match_exponent(rep, r, s, args.t, report)
-    passed = (report.constancy_spread < 1e-9
-              and report.modulus_error < 1e-10
-              and report.matched_exponent[1] < 1e-9)
+    tol = DEFAULT_TOLERANCES
+    passed = (report.constancy_spread < tol["multiplier_spread"]
+              and report.modulus_error < tol["multiplier_modulus"]
+              and report.matched_exponent[1] < tol["multiplier_match"])
     _print({
         "rep": rep_to_dict(rep),
         "t": args.t,
@@ -145,7 +139,7 @@ def _cmd_heisenberg(args) -> int:
 
 def _cmd_action(args) -> int:
     r, s = _load_pair(args.pair, None, 0)
-    value = action_contribution(args.gamma, r, s, args.t)
+    value = PhaseExponent("xi_t", r.dim, gamma=args.gamma, t=args.t)(r, s)
     _print({
         "gamma": args.gamma,
         "t": args.t,
@@ -173,7 +167,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--tolerance", type=float,
+                   default=DEFAULT_TOLERANCES["cocycle"])
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--S", type=float, default=1.0)

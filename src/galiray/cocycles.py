@@ -2,11 +2,12 @@
 
 Five closed-form two-argument exponents (xi0, xi1, xi2, xi_eta, xi_t), the
 cocycle residual that validates them, coboundary shifts, and the
-infinitesimal-exponent limit computed by Richardson extrapolation.
+infinitesimal-exponent limit computed by Richardson extrapolation.  The
+exponents and the residual also come in a row-wise form over GalileiBatch.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,10 +18,11 @@ __all__ = [
     "PhaseExponent",
     "InfinitesimalExponentValue",
     "evaluate",
+    "evaluate_batch",
     "cocycle_residual",
+    "cocycle_residual_batch",
     "equivalence_transform",
     "infinitesimal_exponent",
-    "action_contribution",
     "DEFAULT_TAU_SEQUENCE",
 ]
 
@@ -114,6 +116,43 @@ def cocycle_residual(xi, r: gg.GalileiElement, s: gg.GalileiElement,
     return abs(xi(r, s) + xi(rs, q) - xi(s, q) - xi(r, sq))
 
 
+def evaluate_batch(xi: PhaseExponent, r: gg.GalileiBatch,
+                   s: gg.GalileiBatch) -> np.ndarray:
+    """Row-wise evaluate: xi(r[i], s[i]) for every row."""
+    if r.dim != s.dim or r.dim != xi.dim:
+        raise ValueError("dimension mismatch between exponent and elements")
+    if xi.name == "xi0":
+        Wv = gg._matvec(r.W, s.v)
+        val = 0.5 * (gg._dot(r.u, Wv) - gg._dot(r.v, gg._matvec(r.W, s.u))
+                     + s.eta * gg._dot(r.v, Wv))
+        return xi.gamma * val
+    if xi.name == "xi1":
+        Wv = gg._matvec(r.W, s.v)
+        return xi.lam * 0.5 * (r.v[:, 0] * Wv[:, 1] - r.v[:, 1] * Wv[:, 0])
+    if xi.name == "xi2":
+        th_r = gg._rotation_angles(r.W)
+        th_s = gg._rotation_angles(s.W)
+        return xi.S * (th_r * s.eta - th_s * r.eta)
+    if xi.name == "xi_eta":
+        ur, vr, er = r.u[:, 0], r.v[:, 0], r.eta
+        us, vs, es = s.u[:, 0], s.v[:, 0], s.eta
+        part1 = ur * vs - us * vr + es * vr * vs
+        part2 = ur * es - us * er - er * es * vr
+        return 0.5 * (xi.a1 * part1 + xi.a2 * part2)
+    # xi_t
+    return -xi.gamma * gg._dot(r.v, gg._matvec(r.W, s.v)) * xi.t
+
+
+def cocycle_residual_batch(xi: PhaseExponent, r: gg.GalileiBatch,
+                           s: gg.GalileiBatch,
+                           q: gg.GalileiBatch) -> np.ndarray:
+    """Row-wise cocycle_residual of a PhaseExponent over triples of rows."""
+    rs = gg.multiply_batch(r, s)
+    sq = gg.multiply_batch(s, q)
+    return np.abs(evaluate_batch(xi, r, s) + evaluate_batch(xi, rs, q)
+                  - evaluate_batch(xi, s, q) - evaluate_batch(xi, r, sq))
+
+
 @dataclass(frozen=True)
 class _TransformedExponent:
     """xi'(r,s) = xi(r,s) + phi(r) + phi(s) - phi(rs); same cocycle class."""
@@ -196,10 +235,3 @@ def infinitesimal_exponent(xi, X: la.AlgebraElement, Y: la.AlgebraElement,
                                       extrapolation_error=err,
                                       converged=converged)
 
-
-def action_contribution(gamma: float, r: gg.GalileiElement,
-                        s: gg.GalileiElement, t: float) -> float:
-    """Time-extension phase exponent -gamma <v_r, W_r v_s> t."""
-    if r.dim != s.dim:
-        raise ValueError("dimension mismatch")
-    return -gamma * float(r.v @ (r.W @ s.v)) * t

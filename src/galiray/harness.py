@@ -5,6 +5,7 @@ byte-identical reports apart from the generated_at timestamp.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -12,12 +13,17 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import cocycles, verify
-from .algebra import (basis_element, basis_names, commutator, embed_algebra,
-                      exponential, jacobi_residual, random_algebra_element)
-from .cocycles import DEFAULT_TAU_SEQUENCE, PhaseExponent, cocycle_residual
-from .group import (GalileiElement, embed_matrix, identity, inverse, multiply,
-                    random_element)
+from . import cocycles
+from .algebra import (algebra_batch_from_uniforms, basis_element, basis_names,
+                      commutator_batch, embed_algebra_batch, exponential_batch,
+                      jacobi_residual_batch)
+from .cocycles import (DEFAULT_TAU_SEQUENCE, PhaseExponent,
+                       cocycle_residual_batch)
+from .group import (GalileiElement, _uniform, embed_matrix_batch,
+                    identity_batch, inverse_batch, multiply_batch,
+                    random_element, random_element_batch)
+# perfbench/test_perfbench.py checks that its tracer rebinds harness.multiply
+from .group import multiply  # noqa: F401
 from .representations import (MOMENTUM_KINDS, RepDescriptor, apply,
                               apply_time, generator_names, rep_from_dict,
                               rep_to_dict)
@@ -34,6 +40,7 @@ __all__ = [
     "load_config",
     "run_suite",
     "report_json",
+    "cocycle_sweep",
 ]
 
 DEFAULT_TOLERANCES = {
@@ -53,6 +60,7 @@ DEFAULT_TOLERANCES = {
 }
 
 _CHECK_SEED_STRIDE = 1009  # distinct rng stream per check, still seed-derived
+_SWEEP_CHUNK = 512  # cases per batch: bounds the temporaries at any count
 
 
 def _default_reps():
@@ -208,8 +216,51 @@ def _report(check: str, rep, seed: int, n_cases: int, max_residual: float,
     }
 
 
-def _mat_diff(A, B) -> float:
-    return float(np.max(np.abs(A - B)))
+def _mat_diff(A, B) -> np.ndarray:
+    """Per-row max |A - B| over stacks of matrices."""
+    return np.max(np.abs(A - B), axis=(1, 2))
+
+
+def _sweep(seed: int, n_cases: int, draw, residuals) -> float:
+    """Worst residual over n_cases random cases from the stream of seed.
+
+    draw(rng, n) returns the batched operands of the next n cases, taking
+    from rng what n case-by-case draws would take, so cases do not depend on
+    the batch size; residuals(*operands) returns one residual per case.
+    The maximum propagates NaN: a case that overflows fails the check.
+    """
+    if n_cases < 1:
+        raise ValueError("a sweep needs at least one case")
+    rng = np.random.default_rng(seed)
+    worst = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_cases, _SWEEP_CHUNK):
+            n = min(_SWEEP_CHUNK, n_cases - start)
+            worst.append(np.max(residuals(*draw(rng, n))))
+    return float(np.max(worst))
+
+
+def _triples(dim: int, scale: float, max_angle: float = math.pi):
+    """draw for _sweep: element triples (r, s, q), drawn r, s, q per case."""
+    def draw(rng, n):
+        b = random_element_batch(rng, 3 * n, dim, scale, max_angle)
+        return b[0::3], b[1::3], b[2::3]
+    return draw
+
+
+def _group_residuals(r, s, q) -> np.ndarray:
+    """Associativity, two-sided inverse, homomorphism and neutral element."""
+    e, E = identity_batch(r.dim, len(r)), np.eye(r.dim + 2)
+    Er, ri = embed_matrix_batch(r), inverse_batch(r)
+    return np.max([
+        _mat_diff(embed_matrix_batch(multiply_batch(multiply_batch(r, s), q)),
+                  embed_matrix_batch(multiply_batch(r, multiply_batch(s, q)))),
+        _mat_diff(embed_matrix_batch(multiply_batch(r, ri)), E),
+        _mat_diff(embed_matrix_batch(multiply_batch(ri, r)), E),
+        _mat_diff(embed_matrix_batch(multiply_batch(r, s)),
+                  Er @ embed_matrix_batch(s)),
+        _mat_diff(embed_matrix_batch(multiply_batch(e, r)), Er),
+    ], axis=0)
 
 
 def _check_group_axioms(cfg: SuiteConfig):
@@ -217,27 +268,43 @@ def _check_group_axioms(cfg: SuiteConfig):
     tol = cfg.tol("group")
     for dim in (1, 2, 3):
         seed = cfg.seed + _CHECK_SEED_STRIDE * dim
-        rng = np.random.default_rng(seed)
         n = max(1, cfg.n_triples // 3)
-        worst = 0.0
-        e = identity(dim)
-        for _ in range(n):
-            r = random_element(rng, dim, cfg.scale)
-            s = random_element(rng, dim, cfg.scale)
-            q = random_element(rng, dim, cfg.scale)
-            assoc = _mat_diff(embed_matrix(multiply(multiply(r, s), q)),
-                              embed_matrix(multiply(r, multiply(s, q))))
-            inv = _mat_diff(embed_matrix(multiply(r, inverse(r))),
-                            embed_matrix(e))
-            inv2 = _mat_diff(embed_matrix(multiply(inverse(r), r)),
-                             embed_matrix(e))
-            hom = _mat_diff(embed_matrix(multiply(r, s)),
-                            embed_matrix(r) @ embed_matrix(s))
-            ident = _mat_diff(embed_matrix(multiply(e, r)), embed_matrix(r))
-            worst = max(worst, assoc, inv, inv2, hom, ident)
+        worst = _sweep(seed, n, _triples(dim, cfg.scale), _group_residuals)
         reports.append(_report(f"group_axioms_dim{dim}", None, seed, n,
                                worst, worst < tol))
     return reports
+
+
+def _algebra_cases(dim: int, scale: float):
+    """draw for _sweep: per case the elements X, Y, Z and then two flow
+    parameters a, b uniform in [-1, 1]."""
+    k = (dim + 1) ** 2
+
+    def draw(rng, n):
+        U = rng.random((n, 3 * k + 2))
+        X, Y, Z = (algebra_batch_from_uniforms(U[:, i * k:(i + 1) * k], dim,
+                                               scale) for i in range(3))
+        a, b = _uniform(U[:, 3 * k:], 1.0).T
+        return X, Y, Z, a, b
+    return draw
+
+
+def _algebra_residuals(X, Y, Z, a, b) -> np.ndarray:
+    """Jacobi identity, bracket = matrix commutator, one-parameter
+    homomorphism of the exponential map, and exp(X) exp(-X) = 1."""
+    MX, MY = embed_algebra_batch(X), embed_algebra_batch(Y)
+    return np.max([
+        jacobi_residual_batch(X, Y, Z),
+        _mat_diff(embed_algebra_batch(commutator_batch(X, Y)),
+                  MX @ MY - MY @ MX),
+        _mat_diff(embed_matrix_batch(exponential_batch(X.scale(a + b))),
+                  embed_matrix_batch(multiply_batch(
+                      exponential_batch(X.scale(a)),
+                      exponential_batch(X.scale(b))))),
+        _mat_diff(embed_matrix_batch(multiply_batch(
+            exponential_batch(X), exponential_batch(X.scale(-1.0)))),
+            np.eye(X.dim + 2)),
+    ], axis=0)
 
 
 def _check_algebra(cfg: SuiteConfig):
@@ -245,27 +312,9 @@ def _check_algebra(cfg: SuiteConfig):
     tol = cfg.tol("algebra")
     for dim in (1, 2, 3):
         seed = cfg.seed + _CHECK_SEED_STRIDE * (10 + dim)
-        rng = np.random.default_rng(seed)
         n = max(1, cfg.n_triples // 3)
-        worst = 0.0
-        for _ in range(n):
-            X = random_algebra_element(rng, dim, cfg.scale)
-            Y = random_algebra_element(rng, dim, cfg.scale)
-            Z = random_algebra_element(rng, dim, cfg.scale)
-            jac = jacobi_residual(X, Y, Z)
-            MX, MY = embed_algebra(X), embed_algebra(Y)
-            struct = _mat_diff(embed_algebra(commutator(X, Y)),
-                               MX @ MY - MY @ MX)
-            # one-parameter homomorphism of the exponential map
-            a, b = rng.uniform(-1, 1, size=2)
-            one_param = _mat_diff(
-                embed_matrix(exponential(X.scale(a + b))),
-                embed_matrix(multiply(exponential(X.scale(a)),
-                                      exponential(X.scale(b)))))
-            inv = _mat_diff(embed_matrix(multiply(exponential(X),
-                                                  exponential(X.scale(-1.0)))),
-                            embed_matrix(identity(dim)))
-            worst = max(worst, jac, struct, one_param, inv)
+        worst = _sweep(seed, n, _algebra_cases(dim, cfg.scale),
+                       _algebra_residuals)
         reports.append(_report(f"algebra_dim{dim}", None, seed, n,
                                worst, worst < tol))
     return reports
@@ -285,20 +334,22 @@ def _cocycle_cases(cfg: SuiteConfig):
     return cases
 
 
+def cocycle_sweep(xi: PhaseExponent, seed: int, n_triples: int,
+                  scale: float = 1.0) -> float:
+    """Worst cocycle residual of xi over n_triples random triples drawn from
+    the stream of seed, with rotations capped so that principal-branch
+    angles never wrap inside a triple."""
+    max_angle = min(scale, math.pi / 3.5)
+    return _sweep(seed, n_triples, _triples(xi.dim, scale, max_angle),
+                  functools.partial(cocycle_residual_batch, xi))
+
+
 def _check_cocycles(cfg: SuiteConfig):
     reports = []
     tol = cfg.tol("cocycle")
-    # rotations capped so principal-branch angles never wrap inside a triple
-    max_angle = min(cfg.scale, math.pi / 3.5)
     for idx, (name, xi) in enumerate(_cocycle_cases(cfg)):
         seed = cfg.seed + _CHECK_SEED_STRIDE * (30 + idx)
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(cfg.n_triples):
-            r = random_element(rng, xi.dim, cfg.scale, max_angle)
-            s = random_element(rng, xi.dim, cfg.scale, max_angle)
-            q = random_element(rng, xi.dim, cfg.scale, max_angle)
-            worst = max(worst, cocycle_residual(xi, r, s, q))
+        worst = cocycle_sweep(xi, seed, cfg.n_triples, cfg.scale)
         reports.append(_report(name, None, seed, cfg.n_triples, worst,
                                worst < tol,
                                details={"params": xi.params()}))

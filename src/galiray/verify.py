@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cocycles
-from .cocycles import PhaseExponent, action_contribution
+from .cocycles import PhaseExponent
 from .group import GalileiElement, multiply, rotation_angle
 from .representations import (RepDescriptor, apply_time, generator,
                               generator_names, static_generator)
@@ -97,8 +97,9 @@ def expected_multiplier_exponent(rep: RepDescriptor, r: GalileiElement,
     """Closed-form prediction (name, exponent) with multiplier e^{i exponent}."""
     rs = multiply(r, s)
     xi0 = PhaseExponent("xi0", rep.dim, gamma=rep.gamma)
+    xi_t = PhaseExponent("xi_t", rep.dim, gamma=rep.gamma, t=t)
     value = -cocycles.evaluate(xi0, r, s)
-    value += action_contribution(rep.gamma, r, s, t)
+    value += cocycles.evaluate(xi_t, r, s)
     if rep.kind == "schrodinger2d":
         name = "-gamma*xi0 + s*dtheta + xi_t"
     elif rep.kind == "nonabelian2d":
@@ -151,7 +152,8 @@ def check_time_multiplier(rep: RepDescriptor, r: GalileiElement,
     """|time multiplier / static multiplier - e^{-i gamma <v_r, W_r v_s> t}|."""
     omega_t = extract_multiplier(rep, r, s, t, state, sample_points).omega
     omega_0 = extract_multiplier(rep, r, s, 0.0, state, sample_points).omega
-    expected = cmath.exp(1j * action_contribution(rep.gamma, r, s, t))
+    xi_t = PhaseExponent("xi_t", r.dim, gamma=rep.gamma, t=t)
+    expected = cmath.exp(1j * xi_t(r, s))
     return abs(omega_t / omega_0 - expected)
 
 

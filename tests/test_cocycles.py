@@ -8,7 +8,6 @@ from galiray.algebra import basis_element
 from galiray.cocycles import (
     DEFAULT_TAU_SEQUENCE,
     PhaseExponent,
-    action_contribution,
     cocycle_residual,
     equivalence_transform,
     evaluate,
@@ -201,14 +200,16 @@ def test_exponent_parameter_reporting_and_validation():
         PhaseExponent("xi_eta", 2)
 
 
-def test_action_contribution_matches_time_exponent():
+def test_time_exponent_closed_form_on_random_dim3_pairs():
+    # the time-extension phase -gamma <v_r, W_r v_s> t of the multiplier law
     rng = np.random.default_rng(424)
     gamma, t = 1.3, 0.8
     xi = PhaseExponent("xi_t", 3, gamma=gamma, t=t)
     for _ in range(20):
         r = random_element(rng, 3)
         s = random_element(rng, 3)
-        assert abs(action_contribution(gamma, r, s, t) - xi(r, s)) < 1e-15
+        expected = -gamma * float(r.v @ (r.W @ s.v)) * t
+        assert abs(xi(r, s) - expected) < 1e-15
 
 
 def test_default_tau_sequence_is_decreasing():
