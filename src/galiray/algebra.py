@@ -4,12 +4,12 @@ a_ij generate rotations (matrix with +1 at (i,j), -1 at (j,i)), b_i space
 translations, d_i boosts, f time translation.  The commutator is carried out
 on the coefficient blocks, which reproduces the matrix commutator of the
 (dim+2)x(dim+2) embedding exactly.  AlgebraBatch holds N elements as stacked
-arrays; its operations repeat the scalar arithmetic row by row, as
-GalileiBatch does in the group module.
+arrays.  Each operation is written once, over batch rows, as in the group
+module: commutator, jacobi_residual, embed_algebra and exponential run it on
+a 1-row batch.
 """
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -66,20 +66,13 @@ class AlgebraElement:
         object.__setattr__(self, "time", float(self.time))
 
     def scale(self, c: float) -> "AlgebraElement":
-        return AlgebraElement(self.dim, c * self.rot, c * self.trans,
-                              c * self.boost, c * self.time)
+        return _row(self).scale(c).element(0)
 
     def add(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return AlgebraElement(self.dim, self.rot + other.rot,
-                              self.trans + other.trans,
-                              self.boost + other.boost,
-                              self.time + other.time)
+        return _row(self).add(_row(other)).element(0)
 
     def max_abs(self) -> float:
-        return max(np.max(np.abs(self.rot)), np.max(np.abs(self.trans)),
-                   np.max(np.abs(self.boost)), abs(self.time))
+        return float(_row(self).max_abs()[0])
 
 
 def zero(dim: int) -> AlgebraElement:
@@ -126,70 +119,6 @@ def basis_element(name: str, dim: int) -> AlgebraElement:
     return AlgebraElement(dim, X.rot, X.trans, vec, 0.0)
 
 
-def commutator(X: AlgebraElement, Y: AlgebraElement) -> AlgebraElement:
-    """[X, Y], matching the matrix commutator of the embedding."""
-    if X.dim != Y.dim:
-        raise ValueError("dimension mismatch")
-    rot = X.rot @ Y.rot - Y.rot @ X.rot
-    boost = X.rot @ Y.boost - Y.rot @ X.boost
-    trans = (X.rot @ Y.trans - Y.rot @ X.trans
-             + Y.time * X.boost - X.time * Y.boost)
-    return AlgebraElement(X.dim, rot, trans, boost, 0.0)
-
-
-def jacobi_residual(X: AlgebraElement, Y: AlgebraElement,
-                    Z: AlgebraElement) -> float:
-    """Max-norm of [X,[Y,Z]] + [Y,[Z,X]] + [Z,[X,Y]]."""
-    total = commutator(X, commutator(Y, Z)).add(
-        commutator(Y, commutator(Z, X))).add(
-        commutator(Z, commutator(X, Y)))
-    return total.max_abs()
-
-
-def embed_algebra(X: AlgebraElement) -> np.ndarray:
-    """(dim+2)x(dim+2) matrix [[rot, boost, trans], [0, 0, time], [0, 0, 0]].
-
-    The matrix exponential of this embedding is the group embedding of
-    exponential(X).
-    """
-    d = X.dim
-    M = np.zeros((d + 2, d + 2))
-    M[:d, :d] = X.rot
-    M[:d, d] = X.boost
-    M[:d, d + 1] = X.trans
-    M[d, d + 1] = X.time
-    return M
-
-
-def _expm(M: np.ndarray, tol: float = 1e-14) -> np.ndarray:
-    """Scaled-and-squared Taylor series; fine for these small matrices."""
-    n = M.shape[0]
-    norm = np.max(np.sum(np.abs(M), axis=1))
-    squarings = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
-    A = M / (2.0 ** squarings)
-    result = np.eye(n)
-    term = np.eye(n)
-    k = 1
-    while True:
-        term = term @ A / k
-        result = result + term
-        if np.max(np.abs(term)) < tol:
-            break
-        k += 1
-        if k > 200:
-            raise RuntimeError("matrix exponential series failed to converge")
-    for _ in range(squarings):
-        result = result @ result
-    return result
-
-
-def exponential(X: AlgebraElement) -> GalileiElement:
-    """Exponential map onto the group, via the embedding."""
-    d = X.dim
-    E = _expm(embed_algebra(X))
-    return GalileiElement(d, E[:d, :d], E[d, d + 1], E[:d, d], E[:d, d + 1])
-
-
 def random_algebra_element(seed, dim: int, scale: float = 1.0) -> AlgebraElement:
     """Seeded random element with coefficients uniform in [-scale, scale]:
     row 0 of random_algebra_batch(seed, 1, dim, scale)."""
@@ -201,8 +130,9 @@ class AlgebraBatch:
     (N,dim,dim), trans (N,dim), boost (N,dim), time (N,).
 
     Batches come from algebra_batch_from_uniforms, whose rot blocks are
-    antisymmetric by construction, and from the batched operations, which
-    do not re-validate the rows they build.
+    antisymmetric by construction, from validated elements (one row each),
+    and from the batched operations, which do not re-validate the rows they
+    build.
     """
 
     # a plain class, as GalileiBatch
@@ -231,6 +161,8 @@ class AlgebraBatch:
                             c[..., None] * self.boost, c * self.time)
 
     def add(self, other: "AlgebraBatch") -> "AlgebraBatch":
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
         return AlgebraBatch(self.rot + other.rot, self.trans + other.trans,
                             self.boost + other.boost, self.time + other.time)
 
@@ -264,7 +196,9 @@ def random_algebra_batch(seed, n: int, dim: int,
 
 
 def commutator_batch(X: AlgebraBatch, Y: AlgebraBatch) -> AlgebraBatch:
-    """Row-wise [X[i], Y[i]], as commutator."""
+    """Row-wise [X[i], Y[i]] on the coefficient blocks."""
+    if X.dim != Y.dim:
+        raise ValueError("dimension mismatch")
     rot = X.rot @ Y.rot - Y.rot @ X.rot
     boost = _matvec(X.rot, Y.boost) - _matvec(Y.rot, X.boost)
     trans = (_matvec(X.rot, Y.trans) - _matvec(Y.rot, X.trans)
@@ -274,7 +208,7 @@ def commutator_batch(X: AlgebraBatch, Y: AlgebraBatch) -> AlgebraBatch:
 
 def jacobi_residual_batch(X: AlgebraBatch, Y: AlgebraBatch,
                           Z: AlgebraBatch) -> np.ndarray:
-    """Row-wise jacobi_residual."""
+    """Row-wise max-norm of [X,[Y,Z]] + [Y,[Z,X]] + [Z,[X,Y]]."""
     total = commutator_batch(X, commutator_batch(Y, Z)).add(
         commutator_batch(Y, commutator_batch(Z, X))).add(
         commutator_batch(Z, commutator_batch(X, Y)))
@@ -293,9 +227,9 @@ def embed_algebra_batch(X: AlgebraBatch) -> np.ndarray:
 
 
 def _expm_batch(M: np.ndarray, tol: float = 1e-14) -> np.ndarray:
-    """_expm of each matrix of the stack M (N,n,n).  Every matrix keeps its
-    own squaring count and stops its own series when its own term falls
-    below tol, so each result equals _expm of that matrix."""
+    """Scaled-and-squared Taylor series of each matrix of the stack M
+    (N,n,n).  Every matrix keeps its own squaring count and stops its own
+    series when its own term falls below tol, so no row depends on another."""
     N, n = M.shape[0], M.shape[1]
     norm = np.max(np.sum(np.abs(M), axis=2), axis=1)
     # ceil(log2(norm / 0.5)) from the binary exponent: x = m * 2**e with
@@ -324,7 +258,7 @@ def _expm_batch(M: np.ndarray, tol: float = 1e-14) -> np.ndarray:
 
 
 def exponential_batch(X: AlgebraBatch) -> GalileiBatch:
-    """Row-wise exponential."""
+    """Row-wise exponential map onto the group, via the embedding."""
     d = X.dim
     E = _expm_batch(embed_algebra_batch(X))
     # contiguous copies, as GalileiElement makes, so that later products
@@ -332,6 +266,37 @@ def exponential_batch(X: AlgebraBatch) -> GalileiBatch:
     return GalileiBatch(np.ascontiguousarray(E[:, :d, :d]), E[:, d, d + 1],
                         np.ascontiguousarray(E[:, :d, d]),
                         np.ascontiguousarray(E[:, :d, d + 1]))
+
+
+def _row(X: AlgebraElement) -> AlgebraBatch:
+    """X as a 1-row batch: the scalar operations below are its row 0."""
+    return AlgebraBatch(X.rot[None], X.trans[None], X.boost[None],
+                        np.array((X.time,)))
+
+
+def commutator(X: AlgebraElement, Y: AlgebraElement) -> AlgebraElement:
+    """[X, Y], matching the matrix commutator of the embedding."""
+    return commutator_batch(_row(X), _row(Y)).element(0)
+
+
+def jacobi_residual(X: AlgebraElement, Y: AlgebraElement,
+                    Z: AlgebraElement) -> float:
+    """Max-norm of [X,[Y,Z]] + [Y,[Z,X]] + [Z,[X,Y]]."""
+    return float(jacobi_residual_batch(_row(X), _row(Y), _row(Z))[0])
+
+
+def embed_algebra(X: AlgebraElement) -> np.ndarray:
+    """(dim+2)x(dim+2) matrix [[rot, boost, trans], [0, 0, time], [0, 0, 0]].
+
+    The matrix exponential of this embedding is the group embedding of
+    exponential(X).
+    """
+    return embed_algebra_batch(_row(X))[0]
+
+
+def exponential(X: AlgebraElement) -> GalileiElement:
+    """Exponential map onto the group, via the embedding."""
+    return exponential_batch(_row(X)).element(0)
 
 
 def algebra_to_dict(X: AlgebraElement) -> dict:

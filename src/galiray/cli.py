@@ -126,7 +126,6 @@ def _cmd_heisenberg(args) -> int:
     _print({
         "rep": rep_to_dict(rep),
         "K": fit.K,
-        "orientation": fit.orientation,
         "uniform": fit.uniform,
         "per_generator_flips": fit.per_generator_flips,
         "per_generator": fit.per_generator,
@@ -134,7 +133,7 @@ def _cmd_heisenberg(args) -> int:
         "max_residual": fit.max_residual,
         "note": fit.note,
     })
-    return 0 if fit.max_residual < 1e-9 else 1
+    return 0 if fit.max_residual < DEFAULT_TOLERANCES["heisenberg"] else 1
 
 
 def _cmd_action(args) -> int:

@@ -2,8 +2,9 @@
 
 Five closed-form two-argument exponents (xi0, xi1, xi2, xi_eta, xi_t), the
 cocycle residual that validates them, coboundary shifts, and the
-infinitesimal-exponent limit computed by Richardson extrapolation.  The
-exponents and the residual also come in a row-wise form over GalileiBatch.
+infinitesimal-exponent limit computed by Richardson extrapolation.  Each
+exponent formula is written once, row-wise over GalileiBatch
+(evaluate_batch); evaluate is its 1-row view.
 """
 from __future__ import annotations
 
@@ -73,36 +74,10 @@ class PhaseExponent:
         return evaluate(self, r, s)
 
 
-def _wedge(a, b) -> float:
-    return float(a[0] * b[1] - a[1] * b[0])
-
-
 def evaluate(xi: PhaseExponent, r: gg.GalileiElement,
              s: gg.GalileiElement) -> float:
     """xi(r, s) as a real number (no 2pi wrapping)."""
-    if r.dim != s.dim or r.dim != xi.dim:
-        raise ValueError("dimension mismatch between exponent and elements")
-    if xi.name == "xi0":
-        Wv = r.W @ s.v
-        val = 0.5 * (float(r.u @ Wv) - float(r.v @ (r.W @ s.u))
-                     + s.eta * float(r.v @ Wv))
-        return xi.gamma * val
-    if xi.name == "xi1":
-        return xi.lam * 0.5 * _wedge(r.v, r.W @ s.v)
-    if xi.name == "xi2":
-        th_r = gg.rotation_angle(r)
-        th_s = gg.rotation_angle(s)
-        return xi.S * (th_r * s.eta - th_s * r.eta)
-    if xi.name == "xi_eta":
-        # a1 part is the dim-1 restriction of xi0 (eta_s v_r v_s); the
-        # printed eta_r variant fails the cocycle identity.
-        ur, vr, er = r.u[0], r.v[0], r.eta
-        us, vs, es = s.u[0], s.v[0], s.eta
-        part1 = ur * vs - us * vr + es * vr * vs
-        part2 = ur * es - us * er - er * es * vr
-        return 0.5 * (xi.a1 * part1 + xi.a2 * part2)
-    # xi_t
-    return -xi.gamma * float(r.v @ (r.W @ s.v)) * xi.t
+    return float(evaluate_batch(xi, gg._row(r), gg._row(s))[0])
 
 
 def cocycle_residual(xi, r: gg.GalileiElement, s: gg.GalileiElement,
@@ -118,7 +93,7 @@ def cocycle_residual(xi, r: gg.GalileiElement, s: gg.GalileiElement,
 
 def evaluate_batch(xi: PhaseExponent, r: gg.GalileiBatch,
                    s: gg.GalileiBatch) -> np.ndarray:
-    """Row-wise evaluate: xi(r[i], s[i]) for every row."""
+    """xi(r[i], s[i]) for every row, as real numbers (no 2pi wrapping)."""
     if r.dim != s.dim or r.dim != xi.dim:
         raise ValueError("dimension mismatch between exponent and elements")
     if xi.name == "xi0":
@@ -134,6 +109,8 @@ def evaluate_batch(xi: PhaseExponent, r: gg.GalileiBatch,
         th_s = gg._rotation_angles(s.W)
         return xi.S * (th_r * s.eta - th_s * r.eta)
     if xi.name == "xi_eta":
+        # a1 part is the dim-1 restriction of xi0 (eta_s v_r v_s); the
+        # printed eta_r variant fails the cocycle identity.
         ur, vr, er = r.u[:, 0], r.v[:, 0], r.eta
         us, vs, es = s.u[:, 0], s.v[:, 0], s.eta
         part1 = ur * vs - us * vr + es * vr * vs
@@ -221,14 +198,18 @@ def infinitesimal_exponent(xi, X: la.AlgebraElement, Y: la.AlgebraElement,
     taus = tuple(float(t) for t in tau_sequence)
     if len(taus) < 3 or any(t <= 0 for t in taus):
         raise ValueError("tau_sequence must hold at least 3 positive values")
+    # all taus as one batch: g[i] = exponential(taus[i] X), h[i] likewise
+    t = np.array(taus)
+    g = la.exponential_batch(la._row(X).scale(t))
+    h = la.exponential_batch(la._row(Y).scale(t))
+    ginv, hinv = gg.inverse_batch(g), gg.inverse_batch(h)
+    gh, ginv_hinv = gg.multiply_batch(g, h), gg.multiply_batch(ginv, hinv)
     samples = []
-    for tau in taus:
-        g = la.exponential(X.scale(tau))
-        h = la.exponential(Y.scale(tau))
-        ginv = gg.inverse(g)
-        hinv = gg.inverse(h)
-        total = (xi(gg.multiply(g, h), gg.multiply(ginv, hinv))
-                 + xi(g, h) + xi(ginv, hinv))
+    for i, tau in enumerate(taus):
+        # xi is called on elements, so any two-element callable works
+        total = (xi(gh.element(i), ginv_hinv.element(i))
+                 + xi(g.element(i), h.element(i))
+                 + xi(ginv.element(i), hinv.element(i)))
         samples.append(total / tau ** 2)
     value, err, converged = _richardson(taus, samples)
     return InfinitesimalExponentValue(value=value, tau_sequence=taus,

@@ -4,6 +4,9 @@ An element bundles a rotation W, a time shift eta, a boost velocity v and a
 space translation u, composed as (W_r W_s, eta_r + eta_s, W_r v_s + v_r,
 W_r u_s + u_r + eta_s v_r).  The faithful (dim+2)x(dim+2) matrix picture and
 the momentum action used by the ray representations live here too.
+
+Each operation is written once, over GalileiBatch rows; multiply, inverse,
+embed_matrix and rotation_angle run it on a 1-row batch.
 """
 from __future__ import annotations
 
@@ -77,55 +80,10 @@ class GalileiElement:
                 f"eta={self.eta}, v={self.v.tolist()}, u={self.u.tolist()})")
 
 
-def _check_same_dim(r, s):
-    if r.dim != s.dim:
-        raise ValueError(f"dimension mismatch: {r.dim} vs {s.dim}")
-
-
 def identity(dim: int) -> GalileiElement:
     """Neutral element in the given dimension."""
     z = np.zeros(dim)
     return GalileiElement(dim, np.eye(dim), 0.0, z, z)
-
-
-def multiply(r: GalileiElement, s: GalileiElement) -> GalileiElement:
-    """Group composition rs."""
-    _check_same_dim(r, s)
-    return GalileiElement(
-        r.dim,
-        r.W @ s.W,
-        r.eta + s.eta,
-        r.W @ s.v + r.v,
-        r.W @ s.u + r.u + s.eta * r.v,
-    )
-
-
-def inverse(r: GalileiElement) -> GalileiElement:
-    """Group inverse, so that multiply(r, inverse(r)) is the identity."""
-    Winv = r.W.T
-    return GalileiElement(
-        r.dim,
-        Winv,
-        -r.eta,
-        -(Winv @ r.v),
-        -(Winv @ (r.u - r.eta * r.v)),
-    )
-
-
-def embed_matrix(r: GalileiElement) -> np.ndarray:
-    """Faithful (dim+2)x(dim+2) matrix: [[W, v, u], [0, 1, eta], [0, 0, 1]].
-
-    Matrix multiplication of embeddings reproduces the group law.
-    """
-    d = r.dim
-    M = np.zeros((d + 2, d + 2))
-    M[:d, :d] = r.W
-    M[:d, d] = r.v
-    M[:d, d + 1] = r.u
-    M[d, d] = 1.0
-    M[d, d + 1] = r.eta
-    M[d + 1, d + 1] = 1.0
-    return M
 
 
 class GalileiBatch:
@@ -133,8 +91,9 @@ class GalileiBatch:
     eta (N,), v (N,dim), u (N,dim).
 
     Batches come from random_element_batch, whose rotations are proper by
-    construction, and from the batched operations below, which trust their
-    operands and do not re-validate the rows they build.
+    construction, from validated elements (one row each), and from the
+    batched operations below, which trust their operands and do not
+    re-validate the rows they build.
     """
 
     # not a dataclass: generating a dataclass's methods at import takes
@@ -180,8 +139,9 @@ def identity_batch(dim: int, n: int) -> GalileiBatch:
 
 
 def multiply_batch(r: GalileiBatch, s: GalileiBatch) -> GalileiBatch:
-    """Row-wise composition r[i] s[i], as multiply."""
-    _check_same_dim(r, s)
+    """Row-wise composition r[i] s[i]."""
+    if r.dim != s.dim:
+        raise ValueError(f"dimension mismatch: {r.dim} vs {s.dim}")
     return GalileiBatch(
         r.W @ s.W,
         r.eta + s.eta,
@@ -191,7 +151,7 @@ def multiply_batch(r: GalileiBatch, s: GalileiBatch) -> GalileiBatch:
 
 
 def inverse_batch(r: GalileiBatch) -> GalileiBatch:
-    """Row-wise inverse, as inverse."""
+    """Row-wise inverse."""
     Winv = r.W.transpose(0, 2, 1)
     return GalileiBatch(
         np.ascontiguousarray(Winv),
@@ -202,7 +162,7 @@ def inverse_batch(r: GalileiBatch) -> GalileiBatch:
 
 
 def embed_matrix_batch(r: GalileiBatch) -> np.ndarray:
-    """(N, dim+2, dim+2) stack of embed_matrix of each row."""
+    """(N, dim+2, dim+2) stack of the faithful matrices of the rows."""
     n, d = len(r), r.dim
     M = np.zeros((n, d + 2, d + 2))
     M[:, :d, :d] = r.W
@@ -212,6 +172,29 @@ def embed_matrix_batch(r: GalileiBatch) -> np.ndarray:
     M[:, d, d + 1] = r.eta
     M[:, d + 1, d + 1] = 1.0
     return M
+
+
+def _row(r: GalileiElement) -> GalileiBatch:
+    """r as a 1-row batch: the scalar operations below are its row 0."""
+    return GalileiBatch(r.W[None], np.array((r.eta,)), r.v[None], r.u[None])
+
+
+def multiply(r: GalileiElement, s: GalileiElement) -> GalileiElement:
+    """Group composition rs."""
+    return multiply_batch(_row(r), _row(s)).element(0)
+
+
+def inverse(r: GalileiElement) -> GalileiElement:
+    """Group inverse, so that multiply(r, inverse(r)) is the identity."""
+    return inverse_batch(_row(r)).element(0)
+
+
+def embed_matrix(r: GalileiElement) -> np.ndarray:
+    """Faithful (dim+2)x(dim+2) matrix: [[W, v, u], [0, 1, eta], [0, 0, 1]].
+
+    Matrix multiplication of embeddings reproduces the group law.
+    """
+    return embed_matrix_batch(_row(r))[0]
 
 
 def act_on_momentum(r: GalileiElement, p, gamma: float) -> np.ndarray:
@@ -230,7 +213,7 @@ def rotation_angle(r) -> float:
     W = r.W if isinstance(r, GalileiElement) else np.asarray(r, dtype=float)
     if W.shape != (2, 2):
         raise ValueError("rotation_angle is defined only for dim=2")
-    return math.atan2(W[1, 0], W[0, 0])
+    return float(_rotation_angles(W[None])[0])
 
 
 def _rotation_angles(W) -> np.ndarray:

@@ -28,7 +28,7 @@ from .representations import (MOMENTUM_KINDS, RepDescriptor, apply,
                               apply_time, generator_names, rep_from_dict,
                               rep_to_dict)
 from .states import inner_product, random_state
-from .verify import (check_initial_condition, check_time_multiplier,
+from .verify import (_worst, check_initial_condition, check_time_multiplier,
                      default_sample_points, exponent_cocycle_residual,
                      extract_multiplier, heisenberg_fit, match_exponent)
 
@@ -63,6 +63,10 @@ _CHECK_SEED_STRIDE = 1009  # distinct rng stream per check, still seed-derived
 _SWEEP_CHUNK = 512  # cases per batch: bounds the temporaries at any count
 
 
+def _finite_positive(x) -> bool:
+    return math.isfinite(x) and x > 0
+
+
 def _default_reps():
     return (
         RepDescriptor("schrodinger2d", gamma=1.3, s=0.7),
@@ -91,17 +95,22 @@ class SuiteConfig:
     def validate(self):
         if self.n_triples < 1 or self.n_pairs < 1:
             raise ValueError("n_triples and n_pairs must be at least 1")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not _finite_positive(self.scale):
+            raise ValueError(f"scale must be finite and positive, "
+                             f"got {self.scale!r}")
         for name, tol in self.tolerances.items():
-            if not (isinstance(tol, (int, float)) and tol > 0):
-                raise ValueError(f"tolerance {name!r} must be positive, "
-                                 f"got {tol!r}")
+            if not (isinstance(tol, (int, float)) and _finite_positive(tol)):
+                raise ValueError(f"tolerance {name!r} must be finite and "
+                                 f"positive, got {tol!r}")
         taus = tuple(self.tau_sequence)
-        if len(taus) < 3 or any(t <= 0 for t in taus):
-            raise ValueError("tau_sequence needs at least 3 positive entries")
+        if len(taus) < 3 or not all(map(_finite_positive, taus)):
+            raise ValueError("tau_sequence needs at least 3 entries, all "
+                             "finite and positive")
         if not self.t_samples:
             raise ValueError("t_samples must not be empty")
+        if not all(map(math.isfinite, self.t_samples)):
+            raise ValueError(f"t_samples must be finite, "
+                             f"got {self.t_samples!r}")
         for n in (self.n_time_cases, self.n_unitarity_cases,
                   self.n_time_zero_cases, self.n_exponent_triples):
             if n < 1:
@@ -236,8 +245,8 @@ def _sweep(seed: int, n_cases: int, draw, residuals) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_cases, _SWEEP_CHUNK):
             n = min(_SWEEP_CHUNK, n_cases - start)
-            worst.append(np.max(residuals(*draw(rng, n))))
-    return float(np.max(worst))
+            worst.append(_worst(residuals(*draw(rng, n))))
+    return _worst(worst)
 
 
 def _triples(dim: int, scale: float, max_angle: float = math.pi):
@@ -360,7 +369,8 @@ def _check_infinitesimal(cfg: SuiteConfig):
     seed = cfg.seed + _CHECK_SEED_STRIDE * 50
     xi = PhaseExponent("xi0", 3, gamma=1.0)
     names = basis_names(3)
-    worst = 0.0
+    tol = cfg.tol("infexp")
+    residuals = []
     n_unconverged = 0
     failing = []
     for xn in names:
@@ -377,11 +387,12 @@ def _check_infinitesimal(cfg: SuiteConfig):
             residual = abs(result.value - expected)
             if not result.converged:
                 n_unconverged += 1
-            if residual > cfg.tol("infexp"):
+            if not residual < tol:
                 failing.append({"x": xn, "y": yn, "value": result.value,
                                 "expected": expected})
-            worst = max(worst, residual)
-    passed = worst < cfg.tol("infexp") and n_unconverged == 0
+            residuals.append(residual)
+    worst = _worst(residuals)
+    passed = worst < tol and n_unconverged == 0
     return [_report("infinitesimal_exponents", None, seed, len(names) ** 2,
                     worst, passed,
                     details={"n_unconverged": n_unconverged,
@@ -399,7 +410,7 @@ def _check_unitarity(cfg: SuiteConfig):
         seed = cfg.seed + _CHECK_SEED_STRIDE * (60 + k)
         rng = np.random.default_rng(seed)
         ts = (0.0,) + tuple(cfg.t_samples)
-        worst = 0.0
+        residuals = []
         for i in range(cfg.n_unitarity_cases):
             f = random_state(rng, rep.dim, poly_degree=i % 2)
             g = random_state(rng, rep.dim, poly_degree=(i + 1) % 2)
@@ -408,7 +419,8 @@ def _check_unitarity(cfg: SuiteConfig):
             before = inner_product(f, g)
             after = inner_product(apply_time(rep, r, t, f),
                                   apply_time(rep, r, t, g))
-            worst = max(worst, abs(after - before))
+            residuals.append(abs(after - before))
+        worst = _worst(residuals)
         reports.append(_report(f"unitarity_{rep.kind}", rep.kind, seed,
                                cfg.n_unitarity_cases, worst, worst < tol))
     return reports
@@ -420,14 +432,16 @@ def _check_time_zero(cfg: SuiteConfig):
     for k, rep in enumerate(_momentum_reps(cfg)):
         seed = cfg.seed + _CHECK_SEED_STRIDE * (70 + k)
         rng = np.random.default_rng(seed)
-        worst = 0.0
+        residuals = []
         for i in range(cfg.n_time_zero_cases):
             f = random_state(rng, rep.dim)
             r = random_element(rng, rep.dim, cfg.scale)
             at_zero = apply_time(rep, r, 0.0, f)
             plain = apply(rep, r, f)
-            for p in default_sample_points(f, n=8, seed=seed + i):
-                worst = max(worst, abs(at_zero.evaluate(p) - plain.evaluate(p)))
+            points = default_sample_points(f, n=8, seed=seed + i)
+            residuals += [abs(at_zero.evaluate(p) - plain.evaluate(p))
+                          for p in points]
+        worst = _worst(residuals)
         reports.append(_report(f"time_zero_{rep.kind}", rep.kind, seed,
                                cfg.n_time_zero_cases, worst, worst < tol))
     return reports
@@ -439,7 +453,7 @@ def _check_multipliers(cfg: SuiteConfig):
         seed = cfg.seed + _CHECK_SEED_STRIDE * (80 + k)
         rng = np.random.default_rng(seed)
         state = random_state(rng, rep.dim)
-        max_spread = max_modulus = max_match = 0.0
+        spreads, moduli, matches = [], [], []
         skipped = 0
         for i in range(cfg.n_pairs):
             r = random_element(rng, rep.dim, cfg.scale)
@@ -447,17 +461,19 @@ def _check_multipliers(cfg: SuiteConfig):
             points = default_sample_points(state, seed=seed + 7 * i + 1)
             rep_report = extract_multiplier(rep, r, s, 0.0, state, points)
             rep_report = match_exponent(rep, r, s, 0.0, rep_report)
-            max_spread = max(max_spread, rep_report.constancy_spread)
-            max_modulus = max(max_modulus, rep_report.modulus_error)
-            max_match = max(max_match, rep_report.matched_exponent[1])
+            spreads.append(rep_report.constancy_spread)
+            moduli.append(rep_report.modulus_error)
+            matches.append(rep_report.matched_exponent[1])
             skipped += rep_report.n_skipped
-        max_cocycle = 0.0
+        cocycle_residuals = []
         for i in range(cfg.n_exponent_triples):
             r = random_element(rng, rep.dim, cfg.scale)
             s = random_element(rng, rep.dim, cfg.scale)
             q = random_element(rng, rep.dim, cfg.scale)
-            max_cocycle = max(max_cocycle, exponent_cocycle_residual(
+            cocycle_residuals.append(exponent_cocycle_residual(
                 rep, r, s, q, 0.0, state))
+        max_spread, max_modulus, max_match, max_cocycle = (
+            _worst(x) for x in (spreads, moduli, matches, cocycle_residuals))
         passed = (max_spread < cfg.tol("multiplier_spread")
                   and max_modulus < cfg.tol("multiplier_modulus")
                   and max_match < cfg.tol("multiplier_match")
@@ -470,7 +486,7 @@ def _check_multipliers(cfg: SuiteConfig):
             "n_exponent_triples": cfg.n_exponent_triples,
             "n_skipped_points": skipped,
         }
-        worst = max(max_spread, max_modulus, max_match, max_cocycle)
+        worst = _worst((max_spread, max_modulus, max_match, max_cocycle))
         reports.append(_report(f"multiplier_{rep.kind}", rep.kind, seed,
                                cfg.n_pairs, worst, passed, details))
     return reports
@@ -484,7 +500,7 @@ def _check_time_multiplier(cfg: SuiteConfig):
         seed = cfg.seed + _CHECK_SEED_STRIDE * (90 + k)
         rng = np.random.default_rng(seed)
         state = random_state(rng, rep.dim)
-        worst_boost = worst_general = 0.0
+        boost_residuals, general_residuals = [], []
         for i in range(cfg.n_time_cases):
             if i < len(cfg.t_samples):
                 t = float(cfg.t_samples[i])
@@ -503,11 +519,11 @@ def _check_time_multiplier(cfg: SuiteConfig):
                 s = random_element(rng, rep.dim, cfg.scale)
             points = default_sample_points(state, seed=seed + 11 * i + 3)
             residual = check_time_multiplier(rep, r, s, t, state, points)
-            if pure_boost:
-                worst_boost = max(worst_boost, residual)
-            else:
-                worst_general = max(worst_general, residual)
-        worst = max(worst_boost, worst_general)
+            (boost_residuals if pure_boost
+             else general_residuals).append(residual)
+        worst_boost = _worst(boost_residuals)
+        worst_general = _worst(general_residuals)
+        worst = _worst((worst_boost, worst_general))
         details = {"pure_boost_max": worst_boost,
                    "general_max": worst_general,
                    "n_pure_boost": n_boost}
@@ -530,11 +546,10 @@ def _check_heisenberg(cfg: SuiteConfig):
                       and abs(fit.K - 1j) < 1e-9
                       and fit.max_residual < tol and t_indep_ok)
         else:
-            # position1d as printed: expected to lack a single (K, orientation)
+            # position1d as printed: expected to lack a single constant K
             passed = fit.uniform and fit.max_residual < tol
         details = {
             "K": fit.K,
-            "orientation": fit.orientation,
             "uniform": fit.uniform,
             "per_generator_flips": fit.per_generator_flips,
             "per_generator": fit.per_generator,
@@ -552,10 +567,8 @@ def _check_initial_conditions(cfg: SuiteConfig):
     for k, rep in enumerate(cfg.reps):
         seed = cfg.seed + _CHECK_SEED_STRIDE * (110 + k)
         names = generator_names(rep)
-        worst = 0.0
-        for i, name in enumerate(names):
-            worst = max(worst, check_initial_condition(rep, name,
-                                                       seed=seed + i))
+        worst = _worst([check_initial_condition(rep, name, seed=seed + i)
+                        for i, name in enumerate(names)])
         reports.append(_report(f"initial_conditions_{rep.kind}", rep.kind,
                                seed, len(names), worst, worst < tol))
     return reports

@@ -46,6 +46,12 @@ class MultiplierReport:
         return cmath.phase(self.omega)
 
 
+def _worst(residuals) -> float:
+    """Largest of the residuals, 0.0 for none.  A NaN residual gives NaN, so
+    the check fails; Python's max(0.0, nan) would return 0.0 and pass."""
+    return float(np.max(np.asarray(residuals, dtype=float), initial=0.0))
+
+
 def default_sample_points(state: PolyGaussianState, n: int = 16,
                           radius: float = 2.0, seed: int = 0) -> np.ndarray:
     """Seeded points in the ball of given radius around the state's
@@ -163,23 +169,17 @@ class HeisenbergFitResult:
 
     K is the uniform constant when one exists without per-generator sign
     flips; otherwise the flip-adjusted constant if flips repair it, else
-    None. orientation +1 means the commutator is taken as [H, X]; a global
-    orientation flip is the same as negating K, so it stays +1 and relative
-    signs land in per_generator_flips.
+    None. The commutator is taken as [H, X]: the opposite orientation is the
+    same as negating K, so relative signs land in per_generator_flips.
     """
 
     K: complex | None
-    orientation: int
     per_generator_flips: dict
     max_residual: float
     uniform: bool
     per_generator: dict
     time_independent: dict
     note: str = ""
-
-    def __iter__(self):
-        return iter((self.K, self.orientation, self.per_generator_flips,
-                     self.max_residual))
 
 
 def _operator_coeff_map(op: PolyDiffOperator) -> dict:
@@ -205,28 +205,26 @@ def _fit_scalar(lhs: PolyDiffOperator, rhs: PolyDiffOperator):
 
 def _battery_residual(op: PolyDiffOperator, t_samples, seed: int = 11) -> float:
     """Max pointwise magnitude of op acting on seeded states."""
-    worst = 0.0
+    magnitudes = []
     for idx in range(3):
         state = random_state(seed + idx, op.dim, poly_degree=1)
         points = default_sample_points(state, n=8, seed=seed + 100 + idx)
         for t in t_samples:
             image = op.apply(state, t=float(t))
-            for p in points:
-                worst = max(worst, abs(image.evaluate(p)))
-    return worst
+            magnitudes += [abs(image.evaluate(p)) for p in points]
+    return _worst(magnitudes)
 
 
 def heisenberg_fit(rep: RepDescriptor, generators=None,
                    t_samples=(0.5, 1.7), tol: float = 1e-9) -> HeisenbergFitResult:
     """Fit the evolution constant per generator, then look for a single
-    (K, orientation) convention; sign flips are reported if only a
-    per-generator sign repair works."""
+    constant K; sign flips are reported if only a per-generator sign repair
+    works."""
     names = tuple(generators) if generators is not None \
         else generator_names(rep)
     H = generator(rep, "H")
     per_generator = {}
     time_independent = {}
-    max_residual = 0.0
     for name in names:
         R = generator(rep, name)
         lhs = R.d_dt()
@@ -236,26 +234,26 @@ def heisenberg_fit(rep: RepDescriptor, generators=None,
             residual_op = lhs
         else:
             residual_op = lhs - rhs.scale(K_g)
-        residual = max(residual_op.norm(),
-                       _battery_residual(residual_op, t_samples))
+        residual = _worst((residual_op.norm(),
+                           _battery_residual(residual_op, t_samples)))
         per_generator[name] = {
             "K": K_g,
             "residual": residual,
             "constrained": K_g is not None,
         }
         time_independent[name] = lhs.norm() == 0.0
-        max_residual = max(max_residual, residual)
+    max_residual = _worst([d["residual"] for d in per_generator.values()])
     constrained = {n: d["K"] for n, d in per_generator.items()
                    if d["constrained"]}
     flips = {n: False for n in names}
     if not constrained:
-        return HeisenbergFitResult(None, +1, flips, max_residual, True,
+        return HeisenbergFitResult(None, flips, max_residual, True,
                                    per_generator, time_independent,
                                    note="no generator constrains K")
     values = list(constrained.values())
     ref = values[0]
     if all(abs(v - ref) < tol for v in values):
-        return HeisenbergFitResult(ref, +1, flips, max_residual, True,
+        return HeisenbergFitResult(ref, flips, max_residual, True,
                                    per_generator, time_independent)
     # single modulus, signs differing per generator
     if all(abs(abs(v) - abs(ref)) < tol for v in values):
@@ -270,11 +268,11 @@ def heisenberg_fit(rep: RepDescriptor, generators=None,
                 ok = False
         if ok:
             return HeisenbergFitResult(
-                K, +1, flips, max_residual, False, per_generator,
+                K, flips, max_residual, False, per_generator,
                 time_independent,
                 note="no single (K, orientation); sign flips per generator "
                      "restore the identity")
-    return HeisenbergFitResult(None, +1, flips, max_residual, False,
+    return HeisenbergFitResult(None, flips, max_residual, False,
                                per_generator, time_independent,
                                note="no uniform constant, with or without "
                                     "sign flips")
@@ -289,5 +287,4 @@ def check_initial_condition(rep: RepDescriptor, name: str,
         state = random_state(seed, rep.dim, poly_degree=1)
     points = default_sample_points(state, n=8, seed=seed)
     image = diff.apply(state, t=0.0)
-    worst = max(abs(image.evaluate(p)) for p in points)
-    return max(worst, diff.norm())
+    return _worst([abs(image.evaluate(p)) for p in points] + [diff.norm()])

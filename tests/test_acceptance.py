@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 
+import galiray
 from galiray.cocycles import cocycle_residual
 from galiray.group import random_element
 from galiray.harness import (
@@ -173,6 +174,10 @@ def test_acceptance_9_cli_end_to_end(tmp_path):
     out_path = tmp_path / "report.json"
     env = dict(os.environ)
     env.pop("GALIRAY_SEED", None)
+    # the child imports the galiray under test, installed or not
+    package_root = os.path.dirname(os.path.dirname(galiray.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
     t0 = time.perf_counter()
     proc = subprocess.run(cmd + ["verify-all", "--json", str(out_path)],
                           capture_output=True, text=True, timeout=120,

@@ -1,8 +1,10 @@
-"""Batched group, algebra and exponent operations against the scalar ones.
+"""Batched group, algebra and exponent operations, row by row.
 
-The batched forms promise the scalar arithmetic row by row, so rows are
-compared for exact equality.  The reference draws and sweeps are the
-case-by-case loops the batches replace.
+Each operation is written once, over batch rows, and the scalar operation is
+its 1-row view.  So row i of an N-row batch must equal, exactly, the 1-row
+call on row i: a row's result must not depend on the other rows (its own
+squaring count, its own Taylor stop).  The reference draws and sweeps are
+case-by-case loops.
 """
 
 import json
@@ -12,15 +14,15 @@ import numpy as np
 import pytest
 
 from galiray import harness
-from galiray.algebra import (_expm, commutator, commutator_batch,
+from galiray.algebra import (commutator, commutator_batch,
                              embed_algebra, embed_algebra_batch, exponential,
                              exponential_batch, jacobi_residual,
                              jacobi_residual_batch, random_algebra_batch,
                              random_algebra_element)
 from galiray.cli import main
-from galiray.cocycles import (PhaseExponent, cocycle_residual,
+from galiray.cocycles import (PhaseExponent, _richardson, cocycle_residual,
                               cocycle_residual_batch, evaluate,
-                              evaluate_batch)
+                              evaluate_batch, infinitesimal_exponent)
 from galiray.group import (GalileiBatch, embed_matrix, embed_matrix_batch,
                           identity, inverse, inverse_batch, multiply,
                           multiply_batch, random_element,
@@ -116,6 +118,7 @@ def test_batch_draw_rejects_a_bad_dimension():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("n,scale", [(1, 1.0), (25, 1.0), (25, 40.0)])
 def test_group_operations_match_the_scalar_ones_row_by_row(dim, n, scale):
+    """Row i of an N-row batch equals the scalar (1-row) call on row i."""
     rng = np.random.default_rng(520 + dim)
     r = random_element_batch(rng, n, dim, scale)
     s = random_element_batch(rng, n, dim, scale)
@@ -137,6 +140,7 @@ def test_group_batches_reject_mixed_dimensions():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("n,scale", [(1, 1.0), (25, 1.0), (25, 6.0)])
 def test_algebra_operations_match_the_scalar_ones_row_by_row(dim, n, scale):
+    """Row i of an N-row batch equals the scalar (1-row) call on row i."""
     rng = np.random.default_rng(530 + dim)
     X = random_algebra_batch(rng, n, dim, scale)
     Y = random_algebra_batch(rng, n, dim, scale)
@@ -149,6 +153,24 @@ def test_algebra_operations_match_the_scalar_ones_row_by_row(dim, n, scale):
         assert jac[i] == jacobi_residual(x, y, z)
         assert np.array_equal(M[i], embed_algebra(x))
         assert_same_element(expX.element(i), exponential(x))
+
+
+def _reference_expm(M, tol=1e-14):
+    """Scaled-and-squared Taylor series of one matrix, term by term."""
+    norm = np.max(np.sum(np.abs(M), axis=1))
+    squarings = math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0
+    A = M / 2.0 ** squarings
+    result = term = np.eye(len(M))
+    k = 1
+    while True:
+        term = term @ A / k
+        result = result + term
+        if np.max(np.abs(term)) < tol:
+            break
+        k += 1
+    for _ in range(squarings):
+        result = result @ result
+    return result
 
 
 def test_exponential_batch_mixes_squaring_counts():
@@ -164,7 +186,7 @@ def test_exponential_batch_mixes_squaring_counts():
     assert len(set(squarings)) >= 3
     batch = exponential_batch(X)
     for i in range(len(factors)):
-        assert np.array_equal(_expm(M[i]),
+        assert np.array_equal(_reference_expm(M[i]),
                               embed_matrix(batch.element(i)))
         assert_same_element(batch.element(i), exponential(X.element(i)))
 
@@ -192,6 +214,7 @@ EXPONENTS = [
 @pytest.mark.parametrize("xi", EXPONENTS, ids=lambda xi: f"{xi.name}-{xi.dim}")
 @pytest.mark.parametrize("n,scale", [(1, 1.0), (30, 1.0), (30, 20.0)])
 def test_exponents_match_the_scalar_ones_row_by_row(xi, n, scale):
+    """Row i of an N-row batch equals the scalar (1-row) call on row i."""
     rng = np.random.default_rng(550 + xi.dim)
     r, s, q = (random_element_batch(rng, n, xi.dim, scale, CAP)
                for _ in range(3))
@@ -206,7 +229,23 @@ def test_exponents_match_the_scalar_ones_row_by_row(xi, n, scale):
                        random_element_batch(2, 2, xi.dim % 3 + 1))
 
 
-# -- the harness sweeps against the case-by-case loops they replace ----------
+def test_infinitesimal_exponent_batches_its_taus_exactly():
+    """One batch over the taus gives what a tau-by-tau loop of exponentials
+    gives; a random X and Y mix squaring counts across the taus."""
+    xi = PhaseExponent("xi0", 3, gamma=1.3)
+    X, Y = (random_algebra_element(560 + i, 3, 4.0) for i in range(2))
+    taus = (0.4, 0.2, 0.1, 0.05)
+    samples = []
+    for tau in taus:
+        g, h = exponential(X.scale(tau)), exponential(Y.scale(tau))
+        gi, hi = inverse(g), inverse(h)
+        samples.append((xi(multiply(g, h), multiply(gi, hi)) + xi(g, h)
+                        + xi(gi, hi)) / tau ** 2)
+    assert infinitesimal_exponent(xi, X, Y, taus).value == \
+        _richardson(taus, samples)[0]
+
+
+# -- the harness sweeps against case-by-case loops ---------------------------
 
 def _mat_diff(A, B):
     return float(np.max(np.abs(A - B)))

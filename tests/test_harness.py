@@ -1,10 +1,14 @@
-"""Suite configuration, report document shape, determinism, and the CLI."""
+"""Suite configuration, report document shape, determinism, fail-closed
+reductions, and the CLI."""
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+from galiray import cocycles, harness, verify
 from galiray.cli import main
 from galiray.group import GalileiElement, element_to_dict, identity
 from galiray.harness import (
@@ -46,6 +50,31 @@ def test_config_validation_rejects_bad_values():
         default_config(n_time_cases=0)
     with pytest.raises(ValueError):
         default_config(tolerances={**DEFAULT_TOLERANCES, "group": -1.0})
+
+
+NON_FINITE = {
+    "nan_scale": {"scale": math.nan},
+    "inf_scale": {"scale": math.inf},
+    "nan_tau": {"tau_sequence": [0.1, math.nan, 0.025]},
+    "nan_t_sample": {"t_samples": [0.5, math.nan]},
+    "inf_tolerance": {"tolerances": {"group": math.inf}},
+}
+
+
+@pytest.mark.parametrize("overrides", NON_FINITE.values(), ids=NON_FINITE)
+def test_config_rejects_non_finite_values(overrides, tmp_path):
+    with pytest.raises(ValueError):
+        default_config(**overrides)
+    # json writes NaN and Infinity literals, which json.loads accepts
+    as_json = tmp_path / "suite.json"
+    as_json.write_text(json.dumps(overrides))
+    with pytest.raises(ValueError):
+        load_config(str(as_json))
+    as_lines = tmp_path / "suite.cfg"
+    as_lines.write_text("".join(f"{k} = {json.dumps(v)}\n"
+                                for k, v in overrides.items()))
+    with pytest.raises(ValueError):
+        load_config(str(as_lines))
 
 
 def test_config_dict_round_trip():
@@ -136,6 +165,75 @@ def test_suite_is_deterministic():
     b.pop("generated_at")
     assert report_json(a) == report_json(b)
     json.loads(report_json(a))
+
+
+# -- fail closed: a NaN residual in any one case fails its check ------------
+
+def _poison_call(fn, at, poison):
+    """fn, but call number `at` returns poison(result)."""
+    calls = [0]
+
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls[0] += 1
+        return poison(out) if calls[0] == at + 1 else out
+    return wrapper
+
+
+def _nan_first_point(points):
+    points = points.copy()
+    points[0] = math.nan
+    return points
+
+
+# (check family, namespace, attribute, poisoned call, poison); the harness
+# rows hit its own reductions, the verify rows those inside verify
+NAN_INJECTIONS = {
+    "infinitesimal": ("_check_infinitesimal", cocycles,
+                      "infinitesimal_exponent", 0,
+                      lambda v: dataclasses.replace(v, value=math.nan)),
+    "unitarity": ("_check_unitarity", harness, "inner_product", 0,
+                  lambda z: complex(math.nan, 0.0)),
+    "time_zero": ("_check_time_zero", harness, "default_sample_points", 0,
+                  _nan_first_point),
+    "multiplier_spread": ("_check_multipliers", harness, "extract_multiplier",
+                          0, lambda r: dataclasses.replace(
+                              r, constancy_spread=math.nan)),
+    "multiplier_modulus": ("_check_multipliers", harness,
+                           "extract_multiplier", 0,
+                           lambda r: dataclasses.replace(
+                               r, modulus_error=math.nan)),
+    "multiplier_match": ("_check_multipliers", harness, "match_exponent", 0,
+                         lambda r: dataclasses.replace(
+                             r, matched_exponent=(r.matched_exponent[0],
+                                                  math.nan))),
+    "multiplier_cocycle": ("_check_multipliers", harness,
+                           "exponent_cocycle_residual", 0,
+                           lambda x: math.nan),
+    "time_multiplier_boost": ("_check_time_multiplier", harness,
+                              "check_time_multiplier", 0, lambda x: math.nan),
+    "time_multiplier_general": ("_check_time_multiplier", harness,
+                                "check_time_multiplier", 20,
+                                lambda x: math.nan),
+    "initial_conditions": ("_check_initial_conditions", harness,
+                           "check_initial_condition", 0, lambda x: math.nan),
+    "heisenberg_battery": ("_check_heisenberg", verify,
+                           "default_sample_points", 0, _nan_first_point),
+    "initial_condition_points": ("_check_initial_conditions", verify,
+                                 "default_sample_points", 0,
+                                 _nan_first_point),
+}
+
+
+@pytest.mark.parametrize("case", NAN_INJECTIONS.values(), ids=NAN_INJECTIONS)
+def test_a_nan_residual_fails_its_check(case, monkeypatch):
+    family, owner, attr, at, poison = case
+    cfg = default_config(**{**TINY, "n_time_cases": 21})
+    monkeypatch.setattr(owner, attr,
+                        _poison_call(getattr(owner, attr), at, poison))
+    first = getattr(harness, family)(cfg)[0]
+    assert first["pass"] is False
+    assert math.isnan(first["max_residual"])
 
 
 def test_cli_verify_all(tmp_path, capsys, monkeypatch):

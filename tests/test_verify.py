@@ -173,14 +173,9 @@ def test_momentum_fit_finds_the_uniform_constant():
         fit = heisenberg_fit(rep)
         assert fit.uniform
         assert abs(fit.K - 1j) < 1e-12
-        assert fit.orientation == +1
         assert fit.max_residual < 1e-12
         assert fit.note == ""
         assert not any(fit.per_generator_flips.values())
-        K, orientation, flips, max_residual = fit
-        assert K == fit.K and orientation == +1
-        assert flips == fit.per_generator_flips
-        assert max_residual == fit.max_residual
         for name in generator_names(rep):
             boosts = name.startswith("N")
             assert fit.time_independent[name] == (not boosts)
