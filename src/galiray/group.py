@@ -66,12 +66,16 @@ class GalileiElement:
         v = np.array(self.v, dtype=float).reshape(self.dim)
         u = np.array(self.u, dtype=float).reshape(self.dim)
         ortho_err = np.max(np.abs(W.T @ W - np.eye(self.dim)))
-        if ortho_err > _ORTHO_TOL:
+        # written so that a NaN deviation fails too
+        if not ortho_err <= _ORTHO_TOL:
             raise ValueError(f"W not orthogonal, max deviation {ortho_err:.3e}")
         if np.linalg.det(W) < 0.0:
             raise ValueError("W must be a proper rotation (det +1)")
+        eta = float(self.eta)
+        if not all(map(math.isfinite, (eta, *v.tolist(), *u.tolist()))):
+            raise ValueError("eta, v and u must be finite")
         object.__setattr__(self, "W", _frozen(W))
-        object.__setattr__(self, "eta", float(self.eta))
+        object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "v", _frozen(v))
         object.__setattr__(self, "u", _frozen(u))
 

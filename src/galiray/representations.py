@@ -6,6 +6,7 @@ by its generator family only.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,10 @@ class RepDescriptor:
     def __post_init__(self):
         if self.kind not in KIND_DIMS:
             raise ValueError(f"unknown representation kind {self.kind!r}")
+        for name in ("gamma", "lam", "s", "hbar", "m", "force_f", "V0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {getattr(self, name)!r}")
         if self.kind in MOMENTUM_KINDS and self.gamma == 0.0:
             raise ValueError("gamma must be nonzero (phases divide by it)")
         if self.kind == "position1d":

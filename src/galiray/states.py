@@ -4,13 +4,28 @@ polynomial-coefficient differential operators acting on them.
 Every representation phase (quadratic in p) and every generator maps the
 family to itself, so all checks run in closed form with no discretization.
 Inner products reduce to complex Gaussian moment formulas.
+
+A state is evaluated at all its sample points in one pass: evaluate_many
+maps an (n, dim) array of points to n values, and evaluate (like
+Polynomial.eval and PolyGaussianTerm.evaluate) is its one-row view.
+
+Each term keeps an invariant: finite entries, and Gamma symmetric with a
+negative-definite real part.  PolyGaussianState(...) checks it, once, when
+a state is built from input.  The transforms that keep it by construction
+build their result without a re-check: substitute (a congruence by an
+orthogonal W, which it requires), multiply_phase with a symmetric, purely
+imaginary quad, scale, add, conjugated, and PolyDiffOperator.apply, which
+reuses each input term's Gamma.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .group import _ORTHO_TOL
 
 __all__ = [
     "DegreeOverflowError",
@@ -118,40 +133,39 @@ class Polynomial:
         return Polynomial(self.nvars, out)
 
     def eval(self, point) -> complex:
-        point = np.asarray(point)
-        total = 0.0 + 0.0j
+        return complex(self.eval_many(np.asarray(point)[None])[0])
+
+    def eval_many(self, points) -> np.ndarray:
+        """Values at the rows of an (n, nvars) array of points."""
+        P = _point_rows(points, self.nvars)
+        total = np.zeros(len(P), dtype=complex)
         for exps, c in self.coeffs.items():
-            term = c
-            for x, e in zip(point, exps):
+            term = np.full(len(P), c)
+            for x, e in zip(P.T, exps):
                 if e:
-                    term = term * x ** e
-            total += term
-        return complex(total)
+                    term = term * _power(x, e)
+            total = total + term
+        return total
 
     def subs_affine(self, M, c) -> "Polynomial":
         """Substitute variable_i -> sum_j M[i,j] q_j + c[i]."""
         n = self.nvars
         M = np.asarray(M)
         c = np.asarray(c)
-        lines = []
-        for i in range(n):
-            coeffs = {}
-            for j in range(n):
-                if M[i, j] != 0:
-                    e = [0] * n
-                    e[j] = 1
-                    coeffs[tuple(e)] = M[i, j]
-            if c[i] != 0:
-                coeffs[tuple([0] * n)] = c[i]
-            lines.append(Polynomial(n, coeffs))
-        powers: list[list[Polynomial]] = [[Polynomial.constant(n, 1.0)] for _ in range(n)]
+        # line i and its powers are built when a monomial first uses
+        # variable i, so a constant polynomial builds none
+        lines: list[Polynomial | None] = [None] * n
+        powers: list[list[Polynomial]] = [[] for _ in range(n)]
         result = Polynomial(n)
         for exps, coef in self.coeffs.items():
             term = Polynomial.constant(n, coef)
             for i, e in enumerate(exps):
-                while len(powers[i]) <= e:
-                    powers[i].append(powers[i][-1] * lines[i])
                 if e:
+                    if lines[i] is None:
+                        lines[i] = _affine_line(M[i], c[i])
+                        powers[i].append(Polynomial.constant(n, 1.0))
+                    while len(powers[i]) <= e:
+                        powers[i].append(powers[i][-1] * lines[i])
                     term = term * powers[i][e]
             result = result + term
         return result
@@ -192,14 +206,68 @@ class Polynomial:
         return f"Polynomial(nvars={self.nvars}, coeffs={self.coeffs})"
 
 
+def _affine_line(row, shift) -> Polynomial:
+    """The polynomial sum_j row[j] q_j + shift."""
+    n = len(row)
+    coeffs = {}
+    for j in range(n):
+        if row[j] != 0:
+            e = [0] * n
+            e[j] = 1
+            coeffs[tuple(e)] = row[j]
+    if shift != 0:
+        coeffs[tuple([0] * n)] = shift
+    return Polynomial(n, coeffs)
+
+
+def _point_rows(points, n: int) -> np.ndarray:
+    P = np.asarray(points)
+    if P.ndim != 2 or P.shape[1] != n:
+        raise ValueError(f"points must have shape (n, {n}), got {P.shape}")
+    return P
+
+
+def _power(x: np.ndarray, e: int) -> np.ndarray:
+    """x ** e per element, as a scalar x ** e rounds it."""
+    # not np.power, whose SIMD kernel rounds differently from the scalar
+    # power: values, and the residuals built from them, stay those of the
+    # one-point evaluation
+    return x if e == 1 else np.array([v ** e for v in x])
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b for complex arrays, rounded as Python's complex product."""
+    # numpy's complex multiply fuses multiply-adds, and so differs in the
+    # last digit from the one-point product
+    out = np.empty(len(a), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def _check_gamma(dim: int, Gamma: np.ndarray) -> np.ndarray:
     Gamma = np.asarray(Gamma, dtype=complex).reshape(dim, dim)
+    if not np.isfinite(Gamma).all():
+        raise ValueError("Gamma must be finite")
     if np.max(np.abs(Gamma - Gamma.T)) > _SYM_TOL:
         raise ValueError("Gamma must be symmetric")
     re_eigs = np.linalg.eigvalsh(Gamma.real)
     if np.max(re_eigs) >= 0.0:
         raise ValueError("Re(Gamma) must be negative-definite")
     return Gamma
+
+
+def _checked_term(dim: int, term) -> "PolyGaussianTerm":
+    if term.poly.nvars != dim:
+        raise ValueError("term polynomial has wrong variable count")
+    alpha = complex(term.alpha)
+    beta = np.asarray(term.beta, dtype=complex).reshape(dim)
+    Gamma = _check_gamma(dim, term.Gamma)
+    if not (cmath.isfinite(alpha) and np.isfinite(beta).all()
+            and all(map(cmath.isfinite, term.poly.coeffs.values()))):
+        raise ValueError("alpha, beta and the polynomial coefficients "
+                         "must be finite")
+    return PolyGaussianTerm(term.poly, alpha, beta, Gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,25 +280,33 @@ class PolyGaussianTerm:
     Gamma: np.ndarray
 
     def evaluate(self, p) -> complex:
-        p = np.asarray(p)
-        expo = self.alpha + np.dot(self.beta, p) + p @ self.Gamma @ p
-        return self.poly.eval(p) * complex(np.exp(expo))
+        return complex(self.evaluate_many(np.asarray(p)[None])[0])
+
+    def evaluate_many(self, points) -> np.ndarray:
+        """Values at the rows of an (n, dim) array of points."""
+        P = _point_rows(points, len(self.beta))
+        Pc = P.astype(complex)[:, None, :]
+        lin = (Pc @ self.beta[:, None])[:, 0, 0]
+        quad = ((Pc @ self.Gamma) @ Pc.transpose(0, 2, 1))[:, 0, 0]
+        return _cmul(self.poly.eval_many(P), np.exp(self.alpha + lin + quad))
 
 
 class PolyGaussianState:
     """Finite sum of polynomial-Gaussian terms in dim variables."""
 
     def __init__(self, dim: int, terms):
+        """Validating constructor: every term is checked (see the module
+        docstring), so a state built from input is sound."""
         self.dim = dim
-        checked = []
-        for term in terms:
-            if term.poly.nvars != dim:
-                raise ValueError("term polynomial has wrong variable count")
-            beta = np.asarray(term.beta, dtype=complex).reshape(dim)
-            Gamma = _check_gamma(dim, term.Gamma)
-            checked.append(PolyGaussianTerm(term.poly, complex(term.alpha),
-                                            beta, Gamma))
-        self.terms = tuple(checked)
+        self.terms = tuple(_checked_term(dim, term) for term in terms)
+
+    @classmethod
+    def _trusted(cls, dim: int, terms) -> "PolyGaussianState":
+        """A state from terms that keep the invariant by construction."""
+        state = cls.__new__(cls)
+        state.dim = dim
+        state.terms = tuple(terms)
+        return state
 
     @classmethod
     def gaussian(cls, dim: int, alpha=0.0, beta=None, Gamma=None,
@@ -250,11 +326,23 @@ class PolyGaussianState:
         p = np.asarray(p)
         if p.shape != (self.dim,):
             raise ValueError(f"point must have shape ({self.dim},)")
-        return sum((t.evaluate(p) for t in self.terms), 0.0 + 0.0j)
+        return complex(self.evaluate_many(p[None])[0])
+
+    def evaluate_many(self, points) -> np.ndarray:
+        """Values at the rows of an (n, dim) array of points, as an (n,)
+        complex array; row i equals evaluate(points[i])."""
+        P = _point_rows(points, self.dim)
+        total = np.zeros(len(P), dtype=complex)
+        for t in self.terms:
+            total = total + t.evaluate_many(P)
+        return total
 
     def substitute(self, W, shift) -> "PolyGaussianState":
-        """New state g with g(p) = self(W^{-1}(p + shift))."""
-        W = np.asarray(W, dtype=float)
+        """New state g with g(p) = self(W^{-1}(p + shift)) for an orthogonal
+        W, whose inverse is taken as W^T; any other W raises."""
+        W = np.asarray(W, dtype=float).reshape(self.dim, self.dim)
+        if not np.max(np.abs(W.T @ W - np.eye(self.dim))) <= _ORTHO_TOL:
+            raise ValueError("substitute needs an orthogonal W")
         shift = np.asarray(shift, dtype=complex).reshape(self.dim)
         M = W.T
         c = M @ shift
@@ -265,7 +353,9 @@ class PolyGaussianState:
             alpha = t.alpha + np.dot(t.beta, c) + c @ t.Gamma @ c
             out.append(PolyGaussianTerm(t.poly.subs_affine(M, c),
                                         complex(alpha), beta, Gamma))
-        return PolyGaussianState(self.dim, out)
+        # a congruence by orthogonal M keeps Gamma symmetric and Re(Gamma)
+        # negative-definite
+        return PolyGaussianState._trusted(self.dim, out)
 
     def multiply_phase(self, quad=None, lin=None, const=0.0) -> "PolyGaussianState":
         """Multiply by exp(const + <lin, p> + p^T quad p); the arguments are
@@ -278,24 +368,26 @@ class PolyGaussianState:
         const = complex(const)
         out = [PolyGaussianTerm(t.poly, t.alpha + const, t.beta + lin,
                                 t.Gamma + quad) for t in self.terms]
-        # PolyGaussianState re-validates Re(Gamma), guarding non-imaginary quads
-        return PolyGaussianState(dim, out)
+        if quad.real.any() or not (quad == quad.T).all():
+            # a real or asymmetric quad can break the invariant: check it
+            return PolyGaussianState(dim, out)
+        return PolyGaussianState._trusted(dim, out)
 
     def scale(self, c) -> "PolyGaussianState":
         out = [PolyGaussianTerm(t.poly * c, t.alpha, t.beta, t.Gamma)
                for t in self.terms]
-        return PolyGaussianState(self.dim, out)
+        return PolyGaussianState._trusted(self.dim, out)
 
     def add(self, other: "PolyGaussianState") -> "PolyGaussianState":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        return PolyGaussianState(self.dim, self.terms + other.terms)
+        return PolyGaussianState._trusted(self.dim, self.terms + other.terms)
 
     def conjugated(self) -> "PolyGaussianState":
         out = [PolyGaussianTerm(t.poly.conj(), t.alpha.conjugate(),
                                 t.beta.conjugate(), t.Gamma.conjugate())
                for t in self.terms]
-        return PolyGaussianState(self.dim, out)
+        return PolyGaussianState._trusted(self.dim, out)
 
     def center(self) -> np.ndarray:
         """Peak of the leading term's Gaussian envelope."""
@@ -437,11 +529,12 @@ class PolyDiffOperator:
                     out_terms.append(PolyGaussianTerm(poly, term.alpha,
                                                       term.beta, term.Gamma))
         if not out_terms:
-            zero_term = PolyGaussianTerm(Polynomial(dim), 0.0,
+            zero_term = PolyGaussianTerm(Polynomial(dim), 0j,
                                          np.zeros(dim, dtype=complex),
                                          -0.5 * np.eye(dim, dtype=complex))
             out_terms = [zero_term]
-        return PolyGaussianState(dim, out_terms)
+        # every term reuses the Gamma of a term of state
+        return PolyGaussianState._trusted(dim, out_terms)
 
 
 def _poly_after_derivative(poly: Polynomial, term: PolyGaussianTerm,

@@ -65,22 +65,31 @@ def default_sample_points(state: PolyGaussianState, n: int = 16,
     return center[None, :] + direction * radii[:, None]
 
 
+def _abs(values: np.ndarray) -> np.ndarray:
+    """|z| per element, rounded as Python's abs(complex) rounds it (hypot);
+    np.abs of a complex array differs from it in the last digit."""
+    return np.hypot(values.real, values.imag)
+
+
 def extract_multiplier(rep: RepDescriptor, r: GalileiElement,
                        s: GalileiElement, t: float,
                        state: PolyGaussianState,
-                       sample_points=None) -> MultiplierReport:
+                       sample_points=None, rs=None) -> MultiplierReport:
     """Pointwise ratio (U_t(r) U_t(s) f)(p) / (U_t(rs) f)(p).
 
     For a ray representation the ratio is a constant unimodular number;
-    constancy_spread measures any pointwise deviation from it.
+    constancy_spread measures any pointwise deviation from it.  rs is the
+    product multiply(r, s), when the caller has it already.
     """
     if sample_points is None:
         sample_points = default_sample_points(state)
     sample_points = np.atleast_2d(np.asarray(sample_points, dtype=float))
+    if rs is None:
+        rs = multiply(r, s)
     composed = apply_time(rep, r, t, apply_time(rep, s, t, state))
-    direct = apply_time(rep, multiply(r, s), t, state)
-    denom_vals = np.array([direct.evaluate(p) for p in sample_points])
-    numer_vals = np.array([composed.evaluate(p) for p in sample_points])
+    direct = apply_time(rep, rs, t, state)
+    denom_vals = direct.evaluate_many(sample_points)
+    numer_vals = composed.evaluate_many(sample_points)
     # Gaussian envelopes never vanish; only genuine underflow gets skipped
     usable = np.abs(denom_vals) > 1e-280
     n_skipped = int((~usable).sum())
@@ -99,9 +108,11 @@ def _coboundary_phi(gamma: float, r: GalileiElement) -> float:
 
 
 def expected_multiplier_exponent(rep: RepDescriptor, r: GalileiElement,
-                                 s: GalileiElement, t: float = 0.0):
-    """Closed-form prediction (name, exponent) with multiplier e^{i exponent}."""
-    rs = multiply(r, s)
+                                 s: GalileiElement, t: float = 0.0, rs=None):
+    """Closed-form prediction (name, exponent) with multiplier e^{i exponent};
+    rs is the product multiply(r, s), when the caller has it already."""
+    if rs is None:
+        rs = multiply(r, s)
     xi0 = PhaseExponent("xi0", rep.dim, gamma=rep.gamma)
     xi_t = PhaseExponent("xi_t", rep.dim, gamma=rep.gamma, t=t)
     value = -cocycles.evaluate(xi0, r, s)
@@ -126,9 +137,11 @@ def expected_multiplier_exponent(rep: RepDescriptor, r: GalileiElement,
 
 
 def match_exponent(rep: RepDescriptor, r: GalileiElement, s: GalileiElement,
-                   t: float, report: MultiplierReport) -> MultiplierReport:
-    """Attach (name, residual) comparing omega with the predicted multiplier."""
-    name, value = expected_multiplier_exponent(rep, r, s, t)
+                   t: float, report: MultiplierReport,
+                   rs=None) -> MultiplierReport:
+    """Attach (name, residual) comparing omega with the predicted multiplier;
+    rs as in expected_multiplier_exponent."""
+    name, value = expected_multiplier_exponent(rep, r, s, t, rs)
     residual = abs(report.omega - cmath.exp(1j * value))
     return replace(report, matched_exponent=(name, residual))
 
@@ -211,7 +224,7 @@ def _battery_residual(op: PolyDiffOperator, t_samples, seed: int = 11) -> float:
         points = default_sample_points(state, n=8, seed=seed + 100 + idx)
         for t in t_samples:
             image = op.apply(state, t=float(t))
-            magnitudes += [abs(image.evaluate(p)) for p in points]
+            magnitudes.extend(_abs(image.evaluate_many(points)))
     return _worst(magnitudes)
 
 
@@ -287,4 +300,4 @@ def check_initial_condition(rep: RepDescriptor, name: str,
         state = random_state(seed, rep.dim, poly_degree=1)
     points = default_sample_points(state, n=8, seed=seed)
     image = diff.apply(state, t=0.0)
-    return _worst([abs(image.evaluate(p)) for p in points] + [diff.norm()])
+    return _worst(np.append(_abs(image.evaluate_many(points)), diff.norm()))

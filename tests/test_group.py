@@ -167,3 +167,25 @@ def test_dict_round_trip_is_exact():
         assert back.eta == r.eta
         assert mat_diff(back.v, r.v) == 0.0
         assert mat_diff(back.u, r.u) == 0.0
+
+
+NON_FINITE_ELEMENTS = {
+    "nan_W_inf_eta": ([[np.nan, 0.0], [0.0, 1.0]], np.inf, [0, 0], [0, 0]),
+    "inf_W": ([[np.inf, 0.0], [0.0, 1.0]], 0.0, [0, 0], [0, 0]),
+    "nan_eta": (np.eye(2), np.nan, [0, 0], [0, 0]),
+    "inf_v": (np.eye(2), 0.0, [0.0, -np.inf], [0, 0]),
+    "nan_u": (np.eye(2), 0.0, [0, 0], [np.nan, 0.0]),
+}
+
+
+@pytest.mark.parametrize("parts", NON_FINITE_ELEMENTS.values(),
+                         ids=NON_FINITE_ELEMENTS)
+def test_non_finite_elements_are_rejected(parts):
+    W, eta, v, u = parts
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        GalileiElement(2, W, eta, v, u)
+    # json writes NaN and Infinity literals, which json.loads accepts
+    d = json.loads(json.dumps({"dim": 2, "W": np.ravel(W).tolist(),
+                               "eta": eta, "v": list(v), "u": list(u)}))
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        element_from_dict(d)

@@ -11,6 +11,7 @@ import pytest
 from galiray import cocycles, harness, verify
 from galiray.cli import main
 from galiray.group import GalileiElement, element_to_dict, identity
+from galiray.representations import rep_from_dict
 from galiray.harness import (
     DEFAULT_TOLERANCES,
     config_from_dict,
@@ -73,6 +74,29 @@ def test_config_rejects_non_finite_values(overrides, tmp_path):
     as_lines = tmp_path / "suite.cfg"
     as_lines.write_text("".join(f"{k} = {json.dumps(v)}\n"
                                 for k, v in overrides.items()))
+    with pytest.raises(ValueError):
+        load_config(str(as_lines))
+
+
+NON_FINITE_REPS = {
+    "nan_gamma": {"kind": "bargmann3d", "gamma": math.nan},
+    "inf_lambda": {"kind": "nonabelian2d", "lambda": math.inf},
+    "nan_s": {"kind": "schrodinger2d", "s": math.nan},
+    "nan_m": {"kind": "position1d", "m": math.nan},
+    "inf_f": {"kind": "position1d", "f": -math.inf},
+}
+
+
+@pytest.mark.parametrize("rep", NON_FINITE_REPS.values(), ids=NON_FINITE_REPS)
+def test_config_rejects_non_finite_rep_labels(rep, tmp_path):
+    with pytest.raises(ValueError):
+        default_config(reps=(rep_from_dict(rep),))
+    as_json = tmp_path / "suite.json"
+    as_json.write_text(json.dumps({"reps": [rep]}))
+    with pytest.raises(ValueError):
+        load_config(str(as_json))
+    as_lines = tmp_path / "suite.cfg"
+    as_lines.write_text(f"reps = {json.dumps([rep])}\n")
     with pytest.raises(ValueError):
         load_config(str(as_lines))
 
@@ -297,6 +321,19 @@ def test_cli_multiplier_with_pair_file(tmp_path, capsys):
     assert abs(doc["omega"][0] - 1.0) < 1e-12
     assert abs(doc["omega"][1]) < 1e-12
     assert doc["pass"] is True
+
+
+def test_cli_rejects_a_non_finite_pair_file(tmp_path, capsys):
+    pair = {"r": element_to_dict(identity(2)),
+            "s": element_to_dict(identity(2))}
+    pair["s"]["v"][1] = math.nan
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(pair))  # a JSON NaN literal
+    assert main(["multiplier", "--rep", "schrodinger2d",
+                 "--pair", str(path)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert main(["action", "--gamma", "1.0", "--t", "1.0",
+                 "--pair", str(path)]) == 2
 
 
 def test_cli_multiplier_random_pair(capsys):

@@ -316,3 +316,39 @@ def test_state_and_term_validation():
             -0.5 * np.eye(2))])
     with pytest.raises(ValueError):
         PolyGaussianState.gaussian(2).evaluate(np.zeros(3))
+
+
+
+def _set(path, value):
+    """Set one entry of a state_to_dict term, at a path of keys/indices."""
+    def spoil(term):
+        target = term
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return spoil
+
+
+# name: (gaussian() arguments, the same fault in a state_to_dict term)
+NON_FINITE_STATES = {
+    "nan_beta": (dict(beta=[math.nan, 0.0]), _set(("beta", 0, 0), math.nan)),
+    "inf_alpha": (dict(alpha=math.inf), _set(("alpha", 0), math.inf)),
+    "nan_poly": (dict(poly=Polynomial(2, {(0, 0): 1.0, (1, 0): math.nan})),
+                 _set(("poly", 0, 2), math.nan)),
+    "inf_Gamma": (dict(Gamma=np.array([[-math.inf, 0.0], [0.0, -1.0]])),
+                  _set(("Gamma", 0, 0), -math.inf)),
+    "nan_Gamma": (dict(Gamma=np.array([[-1.0, math.nan], [math.nan, -1.0]])),
+                  _set(("Gamma", 1, 1), math.nan)),
+}
+
+
+@pytest.mark.parametrize("parts, spoil", NON_FINITE_STATES.values(),
+                         ids=NON_FINITE_STATES)
+def test_non_finite_states_are_rejected(parts, spoil):
+    with pytest.raises(ValueError):
+        PolyGaussianState.gaussian(2, **parts)
+    d = state_to_dict(PolyGaussianState.gaussian(2))
+    spoil(d["terms"][0])
+    # json writes NaN and Infinity literals, which json.loads accepts
+    with pytest.raises(ValueError):
+        state_from_dict(json.loads(json.dumps(d)))
