@@ -9,7 +9,8 @@ from .group import (GalileiBatch, GalileiElement, act_on_momentum,
                     element_from_dict, element_to_dict, embed_matrix,
                     embed_matrix_batch, identity, identity_batch, inverse,
                     inverse_batch, multiply, multiply_batch, random_element,
-                    random_element_batch, rotation_2d, rotation_angle)
+                    random_element_batch, rotation_2d, rotation_angle,
+                    stack_batches)
 from .algebra import (AlgebraBatch, AlgebraElement,
                       algebra_batch_from_uniforms, algebra_from_dict,
                       algebra_to_dict, basis_element, basis_names, commutator,
@@ -22,17 +23,22 @@ from .cocycles import (DEFAULT_TAU_SEQUENCE, InfinitesimalExponentValue,
                        equivalence_transform, evaluate, evaluate_batch,
                        infinitesimal_exponent)
 from .states import (DegreeOverflowError, PolyDiffOperator, PolyGaussianState,
-                     PolyGaussianTerm, Polynomial, inner_product, normalized,
-                     random_state, state_from_dict, state_norm, state_to_dict)
+                     PolyGaussianTerm, Polynomial, StateBatch, inner_product,
+                     normalized, random_state, state_from_dict, state_norm,
+                     state_to_dict)
 from .representations import (KIND_DIMS, MOMENTUM_KINDS, RepDescriptor, apply,
-                              apply_time, basis_generator_pairing, generator,
+                              apply_batch, apply_time,
+                              basis_generator_pairing, generator,
                               generator_names, one_parameter_derivative,
                               rep_from_dict, rep_to_dict, static_generator)
-from .verify import (HeisenbergFitResult, MultiplierReport,
+from .verify import (HeisenbergFitResult, MultiplierBatch, MultiplierReport,
                      check_initial_condition, check_time_multiplier,
-                     default_sample_points, expected_multiplier_exponent,
+                     check_time_multiplier_batch, default_sample_points,
+                     expected_multiplier_exponent,
+                     expected_multiplier_exponent_batch,
                      exponent_cocycle_residual, extract_multiplier,
-                     heisenberg_fit, match_exponent)
+                     extract_multiplier_batch, heisenberg_fit, match_exponent,
+                     match_exponent_batch)
 from .harness import (SuiteConfig, cocycle_sweep, config_from_dict,
                       config_to_dict, default_config, load_config, report_json,
                       run_suite)

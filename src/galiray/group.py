@@ -29,6 +29,7 @@ __all__ = [
     "random_element",
     "random_element_batch",
     "identity_batch",
+    "stack_batches",
     "multiply_batch",
     "inverse_batch",
     "embed_matrix_batch",
@@ -140,6 +141,12 @@ def identity_batch(dim: int, n: int) -> GalileiBatch:
     z = np.zeros((n, dim))
     return GalileiBatch(np.broadcast_to(np.eye(dim), (n, dim, dim)),
                         np.zeros(n), z, z)
+
+
+def stack_batches(batches) -> GalileiBatch:
+    """The rows of several batches of one dimension, in order, as one."""
+    return GalileiBatch(*(np.concatenate([getattr(b, f) for b in batches])
+                          for f in GalileiBatch.__slots__))
 
 
 def multiply_batch(r: GalileiBatch, s: GalileiBatch) -> GalileiBatch:

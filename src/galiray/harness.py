@@ -19,17 +19,20 @@ from .algebra import (algebra_batch_from_uniforms, basis_element, basis_names,
                       jacobi_residual_batch)
 from .cocycles import (DEFAULT_TAU_SEQUENCE, PhaseExponent,
                        cocycle_residual_batch)
-from .group import (GalileiElement, _uniform, embed_matrix_batch,
+# multiply is not called here; perfbench/test_perfbench.py and
+# tests/test_carrier.py read it from this module
+from .group import (GalileiBatch, _uniform, embed_matrix_batch,
                     identity_batch, inverse_batch, multiply, multiply_batch,
-                    random_element, random_element_batch)
+                    random_element, random_element_batch, stack_batches)
 from .representations import (MOMENTUM_KINDS, RepDescriptor, apply,
                               apply_time, generator_names, rep_from_dict,
                               rep_to_dict)
 from .states import inner_product, random_state
-from .verify import (_abs, _worst, check_initial_condition,
-                     check_time_multiplier, default_sample_points,
-                     exponent_cocycle_residual, extract_multiplier,
-                     heisenberg_fit, match_exponent)
+from .verify import (_TOO_FEW, MIN_POINTS, _abs, _worst,
+                     check_initial_condition,
+                     check_time_multiplier_batch, default_sample_points,
+                     exponent_cocycle_residual, extract_multiplier_batch,
+                     heisenberg_fit, match_exponent_batch)
 
 __all__ = [
     "SuiteConfig",
@@ -229,6 +232,12 @@ def _mat_diff(A, B) -> np.ndarray:
     return np.max(np.abs(A - B), axis=(1, 2))
 
 
+def _chunks(n_cases: int):
+    """(start, n) of consecutive chunks of at most _SWEEP_CHUNK cases."""
+    for start in range(0, n_cases, _SWEEP_CHUNK):
+        yield start, min(_SWEEP_CHUNK, n_cases - start)
+
+
 def _sweep(seed: int, n_cases: int, draw, residuals) -> float:
     """Worst residual over n_cases random cases from the stream of seed.
 
@@ -242,8 +251,7 @@ def _sweep(seed: int, n_cases: int, draw, residuals) -> float:
     rng = np.random.default_rng(seed)
     worst = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_cases, _SWEEP_CHUNK):
-            n = min(_SWEEP_CHUNK, n_cases - start)
+        for _, n in _chunks(n_cases):
             worst.append(_worst(residuals(*draw(rng, n))))
     return _worst(worst)
 
@@ -446,6 +454,21 @@ def _check_time_zero(cfg: SuiteConfig):
     return reports
 
 
+def _point_sets(state, seeds) -> np.ndarray:
+    """(N, n, dim): the default sample points of state for each seed."""
+    return np.stack([default_sample_points(state, seed=int(k))
+                     for k in seeds])
+
+
+def _too_few(*counts) -> dict:
+    """The failure reason of a check with cases short of usable sample
+    points; each count is (n_short, n_cases, what)."""
+    parts = [f"{k} of {n} {what}" for k, n, what in counts if k]
+    if not parts:
+        return {}
+    return {"error": f"{_TOO_FEW} in " + " and ".join(parts)}
+
+
 def _check_multipliers(cfg: SuiteConfig):
     reports = []
     for k, rep in enumerate(_momentum_reps(cfg)):
@@ -453,25 +476,33 @@ def _check_multipliers(cfg: SuiteConfig):
         rng = np.random.default_rng(seed)
         state = random_state(rng, rep.dim)
         spreads, moduli, matches = [], [], []
-        skipped = 0
-        for i in range(cfg.n_pairs):
-            r = random_element(rng, rep.dim, cfg.scale)
-            s = random_element(rng, rep.dim, cfg.scale)
-            rs = multiply(r, s)
-            points = default_sample_points(state, seed=seed + 7 * i + 1)
-            rep_report = extract_multiplier(rep, r, s, 0.0, state, points, rs)
-            rep_report = match_exponent(rep, r, s, 0.0, rep_report, rs)
-            spreads.append(rep_report.constancy_spread)
-            moduli.append(rep_report.modulus_error)
-            matches.append(rep_report.matched_exponent[1])
-            skipped += rep_report.n_skipped
+        skipped = short = 0
+        for start, n in _chunks(cfg.n_pairs):
+            # pair i takes r then s from rng, as random_element calls would
+            b = random_element_batch(rng, 2 * n, rep.dim, cfg.scale)
+            r, s = b[0::2], b[1::2]
+            rs = multiply_batch(r, s)
+            points = _point_sets(state, seed + 7 * np.arange(start, start + n)
+                                 + 1)
+            rows = extract_multiplier_batch(rep, r, s, 0.0, state, points, rs)
+            rows = match_exponent_batch(rep, r, s, 0.0, rows, rs)
+            spreads.append(_worst(rows.constancy_spread))
+            moduli.append(_worst(rows.modulus_error))
+            matches.append(_worst(rows.matched_exponent[1]))
+            skipped += int(rows.n_skipped.sum())
+            short += int((rows.n_points < MIN_POINTS).sum())
         cocycle_residuals = []
+        short_triples = 0
         for i in range(cfg.n_exponent_triples):
             r = random_element(rng, rep.dim, cfg.scale)
             s = random_element(rng, rep.dim, cfg.scale)
             q = random_element(rng, rep.dim, cfg.scale)
-            cocycle_residuals.append(exponent_cocycle_residual(
-                rep, r, s, q, 0.0, state))
+            try:
+                residual = exponent_cocycle_residual(rep, r, s, q, 0.0, state)
+            except ValueError:  # too few usable points: the triple fails
+                residual = math.nan
+                short_triples += 1
+            cocycle_residuals.append(residual)
         max_spread, max_modulus, max_match, max_cocycle = (
             _worst(x) for x in (spreads, moduli, matches, cocycle_residuals))
         passed = (max_spread < cfg.tol("multiplier_spread")
@@ -485,11 +516,36 @@ def _check_multipliers(cfg: SuiteConfig):
             "max_exponent_cocycle_residual": max_cocycle,
             "n_exponent_triples": cfg.n_exponent_triples,
             "n_skipped_points": skipped,
+            **_too_few((short, cfg.n_pairs, "pairs"),
+                       (short_triples, cfg.n_exponent_triples,
+                        "exponent triples")),
         }
         worst = _worst((max_spread, max_modulus, max_match, max_cocycle))
         reports.append(_report(f"multiplier_{rep.kind}", rep.kind, seed,
                                cfg.n_pairs, worst, passed, details))
     return reports
+
+
+def _time_cases(cfg: SuiteConfig, rep, rng, start: int, n: int,
+                n_boost: int):
+    """(t, r, s) of time-multiplier cases start .. start + n - 1, drawn from
+    rng case by case: t unless it is a t_samples entry, then r and s, pure
+    boosts for the first n_boost cases."""
+    dim = rep.dim
+    ts, pairs = [], []
+    for i in range(start, start + n):
+        if i < len(cfg.t_samples):
+            ts.append(float(cfg.t_samples[i]))
+        else:
+            ts.append(float(rng.uniform(-2.0, 2.0)))
+        if i < n_boost:
+            pairs.append(GalileiBatch(np.eye(dim)[None].repeat(2, axis=0),
+                                      np.zeros(2), rng.normal(size=(2, dim)),
+                                      np.zeros((2, dim))))
+        else:
+            pairs.append(random_element_batch(rng, 2, dim, cfg.scale))
+    b = stack_batches(pairs)
+    return np.array(ts), b[0::2], b[1::2]
 
 
 def _check_time_multiplier(cfg: SuiteConfig):
@@ -500,33 +556,24 @@ def _check_time_multiplier(cfg: SuiteConfig):
         seed = cfg.seed + _CHECK_SEED_STRIDE * (90 + k)
         rng = np.random.default_rng(seed)
         state = random_state(rng, rep.dim)
-        boost_residuals, general_residuals = [], []
-        for i in range(cfg.n_time_cases):
-            if i < len(cfg.t_samples):
-                t = float(cfg.t_samples[i])
-            else:
-                t = float(rng.uniform(-2.0, 2.0))
-            pure_boost = i < n_boost
-            if pure_boost:
-                zeros = np.zeros(rep.dim)
-                W = np.eye(rep.dim)
-                r = GalileiElement(rep.dim, W, 0.0,
-                                   rng.normal(size=rep.dim), zeros)
-                s = GalileiElement(rep.dim, W, 0.0,
-                                   rng.normal(size=rep.dim), zeros)
-            else:
-                r = random_element(rng, rep.dim, cfg.scale)
-                s = random_element(rng, rep.dim, cfg.scale)
-            points = default_sample_points(state, seed=seed + 11 * i + 3)
-            residual = check_time_multiplier(rep, r, s, t, state, points)
-            (boost_residuals if pure_boost
-             else general_residuals).append(residual)
-        worst_boost = _worst(boost_residuals)
-        worst_general = _worst(general_residuals)
+        boost_worst, general_worst = [], []
+        short = 0
+        for start, n in _chunks(cfg.n_time_cases):
+            t, r, s = _time_cases(cfg, rep, rng, start, n, n_boost)
+            cases = np.arange(start, start + n)
+            points = _point_sets(state, seed + 11 * cases + 3)
+            residuals, n_points = check_time_multiplier_batch(
+                rep, r, s, t, state, points)
+            boost_worst.append(_worst(residuals[cases < n_boost]))
+            general_worst.append(_worst(residuals[cases >= n_boost]))
+            short += int((n_points < MIN_POINTS).sum())
+        worst_boost = _worst(boost_worst)
+        worst_general = _worst(general_worst)
         worst = _worst((worst_boost, worst_general))
         details = {"pure_boost_max": worst_boost,
                    "general_max": worst_general,
-                   "n_pure_boost": n_boost}
+                   "n_pure_boost": n_boost,
+                   **_too_few((short, cfg.n_time_cases, "cases"))}
         reports.append(_report(f"time_multiplier_{rep.kind}", rep.kind, seed,
                                cfg.n_time_cases, worst, worst < tol, details))
     return reports

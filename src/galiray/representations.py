@@ -2,7 +2,9 @@
 
 Momentum-space kinds act on PolyGaussianState by a quadratic phase and the
 substitution p -> W^{-1}(p + gamma v); the position-space kind is specified
-by its generator family only.
+by its generator family only.  The action is written once, row-wise over a
+GalileiBatch and a StateBatch with a per-row t (apply_batch); apply and
+apply_time are its 1-row views.
 """
 from __future__ import annotations
 
@@ -12,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import basis_element, exponential
-from .group import GalileiElement, rotation_angle
-from .states import PolyDiffOperator, PolyGaussianState, Polynomial
+from .group import GalileiBatch, GalileiElement, _dot, _rotation_angles, _row
+from .states import PolyDiffOperator, PolyGaussianState, Polynomial, StateBatch
 
 __all__ = [
     "KIND_DIMS",
@@ -23,6 +25,7 @@ __all__ = [
     "rep_from_dict",
     "apply",
     "apply_time",
+    "apply_batch",
     "generator",
     "static_generator",
     "generator_names",
@@ -115,43 +118,61 @@ def _require_momentum(rep: RepDescriptor, op: str):
             "its generator family only")
 
 
-def _phase_parts(rep: RepDescriptor, r: GalileiElement):
-    """Real phase phi_r(p) = const + <lin, p> + p^T quad p of the acting
-    element, in the outgoing variable p."""
-    dim = rep.dim
-    quad = (r.eta / (2.0 * rep.gamma)) * np.eye(dim)
-    lin = r.u.astype(float).copy()
-    if rep.kind == "schrodinger2d":
-        const = 0.5 * rep.gamma * float(r.u @ r.v) + rep.s * rotation_angle(r)
-    elif rep.kind == "nonabelian2d":
+def _phase_parts(rep: RepDescriptor, r: GalileiBatch):
+    """Real phase phi_r(p) = const + <lin, p> + p^T quad p of each acting
+    row, in the outgoing variable p: quad (N, dim, dim), lin (N, dim) and
+    const (N,)."""
+    quad = (r.eta / (2.0 * rep.gamma))[:, None, None] * np.eye(rep.dim)
+    lin = r.u.astype(float)
+    if rep.kind == "bargmann3d":
+        const = rep.gamma * _dot(r.u, r.v) \
+            - 0.5 * r.eta * rep.gamma * _dot(r.v, r.v)
+        return quad, lin, const
+    if rep.kind == "nonabelian2d":
         # -(lam/2gamma) (v ^ p) with v ^ p = v1 p2 - v2 p1
         k = rep.lam / (2.0 * rep.gamma)
-        lin = lin + k * np.array([r.v[1], -r.v[0]])
-        const = 0.5 * rep.gamma * float(r.u @ r.v) + rep.s * rotation_angle(r)
-    else:  # bargmann3d
-        const = rep.gamma * float(r.u @ r.v) \
-            - 0.5 * r.eta * rep.gamma * float(r.v @ r.v)
+        lin = lin + r.v[:, ::-1] * (k, -k)  # (k v2, -k v1)
+    const = 0.5 * rep.gamma * _dot(r.u, r.v) \
+        + rep.s * _rotation_angles(r.W)
     return quad, lin, const
+
+
+# adding -0 leaves every value unchanged, signed zeros included
+_NO_CHANGE = complex(-0.0, -0.0)
+
+
+def apply_batch(rep: RepDescriptor, r: GalileiBatch, t,
+                states: StateBatch) -> StateBatch:
+    """Row i of states acted on by U_t(r[i]), for a per-row t (or one t):
+    (U_t(r) f)(p) = e^{i phi_r(p) - i <p, v_r> t} f(W^{-1}(p + gamma v)).
+
+    The rows of r are trusted to be proper rotations, as GalileiBatch rows
+    are."""
+    _require_momentum(rep, "apply")
+    if r.dim != rep.dim or states.dim != rep.dim:
+        raise ValueError("dimension mismatch between rep, element, and state")
+    out = states.substitute(r.W, (rep.gamma * r.v).astype(complex))
+    quad, lin, const = _phase_parts(rep, r)
+    out = out.multiply_phase(1j * quad, 1j * lin, 1j * const)
+    t = np.asarray(t, dtype=float)[..., None]
+    moving = t != 0.0
+    if moving.any():
+        # the time phase leaves the rows with t = 0 as they are
+        out = out.multiply_phase(lin=np.where(moving, -1j * t * r.v,
+                                              _NO_CHANGE))
+    return out
 
 
 def apply(rep: RepDescriptor, r: GalileiElement,
           state: PolyGaussianState) -> PolyGaussianState:
     """(U(r) f)(p) = e^{i phi_r(p)} f(W^{-1}(p + gamma v))."""
-    _require_momentum(rep, "apply")
-    if r.dim != rep.dim or state.dim != rep.dim:
-        raise ValueError("dimension mismatch between rep, element, and state")
-    out = state.substitute(r.W, rep.gamma * r.v)
-    quad, lin, const = _phase_parts(rep, r)
-    return out.multiply_phase(1j * quad, 1j * lin, 1j * const)
+    return apply_time(rep, r, 0.0, state)
 
 
 def apply_time(rep: RepDescriptor, r: GalileiElement, t: float,
                state: PolyGaussianState) -> PolyGaussianState:
     """(U_t(r) f)(p) = e^{-i <p, v_r> t} (U(r) f)(p)."""
-    out = apply(rep, r, state)
-    if t != 0.0:
-        out = out.multiply_phase(lin=-1j * t * r.v.astype(float))
-    return out
+    return apply_batch(rep, _row(r), t, StateBatch.of(state)).row(0)
 
 
 def generator_names(rep: RepDescriptor) -> tuple:

@@ -9,6 +9,11 @@ A state is evaluated at all its sample points in one pass: evaluate_many
 maps an (n, dim) array of points to n values, and evaluate (like
 Polynomial.eval and PolyGaussianTerm.evaluate) is its one-row view.
 
+StateBatch stacks N states of one term layout, so that N carrier actions
+run as one array pass: its substitute, multiply_phase and evaluate act
+row-wise.  PolyGaussianState.substitute and multiply_phase are their
+one-row views, and every term value comes from one formula (_term_values).
+
 Each term keeps an invariant: finite entries, and Gamma symmetric with a
 negative-definite real part.  PolyGaussianState(...) checks it, once, when
 a state is built from input.  The transforms that keep it by construction
@@ -25,13 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import _ORTHO_TOL
+from .group import _ORTHO_TOL, _dot, _matvec
 
 __all__ = [
     "DegreeOverflowError",
     "Polynomial",
     "PolyGaussianTerm",
     "PolyGaussianState",
+    "StateBatch",
     "PolyDiffOperator",
     "inner_product",
     "state_norm",
@@ -137,13 +143,16 @@ class Polynomial:
 
     def eval_many(self, points) -> np.ndarray:
         """Values at the rows of an (n, nvars) array of points."""
-        P = _point_rows(points, self.nvars)
-        total = np.zeros(len(P), dtype=complex)
+        return self._values(_point_rows(points, self.nvars))
+
+    def _values(self, P: np.ndarray) -> np.ndarray:
+        """Values at points P of shape (..., nvars)."""
+        total = np.zeros(P.shape[:-1], dtype=complex)
         for exps, c in self.coeffs.items():
-            term = np.full(len(P), c)
-            for x, e in zip(P.T, exps):
+            term = np.full(P.shape[:-1], c)
+            for k, e in enumerate(exps):
                 if e:
-                    term = term * _power(x, e)
+                    term = term * _power(P[..., k], e)
             total = total + term
         return total
 
@@ -232,14 +241,17 @@ def _power(x: np.ndarray, e: int) -> np.ndarray:
     # not np.power, whose SIMD kernel rounds differently from the scalar
     # power: values, and the residuals built from them, stay those of the
     # one-point evaluation
-    return x if e == 1 else np.array([v ** e for v in x])
+    if e == 1:
+        return x
+    return np.array([v ** e for v in x.ravel()]).reshape(x.shape)
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b for complex arrays, rounded as Python's complex product."""
+    """a * b for complex arrays of one shape, rounded as Python's complex
+    product."""
     # numpy's complex multiply fuses multiply-adds, and so differs in the
     # last digit from the one-point product
-    out = np.empty(len(a), dtype=complex)
+    out = np.empty(a.shape, dtype=complex)
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
     return out
@@ -285,10 +297,23 @@ class PolyGaussianTerm:
     def evaluate_many(self, points) -> np.ndarray:
         """Values at the rows of an (n, dim) array of points."""
         P = _point_rows(points, len(self.beta))
-        Pc = P.astype(complex)[:, None, :]
-        lin = (Pc @ self.beta[:, None])[:, 0, 0]
-        quad = ((Pc @ self.Gamma) @ Pc.transpose(0, 2, 1))[:, 0, 0]
-        return _cmul(self.poly.eval_many(P), np.exp(self.alpha + lin + quad))
+        return _term_values(self.poly, np.asarray(self.alpha), self.beta,
+                            self.Gamma, P)
+
+
+def _term_values(poly, alpha, beta, Gamma, P) -> np.ndarray:
+    """Values poly(p) exp(alpha + <beta, p> + p^T Gamma p) of one term, or
+    of N stacked terms, at points P (n, dim), or (N, n, dim) with row i at
+    P[i]: alpha () or (N,), beta (..., dim), Gamma (..., dim, dim); poly is
+    one Polynomial for every row, or a list of one per row."""
+    Pc = P.astype(complex)[..., None, :]
+    lin = (Pc @ beta[..., None, :, None])[..., 0, 0]
+    quad = ((Pc @ Gamma[..., None, :, :]) @ Pc.swapaxes(-1, -2))[..., 0, 0]
+    if isinstance(poly, Polynomial):
+        values = poly._values(P)
+    else:
+        values = np.stack([p._values(x) for p, x in zip(poly, P)])
+    return _cmul(values, np.exp(alpha[..., None] + lin + quad))
 
 
 class PolyGaussianState:
@@ -344,18 +369,7 @@ class PolyGaussianState:
         if not np.max(np.abs(W.T @ W - np.eye(self.dim))) <= _ORTHO_TOL:
             raise ValueError("substitute needs an orthogonal W")
         shift = np.asarray(shift, dtype=complex).reshape(self.dim)
-        M = W.T
-        c = M @ shift
-        out = []
-        for t in self.terms:
-            Gamma = M.T @ t.Gamma @ M
-            beta = M.T @ t.beta + 2.0 * (M.T @ (t.Gamma @ c))
-            alpha = t.alpha + np.dot(t.beta, c) + c @ t.Gamma @ c
-            out.append(PolyGaussianTerm(t.poly.subs_affine(M, c),
-                                        complex(alpha), beta, Gamma))
-        # a congruence by orthogonal M keeps Gamma symmetric and Re(Gamma)
-        # negative-definite
-        return PolyGaussianState._trusted(self.dim, out)
+        return StateBatch.of(self).substitute(W[None], shift[None]).row(0)
 
     def multiply_phase(self, quad=None, lin=None, const=0.0) -> "PolyGaussianState":
         """Multiply by exp(const + <lin, p> + p^T quad p); the arguments are
@@ -365,13 +379,12 @@ class PolyGaussianState:
                 else np.asarray(quad, dtype=complex).reshape(dim, dim))
         lin = (np.zeros(dim, dtype=complex) if lin is None
                else np.asarray(lin, dtype=complex).reshape(dim))
-        const = complex(const)
-        out = [PolyGaussianTerm(t.poly, t.alpha + const, t.beta + lin,
-                                t.Gamma + quad) for t in self.terms]
+        out = StateBatch.of(self).multiply_phase(
+            quad[None], lin[None], np.array((complex(const),))).row(0)
         if quad.real.any() or not (quad == quad.T).all():
             # a real or asymmetric quad can break the invariant: check it
-            return PolyGaussianState(dim, out)
-        return PolyGaussianState._trusted(dim, out)
+            return PolyGaussianState(dim, out.terms)
+        return out
 
     def scale(self, c) -> "PolyGaussianState":
         out = [PolyGaussianTerm(t.poly * c, t.alpha, t.beta, t.Gamma)
@@ -396,6 +409,76 @@ class PolyGaussianState:
 
     def max_degree(self) -> int:
         return max((t.poly.degree() for t in self.terms), default=0)
+
+
+class StateBatch:
+    """N states of one term layout as stacked arrays; row i is a state.
+
+    Term k is (poly, alpha (N,), beta (N, dim), Gamma (N, dim, dim)).  poly
+    is one Polynomial shared by every row while it is constant, since a
+    constant is unchanged by substitution, and a list of one per row once
+    a non-constant one has been substituted row by row.  The transforms
+    keep the invariant as the state methods they generalise do, so rows are
+    not re-validated.
+    """
+
+    __slots__ = ("dim", "terms")
+
+    def __init__(self, dim: int, terms):
+        self.dim = dim
+        self.terms = tuple(terms)
+
+    @classmethod
+    def of(cls, state: PolyGaussianState, n: int = 1) -> "StateBatch":
+        """n rows, each the given state."""
+        return cls(state.dim, [(t.poly, np.array((t.alpha,)).repeat(n),
+                                t.beta[None].repeat(n, axis=0),
+                                t.Gamma[None].repeat(n, axis=0))
+                               for t in state.terms])
+
+    def row(self, i: int) -> PolyGaussianState:
+        return PolyGaussianState._trusted(self.dim, [
+            PolyGaussianTerm(poly if isinstance(poly, Polynomial) else poly[i],
+                             complex(alpha[i]), beta[i], Gamma[i])
+            for poly, alpha, beta, Gamma in self.terms])
+
+    def substitute(self, W, shift) -> "StateBatch":
+        """Row i becomes g(p) = f_i(W_i^T (p + shift_i)), for orthogonal
+        W (N, dim, dim), which is trusted, and complex shift (N, dim)."""
+        M = W.swapaxes(-1, -2)
+        c = _matvec(M, shift)
+        out = []
+        for poly, alpha, beta, Gamma in self.terms:
+            if isinstance(poly, Polynomial) and poly.degree() > 0:
+                poly = [poly] * len(c)
+            if not isinstance(poly, Polynomial):
+                poly = [p.subs_affine(m, ci) for p, m, ci in zip(poly, M, c)]
+            cG = (c[:, None, :] @ Gamma)[:, 0]
+            # a congruence by orthogonal M keeps Gamma symmetric and
+            # Re(Gamma) negative-definite
+            out.append((poly, alpha + _dot(beta, c) + _dot(cG, c),
+                        _matvec(W, beta) + 2.0 * _matvec(W, _matvec(Gamma, c)),
+                        W @ Gamma @ M))
+        return StateBatch(self.dim, out)
+
+    def multiply_phase(self, quad=None, lin=None, const=None) -> "StateBatch":
+        """Row i times exp(const_i + <lin_i, p> + p^T quad_i p); the complex
+        increments have shapes (N, dim, dim), (N, dim) and (N,), and None
+        adds nothing."""
+        return StateBatch(self.dim, [
+            (poly, alpha if const is None else alpha + const,
+             beta if lin is None else beta + lin,
+             Gamma if quad is None else Gamma + quad)
+            for poly, alpha, beta, Gamma in self.terms])
+
+    def evaluate(self, points) -> np.ndarray:
+        """(N, n) values, row i at its points: points has shape
+        (N, n, dim)."""
+        P = np.asarray(points)
+        total = np.zeros(P.shape[:-1], dtype=complex)
+        for term in self.terms:
+            total = total + _term_values(*term, P)
+        return total
 
 
 @dataclass(frozen=True, eq=False)

@@ -236,6 +236,7 @@ def test_each_multiplier_pair_builds_its_product_once(monkeypatch):
     cfg = harness.default_config(n_pairs=5, n_exponent_triples=2)
     harness._check_multipliers(cfg)
     n_reps = len(harness._momentum_reps(cfg))
-    # one product per pair; the branch-safe cocycle residual builds six per
-    # triple (rs and sq as operands, and one inside each of four extractions)
-    assert len(calls) == n_reps * (5 + 6 * 2)
+    # the pairs' products are one multiply_batch per chunk; the branch-safe
+    # cocycle residual builds rs and sq per triple, as operands of its one
+    # 4-row extraction
+    assert len(calls) == n_reps * 2 * 2

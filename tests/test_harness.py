@@ -204,6 +204,12 @@ def _poison_call(fn, at, poison):
     return wrapper
 
 
+def _nan_row(values, i):
+    values = values.copy()
+    values[i] = math.nan
+    return values
+
+
 def _nan_first_point(points):
     points = points.copy()
     points[0] = math.nan
@@ -211,7 +217,8 @@ def _nan_first_point(points):
 
 
 # (check family, namespace, attribute, poisoned call, poison); the harness
-# rows hit its own reductions, the verify rows those inside verify
+# rows hit its own reductions, the verify rows those inside verify; a batched
+# entry point is poisoned in one row of its first chunk
 NAN_INJECTIONS = {
     "infinitesimal": ("_check_infinitesimal", cocycles,
                       "infinitesimal_exponent", 0,
@@ -220,25 +227,31 @@ NAN_INJECTIONS = {
                   lambda z: complex(math.nan, 0.0)),
     "time_zero": ("_check_time_zero", harness, "default_sample_points", 0,
                   _nan_first_point),
-    "multiplier_spread": ("_check_multipliers", harness, "extract_multiplier",
-                          0, lambda r: dataclasses.replace(
-                              r, constancy_spread=math.nan)),
+    "multiplier_spread": ("_check_multipliers", harness,
+                          "extract_multiplier_batch", 0,
+                          lambda b: dataclasses.replace(
+                              b, constancy_spread=_nan_row(
+                                  b.constancy_spread, 0))),
     "multiplier_modulus": ("_check_multipliers", harness,
-                           "extract_multiplier", 0,
-                           lambda r: dataclasses.replace(
-                               r, modulus_error=math.nan)),
-    "multiplier_match": ("_check_multipliers", harness, "match_exponent", 0,
-                         lambda r: dataclasses.replace(
-                             r, matched_exponent=(r.matched_exponent[0],
-                                                  math.nan))),
+                           "extract_multiplier_batch", 0,
+                           lambda b: dataclasses.replace(
+                               b, modulus_error=_nan_row(b.modulus_error, 0))),
+    "multiplier_match": ("_check_multipliers", harness,
+                         "match_exponent_batch", 0,
+                         lambda b: dataclasses.replace(
+                             b, matched_exponent=(
+                                 b.matched_exponent[0],
+                                 _nan_row(b.matched_exponent[1], 0)))),
     "multiplier_cocycle": ("_check_multipliers", harness,
                            "exponent_cocycle_residual", 0,
                            lambda x: math.nan),
+    # case 0 is a pure boost, case 20 the first general pair
     "time_multiplier_boost": ("_check_time_multiplier", harness,
-                              "check_time_multiplier", 0, lambda x: math.nan),
+                              "check_time_multiplier_batch", 0,
+                              lambda out: (_nan_row(out[0], 0), out[1])),
     "time_multiplier_general": ("_check_time_multiplier", harness,
-                                "check_time_multiplier", 20,
-                                lambda x: math.nan),
+                                "check_time_multiplier_batch", 0,
+                                lambda out: (_nan_row(out[0], 20), out[1])),
     "initial_conditions": ("_check_initial_conditions", harness,
                            "check_initial_condition", 0, lambda x: math.nan),
     "heisenberg_battery": ("_check_heisenberg", verify,
