@@ -19,8 +19,7 @@ from .harness import (DEFAULT_TOLERANCES, _json_safe, cocycle_sweep,
                       default_config, load_config, report_json, run_suite)
 from .representations import MOMENTUM_KINDS, rep_to_dict
 from .states import random_state
-from .verify import (default_sample_points, extract_multiplier,
-                     heisenberg_fit, match_exponent)
+from .verify import extract_multiplier, heisenberg_fit, match_exponent
 
 __all__ = ["main"]
 
@@ -79,8 +78,7 @@ def _cmd_multiplier(args) -> int:
     rep = _rep_by_kind(args.rep)
     r, s = _load_pair(args.pair, rep.dim, args.seed)
     state = random_state(args.seed + 1, rep.dim)
-    points = default_sample_points(state, seed=args.seed + 2)
-    report = extract_multiplier(rep, r, s, args.t, state, points)
+    report = extract_multiplier(rep, r, s, args.t, state)
     report = match_exponent(rep, r, s, args.t, report)
     tol = DEFAULT_TOLERANCES
     passed = (report.constancy_spread < tol["multiplier_spread"]
@@ -92,8 +90,6 @@ def _cmd_multiplier(args) -> int:
         "omega": report.omega,
         "constancy_spread": report.constancy_spread,
         "modulus_error": report.modulus_error,
-        "n_points": report.n_points,
-        "n_skipped": report.n_skipped,
         "matched_exponent": {"name": report.matched_exponent[0],
                              "residual": report.matched_exponent[1]},
         "pass": passed,
@@ -148,6 +144,15 @@ def _cmd_action(args) -> int:
     return 0
 
 
+def _finite(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="galiray",
@@ -165,20 +170,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, choices=(1, 2, 3))
     p.add_argument("--triples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--tolerance", type=float,
+    p.add_argument("--scale", type=_finite, default=1.0)
+    p.add_argument("--tolerance", type=_finite,
                    default=DEFAULT_TOLERANCES["cocycle"])
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--S", type=float, default=1.0)
-    p.add_argument("--a1", type=float, default=1.0)
-    p.add_argument("--a2", type=float, default=1.0)
-    p.add_argument("--t", type=float, default=0.0)
+    p.add_argument("--gamma", type=_finite, default=1.0)
+    p.add_argument("--lam", type=_finite, default=1.0)
+    p.add_argument("--S", type=_finite, default=1.0)
+    p.add_argument("--a1", type=_finite, default=1.0)
+    p.add_argument("--a2", type=_finite, default=1.0)
+    p.add_argument("--t", type=_finite, default=0.0)
     p.set_defaults(func=_cmd_cocycle)
 
     p = sub.add_parser("multiplier", help="extract one multiplier")
     p.add_argument("--rep", required=True, choices=MOMENTUM_KINDS)
-    p.add_argument("--t", type=float, default=0.0)
+    p.add_argument("--t", type=_finite, default=0.0)
     p.add_argument("--pair", help="JSON file with elements r and s")
     p.add_argument("--seed", type=int, default=12345)
     p.set_defaults(func=_cmd_multiplier)
@@ -188,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="basis name, e.g. b1")
     p.add_argument("--y", required=True, help="basis name, e.g. d1")
     p.add_argument("--dim", type=int, choices=(1, 2, 3))
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--gamma", type=_finite, default=1.0)
     p.set_defaults(func=_cmd_infexp)
 
     p = sub.add_parser("heisenberg", help="fit the evolution constant")
@@ -197,8 +202,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_heisenberg)
 
     p = sub.add_parser("action", help="time-extension phase exponent")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--gamma", type=_finite, required=True)
+    p.add_argument("--t", type=_finite, required=True)
     p.add_argument("--pair", required=True,
                    help="JSON file with elements r and s")
     p.set_defaults(func=_cmd_action)

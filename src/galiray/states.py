@@ -10,9 +10,8 @@ maps an (n, dim) array of points to n values, and evaluate (like
 Polynomial.eval and PolyGaussianTerm.evaluate) is its one-row view.
 
 StateBatch stacks N states of one term layout, so that N carrier actions
-run as one array pass: its substitute, multiply_phase and evaluate act
-row-wise.  PolyGaussianState.substitute and multiply_phase are their
-one-row views, and every term value comes from one formula (_term_values).
+run as one array pass: its substitute and multiply_phase act row-wise, and
+PolyGaussianState.substitute and multiply_phase are their one-row views.
 
 Each term keeps an invariant: finite entries, and Gamma symmetric with a
 negative-definite real part.  PolyGaussianState(...) checks it, once, when
@@ -92,7 +91,10 @@ class Polynomial:
         return max((sum(e) for e in self.coeffs), default=0)
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        """Largest coefficient magnitude, 0.0 for the zero polynomial; a NaN
+        coefficient gives NaN."""
+        c = np.fromiter(self.coeffs.values(), complex, len(self.coeffs))
+        return float(np.max(np.hypot(c.real, c.imag), initial=0.0))
 
     def __add__(self, other):
         if not isinstance(other, Polynomial):
@@ -297,23 +299,10 @@ class PolyGaussianTerm:
     def evaluate_many(self, points) -> np.ndarray:
         """Values at the rows of an (n, dim) array of points."""
         P = _point_rows(points, len(self.beta))
-        return _term_values(self.poly, np.asarray(self.alpha), self.beta,
-                            self.Gamma, P)
-
-
-def _term_values(poly, alpha, beta, Gamma, P) -> np.ndarray:
-    """Values poly(p) exp(alpha + <beta, p> + p^T Gamma p) of one term, or
-    of N stacked terms, at points P (n, dim), or (N, n, dim) with row i at
-    P[i]: alpha () or (N,), beta (..., dim), Gamma (..., dim, dim); poly is
-    one Polynomial for every row, or a list of one per row."""
-    Pc = P.astype(complex)[..., None, :]
-    lin = (Pc @ beta[..., None, :, None])[..., 0, 0]
-    quad = ((Pc @ Gamma[..., None, :, :]) @ Pc.swapaxes(-1, -2))[..., 0, 0]
-    if isinstance(poly, Polynomial):
-        values = poly._values(P)
-    else:
-        values = np.stack([p._values(x) for p, x in zip(poly, P)])
-    return _cmul(values, np.exp(alpha[..., None] + lin + quad))
+        Pc = P.astype(complex)[:, None, :]
+        lin = (Pc @ self.beta[None, :, None])[:, 0, 0]
+        quad = ((Pc @ self.Gamma[None]) @ Pc.swapaxes(-1, -2))[:, 0, 0]
+        return _cmul(self.poly._values(P), np.exp(self.alpha + lin + quad))
 
 
 class PolyGaussianState:
@@ -471,15 +460,6 @@ class StateBatch:
              Gamma if quad is None else Gamma + quad)
             for poly, alpha, beta, Gamma in self.terms])
 
-    def evaluate(self, points) -> np.ndarray:
-        """(N, n) values, row i at its points: points has shape
-        (N, n, dim)."""
-        P = np.asarray(points)
-        total = np.zeros(P.shape[:-1], dtype=complex)
-        for term in self.terms:
-            total = total + _term_values(*term, P)
-        return total
-
 
 @dataclass(frozen=True, eq=False)
 class PolyDiffOperator:
@@ -587,8 +567,10 @@ class PolyDiffOperator:
                        for coeff, d in self.terms])
 
     def norm(self) -> float:
-        """Largest coefficient magnitude; zero iff the operator is zero."""
-        return max((coeff.max_abs() for coeff, _ in self.terms), default=0.0)
+        """Largest coefficient magnitude; zero iff the operator is zero, NaN
+        when a coefficient is."""
+        return float(np.max([coeff.max_abs() for coeff, _ in self.terms],
+                            initial=0.0))
 
     def apply(self, state: PolyGaussianState, t: float = 0.0,
               max_degree: int = DEFAULT_MAX_DEGREE) -> PolyGaussianState:
@@ -719,8 +701,8 @@ def normalized(f: PolyGaussianState) -> PolyGaussianState:
 
 def random_state(rng, dim: int, poly_degree: int = 0,
                  n_terms: int = 1) -> PolyGaussianState:
-    """Seeded random normalizable state; poly_degree 0 gives pure Gaussians
-    (nowhere zero, which the ratio extraction relies on)."""
+    """Seeded random normalizable state; poly_degree 0 gives pure Gaussians,
+    which are nowhere zero."""
     rng = np.random.default_rng(rng)
     terms = []
     for _ in range(n_terms):

@@ -5,9 +5,12 @@ Heisenberg-picture constant fitting.
 Extraction, prediction and the time multiplier are written once, row-wise
 over GalileiBatch pairs with a per-row t (the *_batch functions);
 extract_multiplier, expected_multiplier_exponent, match_exponent and
-check_time_multiplier are their 1-row views.  The last step of each row
-(the ratio of two multipliers, e^{i xi}) runs on Python complex numbers and
-cmath, whose rounding numpy's complex division and exp do not share.
+check_time_multiplier are their 1-row views.  U_t(r) U_t(s) f and U_t(rs) f
+are states of one term layout, so a multiplier is read off their term
+parameters: omega = e^{dalpha} of the first term, and every other
+difference of the two sides is a term mismatch.  No state is evaluated at a
+point.  The Heisenberg and initial-condition residuals are likewise the
+largest coefficient of an exact operator difference.
 """
 from __future__ import annotations
 
@@ -23,8 +26,8 @@ from .group import (GalileiBatch, GalileiElement, _dot, _rotation_angles,
                     _row, multiply, multiply_batch, stack_batches)
 from .representations import (RepDescriptor, apply_batch, generator,
                               generator_names, static_generator)
-from .states import (PolyDiffOperator, PolyGaussianState, StateBatch,
-                     random_state)
+from .states import (PolyDiffOperator, PolyGaussianState, Polynomial,
+                     StateBatch)
 
 __all__ = [
     "MultiplierReport",
@@ -47,13 +50,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MultiplierReport:
-    """Result of a pointwise multiplier extraction."""
+    """Result of a multiplier extraction."""
 
     omega: complex
     constancy_spread: float
     modulus_error: float
-    n_points: int
-    n_skipped: int
     matched_exponent: tuple | None = None  # (name, residual)
 
     @property
@@ -87,21 +88,14 @@ def _abs(values: np.ndarray) -> np.ndarray:
     return np.hypot(values.real, values.imag)
 
 
-MIN_POINTS = 4  # usable sample points a multiplier extraction needs
-_TOO_FEW = "too few usable sample points (denominator ~ 0)"
-
-
 @dataclass(frozen=True)
 class MultiplierBatch:
     """Row-wise multiplier extraction: row i holds what MultiplierReport
-    holds for pair i.  A row with fewer than MIN_POINTS usable points has
-    NaN omega, spread and modulus error."""
+    holds for pair i."""
 
     omega: np.ndarray  # (N,) complex
     constancy_spread: np.ndarray
     modulus_error: np.ndarray
-    n_points: np.ndarray  # usable points per row
-    n_skipped: np.ndarray
     matched_exponent: tuple | None = None  # (name, (N,) residuals)
 
 
@@ -117,70 +111,72 @@ def _modulus(z: complex) -> float:
         return math.inf
 
 
-def _ratio_stats(numer: np.ndarray, denom: np.ndarray):
-    """(omega, spread) of each row of (K, m) arrays of usable values."""
-    ratios = numer / denom
-    omega = ratios.mean(axis=1)
-    return omega, np.abs(ratios - omega[:, None]).max(axis=1)
+def _poly_mismatch(a, b, n: int) -> np.ndarray:
+    """Per row, the largest coefficient difference of two StateBatch term
+    polynomials: 0 while both rows share one Polynomial."""
+    if a is b:
+        return np.zeros(n)
+    a = [a] * n if isinstance(a, Polynomial) else a
+    b = [b] * n if isinstance(b, Polynomial) else b
+    return np.array([(x - y).max_abs() for x, y in zip(a, b)])
+
+
+def _term_mismatch(composed: StateBatch, direct: StateBatch):
+    """(dalpha, mismatch) per row of two StateBatches of one term layout.
+
+    dalpha is the difference of term 0's alpha.  mismatch is the largest
+    difference of the rows' term parameters over every term k: |dbeta|,
+    |dGamma|, the polynomial coefficients, and |e^{dalpha_k - dalpha} - 1|
+    (0 for term 0).  It is 0 exactly when composed = e^{dalpha} direct term
+    by term, and NaN propagates through it.
+    """
+    dalpha = composed.terms[0][1] - direct.terms[0][1]
+    parts = []
+    for (pa, aa, ba, Ga), (pb, ab, bb, Gb) in zip(composed.terms,
+                                                  direct.terms):
+        parts += [np.abs(np.expm1(aa - ab - dalpha)),
+                  np.abs(ba - bb).max(axis=1),
+                  np.abs(Ga - Gb).max(axis=(1, 2)),
+                  _poly_mismatch(pa, pb, len(dalpha))]
+    return dalpha, np.max(parts, axis=0)
 
 
 def extract_multiplier_batch(rep: RepDescriptor, r: GalileiBatch,
                              s: GalileiBatch, t, state: PolyGaussianState,
-                             points, rs=None) -> MultiplierBatch:
-    """Row-wise pointwise ratio (U_t(r) U_t(s) f)(p) / (U_t(rs) f)(p).
+                             rs=None) -> MultiplierBatch:
+    """Row-wise multiplier omega of U_t(r) U_t(s) f = omega U_t(rs) f.
 
-    t is one time or one per row; points are (N, n, dim), one point set
-    per row, or one (n, dim) set for every row; rs is multiply_batch(r, s),
-    when the caller has it already.
+    Both sides are states of one term layout, so omega = e^{dalpha} of term
+    0's alpha, and constancy_spread is the term mismatch: the amount by
+    which the composed state is not omega times the direct one.  t is one
+    time or one per row; rs is multiply_batch(r, s), when the caller has it
+    already.
     """
-    n = len(r)
     if rs is None:
         rs = multiply_batch(r, s)
-    points = np.asarray(points, dtype=float)
-    P = np.broadcast_to(points, (n,) + points.shape[-2:])
-    f = StateBatch.of(state, n)
+    f = StateBatch.of(state, len(r))
     composed = apply_batch(rep, r, t, apply_batch(rep, s, t, f))
-    denom = apply_batch(rep, rs, t, f).evaluate(P)
-    numer = composed.evaluate(P)
-    # Gaussian envelopes never vanish; only genuine underflow gets skipped
-    usable = np.abs(denom) > 1e-280
-    n_points = usable.sum(axis=1)
-    omega = np.full(n, complex(math.nan, math.nan))
-    spread = np.full(n, math.nan)
-    enough = n_points >= MIN_POINTS
-    full = enough & (n_points == P.shape[1])
-    omega[full], spread[full] = _ratio_stats(numer[full], denom[full])
-    for i in np.flatnonzero(enough & ~full):
-        (omega[i],), (spread[i],) = _ratio_stats(numer[i, usable[i]][None],
-                                                 denom[i, usable[i]][None])
-    modulus = np.array([abs(_modulus(w) - 1.0) for w in omega.tolist()])
-    return MultiplierBatch(omega, spread, modulus, n_points,
-                           P.shape[1] - n_points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dalpha, mismatch = _term_mismatch(composed,
+                                          apply_batch(rep, rs, t, f))
+        return MultiplierBatch(np.exp(dalpha), mismatch,
+                               np.abs(np.expm1(dalpha.real)))
 
 
 def extract_multiplier(rep: RepDescriptor, r: GalileiElement,
                        s: GalileiElement, t: float,
-                       state: PolyGaussianState,
-                       sample_points=None, rs=None) -> MultiplierReport:
-    """Pointwise ratio (U_t(r) U_t(s) f)(p) / (U_t(rs) f)(p).
+                       state: PolyGaussianState, rs=None) -> MultiplierReport:
+    """Multiplier omega of U_t(r) U_t(s) f = omega U_t(rs) f.
 
-    For a ray representation the ratio is a constant unimodular number;
-    constancy_spread measures any pointwise deviation from it.  rs is the
-    product multiply(r, s), when the caller has it already.  Raises
-    ValueError when fewer than MIN_POINTS points are usable.
+    For a ray representation omega is unimodular and constancy_spread, the
+    term mismatch of the two sides, is zero.  rs is the product
+    multiply(r, s), when the caller has it already.
     """
-    if sample_points is None:
-        sample_points = default_sample_points(state)
-    rows = extract_multiplier_batch(
-        rep, _row(r), _row(s), t, state, np.atleast_2d(sample_points),
-        None if rs is None else _row(rs))
-    if rows.n_points[0] < MIN_POINTS:
-        raise ValueError(_TOO_FEW)
+    rows = extract_multiplier_batch(rep, _row(r), _row(s), t, state,
+                                    None if rs is None else _row(rs))
     return MultiplierReport(omega=complex(rows.omega[0]),
                             constancy_spread=float(rows.constancy_spread[0]),
-                            modulus_error=float(rows.modulus_error[0]),
-                            n_points=int(rows.n_points[0]),
-                            n_skipped=int(rows.n_skipped[0]))
+                            modulus_error=float(rows.modulus_error[0]))
 
 
 def _xi_t(rep: RepDescriptor, r: GalileiBatch, s: GalileiBatch, t):
@@ -199,9 +195,9 @@ def _rotation_wrap(r: GalileiBatch, s: GalileiBatch,
 
 
 def _phase_mismatch(omega: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    """|omega[i] - e^{i exponent[i]}| per row, in Python complex arithmetic."""
-    return np.array([_modulus(w - cmath.exp(1j * x))
-                     for w, x in zip(omega.tolist(), exponent.tolist())])
+    """|omega[i] - e^{i exponent[i]}| per row."""
+    with np.errstate(invalid="ignore"):
+        return np.abs(omega - np.exp(1j * exponent))
 
 
 def _coboundary_phi(gamma: float, r: GalileiBatch) -> np.ndarray:
@@ -267,65 +263,46 @@ def match_exponent(rep: RepDescriptor, r: GalileiElement, s: GalileiElement,
 
 def exponent_cocycle_residual(rep: RepDescriptor, r: GalileiElement,
                               s: GalileiElement, q: GalileiElement,
-                              t: float, state: PolyGaussianState,
-                              sample_points=None) -> float:
+                              t: float, state: PolyGaussianState) -> float:
     """Cocycle identity on extracted exponents, branch-safe.
 
     xi(r,s) + xi(rs,q) = xi(s,q) + xi(r,sq) holds modulo 2 pi for the
     extracted principal-branch exponents; measuring the phase of the
     multiplier combination removes the branch ambiguity.  The four
-    multipliers are one 4-row extraction; raises ValueError when one of
-    them has fewer than MIN_POINTS usable points.
+    multipliers are one 4-row extraction.
     """
     rs, sq = multiply(r, s), multiply(s, q)
-    if sample_points is None:
-        sample_points = default_sample_points(state)
     a = stack_batches([_row(x) for x in (r, rs, s, r)])
     b = stack_batches([_row(x) for x in (s, q, q, sq)])
-    rows = extract_multiplier_batch(rep, a, b, t, state,
-                                    np.atleast_2d(sample_points))
-    if rows.n_points.min() < MIN_POINTS:
-        raise ValueError(_TOO_FEW)
-    w = rows.omega.tolist()
-    combo = w[0] * w[1] * np.conj(w[2] * w[3])
-    return abs(cmath.phase(complex(combo)))
+    w = extract_multiplier_batch(rep, a, b, t, state).omega
+    return float(abs(np.angle(w[0] * w[1] * np.conj(w[2] * w[3]))))
 
 
 def check_time_multiplier_batch(rep: RepDescriptor, r: GalileiBatch,
                                 s: GalileiBatch, t,
-                                state: PolyGaussianState, points):
-    """(residuals, n_points): per row |omega_t / omega_0 - e^{i xi_t}|, the
-    time multiplier against the static one, and the fewest usable points
-    of its two extractions; t and points as in extract_multiplier_batch.
-    A row with too few usable points has a NaN residual."""
+                                state: PolyGaussianState) -> np.ndarray:
+    """Per row |omega_t / omega_0 - e^{i xi_t}|, the time multiplier against
+    the static one, or the term mismatch of either extraction when that is
+    larger; t as in extract_multiplier_batch."""
     n = len(r)
     t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
-    points = np.asarray(points, dtype=float)
-    P = np.broadcast_to(points, (n,) + points.shape[-2:])
     twice = np.tile(np.arange(n), 2)
     rows = extract_multiplier_batch(rep, r[twice], s[twice],
-                                    np.concatenate((t, np.zeros(n))),
-                                    state, P[twice])
-    omega = rows.omega.tolist()
-    ratio = np.array([w_t / w_0 if w_0 else complex(math.nan, math.nan)
-                      for w_t, w_0 in zip(omega[:n], omega[n:])])
-    return (_phase_mismatch(ratio, _xi_t(rep, r, s, t)),
-            np.minimum(rows.n_points[:n], rows.n_points[n:]))
+                                    np.concatenate((t, np.zeros(n))), state)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = rows.omega[:n] / rows.omega[n:]
+    spread = rows.constancy_spread
+    return np.maximum(_phase_mismatch(ratio, _xi_t(rep, r, s, t)),
+                      np.maximum(spread[:n], spread[n:]))
 
 
 def check_time_multiplier(rep: RepDescriptor, r: GalileiElement,
                           s: GalileiElement, t: float,
-                          state: PolyGaussianState,
-                          sample_points=None) -> float:
-    """|time multiplier / static multiplier - e^{-i gamma <v_r, W_r v_s> t}|;
-    raises ValueError when fewer than MIN_POINTS points are usable."""
-    if sample_points is None:
-        sample_points = default_sample_points(state)
-    residuals, n_points = check_time_multiplier_batch(
-        rep, _row(r), _row(s), t, state, np.atleast_2d(sample_points))
-    if n_points[0] < MIN_POINTS:
-        raise ValueError(_TOO_FEW)
-    return float(residuals[0])
+                          state: PolyGaussianState) -> float:
+    """|time multiplier / static multiplier - e^{-i gamma <v_r, W_r v_s> t}|,
+    or the term mismatch of either extraction when that is larger."""
+    return float(check_time_multiplier_batch(rep, _row(r), _row(s), t,
+                                             state)[0])
 
 
 @dataclass(frozen=True)
@@ -368,20 +345,8 @@ def _fit_scalar(lhs: PolyDiffOperator, rhs: PolyDiffOperator):
     return complex(num / den)
 
 
-def _battery_residual(op: PolyDiffOperator, t_samples, seed: int = 11) -> float:
-    """Max pointwise magnitude of op acting on seeded states."""
-    magnitudes = []
-    for idx in range(3):
-        state = random_state(seed + idx, op.dim, poly_degree=1)
-        points = default_sample_points(state, n=8, seed=seed + 100 + idx)
-        for t in t_samples:
-            image = op.apply(state, t=float(t))
-            magnitudes.extend(_abs(image.evaluate_many(points)))
-    return _worst(magnitudes)
-
-
 def heisenberg_fit(rep: RepDescriptor, generators=None,
-                   t_samples=(0.5, 1.7), tol: float = 1e-9) -> HeisenbergFitResult:
+                   tol: float = 1e-9) -> HeisenbergFitResult:
     """Fit the evolution constant per generator, then look for a single
     constant K; sign flips are reported if only a per-generator sign repair
     works."""
@@ -399,8 +364,7 @@ def heisenberg_fit(rep: RepDescriptor, generators=None,
             residual_op = lhs
         else:
             residual_op = lhs - rhs.scale(K_g)
-        residual = _worst((residual_op.norm(),
-                           _battery_residual(residual_op, t_samples)))
+        residual = residual_op.norm()
         per_generator[name] = {
             "K": K_g,
             "residual": residual,
@@ -443,13 +407,6 @@ def heisenberg_fit(rep: RepDescriptor, generators=None,
                                     "sign flips")
 
 
-def check_initial_condition(rep: RepDescriptor, name: str,
-                            state: PolyGaussianState = None,
-                            seed: int = 23) -> float:
-    """Pointwise residual of R_{t=0}(name) against the static generator."""
-    diff = generator(rep, name, t=0.0) - static_generator(rep, name)
-    if state is None:
-        state = random_state(seed, rep.dim, poly_degree=1)
-    points = default_sample_points(state, n=8, seed=seed)
-    image = diff.apply(state, t=0.0)
-    return _worst(np.append(_abs(image.evaluate_many(points)), diff.norm()))
+def check_initial_condition(rep: RepDescriptor, name: str) -> float:
+    """Largest coefficient of R_{t=0}(name) minus the static generator."""
+    return (generator(rep, name, t=0.0) - static_generator(rep, name)).norm()

@@ -8,10 +8,11 @@ import math
 import numpy as np
 import pytest
 
-from galiray import cocycles, harness, verify
+from galiray import cocycles, harness
 from galiray.cli import main
 from galiray.group import GalileiElement, element_to_dict, identity
 from galiray.representations import rep_from_dict
+from galiray.states import PolyDiffOperator
 from galiray.harness import (
     DEFAULT_TOLERANCES,
     config_from_dict,
@@ -175,8 +176,11 @@ def test_suite_report_shape_and_documented_exception():
     K = by_name["heisenberg_schrodinger2d"]["details"]["K"]
     assert abs(K[0]) < 1e-12 and abs(K[1] - 1.0) < 1e-12
     mult = by_name["multiplier_bargmann3d"]["details"]
+    assert set(mult) == {"max_constancy_spread", "max_modulus_error",
+                         "max_matched_exponent_residual",
+                         "max_exponent_cocycle_residual",
+                         "n_exponent_triples"}
     assert mult["n_exponent_triples"] == 1
-    assert mult["n_skipped_points"] == 0
     tm = by_name["time_multiplier_bargmann3d"]["details"]
     assert tm["n_pure_boost"] == 20
     assert tm["pure_boost_max"] < 1e-9
@@ -248,17 +252,18 @@ NAN_INJECTIONS = {
     # case 0 is a pure boost, case 20 the first general pair
     "time_multiplier_boost": ("_check_time_multiplier", harness,
                               "check_time_multiplier_batch", 0,
-                              lambda out: (_nan_row(out[0], 0), out[1])),
+                              lambda out: _nan_row(out, 0)),
     "time_multiplier_general": ("_check_time_multiplier", harness,
                                 "check_time_multiplier_batch", 0,
-                                lambda out: (_nan_row(out[0], 20), out[1])),
+                                lambda out: _nan_row(out, 20)),
     "initial_conditions": ("_check_initial_conditions", harness,
                            "check_initial_condition", 0, lambda x: math.nan),
-    "heisenberg_battery": ("_check_heisenberg", verify,
-                           "default_sample_points", 0, _nan_first_point),
-    "initial_condition_points": ("_check_initial_conditions", verify,
-                                 "default_sample_points", 0,
-                                 _nan_first_point),
+    # both residuals are the largest coefficient of an operator difference
+    "heisenberg_battery": ("_check_heisenberg", PolyDiffOperator, "norm", 0,
+                           lambda x: math.nan),
+    "initial_condition_points": ("_check_initial_conditions",
+                                 PolyDiffOperator, "norm", 0,
+                                 lambda x: math.nan),
 }
 
 
@@ -271,6 +276,25 @@ def test_a_nan_residual_fails_its_check(case, monkeypatch):
     first = getattr(harness, family)(cfg)[0]
     assert first["pass"] is False
     assert math.isnan(first["max_residual"])
+
+
+def test_a_nan_inner_product_after_an_underflow_fails_unitarity(monkeypatch):
+    # an exp that underflows leaves errno at ERANGE, and Python's abs of a
+    # NaN complex then raises OverflowError instead of returning NaN
+    def poisoned(f, g):
+        np.exp(np.array([-1000 + 1j]))
+        return complex(math.nan, math.nan)
+
+    monkeypatch.setattr(harness, "inner_product", poisoned)
+    cfg = default_config(**TINY)
+    first = harness._check_unitarity(cfg)[0]
+    assert first["pass"] is False
+    assert math.isnan(first["max_residual"])
+    report = run_suite(cfg)
+    assert report["suite_pass"] is False
+    assert {c["check"] for c in report["checks"] if not c["pass"]} >= {
+        "unitarity_schrodinger2d", "unitarity_nonabelian2d",
+        "unitarity_bargmann3d"}
 
 
 def test_cli_verify_all(tmp_path, capsys, monkeypatch):
@@ -372,6 +396,34 @@ def test_cli_action(tmp_path, capsys):
     assert abs(doc["value"] - want) < 1e-12
     assert abs(doc["multiplier"][0] - np.cos(want)) < 1e-12
     assert abs(doc["multiplier"][1] - np.sin(want)) < 1e-12
+
+
+CLI_FLOAT_FLAGS = {
+    "cocycle": (["cocycle", "xi1", "--triples", "5"],
+                ("--scale", "--tolerance", "--gamma", "--lam", "--S", "--a1",
+                 "--a2", "--t")),
+    "multiplier": (["multiplier", "--rep", "schrodinger2d"], ("--t",)),
+    "infexp": (["infexp", "xi0", "--x", "b1", "--y", "d1"], ("--gamma",)),
+    "action": (["action", "--gamma", "1.0", "--t", "1.0"], ("--gamma", "--t")),
+}
+
+
+@pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, (_, flags) in CLI_FLOAT_FLAGS.items()
+    for flag in flags])
+def test_cli_rejects_a_non_finite_float_flag(command, flag, value, tmp_path,
+                                             capsys):
+    # with a valid pair and finite values each command exits 0
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"r": element_to_dict(identity(2)),
+                                "s": element_to_dict(identity(2))}))
+    argv = CLI_FLOAT_FLAGS[command][0] + ["--pair", str(path)] * (
+        command == "action")
+    assert main(argv + [f"{flag}=0.5"]) == 0
+    capsys.readouterr()
+    assert main(argv + [f"{flag}={value}"]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_cli_heisenberg(capsys):

@@ -150,6 +150,19 @@ def test_gamma_validation():
         f.multiply_phase(quad=np.array([[0.5]]))
 
 
+def test_a_nan_coefficient_gives_a_nan_norm():
+    # the Heisenberg and initial-condition residuals are these norms
+    p = Polynomial(2, {(0, 0): 3.0 - 4.0j, (1, 0): complex(math.nan, 0.0)})
+    assert math.isnan(p.max_abs())
+    assert Polynomial(2, {(0, 0): 3.0 - 4.0j}).max_abs() == 5.0
+    assert Polynomial(2).max_abs() == 0.0
+    op = (PolyDiffOperator.identity(2)
+          + PolyDiffOperator.build(2, [(Polynomial(3, {(1, 0, 0): math.nan}),
+                                        (1, 0))]))
+    assert math.isnan(op.norm())
+    assert PolyDiffOperator.zero(2).norm() == 0.0
+
+
 def test_derivative_operator_matches_finite_differences():
     rng = np.random.default_rng(436)
     f = random_state(rng, 2, poly_degree=2, n_terms=2)
