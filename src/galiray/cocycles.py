@@ -4,7 +4,9 @@ Five closed-form two-argument exponents (xi0, xi1, xi2, xi_eta, xi_t), the
 cocycle residual that validates them, coboundary shifts, and the
 infinitesimal-exponent limit computed by Richardson extrapolation.  Each
 exponent formula is written once, row-wise over GalileiBatch
-(evaluate_batch); evaluate is its 1-row view.
+(evaluate_batch); evaluate is its 1-row view.  The infinitesimal exponent
+runs every pair and tau as one batch (infinitesimal_exponent_batch), and
+infinitesimal_exponent is its 1-row view.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ __all__ = [
     "cocycle_residual_batch",
     "equivalence_transform",
     "infinitesimal_exponent",
+    "infinitesimal_exponent_batch",
     "DEFAULT_TAU_SEQUENCE",
 ]
 
@@ -163,56 +166,75 @@ class InfinitesimalExponentValue:
     converged: bool
 
 
-def _richardson(taus, values) -> tuple[float, float, bool]:
-    """Full Richardson table eliminating successive integer powers of tau.
+def _richardson(taus, values) -> tuple:
+    """Full Richardson table over each row of values (N, len(taus)),
+    eliminating successive integer powers of tau.
 
     The bracket combination is analytic in tau with leading term tau^2, so
     after division by tau^2 the error series holds every integer power of
     tau starting at tau^1; odd powers do occur (boost with time
-    translation gives an exactly linear F).
+    translation gives an exactly linear F).  The weights depend on the taus
+    alone and are computed as Python floats.
     """
-    rows = [list(values)]
+    rows = [values]
     nodes = list(taus)
-    p = 1
-    while len(rows[-1]) > 1:
+    for p in range(1, len(taus)):
+        w = np.array([(b / a) ** p for a, b in zip(nodes, nodes[1:])])
         prev = rows[-1]
-        nxt = []
-        for k in range(len(prev) - 1):
-            w = (nodes[k + 1] / nodes[k]) ** p
-            nxt.append((prev[k + 1] - w * prev[k]) / (1.0 - w))
-        rows.append(nxt)
+        rows.append((prev[:, 1:] - w * prev[:, :-1]) / (1.0 - w))
         nodes = nodes[1:]
-        p += 1
-    final = rows[-1][0]
-    prev_best = rows[-2][-1] if len(rows) > 1 else final
-    err = abs(final - prev_best)
-    converged = bool(np.isfinite(final)) and err < 1e-7
+    final = rows[-1][:, 0]
+    err = np.abs(final - rows[-2][:, -1])
+    converged = np.isfinite(final) & (err < 1e-7)
     return final, err, converged
+
+
+def _repeat(X: la.AlgebraBatch, k: int) -> la.AlgebraBatch:
+    """Each row of X k times in a row."""
+    return la.AlgebraBatch(*(np.repeat(getattr(X, f), k, axis=0)
+                             for f in la.AlgebraBatch.__slots__))
+
+
+def _evaluate_rows(xi, r: gg.GalileiBatch, s: gg.GalileiBatch) -> np.ndarray:
+    """evaluate_batch of a PhaseExponent; any other two-element callable
+    (a coboundary-shifted exponent, say) is called row by row."""
+    if isinstance(xi, PhaseExponent):
+        return evaluate_batch(xi, r, s)
+    return np.array([xi(r.element(i), s.element(i)) for i in range(len(r))],
+                    dtype=float)
+
+
+def infinitesimal_exponent_batch(xi, X: la.AlgebraBatch, Y: la.AlgebraBatch,
+                                 tau_sequence=DEFAULT_TAU_SEQUENCE) -> tuple:
+    """(value, extrapolation_error, converged), (N,) arrays whose row i is
+    what infinitesimal_exponent gives for the pair (X[i], Y[i]); all pairs
+    and taus run as one batch of len(X) * len(tau_sequence) rows."""
+    taus = tuple(map(float, tau_sequence))
+    if len(taus) < 3 or any(t <= 0 for t in taus):
+        raise ValueError("tau_sequence must hold at least 3 positive values")
+    n, k = len(X), len(taus)
+    # row i * k + j is pair i at taus[j]
+    t = np.tile(taus, n)
+    g = la.exponential_batch(_repeat(X, k).scale(t))
+    h = la.exponential_batch(_repeat(Y, k).scale(t))
+    ginv, hinv = gg.inverse_batch(g), gg.inverse_batch(h)
+    gh, ginv_hinv = gg.multiply_batch(g, h), gg.multiply_batch(ginv, hinv)
+    total = (_evaluate_rows(xi, gh, ginv_hinv) + _evaluate_rows(xi, g, h)
+             + _evaluate_rows(xi, ginv, hinv))
+    # tau ** 2 as Python rounds it
+    samples = total.reshape(n, k) / np.array([tau ** 2 for tau in taus])
+    return _richardson(taus, samples)
 
 
 def infinitesimal_exponent(xi, X: la.AlgebraElement, Y: la.AlgebraElement,
                            tau_sequence=DEFAULT_TAU_SEQUENCE) -> InfinitesimalExponentValue:
     """Second-order limit
     lim tau^-2 [xi(gh, g^-1 h^-1) + xi(g, h) + xi(g^-1, h^-1)]
-    with g = exponential(tau X), h = exponential(tau Y)."""
-    taus = tuple(float(t) for t in tau_sequence)
-    if len(taus) < 3 or any(t <= 0 for t in taus):
-        raise ValueError("tau_sequence must hold at least 3 positive values")
-    # all taus as one batch: g[i] = exponential(taus[i] X), h[i] likewise
-    t = np.array(taus)
-    g = la.exponential_batch(la._row(X).scale(t))
-    h = la.exponential_batch(la._row(Y).scale(t))
-    ginv, hinv = gg.inverse_batch(g), gg.inverse_batch(h)
-    gh, ginv_hinv = gg.multiply_batch(g, h), gg.multiply_batch(ginv, hinv)
-    samples = []
-    for i, tau in enumerate(taus):
-        # xi is called on elements, so any two-element callable works
-        total = (xi(gh.element(i), ginv_hinv.element(i))
-                 + xi(g.element(i), h.element(i))
-                 + xi(ginv.element(i), hinv.element(i)))
-        samples.append(total / tau ** 2)
-    value, err, converged = _richardson(taus, samples)
-    return InfinitesimalExponentValue(value=value, tau_sequence=taus,
-                                      extrapolation_error=err,
-                                      converged=converged)
-
+    with g = exponential(tau X), h = exponential(tau Y); xi may be a
+    PhaseExponent or any callable of two elements."""
+    taus = tuple(map(float, tau_sequence))
+    value, err, converged = infinitesimal_exponent_batch(
+        xi, la._row(X), la._row(Y), taus)
+    return InfinitesimalExponentValue(
+        value=float(value[0]), tau_sequence=taus,
+        extrapolation_error=float(err[0]), converged=bool(converged[0]))

@@ -14,8 +14,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import cocycles
-from .algebra import (algebra_batch_from_uniforms, basis_element, basis_names,
-                      commutator_batch, embed_algebra_batch, exponential_batch,
+from .algebra import (AlgebraBatch, algebra_batch_from_uniforms,
+                      basis_element, basis_names, commutator_batch,
+                      embed_algebra_batch, exponential_batch,
                       jacobi_residual_batch)
 from .cocycles import (DEFAULT_TAU_SEQUENCE, PhaseExponent,
                        cocycle_residual_batch)
@@ -25,9 +26,9 @@ from .group import (GalileiBatch, _uniform, embed_matrix_batch,
                     identity_batch, inverse_batch, multiply, multiply_batch,
                     random_element, random_element_batch, stack_batches)
 from .representations import (MOMENTUM_KINDS, RepDescriptor, apply,
-                              apply_time, generator_names, rep_from_dict,
-                              rep_to_dict)
-from .states import inner_product, random_state
+                              apply_batch, apply_time, generator_names,
+                              rep_from_dict, rep_to_dict)
+from .states import StateBatch, inner_product_batch, random_state
 from .verify import (_abs, _modulus, _worst, check_initial_condition,
                      check_time_multiplier_batch, default_sample_points,
                      exponent_cocycle_residual, extract_multiplier_batch,
@@ -371,35 +372,40 @@ def _check_cocycles(cfg: SuiteConfig):
     return reports
 
 
+def _basis_rows(names, dim: int) -> AlgebraBatch:
+    """The named basis elements as the rows of one AlgebraBatch."""
+    X = [basis_element(name, dim) for name in names]
+    return AlgebraBatch(*(np.array([getattr(x, f) for x in X])
+                          for f in AlgebraBatch.__slots__))
+
+
+def _pairing(x: str, y: str) -> float:
+    """Infinitesimal xi0 (gamma 1) of the basis directions x, y."""
+    if x[1:] != y[1:]:
+        return 0.0
+    return {("b", "d"): 1.0, ("d", "b"): -1.0}.get((x[0], y[0]), 0.0)
+
+
 def _check_infinitesimal(cfg: SuiteConfig):
+    """[X, Y] pairing of xi0 over every pair of dim-3 basis directions:
+    gamma = 1 for (b_i, d_i), -1 for (d_i, b_i), 0 otherwise."""
     seed = cfg.seed + _CHECK_SEED_STRIDE * 50
     xi = PhaseExponent("xi0", 3, gamma=1.0)
     names = basis_names(3)
+    pairs = [(xn, yn) for xn in names for yn in names]
     tol = cfg.tol("infexp")
-    residuals = []
-    n_unconverged = 0
-    failing = []
-    for xn in names:
-        for yn in names:
-            X = basis_element(xn, 3)
-            Y = basis_element(yn, 3)
-            expected = 0.0
-            if xn.startswith("b") and yn.startswith("d") and xn[1:] == yn[1:]:
-                expected = 1.0
-            if xn.startswith("d") and yn.startswith("b") and xn[1:] == yn[1:]:
-                expected = -1.0
-            result = cocycles.infinitesimal_exponent(xi, X, Y,
-                                                     cfg.tau_sequence)
-            residual = abs(result.value - expected)
-            if not result.converged:
-                n_unconverged += 1
-            if not residual < tol:
-                failing.append({"x": xn, "y": yn, "value": result.value,
-                                "expected": expected})
-            residuals.append(residual)
+    value, _, converged = cocycles.infinitesimal_exponent_batch(
+        xi, _basis_rows([x for x, _ in pairs], 3),
+        _basis_rows([y for _, y in pairs], 3), cfg.tau_sequence)
+    expected = np.array([_pairing(x, y) for x, y in pairs])
+    residuals = np.abs(value - expected)
+    failing = [{"x": x, "y": y, "value": float(v), "expected": float(e)}
+               for (x, y), v, e, bad in zip(pairs, value, expected,
+                                            ~(residuals < tol)) if bad]
+    n_unconverged = int(np.sum(~converged))
     worst = _worst(residuals)
     passed = worst < tol and n_unconverged == 0
-    return [_report("infinitesimal_exponents", None, seed, len(names) ** 2,
+    return [_report("infinitesimal_exponents", None, seed, len(pairs),
                     worst, passed,
                     details={"n_unconverged": n_unconverged,
                              "failing_pairs": failing})]
@@ -409,24 +415,35 @@ def _momentum_reps(cfg: SuiteConfig):
     return [r for r in cfg.reps if r.kind in MOMENTUM_KINDS]
 
 
+def _unitarity_cases(cfg: SuiteConfig, rep, rng, start: int, n: int):
+    """(F, G, r, t) of unitarity cases start .. start + n - 1, drawn from
+    rng case by case: f, g (one of degree 0, the other of degree 1), then
+    r; t cycles through 0 and the t_samples."""
+    ts = (0.0,) + tuple(cfg.t_samples)
+    fs, gs, rs = [], [], []
+    for i in range(start, start + n):
+        fs.append(random_state(rng, rep.dim, poly_degree=i % 2))
+        gs.append(random_state(rng, rep.dim, poly_degree=(i + 1) % 2))
+        rs.append(random_element_batch(rng, 1, rep.dim, cfg.scale))
+    t = np.array([ts[i % len(ts)] for i in range(start, start + n)])
+    return StateBatch.stack(fs), StateBatch.stack(gs), stack_batches(rs), t
+
+
 def _check_unitarity(cfg: SuiteConfig):
+    """|<U_t(r) f, U_t(r) g> - <f, g>| over random states and elements."""
     reports = []
     tol = cfg.tol("unitarity")
     for k, rep in enumerate(_momentum_reps(cfg)):
         seed = cfg.seed + _CHECK_SEED_STRIDE * (60 + k)
         rng = np.random.default_rng(seed)
-        ts = (0.0,) + tuple(cfg.t_samples)
-        residuals = []
-        for i in range(cfg.n_unitarity_cases):
-            f = random_state(rng, rep.dim, poly_degree=i % 2)
-            g = random_state(rng, rep.dim, poly_degree=(i + 1) % 2)
-            r = random_element(rng, rep.dim, cfg.scale)
-            t = ts[i % len(ts)]
-            before = inner_product(f, g)
-            after = inner_product(apply_time(rep, r, t, f),
-                                  apply_time(rep, r, t, g))
-            residuals.append(_modulus(after - before))
-        worst = _worst(residuals)
+        worst = []
+        for start, n in _chunks(cfg.n_unitarity_cases):
+            F, G, r, t = _unitarity_cases(cfg, rep, rng, start, n)
+            before = inner_product_batch(F, G)
+            after = inner_product_batch(apply_batch(rep, r, t, F),
+                                        apply_batch(rep, r, t, G))
+            worst.append(_worst(_modulus(after - before)))
+        worst = _worst(worst)
         reports.append(_report(f"unitarity_{rep.kind}", rep.kind, seed,
                                cfg.n_unitarity_cases, worst, worst < tol))
     return reports

@@ -12,6 +12,8 @@ Polynomial.eval and PolyGaussianTerm.evaluate) is its one-row view.
 StateBatch stacks N states of one term layout, so that N carrier actions
 run as one array pass: its substitute and multiply_phase act row-wise, and
 PolyGaussianState.substitute and multiply_phase are their one-row views.
+inner_product_batch takes N inner products with stacked linear algebra,
+and inner_product is its one-row view.
 
 Each term keeps an invariant: finite entries, and Gamma symmetric with a
 negative-definite real part.  PolyGaussianState(...) checks it, once, when
@@ -19,7 +21,8 @@ a state is built from input.  The transforms that keep it by construction
 build their result without a re-check: substitute (a congruence by an
 orthogonal W, which it requires), multiply_phase with a symmetric, purely
 imaginary quad, scale, add, conjugated, and PolyDiffOperator.apply, which
-reuses each input term's Gamma.
+reuses each input term's Gamma.  random_state draws terms that keep it, and
+builds its state without the check too.
 """
 from __future__ import annotations
 
@@ -39,6 +42,7 @@ __all__ = [
     "StateBatch",
     "PolyDiffOperator",
     "inner_product",
+    "inner_product_batch",
     "state_norm",
     "normalized",
     "random_state",
@@ -69,7 +73,7 @@ class Polynomial:
             for exps, c in coeffs.items():
                 c = complex(c)
                 if c != 0:
-                    self.coeffs[tuple(int(e) for e in exps)] = c
+                    self.coeffs[tuple(map(int, exps))] = c
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Polynomial":
@@ -259,6 +263,11 @@ def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_polys(poly, n: int) -> list:
+    """A StateBatch term polynomial as a list of one per row."""
+    return [poly] * n if isinstance(poly, Polynomial) else poly
+
+
 def _check_gamma(dim: int, Gamma: np.ndarray) -> np.ndarray:
     Gamma = np.asarray(Gamma, dtype=complex).reshape(dim, dim)
     if not np.isfinite(Gamma).all():
@@ -404,9 +413,10 @@ class StateBatch:
     """N states of one term layout as stacked arrays; row i is a state.
 
     Term k is (poly, alpha (N,), beta (N, dim), Gamma (N, dim, dim)).  poly
-    is one Polynomial shared by every row while it is constant, since a
-    constant is unchanged by substitution, and a list of one per row once
-    a non-constant one has been substituted row by row.  The transforms
+    is one Polynomial shared by every row, or a list of one per row: stack
+    builds lists, and substitute turns a shared non-constant polynomial
+    into one, row by row, while constants, which substitution leaves
+    unchanged, are kept as they are.  The transforms
     keep the invariant as the state methods they generalise do, so rows are
     not re-validated.
     """
@@ -425,6 +435,24 @@ class StateBatch:
                                 t.Gamma[None].repeat(n, axis=0))
                                for t in state.terms])
 
+    @classmethod
+    def stack(cls, states) -> "StateBatch":
+        """The states as rows, each with its own polynomials; they must
+        share a dimension and a term count."""
+        dim, n_terms = states[0].dim, len(states[0].terms)
+        if any(f.dim != dim or len(f.terms) != n_terms for f in states):
+            raise ValueError("stacked states need one dimension and term "
+                             "count")
+        columns = [[f.terms[k] for f in states] for k in range(n_terms)]
+        return cls(dim, [([t.poly for t in col],
+                          np.array([t.alpha for t in col]),
+                          np.array([t.beta for t in col]),
+                          np.array([t.Gamma for t in col]))
+                         for col in columns])
+
+    def __len__(self) -> int:
+        return len(self.terms[0][1])
+
     def row(self, i: int) -> PolyGaussianState:
         return PolyGaussianState._trusted(self.dim, [
             PolyGaussianTerm(poly if isinstance(poly, Polynomial) else poly[i],
@@ -438,10 +466,10 @@ class StateBatch:
         c = _matvec(M, shift)
         out = []
         for poly, alpha, beta, Gamma in self.terms:
-            if isinstance(poly, Polynomial) and poly.degree() > 0:
-                poly = [poly] * len(c)
-            if not isinstance(poly, Polynomial):
-                poly = [p.subs_affine(m, ci) for p, m, ci in zip(poly, M, c)]
+            if not (isinstance(poly, Polynomial) and poly.degree() == 0):
+                # a constant is unchanged by substitution
+                poly = [p if p.degree() == 0 else p.subs_affine(m, ci)
+                        for p, m, ci in zip(_row_polys(poly, len(c)), M, c)]
             cG = (c[:, None, :] @ Gamma)[:, 0]
             # a congruence by orthogonal M keeps Gamma symmetric and
             # Re(Gamma) negative-definite
@@ -627,65 +655,94 @@ def _sub_multi_indices(a):
 
 
 def _central_moment(Sigma: np.ndarray, exps: tuple,
-                    cache: dict) -> complex:
-    """E[q^exps] for a centered Gaussian with complex covariance Sigma."""
-    total_deg = sum(exps)
-    if total_deg == 0:
-        return 1.0 + 0.0j
-    if total_deg % 2 == 1:
-        return 0.0 + 0.0j
+                    cache: dict) -> np.ndarray:
+    """E[q^exps] of a centered Gaussian with complex covariance Sigma, per
+    matrix of the stack Sigma (N, dim, dim)."""
     if exps in cache:
         return cache[exps]
-    a = next(i for i, e in enumerate(exps) if e > 0)
-    rest = list(exps)
-    rest[a] -= 1
-    total = 0.0 + 0.0j
-    for b, count in enumerate(rest):
-        if count > 0:
-            nxt = list(rest)
-            nxt[b] -= 1
-            total += count * Sigma[a, b] * _central_moment(Sigma, tuple(nxt), cache)
+    total_deg = sum(exps)
+    total = np.full(len(Sigma), complex(total_deg == 0))
+    if total_deg % 2 == 0 and total_deg > 0:
+        a = next(i for i, e in enumerate(exps) if e > 0)
+        rest = list(exps)
+        rest[a] -= 1
+        for b, count in enumerate(rest):
+            if count > 0:
+                nxt = list(rest)
+                nxt[b] -= 1
+                total = total + _cmul(count * Sigma[:, a, b], _central_moment(
+                    Sigma, tuple(nxt), cache))
     cache[exps] = total
     return total
 
 
-def _gaussian_integral(poly: Polynomial, alpha: complex, beta: np.ndarray,
-                       Gamma: np.ndarray) -> complex:
-    """Integral of poly(p) exp(alpha + <beta,p> + p^T Gamma p) over R^dim."""
-    dim = poly.nvars
+def _gaussian_integrals(polys, alpha: np.ndarray, beta: np.ndarray,
+                        Gamma: np.ndarray):
+    """Row-wise integral of polys[i](p) exp(alpha + <beta,p> + p^T Gamma p)
+    over R^dim, and per row whether it converges: Gamma must be finite and
+    Re(-2 Gamma) positive-definite.  A row that does not converge gives
+    NaN."""
+    n, dim = beta.shape
     A = -2.0 * Gamma
-    re_eigs = np.linalg.eigvalsh(A.real)
-    if np.min(re_eigs) <= 0.0:
-        raise ValueError("non-integrable Gaussian combination")
-    m = np.linalg.solve(A, beta)
+    finite = np.isfinite(A).all(axis=(1, 2))
+    eye = np.eye(dim)
+    # stand-in rows keep the stacked linalg off a singular or non-finite
+    # matrix, on which eigvalsh returns arbitrary values
+    re_eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], A.real, eye))
+    integrable = finite & (re_eigs[:, 0] > 0.0)
+    A = np.where(integrable[:, None, None], A, eye)
+    m = np.linalg.solve(A, beta[:, :, None])[:, :, 0]
     Sigma = np.linalg.inv(A)
     # Re(A) positive-definite puts every eigenvalue in the right half-plane,
     # so the principal square root is the branch continuous from real A.
-    eigs = np.linalg.eigvals(A)
-    det_root = np.prod(np.sqrt(eigs))
-    prefactor = (2.0 * math.pi) ** (dim / 2.0) / det_root
-    prefactor *= np.exp(alpha + 0.5 * np.dot(beta, m))
-    shifted = poly.subs_affine(np.eye(dim), m)
+    roots = np.sqrt(np.linalg.eigvals(A))
+    det_root = roots[:, 0]
+    for k in range(1, dim):
+        det_root = _cmul(det_root, roots[:, k])
+    prefactor = _cmul((2.0 * math.pi) ** (dim / 2.0) / det_root,
+                      np.exp(alpha + 0.5 * _dot(beta, m)))
     cache: dict = {}
-    total = 0.0 + 0.0j
-    for exps, c in shifted.coeffs.items():
-        total += c * _central_moment(Sigma, exps, cache)
-    return complex(prefactor * total)
+    total = np.zeros(n, dtype=complex)
+    for i, (poly, shift) in enumerate(zip(polys, m)):
+        for exps, c in poly.subs_affine(eye, shift).coeffs.items():
+            total[i] += c * _central_moment(Sigma, exps, cache)[i]
+    out = _cmul(prefactor, total)
+    out[~integrable] = complex(math.nan, math.nan)
+    return out, integrable
+
+
+def _inner_products(F: "StateBatch", G: "StateBatch"):
+    """Row-wise <F[i], G[i]>, and per row whether every term pair's
+    Gaussian integral converges."""
+    if F.dim != G.dim or len(F) != len(G):
+        raise ValueError("dimension or row count mismatch")
+    n = len(F)
+    total = np.zeros(n, dtype=complex)
+    integrable = np.ones(n, dtype=bool)
+    for pf, af, bf, Gf in F.terms:
+        for pg, ag, bg, Gg in G.terms:
+            polys = [a.conj() * b
+                     for a, b in zip(_row_polys(pf, n), _row_polys(pg, n))]
+            value, ok = _gaussian_integrals(polys, af.conjugate() + ag,
+                                            bf.conjugate() + bg,
+                                            Gf.conjugate() + Gg)
+            total = total + value
+            integrable &= ok
+    return total, integrable
+
+
+def inner_product_batch(F: "StateBatch", G: "StateBatch") -> np.ndarray:
+    """Row-wise <F[i], G[i]> as an (N,) complex array; a row with a term
+    pair whose Gaussian does not converge gives NaN."""
+    return _inner_products(F, G)[0]
 
 
 def inner_product(f: PolyGaussianState, g: PolyGaussianState) -> complex:
     """<f, g> = integral of conj(f(p)) g(p) over R^dim, in closed form."""
-    if f.dim != g.dim:
-        raise ValueError("dimension mismatch")
-    total = 0.0 + 0.0j
-    for tf in f.terms:
-        for tg in g.terms:
-            poly = tf.poly.conj() * tg.poly
-            alpha = tf.alpha.conjugate() + tg.alpha
-            beta = tf.beta.conjugate() + tg.beta
-            Gamma = tf.Gamma.conjugate() + tg.Gamma
-            total += _gaussian_integral(poly, alpha, beta, Gamma)
-    return total
+    value, integrable = _inner_products(StateBatch.of(f), StateBatch.of(g))
+    if not integrable[0]:
+        raise ValueError("non-integrable Gaussian combination")
+    return complex(value[0])
 
 
 def state_norm(f: PolyGaussianState) -> float:
@@ -721,7 +778,9 @@ def random_state(rng, dim: int, poly_degree: int = 0,
         else:
             poly = Polynomial.constant(dim, 1.0)
         terms.append(PolyGaussianTerm(poly, alpha, beta, Gamma))
-    return PolyGaussianState(dim, terms)
+    # finite draws, a symmetric Gamma and Re Gamma = -(BB^T/2 + cI) with
+    # c >= 0.4 keep the invariant by construction
+    return PolyGaussianState._trusted(dim, terms)
 
 
 def _monomials_up_to(dim: int, degree: int):

@@ -99,16 +99,11 @@ class MultiplierBatch:
     matched_exponent: tuple | None = None  # (name, (N,) residuals)
 
 
-def _modulus(z: complex) -> float:
-    """abs(z), NaN for a NaN z, and inf where Python's abs overflows.  abs
-    raises OverflowError there, and on a NaN z too when a libm call (an
-    underflowing exp, say) has left errno at ERANGE."""
-    if cmath.isnan(z):
-        return math.nan
-    try:
-        return abs(z)
-    except OverflowError:
-        return math.inf
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| per element, as _abs rounds it; NaN wherever a part of z is NaN,
+    where hypot would give inf for an inf part, and inf where |z|
+    overflows."""
+    return np.where(np.isnan(z), math.nan, _abs(z))
 
 
 def _poly_mismatch(a, b, n: int) -> np.ndarray:

@@ -242,7 +242,7 @@ def test_infinitesimal_exponent_batches_its_taus_exactly():
         samples.append((xi(multiply(g, h), multiply(gi, hi)) + xi(g, h)
                         + xi(gi, hi)) / tau ** 2)
     assert infinitesimal_exponent(xi, X, Y, taus).value == \
-        _richardson(taus, samples)[0]
+        _richardson(taus, np.array([samples]))[0][0]
 
 
 # -- the harness sweeps against case-by-case loops ---------------------------

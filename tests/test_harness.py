@@ -225,10 +225,10 @@ def _nan_first_point(points):
 # entry point is poisoned in one row of its first chunk
 NAN_INJECTIONS = {
     "infinitesimal": ("_check_infinitesimal", cocycles,
-                      "infinitesimal_exponent", 0,
-                      lambda v: dataclasses.replace(v, value=math.nan)),
-    "unitarity": ("_check_unitarity", harness, "inner_product", 0,
-                  lambda z: complex(math.nan, 0.0)),
+                      "infinitesimal_exponent_batch", 0,
+                      lambda out: (_nan_row(out[0], 0), *out[1:])),
+    "unitarity": ("_check_unitarity", harness, "inner_product_batch", 0,
+                  lambda z: _nan_row(z, 0)),
     "time_zero": ("_check_time_zero", harness, "default_sample_points", 0,
                   _nan_first_point),
     "multiplier_spread": ("_check_multipliers", harness,
@@ -279,13 +279,17 @@ def test_a_nan_residual_fails_its_check(case, monkeypatch):
 
 
 def test_a_nan_inner_product_after_an_underflow_fails_unitarity(monkeypatch):
-    # an exp that underflows leaves errno at ERANGE, and Python's abs of a
-    # NaN complex then raises OverflowError instead of returning NaN
-    def poisoned(f, g):
-        np.exp(np.array([-1000 + 1j]))
-        return complex(math.nan, math.nan)
+    # an exp that underflows leaves errno at ERANGE, after which Python's
+    # abs of a NaN complex raises OverflowError; the residual of a NaN row
+    # must come out NaN all the same
+    inner_product_batch = harness.inner_product_batch
 
-    monkeypatch.setattr(harness, "inner_product", poisoned)
+    def poisoned(F, G):
+        out = inner_product_batch(F, G)
+        np.exp(np.array([-1000 + 1j]))
+        return _nan_row(out, 0)
+
+    monkeypatch.setattr(harness, "inner_product_batch", poisoned)
     cfg = default_config(**TINY)
     first = harness._check_unitarity(cfg)[0]
     assert first["pass"] is False

@@ -1,0 +1,247 @@
+"""The batched infinitesimal-exponent table and unitarity inner products.
+
+infinitesimal_exponent_batch and inner_product_batch are written once, and
+infinitesimal_exponent and inner_product are their 1-row views, so row i of
+an N-row call must equal the 1-row call on row i bit for bit.  The suite's
+unitarity check runs in chunks, and its report must not depend on the chunk
+size.  Each negative control breaks one piece and the check must fail; a
+row whose Gaussian does not converge fails its entry instead of aborting
+the suite.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from galiray import cocycles, harness
+from galiray.algebra import basis_element, basis_names
+from galiray.cocycles import (PhaseExponent, equivalence_transform,
+                              infinitesimal_exponent,
+                              infinitesimal_exponent_batch)
+from galiray.group import random_element, random_element_batch
+from galiray.harness import default_config, report_json, run_suite
+from galiray.representations import RepDescriptor, apply_batch, apply_time
+from galiray.states import (PolyGaussianState, StateBatch, inner_product,
+                            inner_product_batch, random_state)
+
+TINY = dict(n_triples=6, n_pairs=3, n_time_cases=3, n_unitarity_cases=2,
+            n_time_zero_cases=2, n_exponent_triples=1)
+UNITARITY = ("unitarity_schrodinger2d", "unitarity_nonabelian2d",
+             "unitarity_bargmann3d")
+
+
+def _same(a, b) -> bool:
+    """Equal bit for bit, NaN included."""
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+# -- infinitesimal exponents -------------------------------------------------
+
+EXPONENTS = {
+    "xi0": PhaseExponent("xi0", 3, gamma=1.3),
+    "xi1": PhaseExponent("xi1", 2, lam=0.8),
+    "xi_eta": PhaseExponent("xi_eta", 1, a1=0.9, a2=0.7),
+    "coboundary": equivalence_transform(
+        PhaseExponent("xi0", 2, gamma=0.7),
+        lambda r: 0.7 * r.eta ** 2 + 0.3 * r.u[0] * r.v[1]),
+}
+
+
+def _basis_pairs(dim):
+    names = basis_names(dim)
+    pairs = [(x, y) for x in names for y in names]
+    X, Y = ([basis_element(p[k], dim) for p in pairs] for k in (0, 1))
+    stack = [harness._basis_rows([p[k] for p in pairs], dim) for k in (0, 1)]
+    return X, Y, stack
+
+
+@pytest.mark.parametrize("name", EXPONENTS)
+def test_row_i_of_the_infinitesimal_batch_is_the_one_row_call(name):
+    xi = EXPONENTS[name]
+    X, Y, (XB, YB) = _basis_pairs(xi.dim)
+    value, err, converged = infinitesimal_exponent_batch(xi, XB, YB)
+    assert len(value) == len(X)
+    for i, (x, y) in enumerate(zip(X, Y)):
+        one = infinitesimal_exponent(xi, x, y)
+        assert _same(value[i], one.value)
+        assert _same(err[i], one.extrapolation_error)
+        assert bool(converged[i]) is one.converged
+
+
+def test_the_infinitesimal_batch_rejects_bad_tau_sequences():
+    _, _, (XB, YB) = _basis_pairs(1)
+    with pytest.raises(ValueError):
+        infinitesimal_exponent_batch(EXPONENTS["xi_eta"], XB, YB, (0.1, 0.05))
+
+
+def test_a_limit_that_does_not_exist_is_unconverged():
+    # the bracket combination grows as tau^0.5, so F diverges as tau^-1.5
+    def rough(r, s):
+        return math.sqrt(abs(r.u[0]) + abs(r.v[0]))
+
+    _, _, (XB, YB) = _basis_pairs(1)
+    value, err, converged = infinitesimal_exponent_batch(rough, XB, YB)
+    assert np.all(np.isfinite(value))
+    assert not converged.all()
+    assert np.all(converged == (err < 1e-7))
+
+
+def test_an_unconverged_pair_fails_the_table(monkeypatch):
+    def unconverged_row_7(*args):
+        value, err, converged = infinitesimal_exponent_batch(*args)
+        converged = converged.copy()
+        converged[7] = False
+        return value, err, converged
+
+    monkeypatch.setattr(cocycles, "infinitesimal_exponent_batch",
+                        unconverged_row_7)
+    (entry,) = harness._check_infinitesimal(default_config(**TINY))
+    assert entry["pass"] is False
+    assert entry["details"]["n_unconverged"] == 1
+    assert entry["details"]["failing_pairs"] == []
+
+
+def test_a_scaled_exponent_fails_exactly_the_boost_translation_pairs(
+        monkeypatch):
+    evaluate_batch = cocycles.evaluate_batch
+    monkeypatch.setattr(cocycles, "evaluate_batch",
+                        lambda *args: 1.01 * evaluate_batch(*args))
+    (entry,) = harness._check_infinitesimal(default_config(**TINY))
+    assert entry["pass"] is False
+    assert entry["details"]["n_unconverged"] == 0
+    failing = {(p["x"], p["y"]) for p in entry["details"]["failing_pairs"]}
+    assert failing == {(f"{a}{i}", f"{b}{i}") for i in (1, 2, 3)
+                       for a, b in (("b", "d"), ("d", "b"))}
+    assert len(entry["details"]["failing_pairs"]) == 6
+
+
+# -- inner products ----------------------------------------------------------
+
+def _states(rng, dim, n, n_terms, degrees):
+    """n states of one term count, cycling through the given degrees."""
+    return [random_state(rng, dim, poly_degree=degrees[i % len(degrees)],
+                         n_terms=n_terms) for i in range(n)]
+
+
+@pytest.mark.parametrize("terms", ((1, 1), (1, 2), (2, 2)))
+@pytest.mark.parametrize("degrees", ((0,), (1,), (2,), (0, 1, 2)))
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_row_i_of_inner_product_batch_is_the_one_row_call(dim, degrees,
+                                                          terms):
+    rng = np.random.default_rng(100 * dim + 10 * len(degrees) + sum(terms))
+    n = 5
+    F = StateBatch.stack(_states(rng, dim, n, terms[0], degrees))
+    G = StateBatch.stack(_states(rng, dim, n, terms[1], degrees[::-1]))
+    values = inner_product_batch(F, G)
+    assert values.shape == (n,)
+    for i in range(n):
+        assert _same(values[i], inner_product(F.row(i), G.row(i)))
+
+
+@pytest.mark.parametrize("degree", (0, 2))
+def test_acted_rows_of_a_shared_state_match_the_one_row_call(degree):
+    rep = RepDescriptor("bargmann3d", gamma=0.9)
+    rng = np.random.default_rng(31 + degree)
+    f = random_state(rng, 3, poly_degree=degree, n_terms=2)
+    g = random_state(rng, 3, poly_degree=1)
+    r = random_element_batch(rng, 4, 3)
+    t = np.array([0.0, 0.5, -1.2, 0.0])
+    F = apply_batch(rep, r, t, StateBatch.of(f, 4))
+    G = apply_batch(rep, r, t, StateBatch.of(g, 4))
+    values = inner_product_batch(F, G)
+    for i in range(4):
+        assert _same(values[i], inner_product(F.row(i), G.row(i)))
+    assert _same(inner_product_batch(StateBatch.of(f), StateBatch.of(g)),
+                 [inner_product(f, g)])
+
+
+def _diverging(state: PolyGaussianState) -> PolyGaussianState:
+    """state with Re Gamma made positive-definite: its inner products with
+    the random states do not converge."""
+    (t,) = state.terms
+    return PolyGaussianState._trusted(state.dim, [type(t)(
+        t.poly, t.alpha, t.beta, t.Gamma + 3.0 * np.eye(state.dim))])
+
+
+def test_a_diverging_row_is_nan_in_the_batch_and_raises_in_the_row():
+    rng = np.random.default_rng(5)
+    fs = _states(rng, 2, 4, 1, (0, 1))
+    gs = _states(rng, 2, 4, 1, (1, 0))
+    gs[2] = _diverging(gs[2])
+    values = inner_product_batch(StateBatch.stack(fs), StateBatch.stack(gs))
+    assert np.isnan(values[2])
+    for i in (0, 1, 3):
+        assert _same(values[i], inner_product(fs[i], gs[i]))
+    with pytest.raises(ValueError, match="non-integrable"):
+        inner_product(fs[2], gs[2])
+
+
+def test_a_diverging_acted_state_fails_its_unitarity_entry(monkeypatch):
+    def diverge_row_0(rep, r, t, states):
+        out = apply_batch(rep, r, t, states)
+        quad = np.zeros((len(out), rep.dim, rep.dim), dtype=complex)
+        quad[0] = 3.0 * np.eye(rep.dim)
+        return out.multiply_phase(quad=quad)
+
+    monkeypatch.setattr(harness, "apply_batch", diverge_row_0)
+    report = run_suite(default_config(**TINY))
+    by_name = {c["check"]: c for c in report["checks"]}
+    for name in UNITARITY:
+        assert by_name[name]["pass"] is False
+        assert math.isnan(by_name[name]["max_residual"])
+    assert report["suite_pass"] is False
+    assert report["n_failed"] == 3
+
+
+def test_a_shifted_alpha_fails_every_unitarity_entry(monkeypatch):
+    def shifted(rep, r, t, states):
+        out = apply_batch(rep, r, t, states)
+        return out.multiply_phase(const=np.full(len(out), 1e-6))
+
+    monkeypatch.setattr(harness, "apply_batch", shifted)
+    entries = harness._check_unitarity(default_config(**TINY))
+    assert [e["check"] for e in entries] == list(UNITARITY)
+    for entry in entries:
+        assert entry["pass"] is False
+        assert entry["max_residual"] > 1e-9
+
+
+def test_unitarity_matches_a_case_by_case_loop():
+    """The draws and residuals of the check, one case at a time through
+    random_element, apply_time and inner_product."""
+    cfg = default_config(**{**TINY, "n_unitarity_cases": 12})
+    ts = (0.0,) + tuple(cfg.t_samples)
+    entries = harness._check_unitarity(cfg)
+    for entry, rep in zip(entries, harness._momentum_reps(cfg)):
+        rng = np.random.default_rng(entry["seed"])
+        worst = 0.0
+        for i in range(cfg.n_unitarity_cases):
+            f = random_state(rng, rep.dim, poly_degree=i % 2)
+            g = random_state(rng, rep.dim, poly_degree=(i + 1) % 2)
+            r = random_element(rng, rep.dim, cfg.scale)
+            t = ts[i % len(ts)]
+            after = inner_product(apply_time(rep, r, t, f),
+                                  apply_time(rep, r, t, g))
+            worst = max(worst, abs(after - inner_product(f, g)))
+        assert entry["max_residual"] == worst
+
+
+def test_unitarity_reports_do_not_depend_on_the_chunk_size(monkeypatch):
+    cfg = default_config(**{**TINY, "n_unitarity_cases": 10})
+    monkeypatch.setattr(harness, "_SWEEP_CHUNK", 512)
+    whole = report_json(harness._check_unitarity(cfg))
+    monkeypatch.setattr(harness, "_SWEEP_CHUNK", 3)
+    assert report_json(harness._check_unitarity(cfg)) == whole
+
+
+def test_random_states_pass_the_validating_constructor():
+    rng = np.random.default_rng(77)
+    for i in range(300):
+        dim, degree = 1 + i % 3, (i // 3) % 3
+        f = random_state(rng, dim, poly_degree=degree, n_terms=1 + i % 2)
+        checked = PolyGaussianState(f.dim, f.terms)
+        for a, b in zip(f.terms, checked.terms):
+            assert a.poly.coeffs == b.poly.coeffs
+            assert _same(a.alpha, b.alpha)
+            assert _same(a.beta, b.beta) and _same(a.Gamma, b.Gamma)
