@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,15 @@ class Polynomial:
                     self.coeffs[tuple(map(int, exps))] = c
 
     @classmethod
+    def _built(cls, nvars: int, coeffs: dict) -> "Polynomial":
+        """A polynomial from a dict this class built: int-tuple keys and
+        complex values, which are kept as they are; zeros are dropped."""
+        poly = cls.__new__(cls)
+        poly.nvars = nvars
+        poly.coeffs = {e: c for e, c in coeffs.items() if c != 0}
+        return poly
+
+    @classmethod
     def constant(cls, nvars: int, c) -> "Polynomial":
         return cls(nvars, {tuple([0] * nvars): c})
 
@@ -108,10 +118,11 @@ class Polynomial:
         out = dict(self.coeffs)
         for exps, c in other.coeffs.items():
             out[exps] = out.get(exps, 0.0) + c
-        return Polynomial(self.nvars, out)
+        return Polynomial._built(self.nvars, out)
 
     def __neg__(self):
-        return Polynomial(self.nvars, {e: -c for e, c in self.coeffs.items()})
+        return Polynomial._built(self.nvars,
+                                 {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -121,16 +132,16 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             c = complex(other)
-            return Polynomial(self.nvars,
-                              {e: v * c for e, v in self.coeffs.items()})
+            return Polynomial._built(self.nvars,
+                                     {e: v * c for e, v in self.coeffs.items()})
         if self.nvars != other.nvars:
             raise ValueError("polynomial variable count mismatch")
         out: dict[tuple, complex] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(operator.add, e1, e2))
                 out[key] = out.get(key, 0.0) + c1 * c2
-        return Polynomial(self.nvars, out)
+        return Polynomial._built(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -171,7 +182,9 @@ class Polynomial:
         # variable i, so a constant polynomial builds none
         lines: list[Polynomial | None] = [None] * n
         powers: list[list[Polynomial]] = [[] for _ in range(n)]
-        result = Polynomial(n)
+        # the terms add up in one dict, a sum that cancels to zero dropping
+        # out as it would from a Polynomial sum
+        out: dict[tuple, complex] = {}
         for exps, coef in self.coeffs.items():
             term = Polynomial.constant(n, coef)
             for i, e in enumerate(exps):
@@ -182,8 +195,13 @@ class Polynomial:
                     while len(powers[i]) <= e:
                         powers[i].append(powers[i][-1] * lines[i])
                     term = term * powers[i][e]
-            result = result + term
-        return result
+            for key, c_term in term.coeffs.items():
+                total = out.get(key, 0.0) + c_term
+                if total != 0:
+                    out[key] = total
+                else:
+                    del out[key]
+        return Polynomial._built(n, out)
 
     def subs_var(self, i: int, value) -> "Polynomial":
         """Fix variable i to a numeric value (variable count unchanged)."""
@@ -214,8 +232,9 @@ class Polynomial:
     def conj(self) -> "Polynomial":
         """Coefficient-wise conjugate; equals pointwise conjugation on
         real arguments."""
-        return Polynomial(self.nvars,
-                          {e: c.conjugate() for e, c in self.coeffs.items()})
+        return Polynomial._built(self.nvars,
+                                 {e: c.conjugate()
+                                  for e, c in self.coeffs.items()})
 
     def __repr__(self):
         return f"Polynomial(nvars={self.nvars}, coeffs={self.coeffs})"

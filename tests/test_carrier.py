@@ -1,6 +1,6 @@
 """Carrier states at array speed: the array evaluation, the transforms that
-build their result without re-validating it, and the lazy affine
-substitution.
+build their result without re-validating it, the lazy affine substitution,
+and Polynomial arithmetic that does not re-normalise what it built.
 
 evaluate_many is written once, and evaluate is its 1-row view, so row i of
 an N-row evaluation must equal the 1-point evaluation of point i exactly.
@@ -20,8 +20,8 @@ from galiray import harness, verify
 from galiray.group import GalileiElement, _rodrigues, rotation_2d
 from galiray.representations import (RepDescriptor, apply_time, generator,
                                      generator_names)
-from galiray.states import (PolyGaussianState, Polynomial, _check_gamma,
-                            _cmul, _power, random_state)
+from galiray.states import (PolyGaussianState, Polynomial, _affine_line,
+                            _check_gamma, _cmul, _power, random_state)
 
 # -- one array evaluation ----------------------------------------------------
 
@@ -219,6 +219,138 @@ def test_lazy_subs_affine_equals_the_eager_one_exactly():
             * (rng.random(n) < 0.7)
         lazy, eager = poly.subs_affine(M, c), _reference_subs_affine(poly, M, c)
         assert list(lazy.coeffs.items()) == list(eager.coeffs.items())
+
+
+# -- Polynomial arithmetic without re-normalisation ---------------------------
+# The references rebuild every result through the normalising constructor
+# Polynomial(nvars, dict), as the arithmetic did before it kept its own
+# dicts as they are.
+
+def _ref_add(a, b):
+    out = dict(a.coeffs)
+    for exps, c in b.coeffs.items():
+        out[exps] = out.get(exps, 0.0) + c
+    return Polynomial(a.nvars, out)
+
+
+def _ref_neg(a):
+    return Polynomial(a.nvars, {e: -c for e, c in a.coeffs.items()})
+
+
+def _ref_mul(a, b):
+    if not isinstance(b, Polynomial):
+        c = complex(b)
+        return Polynomial(a.nvars, {e: v * c for e, v in a.coeffs.items()})
+    out = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, 0.0) + c1 * c2
+    return Polynomial(a.nvars, out)
+
+
+def _ref_conj(a):
+    return Polynomial(a.nvars, {e: c.conjugate() for e, c in a.coeffs.items()})
+
+
+def _ref_subs_affine(poly, M, c):
+    n = poly.nvars
+    lines, powers = [None] * n, [[] for _ in range(n)]
+    result = Polynomial(n)
+    for exps, coef in poly.coeffs.items():
+        term = Polynomial.constant(n, coef)
+        for i, e in enumerate(exps):
+            if e:
+                if lines[i] is None:
+                    lines[i] = _affine_line(M[i], c[i])
+                    powers[i].append(Polynomial.constant(n, 1.0))
+                while len(powers[i]) <= e:
+                    powers[i].append(_ref_mul(powers[i][-1], lines[i]))
+                term = _ref_mul(term, powers[i][e])
+        result = _ref_add(result, term)
+    return result
+
+
+def _bits(poly):
+    """Keys in dict order and values bit for bit, signed zeros included."""
+    assert all(type(e) is int for exps in poly.coeffs for e in exps)
+    assert all(type(c) is complex for c in poly.coeffs.values())
+    return poly.nvars, [(exps, c.real.hex(), c.imag.hex())
+                        for exps, c in poly.coeffs.items()]
+
+
+# exactly representable values, so that sums cancel exactly
+SMALL = (1.0, -1.0, 0.5, -0.5, 2.0, 1j, -1j, 0.5 - 0.5j, -0.0 + 1j)
+
+
+def _random_poly(rng, n):
+    degree = int(rng.integers(0, 4))
+    coeffs = {}
+    for _ in range(int(rng.integers(0, 7))):
+        exps = [0] * n
+        for _ in range(int(rng.integers(0, degree + 1))):
+            exps[int(rng.integers(0, n))] += 1
+        coeffs[tuple(exps)] = (SMALL[rng.integers(len(SMALL))]
+                               if rng.random() < 0.5
+                               else complex(rng.normal(), rng.normal()))
+    return Polynomial(n, coeffs)
+
+
+def _partner(rng, a):
+    """A random polynomial sharing some of a's monomials, some of them with
+    the negated coefficient, so that a + b cancels there exactly."""
+    b = _random_poly(rng, a.nvars)
+    coeffs = dict(b.coeffs)
+    for exps, c in a.coeffs.items():
+        if rng.random() < 0.5:
+            coeffs[exps] = -c if rng.random() < 0.7 else c
+    return Polynomial(a.nvars, coeffs)
+
+
+def test_polynomial_arithmetic_equals_the_normalising_path_bit_for_bit():
+    rng = np.random.default_rng(640)
+    n_dropped = 0
+    for case in range(400):
+        n = 1 + case % 4
+        a = _random_poly(rng, n)
+        b = _partner(rng, a)
+        scalar = (0.0, 3, -1.0, 1j, 2.5 - 0.25j, np.float64(0.7),
+                  complex(rng.normal(), rng.normal()))[case % 7]
+        M = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.7)
+        c = (rng.normal(size=n) + 1j * rng.normal(size=n)) \
+            * (rng.random(n) < 0.7)
+        if case % 3 == 0:
+            M, c = np.round(M), np.round(c)
+        pairs = [(a + b, _ref_add(a, b)), (a - b, _ref_add(a, _ref_neg(b))),
+                 (-a, _ref_neg(a)), (a * b, _ref_mul(a, b)),
+                 (a * scalar, _ref_mul(a, scalar)),
+                 (scalar * a, _ref_mul(a, scalar)),
+                 (a.conj(), _ref_conj(a)),
+                 (a.subs_affine(M, c), _ref_subs_affine(a, M, c))]
+        for fast, ref in pairs:
+            assert _bits(fast) == _bits(ref)
+        n_dropped += len(set(a.coeffs) & set(b.coeffs)) \
+            - len(set(a.coeffs) & set((a + b).coeffs))
+    assert n_dropped > 0
+
+
+def test_a_sum_that_cancels_drops_its_monomial_and_keeps_the_order():
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    a = x * 1.5 + y * 2.0 + 1.0
+    assert list((a - x * 1.5).coeffs) == [(0, 1), (0, 0)]
+    # x -> q1 + 1, y -> -q1 + 1: q1 cancels in x + y, and x^2 adds it back
+    poly = x + y + x * x
+    M, c = np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, 1.0])
+    got = poly.subs_affine(M, c)
+    assert _bits(got) == _bits(_ref_subs_affine(poly, M, c))
+    assert list(got.coeffs) == [(0, 0), (2, 0), (1, 0)]
+
+
+def test_the_input_constructor_still_normalises():
+    p = Polynomial(2, {(np.int64(1), 0): 2, (0, 1): 0.0, (0, 0): np.float64(3)})
+    assert list(p.coeffs) == [(1, 0), (0, 0)]
+    assert _bits(p) == (2, [((1, 0), (2.0).hex(), (0.0).hex()),
+                            ((0, 0), (3.0).hex(), (0.0).hex())])
 
 
 # -- each multiplier product is built once -----------------------------------

@@ -214,12 +214,6 @@ def _nan_row(values, i):
     return values
 
 
-def _nan_first_point(points):
-    points = points.copy()
-    points[0] = math.nan
-    return points
-
-
 # (check family, namespace, attribute, poisoned call, poison); the harness
 # rows hit its own reductions, the verify rows those inside verify; a batched
 # entry point is poisoned in one row of its first chunk
@@ -229,8 +223,8 @@ NAN_INJECTIONS = {
                       lambda out: (_nan_row(out[0], 0), *out[1:])),
     "unitarity": ("_check_unitarity", harness, "inner_product_batch", 0,
                   lambda z: _nan_row(z, 0)),
-    "time_zero": ("_check_time_zero", harness, "default_sample_points", 0,
-                  _nan_first_point),
+    "time_zero": ("_check_time_zero", harness, "_term_mismatch", 0,
+                  lambda out: (out[0], _nan_row(out[1], 0))),
     "multiplier_spread": ("_check_multipliers", harness,
                           "extract_multiplier_batch", 0,
                           lambda b: dataclasses.replace(

@@ -161,7 +161,6 @@ def test_the_multiplier_families_evaluate_no_state(monkeypatch, capsys):
         raise AssertionError("a state was evaluated at a point")
 
     for owner, attr in ((verify, "default_sample_points"),
-                        (harness, "default_sample_points"),
                         (PolyGaussianState, "evaluate_many")):
         monkeypatch.setattr(owner, attr, forbidden)
     cfg = default_config(**FAULT_CFG)

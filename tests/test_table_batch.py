@@ -1,12 +1,14 @@
-"""The batched infinitesimal-exponent table and unitarity inner products.
+"""The batched infinitesimal-exponent table, unitarity inner products and
+time-zero comparison.
 
 infinitesimal_exponent_batch and inner_product_batch are written once, and
 infinitesimal_exponent and inner_product are their 1-row views, so row i of
 an N-row call must equal the 1-row call on row i bit for bit.  The suite's
-unitarity check runs in chunks, and its report must not depend on the chunk
-size.  Each negative control breaks one piece and the check must fail; a
-row whose Gaussian does not converge fails its entry instead of aborting
-the suite.
+unitarity and time-zero checks run in chunks, and their reports must not
+depend on the chunk size; each must equal a case-by-case loop that draws
+the same cases.  Each negative control breaks one piece and the check must
+fail; a row whose Gaussian does not converge fails its entry instead of
+aborting the suite.  No family of the suite evaluates a state at a point.
 """
 
 import math
@@ -14,21 +16,25 @@ import math
 import numpy as np
 import pytest
 
-from galiray import cocycles, harness
+from galiray import cocycles, harness, verify
 from galiray.algebra import basis_element, basis_names
 from galiray.cocycles import (PhaseExponent, equivalence_transform,
                               infinitesimal_exponent,
                               infinitesimal_exponent_batch)
 from galiray.group import random_element, random_element_batch
 from galiray.harness import default_config, report_json, run_suite
-from galiray.representations import RepDescriptor, apply_batch, apply_time
-from galiray.states import (PolyGaussianState, StateBatch, inner_product,
-                            inner_product_batch, random_state)
+from galiray.representations import (RepDescriptor, apply, apply_batch,
+                                     apply_time)
+from galiray.states import (PolyGaussianState, PolyGaussianTerm, StateBatch,
+                            inner_product, inner_product_batch, random_state)
+from galiray.verify import default_sample_points
 
 TINY = dict(n_triples=6, n_pairs=3, n_time_cases=3, n_unitarity_cases=2,
             n_time_zero_cases=2, n_exponent_triples=1)
 UNITARITY = ("unitarity_schrodinger2d", "unitarity_nonabelian2d",
              "unitarity_bargmann3d")
+TIME_ZERO = ("time_zero_schrodinger2d", "time_zero_nonabelian2d",
+             "time_zero_bargmann3d")
 
 
 def _same(a, b) -> bool:
@@ -233,6 +239,88 @@ def test_unitarity_reports_do_not_depend_on_the_chunk_size(monkeypatch):
     whole = report_json(harness._check_unitarity(cfg))
     monkeypatch.setattr(harness, "_SWEEP_CHUNK", 3)
     assert report_json(harness._check_unitarity(cfg)) == whole
+
+
+# -- time zero ---------------------------------------------------------------
+
+def test_time_zero_matches_a_case_by_case_loop(monkeypatch):
+    """The draws and verdicts of the check, one case at a time through
+    random_state, random_element, apply_time at t = 0 and apply, compared
+    at sample points."""
+    cfg = default_config(**{**TINY, "n_time_zero_cases": 7})
+    calls = []
+
+    def recording(rep, r, t, states):
+        calls.append((r, states))
+        return apply_batch(rep, r, t, states)
+
+    monkeypatch.setattr(harness, "apply_batch", recording)
+    entries = harness._check_time_zero(cfg)
+    reps = harness._momentum_reps(cfg)
+    assert [e["check"] for e in entries] == list(TIME_ZERO)
+    # one chunk: the per-row-t call, then the plain one
+    assert len(calls) == 2 * len(reps)
+    for k, (entry, rep) in enumerate(zip(entries, reps)):
+        (R, F), (R_plain, F_plain) = calls[2 * k], calls[2 * k + 1]
+        assert R is R_plain and F is F_plain
+        rng = np.random.default_rng(entry["seed"])
+        worst = 0.0
+        for i in range(cfg.n_time_zero_cases):
+            f = random_state(rng, rep.dim)
+            r = random_element(rng, rep.dim, cfg.scale)
+            assert all(_same(getattr(R, x)[i], getattr(r, x))
+                       for x in ("W", "eta", "v", "u"))
+            (row,), (term,) = F.row(i).terms, f.terms
+            assert row.poly.coeffs == term.poly.coeffs
+            assert _same(row.alpha, term.alpha)
+            assert _same(row.beta, term.beta) and _same(row.Gamma, term.Gamma)
+            points = default_sample_points(f, n=8, seed=entry["seed"] + i)
+            diff = (apply_time(rep, r, 0.0, f).evaluate_many(points)
+                    - apply(rep, r, f).evaluate_many(points))
+            worst = max(worst, float(np.max(np.abs(diff))))
+        assert entry["pass"] is True
+        assert entry["max_residual"] == worst == 0.0
+
+
+def test_time_zero_reports_do_not_depend_on_the_chunk_size(monkeypatch):
+    cfg = default_config(**{**TINY, "n_time_zero_cases": 10})
+    monkeypatch.setattr(harness, "_SWEEP_CHUNK", 512)
+    whole = report_json(harness._check_time_zero(cfg))
+    monkeypatch.setattr(harness, "_SWEEP_CHUNK", 3)
+    assert report_json(harness._check_time_zero(cfg)) == whole
+
+
+def test_a_time_phase_left_at_t_zero_fails_every_time_zero_entry(
+        monkeypatch):
+    def leaking(rep, r, t, states):
+        out = apply_batch(rep, r, t, states)
+        if np.ndim(t) == 0:
+            return out
+        return out.multiply_phase(lin=np.full((len(out), out.dim), 1e-6j))
+
+    monkeypatch.setattr(harness, "apply_batch", leaking)
+    entries = harness._check_time_zero(default_config(**TINY))
+    assert [e["check"] for e in entries] == list(TIME_ZERO)
+    for entry in entries:
+        assert entry["pass"] is False
+        assert entry["max_residual"] > 1e-12
+
+
+def test_the_suite_evaluates_no_state_at_a_point(monkeypatch):
+    cfg = default_config(**TINY)
+    want = run_suite(cfg)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a state was evaluated at a point")
+
+    for owner, attr in ((PolyGaussianState, "evaluate_many"),
+                        (PolyGaussianTerm, "evaluate_many"),
+                        (verify, "default_sample_points")):
+        monkeypatch.setattr(owner, attr, forbidden)
+    got = run_suite(cfg)
+    for report in (want, got):
+        report.pop("generated_at")
+    assert report_json(got) == report_json(want)
 
 
 def test_random_states_pass_the_validating_constructor():
