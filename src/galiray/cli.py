@@ -41,6 +41,9 @@ def _load_pair(path: str, dim: int, seed: int):
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not (isinstance(doc, dict) and {"r", "s"} <= doc.keys()):
+            raise ValueError(f"{path}: expected a JSON object with the "
+                             f"elements r and s")
         return element_from_dict(doc["r"]), element_from_dict(doc["s"])
     rng = np.random.default_rng(seed)
     return random_element(rng, dim), random_element(rng, dim)

@@ -25,7 +25,6 @@ __all__ = [
     "act_on_momentum",
     "rotation_2d",
     "rotation_angle",
-    "random_rotation",
     "random_element",
     "random_element_batch",
     "identity_batch",
@@ -233,14 +232,6 @@ def _rotation_angles(W) -> np.ndarray:
     return np.fromiter(map(math.atan2, W[:, 1, 0], W[:, 0, 0]), float, len(W))
 
 
-def random_rotation(rng, dim: int, max_angle: float = math.pi) -> np.ndarray:
-    """Random rotation: trivial at dim=1, uniform angle at dim=2,
-    uniform-axis/uniform-angle at dim=3.  max_angle bounds |angle|."""
-    _check_dim(dim)
-    W, _ = _draw_rows(np.random.default_rng(rng), 1, dim, max_angle, 0)
-    return W[0]
-
-
 def random_element(seed, dim: int, scale: float = 1.0,
                    max_angle: float = math.pi) -> GalileiElement:
     """Seeded random element: W a random rotation, eta and the components of
@@ -337,6 +328,12 @@ def element_to_dict(r: GalileiElement) -> dict:
 
 
 def element_from_dict(d: dict) -> GalileiElement:
-    dim = int(d["dim"])
-    W = np.asarray(d["W"], dtype=float).reshape(dim, dim)
-    return GalileiElement(dim, W, float(d["eta"]), d["v"], d["u"])
+    """Inverse of element_to_dict; ValueError for any other document."""
+    try:
+        dim = int(d["dim"])
+        W = np.asarray(d["W"], dtype=float).reshape(dim, dim)
+        return GalileiElement(dim, W, float(d["eta"]), d["v"], d["u"])
+    except KeyError as exc:
+        raise ValueError(f"element lacks the key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed element {d!r}: {exc}") from exc

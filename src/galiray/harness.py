@@ -24,7 +24,7 @@ from .cocycles import (DEFAULT_TAU_SEQUENCE, PhaseExponent,
 # tests/test_carrier.py read it from this module
 from .group import (GalileiBatch, _uniform, embed_matrix_batch,
                     identity_batch, inverse_batch, multiply, multiply_batch,
-                    random_element, random_element_batch, stack_batches)
+                    random_element_batch, stack_batches)
 from .representations import (MOMENTUM_KINDS, RepDescriptor, apply_batch,
                               generator_names, rep_from_dict, rep_to_dict)
 from .states import StateBatch, inner_product_batch, random_state
@@ -99,6 +99,9 @@ class SuiteConfig:
         if not _finite_positive(self.scale):
             raise ValueError(f"scale must be finite and positive, "
                              f"got {self.scale!r}")
+        unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
+        if unknown:
+            raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
         for name, tol in self.tolerances.items():
             if not (isinstance(tol, (int, float)) and _finite_positive(tol)):
                 raise ValueError(f"tolerance {name!r} must be finite and "
@@ -150,13 +153,11 @@ def config_from_dict(data: dict) -> SuiteConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {}
-    if "seed" in data:
-        kwargs["seed"] = int(data["seed"])
-    for key in ("scale",):
-        if key in data:
-            kwargs[key] = float(data[key])
-    for key in ("n_triples", "n_pairs", "n_time_cases", "n_unitarity_cases",
-                "n_time_zero_cases", "n_exponent_triples"):
+    if "scale" in data:
+        kwargs["scale"] = float(data["scale"])
+    for key in ("seed", "n_triples", "n_pairs", "n_time_cases",
+                "n_unitarity_cases", "n_time_zero_cases",
+                "n_exponent_triples"):
         if key in data:
             kwargs[key] = int(data[key])
     if "tau_sequence" in data:
@@ -164,9 +165,7 @@ def config_from_dict(data: dict) -> SuiteConfig:
     if "t_samples" in data:
         kwargs["t_samples"] = tuple(float(t) for t in data["t_samples"])
     if "tolerances" in data:
-        merged = dict(DEFAULT_TOLERANCES)
-        merged.update(data["tolerances"])
-        kwargs["tolerances"] = merged
+        kwargs["tolerances"] = {**DEFAULT_TOLERANCES, **data["tolerances"]}
     if "reps" in data:
         kwargs["reps"] = tuple(rep_from_dict(r) for r in data["reps"])
     if "expected_divergences" in data:
@@ -231,35 +230,34 @@ def _mat_diff(A, B) -> np.ndarray:
     return np.max(np.abs(A - B), axis=(1, 2))
 
 
-def _chunks(n_cases: int):
-    """(start, n) of consecutive chunks of at most _SWEEP_CHUNK cases."""
-    for start in range(0, n_cases, _SWEEP_CHUNK):
-        yield start, min(_SWEEP_CHUNK, n_cases - start)
+def _sweep(rng, n_cases: int, draw, residuals):
+    """Worst residual over n_cases random cases drawn from rng, a seed or a
+    numpy Generator whose stream the sweep continues.
 
-
-def _sweep(seed: int, n_cases: int, draw, residuals) -> float:
-    """Worst residual over n_cases random cases from the stream of seed.
-
-    draw(rng, n) returns the batched operands of the next n cases, taking
-    from rng what n case-by-case draws would take, so cases do not depend on
-    the batch size; residuals(*operands) returns one residual per case.
-    The maximum propagates NaN: a case that overflows fails the check.
+    draw(rng, cases) returns the batched operands of the cases in the range
+    cases of global case indices, taking from rng what case-by-case draws
+    would take, so cases do not depend on the batch size.
+    residuals(*operands) returns one residual per case, or a (k, n) stack of
+    k residual kinds, each reduced on its own to a list of k worsts.  The
+    maximum propagates NaN: a case that overflows fails its check.
     """
     if n_cases < 1:
         raise ValueError("a sweep needs at least one case")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(rng)
     worst = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, n in _chunks(n_cases):
-            worst.append(_worst(residuals(*draw(rng, n))))
-    return _worst(worst)
+        for start in range(0, n_cases, _SWEEP_CHUNK):
+            cases = range(start, min(start + _SWEEP_CHUNK, n_cases))
+            worst.append(np.max(residuals(*draw(rng, cases)), axis=-1,
+                                initial=0.0))
+    return np.max(worst, axis=0).tolist()
 
 
-def _triples(dim: int, scale: float, max_angle: float = math.pi):
-    """draw for _sweep: element triples (r, s, q), drawn r, s, q per case."""
-    def draw(rng, n):
-        b = random_element_batch(rng, 3 * n, dim, scale, max_angle)
-        return b[0::3], b[1::3], b[2::3]
+def _elements(k: int, dim: int, scale: float, max_angle: float = math.pi):
+    """draw for _sweep: k elements per case, drawn one after another."""
+    def draw(rng, cases):
+        b = random_element_batch(rng, k * len(cases), dim, scale, max_angle)
+        return tuple(b[i::k] for i in range(k))
     return draw
 
 
@@ -284,7 +282,8 @@ def _check_group_axioms(cfg: SuiteConfig):
     for dim in (1, 2, 3):
         seed = cfg.seed + _CHECK_SEED_STRIDE * dim
         n = max(1, cfg.n_triples // 3)
-        worst = _sweep(seed, n, _triples(dim, cfg.scale), _group_residuals)
+        worst = _sweep(seed, n, _elements(3, dim, cfg.scale),
+                       _group_residuals)
         reports.append(_report(f"group_axioms_dim{dim}", None, seed, n,
                                worst, worst < tol))
     return reports
@@ -295,8 +294,8 @@ def _algebra_cases(dim: int, scale: float):
     parameters a, b uniform in [-1, 1]."""
     k = (dim + 1) ** 2
 
-    def draw(rng, n):
-        U = rng.random((n, 3 * k + 2))
+    def draw(rng, cases):
+        U = rng.random((len(cases), 3 * k + 2))
         X, Y, Z = (algebra_batch_from_uniforms(U[:, i * k:(i + 1) * k], dim,
                                                scale) for i in range(3))
         a, b = _uniform(U[:, 3 * k:], 1.0).T
@@ -355,7 +354,7 @@ def cocycle_sweep(xi: PhaseExponent, seed: int, n_triples: int,
     the stream of seed, with rotations capped so that principal-branch
     angles never wrap inside a triple."""
     max_angle = min(scale, math.pi / 3.5)
-    return _sweep(seed, n_triples, _triples(xi.dim, scale, max_angle),
+    return _sweep(seed, n_triples, _elements(3, xi.dim, scale, max_angle),
                   functools.partial(cocycle_residual_batch, xi))
 
 
@@ -414,17 +413,26 @@ def _momentum_reps(cfg: SuiteConfig):
     return [r for r in cfg.reps if r.kind in MOMENTUM_KINDS]
 
 
-def _carrier_cases(rng, dim: int, scale: float, degrees):
-    """States and elements of len(degrees) cases, drawn from rng case by
-    case: case i takes one random state per entry of degrees[i], of that
-    polynomial degree, then one element r.  Returns one StateBatch per
-    state slot, and r as one GalileiBatch."""
-    states, rs = [], []
-    for case in degrees:
-        states.append([random_state(rng, dim, poly_degree=d) for d in case])
-        rs.append(random_element_batch(rng, 1, dim, scale))
-    return ([StateBatch.stack(slot) for slot in zip(*states)],
-            stack_batches(rs))
+def _carrier_cases(dim: int, scale: float, degrees, ts):
+    """draw for _sweep: case i takes one random state per entry of
+    degrees[i % len(degrees)], of that polynomial degree, then one element
+    r, and runs at t = ts[i % len(ts)].  Returns one StateBatch per state
+    slot, r as one GalileiBatch, and t."""
+    def draw(rng, cases):
+        states, rs = [], []
+        for i in cases:
+            states.append([random_state(rng, dim, poly_degree=d)
+                           for d in degrees[i % len(degrees)]])
+            rs.append(random_element_batch(rng, 1, dim, scale))
+        t = np.array([ts[i % len(ts)] for i in cases])
+        return (*map(StateBatch.stack, zip(*states)), stack_batches(rs), t)
+    return draw
+
+
+def _unitarity_residuals(rep, F, G, r, t):
+    after = inner_product_batch(apply_batch(rep, r, t, F),
+                                apply_batch(rep, r, t, G))
+    return _modulus(after - inner_product_batch(F, G))
 
 
 def _check_unitarity(cfg: SuiteConfig):
@@ -432,25 +440,23 @@ def _check_unitarity(cfg: SuiteConfig):
     t cycles through 0 and the t_samples."""
     reports = []
     tol = cfg.tol("unitarity")
-    ts = (0.0,) + tuple(cfg.t_samples)
+    # f and g: one of degree 0, the other of degree 1
+    degrees, ts = ((0, 1), (1, 0)), (0.0,) + tuple(cfg.t_samples)
     for k, rep in enumerate(_momentum_reps(cfg)):
         seed = cfg.seed + _CHECK_SEED_STRIDE * (60 + k)
-        rng = np.random.default_rng(seed)
-        worst = []
-        for start, n in _chunks(cfg.n_unitarity_cases):
-            cases = range(start, start + n)
-            # f and g: one of degree 0, the other of degree 1
-            (F, G), r = _carrier_cases(rng, rep.dim, cfg.scale,
-                                       [(i % 2, (i + 1) % 2) for i in cases])
-            t = np.array([ts[i % len(ts)] for i in cases])
-            before = inner_product_batch(F, G)
-            after = inner_product_batch(apply_batch(rep, r, t, F),
-                                        apply_batch(rep, r, t, G))
-            worst.append(_worst(_modulus(after - before)))
-        worst = _worst(worst)
+        worst = _sweep(seed, cfg.n_unitarity_cases,
+                       _carrier_cases(rep.dim, cfg.scale, degrees, ts),
+                       functools.partial(_unitarity_residuals, rep))
         reports.append(_report(f"unitarity_{rep.kind}", rep.kind, seed,
                                cfg.n_unitarity_cases, worst, worst < tol))
     return reports
+
+
+def _time_zero_residuals(rep, F, r, t):
+    # t is an array of zeros, so the first action takes the per-row path
+    dalpha, mismatch = _term_mismatch(apply_batch(rep, r, t, F),
+                                      apply_batch(rep, r, 0.0, F))
+    return np.maximum(_modulus(dalpha), mismatch)
 
 
 def _check_time_zero(cfg: SuiteConfig):
@@ -465,19 +471,29 @@ def _check_time_zero(cfg: SuiteConfig):
     tol = cfg.tol("time_zero")
     for k, rep in enumerate(_momentum_reps(cfg)):
         seed = cfg.seed + _CHECK_SEED_STRIDE * (70 + k)
-        rng = np.random.default_rng(seed)
-        worst = []
-        for _, n in _chunks(cfg.n_time_zero_cases):
-            (F,), r = _carrier_cases(rng, rep.dim, cfg.scale, [(0,)] * n)
-            at_zero = apply_batch(rep, r, np.zeros(n), F)
-            plain = apply_batch(rep, r, 0.0, F)
-            with np.errstate(over="ignore", invalid="ignore"):
-                dalpha, mismatch = _term_mismatch(at_zero, plain)
-                worst.append(_worst(np.maximum(_modulus(dalpha), mismatch)))
-        worst = _worst(worst)
+        worst = _sweep(seed, cfg.n_time_zero_cases,
+                       _carrier_cases(rep.dim, cfg.scale, ((0,),), (0.0,)),
+                       functools.partial(_time_zero_residuals, rep))
         reports.append(_report(f"time_zero_{rep.kind}", rep.kind, seed,
                                cfg.n_time_zero_cases, worst, worst < tol))
     return reports
+
+
+def _multiplier_residuals(rep, state, r, s):
+    """(constancy spread, modulus error, matched-exponent residual) of the
+    multiplier of each pair (r, s) at t = 0."""
+    rs = multiply_batch(r, s)
+    rows = extract_multiplier_batch(rep, r, s, 0.0, state, rs)
+    rows = match_exponent_batch(rep, r, s, 0.0, rows, rs)
+    return np.stack([rows.constancy_spread, rows.modulus_error,
+                     rows.matched_exponent[1]])
+
+
+def _exponent_cocycle_residuals(rep, state, r, s, q):
+    """exponent_cocycle_residual of each triple (r, s, q), one at a time."""
+    return [exponent_cocycle_residual(rep, r.element(i), s.element(i),
+                                      q.element(i), 0.0, state)
+            for i in range(len(r))]
 
 
 def _check_multipliers(cfg: SuiteConfig):
@@ -485,27 +501,14 @@ def _check_multipliers(cfg: SuiteConfig):
     for k, rep in enumerate(_momentum_reps(cfg)):
         seed = cfg.seed + _CHECK_SEED_STRIDE * (80 + k)
         rng = np.random.default_rng(seed)
+        # the state, then the pairs, then the exponent triples: one stream
         state = random_state(rng, rep.dim)
-        spreads, moduli, matches = [], [], []
-        for _, n in _chunks(cfg.n_pairs):
-            # pair i takes r then s from rng, as random_element calls would
-            b = random_element_batch(rng, 2 * n, rep.dim, cfg.scale)
-            r, s = b[0::2], b[1::2]
-            rs = multiply_batch(r, s)
-            rows = extract_multiplier_batch(rep, r, s, 0.0, state, rs)
-            rows = match_exponent_batch(rep, r, s, 0.0, rows, rs)
-            spreads.append(_worst(rows.constancy_spread))
-            moduli.append(_worst(rows.modulus_error))
-            matches.append(_worst(rows.matched_exponent[1]))
-        cocycle_residuals = []
-        for _ in range(cfg.n_exponent_triples):
-            r = random_element(rng, rep.dim, cfg.scale)
-            s = random_element(rng, rep.dim, cfg.scale)
-            q = random_element(rng, rep.dim, cfg.scale)
-            cocycle_residuals.append(
-                exponent_cocycle_residual(rep, r, s, q, 0.0, state))
-        max_spread, max_modulus, max_match, max_cocycle = (
-            _worst(x) for x in (spreads, moduli, matches, cocycle_residuals))
+        max_spread, max_modulus, max_match = _sweep(
+            rng, cfg.n_pairs, _elements(2, rep.dim, cfg.scale),
+            functools.partial(_multiplier_residuals, rep, state))
+        max_cocycle = _sweep(
+            rng, cfg.n_exponent_triples, _elements(3, rep.dim, cfg.scale),
+            functools.partial(_exponent_cocycle_residuals, rep, state))
         passed = (max_spread < cfg.tol("multiplier_spread")
                   and max_modulus < cfg.tol("multiplier_modulus")
                   and max_match < cfg.tol("multiplier_match")
@@ -523,45 +526,40 @@ def _check_multipliers(cfg: SuiteConfig):
     return reports
 
 
-def _time_cases(cfg: SuiteConfig, rep, rng, start: int, n: int,
-                n_boost: int):
-    """(t, r, s) of time-multiplier cases start .. start + n - 1, drawn from
-    rng case by case: t unless it is a t_samples entry, then r and s, pure
-    boosts for the first n_boost cases."""
-    dim = rep.dim
-    ts, pairs = [], []
-    for i in range(start, start + n):
-        if i < len(cfg.t_samples):
-            ts.append(float(cfg.t_samples[i]))
-        else:
-            ts.append(float(rng.uniform(-2.0, 2.0)))
-        if i < n_boost:
-            pairs.append(GalileiBatch(np.eye(dim)[None].repeat(2, axis=0),
-                                      np.zeros(2), rng.normal(size=(2, dim)),
-                                      np.zeros((2, dim))))
-        else:
-            pairs.append(random_element_batch(rng, 2, dim, cfg.scale))
-    b = stack_batches(pairs)
-    return np.array(ts), b[0::2], b[1::2]
-
-
 def _check_time_multiplier(cfg: SuiteConfig):
+    """|omega_t / omega_0 - e^{i xi_t}| over cases drawn one by one: t
+    unless it is a t_samples entry, then r and s, pure boosts for the first
+    n_boost cases, whose worst is reported apart from the rest."""
     reports = []
     tol = cfg.tol("time_multiplier")
     n_boost = 20
+
+    def draw(dim, rng, cases):
+        ts, pairs = [], []
+        for i in cases:
+            ts.append(float(cfg.t_samples[i]) if i < len(cfg.t_samples)
+                      else float(rng.uniform(-2.0, 2.0)))
+            if i < n_boost:
+                pairs.append(GalileiBatch(
+                    np.eye(dim)[None].repeat(2, axis=0), np.zeros(2),
+                    rng.normal(size=(2, dim)), np.zeros((2, dim))))
+            else:
+                pairs.append(random_element_batch(rng, 2, dim, cfg.scale))
+        b = stack_batches(pairs)
+        return np.array(ts), b[0::2], b[1::2], np.array(cases) < n_boost
+
+    def residuals(rep, state, t, r, s, boost):
+        # one row per kind, 0 where the case is of the other kind
+        return np.where([boost, ~boost],
+                        check_time_multiplier_batch(rep, r, s, t, state), 0.0)
+
     for k, rep in enumerate(_momentum_reps(cfg)):
         seed = cfg.seed + _CHECK_SEED_STRIDE * (90 + k)
         rng = np.random.default_rng(seed)
         state = random_state(rng, rep.dim)
-        boost_worst, general_worst = [], []
-        for start, n in _chunks(cfg.n_time_cases):
-            t, r, s = _time_cases(cfg, rep, rng, start, n, n_boost)
-            cases = np.arange(start, start + n)
-            residuals = check_time_multiplier_batch(rep, r, s, t, state)
-            boost_worst.append(_worst(residuals[cases < n_boost]))
-            general_worst.append(_worst(residuals[cases >= n_boost]))
-        worst_boost = _worst(boost_worst)
-        worst_general = _worst(general_worst)
+        worst_boost, worst_general = _sweep(
+            rng, cfg.n_time_cases, functools.partial(draw, rep.dim),
+            functools.partial(residuals, rep, state))
         worst = _worst((worst_boost, worst_general))
         details = {"pure_boost_max": worst_boost,
                    "general_max": worst_general,

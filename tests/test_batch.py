@@ -332,6 +332,38 @@ def test_sweep_does_not_depend_on_the_batch_size(monkeypatch):
         harness.cocycle_sweep(xi, 9, 0)
 
 
+def _stack_sweep(seen):
+    """A draw and a (2, n) residual stack for harness._sweep: kind 0 is a
+    uniform draw per case, kind 1 the global case index, NaN at case 5."""
+    def draw(rng, cases):
+        seen.append(cases)
+        return rng.random(len(cases)), np.array(cases, dtype=float)
+
+    def residuals(u, i):
+        return np.stack([u, np.where(i == 5, math.nan, i)])
+    return draw, residuals
+
+
+def test_sweep_reduces_each_residual_kind_on_its_own(monkeypatch):
+    monkeypatch.setattr(harness, "_SWEEP_CHUNK", 4)
+    seen = []
+    worst_u, worst_i = harness._sweep(11, 10, *_stack_sweep(seen))
+    # draw sees global case ranges, chunk after chunk
+    assert seen == [range(0, 4), range(4, 8), range(8, 10)]
+    # the NaN fails kind 1 only; kind 0 is the plain maximum of its draws
+    assert math.isnan(worst_i)
+    assert worst_u == float(np.max(np.random.default_rng(11).random(10)))
+    # a Generator of the seed gives what the seed gives, and the sweep
+    # continues its stream
+    rng = np.random.default_rng(11)
+    assert harness._sweep(rng, 10, *_stack_sweep([]))[0] == worst_u
+    assert harness._sweep(rng, 10, *_stack_sweep([]))[0] == float(
+        np.max(np.random.default_rng(11).random(20)[10:]))
+    # one residual per case reduces to one float; no chunk sees case 5 here
+    draw, residuals = _stack_sweep([])
+    assert harness._sweep(11, 5, draw, lambda u, i: residuals(u, i)[1]) == 4.0
+
+
 # -- fail closed -------------------------------------------------------------
 
 def test_a_nan_row_fails_the_sweeps(monkeypatch):

@@ -79,6 +79,24 @@ def test_config_rejects_non_finite_values(overrides, tmp_path):
         load_config(str(as_lines))
 
 
+@pytest.mark.parametrize("tolerances", ({"unitarty": 1e-30},
+                                        {**DEFAULT_TOLERANCES, "cocyle": 1.0}))
+def test_config_rejects_unknown_tolerance_names(tolerances, tmp_path):
+    # a misspelled name would otherwise leave its check at the default
+    with pytest.raises(ValueError, match="unknown tolerance names"):
+        default_config(tolerances=tolerances)
+    as_json = tmp_path / "suite.json"
+    as_json.write_text(json.dumps({"tolerances": tolerances}))
+    with pytest.raises(ValueError, match="unknown tolerance names"):
+        load_config(str(as_json))
+    as_lines = tmp_path / "suite.cfg"
+    as_lines.write_text(f"tolerances = {json.dumps(tolerances)}\n")
+    with pytest.raises(ValueError, match="unknown tolerance names"):
+        load_config(str(as_lines))
+    # a subset of the known names is still accepted
+    assert default_config(tolerances={"group": 1e-11}).tol("group") == 1e-11
+
+
 NON_FINITE_REPS = {
     "nan_gamma": {"kind": "bargmann3d", "gamma": math.nan},
     "inf_lambda": {"kind": "nonabelian2d", "lambda": math.inf},
@@ -369,6 +387,33 @@ def test_cli_rejects_a_non_finite_pair_file(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
     assert main(["action", "--gamma", "1.0", "--t", "1.0",
                  "--pair", str(path)]) == 2
+
+
+def _element_without_u():
+    d = element_to_dict(identity(2))
+    del d["u"]
+    return d
+
+
+MALFORMED_PAIRS = {
+    "missing_s": {"r": element_to_dict(identity(2))},
+    "missing_u": {"r": element_to_dict(identity(2)),
+                  "s": _element_without_u()},
+    "list_document": [element_to_dict(identity(2))] * 2,
+    "list_element": {"r": element_to_dict(identity(2)), "s": [0.0] * 8},
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_PAIRS.values(), ids=MALFORMED_PAIRS)
+@pytest.mark.parametrize("argv", (["multiplier", "--rep", "schrodinger2d"],
+                                  ["action", "--gamma", "1.0", "--t", "1.0"]),
+                         ids=("multiplier", "action"))
+def test_cli_rejects_a_malformed_pair_file(doc, argv, tmp_path, capsys):
+    # exit 2 is a usage error; 1 would claim that a check failed
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    assert main(argv + ["--pair", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_multiplier_random_pair(capsys):

@@ -19,13 +19,15 @@ import pytest
 
 from galiray import cocycles, harness, verify
 from galiray.cli import main
-from galiray.group import multiply_batch, random_element_batch
+from galiray.group import (multiply_batch, random_element,
+                           random_element_batch)
 from galiray.harness import config_to_dict, default_config, report_json
 from galiray.representations import RepDescriptor, apply_batch, apply_time
 from galiray.states import PolyGaussianState, StateBatch, random_state
 from galiray.verify import (check_time_multiplier,
                             check_time_multiplier_batch,
-                            default_sample_points, extract_multiplier,
+                            default_sample_points,
+                            exponent_cocycle_residual, extract_multiplier,
                             extract_multiplier_batch, match_exponent,
                             match_exponent_batch)
 
@@ -126,8 +128,10 @@ def test_omega_is_the_mean_pointwise_ratio(rep):
                 assert abs(omega[i] - ratio.mean()) < 1e-12
 
 
+# at a chunk size of 3 the pairs, the time cases and the exponent triples
+# each span several chunks
 CHUNKED = dict(n_triples=3, n_pairs=7, n_time_cases=23, n_unitarity_cases=1,
-               n_time_zero_cases=1, n_exponent_triples=1)
+               n_time_zero_cases=1, n_exponent_triples=7)
 
 
 @pytest.mark.parametrize("family", ("_check_multipliers",
@@ -138,6 +142,25 @@ def test_multiplier_reports_do_not_depend_on_the_chunk_size(family,
     whole = getattr(harness, family)(cfg)
     monkeypatch.setattr(harness, "_SWEEP_CHUNK", 3)
     assert report_json(getattr(harness, family)(cfg)) == report_json(whole)
+
+
+def test_exponent_cocycle_residual_matches_the_case_by_case_loop():
+    # the loop the triple sweep replaced: after the state and the pairs, one
+    # random_element call per element of each triple, on the check's stream
+    cfg = default_config(**CHUNKED)
+    for report, rep in zip(harness._check_multipliers(cfg), REPS):
+        rng = np.random.default_rng(report["seed"])
+        state = random_state(rng, rep.dim)
+        random_element_batch(rng, 2 * cfg.n_pairs, rep.dim, cfg.scale)
+        worst = 0.0
+        for _ in range(cfg.n_exponent_triples):
+            r, s, q = (random_element(rng, rep.dim, cfg.scale)
+                       for _ in range(3))
+            worst = max(worst, exponent_cocycle_residual(rep, r, s, q, 0.0,
+                                                         state))
+        assert report["details"]["max_exponent_cocycle_residual"] == worst
+        assert report["rep"] == rep.kind
+        assert report["details"]["n_exponent_triples"] == 7
 
 
 # -- negative controls: each fault must fail its check -----------------------
