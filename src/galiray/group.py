@@ -280,25 +280,38 @@ def _rodrigues(angle, axes) -> np.ndarray:
     return np.eye(3) + sin * K + (1.0 - cos) * (K @ K)
 
 
-def _draw_rows(rng, n: int, dim: int, max_angle: float, n_uniform: int):
-    """(W (n,dim,dim), U (n,n_uniform)): per row a random rotation then
-    n_uniform unit uniforms, taken from rng in the order of n successive
-    scalar draws (rotation angle, dim-3 axis, then the uniforms)."""
+def _raw_width(dim: int) -> int:
+    """Raw numbers per random element: the rotation's (none, an angle, or
+    an angle and a dim-3 axis), then eta, v and u."""
+    return (0, 0, 1, 4)[dim] + 1 + 2 * dim
+
+
+def _draw_raw(rng, dim: int, out: np.ndarray):
+    """One element's raw numbers into out (_raw_width(dim),), taken from rng
+    as random_element takes them."""
+    if dim == 3:
+        out[0] = rng.random()
+        out[1:4] = rng.normal(size=3)
+        rng.random(out=out[4:])
+    else:
+        rng.random(out=out)
+
+
+def _from_raw(raw: np.ndarray, dim: int, scale: float = 1.0,
+              max_angle: float = math.pi) -> GalileiBatch:
+    """The elements of the rows of raw (n, _raw_width(dim)): the rotation
+    angle uniform in [-max_angle, max_angle], eta and the components of v, u
+    uniform in [-scale, scale]."""
+    n = len(raw)
     if dim == 1:
-        return np.ones((n, 1, 1)), rng.random((n, n_uniform))
-    if dim == 2:
-        U = rng.random((n, 1 + n_uniform))
-        return _rotations_2d(_uniform(U[:, 0], max_angle)), U[:, 1:]
-    # the axis normals come from a ziggurat that takes a data-dependent
-    # number of raw draws, so rows are drawn one after another
-    angle = np.empty(n)
-    axes = np.empty((n, 3))
-    U = np.empty((n, n_uniform))
-    for i in range(n):
-        angle[i] = rng.random()
-        axes[i] = rng.normal(size=3)
-        U[i] = rng.random(n_uniform)
-    return _rodrigues(_uniform(angle, max_angle), axes), U
+        W = np.ones((n, 1, 1))
+    elif dim == 2:
+        W = _rotations_2d(_uniform(raw[:, 0], max_angle))
+    else:
+        W = _rodrigues(_uniform(raw[:, 0], max_angle),
+                       np.ascontiguousarray(raw[:, 1:4]))
+    X = _uniform(raw[:, _raw_width(dim) - 1 - 2 * dim:], scale)
+    return GalileiBatch(W, X[:, 0], X[:, 1:1 + dim], X[:, 1 + dim:])
 
 
 def random_element_batch(seed, n: int, dim: int, scale: float = 1.0,
@@ -311,9 +324,15 @@ def random_element_batch(seed, n: int, dim: int, scale: float = 1.0,
     """
     _check_dim(dim)
     rng = np.random.default_rng(seed)
-    W, U = _draw_rows(rng, n, dim, max_angle, 1 + 2 * dim)
-    X = _uniform(U, scale)
-    return GalileiBatch(W, X[:, 0], X[:, 1:1 + dim], X[:, 1 + dim:])
+    raw = np.empty((n, _raw_width(dim)))
+    if dim == 3:
+        # the axis normals come from a ziggurat that takes a data-dependent
+        # number of raw draws, so rows are drawn one after another
+        for row in raw:
+            _draw_raw(rng, dim, row)
+    else:
+        rng.random(out=raw)
+    return _from_raw(raw, dim, scale, max_angle)
 
 
 def element_to_dict(r: GalileiElement) -> dict:

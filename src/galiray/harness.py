@@ -22,12 +22,13 @@ from .cocycles import (DEFAULT_TAU_SEQUENCE, PhaseExponent,
                        cocycle_residual_batch)
 # multiply is not called here; perfbench/test_perfbench.py and
 # tests/test_carrier.py read it from this module
-from .group import (GalileiBatch, _uniform, embed_matrix_batch,
-                    identity_batch, inverse_batch, multiply, multiply_batch,
-                    random_element_batch, stack_batches)
+from .group import (GalileiBatch, _draw_raw, _from_raw, _raw_width, _uniform,
+                    embed_matrix_batch, identity_batch, inverse_batch,
+                    multiply, multiply_batch, random_element_batch,
+                    stack_batches)
 from .representations import (MOMENTUM_KINDS, RepDescriptor, apply_batch,
                               generator_names, rep_from_dict, rep_to_dict)
-from .states import StateBatch, inner_product_batch, random_state
+from .states import _StateDraws, inner_product_batch, random_state
 from .verify import (_modulus, _term_mismatch, _worst,
                      check_initial_condition, check_time_multiplier_batch,
                      exponent_cocycle_residual, extract_multiplier_batch,
@@ -103,9 +104,11 @@ class SuiteConfig:
         if unknown:
             raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
         for name, tol in self.tolerances.items():
-            if not (isinstance(tol, (int, float)) and _finite_positive(tol)):
-                raise ValueError(f"tolerance {name!r} must be finite and "
-                                 f"positive, got {tol!r}")
+            # a JSON true is an int in Python, but no tolerance
+            if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+                    or not _finite_positive(tol)):
+                raise ValueError(f"tolerance {name!r} must be a finite, "
+                                 f"positive number, got {tol!r}")
         taus = tuple(self.tau_sequence)
         if len(taus) < 3 or not all(map(_finite_positive, taus)):
             raise ValueError("tau_sequence needs at least 3 entries, all "
@@ -147,29 +150,58 @@ def config_to_dict(cfg: SuiteConfig) -> dict:
     }
 
 
+def _number(key: str, value) -> float:
+    """A number from a config document; a JSON boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _count(key: str, value) -> int:
+    """An integer from a config document, which may be written as a float
+    with no fractional part."""
+    if not _number(key, value).is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _list(key: str, value, kind=object) -> list:
+    """A list from a config document, its entries of type kind."""
+    if not (isinstance(value, list)
+            and all(isinstance(v, kind) for v in value)):
+        raise ValueError(f"{key} has the wrong type: {value!r}")
+    return value
+
+
 def config_from_dict(data: dict) -> SuiteConfig:
+    """The validated config of a JSON document; a value of the wrong type
+    raises ValueError, as a value out of range does."""
     known = set(config_to_dict(SuiteConfig()))
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {}
     if "scale" in data:
-        kwargs["scale"] = float(data["scale"])
+        kwargs["scale"] = _number("scale", data["scale"])
     for key in ("seed", "n_triples", "n_pairs", "n_time_cases",
                 "n_unitarity_cases", "n_time_zero_cases",
                 "n_exponent_triples"):
         if key in data:
-            kwargs[key] = int(data[key])
-    if "tau_sequence" in data:
-        kwargs["tau_sequence"] = tuple(float(t) for t in data["tau_sequence"])
-    if "t_samples" in data:
-        kwargs["t_samples"] = tuple(float(t) for t in data["t_samples"])
+            kwargs[key] = _count(key, data[key])
+    for key in ("tau_sequence", "t_samples"):
+        if key in data:
+            kwargs[key] = tuple(_number(key, t)
+                                for t in _list(key, data[key]))
     if "tolerances" in data:
+        if not isinstance(data["tolerances"], dict):
+            raise ValueError(f"tolerances must be an object, "
+                             f"got {data['tolerances']!r}")
         kwargs["tolerances"] = {**DEFAULT_TOLERANCES, **data["tolerances"]}
     if "reps" in data:
-        kwargs["reps"] = tuple(rep_from_dict(r) for r in data["reps"])
+        kwargs["reps"] = tuple(map(rep_from_dict, _list("reps", data["reps"])))
     if "expected_divergences" in data:
-        kwargs["expected_divergences"] = tuple(data["expected_divergences"])
+        kwargs["expected_divergences"] = tuple(_list(
+            "expected_divergences", data["expected_divergences"], str))
     return SuiteConfig(**kwargs).validate()
 
 
@@ -417,15 +449,22 @@ def _carrier_cases(dim: int, scale: float, degrees, ts):
     """draw for _sweep: case i takes one random state per entry of
     degrees[i % len(degrees)], of that polynomial degree, then one element
     r, and runs at t = ts[i % len(ts)].  Returns one StateBatch per state
-    slot, r as one GalileiBatch, and t."""
+    slot, r as one GalileiBatch, and t.
+
+    A draw-only loop takes each case's raw numbers as random_state and
+    random_element take them; the chunk's states and elements are then
+    built in one array pass each."""
     def draw(rng, cases):
-        states, rs = [], []
-        for i in cases:
-            states.append([random_state(rng, dim, poly_degree=d)
-                           for d in degrees[i % len(degrees)]])
-            rs.append(random_element_batch(rng, 1, dim, scale))
+        slots = [_StateDraws(len(cases), dim, max(d[k] for d in degrees))
+                 for k in range(len(degrees[0]))]
+        raw = np.empty((len(cases), _raw_width(dim)))
+        for j, i in enumerate(cases):
+            for slot, degree in zip(slots, degrees[i % len(degrees)]):
+                slot.draw(j, rng, degree)
+            _draw_raw(rng, dim, raw[j])
         t = np.array([ts[i % len(ts)] for i in cases])
-        return (*map(StateBatch.stack, zip(*states)), stack_batches(rs), t)
+        return (*(slot.batch() for slot in slots),
+                _from_raw(raw, dim, scale), t)
     return draw
 
 

@@ -98,17 +98,30 @@ def rep_to_dict(rep: RepDescriptor) -> dict:
     }
 
 
+def _label(d: dict, key: str, default: float) -> float:
+    value = d.get(key, default)
+    if isinstance(value, bool):  # float(True) would read it as 1.0
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def rep_from_dict(d: dict) -> RepDescriptor:
-    return RepDescriptor(
-        kind=d["kind"],
-        gamma=float(d.get("gamma", 1.0)),
-        lam=float(d.get("lambda", 0.0)),
-        s=float(d.get("s", 0.0)),
-        hbar=float(d.get("hbar", 1.0)),
-        m=float(d.get("m", 1.0)),
-        force_f=float(d.get("f", 0.0)),
-        V0=float(d.get("V0", 0.0)),
-    )
+    """Inverse of rep_to_dict; ValueError for any other document."""
+    try:
+        return RepDescriptor(
+            kind=d["kind"],
+            gamma=_label(d, "gamma", 1.0),
+            lam=_label(d, "lambda", 0.0),
+            s=_label(d, "s", 0.0),
+            hbar=_label(d, "hbar", 1.0),
+            m=_label(d, "m", 1.0),
+            force_f=_label(d, "f", 0.0),
+            V0=_label(d, "V0", 0.0),
+        )
+    except KeyError as exc:
+        raise ValueError(f"representation lacks the key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed representation {d!r}: {exc}") from exc
 
 
 def _require_momentum(rep: RepDescriptor, op: str):

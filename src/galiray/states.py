@@ -15,6 +15,20 @@ PolyGaussianState.substitute and multiply_phase are their one-row views.
 inner_product_batch takes N inner products with stacked linear algebra,
 and inner_product is its one-row view.
 
+A StateBatch term polynomial is one Polynomial shared by every row, or, when
+it differs between rows, dense rows: an (N, M) coefficient array over the
+graded monomial basis _basis(dim, deg).  Substitution, the products
+conj(f) g of an inner product and the shift of its Gaussian integral run on
+these arrays through one product table per pair of degrees, and add each
+coefficient's terms one at a time in an order fixed by the degrees, so row
+i equals the 1-row call bit for bit whatever degrees the other rows have.
+The sparse Polynomial stays the form of single states and of
+PolyDiffOperator coefficients.
+
+random_state is the one-row view of _StateDraws: a draw-only loop takes
+each state's raw numbers from the stream in the case-by-case order, and one
+array pass builds the alpha, beta, Gamma and coefficient arrays of them all.
+
 Each term keeps an invariant: finite entries, and Gamma symmetric with a
 negative-definite real part.  PolyGaussianState(...) checks it, once, when
 a state is built from input.  The transforms that keep it by construction
@@ -27,13 +41,14 @@ builds its state without the check too.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .group import _ORTHO_TOL, _dot, _matvec
+from .group import _ORTHO_TOL, _dot, _matvec, _uniform
 
 __all__ = [
     "DegreeOverflowError",
@@ -173,36 +188,6 @@ class Polynomial:
             total = total + term
         return total
 
-    def subs_affine(self, M, c) -> "Polynomial":
-        """Substitute variable_i -> sum_j M[i,j] q_j + c[i]."""
-        n = self.nvars
-        M = np.asarray(M)
-        c = np.asarray(c)
-        # line i and its powers are built when a monomial first uses
-        # variable i, so a constant polynomial builds none
-        lines: list[Polynomial | None] = [None] * n
-        powers: list[list[Polynomial]] = [[] for _ in range(n)]
-        # the terms add up in one dict, a sum that cancels to zero dropping
-        # out as it would from a Polynomial sum
-        out: dict[tuple, complex] = {}
-        for exps, coef in self.coeffs.items():
-            term = Polynomial.constant(n, coef)
-            for i, e in enumerate(exps):
-                if e:
-                    if lines[i] is None:
-                        lines[i] = _affine_line(M[i], c[i])
-                        powers[i].append(Polynomial.constant(n, 1.0))
-                    while len(powers[i]) <= e:
-                        powers[i].append(powers[i][-1] * lines[i])
-                    term = term * powers[i][e]
-            for key, c_term in term.coeffs.items():
-                total = out.get(key, 0.0) + c_term
-                if total != 0:
-                    out[key] = total
-                else:
-                    del out[key]
-        return Polynomial._built(n, out)
-
     def subs_var(self, i: int, value) -> "Polynomial":
         """Fix variable i to a numeric value (variable count unchanged)."""
         value = complex(value)
@@ -240,20 +225,6 @@ class Polynomial:
         return f"Polynomial(nvars={self.nvars}, coeffs={self.coeffs})"
 
 
-def _affine_line(row, shift) -> Polynomial:
-    """The polynomial sum_j row[j] q_j + shift."""
-    n = len(row)
-    coeffs = {}
-    for j in range(n):
-        if row[j] != 0:
-            e = [0] * n
-            e[j] = 1
-            coeffs[tuple(e)] = row[j]
-    if shift != 0:
-        coeffs[tuple([0] * n)] = shift
-    return Polynomial(n, coeffs)
-
-
 def _point_rows(points, n: int) -> np.ndarray:
     P = np.asarray(points)
     if P.ndim != 2 or P.shape[1] != n:
@@ -272,19 +243,188 @@ def _power(x: np.ndarray, e: int) -> np.ndarray:
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b for complex arrays of one shape, rounded as Python's complex
+    """a * b for complex arrays that broadcast, rounded as Python's complex
     product."""
     # numpy's complex multiply fuses multiply-adds, and so differs in the
     # last digit from the one-point product
-    out = np.empty(a.shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
+    re = a.real * b.real - a.imag * b.imag
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
     out.imag = a.real * b.imag + a.imag * b.real
     return out
 
 
-def _row_polys(poly, n: int) -> list:
-    """A StateBatch term polynomial as a list of one per row."""
-    return [poly] * n if isinstance(poly, Polynomial) else poly
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array re + i im, each part kept as it is."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+# -- dense polynomial rows ----------------------------------------------------
+# A StateBatch polynomial that differs between rows is an (N, M) coefficient
+# array over the graded basis _basis(dim, deg).  Every sum over coefficients
+# adds its terms one at a time, in an order fixed by (dim, degrees) alone, and
+# a row padded to a higher degree only adds zeros after its own terms: so row
+# i rounds as the 1-row call does, whatever degrees the other rows have.
+
+@functools.cache
+def _basis(dim: int, deg: int) -> tuple:
+    """Every monomial of total degree <= deg in dim variables: by degree,
+    then in descending lexicographic order, so that each lower degree's basis
+    is a prefix and the degree-1 monomials are the variables in order."""
+    return tuple(e for k in range(deg + 1)
+                 for e in sorted((e for e in _monomials_up_to(dim, k)
+                                  if sum(e) == k), reverse=True))
+
+
+@functools.cache
+def _index(dim: int, deg: int) -> dict:
+    """Column of each monomial of _basis(dim, deg)."""
+    return {e: k for k, e in enumerate(_basis(dim, deg))}
+
+
+@functools.cache
+def _ascending(dim: int, deg: int) -> tuple:
+    """The monomials of _basis(dim, deg) in ascending order, and their
+    columns."""
+    columns = sorted(range(_size(dim, deg)), key=_basis(dim, deg).__getitem__)
+    return tuple(_basis(dim, deg)[k] for k in columns), np.array(columns)
+
+
+@functools.cache
+def _size(dim: int, deg: int) -> int:
+    return math.comb(dim + deg, deg)
+
+
+@functools.cache
+def _product_table(dim: int, d1: int, d2: int) -> tuple:
+    """The product of a degree-d1 and a degree-d2 polynomial as rounds
+    (K, I, J): column K[j] of the product gains a[I[j]] * b[J[j]].  A round
+    names each column at most once, and each column gains its terms in the
+    order of their pairs (i, j)."""
+    index = _index(dim, d1 + d2)
+    pairs: dict[int, list] = {}
+    for i, e1 in enumerate(_basis(dim, d1)):
+        for j, e2 in enumerate(_basis(dim, d2)):
+            pairs.setdefault(index[tuple(map(operator.add, e1, e2))],
+                             []).append((i, j))
+    return tuple(tuple(np.array(x) for x in zip(*[
+        (k, *ij[r]) for k, ij in pairs.items() if len(ij) > r]))
+        for r in range(max(map(len, pairs.values()))))
+
+
+def _product(a: np.ndarray, b: np.ndarray, dim: int, d1: int,
+             d2: int) -> np.ndarray:
+    """Products of dense polynomials of degrees d1 and d2 along the last
+    axis, the leading axes broadcasting."""
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+                   + (_size(dim, d1 + d2),), dtype=complex)
+    for K, I, J in _product_table(dim, d1, d2):
+        out[..., K] += _cmul(a[..., I], b[..., J])
+    return out
+
+
+@functools.cache
+def _steps(dim: int, deg: int) -> tuple:
+    """For each degree-deg monomial e of the basis: the column of e / q_v
+    and v, the first variable e uses."""
+    index = _index(dim, deg)
+    parents, variables = [], []
+    for e in _basis(dim, deg)[_size(dim, deg - 1):]:
+        v = next(i for i, x in enumerate(e) if x)
+        parents.append(index[e[:v] + (e[v] - 1,) + e[v + 1:]])
+        variables.append(v)
+    return np.array(parents), np.array(variables)
+
+
+def _monomial_images(lines: np.ndarray, deg: int) -> np.ndarray:
+    """P (N, M, M) over _basis(dim, deg): P[i, e] is the monomial e with
+    variable v replaced by the degree-1 row lines[i, v] (N, dim, dim + 1)."""
+    n, dim = lines.shape[:2]
+    size = _size(dim, deg)
+    P = np.zeros((n, size, size), dtype=complex)
+    P[:, 0, 0] = 1.0
+    P[:, 1:dim + 1, :dim + 1] = lines
+    for k in range(2, deg + 1):
+        lo, hi = _size(dim, k - 1), _size(dim, k)
+        parents, variables = _steps(dim, k)
+        P[:, lo:hi, :hi] = _product(P[:, parents, :lo], lines[:, variables],
+                                    dim, k - 1, 1)
+    return P
+
+
+class _PolyRows:
+    """N polynomials in dim variables: row i of coef (N, M) holds the
+    coefficients of polynomial i over _basis(dim, deg)."""
+
+    __slots__ = ("dim", "deg", "coef")
+
+    def __init__(self, dim: int, deg: int, coef: np.ndarray):
+        self.dim, self.deg, self.coef = dim, deg, coef
+
+    @classmethod
+    def of(cls, polys, dim: int) -> "_PolyRows":
+        """The Polynomials as rows, at the highest of their degrees."""
+        deg = max(p.degree() for p in polys)
+        index = _index(dim, deg)
+        coef = np.zeros((len(polys), len(index)), dtype=complex)
+        for row, poly in zip(coef, polys):
+            for exps, c in poly.coeffs.items():
+                row[index[exps]] = c
+        return cls(dim, deg, coef)
+
+    def row(self, i: int) -> Polynomial:
+        """Row i as a Polynomial, its monomials in ascending order as
+        state_to_dict writes them."""
+        monomials, columns = _ascending(self.dim, self.deg)
+        return Polynomial._built(self.dim, dict(zip(
+            monomials, self.coef[i, columns].tolist())))
+
+    def padded(self, deg: int) -> np.ndarray:
+        """coef over _basis(dim, deg) for deg >= self.deg; the new columns
+        are zero."""
+        extra = _size(self.dim, deg) - self.coef.shape[1]
+        return np.pad(self.coef, ((0, 0), (0, extra)))
+
+    def conj_times(self, other: "_PolyRows") -> "_PolyRows":
+        """Row-wise conj(self) * other."""
+        return _PolyRows(self.dim, self.deg + other.deg,
+                         _product(self.coef.conj(), other.coef, self.dim,
+                                  self.deg, other.deg))
+
+    def substitute(self, M: np.ndarray, c: np.ndarray) -> "_PolyRows":
+        """Row i with variable j -> sum_k M[i, j, k] q_k + c[i, j], for M
+        (N, dim, dim) and c (N, dim)."""
+        if self.deg == 0:
+            return self
+        lines = np.empty(c.shape + (self.dim + 1,), dtype=complex)
+        lines[..., 0], lines[..., 1:] = c, M
+        images = _monomial_images(lines, self.deg)
+        out = np.zeros(images.shape[::2], dtype=complex)
+        for k in range(out.shape[1]):
+            out += _cmul(self.coef[:, k, None], images[:, k])
+        return _PolyRows(self.dim, self.deg, out)
+
+
+def _rows(poly, n: int) -> _PolyRows:
+    """A StateBatch term polynomial as n dense rows."""
+    if isinstance(poly, Polynomial):
+        one = _PolyRows.of([poly], poly.nvars)
+        return _PolyRows(one.dim, one.deg,
+                         np.broadcast_to(one.coef, (n, one.coef.shape[1])))
+    return poly
+
+
+def _poly_mismatch(a, b, n: int) -> np.ndarray:
+    """Per row, the largest coefficient difference of two StateBatch term
+    polynomials: 0 while both rows share one Polynomial."""
+    if a is b:
+        return np.zeros(n)
+    a, b = _rows(a, n), _rows(b, n)
+    deg = max(a.deg, b.deg)
+    d = a.padded(deg) - b.padded(deg)
+    return np.max(np.hypot(d.real, d.imag), axis=1)
 
 
 def _check_gamma(dim: int, Gamma: np.ndarray) -> np.ndarray:
@@ -432,12 +572,12 @@ class StateBatch:
     """N states of one term layout as stacked arrays; row i is a state.
 
     Term k is (poly, alpha (N,), beta (N, dim), Gamma (N, dim, dim)).  poly
-    is one Polynomial shared by every row, or a list of one per row: stack
-    builds lists, and substitute turns a shared non-constant polynomial
-    into one, row by row, while constants, which substitution leaves
-    unchanged, are kept as they are.  The transforms
-    keep the invariant as the state methods they generalise do, so rows are
-    not re-validated.
+    is one Polynomial shared by every row, or dense rows (_PolyRows): stack
+    builds dense rows, and substitute turns a shared non-constant polynomial
+    into them, while constants, which substitution leaves unchanged, are
+    kept as they are.  row(i) turns dense rows back into a Polynomial.  The
+    transforms keep the invariant as the state methods they generalise do,
+    so rows are not re-validated.
     """
 
     __slots__ = ("dim", "terms")
@@ -456,14 +596,14 @@ class StateBatch:
 
     @classmethod
     def stack(cls, states) -> "StateBatch":
-        """The states as rows, each with its own polynomials; they must
+        """The states as rows, their polynomials as dense rows; they must
         share a dimension and a term count."""
         dim, n_terms = states[0].dim, len(states[0].terms)
         if any(f.dim != dim or len(f.terms) != n_terms for f in states):
             raise ValueError("stacked states need one dimension and term "
                              "count")
         columns = [[f.terms[k] for f in states] for k in range(n_terms)]
-        return cls(dim, [([t.poly for t in col],
+        return cls(dim, [(_PolyRows.of([t.poly for t in col], dim),
                           np.array([t.alpha for t in col]),
                           np.array([t.beta for t in col]),
                           np.array([t.Gamma for t in col]))
@@ -474,7 +614,8 @@ class StateBatch:
 
     def row(self, i: int) -> PolyGaussianState:
         return PolyGaussianState._trusted(self.dim, [
-            PolyGaussianTerm(poly if isinstance(poly, Polynomial) else poly[i],
+            PolyGaussianTerm(poly if isinstance(poly, Polynomial)
+                             else poly.row(i),
                              complex(alpha[i]), beta[i], Gamma[i])
             for poly, alpha, beta, Gamma in self.terms])
 
@@ -487,8 +628,7 @@ class StateBatch:
         for poly, alpha, beta, Gamma in self.terms:
             if not (isinstance(poly, Polynomial) and poly.degree() == 0):
                 # a constant is unchanged by substitution
-                poly = [p if p.degree() == 0 else p.subs_affine(m, ci)
-                        for p, m, ci in zip(_row_polys(poly, len(c)), M, c)]
+                poly = _rows(poly, len(c)).substitute(M, c)
             cG = (c[:, None, :] @ Gamma)[:, 0]
             # a congruence by orthogonal M keeps Gamma symmetric and
             # Re(Gamma) negative-definite
@@ -695,9 +835,9 @@ def _central_moment(Sigma: np.ndarray, exps: tuple,
     return total
 
 
-def _gaussian_integrals(polys, alpha: np.ndarray, beta: np.ndarray,
+def _gaussian_integrals(poly: _PolyRows, alpha: np.ndarray, beta: np.ndarray,
                         Gamma: np.ndarray):
-    """Row-wise integral of polys[i](p) exp(alpha + <beta,p> + p^T Gamma p)
+    """Row-wise integral of poly[i](p) exp(alpha + <beta,p> + p^T Gamma p)
     over R^dim, and per row whether it converges: Gamma must be finite and
     Re(-2 Gamma) positive-definite.  A row that does not converge gives
     NaN."""
@@ -720,11 +860,13 @@ def _gaussian_integrals(polys, alpha: np.ndarray, beta: np.ndarray,
         det_root = _cmul(det_root, roots[:, k])
     prefactor = _cmul((2.0 * math.pi) ** (dim / 2.0) / det_root,
                       np.exp(alpha + 0.5 * _dot(beta, m)))
+    # the integrand is poly(q + m) times a centered Gaussian in q
+    shifted = poly.substitute(np.broadcast_to(eye, A.shape), m).coef
     cache: dict = {}
     total = np.zeros(n, dtype=complex)
-    for i, (poly, shift) in enumerate(zip(polys, m)):
-        for exps, c in poly.subs_affine(eye, shift).coeffs.items():
-            total[i] += c * _central_moment(Sigma, exps, cache)[i]
+    for k, exps in enumerate(_basis(dim, poly.deg)):
+        total = total + _cmul(shifted[:, k], _central_moment(Sigma, exps,
+                                                             cache))
     out = _cmul(prefactor, total)
     out[~integrable] = complex(math.nan, math.nan)
     return out, integrable
@@ -740,9 +882,8 @@ def _inner_products(F: "StateBatch", G: "StateBatch"):
     integrable = np.ones(n, dtype=bool)
     for pf, af, bf, Gf in F.terms:
         for pg, ag, bg, Gg in G.terms:
-            polys = [a.conj() * b
-                     for a, b in zip(_row_polys(pf, n), _row_polys(pg, n))]
-            value, ok = _gaussian_integrals(polys, af.conjugate() + ag,
+            poly = _rows(pf, n).conj_times(_rows(pg, n))
+            value, ok = _gaussian_integrals(poly, af.conjugate() + ag,
                                             bf.conjugate() + bg,
                                             Gf.conjugate() + Gg)
             total = total + value
@@ -775,31 +916,84 @@ def normalized(f: PolyGaussianState) -> PolyGaussianState:
     return f.scale(1.0 / n)
 
 
+@functools.cache
+def _draw_columns(dim: int, degree: int) -> np.ndarray:
+    """Column in _basis(dim, degree) of each non-constant monomial, in the
+    order random_state draws their coefficients."""
+    index = _index(dim, degree)
+    return np.array([index[e] for e in _monomials_up_to(dim, degree)
+                     if sum(e) > 0], dtype=int)
+
+
+class _StateDraws:
+    """The raw numbers of n random states in dim variables, n_terms terms
+    each, of polynomial degree at most max_degree.
+
+    draw(i, rng, degree) takes row i's numbers from rng as random_state
+    takes them, and batch() builds every row's terms in one array pass.
+    """
+
+    def __init__(self, n: int, dim: int, max_degree: int, n_terms: int = 1):
+        self.dim = dim
+        self.degree = np.zeros(n, dtype=int)
+        # per term and row: B, C (dim^2 each), Re beta, Im beta (dim each),
+        # then a pair per non-constant monomial
+        self.normal = np.zeros((n_terms, n, 2 * dim * (dim + 1)
+                                + 2 * (_size(dim, max_degree) - 1)))
+        # per term and row: the shift of Re Gamma, Re alpha, Im alpha
+        self.uniform = np.empty((n_terms, n, 3))
+
+    def draw(self, i: int, rng, degree: int):
+        self.degree[i] = degree
+        k, end = self.dim ** 2, 2 * self.dim * (self.dim + 1)
+        n_coeffs = 2 * (_size(self.dim, degree) - 1)
+        for normal, uniform in zip(self.normal[:, i], self.uniform[:, i]):
+            normal[:k] = rng.normal(size=k)
+            uniform[0] = rng.random()
+            normal[k:end] = rng.normal(size=end - k)
+            rng.random(out=uniform[1:])
+            if n_coeffs:
+                normal[end:end + n_coeffs] = rng.normal(size=n_coeffs)
+
+    def batch(self) -> "StateBatch":
+        dim, k, end = self.dim, self.dim ** 2, 2 * self.dim * (self.dim + 1)
+        shape = self.normal.shape[:2] + (dim, dim)
+        B = self.normal[..., :k].reshape(shape)
+        # Re Gamma = -(BB^T/2 + cI) with c >= 0.4 is negative-definite, and
+        # Gamma is symmetric, so the terms keep the invariant by construction
+        re_g = -(0.5 * B @ B.swapaxes(-1, -2)
+                 + (0.4 + 0.3 * self.uniform[..., 0])[..., None, None]
+                 * np.eye(dim))
+        C = self.normal[..., k:2 * k].reshape(shape) * 0.25
+        Gamma = re_g + 1j * (C + C.swapaxes(-1, -2)) / 2.0
+        beta = (self.normal[..., 2 * k:2 * k + dim] * 0.5
+                + 1j * self.normal[..., 2 * k + dim:end] * 0.5)
+        a = _uniform(self.uniform[..., 1:], 0.2)
+        alpha = _complex(a[..., 0], a[..., 1])
+        deg = int(self.degree.max())
+        if deg == 0:
+            polys = [Polynomial.constant(dim, 1.0)] * len(alpha)
+        else:
+            coef = np.zeros(self.normal.shape[:2] + (_size(dim, deg),),
+                            dtype=complex)
+            coef[..., 0] = 1.0
+            for d in range(1, deg + 1):
+                rows = np.flatnonzero(self.degree == d)
+                cols = _draw_columns(dim, d)
+                pairs = self.normal[:, rows, end:end + 2 * len(cols)] * 0.3
+                coef[:, rows[:, None], cols] = _complex(pairs[..., 0::2],
+                                                        pairs[..., 1::2])
+            polys = [_PolyRows(dim, deg, c) for c in coef]
+        return StateBatch(dim, zip(polys, alpha, beta, Gamma))
+
+
 def random_state(rng, dim: int, poly_degree: int = 0,
                  n_terms: int = 1) -> PolyGaussianState:
     """Seeded random normalizable state; poly_degree 0 gives pure Gaussians,
-    which are nowhere zero."""
-    rng = np.random.default_rng(rng)
-    terms = []
-    for _ in range(n_terms):
-        B = rng.normal(size=(dim, dim))
-        re_g = -(0.5 * B @ B.T + (0.4 + rng.uniform(0, 0.3)) * np.eye(dim))
-        C = rng.normal(size=(dim, dim)) * 0.25
-        Gamma = re_g + 1j * (C + C.T) / 2.0
-        beta = rng.normal(size=dim) * 0.5 + 1j * rng.normal(size=dim) * 0.5
-        alpha = complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
-        if poly_degree > 0:
-            coeffs = {tuple([0] * dim): 1.0 + 0.0j}
-            for exps in _monomials_up_to(dim, poly_degree):
-                if sum(exps) > 0:
-                    coeffs[exps] = complex(rng.normal(), rng.normal()) * 0.3
-            poly = Polynomial(dim, coeffs)
-        else:
-            poly = Polynomial.constant(dim, 1.0)
-        terms.append(PolyGaussianTerm(poly, alpha, beta, Gamma))
-    # finite draws, a symmetric Gamma and Re Gamma = -(BB^T/2 + cI) with
-    # c >= 0.4 keep the invariant by construction
-    return PolyGaussianState._trusted(dim, terms)
+    which are nowhere zero.  This is the one row of a _StateDraws batch."""
+    draws = _StateDraws(1, dim, poly_degree, n_terms)
+    draws.draw(0, np.random.default_rng(rng), poly_degree)
+    return draws.batch().row(0)
 
 
 def _monomials_up_to(dim: int, degree: int):

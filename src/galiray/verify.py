@@ -26,8 +26,8 @@ from .group import (GalileiBatch, GalileiElement, _dot, _rotation_angles,
                     _row, multiply, multiply_batch, stack_batches)
 from .representations import (RepDescriptor, apply_batch, generator,
                               generator_names, static_generator)
-from .states import (PolyDiffOperator, PolyGaussianState, Polynomial,
-                     StateBatch)
+from .states import (PolyDiffOperator, PolyGaussianState, StateBatch,
+                     _poly_mismatch)
 
 __all__ = [
     "MultiplierReport",
@@ -104,16 +104,6 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     where hypot would give inf for an inf part, and inf where |z|
     overflows."""
     return np.where(np.isnan(z), math.nan, _abs(z))
-
-
-def _poly_mismatch(a, b, n: int) -> np.ndarray:
-    """Per row, the largest coefficient difference of two StateBatch term
-    polynomials: 0 while both rows share one Polynomial."""
-    if a is b:
-        return np.zeros(n)
-    a = [a] * n if isinstance(a, Polynomial) else a
-    b = [b] * n if isinstance(b, Polynomial) else b
-    return np.array([(x - y).max_abs() for x, y in zip(a, b)])
 
 
 def _term_mismatch(composed: StateBatch, direct: StateBatch):

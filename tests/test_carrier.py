@@ -1,6 +1,7 @@
 """Carrier states at array speed: the array evaluation, the transforms that
-build their result without re-validating it, the lazy affine substitution,
-and Polynomial arithmetic that does not re-normalise what it built.
+build their result without re-validating it, the array affine substitution
+against the dict substitution, and Polynomial arithmetic that does not
+re-normalise what it built.
 
 evaluate_many is written once, and evaluate is its 1-row view, so row i of
 an N-row evaluation must equal the 1-point evaluation of point i exactly.
@@ -20,8 +21,8 @@ from galiray import harness, verify
 from galiray.group import GalileiElement, _rodrigues, rotation_2d
 from galiray.representations import (RepDescriptor, apply_time, generator,
                                      generator_names)
-from galiray.states import (PolyGaussianState, Polynomial, _affine_line,
-                            _check_gamma, _cmul, _power, random_state)
+from galiray.states import (PolyGaussianState, Polynomial, _check_gamma,
+                            _cmul, _PolyRows, _power, random_state)
 
 # -- one array evaluation ----------------------------------------------------
 
@@ -173,36 +174,67 @@ def test_only_a_real_or_asymmetric_quad_is_revalidated():
     assert np.array_equal(g.terms[0].Gamma, np.diag([-0.3, -0.4]) + 0j)
 
 
-# -- lazy affine substitution ------------------------------------------------
+# -- array affine substitution -----------------------------------------------
+# The oracle is the dict substitution that StateBatch used before its term
+# polynomials became dense rows: per monomial, the product of the powers of
+# the affine lines it uses, all terms adding up in one dict.
 
-def _reference_subs_affine(poly, M, c):
-    """The eager substitution: every line is built, used or not."""
+def _affine_line(row, shift) -> Polynomial:
+    """The polynomial sum_j row[j] q_j + shift."""
+    n = len(row)
+    coeffs = {}
+    for j in range(n):
+        if row[j] != 0:
+            e = [0] * n
+            e[j] = 1
+            coeffs[tuple(e)] = row[j]
+    if shift != 0:
+        coeffs[tuple([0] * n)] = shift
+    return Polynomial(n, coeffs)
+
+
+def _dict_subs_affine(poly, M, c):
+    """Substitute variable_i -> sum_j M[i,j] q_j + c[i] in a Polynomial."""
     n = poly.nvars
-    lines = []
-    for i in range(n):
-        coeffs = {}
-        for j in range(n):
-            if M[i, j] != 0:
-                e = [0] * n
-                e[j] = 1
-                coeffs[tuple(e)] = M[i, j]
-        if c[i] != 0:
-            coeffs[tuple([0] * n)] = c[i]
-        lines.append(Polynomial(n, coeffs))
-    powers = [[Polynomial.constant(n, 1.0)] for _ in range(n)]
-    result = Polynomial(n)
+    lines, powers = [None] * n, [[] for _ in range(n)]
+    out = {}
     for exps, coef in poly.coeffs.items():
         term = Polynomial.constant(n, coef)
         for i, e in enumerate(exps):
-            while len(powers[i]) <= e:
-                powers[i].append(powers[i][-1] * lines[i])
             if e:
+                if lines[i] is None:
+                    lines[i] = _affine_line(M[i], c[i])
+                    powers[i].append(Polynomial.constant(n, 1.0))
+                while len(powers[i]) <= e:
+                    powers[i].append(powers[i][-1] * lines[i])
                 term = term * powers[i][e]
-        result = result + term
-    return result
+        for key, c_term in term.coeffs.items():
+            out[key] = out.get(key, 0.0) + c_term
+    return Polynomial(n, out)
 
 
-def test_lazy_subs_affine_equals_the_eager_one_exactly():
+def _array_subs_affine(poly, M, c):
+    """The same substitution through the dense rows of a StateBatch."""
+    return _PolyRows.of([poly], poly.nvars).substitute(
+        np.asarray(M)[None], np.asarray(c, dtype=complex)[None]).row(0)
+
+
+def _assert_substitution_agrees(poly, M, c, exact: bool):
+    """The array substitution equals the dict one: exactly, or within 8 ulp
+    of the largest coefficient of any one monomial's substituted term."""
+    got, want = _array_subs_affine(poly, M, c), _dict_subs_affine(poly, M, c)
+    assert all(type(e) is int for exps in got.coeffs for e in exps)
+    assert all(type(v) is complex for v in got.coeffs.values())
+    if exact:
+        assert got.coeffs == want.coeffs
+        return
+    largest = max((_dict_subs_affine(Polynomial(poly.nvars, {e: v}), M,
+                                     c).max_abs()
+                   for e, v in poly.coeffs.items()), default=0.0)
+    assert (got - want).max_abs() <= 8 * np.finfo(float).eps * largest
+
+
+def test_array_substitution_agrees_with_the_dict_substitution():
     rng = np.random.default_rng(630)
     for case in range(60):
         n = 1 + case % 3
@@ -217,8 +249,7 @@ def test_lazy_subs_affine_equals_the_eager_one_exactly():
         M = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.7)
         c = (rng.normal(size=n) + 1j * rng.normal(size=n)) \
             * (rng.random(n) < 0.7)
-        lazy, eager = poly.subs_affine(M, c), _reference_subs_affine(poly, M, c)
-        assert list(lazy.coeffs.items()) == list(eager.coeffs.items())
+        _assert_substitution_agrees(poly, M, c, exact=False)
 
 
 # -- Polynomial arithmetic without re-normalisation ---------------------------
@@ -251,24 +282,6 @@ def _ref_mul(a, b):
 
 def _ref_conj(a):
     return Polynomial(a.nvars, {e: c.conjugate() for e, c in a.coeffs.items()})
-
-
-def _ref_subs_affine(poly, M, c):
-    n = poly.nvars
-    lines, powers = [None] * n, [[] for _ in range(n)]
-    result = Polynomial(n)
-    for exps, coef in poly.coeffs.items():
-        term = Polynomial.constant(n, coef)
-        for i, e in enumerate(exps):
-            if e:
-                if lines[i] is None:
-                    lines[i] = _affine_line(M[i], c[i])
-                    powers[i].append(Polynomial.constant(n, 1.0))
-                while len(powers[i]) <= e:
-                    powers[i].append(_ref_mul(powers[i][-1], lines[i]))
-                term = _ref_mul(term, powers[i][e])
-        result = _ref_add(result, term)
-    return result
 
 
 def _bits(poly):
@@ -309,7 +322,7 @@ def _partner(rng, a):
 
 def test_polynomial_arithmetic_equals_the_normalising_path_bit_for_bit():
     rng = np.random.default_rng(640)
-    n_dropped = 0
+    n_dropped = n_exact = 0
     for case in range(400):
         n = 1 + case % 4
         a = _random_poly(rng, n)
@@ -325,25 +338,29 @@ def test_polynomial_arithmetic_equals_the_normalising_path_bit_for_bit():
                  (-a, _ref_neg(a)), (a * b, _ref_mul(a, b)),
                  (a * scalar, _ref_mul(a, scalar)),
                  (scalar * a, _ref_mul(a, scalar)),
-                 (a.conj(), _ref_conj(a)),
-                 (a.subs_affine(M, c), _ref_subs_affine(a, M, c))]
+                 (a.conj(), _ref_conj(a))]
         for fast, ref in pairs:
             assert _bits(fast) == _bits(ref)
+        # exact on exactly representable inputs, which sum without rounding
+        exact = case % 3 == 0 and all(v in SMALL for v in a.coeffs.values())
+        _assert_substitution_agrees(a, M, c, exact)
+        n_exact += exact
         n_dropped += len(set(a.coeffs) & set(b.coeffs)) \
             - len(set(a.coeffs) & set((a + b).coeffs))
-    assert n_dropped > 0
+    assert n_dropped > 0 and n_exact > 0
 
 
 def test_a_sum_that_cancels_drops_its_monomial_and_keeps_the_order():
     x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     a = x * 1.5 + y * 2.0 + 1.0
     assert list((a - x * 1.5).coeffs) == [(0, 1), (0, 0)]
-    # x -> q1 + 1, y -> -q1 + 1: q1 cancels in x + y, and x^2 adds it back
+    # x -> q1 + 1, y -> -q1 + 1: q1 cancels in x + y, and x^2 adds it back;
+    # a row of dense coefficients lists its monomials in ascending order
     poly = x + y + x * x
     M, c = np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, 1.0])
-    got = poly.subs_affine(M, c)
-    assert _bits(got) == _bits(_ref_subs_affine(poly, M, c))
-    assert list(got.coeffs) == [(0, 0), (2, 0), (1, 0)]
+    got = _array_subs_affine(poly, M, c)
+    assert got.coeffs == _dict_subs_affine(poly, M, c).coeffs
+    assert list(got.coeffs) == [(0, 0), (1, 0), (2, 0)]
 
 
 def test_the_input_constructor_still_normalises():

@@ -79,6 +79,54 @@ def test_config_rejects_non_finite_values(overrides, tmp_path):
         load_config(str(as_lines))
 
 
+def _write_both_formats(tmp_path, overrides):
+    """The overrides as a JSON config file and as a line-format one."""
+    as_json = tmp_path / "suite.json"
+    as_json.write_text(json.dumps(overrides))
+    as_lines = tmp_path / "suite.cfg"
+    as_lines.write_text("".join(f"{k} = {json.dumps(v)}\n"
+                                for k, v in overrides.items()))
+    return as_json, as_lines
+
+
+def test_config_rejects_a_boolean_tolerance(tmp_path):
+    # a JSON true is an int in Python, and would set the tolerance to 1.0
+    with pytest.raises(ValueError, match="tolerance 'group'"):
+        default_config(tolerances={"group": True})
+    for path in _write_both_formats(tmp_path, {"tolerances": {"group": True}}):
+        with pytest.raises(ValueError, match="tolerance 'group'"):
+            load_config(str(path))
+
+
+WRONG_TYPES = {
+    "list_tolerances": {"tolerances": [1, 2]},
+    "list_count": {"n_triples": [3]},
+    "bool_count": {"n_pairs": True},
+    "fractional_count": {"n_unitarity_cases": 2.5},
+    "string_scale": {"scale": "1"},
+    "scalar_t_samples": {"t_samples": 0.5},
+    "rep_without_kind": {"reps": [{"gamma": 1.0}]},
+    "bool_rep_label": {"reps": [{"kind": "bargmann3d", "gamma": True}]},
+    "non_string_divergence": {"expected_divergences": [3]},
+}
+
+
+@pytest.mark.parametrize("overrides", WRONG_TYPES.values(), ids=WRONG_TYPES)
+def test_config_rejects_wrongly_typed_values(overrides, tmp_path, capsys):
+    for path in _write_both_formats(tmp_path, overrides):
+        with pytest.raises(ValueError):
+            load_config(str(path))
+        # an input error, not a failed check
+        assert main(["verify-all", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_config_takes_a_count_written_as_a_whole_float(tmp_path):
+    for path in _write_both_formats(tmp_path, {"n_triples": 6.0}):
+        cfg = load_config(str(path))
+        assert cfg.n_triples == 6 and type(cfg.n_triples) is int
+
+
 @pytest.mark.parametrize("tolerances", ({"unitarty": 1e-30},
                                         {**DEFAULT_TOLERANCES, "cocyle": 1.0}))
 def test_config_rejects_unknown_tolerance_names(tolerances, tmp_path):

@@ -90,12 +90,18 @@ def test_the_term_mismatch_sees_each_term_parameter():
     assert np.abs(dalpha - c).max() < 1e-15 and mismatch.max() < 1e-15
 
     eps = 1e-7
+
+    def bump_row_0(p):
+        coef = p.coef.copy()
+        coef[0, 0] += eps
+        return type(p)(p.dim, p.deg, coef)
+
     # (term, parameter index, change): term 1's alpha, a beta, a Gamma, and
     # the constant coefficient of row 0's polynomial
     for k, j, change in ((1, 1, lambda a: a + eps),
                          (1, 2, lambda b: b + eps),
                          (0, 3, lambda G: G + eps),
-                         (1, 0, lambda p: [p[0] + eps, *p[1:]])):
+                         (1, 0, bump_row_0)):
         terms = [list(term) for term in composed.terms]
         terms[k][j] = change(terms[k][j])
         wrong = verify._term_mismatch(StateBatch(2, terms), direct)[1]

@@ -14,6 +14,7 @@ from galiray.states import (
     PolyGaussianState,
     PolyGaussianTerm,
     Polynomial,
+    _PolyRows,
     inner_product,
     normalized,
     random_state,
@@ -51,7 +52,7 @@ def test_polynomial_affine_substitution_by_evaluation():
     for _ in range(30):
         M = rng.normal(size=(2, 2))
         c = rng.normal(size=2)
-        sub = q.subs_affine(M, c)
+        sub = _PolyRows.of([q], 2).substitute(M[None], c[None]).row(0)
         x = rng.normal(size=2)
         assert abs(sub.eval(x) - q.eval(M @ x + c)) < 1e-12
 

@@ -1,14 +1,18 @@
 """The batched infinitesimal-exponent table, unitarity inner products and
 time-zero comparison.
 
-infinitesimal_exponent_batch and inner_product_batch are written once, and
-infinitesimal_exponent and inner_product are their 1-row views, so row i of
-an N-row call must equal the 1-row call on row i bit for bit.  The suite's
-unitarity and time-zero checks run in chunks, and their reports must not
-depend on the chunk size; each must equal a case-by-case loop that draws
-the same cases.  Each negative control breaks one piece and the check must
-fail; a row whose Gaussian does not converge fails its entry instead of
-aborting the suite.  No family of the suite evaluates a state at a point.
+infinitesimal_exponent_batch, StateBatch.substitute and inner_product_batch
+are written once, and infinitesimal_exponent, PolyGaussianState.substitute
+and inner_product are their 1-row views, so row i of an N-row call must
+equal the 1-row call on row i bit for bit, whatever polynomial degrees the
+other rows have.  The suite's unitarity and time-zero checks draw their
+cases as arrays and run in chunks: the drawn cases must equal a
+case-by-case random_state and random_element loop, no Polynomial is built
+per case, and the reports must not depend on the chunk size; each must
+equal a case-by-case loop that draws the same cases.  Each negative
+control breaks one piece and the check must fail; a row whose Gaussian
+does not converge fails its entry instead of aborting the suite.  No family
+of the suite evaluates a state at a point.
 """
 
 import math
@@ -25,8 +29,9 @@ from galiray.group import random_element, random_element_batch
 from galiray.harness import default_config, report_json, run_suite
 from galiray.representations import (RepDescriptor, apply, apply_batch,
                                      apply_time)
-from galiray.states import (PolyGaussianState, PolyGaussianTerm, StateBatch,
-                            inner_product, inner_product_batch, random_state)
+from galiray.states import (PolyGaussianState, PolyGaussianTerm, Polynomial,
+                            StateBatch, _monomials_up_to, inner_product,
+                            inner_product_batch, random_state)
 from galiray.verify import default_sample_points
 
 TINY = dict(n_triples=6, n_pairs=3, n_time_cases=3, n_unitarity_cases=2,
@@ -145,6 +150,29 @@ def test_row_i_of_inner_product_batch_is_the_one_row_call(dim, degrees,
         assert _same(values[i], inner_product(F.row(i), G.row(i)))
 
 
+@pytest.mark.parametrize("terms", (1, 2))
+@pytest.mark.parametrize("degrees", ((0,), (2,), (0, 1, 2), (2, 0, 1)))
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_row_i_of_substitute_is_the_one_row_call(dim, degrees, terms):
+    rng = np.random.default_rng(200 + 10 * dim + len(degrees) + terms)
+    n = 6
+    fs = _states(rng, dim, n, terms, degrees)
+    W = random_element_batch(rng, n, dim).W
+    shift = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
+    rows = StateBatch.stack(fs).substitute(W, shift)
+    for i in range(n):
+        for got, want in zip(rows.row(i).terms,
+                             fs[i].substitute(W[i], shift[i]).terms):
+            assert _same(got.alpha, want.alpha)
+            assert _same(got.beta, want.beta)
+            assert _same(got.Gamma, want.Gamma)
+            assert _coefficient_bits(got.poly) == _coefficient_bits(want.poly)
+
+
+def _coefficient_bits(poly):
+    return {e: (c.real.hex(), c.imag.hex()) for e, c in poly.coeffs.items()}
+
+
 @pytest.mark.parametrize("degree", (0, 2))
 def test_acted_rows_of_a_shared_state_match_the_one_row_call(degree):
     rep = RepDescriptor("bargmann3d", gamma=0.9)
@@ -239,6 +267,123 @@ def test_unitarity_reports_do_not_depend_on_the_chunk_size(monkeypatch):
     whole = report_json(harness._check_unitarity(cfg))
     monkeypatch.setattr(harness, "_SWEEP_CHUNK", 3)
     assert report_json(harness._check_unitarity(cfg)) == whole
+
+
+def test_a_shiftless_polynomial_substitution_fails_every_unitarity_entry(
+        monkeypatch):
+    # the Gaussian parts take the shift, the polynomials p -> W^T p only
+    real = StateBatch.substitute
+
+    def shiftless(self, W, shift):
+        out = real(self, W, shift)
+        polys = real(self, W, np.zeros_like(shift))
+        return StateBatch(out.dim, [(p, *rest) for (p, *_), (_, *rest)
+                                    in zip(polys.terms, out.terms)])
+
+    assert all(e["pass"] for e in harness._check_unitarity(
+        default_config(**TINY)))
+    monkeypatch.setattr(StateBatch, "substitute", shiftless)
+    entries = harness._check_unitarity(default_config(**TINY))
+    assert [e["check"] for e in entries] == list(UNITARITY)
+    for entry in entries:
+        assert entry["pass"] is False
+        assert entry["max_residual"] > 1e-9
+
+
+# -- the array draw ----------------------------------------------------------
+
+def _dict_random_state(rng, dim, poly_degree=0, n_terms=1):
+    """random_state as it was drawn term by term into Polynomial dicts."""
+    terms = []
+    for _ in range(n_terms):
+        B = rng.normal(size=(dim, dim))
+        re_g = -(0.5 * B @ B.T + (0.4 + rng.uniform(0, 0.3)) * np.eye(dim))
+        C = rng.normal(size=(dim, dim)) * 0.25
+        Gamma = re_g + 1j * (C + C.T) / 2.0
+        beta = rng.normal(size=dim) * 0.5 + 1j * rng.normal(size=dim) * 0.5
+        alpha = complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
+        coeffs = {tuple([0] * dim): 1.0 + 0.0j}
+        if poly_degree > 0:
+            for exps in _monomials_up_to(dim, poly_degree):
+                if sum(exps) > 0:
+                    coeffs[exps] = complex(rng.normal(), rng.normal()) * 0.3
+        terms.append(PolyGaussianTerm(Polynomial(dim, coeffs), alpha, beta,
+                                      Gamma))
+    return PolyGaussianState._trusted(dim, terms)
+
+
+def _same_state(f, g) -> bool:
+    """Equal terms bit for bit, the polynomials in the same key order."""
+    return len(f.terms) == len(g.terms) and all(
+        _same(a.alpha, b.alpha) and _same(a.beta, b.beta)
+        and _same(a.Gamma, b.Gamma)
+        and list(a.poly.coeffs) == list(b.poly.coeffs)
+        and _coefficient_bits(a.poly) == _coefficient_bits(b.poly)
+        for a, b in zip(f.terms, g.terms))
+
+
+def test_random_state_equals_the_dict_draw():
+    for case in range(96):
+        dim, degree, n_terms = 1 + case % 3, (case // 3) % 4, 1 + case // 48
+        rng, oracle = (np.random.default_rng(case) for _ in range(2))
+        for _ in range(3):
+            assert _same_state(random_state(rng, dim, degree, n_terms),
+                               _dict_random_state(oracle, dim, degree,
+                                                  n_terms))
+        assert rng.random() == oracle.random()
+
+
+@pytest.mark.parametrize("chunk", (3, 512))
+@pytest.mark.parametrize("degrees", (((0, 1), (1, 0)), ((0,),), ((2, 0),)))
+@pytest.mark.parametrize("dim", (2, 3))
+def test_carrier_cases_equal_the_case_by_case_draw(dim, degrees, chunk,
+                                                   monkeypatch):
+    monkeypatch.setattr(harness, "_SWEEP_CHUNK", chunk)
+    n, scale, ts = 10, 1.5, (0.0, 0.5, 1.7)
+    drawn = []
+
+    def record(*operands):
+        drawn.append(operands)
+        return np.zeros(len(operands[-1]))
+
+    harness._sweep(91, n, harness._carrier_cases(dim, scale, degrees, ts),
+                   record)
+    rng = np.random.default_rng(91)
+    for i in range(n):
+        *slots, r, t = drawn[i // chunk]
+        j = i % chunk
+        for batch, degree in zip(slots, degrees[i % len(degrees)]):
+            assert _same_state(batch.row(j),
+                               random_state(rng, dim, poly_degree=degree))
+        one = random_element_batch(rng, 1, dim, scale)
+        for x in ("W", "eta", "v", "u"):
+            assert _same(getattr(r, x)[j], getattr(one, x)[0])
+        assert t[j] == ts[i % len(ts)]
+
+
+def test_the_carrier_families_build_no_polynomial_per_case(monkeypatch):
+    built = []
+    init, made = Polynomial.__init__, Polynomial._built.__func__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    def counting_built(cls, *args):
+        built.append(1)
+        return made(cls, *args)
+
+    monkeypatch.setattr(Polynomial, "__init__", counting_init)
+    monkeypatch.setattr(Polynomial, "_built", classmethod(counting_built))
+    counts = []
+    for n in (6, 60):
+        cfg = default_config(**{**TINY, "n_unitarity_cases": n,
+                                "n_time_zero_cases": n})
+        built.clear()
+        harness._check_unitarity(cfg)
+        harness._check_time_zero(cfg)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 # -- time zero ---------------------------------------------------------------
