@@ -267,6 +267,22 @@ def _rotations_2d(angle) -> np.ndarray:
     return W
 
 
+def _sphere_points(U) -> np.ndarray:
+    """Points uniform on the unit sphere, one per row of unit uniforms U
+    (n, 2): the height z uniform in [-1, 1] (Archimedes), then the azimuth
+    uniform in [-pi, pi]."""
+    n = len(U)
+    z = _uniform(U[:, 0], 1.0)
+    phi = _uniform(U[:, 1], math.pi)
+    rho = np.sqrt(1.0 - z * z)
+    P = np.empty((n, 3))
+    # math, not np.cos/np.sin, as in _rotations_2d
+    P[:, 0] = rho * np.fromiter(map(math.cos, phi), float, n)
+    P[:, 1] = rho * np.fromiter(map(math.sin, phi), float, n)
+    P[:, 2] = z
+    return P
+
+
 def _rodrigues(angle, axes) -> np.ndarray:
     """Rotations by angle about each axis (normalized here)."""
     n = len(angle)
@@ -281,27 +297,17 @@ def _rodrigues(angle, axes) -> np.ndarray:
 
 
 def _raw_width(dim: int) -> int:
-    """Raw numbers per random element: the rotation's (none, an angle, or
-    an angle and a dim-3 axis), then eta, v and u."""
-    return (0, 0, 1, 4)[dim] + 1 + 2 * dim
-
-
-def _draw_raw(rng, dim: int, out: np.ndarray):
-    """One element's raw numbers into out (_raw_width(dim),), taken from rng
-    as random_element takes them."""
-    if dim == 3:
-        out[0] = rng.random()
-        out[1:4] = rng.normal(size=3)
-        rng.random(out=out[4:])
-    else:
-        rng.random(out=out)
+    """Unit uniforms per random element: the rotation's (none, an angle, or
+    an angle and the two of a dim-3 axis), then eta, v and u."""
+    return (0, 0, 1, 3)[dim] + 1 + 2 * dim
 
 
 def _from_raw(raw: np.ndarray, dim: int, scale: float = 1.0,
               max_angle: float = math.pi) -> GalileiBatch:
-    """The elements of the rows of raw (n, _raw_width(dim)): the rotation
-    angle uniform in [-max_angle, max_angle], eta and the components of v, u
-    uniform in [-scale, scale]."""
+    """The elements of the rows of unit uniforms raw (n, _raw_width(dim)):
+    the rotation angle uniform in [-max_angle, max_angle] about an axis
+    uniform on the sphere, eta and the components of v, u uniform in
+    [-scale, scale]."""
     n = len(raw)
     if dim == 1:
         W = np.ones((n, 1, 1))
@@ -309,7 +315,7 @@ def _from_raw(raw: np.ndarray, dim: int, scale: float = 1.0,
         W = _rotations_2d(_uniform(raw[:, 0], max_angle))
     else:
         W = _rodrigues(_uniform(raw[:, 0], max_angle),
-                       np.ascontiguousarray(raw[:, 1:4]))
+                       _sphere_points(raw[:, 1:3]))
     X = _uniform(raw[:, _raw_width(dim) - 1 - 2 * dim:], scale)
     return GalileiBatch(W, X[:, 0], X[:, 1:1 + dim], X[:, 1 + dim:])
 
@@ -324,15 +330,7 @@ def random_element_batch(seed, n: int, dim: int, scale: float = 1.0,
     """
     _check_dim(dim)
     rng = np.random.default_rng(seed)
-    raw = np.empty((n, _raw_width(dim)))
-    if dim == 3:
-        # the axis normals come from a ziggurat that takes a data-dependent
-        # number of raw draws, so rows are drawn one after another
-        for row in raw:
-            _draw_raw(rng, dim, row)
-    else:
-        rng.random(out=raw)
-    return _from_raw(raw, dim, scale, max_angle)
+    return _from_raw(rng.random((n, _raw_width(dim))), dim, scale, max_angle)
 
 
 def element_to_dict(r: GalileiElement) -> dict:

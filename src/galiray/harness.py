@@ -22,10 +22,9 @@ from .cocycles import (DEFAULT_TAU_SEQUENCE, PhaseExponent,
                        cocycle_residual_batch)
 # multiply is not called here; perfbench/test_perfbench.py and
 # tests/test_carrier.py read it from this module
-from .group import (GalileiBatch, _draw_raw, _from_raw, _raw_width, _uniform,
-                    embed_matrix_batch, identity_batch, inverse_batch,
-                    multiply, multiply_batch, random_element_batch,
-                    stack_batches)
+from .group import (_from_raw, _raw_width, _uniform, embed_matrix_batch,
+                    identity_batch, inverse_batch, multiply, multiply_batch,
+                    random_element_batch)
 from .representations import (MOMENTUM_KINDS, RepDescriptor, apply_batch,
                               generator_names, rep_from_dict, rep_to_dict)
 from .states import _StateDraws, inner_product_batch, random_state
@@ -404,8 +403,10 @@ def _check_cocycles(cfg: SuiteConfig):
 
 def _basis_rows(names, dim: int) -> AlgebraBatch:
     """The named basis elements as the rows of one AlgebraBatch."""
-    X = [basis_element(name, dim) for name in names]
-    return AlgebraBatch(*(np.array([getattr(x, f) for x in X])
+    basis = basis_names(dim)
+    X = [basis_element(name, dim) for name in basis]
+    rows = [basis.index(name) for name in names]
+    return AlgebraBatch(*(np.array([getattr(x, f) for x in X])[rows]
                           for f in AlgebraBatch.__slots__))
 
 
@@ -461,7 +462,7 @@ def _carrier_cases(dim: int, scale: float, degrees, ts):
         for j, i in enumerate(cases):
             for slot, degree in zip(slots, degrees[i % len(degrees)]):
                 slot.draw(j, rng, degree)
-            _draw_raw(rng, dim, raw[j])
+            rng.random(out=raw[j])
         t = np.array([ts[i % len(ts)] for i in cases])
         return (*(slot.batch() for slot in slots),
                 _from_raw(raw, dim, scale), t)
@@ -574,18 +575,23 @@ def _check_time_multiplier(cfg: SuiteConfig):
     n_boost = 20
 
     def draw(dim, rng, cases):
-        ts, pairs = [], []
-        for i in cases:
-            ts.append(float(cfg.t_samples[i]) if i < len(cfg.t_samples)
-                      else float(rng.uniform(-2.0, 2.0)))
+        # a draw-only loop in the case-by-case order, then one array pass
+        t = np.empty(len(cases))
+        raw = np.zeros((2 * len(cases), _raw_width(dim)))
+        v = np.zeros((2 * len(cases), dim))
+        for j, i in enumerate(cases):
+            t[j] = (cfg.t_samples[i] if i < len(cfg.t_samples)
+                    else rng.uniform(-2.0, 2.0))
             if i < n_boost:
-                pairs.append(GalileiBatch(
-                    np.eye(dim)[None].repeat(2, axis=0), np.zeros(2),
-                    rng.normal(size=(2, dim)), np.zeros((2, dim))))
+                v[2 * j:2 * j + 2] = rng.normal(size=(2, dim))
             else:
-                pairs.append(random_element_batch(rng, 2, dim, cfg.scale))
-        b = stack_batches(pairs)
-        return np.array(ts), b[0::2], b[1::2], np.array(cases) < n_boost
+                rng.random(out=raw[2 * j:2 * j + 2])
+        b = _from_raw(raw, dim, cfg.scale)
+        boost = np.array(cases) < n_boost
+        pure = boost.repeat(2)
+        b.W[pure], b.eta[pure], b.u[pure] = np.eye(dim), 0.0, 0.0
+        b.v[pure] = v[pure]
+        return t, b[0::2], b[1::2], boost
 
     def residuals(rep, state, t, r, s, boost):
         # one row per kind, 0 where the case is of the other kind

@@ -23,10 +23,10 @@ from galiray.cli import main
 from galiray.cocycles import (PhaseExponent, _richardson, cocycle_residual,
                               cocycle_residual_batch, evaluate,
                               evaluate_batch, infinitesimal_exponent)
-from galiray.group import (GalileiBatch, embed_matrix, embed_matrix_batch,
-                          identity, inverse, inverse_batch, multiply,
-                          multiply_batch, random_element,
-                          random_element_batch)
+from galiray.group import (GalileiBatch, _sphere_points, embed_matrix,
+                          embed_matrix_batch, identity, inverse,
+                          inverse_batch, multiply, multiply_batch,
+                          random_element, random_element_batch)
 
 CAP = math.pi / 3.5
 
@@ -41,7 +41,11 @@ def _reference_element(rng, dim, scale=1.0, max_angle=math.pi):
             c, s = math.cos(angle), math.sin(angle)
             W = np.array([[c, -s], [s, c]])
         else:
-            axis = rng.normal(size=3)
+            # the axis: its height z, then its azimuth, both uniform
+            z = rng.uniform(-1.0, 1.0)
+            phi = rng.uniform(-math.pi, math.pi)
+            rho = math.sqrt(1.0 - z * z)
+            axis = np.array([rho * math.cos(phi), rho * math.sin(phi), z])
             axis /= np.linalg.norm(axis)
             K = np.array([[0.0, -axis[2], axis[1]],
                           [axis[2], 0.0, -axis[0]],
@@ -90,6 +94,21 @@ def test_batch_draw_equals_scalar_draws(dim, max_angle, n):
                                                 max_angle))
     # all three leave the stream at the same place
     assert rng.random() == ref_rng.random() == scalar_rng.random()
+
+
+def test_dim3_axes_are_uniform_unit_vectors():
+    axes = _sphere_points(np.random.default_rng(530).random((20000, 2)))
+    assert (np.max(np.abs(np.linalg.norm(axes, axis=1) - 1.0))
+            <= 4 * np.finfo(float).eps)
+    assert np.max(np.abs(axes.mean(axis=0))) < 0.02
+    assert abs(np.mean(axes[:, 2] ** 2) - 1.0 / 3.0) < 0.01
+
+
+@pytest.mark.parametrize("n", [1, 7, 600])
+def test_a_dim3_element_takes_ten_uniforms_from_the_stream(n):
+    rng, rng2 = np.random.default_rng(540), np.random.default_rng(540)
+    random_element_batch(rng, n, 3)
+    assert rng.random() == rng2.random(10 * n + 1)[-1]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
