@@ -32,8 +32,8 @@ from .representations import (KIND_DIMS, MOMENTUM_KINDS, RepDescriptor, apply,
                               generator_names, one_parameter_derivative,
                               rep_from_dict, rep_to_dict, static_generator)
 from .verify import (HeisenbergFitResult, MultiplierBatch, MultiplierReport,
-                     check_initial_condition, check_time_multiplier,
-                     check_time_multiplier_batch, default_sample_points,
+                     check_initial_condition, check_time_multiplier_batch,
+                     default_sample_points,
                      expected_multiplier_exponent,
                      expected_multiplier_exponent_batch,
                      exponent_cocycle_residual, extract_multiplier,

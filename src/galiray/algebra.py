@@ -226,31 +226,30 @@ def embed_algebra_batch(X: AlgebraBatch) -> np.ndarray:
     return M
 
 
-def _expm_batch(M: np.ndarray, tol: float = 1e-14) -> np.ndarray:
+# Taylor terms of exp after scaling to norm <= 1/2: the smallest K whose
+# remainder bound 0.5**(K+1) / (K+1)! falls below the unit roundoff 2**-53
+_TAYLOR_TERMS = 14
+
+
+def _expm_batch(M: np.ndarray) -> np.ndarray:
     """Scaled-and-squared Taylor series of each matrix of the stack M
-    (N,n,n).  Every matrix keeps its own squaring count and stops its own
-    series when its own term falls below tol, so no row depends on another."""
-    N, n = M.shape[0], M.shape[1]
+    (N,n,n), as in Moler and Van Loan.  Every matrix keeps its own squaring
+    count, which scales it to infinity-norm <= 1/2.  There the terms after
+    the first K = _TAYLOR_TERMS sum to about 0.5**(K+1) / (K+1)!, below the
+    unit roundoff 2**-53, so every row runs the same K terms, in Horner
+    form: no row depends on another, and a NaN row gives NaN in its own row
+    only."""
+    n = M.shape[1]
     norm = np.max(np.sum(np.abs(M), axis=2), axis=1)
     # ceil(log2(norm / 0.5)) from the binary exponent: x = m * 2**e with
     # 0.5 <= m < 1, so the ceiling is e, or e - 1 when m is exactly 0.5
     m, e = np.frexp(norm / 0.5)
     squarings = np.where(norm > 0.5, e - (m == 0.5), 0)
     A = M / np.ldexp(1.0, squarings)[:, None, None]
-    result = np.broadcast_to(np.eye(n), (N, n, n)).copy()
-    term = result.copy()
-    active = np.arange(N)
-    k = 1
-    while True:
-        t = term[active] @ A[active] / k
-        result[active] = result[active] + t
-        term[active] = t
-        active = active[~(np.max(np.abs(t), axis=(1, 2)) < tol)]
-        if len(active) == 0:
-            break
-        k += 1
-        if k > 200:
-            raise RuntimeError("matrix exponential series failed to converge")
+    eye = np.eye(n)
+    result = eye + A / _TAYLOR_TERMS
+    for k in range(_TAYLOR_TERMS - 1, 0, -1):
+        result = eye + A @ result / k
     for step in range(int(squarings.max(initial=0))):
         rows = squarings > step
         result[rows] = result[rows] @ result[rows]

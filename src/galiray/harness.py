@@ -68,6 +68,11 @@ def _finite_positive(x) -> bool:
     return math.isfinite(x) and x > 0
 
 
+def _t_label(t) -> str:
+    """The time in a cocycle_xi_t check name."""
+    return f"{t:g}"
+
+
 def _default_reps():
     return (
         RepDescriptor("schrodinger2d", gamma=1.3, s=0.7),
@@ -117,6 +122,14 @@ class SuiteConfig:
         if not all(map(math.isfinite, self.t_samples)):
             raise ValueError(f"t_samples must be finite, "
                              f"got {self.t_samples!r}")
+        labels: dict[str, list] = {}
+        for t in self.t_samples:
+            labels.setdefault(_t_label(t), []).append(t)
+        clashes = "; ".join(f"{ts} all give t{label}"
+                            for label, ts in labels.items() if len(ts) > 1)
+        if clashes:
+            raise ValueError(f"t_samples must give distinct cocycle check "
+                             f"names: {clashes}")
         for n in (self.n_time_cases, self.n_unitarity_cases,
                   self.n_time_zero_cases, self.n_exponent_triples):
             if n < 1:
@@ -374,7 +387,7 @@ def _cocycle_cases(cfg: SuiteConfig):
     ]
     for dim in (2, 3):
         for t in cfg.t_samples:
-            cases.append((f"cocycle_xi_t_dim{dim}_t{t:g}",
+            cases.append((f"cocycle_xi_t_dim{dim}_t{_t_label(t)}",
                           PhaseExponent("xi_t", dim, gamma=1.1, t=float(t))))
     return cases
 

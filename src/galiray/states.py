@@ -15,15 +15,14 @@ PolyGaussianState.substitute and multiply_phase are their one-row views.
 inner_product_batch takes N inner products with stacked linear algebra,
 and inner_product is its one-row view.
 
-A StateBatch term polynomial is one Polynomial shared by every row, or, when
-it differs between rows, dense rows: an (N, M) coefficient array over the
-graded monomial basis _basis(dim, deg).  Substitution, the products
-conj(f) g of an inner product and the shift of its Gaussian integral run on
-these arrays through one product table per pair of degrees, and add each
-coefficient's terms one at a time in an order fixed by the degrees, so row
-i equals the 1-row call bit for bit whatever degrees the other rows have.
-The sparse Polynomial stays the form of single states and of
-PolyDiffOperator coefficients.
+A StateBatch term polynomial is always dense rows: an (N, M) coefficient
+array over the graded monomial basis _basis(dim, deg).  Substitution, the
+products conj(f) g of an inner product and the shift of its Gaussian
+integral run on these arrays through one product table per pair of
+degrees, and add each coefficient's terms one at a time in an order fixed
+by the degrees, so row i equals the 1-row call bit for bit whatever degrees
+the other rows have.  The sparse Polynomial stays the form of single states
+and of PolyDiffOperator coefficients.
 
 random_state is the one-row view of _StateDraws: a draw-only loop takes
 each state's raw numbers from the stream in the case-by-case order, and one
@@ -209,11 +208,6 @@ class Polynomial:
             out[exps[:i] + exps[i + 1:]] = c
         return Polynomial(self.nvars - 1, out)
 
-    def lift_var(self) -> "Polynomial":
-        """Append one trailing variable (unused by existing monomials)."""
-        return Polynomial(self.nvars + 1,
-                          {exps + (0,): c for exps, c in self.coeffs.items()})
-
     def conj(self) -> "Polynomial":
         """Coefficient-wise conjugate; equals pointwise conjugation on
         real arguments."""
@@ -381,6 +375,11 @@ class _PolyRows:
         return Polynomial._built(self.dim, dict(zip(
             monomials, self.coef[i, columns].tolist())))
 
+    def repeat(self, n: int) -> "_PolyRows":
+        """Row 0 as n rows, a read-only view."""
+        return _PolyRows(self.dim, self.deg, np.broadcast_to(
+            self.coef[0], (n, self.coef.shape[1])))
+
     def padded(self, deg: int) -> np.ndarray:
         """coef over _basis(dim, deg) for deg >= self.deg; the new columns
         are zero."""
@@ -407,21 +406,12 @@ class _PolyRows:
         return _PolyRows(self.dim, self.deg, out)
 
 
-def _rows(poly, n: int) -> _PolyRows:
-    """A StateBatch term polynomial as n dense rows."""
-    if isinstance(poly, Polynomial):
-        one = _PolyRows.of([poly], poly.nvars)
-        return _PolyRows(one.dim, one.deg,
-                         np.broadcast_to(one.coef, (n, one.coef.shape[1])))
-    return poly
-
-
-def _poly_mismatch(a, b, n: int) -> np.ndarray:
+def _poly_mismatch(a: _PolyRows, b: _PolyRows, n: int) -> np.ndarray:
     """Per row, the largest coefficient difference of two StateBatch term
-    polynomials: 0 while both rows share one Polynomial."""
+    polynomials: 0 while both are one object, as substitution leaves a
+    constant."""
     if a is b:
         return np.zeros(n)
-    a, b = _rows(a, n), _rows(b, n)
     deg = max(a.deg, b.deg)
     d = a.padded(deg) - b.padded(deg)
     return np.max(np.hypot(d.real, d.imag), axis=1)
@@ -571,13 +561,12 @@ class PolyGaussianState:
 class StateBatch:
     """N states of one term layout as stacked arrays; row i is a state.
 
-    Term k is (poly, alpha (N,), beta (N, dim), Gamma (N, dim, dim)).  poly
-    is one Polynomial shared by every row, or dense rows (_PolyRows): stack
-    builds dense rows, and substitute turns a shared non-constant polynomial
-    into them, while constants, which substitution leaves unchanged, are
-    kept as they are.  row(i) turns dense rows back into a Polynomial.  The
-    transforms keep the invariant as the state methods they generalise do,
-    so rows are not re-validated.
+    Term k is (poly, alpha (N,), beta (N, dim), Gamma (N, dim, dim)), poly
+    dense rows (_PolyRows): of broadcasts one state's row, stack builds one
+    row per state, and row(i) turns row i back into a Polynomial.
+    Substitution returns a constant as it is.  The transforms keep the
+    invariant as the state methods they generalise do, so rows are not
+    re-validated.
     """
 
     __slots__ = ("dim", "terms")
@@ -588,8 +577,10 @@ class StateBatch:
 
     @classmethod
     def of(cls, state: PolyGaussianState, n: int = 1) -> "StateBatch":
-        """n rows, each the given state."""
-        return cls(state.dim, [(t.poly, np.array((t.alpha,)).repeat(n),
+        """n rows, each the given state; each term polynomial is one dense
+        row broadcast to n, a read-only view."""
+        return cls(state.dim, [(_PolyRows.of([t.poly], state.dim).repeat(n),
+                                np.array((t.alpha,)).repeat(n),
                                 t.beta[None].repeat(n, axis=0),
                                 t.Gamma[None].repeat(n, axis=0))
                                for t in state.terms])
@@ -614,9 +605,8 @@ class StateBatch:
 
     def row(self, i: int) -> PolyGaussianState:
         return PolyGaussianState._trusted(self.dim, [
-            PolyGaussianTerm(poly if isinstance(poly, Polynomial)
-                             else poly.row(i),
-                             complex(alpha[i]), beta[i], Gamma[i])
+            PolyGaussianTerm(poly.row(i), complex(alpha[i]), beta[i],
+                             Gamma[i])
             for poly, alpha, beta, Gamma in self.terms])
 
     def substitute(self, W, shift) -> "StateBatch":
@@ -626,9 +616,7 @@ class StateBatch:
         c = _matvec(M, shift)
         out = []
         for poly, alpha, beta, Gamma in self.terms:
-            if not (isinstance(poly, Polynomial) and poly.degree() == 0):
-                # a constant is unchanged by substitution
-                poly = _rows(poly, len(c)).substitute(M, c)
+            poly = poly.substitute(M, c)
             cG = (c[:, None, :] @ Gamma)[:, 0]
             # a congruence by orthogonal M keeps Gamma symmetric and
             # Re(Gamma) negative-definite
@@ -882,7 +870,7 @@ def _inner_products(F: "StateBatch", G: "StateBatch"):
     integrable = np.ones(n, dtype=bool)
     for pf, af, bf, Gf in F.terms:
         for pg, ag, bg, Gg in G.terms:
-            poly = _rows(pf, n).conj_times(_rows(pg, n))
+            poly = pf.conj_times(pg)
             value, ok = _gaussian_integrals(poly, af.conjugate() + ag,
                                             bf.conjugate() + bg,
                                             Gf.conjugate() + Gg)
@@ -971,19 +959,16 @@ class _StateDraws:
         a = _uniform(self.uniform[..., 1:], 0.2)
         alpha = _complex(a[..., 0], a[..., 1])
         deg = int(self.degree.max())
-        if deg == 0:
-            polys = [Polynomial.constant(dim, 1.0)] * len(alpha)
-        else:
-            coef = np.zeros(self.normal.shape[:2] + (_size(dim, deg),),
-                            dtype=complex)
-            coef[..., 0] = 1.0
-            for d in range(1, deg + 1):
-                rows = np.flatnonzero(self.degree == d)
-                cols = _draw_columns(dim, d)
-                pairs = self.normal[:, rows, end:end + 2 * len(cols)] * 0.3
-                coef[:, rows[:, None], cols] = _complex(pairs[..., 0::2],
-                                                        pairs[..., 1::2])
-            polys = [_PolyRows(dim, deg, c) for c in coef]
+        coef = np.zeros(self.normal.shape[:2] + (_size(dim, deg),),
+                        dtype=complex)
+        coef[..., 0] = 1.0
+        for d in range(1, deg + 1):
+            rows = np.flatnonzero(self.degree == d)
+            cols = _draw_columns(dim, d)
+            pairs = self.normal[:, rows, end:end + 2 * len(cols)] * 0.3
+            coef[:, rows[:, None], cols] = _complex(pairs[..., 0::2],
+                                                    pairs[..., 1::2])
+        polys = [_PolyRows(dim, deg, c) for c in coef]
         return StateBatch(dim, zip(polys, alpha, beta, Gamma))
 
 

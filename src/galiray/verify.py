@@ -4,13 +4,13 @@ Heisenberg-picture constant fitting.
 
 Extraction, prediction and the time multiplier are written once, row-wise
 over GalileiBatch pairs with a per-row t (the *_batch functions);
-extract_multiplier, expected_multiplier_exponent, match_exponent and
-check_time_multiplier are their 1-row views.  U_t(r) U_t(s) f and U_t(rs) f
-are states of one term layout, so a multiplier is read off their term
-parameters: omega = e^{dalpha} of the first term, and every other
-difference of the two sides is a term mismatch.  No state is evaluated at a
-point.  The Heisenberg and initial-condition residuals are likewise the
-largest coefficient of an exact operator difference.
+extract_multiplier, expected_multiplier_exponent and match_exponent are
+their 1-row views.  U_t(r) U_t(s) f and U_t(rs) f are states of one term
+layout, so a multiplier is read off their term parameters: omega =
+e^{dalpha} of the first term, and every other difference of the two sides
+is a term mismatch.  No state is evaluated at a point.  The Heisenberg
+and initial-condition residuals are likewise the largest coefficient of an
+exact operator difference.
 """
 from __future__ import annotations
 
@@ -40,7 +40,6 @@ __all__ = [
     "match_exponent",
     "match_exponent_batch",
     "exponent_cocycle_residual",
-    "check_time_multiplier",
     "check_time_multiplier_batch",
     "HeisenbergFitResult",
     "heisenberg_fit",
@@ -150,15 +149,13 @@ def extract_multiplier_batch(rep: RepDescriptor, r: GalileiBatch,
 
 def extract_multiplier(rep: RepDescriptor, r: GalileiElement,
                        s: GalileiElement, t: float,
-                       state: PolyGaussianState, rs=None) -> MultiplierReport:
+                       state: PolyGaussianState) -> MultiplierReport:
     """Multiplier omega of U_t(r) U_t(s) f = omega U_t(rs) f.
 
     For a ray representation omega is unimodular and constancy_spread, the
-    term mismatch of the two sides, is zero.  rs is the product
-    multiply(r, s), when the caller has it already.
+    term mismatch of the two sides, is zero.
     """
-    rows = extract_multiplier_batch(rep, _row(r), _row(s), t, state,
-                                    None if rs is None else _row(rs))
+    rows = extract_multiplier_batch(rep, _row(r), _row(s), t, state)
     return MultiplierReport(omega=complex(rows.omega[0]),
                             constancy_spread=float(rows.constancy_spread[0]),
                             modulus_error=float(rows.modulus_error[0]))
@@ -217,11 +214,11 @@ def expected_multiplier_exponent_batch(rep: RepDescriptor, r: GalileiBatch,
 
 
 def expected_multiplier_exponent(rep: RepDescriptor, r: GalileiElement,
-                                 s: GalileiElement, t: float = 0.0, rs=None):
-    """Closed-form prediction (name, exponent) with multiplier e^{i exponent};
-    rs is the product multiply(r, s), when the caller has it already."""
-    name, value = expected_multiplier_exponent_batch(
-        rep, _row(r), _row(s), t, None if rs is None else _row(rs))
+                                 s: GalileiElement, t: float = 0.0):
+    """Closed-form prediction (name, exponent) with multiplier
+    e^{i exponent}."""
+    name, value = expected_multiplier_exponent_batch(rep, _row(r), _row(s),
+                                                     t)
     return name, float(value[0])
 
 
@@ -236,12 +233,11 @@ def match_exponent_batch(rep: RepDescriptor, r: GalileiBatch,
 
 
 def match_exponent(rep: RepDescriptor, r: GalileiElement, s: GalileiElement,
-                   t: float, report: MultiplierReport,
-                   rs=None) -> MultiplierReport:
-    """Attach (name, residual) comparing omega with the predicted multiplier;
-    rs as in expected_multiplier_exponent."""
-    name, value = expected_multiplier_exponent_batch(
-        rep, _row(r), _row(s), t, None if rs is None else _row(rs))
+                   t: float, report: MultiplierReport) -> MultiplierReport:
+    """Attach (name, residual) comparing omega with the predicted
+    multiplier."""
+    name, value = expected_multiplier_exponent_batch(rep, _row(r), _row(s),
+                                                     t)
     residual = _phase_mismatch(np.array((report.omega,)), value)[0]
     return replace(report, matched_exponent=(name, float(residual)))
 
@@ -281,13 +277,8 @@ def check_time_multiplier_batch(rep: RepDescriptor, r: GalileiBatch,
                       np.maximum(spread[:n], spread[n:]))
 
 
-def check_time_multiplier(rep: RepDescriptor, r: GalileiElement,
-                          s: GalileiElement, t: float,
-                          state: PolyGaussianState) -> float:
-    """|time multiplier / static multiplier - e^{-i gamma <v_r, W_r v_s> t}|,
-    or the term mismatch of either extraction when that is larger."""
-    return float(check_time_multiplier_batch(rep, _row(r), _row(s), t,
-                                             state)[0])
+# how close two fitted constants, or their moduli, must be to count as one
+_FIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -330,8 +321,8 @@ def _fit_scalar(lhs: PolyDiffOperator, rhs: PolyDiffOperator):
     return complex(num / den)
 
 
-def heisenberg_fit(rep: RepDescriptor, generators=None,
-                   tol: float = 1e-9) -> HeisenbergFitResult:
+def heisenberg_fit(rep: RepDescriptor,
+                   generators=None) -> HeisenbergFitResult:
     """Fit the evolution constant per generator, then look for a single
     constant K; sign flips are reported if only a per-generator sign repair
     works."""
@@ -366,17 +357,17 @@ def heisenberg_fit(rep: RepDescriptor, generators=None,
                                    note="no generator constrains K")
     values = list(constrained.values())
     ref = values[0]
-    if all(abs(v - ref) < tol for v in values):
+    if all(abs(v - ref) < _FIT_TOL for v in values):
         return HeisenbergFitResult(ref, flips, max_residual, True,
                                    per_generator, time_independent)
     # single modulus, signs differing per generator
-    if all(abs(abs(v) - abs(ref)) < tol for v in values):
+    if all(abs(abs(v) - abs(ref)) < _FIT_TOL for v in values):
         K = next((v for v in values if v.imag > 0), ref)
         ok = True
         for n, v in constrained.items():
-            if abs(v - K) < tol:
+            if abs(v - K) < _FIT_TOL:
                 flips[n] = False
-            elif abs(v + K) < tol:
+            elif abs(v + K) < _FIT_TOL:
                 flips[n] = True
             else:
                 ok = False

@@ -3,8 +3,8 @@
 Each operation is written once, over batch rows, and the scalar operation is
 its 1-row view.  So row i of an N-row batch must equal, exactly, the 1-row
 call on row i: a row's result must not depend on the other rows (its own
-squaring count, its own Taylor stop).  The reference draws and sweeps are
-case-by-case loops.
+squaring count; every row runs the same Taylor terms).  The reference draws
+and sweeps are case-by-case loops.
 """
 
 import json
@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from galiray import harness
-from galiray.algebra import (commutator, commutator_batch,
+from galiray.algebra import (_TAYLOR_TERMS, _expm_batch, commutator,
+                             commutator_batch,
                              embed_algebra, embed_algebra_batch, exponential,
                              exponential_batch, jacobi_residual,
                              jacobi_residual_batch, random_algebra_batch,
@@ -174,19 +175,16 @@ def test_algebra_operations_match_the_scalar_ones_row_by_row(dim, n, scale):
         assert_same_element(expX.element(i), exponential(x))
 
 
-def _reference_expm(M, tol=1e-14):
-    """Scaled-and-squared Taylor series of one matrix, term by term."""
+def _reference_expm(M):
+    """Scaled-and-squared Taylor series of one matrix: _TAYLOR_TERMS Horner
+    steps after scaling to norm <= 1/2, then the squarings."""
     norm = np.max(np.sum(np.abs(M), axis=1))
     squarings = math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0
     A = M / 2.0 ** squarings
-    result = term = np.eye(len(M))
-    k = 1
-    while True:
-        term = term @ A / k
-        result = result + term
-        if np.max(np.abs(term)) < tol:
-            break
-        k += 1
+    eye = np.eye(len(M))
+    result = eye + A / _TAYLOR_TERMS
+    for k in range(_TAYLOR_TERMS - 1, 0, -1):
+        result = eye + A @ result / k
     for _ in range(squarings):
         result = result @ result
     return result
@@ -208,6 +206,50 @@ def test_exponential_batch_mixes_squaring_counts():
         assert np.array_equal(_reference_expm(M[i]),
                               embed_matrix(batch.element(i)))
         assert_same_element(batch.element(i), exponential(X.element(i)))
+
+
+def test_a_nan_row_stays_in_its_row_of_the_exponential():
+    X = random_algebra_batch(542, 5, 3, 4.0)
+    clean = embed_matrix_batch(exponential_batch(X))
+    X.time[2] = math.nan
+    E = embed_matrix_batch(exponential_batch(X))
+    assert np.isnan(E[2]).any()
+    assert np.array_equal(np.delete(E, 2, axis=0), np.delete(clean, 2, axis=0))
+
+
+def _truncation_bound(K):
+    return 0.5 ** (K + 1) / math.factorial(K + 1)
+
+
+def test_taylor_terms_are_the_fewest_below_the_unit_roundoff():
+    assert _truncation_bound(_TAYLOR_TERMS) < 2.0 ** -53
+    assert _truncation_bound(_TAYLOR_TERMS - 1) >= 2.0 ** -53
+
+
+def _longdouble_expm(M, terms=40):
+    result = term = np.eye(len(M), dtype=np.longdouble)
+    A = M.astype(np.longdouble)
+    for k in range(1, terms + 1):
+        term = term @ A / k
+        result = result + term
+    return result
+
+
+def test_exponential_series_is_exact_to_round_off_at_norm_one_half():
+    def norms(M):
+        return np.max(np.sum(np.abs(M), axis=2), axis=1)
+
+    M = embed_algebra_batch(random_algebra_batch(77, 300, 3))
+    # scaled to infinity-norm 1/2, where the series runs with no squaring;
+    # a row that rounds an ulp above 1/2 would square once, so nudge it down
+    M = M * (0.5 / norms(M))[:, None, None]
+    while (over := norms(M) > 0.5).any():
+        M[over] *= 1.0 - 2.0 ** -53
+    assert np.all(norms(M) > 0.5 - 2.0 ** -50)
+    E = _expm_batch(M)
+    worst = max(float(np.max(np.abs(E[i] - _longdouble_expm(M[i]))))
+                for i in range(len(M)))
+    assert worst <= 2.0 ** -52
 
 
 def test_algebra_batch_scale_add_and_max_abs():
@@ -387,6 +429,7 @@ def test_sweep_reduces_each_residual_kind_on_its_own(monkeypatch):
 
 def test_a_nan_row_fails_the_sweeps(monkeypatch):
     draw = harness.random_element_batch
+    draw_algebra = harness.algebra_batch_from_uniforms
 
     def poisoned(*args, **kwargs):
         b = draw(*args, **kwargs)
@@ -394,10 +437,18 @@ def test_a_nan_row_fails_the_sweeps(monkeypatch):
         eta[len(b) // 2] = v[len(b) // 2] = math.nan
         return GalileiBatch(b.W, eta, v, b.u)
 
+    def poisoned_algebra(*args, **kwargs):
+        X = draw_algebra(*args, **kwargs)
+        X.time[len(X) // 2] = math.nan
+        return X
+
     monkeypatch.setattr(harness, "random_element_batch", poisoned)
+    monkeypatch.setattr(harness, "algebra_batch_from_uniforms",
+                        poisoned_algebra)
     cfg = harness.default_config(seed=5, n_triples=12)
-    reports = harness._check_group_axioms(cfg) + harness._check_cocycles(cfg)
-    assert len(reports) == 3 + len(harness._cocycle_cases(cfg))
+    reports = (harness._check_group_axioms(cfg) + harness._check_algebra(cfg)
+               + harness._check_cocycles(cfg))
+    assert len(reports) == 6 + len(harness._cocycle_cases(cfg))
     for report in reports:
         assert math.isnan(report["max_residual"]), report["check"]
         assert report["pass"] is False

@@ -1,7 +1,7 @@
 """Carrier states at array speed: the array evaluation, the transforms that
 build their result without re-validating it, the array affine substitution
-against the dict substitution, and Polynomial arithmetic that does not
-re-normalise what it built.
+against the dict substitution, dense rows as the one StateBatch polynomial
+form, and Polynomial arithmetic that does not re-normalise what it built.
 
 evaluate_many is written once, and evaluate is its 1-row view, so row i of
 an N-row evaluation must equal the 1-point evaluation of point i exactly.
@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 
 from galiray import harness, verify
 from galiray.group import GalileiElement, _rodrigues, rotation_2d
-from galiray.representations import (RepDescriptor, apply_time, generator,
-                                     generator_names)
-from galiray.states import (PolyGaussianState, Polynomial, _check_gamma,
-                            _cmul, _PolyRows, _power, random_state)
+from galiray.representations import (RepDescriptor, apply_batch,
+                                     apply_time, generator, generator_names)
+from galiray.states import (PolyGaussianState, Polynomial, StateBatch,
+                            _check_gamma, _cmul, _PolyRows, _power,
+                            _StateDraws, random_state)
 
 # -- one array evaluation ----------------------------------------------------
 
@@ -250,6 +251,29 @@ def test_array_substitution_agrees_with_the_dict_substitution():
         c = (rng.normal(size=n) + 1j * rng.normal(size=n)) \
             * (rng.random(n) < 0.7)
         _assert_substitution_agrees(poly, M, c, exact=False)
+
+
+def _assert_dense(batch):
+    assert all(type(poly) is _PolyRows for poly, *_ in batch.terms)
+
+
+def test_every_state_batch_polynomial_is_dense_rows():
+    rng = np.random.default_rng(640)
+    rep = MOMENTUM_REPS[2]
+    gaussian = random_state(rng, 3, poly_degree=0, n_terms=2)
+    f = random_state(rng, 3, poly_degree=2, n_terms=2)
+    r = harness.random_element_batch(rng, 4, 3)
+    for state in (gaussian, f):
+        F = StateBatch.of(state, 4)
+        _assert_dense(F)
+        _assert_dense(F.substitute(r.W, rng.normal(size=(4, 3)) + 0j))
+        _assert_dense(F.multiply_phase(const=np.ones(4, dtype=complex)))
+        _assert_dense(apply_batch(rep, r, 0.4, F))
+    _assert_dense(StateBatch.stack([gaussian, f]))
+    draws = _StateDraws(3, 3, 2, n_terms=2)
+    for i in range(3):
+        draws.draw(i, rng, 0)
+    _assert_dense(draws.batch())
 
 
 # -- Polynomial arithmetic without re-normalisation ---------------------------

@@ -4,6 +4,7 @@ reductions, and the CLI."""
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,28 @@ def test_config_rejects_wrongly_typed_values(overrides, tmp_path, capsys):
         # an input error, not a failed check
         assert main(["verify-all", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+T_LABEL_CLASHES = {
+    "equal": ([0.5, 0.5], "[0.5, 0.5] all give t0.5"),
+    "same_label": ([0.5, 0.5000001], "[0.5, 0.5000001] all give t0.5"),
+    "among_others": ([1.7, 0.5, 1.7000001, 2.0],
+                     "[1.7, 1.7000001] all give t1.7"),
+}
+
+
+@pytest.mark.parametrize("t_samples, clash", T_LABEL_CLASHES.values(),
+                         ids=T_LABEL_CLASHES)
+def test_config_rejects_t_samples_that_share_a_check_name(t_samples, clash,
+                                                          tmp_path, capsys):
+    # each t names its cocycle_xi_t checks by its {t:g} label
+    with pytest.raises(ValueError, match=re.escape(clash)):
+        default_config(t_samples=tuple(t_samples))
+    for path in _write_both_formats(tmp_path, {"t_samples": t_samples}):
+        with pytest.raises(ValueError, match=re.escape(clash)):
+            load_config(str(path))
+        assert main(["verify-all", "--config", str(path)]) == 2
+        assert clash in capsys.readouterr().err
 
 
 def test_config_takes_a_count_written_as_a_whole_float(tmp_path):

@@ -24,8 +24,7 @@ from galiray.group import (multiply_batch, random_element,
 from galiray.harness import config_to_dict, default_config, report_json
 from galiray.representations import RepDescriptor, apply_batch, apply_time
 from galiray.states import PolyGaussianState, StateBatch, random_state
-from galiray.verify import (check_time_multiplier,
-                            check_time_multiplier_batch,
+from galiray.verify import (check_time_multiplier_batch,
                             default_sample_points,
                             exponent_cocycle_residual, extract_multiplier,
                             extract_multiplier_batch, match_exponent,
@@ -76,7 +75,8 @@ def test_row_i_of_the_batched_core_is_the_one_row_call(rep, kind, n):
         assert rows.modulus_error[i] == report.modulus_error
         assert rows.matched_exponent[0] == report.matched_exponent[0]
         assert rows.matched_exponent[1][i] == report.matched_exponent[1]
-        assert timed[i] == check_time_multiplier(rep, ri, si, ti, state)
+        assert timed[i] == check_time_multiplier_batch(
+            rep, r[[i]], s[[i]], t[i], state)[0]
 
 
 def test_the_term_mismatch_sees_each_term_parameter():

@@ -64,9 +64,6 @@ def test_variable_management():
     dropped = fixed.drop_var(1)
     assert dropped.nvars == 1
     assert abs(dropped.eval([0.5]) - 7.0) < 1e-15
-    lifted = dropped.lift_var()
-    assert lifted.nvars == 2
-    assert abs(lifted.eval([0.5, -3.0]) - 7.0) < 1e-15
     with pytest.raises(ValueError):
         q.drop_var(1)
     with pytest.raises(ValueError):

@@ -3,12 +3,13 @@ multipliers, branch-safe cocycle residuals, and the per-generator fit paths."""
 
 import numpy as np
 
-from galiray.group import GalileiElement, identity, random_element
+from galiray.group import (GalileiElement, _row, identity, random_element,
+                           stack_batches)
 from galiray.representations import RepDescriptor, generator_names
 from galiray.states import PolyGaussianState, Polynomial, random_state
 from galiray.verify import (
     check_initial_condition,
-    check_time_multiplier,
+    check_time_multiplier_batch,
     default_sample_points,
     expected_multiplier_exponent,
     exponent_cocycle_residual,
@@ -81,11 +82,14 @@ def test_time_multiplier_ratio_matches_the_action_term():
     rng = np.random.default_rng(10)
     for rep in REPS.values():
         state = random_state(rng, rep.dim)
+        rows, ts = [], []
         for _ in range(8):
-            r = random_element(rng, rep.dim)
-            s = random_element(rng, rep.dim)
-            t = float(rng.uniform(-2.0, 2.0))
-            assert check_time_multiplier(rep, r, s, t, state) < 1e-10
+            rows += [random_element(rng, rep.dim), random_element(rng, rep.dim)]
+            ts.append(float(rng.uniform(-2.0, 2.0)))
+        b = stack_batches([_row(x) for x in rows])
+        residuals = check_time_multiplier_batch(rep, b[0::2], b[1::2],
+                                                np.array(ts), state)
+        assert residuals.shape == (8,) and residuals.max() < 1e-10
 
 
 def test_time_ratio_is_independent_of_lambda_and_spin():
