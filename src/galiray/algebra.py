@@ -7,16 +7,25 @@ on the coefficient blocks, which reproduces the matrix commutator of the
 arrays.  Each operation is written once, over batch rows, as in the group
 module: commutator, jacobi_residual, embed_algebra and exponential run it on
 a 1-row batch.
+
+The exponential is in closed form on the blocks too: the rotation, and the
+integrated rotations phi_1(R), phi_2(R) that carry the boost and the
+translation, whose coefficients are functions of the rotation angle (Taylor
+series below the switch _SERIES, where their closed forms cancel).  sin and
+cos come from math, one row at a time, and the rest is element-wise
+arithmetic and 3x3 products, so a row never depends on the other rows of
+its batch.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .group import (GalileiBatch, GalileiElement, _check_dim, _frozen,
-                    _matvec, _uniform)
+                    _matvec, _rotations_2d, _uniform)
 
 __all__ = [
     "AlgebraElement",
@@ -226,45 +235,92 @@ def embed_algebra_batch(X: AlgebraBatch) -> np.ndarray:
     return M
 
 
-# Taylor terms of exp after scaling to norm <= 1/2: the smallest K whose
-# remainder bound 0.5**(K+1) / (K+1)! falls below the unit roundoff 2**-53
-_TAYLOR_TERMS = 14
+# (switch, terms): below the angle switch, f_3 and f_4 of _angle_functions
+# come from their first `terms` Taylor terms, and f_1 = 1 - theta**2 f_3,
+# f_2 = 1/2 - theta**2 f_4.  Above it the closed forms run.  Their round-off
+# is that of cos and sin, about 2**-53, divided by theta**4 in f_4, by theta**2
+# in f_2 and f_3; f_4 meets the output through R**2 (norm theta**2), f_2 and
+# f_3 through R, so theta = 1 is where this costs at most 2**-53.  The series
+# length is the fewest terms whose first omitted term at the switch is below
+# 2**-53 times f_3 and f_4.
+_SERIES = (1.0, 8)
 
 
-def _expm_batch(M: np.ndarray) -> np.ndarray:
-    """Scaled-and-squared Taylor series of each matrix of the stack M
-    (N,n,n), as in Moler and Van Loan.  Every matrix keeps its own squaring
-    count, which scales it to infinity-norm <= 1/2.  There the terms after
-    the first K = _TAYLOR_TERMS sum to about 0.5**(K+1) / (K+1)!, below the
-    unit roundoff 2**-53, so every row runs the same K terms, in Horner
-    form: no row depends on another, and a NaN row gives NaN in its own row
-    only."""
-    n = M.shape[1]
-    norm = np.max(np.sum(np.abs(M), axis=2), axis=1)
-    # ceil(log2(norm / 0.5)) from the binary exponent: x = m * 2**e with
-    # 0.5 <= m < 1, so the ceiling is e, or e - 1 when m is exactly 0.5
-    m, e = np.frexp(norm / 0.5)
-    squarings = np.where(norm > 0.5, e - (m == 0.5), 0)
-    A = M / np.ldexp(1.0, squarings)[:, None, None]
-    eye = np.eye(n)
-    result = eye + A / _TAYLOR_TERMS
-    for k in range(_TAYLOR_TERMS - 1, 0, -1):
-        result = eye + A @ result / k
-    for step in range(int(squarings.max(initial=0))):
-        rows = squarings > step
-        result[rows] = result[rows] @ result[rows]
-    return result
+def _series(x, m: int):
+    """f_m from its first _SERIES[1] Taylor terms in x = theta**2, Horner."""
+    terms = _SERIES[1]
+    f = 1.0 / math.factorial(2 * terms - 2 + m)
+    for j in range(terms - 2, -1, -1):
+        f = 1.0 / math.factorial(2 * j + m) - x * f
+    return f
+
+
+def _angle_functions(theta, cos, sin) -> list:
+    """[f_1, f_2, f_3, f_4] of the angles theta, given their cos and sin:
+    f_m = sum_j (-theta**2)**j / (2j + m)!, that is sin(t)/t,
+    (1 - cos t)/t**2, (t - sin t)/t**3 and (t**2/2 - 1 + cos t)/t**4."""
+    small = np.abs(theta) < _SERIES[0]
+    # a series row divides by 1 here, not by its own angle, which may be 0
+    t = np.where(small, 1.0, theta)
+    tt = t * t
+    f = [sin / t, (1.0 - cos) / tt, (t - sin) / (t * tt),
+         (0.5 * tt + (cos - 1.0)) / (tt * tt)]
+    if small.any():
+        x = np.square(theta[small])
+        f3, f4 = _series(x, 3), _series(x, 4)
+        for fm, value in zip(f, (1.0 - x * f3, 0.5 - x * f4, f3, f4)):
+            fm[small] = value
+    return f
+
+
+def _math(fn, x) -> np.ndarray:
+    """fn of each entry of x, from math: numpy's SIMD kernels may round
+    differently from libm, and a row must not depend on the batch size."""
+    return np.fromiter(map(fn, x.tolist()), float, len(x))
 
 
 def exponential_batch(X: AlgebraBatch) -> GalileiBatch:
-    """Row-wise exponential map onto the group, via the embedding."""
+    """Row-wise exponential map onto the group, in closed form.
+
+    exp X = (W, tau, phi_1(R) d, phi_1(R) b + tau phi_2(R) d) for X = (rot
+    R, trans b, boost d, time tau), with W = exp R and phi_k(R) = sum_j R**j
+    / (j + k)!.  In dim 2 and dim 3, R**3 = -theta**2 R, so every phi_k is
+    a combination of 1, R and R**2 with the angle functions f_m of
+    _angle_functions as coefficients.
+    """
     d = X.dim
-    E = _expm_batch(embed_algebra_batch(X))
-    # contiguous copies, as GalileiElement makes, so that later products
-    # run the same BLAS kernels as on the scalar elements
-    return GalileiBatch(np.ascontiguousarray(E[:, :d, :d]), E[:, d, d + 1],
-                        np.ascontiguousarray(E[:, :d, d]),
-                        np.ascontiguousarray(E[:, :d, d + 1]))
+    R, b, v, tau = X.rot, X.trans, X.boost, X.time
+    if d == 1:
+        # R is 1x1 and antisymmetric: zero up to round-off, where
+        # exp R = 1 + R, and a non-finite R stays in its row
+        return GalileiBatch(1.0 + R, tau.copy(), v.copy(),
+                            b + 0.5 * tau[:, None] * v)
+    if d == 2:
+        theta = R[:, 1, 0].copy()
+    else:
+        theta = np.sqrt(R[:, 2, 1] * R[:, 2, 1] + R[:, 0, 2] * R[:, 0, 2]
+                        + R[:, 1, 0] * R[:, 1, 0])
+    # an infinite angle would make math.sin raise; NaN keeps it in its row
+    theta[~np.isfinite(theta)] = np.nan
+    if d == 2:
+        # R**2 = -theta**2, so phi_k(R) = f_k + f_(k+1) R with f_0 = cos
+        W = _rotations_2d(theta)
+        f1, f2, f3, _ = (f[:, None] for f in _angle_functions(
+            theta, W[:, 0, 0], W[:, 1, 0]))
+        return GalileiBatch(
+            W, tau.copy(), f1 * v + _matvec(R, f2 * v),
+            f1 * b + tau[:, None] * f2 * v
+            + _matvec(R, f2 * b + tau[:, None] * f3 * v))
+    # phi_k(R) = 1/k! + f_(k+1) R + f_(k+2) R**2, Rodrigues' formula at k = 0
+    f1, f2, f3, f4 = (f[:, None] for f in _angle_functions(
+        theta, _math(math.cos, theta), _math(math.sin, theta)))
+    RR = R @ R
+    return GalileiBatch(
+        np.eye(3) + f1[:, :, None] * R + f2[:, :, None] * RR, tau.copy(),
+        v + _matvec(R, f2 * v) + _matvec(RR, f3 * v),
+        b + 0.5 * tau[:, None] * v
+        + _matvec(R, f2 * b + tau[:, None] * f3 * v)
+        + _matvec(RR, f3 * b + tau[:, None] * f4 * v))
 
 
 def _row(X: AlgebraElement) -> AlgebraBatch:

@@ -56,7 +56,7 @@ def _cmd_verify_all(args) -> int:
         cfg = dataclasses.replace(cfg, seed=int(env_seed))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    report = run_suite(cfg)
+    report = run_suite(cfg.validate())
     text = report_json(report)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -10,6 +10,7 @@ infinitesimal_exponent is its 1-row view.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,14 +205,27 @@ def _evaluate_rows(xi, r: gg.GalileiBatch, s: gg.GalileiBatch) -> np.ndarray:
                     dtype=float)
 
 
+def _checked_taus(tau_sequence) -> tuple:
+    """tau_sequence as a tuple of floats; ValueError unless it holds at
+    least 3 values, all finite, positive and distinct (_richardson divides
+    by 1 - (b/a)**p, which is 0 for a repeated tau)."""
+    taus = tuple(map(float, tau_sequence))
+    if len(taus) < 3 or not all(math.isfinite(t) and t > 0 for t in taus):
+        raise ValueError(f"tau_sequence needs at least 3 entries, all finite "
+                         f"and positive, got {list(taus)}")
+    repeated = sorted({t for t in taus if taus.count(t) > 1})
+    if repeated:
+        raise ValueError(f"tau_sequence must not repeat a value, got "
+                         f"{repeated} more than once in {list(taus)}")
+    return taus
+
+
 def infinitesimal_exponent_batch(xi, X: la.AlgebraBatch, Y: la.AlgebraBatch,
                                  tau_sequence=DEFAULT_TAU_SEQUENCE) -> tuple:
     """(value, extrapolation_error, converged), (N,) arrays whose row i is
     what infinitesimal_exponent gives for the pair (X[i], Y[i]); all pairs
     and taus run as one batch of len(X) * len(tau_sequence) rows."""
-    taus = tuple(map(float, tau_sequence))
-    if len(taus) < 3 or any(t <= 0 for t in taus):
-        raise ValueError("tau_sequence must hold at least 3 positive values")
+    taus = _checked_taus(tau_sequence)
     n, k = len(X), len(taus)
     # row i * k + j is pair i at taus[j]
     t = np.tile(taus, n)

@@ -99,6 +99,12 @@ class SuiteConfig:
     expected_divergences: tuple = ("heisenberg_position1d",)
 
     def validate(self):
+        # each check draws from seed + k * _CHECK_SEED_STRIDE, which numpy
+        # needs non-negative
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
+                or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, "
+                             f"got {self.seed!r}")
         if self.n_triples < 1 or self.n_pairs < 1:
             raise ValueError("n_triples and n_pairs must be at least 1")
         if not _finite_positive(self.scale):
@@ -113,10 +119,7 @@ class SuiteConfig:
                     or not _finite_positive(tol)):
                 raise ValueError(f"tolerance {name!r} must be a finite, "
                                  f"positive number, got {tol!r}")
-        taus = tuple(self.tau_sequence)
-        if len(taus) < 3 or not all(map(_finite_positive, taus)):
-            raise ValueError("tau_sequence needs at least 3 entries, all "
-                             "finite and positive")
+        cocycles._checked_taus(self.tau_sequence)
         if not self.t_samples:
             raise ValueError("t_samples must not be empty")
         if not all(map(math.isfinite, self.t_samples)):

@@ -1,5 +1,7 @@
 """Lie algebra basis, brackets, Jacobi identity and the exponential map."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,15 @@ from galiray.algebra import (
     basis_names,
     commutator,
     embed_algebra,
+    embed_algebra_batch,
     exponential,
+    exponential_batch,
     jacobi_residual,
+    random_algebra_batch,
     random_algebra_element,
     zero,
 )
-from galiray.group import embed_matrix, identity, multiply
+from galiray.group import embed_matrix, embed_matrix_batch, identity, multiply
 
 
 def mat_diff(a, b):
@@ -108,6 +113,17 @@ def test_exponential_matches_scipy_expm():
         left = embed_matrix(exponential(X))
         right = scipy_linalg.expm(embed_algebra(X))
         assert mat_diff(left, right) < 1e-12
+    # batches over the scales, relative to the largest entry of the result:
+    # this sees a map that is the exact exponential of a wrong X, which the
+    # homomorphism checks cannot.  scipy's own error reaches 7e-10 of that
+    # entry at scale 1e3 (the long double oracle of test_batch.py is tighter)
+    for dim, scale in itertools.product((1, 2, 3), (1e-3, 1.0, 1e3)):
+        X = random_algebra_batch(rng, 40, dim, scale)
+        left = embed_matrix_batch(exponential_batch(X))
+        right = scipy_linalg.expm(embed_algebra_batch(X))
+        size = np.max(np.abs(right), axis=(1, 2))
+        assert np.all(np.max(np.abs(left - right), axis=(1, 2))
+                      < 1e-8 * size), (dim, scale)
 
 
 def test_one_parameter_flows_compose():

@@ -2,20 +2,22 @@
 
 Each operation is written once, over batch rows, and the scalar operation is
 its 1-row view.  So row i of an N-row batch must equal, exactly, the 1-row
-call on row i: a row's result must not depend on the other rows (its own
-squaring count; every row runs the same Taylor terms).  The reference draws
+call on row i: a row's result must not depend on the other rows (on which
+side of the exponential's series switch they fall, say).  The reference draws
 and sweeps are case-by-case loops.
 """
 
+import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from galiray import harness
-from galiray.algebra import (_TAYLOR_TERMS, _expm_batch, commutator,
-                             commutator_batch,
+from galiray.algebra import (_SERIES, AlgebraBatch, _angle_functions,
+                             commutator, commutator_batch,
                              embed_algebra, embed_algebra_batch, exponential,
                              exponential_batch, jacobi_residual,
                              jacobi_residual_batch, random_algebra_batch,
@@ -175,81 +177,114 @@ def test_algebra_operations_match_the_scalar_ones_row_by_row(dim, n, scale):
         assert_same_element(expX.element(i), exponential(x))
 
 
-def _reference_expm(M):
-    """Scaled-and-squared Taylor series of one matrix: _TAYLOR_TERMS Horner
-    steps after scaling to norm <= 1/2, then the squarings."""
-    norm = np.max(np.sum(np.abs(M), axis=1))
-    squarings = math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0
-    A = M / 2.0 ** squarings
-    eye = np.eye(len(M))
-    result = eye + A / _TAYLOR_TERMS
-    for k in range(_TAYLOR_TERMS - 1, 0, -1):
-        result = eye + A @ result / k
+# rotation angles of every regime of the closed-form exponential: zero, far
+# below the series switch, either side of it, and near pi and 2 pi
+_ANGLES = (0.0, 1e-8, _SERIES[0] * (1.0 - 1e-12), _SERIES[0] * (1.0 + 1e-12),
+           math.pi - 1e-7, math.pi, 2.0 * math.pi - 1e-7, 2.0 * math.pi)
+_SCALES = (1e-3, 1e-2, 1.0, 1e2, 1e3)
+
+
+def _regime_rows(dim):
+    """One row per angle of _ANGLES (in dim 3 about a random axis), then 20
+    random rows at each scale of _SCALES, as one batch."""
+    n = len(_ANGLES)
+    rng = np.random.default_rng(570 + dim)
+    X = random_algebra_batch(rng, n, dim)
+    if dim > 1:
+        axes = rng.normal(size=(n, 3)) if dim == 3 else np.eye(3)[[2] * n]
+        w = np.array(_ANGLES)[:, None] * axes / np.linalg.norm(
+            axes, axis=1)[:, None]
+        K = np.zeros((n, 3, 3))
+        K[:, 2, 1], K[:, 0, 2], K[:, 1, 0] = w.T
+        X.rot[:] = (K - K.transpose(0, 2, 1))[:, :dim, :dim]
+    parts = [X] + [random_algebra_batch(rng, 20, dim, s) for s in _SCALES]
+    return AlgebraBatch(*(np.concatenate([getattr(p, f) for p in parts])
+                          for f in AlgebraBatch.__slots__))
+
+
+def _longdouble_expm(M):
+    """exp of one matrix in long double: scaled to norm 1/4, 30 Taylor
+    terms, squared back."""
+    A = M.astype(np.longdouble)
+    norm = float(np.max(np.sum(np.abs(A), axis=1)))
+    squarings = math.ceil(math.log2(norm / 0.25)) if norm > 0.25 else 0
+    A = A / np.longdouble(2.0) ** squarings
+    result = term = np.eye(len(M), dtype=np.longdouble)
+    for k in range(1, 31):
+        term = term @ A / k
+        result = result + term
     for _ in range(squarings):
         result = result @ result
     return result
 
 
-def test_exponential_batch_mixes_squaring_counts():
-    rng = np.random.default_rng(540)
-    base = random_algebra_batch(rng, 6, 3)
-    factors = np.array([0.0, 0.01, 0.05, 0.3, 2.0, 25.0])
-    X = base.scale(factors)
+@pytest.mark.parametrize("dim,bound", [(1, 1.0), (2, 2.0), (3, 2.0)])
+def test_exponential_matches_a_longdouble_oracle(dim, bound):
+    """Within bound units of 2**-53 of max(1, |X|**2) on every regime row;
+    the u block sums products such as tau * d, hence the square.  Each bound
+    is below what the scaled-and-squared Taylor series of the embedding
+    reaches on these rows: 1.42, 3.72 and 122 units in dims 1, 2, 3."""
+    X = _regime_rows(dim)
     M = embed_algebra_batch(X)
-    norms = np.max(np.sum(np.abs(M), axis=2), axis=1)
-    assert norms.min() < 0.5 < norms.max()
-    squarings = [math.ceil(math.log2(x / 0.5)) if x > 0.5 else 0
-                 for x in norms]
-    assert len(set(squarings)) >= 3
+    E = embed_matrix_batch(exponential_batch(X))
+    size = np.maximum(1.0, np.max(np.abs(M), axis=(1, 2)) ** 2)
+    worst = max(float(np.max(np.abs(E[i] - _longdouble_expm(M[i])))) / size[i]
+                for i in range(len(M)))
+    assert worst <= bound * 2.0 ** -53
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_exponential_rows_are_independent_across_angle_regimes(dim):
+    X = _regime_rows(dim)
     batch = exponential_batch(X)
-    for i in range(len(factors)):
-        assert np.array_equal(_reference_expm(M[i]),
-                              embed_matrix(batch.element(i)))
+    for i in range(len(X)):
         assert_same_element(batch.element(i), exponential(X.element(i)))
 
 
+def _exact_f(m, theta, terms=40):
+    """f_m(theta) = sum_j (-theta**2)**j / (2j + m)! in exact rationals."""
+    x = Fraction(theta) ** 2
+    return sum((-x) ** j / math.factorial(2 * j + m) for j in range(terms))
+
+
+def test_series_switch_and_length_follow_from_the_unit_roundoff():
+    switch, terms = _SERIES
+    u = Fraction(2) ** -53
+
+    def truncation(k, m):  # first omitted term over f_m, at the switch
+        return (Fraction(switch) ** (2 * k) / math.factorial(2 * k + m)
+                / _exact_f(m, switch))
+    # the fewest terms exact to round-off at the switch, for f_3 and f_4
+    assert all(truncation(terms, m) < u for m in (3, 4))
+    assert any(truncation(terms - 1, m) >= u for m in (3, 4))
+    # above the switch the closed forms cost the output at most 2**-53:
+    # f_1 .. f_3 meet it through R (norm theta), f_4 through R**2
+    theta = np.array([switch * (1.0 + 1e-12), 1.3, 2.0, math.pi, 7.0, 40.0])
+    f = _angle_functions(theta, np.array([math.cos(t) for t in theta]),
+                         np.array([math.sin(t) for t in theta]))
+    for m, power in ((1, 1), (2, 1), (3, 1), (4, 2)):
+        for t, value in zip(theta, f[m - 1]):
+            err = abs(Fraction(float(value)) - _exact_f(m, t, 80))
+            assert err * Fraction(t) ** power <= u
+    # and a switch four times lower would cost f_4 more than that
+    t = switch / 4.0
+    closed = (0.5 * t * t + (math.cos(t) - 1.0)) / (t * t) ** 2
+    assert abs(Fraction(closed) - _exact_f(4, t)) * Fraction(t) ** 2 > u
+
+
 def test_a_nan_row_stays_in_its_row_of_the_exponential():
-    X = random_algebra_batch(542, 5, 3, 4.0)
-    clean = embed_matrix_batch(exponential_batch(X))
-    X.time[2] = math.nan
-    E = embed_matrix_batch(exponential_batch(X))
-    assert np.isnan(E[2]).any()
-    assert np.array_equal(np.delete(E, 2, axis=0), np.delete(clean, 2, axis=0))
-
-
-def _truncation_bound(K):
-    return 0.5 ** (K + 1) / math.factorial(K + 1)
-
-
-def test_taylor_terms_are_the_fewest_below_the_unit_roundoff():
-    assert _truncation_bound(_TAYLOR_TERMS) < 2.0 ** -53
-    assert _truncation_bound(_TAYLOR_TERMS - 1) >= 2.0 ** -53
-
-
-def _longdouble_expm(M, terms=40):
-    result = term = np.eye(len(M), dtype=np.longdouble)
-    A = M.astype(np.longdouble)
-    for k in range(1, terms + 1):
-        term = term @ A / k
-        result = result + term
-    return result
-
-
-def test_exponential_series_is_exact_to_round_off_at_norm_one_half():
-    def norms(M):
-        return np.max(np.sum(np.abs(M), axis=2), axis=1)
-
-    M = embed_algebra_batch(random_algebra_batch(77, 300, 3))
-    # scaled to infinity-norm 1/2, where the series runs with no squaring;
-    # a row that rounds an ulp above 1/2 would square once, so nudge it down
-    M = M * (0.5 / norms(M))[:, None, None]
-    while (over := norms(M) > 0.5).any():
-        M[over] *= 1.0 - 2.0 ** -53
-    assert np.all(norms(M) > 0.5 - 2.0 ** -50)
-    E = _expm_batch(M)
-    worst = max(float(np.max(np.abs(E[i] - _longdouble_expm(M[i]))))
-                for i in range(len(M)))
-    assert worst <= 2.0 ** -52
+    """A NaN or an infinity in any block of row 2 makes that row of the
+    exponential non-finite and leaves the other rows as they were."""
+    for dim, field, bad in itertools.product(
+            (1, 2, 3), AlgebraBatch.__slots__, (math.nan, math.inf, -math.inf)):
+        X = random_algebra_batch(542, 5, dim, 4.0)
+        clean = embed_matrix_batch(exponential_batch(X))
+        getattr(X, field)[2] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            E = embed_matrix_batch(exponential_batch(X))
+        assert not np.isfinite(E[2]).all(), (dim, field, bad)
+        assert np.array_equal(np.delete(E, 2, axis=0),
+                              np.delete(clean, 2, axis=0))
 
 
 def test_algebra_batch_scale_add_and_max_abs():
@@ -452,6 +487,24 @@ def test_a_nan_row_fails_the_sweeps(monkeypatch):
     for report in reports:
         assert math.isnan(report["max_residual"]), report["check"]
         assert report["pass"] is False
+
+
+def test_an_exponential_without_the_boost_drift_fails_the_algebra_check(
+        monkeypatch):
+    """A map whose u drops tau phi_2(R) d (tau d / 2 in dim 1): u of the
+    same X with trans zeroed is exactly that term."""
+    def drifting(X):
+        g = exponential_batch(X)
+        drift = exponential_batch(AlgebraBatch(
+            X.rot, np.zeros_like(X.trans), X.boost, X.time)).u
+        return GalileiBatch(g.W, g.eta, g.v, g.u - drift)
+
+    cfg = harness.default_config(seed=5, n_triples=12)
+    assert all(r["pass"] for r in harness._check_algebra(cfg))
+    monkeypatch.setattr(harness, "exponential_batch", drifting)
+    reports = harness._check_algebra(cfg)
+    assert [r["check"] for r in reports if not r["pass"]] == [
+        "algebra_dim1", "algebra_dim2", "algebra_dim3"]
 
 
 def test_overflowing_scale_fails_instead_of_passing():

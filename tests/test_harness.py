@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from galiray import cocycles, harness
+from galiray import cli, cocycles, harness
 from galiray.cli import main
 from galiray.group import GalileiElement, element_to_dict, identity
 from galiray.representations import rep_from_dict
@@ -142,6 +142,58 @@ def test_config_rejects_t_samples_that_share_a_check_name(t_samples, clash,
             load_config(str(path))
         assert main(["verify-all", "--config", str(path)]) == 2
         assert clash in capsys.readouterr().err
+
+
+REPEATED_TAUS = {
+    "adjacent": ([0.1, 0.1, 0.05], "[0.1] more than once"),
+    "apart": ([0.2, 0.1, 0.05, 0.1], "[0.1] more than once"),
+    "two_values": ([0.2, 0.2, 0.1, 0.05, 0.1], "[0.1, 0.2] more than once"),
+}
+
+
+@pytest.mark.parametrize("taus, repeated", REPEATED_TAUS.values(),
+                         ids=REPEATED_TAUS)
+def test_config_rejects_a_repeated_tau(taus, repeated, tmp_path, capsys):
+    # Richardson extrapolation over a repeated tau divides by zero
+    with pytest.raises(ValueError, match=re.escape(repeated)):
+        default_config(tau_sequence=tuple(taus))
+    for path in _write_both_formats(tmp_path, {"tau_sequence": taus}):
+        with pytest.raises(ValueError, match=re.escape(repeated)):
+            load_config(str(path))
+        assert main(["verify-all", "--config", str(path)]) == 2
+        assert repeated in capsys.readouterr().err
+
+
+BAD_SEEDS = {"negative": -1, "below_every_offset": -2000, "fraction": 1.5,
+             "boolean": True, "string": "7"}
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS.values(), ids=BAD_SEEDS)
+def test_config_rejects_a_seed_that_is_not_a_non_negative_integer(seed,
+                                                                  tmp_path):
+    with pytest.raises(ValueError, match="seed must be"):
+        default_config(seed=seed)
+    for path in _write_both_formats(tmp_path, {"seed": seed}):
+        with pytest.raises(ValueError, match="seed must be"):
+            load_config(str(path))
+
+
+def test_cli_rejects_a_negative_seed_before_any_check(tmp_path, capsys,
+                                                      monkeypatch):
+    def forbidden(cfg):
+        pytest.fail(f"run_suite ran with seed {cfg.seed}")
+
+    monkeypatch.setattr(cli, "run_suite", forbidden)
+    monkeypatch.delenv("GALIRAY_SEED", raising=False)
+    as_json, as_lines = _write_both_formats(tmp_path, {"seed": -1})
+    for argv in (["--seed", "-1"], ["--seed=-2000"],
+                 ["--config", str(as_json)], ["--config", str(as_lines)]):
+        assert main(["verify-all", *argv]) == 2, argv
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+    for env_seed in ("-1", "-2000"):
+        monkeypatch.setenv("GALIRAY_SEED", env_seed)
+        assert main(["verify-all"]) == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_config_takes_a_count_written_as_a_whole_float(tmp_path):

@@ -84,6 +84,10 @@ def test_the_infinitesimal_batch_rejects_bad_tau_sequences():
     _, _, (XB, YB) = _basis_pairs(1)
     with pytest.raises(ValueError):
         infinitesimal_exponent_batch(EXPONENTS["xi_eta"], XB, YB, (0.1, 0.05))
+    # a repeated tau would divide by zero in the Richardson table
+    with pytest.raises(ValueError, match=r"\[0\.1\] more than once"):
+        infinitesimal_exponent_batch(EXPONENTS["xi_eta"], XB, YB,
+                                     (0.1, 0.1, 0.05))
 
 
 def test_a_limit_that_does_not_exist_is_unconverged():
