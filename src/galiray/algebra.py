@@ -12,9 +12,9 @@ The exponential is in closed form on the blocks too: the rotation, and the
 integrated rotations phi_1(R), phi_2(R) that carry the boost and the
 translation, whose coefficients are functions of the rotation angle (Taylor
 series below the switch _SERIES, where their closed forms cancel).  sin and
-cos come from math, one row at a time, and the rest is element-wise
-arithmetic and 3x3 products, so a row never depends on the other rows of
-its batch.
+cos come from one np.sin/np.cos call per batch, which rounds as libm does on
+every row, and the rest is element-wise arithmetic and 3x3 products, so a
+row never depends on the other rows of its batch.
 """
 from __future__ import annotations
 
@@ -65,14 +65,19 @@ class AlgebraElement:
     def __post_init__(self):
         _check_dim(self.dim)
         rot = np.array(self.rot, dtype=float).reshape(self.dim, self.dim)
+        trans = np.array(self.trans, dtype=float).reshape(self.dim)
+        boost = np.array(self.boost, dtype=float).reshape(self.dim)
+        time = float(self.time)
+        # before the antisymmetry test, where inf + (-inf) would warn
+        if not all(map(math.isfinite, (time, *rot.ravel().tolist(),
+                                       *trans.tolist(), *boost.tolist()))):
+            raise ValueError("rot, trans, boost and time must be finite")
         if np.max(np.abs(rot + rot.T)) > _ANTISYM_TOL:
             raise ValueError("rot must be antisymmetric")
         object.__setattr__(self, "rot", _frozen(rot))
-        object.__setattr__(self, "trans",
-                           _frozen(np.asarray(self.trans, dtype=float).reshape(self.dim)))
-        object.__setattr__(self, "boost",
-                           _frozen(np.asarray(self.boost, dtype=float).reshape(self.dim)))
-        object.__setattr__(self, "time", float(self.time))
+        object.__setattr__(self, "trans", _frozen(trans))
+        object.__setattr__(self, "boost", _frozen(boost))
+        object.__setattr__(self, "time", time)
 
     def scale(self, c: float) -> "AlgebraElement":
         return _row(self).scale(c).element(0)
@@ -273,12 +278,6 @@ def _angle_functions(theta, cos, sin) -> list:
     return f
 
 
-def _math(fn, x) -> np.ndarray:
-    """fn of each entry of x, from math: numpy's SIMD kernels may round
-    differently from libm, and a row must not depend on the batch size."""
-    return np.fromiter(map(fn, x.tolist()), float, len(x))
-
-
 def exponential_batch(X: AlgebraBatch) -> GalileiBatch:
     """Row-wise exponential map onto the group, in closed form.
 
@@ -300,7 +299,7 @@ def exponential_batch(X: AlgebraBatch) -> GalileiBatch:
     else:
         theta = np.sqrt(R[:, 2, 1] * R[:, 2, 1] + R[:, 0, 2] * R[:, 0, 2]
                         + R[:, 1, 0] * R[:, 1, 0])
-    # an infinite angle would make math.sin raise; NaN keeps it in its row
+    # np.sin and np.cos warn on an infinite angle; NaN keeps it in its row
     theta[~np.isfinite(theta)] = np.nan
     if d == 2:
         # R**2 = -theta**2, so phi_k(R) = f_k + f_(k+1) R with f_0 = cos
@@ -313,7 +312,7 @@ def exponential_batch(X: AlgebraBatch) -> GalileiBatch:
             + _matvec(R, f2 * b + tau[:, None] * f3 * v))
     # phi_k(R) = 1/k! + f_(k+1) R + f_(k+2) R**2, Rodrigues' formula at k = 0
     f1, f2, f3, f4 = (f[:, None] for f in _angle_functions(
-        theta, _math(math.cos, theta), _math(math.sin, theta)))
+        theta, np.cos(theta), np.sin(theta)))
     RR = R @ R
     return GalileiBatch(
         np.eye(3) + f1[:, :, None] * R + f2[:, :, None] * RR, tau.copy(),

@@ -53,7 +53,10 @@ def _cmd_verify_all(args) -> int:
     cfg = load_config(args.config) if args.config else default_config()
     env_seed = os.environ.get("GALIRAY_SEED")
     if env_seed is not None:
-        cfg = dataclasses.replace(cfg, seed=int(env_seed))
+        try:
+            cfg = dataclasses.replace(cfg, seed=_seed(env_seed))
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"GALIRAY_SEED: {exc}") from None
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     report = run_suite(cfg.validate())
@@ -156,6 +159,18 @@ def _finite(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type: a non-negative integer seed, as numpy takes it."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="galiray",
@@ -164,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run the full check suite")
     p.add_argument("--config", help="config file (key = value lines or JSON)")
-    p.add_argument("--seed", type=int, help="override the suite seed")
+    p.add_argument("--seed", type=_seed, help="override the suite seed")
     p.add_argument("--json", help="also write the report to this file")
     p.set_defaults(func=_cmd_verify_all)
 
@@ -172,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=sorted(_DEFAULT_XI_DIMS))
     p.add_argument("--dim", type=int, choices=(1, 2, 3))
     p.add_argument("--triples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--seed", type=_seed, default=12345)
     p.add_argument("--scale", type=_finite, default=1.0)
     p.add_argument("--tolerance", type=_finite,
                    default=DEFAULT_TOLERANCES["cocycle"])
@@ -188,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", required=True, choices=MOMENTUM_KINDS)
     p.add_argument("--t", type=_finite, default=0.0)
     p.add_argument("--pair", help="JSON file with elements r and s")
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--seed", type=_seed, default=12345)
     p.set_defaults(func=_cmd_multiplier)
 
     p = sub.add_parser("infexp", help="infinitesimal exponent of a basis pair")

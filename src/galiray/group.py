@@ -215,6 +215,8 @@ def act_on_momentum(r: GalileiElement, p, gamma: float) -> np.ndarray:
 
 def rotation_2d(theta: float) -> np.ndarray:
     """2D rotation matrix for angle theta."""
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     return _rotations_2d((theta,))[0]
 
 
@@ -228,7 +230,9 @@ def rotation_angle(r) -> float:
 
 def _rotation_angles(W) -> np.ndarray:
     """rotation_angle of each matrix of a (N,2,2) stack."""
-    # math.atan2, not np.arctan2, whose SIMD kernel may round differently
+    # math.atan2, one row at a time: np.arctan2 (numpy 2.4) differs from libm
+    # by one ulp on about 1% of the (cos, sin) pairs of random rotations,
+    # which moves the digits of cocycle_xi2_dim2
     return np.fromiter(map(math.atan2, W[:, 1, 0], W[:, 0, 0]), float, len(W))
 
 
@@ -254,12 +258,10 @@ def _uniform(U, bound: float):
 
 def _rotations_2d(angle) -> np.ndarray:
     """rotation_2d of each angle."""
-    # math, not np.cos/np.sin: numpy's SIMD kernels may round differently
-    # from libm, and the draws must not depend on the batch size
-    n = len(angle)
-    c = np.fromiter(map(math.cos, angle), float, n)
-    s = np.fromiter(map(math.sin, angle), float, n)
-    W = np.empty((n, 2, 2))
+    # one np.cos/np.sin call per batch: numpy's float64 cos and sin round as
+    # libm does on every row, so a draw does not depend on its batch size
+    c, s = np.cos(angle), np.sin(angle)
+    W = np.empty((len(c), 2, 2))
     W[:, 0, 0] = c
     W[:, 0, 1] = -s
     W[:, 1, 0] = s
@@ -276,9 +278,9 @@ def _sphere_points(U) -> np.ndarray:
     phi = _uniform(U[:, 1], math.pi)
     rho = np.sqrt(1.0 - z * z)
     P = np.empty((n, 3))
-    # math, not np.cos/np.sin, as in _rotations_2d
-    P[:, 0] = rho * np.fromiter(map(math.cos, phi), float, n)
-    P[:, 1] = rho * np.fromiter(map(math.sin, phi), float, n)
+    # np.cos/np.sin on the whole batch, as in _rotations_2d
+    P[:, 0] = rho * np.cos(phi)
+    P[:, 1] = rho * np.sin(phi)
     P[:, 2] = z
     return P
 
@@ -291,8 +293,9 @@ def _rodrigues(angle, axes) -> np.ndarray:
     K[:, 0, 1], K[:, 0, 2] = -axes[:, 2], axes[:, 1]
     K[:, 1, 0], K[:, 1, 2] = axes[:, 2], -axes[:, 0]
     K[:, 2, 0], K[:, 2, 1] = -axes[:, 1], axes[:, 0]
-    sin = np.fromiter(map(math.sin, angle), float, n)[:, None, None]
-    cos = np.fromiter(map(math.cos, angle), float, n)[:, None, None]
+    # np.cos/np.sin on the whole batch, as in _rotations_2d
+    sin = np.sin(angle)[:, None, None]
+    cos = np.cos(angle)[:, None, None]
     return np.eye(3) + sin * K + (1.0 - cos) * (K @ K)
 
 

@@ -1,11 +1,13 @@
 """Lie algebra basis, brackets, Jacobi identity and the exponential map."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from galiray.algebra import (
+    AlgebraElement,
     algebra_from_dict,
     algebra_to_dict,
     basis_element,
@@ -182,3 +184,30 @@ def test_algebra_dict_round_trip():
         X = random_algebra_element(seed, dim, scale=2.0)
         back = algebra_from_dict(algebra_to_dict(X))
         assert mat_diff(embed_algebra(back), embed_algebra(X)) == 0.0
+
+
+NON_FINITE_ALGEBRA = {
+    "nan_trans_inf_boost_nan_time": ([[0, 1], [-1, 0]], [np.nan, 0],
+                                     [np.inf, 0], np.nan),
+    "opposite_infinities_in_rot": ([[0, np.inf], [-np.inf, 0]], [0, 0],
+                                   [0, 0], 0.0),
+    "nan_rot": ([[0, np.nan], [np.nan, 0]], [0, 0], [0, 0], 0.0),
+    "inf_trans": ([[0, 0], [0, 0]], [0, -np.inf], [0, 0], 0.0),
+    "nan_boost": ([[0, 0], [0, 0]], [0, 0], [np.nan, 0], 0.0),
+    "inf_time": ([[0, 0], [0, 0]], [0, 0], [0, 0], np.inf),
+}
+
+
+@pytest.mark.parametrize("parts", NON_FINITE_ALGEBRA.values(),
+                         ids=NON_FINITE_ALGEBRA)
+def test_non_finite_algebra_elements_are_rejected(parts):
+    # no np.errstate: the check runs before the antisymmetry arithmetic,
+    # where inf + (-inf) would warn
+    rot, trans, boost, time = parts
+    with pytest.raises(ValueError, match="must be finite"):
+        AlgebraElement(2, rot, trans, boost, time)
+    # json writes NaN and Infinity literals, which json.loads accepts
+    d = json.loads(json.dumps({"dim": 2, "rot": np.ravel(rot).tolist(),
+                               "trans": trans, "boost": boost, "time": time}))
+    with pytest.raises(ValueError, match="must be finite"):
+        algebra_from_dict(d)

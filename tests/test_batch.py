@@ -10,12 +10,13 @@ and sweeps are case-by-case loops.
 import itertools
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from galiray import harness
+from galiray import algebra, group, harness
 from galiray.algebra import (_SERIES, AlgebraBatch, _angle_functions,
                              commutator, commutator_batch,
                              embed_algebra, embed_algebra_batch, exponential,
@@ -26,7 +27,8 @@ from galiray.cli import main
 from galiray.cocycles import (PhaseExponent, _richardson, cocycle_residual,
                               cocycle_residual_batch, evaluate,
                               evaluate_batch, infinitesimal_exponent)
-from galiray.group import (GalileiBatch, _sphere_points, embed_matrix,
+from galiray.group import (GalileiBatch, _rodrigues, _rotations_2d,
+                          _sphere_points, embed_matrix,
                           embed_matrix_batch, identity, inverse,
                           inverse_batch, multiply, multiply_batch,
                           random_element, random_element_batch)
@@ -112,6 +114,81 @@ def test_a_dim3_element_takes_ten_uniforms_from_the_stream(n):
     rng, rng2 = np.random.default_rng(540), np.random.default_rng(540)
     random_element_batch(rng, n, 3)
     assert rng.random() == rng2.random(10 * n + 1)[-1]
+
+
+class _LibmTrig:
+    """numpy, except that cos and sin come from math, one entry at a time."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def cos(x):
+        x = np.asarray(x, dtype=float)
+        return np.array([math.cos(t) for t in x.ravel()]).reshape(x.shape)
+
+    @staticmethod
+    def sin(x):
+        x = np.asarray(x, dtype=float)
+        return np.array([math.sin(t) for t in x.ravel()]).reshape(x.shape)
+
+
+# 0, round-off-small angles, +-pi and the largest angles a scale-1000 sweep
+# reaches (about 1.7e3)
+_TRIG_EDGES = (0.0, 1e-8, -1e-8, math.pi, -math.pi, 2e3, -2e3)
+
+
+def _trig_angles(n):
+    """The edge angles, then magnitudes log-uniform in [1e-3, 2e3] with
+    random signs, n in all."""
+    rng = np.random.default_rng(580 + n)
+    angles = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(
+        -3.0, math.log10(2e3), n)
+    k = min(n, len(_TRIG_EDGES))
+    angles[:k] = _TRIG_EDGES[:k]
+    return angles
+
+
+def _trig_kernels(n):
+    """(name, kernel) for every kernel that takes np.cos/np.sin of a whole
+    batch; kernel(rows) runs it on those rows of its n-row input."""
+    angles = _trig_angles(n)
+    rng = np.random.default_rng(590 + n)
+    U = rng.random((n, 2))
+    U[:3, 1] = (0.5, 0.0, 1.0)[:n]       # azimuth 0, -pi and pi
+    axes = rng.normal(size=(n, 3))
+    X2 = random_algebra_batch(rng, n, 2)
+    X2.rot[:, 1, 0], X2.rot[:, 0, 1] = angles, -angles
+    X3 = random_algebra_batch(rng, n, 3)
+    w = angles[:, None] * axes / np.linalg.norm(axes, axis=1)[:, None]
+    K = np.zeros((n, 3, 3))
+    K[:, 2, 1], K[:, 0, 2], K[:, 1, 0] = w.T
+    X3.rot[:] = K - K.transpose(0, 2, 1)
+
+    def exp(X):
+        return lambda rows: embed_matrix_batch(exponential_batch(
+            AlgebraBatch(*(getattr(X, f)[rows]
+                           for f in AlgebraBatch.__slots__))))
+    return [("rotations_2d", lambda rows: _rotations_2d(angles[rows])),
+            ("sphere_points", lambda rows: _sphere_points(U[rows])),
+            ("rodrigues", lambda rows: _rodrigues(angles[rows], axes[rows])),
+            ("exponential_dim2", exp(X2)), ("exponential_dim3", exp(X3))]
+
+
+@pytest.mark.parametrize("n", [1, 7, 513, 1031])
+def test_batch_trig_rows_equal_one_row_calls_and_libm(n, monkeypatch):
+    """One np.cos/np.sin call per batch gives, on every row, what math.cos
+    and math.sin give one row at a time, bit for bit."""
+    batch = {name: kernel(slice(None)) for name, kernel in _trig_kernels(n)}
+    monkeypatch.setattr(group, "np", _LibmTrig())
+    monkeypatch.setattr(algebra, "np", _LibmTrig())
+    libm = {name: kernel(slice(None)) for name, kernel in _trig_kernels(n)}
+    monkeypatch.undo()
+    for name, kernel in _trig_kernels(n):
+        assert np.array_equal(batch[name], libm[name]), name
+        for i in range(n):
+            assert np.array_equal(batch[name][i], kernel(slice(i, i + 1))[0]), (
+                name, i)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -285,6 +362,19 @@ def test_a_nan_row_stays_in_its_row_of_the_exponential():
         assert not np.isfinite(E[2]).all(), (dim, field, bad)
         assert np.array_equal(np.delete(E, 2, axis=0),
                               np.delete(clean, 2, axis=0))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+def test_an_infinite_dim2_angle_gives_a_nan_row_without_a_warning(bad):
+    # np.cos and np.sin warn on an infinity, so the exponential makes the
+    # angle NaN first; no other step of the dim-2 branch warns
+    X = random_algebra_batch(543, 3, 2)
+    X.rot[1] = [[0.0, -bad], [bad, 0.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E = embed_matrix_batch(exponential_batch(X))
+    assert np.isnan(E[1]).any()
+    assert np.isfinite(np.delete(E, 1, axis=0)).all()
 
 
 def test_algebra_batch_scale_add_and_max_abs():

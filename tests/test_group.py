@@ -123,6 +123,9 @@ def test_rotation_angle_recovers_theta():
         assert abs(rotation_angle(rotation_2d(theta)) - theta) < 1e-12
     with pytest.raises(ValueError):
         rotation_angle(identity(3))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            rotation_2d(bad)
 
 
 def test_random_element_determinism_and_angle_cap():

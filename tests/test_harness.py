@@ -186,14 +186,25 @@ def test_cli_rejects_a_negative_seed_before_any_check(tmp_path, capsys,
     monkeypatch.setattr(cli, "run_suite", forbidden)
     monkeypatch.delenv("GALIRAY_SEED", raising=False)
     as_json, as_lines = _write_both_formats(tmp_path, {"seed": -1})
-    for argv in (["--seed", "-1"], ["--seed=-2000"],
+    for argv in (["--seed", "-1"], ["--seed=-2000"], ["--seed", "1.5"],
                  ["--config", str(as_json)], ["--config", str(as_lines)]):
         assert main(["verify-all", *argv]) == 2, argv
         assert "seed must be a non-negative integer" in capsys.readouterr().err
-    for env_seed in ("-1", "-2000"):
+    for env_seed in ("-1", "-2000", "abc", "1.5"):
         monkeypatch.setenv("GALIRAY_SEED", env_seed)
         assert main(["verify-all"]) == 2
-        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert (f"GALIRAY_SEED: seed must be a non-negative integer, got "
+                f"{env_seed!r}") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["cocycle", "xi0"],
+                                  ["multiplier", "--rep", "bargmann3d"]],
+                         ids=["cocycle", "multiplier"])
+@pytest.mark.parametrize("seed", ["-1", "1.5", "abc"])
+def test_cli_subcommands_reject_a_bad_seed_by_name(argv, seed, capsys):
+    assert main(argv + ["--seed", seed]) == 2
+    assert (f"argument --seed: seed must be a non-negative integer, got "
+            f"{seed!r}") in capsys.readouterr().err
 
 
 def test_config_takes_a_count_written_as_a_whole_float(tmp_path):
