@@ -31,13 +31,12 @@ from .representations import (KIND_DIMS, MOMENTUM_KINDS, RepDescriptor, apply,
                               basis_generator_pairing, generator,
                               generator_names, one_parameter_derivative,
                               rep_from_dict, rep_to_dict, static_generator)
-from .verify import (HeisenbergFitResult, MultiplierBatch, MultiplierReport,
+from .verify import (HeisenbergFitResult, MultiplierBatch,
                      check_initial_condition, check_time_multiplier_batch,
                      default_sample_points,
-                     expected_multiplier_exponent,
                      expected_multiplier_exponent_batch,
                      exponent_cocycle_residual, extract_multiplier,
-                     extract_multiplier_batch, heisenberg_fit, match_exponent,
+                     extract_multiplier_batch, heisenberg_fit,
                      match_exponent_batch)
 from .harness import (SuiteConfig, cocycle_sweep, config_from_dict,
                       config_to_dict, default_config, load_config, report_json,

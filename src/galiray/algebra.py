@@ -294,6 +294,12 @@ def exponential_batch(X: AlgebraBatch) -> GalileiBatch:
         # exp R = 1 + R, and a non-finite R stays in its row
         return GalileiBatch(1.0 + R, tau.copy(), v.copy(),
                             b + 0.5 * tau[:, None] * v)
+    # the products below warn on inf * 0, so a row with a non-finite entry
+    # becomes NaN before them and stays in its row
+    bad = ~np.isfinite(X.max_abs())
+    if bad.any():
+        R, b, v, tau = R.copy(), b.copy(), v.copy(), tau.copy()
+        R[bad] = b[bad] = v[bad] = tau[bad] = np.nan
     if d == 2:
         theta = R[:, 1, 0].copy()
     else:

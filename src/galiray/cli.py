@@ -14,12 +14,14 @@ import numpy as np
 from .cocycles import (DEFAULT_TAU_SEQUENCE, PhaseExponent,
                        infinitesimal_exponent)
 from .algebra import basis_element
-from .group import element_from_dict, random_element
-from .harness import (DEFAULT_TOLERANCES, _json_safe, cocycle_sweep,
-                      default_config, load_config, report_json, run_suite)
+from .group import _row, element_from_dict, random_element
+from .harness import (DEFAULT_TOLERANCES, _fails, _heisenberg_entry,
+                      _json_safe, _mark_exception, _multipliers_pass,
+                      cocycle_sweep, default_config, load_config, report_json,
+                      run_suite)
 from .representations import MOMENTUM_KINDS, rep_to_dict
 from .states import random_state
-from .verify import extract_multiplier, heisenberg_fit, match_exponent
+from .verify import extract_multiplier_batch, match_exponent_batch
 
 __all__ = ["main"]
 
@@ -30,10 +32,11 @@ def _print(doc: dict):
     print(json.dumps(_json_safe(doc), indent=2, sort_keys=True))
 
 
-def _rep_by_kind(kind: str):
-    for rep in default_config().reps:
+def _rep_by_kind(cfg, kind: str):
+    """(k, rep): the rep of this kind, the k-th of cfg.reps."""
+    for k, rep in enumerate(cfg.reps):
         if rep.kind == kind:
-            return rep
+            return k, rep
     raise ValueError(f"no default descriptor for kind {kind!r}")
 
 
@@ -81,23 +84,22 @@ def _cmd_cocycle(args) -> int:
 
 
 def _cmd_multiplier(args) -> int:
-    rep = _rep_by_kind(args.rep)
-    r, s = _load_pair(args.pair, rep.dim, args.seed)
+    cfg = default_config()
+    _, rep = _rep_by_kind(cfg, args.rep)
+    r, s = map(_row, _load_pair(args.pair, rep.dim, args.seed))
     state = random_state(args.seed + 1, rep.dim)
-    report = extract_multiplier(rep, r, s, args.t, state)
-    report = match_exponent(rep, r, s, args.t, report)
-    tol = DEFAULT_TOLERANCES
-    passed = (report.constancy_spread < tol["multiplier_spread"]
-              and report.modulus_error < tol["multiplier_modulus"]
-              and report.matched_exponent[1] < tol["multiplier_match"])
+    rows = extract_multiplier_batch(rep, r, s, args.t, state)
+    name, match = match_exponent_batch(rep, r, s, args.t, rows)
+    spread, modulus, match = (float(x[0]) for x in (
+        rows.constancy_spread, rows.modulus_error, match))
+    passed = _multipliers_pass(cfg, spread, modulus, match)
     _print({
         "rep": rep_to_dict(rep),
         "t": args.t,
-        "omega": report.omega,
-        "constancy_spread": report.constancy_spread,
-        "modulus_error": report.modulus_error,
-        "matched_exponent": {"name": report.matched_exponent[0],
-                             "residual": report.matched_exponent[1]},
+        "omega": complex(rows.omega[0]),
+        "constancy_spread": spread,
+        "modulus_error": modulus,
+        "matched_exponent": {"name": name, "residual": match},
         "pass": passed,
     })
     return 0 if passed else 1
@@ -123,19 +125,11 @@ def _cmd_infexp(args) -> int:
 
 
 def _cmd_heisenberg(args) -> int:
-    rep = _rep_by_kind(args.rep)
-    fit = heisenberg_fit(rep)
-    _print({
-        "rep": rep_to_dict(rep),
-        "K": fit.K,
-        "uniform": fit.uniform,
-        "per_generator_flips": fit.per_generator_flips,
-        "per_generator": fit.per_generator,
-        "time_independent": fit.time_independent,
-        "max_residual": fit.max_residual,
-        "note": fit.note,
-    })
-    return 0 if fit.max_residual < DEFAULT_TOLERANCES["heisenberg"] else 1
+    cfg = default_config()
+    entry = _mark_exception(cfg, _heisenberg_entry(
+        cfg, *_rep_by_kind(cfg, args.rep)))
+    _print(entry)
+    return 1 if _fails(entry) else 0
 
 
 def _cmd_action(args) -> int:

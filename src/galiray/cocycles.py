@@ -90,9 +90,8 @@ def cocycle_residual(xi, r: gg.GalileiElement, s: gg.GalileiElement,
 
     xi may be a PhaseExponent or any callable of two elements.
     """
-    rs = gg.multiply(r, s)
-    sq = gg.multiply(s, q)
-    return abs(xi(r, s) + xi(rs, q) - xi(s, q) - xi(r, sq))
+    return float(cocycle_residual_batch(xi, gg._row(r), gg._row(s),
+                                        gg._row(q))[0])
 
 
 def evaluate_batch(xi: PhaseExponent, r: gg.GalileiBatch,
@@ -124,14 +123,14 @@ def evaluate_batch(xi: PhaseExponent, r: gg.GalileiBatch,
     return -xi.gamma * gg._dot(r.v, gg._matvec(r.W, s.v)) * xi.t
 
 
-def cocycle_residual_batch(xi: PhaseExponent, r: gg.GalileiBatch,
-                           s: gg.GalileiBatch,
+def cocycle_residual_batch(xi, r: gg.GalileiBatch, s: gg.GalileiBatch,
                            q: gg.GalileiBatch) -> np.ndarray:
-    """Row-wise cocycle_residual of a PhaseExponent over triples of rows."""
+    """Row-wise cocycle_residual over triples of rows; xi as in
+    _evaluate_rows."""
     rs = gg.multiply_batch(r, s)
     sq = gg.multiply_batch(s, q)
-    return np.abs(evaluate_batch(xi, r, s) + evaluate_batch(xi, rs, q)
-                  - evaluate_batch(xi, s, q) - evaluate_batch(xi, r, sq))
+    return np.abs(_evaluate_rows(xi, r, s) + _evaluate_rows(xi, rs, q)
+                  - _evaluate_rows(xi, s, q) - _evaluate_rows(xi, r, sq))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .group import (_from_raw, _raw_width, _uniform, embed_matrix_batch,
 from .representations import (MOMENTUM_KINDS, RepDescriptor, apply_batch,
                               generator_names, rep_from_dict, rep_to_dict)
 from .states import _StateDraws, inner_product_batch, random_state
-from .verify import (_modulus, _term_mismatch, _worst,
+from .verify import (_FIT_TOL, _modulus, _term_mismatch, _worst,
                      check_initial_condition, check_time_multiplier_batch,
                      exponent_cocycle_residual, extract_multiplier_batch,
                      heisenberg_fit, match_exponent_batch)
@@ -133,6 +133,11 @@ class SuiteConfig:
         if clashes:
             raise ValueError(f"t_samples must give distinct cocycle check "
                              f"names: {clashes}")
+        kinds = [rep.kind for rep in self.reps]
+        repeated = sorted({k for k in kinds if kinds.count(k) > 1})
+        if repeated:
+            raise ValueError(f"reps must give distinct check names: kinds "
+                             f"{repeated} appear more than once")
         for n in (self.n_time_cases, self.n_unitarity_cases,
                   self.n_time_zero_cases, self.n_exponent_triples):
             if n < 1:
@@ -509,19 +514,21 @@ def _check_unitarity(cfg: SuiteConfig):
 
 
 def _time_zero_residuals(rep, F, r, t):
-    # t is an array of zeros, so the first action takes the per-row path
+    # t is an array of zeros; apply_batch skips the time phase of every row
+    # at t = 0, so both sides run the same code
     dalpha, mismatch = _term_mismatch(apply_batch(rep, r, t, F),
                                       apply_batch(rep, r, 0.0, F))
     return np.maximum(_modulus(dalpha), mismatch)
 
 
 def _check_time_zero(cfg: SuiteConfig):
-    """U_t(r) f at t = 0, through the per-row time path, against the plain
-    action U(r) f, term by term: the residual is |dalpha| of term 0 or the
-    term mismatch (verify._term_mismatch), whichever is larger.
+    """U_t(r) f with a per-row t of zeros against the plain action U(r) f,
+    term by term: the residual is |dalpha| of term 0 or the term mismatch
+    (verify._term_mismatch), whichever is larger.
 
-    apply is apply_time at t = 0, so this only shows that the time phase
-    vanishes at t = 0; a spurious phase common to every U_t(r) passes it.
+    apply_batch skips the time phase of every row with t = 0, so both sides
+    run the same code and this shows little more than determinism; a
+    spurious phase common to every U_t(r) passes it.
     """
     reports = []
     tol = cfg.tol("time_zero")
@@ -540,9 +547,8 @@ def _multiplier_residuals(rep, state, r, s):
     multiplier of each pair (r, s) at t = 0."""
     rs = multiply_batch(r, s)
     rows = extract_multiplier_batch(rep, r, s, 0.0, state, rs)
-    rows = match_exponent_batch(rep, r, s, 0.0, rows, rs)
-    return np.stack([rows.constancy_spread, rows.modulus_error,
-                     rows.matched_exponent[1]])
+    _, match = match_exponent_batch(rep, r, s, 0.0, rows, rs)
+    return np.stack([rows.constancy_spread, rows.modulus_error, match])
 
 
 def _exponent_cocycle_residuals(rep, state, r, s, q):
@@ -550,6 +556,14 @@ def _exponent_cocycle_residuals(rep, state, r, s, q):
     return [exponent_cocycle_residual(rep, r.element(i), s.element(i),
                                       q.element(i), 0.0, state)
             for i in range(len(r))]
+
+
+def _multipliers_pass(cfg: SuiteConfig, spread, modulus, match) -> bool:
+    """The verdict on multipliers of pairs with these worst constancy
+    spread, modulus error and matched-exponent residual; NaN fails."""
+    return (spread < cfg.tol("multiplier_spread")
+            and modulus < cfg.tol("multiplier_modulus")
+            and match < cfg.tol("multiplier_match"))
 
 
 def _check_multipliers(cfg: SuiteConfig):
@@ -565,9 +579,7 @@ def _check_multipliers(cfg: SuiteConfig):
         max_cocycle = _sweep(
             rng, cfg.n_exponent_triples, _elements(3, rep.dim, cfg.scale),
             functools.partial(_exponent_cocycle_residuals, rep, state))
-        passed = (max_spread < cfg.tol("multiplier_spread")
-                  and max_modulus < cfg.tol("multiplier_modulus")
-                  and max_match < cfg.tol("multiplier_match")
+        passed = (_multipliers_pass(cfg, max_spread, max_modulus, max_match)
                   and max_cocycle < cfg.tol("exponent_cocycle"))
         details = {
             "max_constancy_spread": max_spread,
@@ -630,33 +642,35 @@ def _check_time_multiplier(cfg: SuiteConfig):
     return reports
 
 
-def _check_heisenberg(cfg: SuiteConfig):
-    reports = []
+def _heisenberg_entry(cfg: SuiteConfig, k: int, rep) -> dict:
+    """The heisenberg_<kind> entry of rep, the k-th of cfg.reps."""
+    seed = cfg.seed + _CHECK_SEED_STRIDE * (100 + k)
     tol = cfg.tol("heisenberg")
-    for k, rep in enumerate(cfg.reps):
-        seed = cfg.seed + _CHECK_SEED_STRIDE * (100 + k)
-        fit = heisenberg_fit(rep)
-        names = generator_names(rep)
-        if rep.kind in MOMENTUM_KINDS:
-            static_names = [n for n in names if not n.startswith("N")]
-            t_indep_ok = all(fit.time_independent[n] for n in static_names)
-            passed = (fit.uniform and fit.K is not None
-                      and abs(fit.K - 1j) < 1e-9
-                      and fit.max_residual < tol and t_indep_ok)
-        else:
-            # position1d as printed: expected to lack a single constant K
-            passed = fit.uniform and fit.max_residual < tol
-        details = {
-            "K": fit.K,
-            "uniform": fit.uniform,
-            "per_generator_flips": fit.per_generator_flips,
-            "per_generator": fit.per_generator,
-            "time_independent": fit.time_independent,
-            "note": fit.note,
-        }
-        reports.append(_report(f"heisenberg_{rep.kind}", rep.kind, seed,
-                               len(names), fit.max_residual, passed, details))
-    return reports
+    fit = heisenberg_fit(rep)
+    names = generator_names(rep)
+    if rep.kind in MOMENTUM_KINDS:
+        static_names = [n for n in names if not n.startswith("N")]
+        t_indep_ok = all(fit.time_independent[n] for n in static_names)
+        passed = (fit.uniform and fit.K is not None
+                  and abs(fit.K - 1j) < _FIT_TOL
+                  and fit.max_residual < tol and t_indep_ok)
+    else:
+        # position1d as printed: expected to lack a single constant K
+        passed = fit.uniform and fit.max_residual < tol
+    details = {
+        "K": fit.K,
+        "uniform": fit.uniform,
+        "per_generator_flips": fit.per_generator_flips,
+        "per_generator": fit.per_generator,
+        "time_independent": fit.time_independent,
+        "note": fit.note,
+    }
+    return _report(f"heisenberg_{rep.kind}", rep.kind, seed, len(names),
+                   fit.max_residual, passed, details)
+
+
+def _check_heisenberg(cfg: SuiteConfig):
+    return [_heisenberg_entry(cfg, k, rep) for k, rep in enumerate(cfg.reps)]
 
 
 def _check_initial_conditions(cfg: SuiteConfig):
@@ -670,6 +684,18 @@ def _check_initial_conditions(cfg: SuiteConfig):
         reports.append(_report(f"initial_conditions_{rep.kind}", rep.kind,
                                seed, len(names), worst, worst < tol))
     return reports
+
+
+def _mark_exception(cfg: SuiteConfig, report: dict) -> dict:
+    """Set report's documented_exception: it fails, and cfg expects it to."""
+    report["documented_exception"] = bool(
+        not report["pass"] and report["check"] in cfg.expected_divergences)
+    return report
+
+
+def _fails(report: dict) -> bool:
+    """Whether a marked report entry fails its suite."""
+    return not report["pass"] and not report["documented_exception"]
 
 
 def run_suite(cfg: SuiteConfig = None) -> dict:
@@ -687,12 +713,9 @@ def run_suite(cfg: SuiteConfig = None) -> dict:
     checks += _check_heisenberg(cfg)
     checks += _check_initial_conditions(cfg)
     for report in checks:
-        report["documented_exception"] = bool(
-            not report["pass"]
-            and report["check"] in cfg.expected_divergences)
+        _mark_exception(cfg, report)
     checks.sort(key=lambda r: r["check"])
-    n_failed = sum(1 for r in checks
-                   if not r["pass"] and not r["documented_exception"])
+    n_failed = sum(map(_fails, checks))
     n_exceptions = sum(1 for r in checks if r["documented_exception"])
     return {
         "schema": 1,

@@ -4,8 +4,7 @@ Heisenberg-picture constant fitting.
 
 Extraction, prediction and the time multiplier are written once, row-wise
 over GalileiBatch pairs with a per-row t (the *_batch functions);
-extract_multiplier, expected_multiplier_exponent and match_exponent are
-their 1-row views.  U_t(r) U_t(s) f and U_t(rs) f are states of one term
+extract_multiplier is the 1-row view of the extraction.  U_t(r) U_t(s) f and U_t(rs) f are states of one term
 layout, so a multiplier is read off their term parameters: omega =
 e^{dalpha} of the first term, and every other difference of the two sides
 is a term mismatch.  No state is evaluated at a point.  The Heisenberg
@@ -14,9 +13,8 @@ exact operator difference.
 """
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,14 +28,11 @@ from .states import (PolyDiffOperator, PolyGaussianState, StateBatch,
                      _poly_mismatch)
 
 __all__ = [
-    "MultiplierReport",
     "MultiplierBatch",
     "default_sample_points",
     "extract_multiplier",
     "extract_multiplier_batch",
-    "expected_multiplier_exponent",
     "expected_multiplier_exponent_batch",
-    "match_exponent",
     "match_exponent_batch",
     "exponent_cocycle_residual",
     "check_time_multiplier_batch",
@@ -45,21 +40,6 @@ __all__ = [
     "heisenberg_fit",
     "check_initial_condition",
 ]
-
-
-@dataclass(frozen=True)
-class MultiplierReport:
-    """Result of a multiplier extraction."""
-
-    omega: complex
-    constancy_spread: float
-    modulus_error: float
-    matched_exponent: tuple | None = None  # (name, residual)
-
-    @property
-    def exponent(self) -> float:
-        """Principal-branch phase of the extracted multiplier."""
-        return cmath.phase(self.omega)
 
 
 def _worst(residuals) -> float:
@@ -89,13 +69,12 @@ def _abs(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MultiplierBatch:
-    """Row-wise multiplier extraction: row i holds what MultiplierReport
-    holds for pair i."""
+    """Row-wise multiplier extraction: row i is the multiplier omega of pair
+    i, the term mismatch of its two sides and |e^{Re dalpha} - 1|."""
 
     omega: np.ndarray  # (N,) complex
     constancy_spread: np.ndarray
     modulus_error: np.ndarray
-    matched_exponent: tuple | None = None  # (name, (N,) residuals)
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -149,16 +128,13 @@ def extract_multiplier_batch(rep: RepDescriptor, r: GalileiBatch,
 
 def extract_multiplier(rep: RepDescriptor, r: GalileiElement,
                        s: GalileiElement, t: float,
-                       state: PolyGaussianState) -> MultiplierReport:
-    """Multiplier omega of U_t(r) U_t(s) f = omega U_t(rs) f.
+                       state: PolyGaussianState) -> MultiplierBatch:
+    """The 1-row MultiplierBatch of U_t(r) U_t(s) f = omega U_t(rs) f.
 
     For a ray representation omega is unimodular and constancy_spread, the
     term mismatch of the two sides, is zero.
     """
-    rows = extract_multiplier_batch(rep, _row(r), _row(s), t, state)
-    return MultiplierReport(omega=complex(rows.omega[0]),
-                            constancy_spread=float(rows.constancy_spread[0]),
-                            modulus_error=float(rows.modulus_error[0]))
+    return extract_multiplier_batch(rep, _row(r), _row(s), t, state)
 
 
 def _xi_t(rep: RepDescriptor, r: GalileiBatch, s: GalileiBatch, t):
@@ -213,33 +189,14 @@ def expected_multiplier_exponent_batch(rep: RepDescriptor, r: GalileiBatch,
     return name, value
 
 
-def expected_multiplier_exponent(rep: RepDescriptor, r: GalileiElement,
-                                 s: GalileiElement, t: float = 0.0):
-    """Closed-form prediction (name, exponent) with multiplier
-    e^{i exponent}."""
-    name, value = expected_multiplier_exponent_batch(rep, _row(r), _row(s),
-                                                     t)
-    return name, float(value[0])
-
-
 def match_exponent_batch(rep: RepDescriptor, r: GalileiBatch,
                          s: GalileiBatch, t, rows: MultiplierBatch,
-                         rs=None) -> MultiplierBatch:
-    """Attach (name, residuals): per row |omega - e^{i exponent}| against
-    the predicted multiplier; t and rs as in extract_multiplier_batch."""
+                         rs=None):
+    """(name, residuals): per row |omega - e^{i exponent}| of the extracted
+    rows against the predicted multiplier; t and rs as in
+    extract_multiplier_batch."""
     name, value = expected_multiplier_exponent_batch(rep, r, s, t, rs)
-    return replace(rows, matched_exponent=(name, _phase_mismatch(rows.omega,
-                                                                 value)))
-
-
-def match_exponent(rep: RepDescriptor, r: GalileiElement, s: GalileiElement,
-                   t: float, report: MultiplierReport) -> MultiplierReport:
-    """Attach (name, residual) comparing omega with the predicted
-    multiplier."""
-    name, value = expected_multiplier_exponent_batch(rep, _row(r), _row(s),
-                                                     t)
-    residual = _phase_mismatch(np.array((report.omega,)), value)[0]
-    return replace(report, matched_exponent=(name, float(residual)))
+    return name, _phase_mismatch(rows.omega, value)
 
 
 def exponent_cocycle_residual(rep: RepDescriptor, r: GalileiElement,

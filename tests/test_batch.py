@@ -377,6 +377,27 @@ def test_an_infinite_dim2_angle_gives_a_nan_row_without_a_warning(bad):
     assert np.isfinite(np.delete(E, 1, axis=0)).all()
 
 
+@pytest.mark.parametrize("dim", (2, 3))
+def test_a_non_finite_row_gives_a_nan_row_without_a_warning(dim):
+    # the products of the dim-2 and dim-3 branches would warn on inf * 0, so
+    # a row with a non-finite entry becomes NaN before them
+    for field, bad in itertools.product(AlgebraBatch.__slots__,
+                                        (math.nan, math.inf, -math.inf)):
+        X = random_algebra_batch(542, 5, dim, 4.0)
+        getattr(X, field)[2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            E = exponential_batch(X)
+        for part in (E.W, E.eta, E.v, E.u):
+            assert np.isnan(part[2]).all(), (field, bad)
+        for i in (0, 1, 3, 4):
+            one = exponential(X.element(i))
+            for got, want in zip((E.W, E.eta, E.v, E.u),
+                                 (one.W, one.eta, one.v, one.u)):
+                assert np.asarray(got[i]).tobytes() \
+                    == np.asarray(want).tobytes()
+
+
 def test_algebra_batch_scale_add_and_max_abs():
     X = random_algebra_batch(541, 4, 2)
     Y = X.scale(np.array([1.0, -2.0, 0.5, 0.0])).add(X)

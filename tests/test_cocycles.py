@@ -9,11 +9,13 @@ from galiray.cocycles import (
     DEFAULT_TAU_SEQUENCE,
     PhaseExponent,
     cocycle_residual,
+    cocycle_residual_batch,
     equivalence_transform,
     evaluate,
     infinitesimal_exponent,
 )
-from galiray.group import GalileiElement, random_element, rotation_2d
+from galiray.group import (GalileiElement, random_element,
+                           random_element_batch, rotation_2d)
 
 
 def test_xi0_translation_boost_pair():
@@ -128,6 +130,19 @@ def test_equivalence_transform_is_a_coboundary_shift():
         assert cocycle_residual(shifted, r, s, q) < 1e-10
         want = xi(r, s) + phi(r) + phi(s) - phi(multiply(r, s))
         assert abs(shifted(r, s) - want) < 1e-14
+
+
+def test_a_shifted_exponent_runs_through_the_batch_residual():
+    # cocycle_residual is the 1-row view of cocycle_residual_batch, which
+    # calls an exponent that is not a PhaseExponent row by row
+    shifted = equivalence_transform(PhaseExponent("xi0", 2, gamma=1.4),
+                                    lambda r: 0.3 * float(r.v @ r.v))
+    r, s, q = (random_element_batch(424 + k, 20, 2) for k in range(3))
+    residuals = cocycle_residual_batch(shifted, r, s, q)
+    assert residuals.shape == (20,) and residuals.max() < 1e-10
+    for i in range(20):
+        assert residuals[i] == cocycle_residual(
+            shifted, r.element(i), s.element(i), q.element(i))
 
 
 def test_equivalence_transform_rejects_nonvanishing_phi():

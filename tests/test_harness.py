@@ -9,10 +9,10 @@ import re
 import numpy as np
 import pytest
 
-from galiray import cli, cocycles, harness
+from galiray import cli, cocycles, harness, representations
 from galiray.cli import main
 from galiray.group import GalileiElement, element_to_dict, identity
-from galiray.representations import rep_from_dict
+from galiray.representations import rep_from_dict, rep_to_dict
 from galiray.states import PolyDiffOperator
 from galiray.harness import (
     DEFAULT_TOLERANCES,
@@ -142,6 +142,35 @@ def test_config_rejects_t_samples_that_share_a_check_name(t_samples, clash,
             load_config(str(path))
         assert main(["verify-all", "--config", str(path)]) == 2
         assert clash in capsys.readouterr().err
+
+
+REPEATED_KINDS = {
+    "twice": (["bargmann3d", "bargmann3d"], "['bargmann3d']"),
+    "apart": (["bargmann3d", "position1d", "schrodinger2d", "bargmann3d"],
+              "['bargmann3d']"),
+    "two_kinds": (["position1d", "schrodinger2d", "position1d",
+                   "schrodinger2d"], "['position1d', 'schrodinger2d']"),
+}
+
+
+@pytest.mark.parametrize("kinds, repeated", REPEATED_KINDS.values(),
+                         ids=REPEATED_KINDS)
+def test_config_rejects_reps_that_repeat_a_kind(kinds, repeated, tmp_path,
+                                                capsys):
+    # every rep names its checks by its kind, so two descriptors of one kind
+    # would give two entries of one check name
+    by_kind = {rep.kind: rep for rep in default_config().reps}
+    reps = [by_kind[kind] for kind in kinds]
+    with pytest.raises(ValueError, match=re.escape(repeated)):
+        default_config(reps=tuple(reps))
+    docs = [rep_to_dict(rep) for rep in reps]
+    for path in _write_both_formats(tmp_path, {"reps": docs}):
+        with pytest.raises(ValueError, match=re.escape(repeated)):
+            load_config(str(path))
+        assert main(["verify-all", "--config", str(path)]) == 2
+        assert repeated in capsys.readouterr().err
+    # distinct kinds, even in another order, are accepted
+    default_config(reps=tuple(by_kind[kind] for kind in sorted(set(kinds))))
 
 
 REPEATED_TAUS = {
@@ -388,10 +417,7 @@ NAN_INJECTIONS = {
                                b, modulus_error=_nan_row(b.modulus_error, 0))),
     "multiplier_match": ("_check_multipliers", harness,
                          "match_exponent_batch", 0,
-                         lambda b: dataclasses.replace(
-                             b, matched_exponent=(
-                                 b.matched_exponent[0],
-                                 _nan_row(b.matched_exponent[1], 0)))),
+                         lambda out: (out[0], _nan_row(out[1], 0))),
     "multiplier_cocycle": ("_check_multipliers", harness,
                            "exponent_cocycle_residual", 0,
                            lambda x: math.nan),
@@ -607,14 +633,45 @@ def test_cli_heisenberg(capsys):
     code = main(["heisenberg", "--rep", "schrodinger2d"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert doc["uniform"] is True
-    assert abs(doc["K"][0]) < 1e-12 and abs(doc["K"][1] - 1.0) < 1e-12
+    assert doc["check"] == "heisenberg_schrodinger2d"
+    assert doc["pass"] is True and doc["documented_exception"] is False
+    assert doc["details"]["uniform"] is True
+    K = doc["details"]["K"]
+    assert abs(K[0]) < 1e-12 and abs(K[1] - 1.0) < 1e-12
 
+    # position1d fails the fit, but the default config expects it to
     code = main(["heisenberg", "--rep", "position1d"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert doc["uniform"] is False
-    assert "sign flips" in doc["note"]
+    assert doc["pass"] is False and doc["documented_exception"] is True
+    assert doc["details"]["uniform"] is False
+    assert "sign flips" in doc["details"]["note"]
+
+
+def test_cli_heisenberg_prints_the_suite_entry(capsys):
+    report = json.loads(report_json(run_suite(default_config())))
+    entries = {c["check"]: c for c in report["checks"]}
+    for rep in default_config().reps:
+        code = main(["heisenberg", "--rep", rep.kind])
+        entry = entries[f"heisenberg_{rep.kind}"]
+        assert json.loads(capsys.readouterr().out) == entry
+        assert code == (0 if entry["pass"] or entry["documented_exception"]
+                        else 1)
+
+
+def test_a_negated_hamiltonian_fails_the_cli_heisenberg(monkeypatch, capsys):
+    # -H fits the evolution law with K = -i as exactly as H does with i, so
+    # only the check on K sees it
+    real = representations._momentum_generator
+    monkeypatch.setattr(
+        representations, "_momentum_generator",
+        lambda rep, name: real(rep, name).scale(-1.0) if name == "H"
+        else real(rep, name))
+    assert main(["heisenberg", "--rep", "bargmann3d"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False and doc["max_residual"] < 1e-12
+    K = doc["details"]["K"]
+    assert abs(K[0]) < 1e-12 and abs(K[1] + 1.0) < 1e-12
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """The batched carrier action and multiplier core.
 
 apply_batch, extract_multiplier_batch, match_exponent_batch and
-check_time_multiplier_batch are written once, and the scalar functions are
-their 1-row views, so row i of an N-row call must equal the 1-row call on
-pair i bit for bit.  The multiplier is read off the term parameters of the
-two states, and must agree with a pointwise ratio of their values.  The
+check_time_multiplier_batch are written once, and apply_time and
+extract_multiplier are 1-row views, so row i of an N-row call must equal the
+1-row call on pair i bit for bit.  The multiplier is read off the term
+parameters of the two states, and must agree with a pointwise ratio of their
+values.  The
 suite's multiplier checks run the core in chunks, and their reports must not
 depend on the chunk size.  Each negative control breaks one piece of the
 prediction or the extraction and the check must fail; at scale 10 the
@@ -27,8 +28,7 @@ from galiray.states import PolyGaussianState, StateBatch, random_state
 from galiray.verify import (check_time_multiplier_batch,
                             default_sample_points,
                             exponent_cocycle_residual, extract_multiplier,
-                            extract_multiplier_batch, match_exponent,
-                            match_exponent_batch)
+                            extract_multiplier_batch, match_exponent_batch)
 
 REPS = (
     RepDescriptor("schrodinger2d", gamma=1.3, s=0.7),
@@ -58,8 +58,8 @@ def _cases(rep, n, seed, **state_kw):
 def test_row_i_of_the_batched_core_is_the_one_row_call(rep, kind, n):
     state, r, s, t = _cases(rep, n, 40 + n, **STATES[kind])
     acted = apply_batch(rep, r, t, StateBatch.of(state, n))
-    rows = match_exponent_batch(
-        rep, r, s, t, extract_multiplier_batch(rep, r, s, t, state))
+    rows = extract_multiplier_batch(rep, r, s, t, state)
+    name, match = match_exponent_batch(rep, r, s, t, rows)
     timed = check_time_multiplier_batch(rep, r, s, t, state)
     for i in range(n):
         ri, si, ti = r.element(i), s.element(i), float(t[i])
@@ -68,13 +68,14 @@ def test_row_i_of_the_batched_core_is_the_one_row_call(rep, kind, n):
             assert got.alpha == want.alpha
             assert _same(got.beta, want.beta) and _same(got.Gamma, want.Gamma)
             assert got.poly.coeffs == want.poly.coeffs
-        report = match_exponent(rep, ri, si, ti, extract_multiplier(
-            rep, ri, si, ti, state))
-        assert rows.omega[i] == report.omega
-        assert rows.constancy_spread[i] == report.constancy_spread
-        assert rows.modulus_error[i] == report.modulus_error
-        assert rows.matched_exponent[0] == report.matched_exponent[0]
-        assert rows.matched_exponent[1][i] == report.matched_exponent[1]
+        one = extract_multiplier(rep, ri, si, ti, state)
+        assert len(one.omega) == 1
+        assert rows.omega[i] == one.omega[0]
+        assert rows.constancy_spread[i] == one.constancy_spread[0]
+        assert rows.modulus_error[i] == one.modulus_error[0]
+        one_name, one_match = match_exponent_batch(rep, r[[i]], s[[i]], ti,
+                                                   one)
+        assert name == one_name and _same(match[i], one_match[0])
         assert timed[i] == check_time_multiplier_batch(
             rep, r[[i]], s[[i]], t[i], state)[0]
 
