@@ -52,17 +52,22 @@ def _load_pair(path: str, dim: int, seed: int):
     return random_element(rng, dim), random_element(rng, dim)
 
 
-def _cmd_verify_all(args) -> int:
-    cfg = load_config(args.config) if args.config else default_config()
+def _seeded(cfg, seed):
+    """cfg with the seed of GALIRAY_SEED if set, then of seed if not None."""
     env_seed = os.environ.get("GALIRAY_SEED")
     if env_seed is not None:
         try:
             cfg = dataclasses.replace(cfg, seed=_seed(env_seed))
         except argparse.ArgumentTypeError as exc:
             raise ValueError(f"GALIRAY_SEED: {exc}") from None
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    report = run_suite(cfg.validate())
+    if seed is not None:
+        cfg = dataclasses.replace(cfg, seed=seed)
+    return cfg.validate()
+
+
+def _cmd_verify_all(args) -> int:
+    cfg = load_config(args.config) if args.config else default_config()
+    report = run_suite(_seeded(cfg, args.seed))
     text = report_json(report)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -125,7 +130,7 @@ def _cmd_infexp(args) -> int:
 
 
 def _cmd_heisenberg(args) -> int:
-    cfg = default_config()
+    cfg = _seeded(default_config(), None)
     entry = _mark_exception(cfg, _heisenberg_entry(
         cfg, *_rep_by_kind(cfg, args.rep)))
     _print(entry)

@@ -64,8 +64,20 @@ _CHECK_SEED_STRIDE = 1009  # distinct rng stream per check, still seed-derived
 _SWEEP_CHUNK = 512  # cases per batch: bounds the temporaries at any count
 
 
+# each count field and its least value: each check draws from seed + k *
+# _CHECK_SEED_STRIDE, which numpy needs non-negative
+_COUNTS = {"seed": 0, "n_triples": 1, "n_pairs": 1, "n_time_cases": 1,
+           "n_unitarity_cases": 1, "n_time_zero_cases": 1,
+           "n_exponent_triples": 1}
+
+
+def _is_number(x) -> bool:
+    """An int or a float, but not a bool: a JSON true is an int in Python."""
+    return not isinstance(x, bool) and isinstance(x, (int, float))
+
+
 def _finite_positive(x) -> bool:
-    return math.isfinite(x) and x > 0
+    return _is_number(x) and math.isfinite(x) and x > 0
 
 
 def _t_label(t) -> str:
@@ -99,14 +111,12 @@ class SuiteConfig:
     expected_divergences: tuple = ("heisenberg_position1d",)
 
     def validate(self):
-        # each check draws from seed + k * _CHECK_SEED_STRIDE, which numpy
-        # needs non-negative
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, int)
-                or self.seed < 0):
-            raise ValueError(f"seed must be a non-negative integer, "
-                             f"got {self.seed!r}")
-        if self.n_triples < 1 or self.n_pairs < 1:
-            raise ValueError("n_triples and n_pairs must be at least 1")
+        for name, least in _COUNTS.items():
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, int) or n < least:
+                kind = "non-negative" if least == 0 else "positive"
+                raise ValueError(f"{name} must be a {kind} integer, "
+                                 f"got {n!r}")
         if not _finite_positive(self.scale):
             raise ValueError(f"scale must be finite and positive, "
                              f"got {self.scale!r}")
@@ -114,14 +124,14 @@ class SuiteConfig:
         if unknown:
             raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
         for name, tol in self.tolerances.items():
-            # a JSON true is an int in Python, but no tolerance
-            if (isinstance(tol, bool) or not isinstance(tol, (int, float))
-                    or not _finite_positive(tol)):
+            if not _finite_positive(tol):
                 raise ValueError(f"tolerance {name!r} must be a finite, "
                                  f"positive number, got {tol!r}")
         cocycles._checked_taus(self.tau_sequence)
-        if not self.t_samples:
-            raise ValueError("t_samples must not be empty")
+        if not (isinstance(self.t_samples, (tuple, list)) and self.t_samples
+                and all(map(_is_number, self.t_samples))):
+            raise ValueError(f"t_samples must be a non-empty list of numbers, "
+                             f"got {self.t_samples!r}")
         if not all(map(math.isfinite, self.t_samples)):
             raise ValueError(f"t_samples must be finite, "
                              f"got {self.t_samples!r}")
@@ -138,10 +148,6 @@ class SuiteConfig:
         if repeated:
             raise ValueError(f"reps must give distinct check names: kinds "
                              f"{repeated} appear more than once")
-        for n in (self.n_time_cases, self.n_unitarity_cases,
-                  self.n_time_zero_cases, self.n_exponent_triples):
-            if n < 1:
-                raise ValueError("case counts must be at least 1")
         return self
 
     def tol(self, name: str) -> float:
@@ -172,7 +178,7 @@ def config_to_dict(cfg: SuiteConfig) -> dict:
 
 def _number(key: str, value) -> float:
     """A number from a config document; a JSON boolean is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ValueError(f"{key} must be a number, got {value!r}")
     return float(value)
 
@@ -203,9 +209,7 @@ def config_from_dict(data: dict) -> SuiteConfig:
     kwargs = {}
     if "scale" in data:
         kwargs["scale"] = _number("scale", data["scale"])
-    for key in ("seed", "n_triples", "n_pairs", "n_time_cases",
-                "n_unitarity_cases", "n_time_zero_cases",
-                "n_exponent_triples"):
+    for key in _COUNTS:
         if key in data:
             kwargs[key] = _count(key, data[key])
     for key in ("tau_sequence", "t_samples"):
@@ -545,9 +549,8 @@ def _check_time_zero(cfg: SuiteConfig):
 def _multiplier_residuals(rep, state, r, s):
     """(constancy spread, modulus error, matched-exponent residual) of the
     multiplier of each pair (r, s) at t = 0."""
-    rs = multiply_batch(r, s)
-    rows = extract_multiplier_batch(rep, r, s, 0.0, state, rs)
-    _, match = match_exponent_batch(rep, r, s, 0.0, rows, rs)
+    rows = extract_multiplier_batch(rep, r, s, 0.0, state)
+    _, match = match_exponent_batch(rep, r, s, 0.0, rows)
     return np.stack([rows.constancy_spread, rows.modulus_error, match])
 
 

@@ -5,9 +5,9 @@ Every representation phase (quadratic in p) and every generator maps the
 family to itself, so all checks run in closed form with no discretization.
 Inner products reduce to complex Gaussian moment formulas.
 
-A state is evaluated at all its sample points in one pass: evaluate_many
-maps an (n, dim) array of points to n values, and evaluate (like
-Polynomial.eval and PolyGaussianTerm.evaluate) is its one-row view.
+A state has one pointwise formula, PolyGaussianState.evaluate (with
+Polynomial.eval), kept for tests and tools: no check evaluates a state at a
+point.
 
 StateBatch stacks N states of one term layout, so that N carrier actions
 run as one array pass: its substitute and multiply_phase act row-wise, and
@@ -109,9 +109,6 @@ class Polynomial:
         exps[i] = 1
         return cls(nvars, {tuple(exps): 1.0})
 
-    def copy(self) -> "Polynomial":
-        return Polynomial(self.nvars, self.coeffs)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -170,22 +167,10 @@ class Polynomial:
         return Polynomial(self.nvars, out)
 
     def eval(self, point) -> complex:
-        return complex(self.eval_many(np.asarray(point)[None])[0])
-
-    def eval_many(self, points) -> np.ndarray:
-        """Values at the rows of an (n, nvars) array of points."""
-        return self._values(_point_rows(points, self.nvars))
-
-    def _values(self, P: np.ndarray) -> np.ndarray:
-        """Values at points P of shape (..., nvars)."""
-        total = np.zeros(P.shape[:-1], dtype=complex)
-        for exps, c in self.coeffs.items():
-            term = np.full(P.shape[:-1], c)
-            for k, e in enumerate(exps):
-                if e:
-                    term = term * _power(P[..., k], e)
-            total = total + term
-        return total
+        """The value at one point of nvars coordinates."""
+        return complex(sum(
+            (c * math.prod(x ** e for x, e in zip(point, exps, strict=True))
+             for exps, c in self.coeffs.items()), 0j))
 
     def subs_var(self, i: int, value) -> "Polynomial":
         """Fix variable i to a numeric value (variable count unchanged)."""
@@ -219,28 +204,11 @@ class Polynomial:
         return f"Polynomial(nvars={self.nvars}, coeffs={self.coeffs})"
 
 
-def _point_rows(points, n: int) -> np.ndarray:
-    P = np.asarray(points)
-    if P.ndim != 2 or P.shape[1] != n:
-        raise ValueError(f"points must have shape (n, {n}), got {P.shape}")
-    return P
-
-
-def _power(x: np.ndarray, e: int) -> np.ndarray:
-    """x ** e per element, as a scalar x ** e rounds it."""
-    # not np.power, whose SIMD kernel rounds differently from the scalar
-    # power: values, and the residuals built from them, stay those of the
-    # one-point evaluation
-    if e == 1:
-        return x
-    return np.array([v ** e for v in x.ravel()]).reshape(x.shape)
-
-
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a * b for complex arrays that broadcast, rounded as Python's complex
     product."""
     # numpy's complex multiply fuses multiply-adds, and so differs in the
-    # last digit from the one-point product
+    # last digit from Python's complex product
     re = a.real * b.real - a.imag * b.imag
     out = np.empty(re.shape, dtype=complex)
     out.real = re
@@ -451,17 +419,6 @@ class PolyGaussianTerm:
     beta: np.ndarray
     Gamma: np.ndarray
 
-    def evaluate(self, p) -> complex:
-        return complex(self.evaluate_many(np.asarray(p)[None])[0])
-
-    def evaluate_many(self, points) -> np.ndarray:
-        """Values at the rows of an (n, dim) array of points."""
-        P = _point_rows(points, len(self.beta))
-        Pc = P.astype(complex)[:, None, :]
-        lin = (Pc @ self.beta[None, :, None])[:, 0, 0]
-        quad = ((Pc @ self.Gamma[None]) @ Pc.swapaxes(-1, -2))[:, 0, 0]
-        return _cmul(self.poly._values(P), np.exp(self.alpha + lin + quad))
-
 
 class PolyGaussianState:
     """Finite sum of polynomial-Gaussian terms in dim variables."""
@@ -495,19 +452,14 @@ class PolyGaussianState:
         return cls(dim, [term])
 
     def evaluate(self, p) -> complex:
+        """The value at one point p of shape (dim,): the sum over terms of
+        poly(p) exp(alpha + <beta, p> + p^T Gamma p)."""
         p = np.asarray(p)
         if p.shape != (self.dim,):
             raise ValueError(f"point must have shape ({self.dim},)")
-        return complex(self.evaluate_many(p[None])[0])
-
-    def evaluate_many(self, points) -> np.ndarray:
-        """Values at the rows of an (n, dim) array of points, as an (n,)
-        complex array; row i equals evaluate(points[i])."""
-        P = _point_rows(points, self.dim)
-        total = np.zeros(len(P), dtype=complex)
-        for t in self.terms:
-            total = total + t.evaluate_many(P)
-        return total
+        return complex(sum(
+            (t.poly.eval(p) * cmath.exp(t.alpha + t.beta @ p + p @ t.Gamma @ p)
+             for t in self.terms), 0j))
 
     def substitute(self, W, shift) -> "PolyGaussianState":
         """New state g with g(p) = self(W^{-1}(p + shift)) for an orthogonal

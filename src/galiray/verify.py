@@ -105,23 +105,20 @@ def _term_mismatch(composed: StateBatch, direct: StateBatch):
 
 
 def extract_multiplier_batch(rep: RepDescriptor, r: GalileiBatch,
-                             s: GalileiBatch, t, state: PolyGaussianState,
-                             rs=None) -> MultiplierBatch:
+                             s: GalileiBatch, t,
+                             state: PolyGaussianState) -> MultiplierBatch:
     """Row-wise multiplier omega of U_t(r) U_t(s) f = omega U_t(rs) f.
 
     Both sides are states of one term layout, so omega = e^{dalpha} of term
     0's alpha, and constancy_spread is the term mismatch: the amount by
     which the composed state is not omega times the direct one.  t is one
-    time or one per row; rs is multiply_batch(r, s), when the caller has it
-    already.
+    time or one per row.
     """
-    if rs is None:
-        rs = multiply_batch(r, s)
     f = StateBatch.of(state, len(r))
     composed = apply_batch(rep, r, t, apply_batch(rep, s, t, f))
     with np.errstate(over="ignore", invalid="ignore"):
-        dalpha, mismatch = _term_mismatch(composed,
-                                          apply_batch(rep, rs, t, f))
+        dalpha, mismatch = _term_mismatch(
+            composed, apply_batch(rep, multiply_batch(r, s), t, f))
         return MultiplierBatch(np.exp(dalpha), mismatch,
                                np.abs(np.expm1(dalpha.real)))
 
@@ -163,11 +160,10 @@ def _coboundary_phi(gamma: float, r: GalileiBatch) -> np.ndarray:
 
 
 def expected_multiplier_exponent_batch(rep: RepDescriptor, r: GalileiBatch,
-                                       s: GalileiBatch, t=0.0, rs=None):
+                                       s: GalileiBatch, t=0.0):
     """Closed-form prediction (name, exponents): row i has multiplier
-    e^{i exponents[i]}; t and rs as in extract_multiplier_batch."""
-    if rs is None:
-        rs = multiply_batch(r, s)
+    e^{i exponents[i]}; t as in extract_multiplier_batch."""
+    rs = multiply_batch(r, s)
     xi0 = PhaseExponent("xi0", rep.dim, gamma=rep.gamma)
     value = -cocycles.evaluate_batch(xi0, r, s)
     value += _xi_t(rep, r, s, t)
@@ -190,12 +186,10 @@ def expected_multiplier_exponent_batch(rep: RepDescriptor, r: GalileiBatch,
 
 
 def match_exponent_batch(rep: RepDescriptor, r: GalileiBatch,
-                         s: GalileiBatch, t, rows: MultiplierBatch,
-                         rs=None):
+                         s: GalileiBatch, t, rows: MultiplierBatch):
     """(name, residuals): per row |omega - e^{i exponent}| of the extracted
-    rows against the predicted multiplier; t and rs as in
-    extract_multiplier_batch."""
-    name, value = expected_multiplier_exponent_batch(rep, r, s, t, rs)
+    rows against the predicted multiplier; t as in extract_multiplier_batch."""
+    name, value = expected_multiplier_exponent_batch(rep, r, s, t)
     return name, _phase_mismatch(rows.omega, value)
 
 

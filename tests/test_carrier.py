@@ -1,12 +1,14 @@
-"""Carrier states at array speed: the array evaluation, the transforms that
-build their result without re-validating it, the array affine substitution
-against the dict substitution, dense rows as the one StateBatch polynomial
-form, and Polynomial arithmetic that does not re-normalise what it built.
+"""Carrier states at array speed: the one pointwise formula, the
+transforms that build their result without re-validating it, the array
+affine substitution against the dict substitution, dense rows as the one
+StateBatch polynomial form, and Polynomial arithmetic that does not
+re-normalise what it built.
 
-evaluate_many is written once, and evaluate is its 1-row view, so row i of
-an N-row evaluation must equal the 1-point evaluation of point i exactly.
-The trusted transforms must keep every term's Gamma symmetric with a
-negative-definite real part, which the validating check confirms.
+A state has one pointwise formula, evaluate, kept for tests and tools: no
+check evaluates a state at a point, and it is tested against the formula
+written out term by term.  The trusted transforms must keep every term's
+Gamma symmetric with a negative-definite real part, which the validating
+check confirms.
 """
 
 import cmath
@@ -22,10 +24,10 @@ from galiray.group import GalileiElement, _rodrigues, rotation_2d
 from galiray.representations import (RepDescriptor, apply_batch,
                                      apply_time, generator, generator_names)
 from galiray.states import (PolyGaussianState, Polynomial, StateBatch,
-                            _check_gamma, _cmul, _PolyRows, _power,
-                            _StateDraws, random_state)
+                            _check_gamma, _cmul, _PolyRows, _StateDraws,
+                            random_state)
 
-# -- one array evaluation ----------------------------------------------------
+# -- the pointwise formula ---------------------------------------------------
 
 
 def _reference_evaluate(f, p):
@@ -41,49 +43,31 @@ def _reference_evaluate(f, p):
 
 
 @pytest.mark.parametrize("dim", (1, 2, 3))
-def test_row_i_of_evaluate_many_is_the_one_point_evaluate(dim):
+def test_evaluate_is_the_pointwise_formula(dim):
     rng = np.random.default_rng(600 + dim)
     f = random_state(rng, dim, poly_degree=2, n_terms=3)
-    P = rng.normal(size=(17, dim)) * 1.5
-    values = f.evaluate_many(P)
-    assert values.shape == (17,) and values.dtype == complex
-    assert np.array_equal(f.evaluate_many(P[4:9]), values[4:9])
-    term, poly = f.terms[1], f.terms[1].poly
-    term_values, poly_values = term.evaluate_many(P), poly.eval_many(P)
-    for i, p in enumerate(P):
-        assert values[i] == f.evaluate(p)
-        assert term_values[i] == term.evaluate(p)
-        assert poly_values[i] == poly.eval(p)
-        want = _reference_evaluate(f, p)
-        assert abs(values[i] - want) <= 1e-13 * max(1.0, abs(want))
+    for p in rng.normal(size=(17, dim)) * 1.5:
+        value, want = f.evaluate(p), _reference_evaluate(f, p)
+        assert type(value) is complex
+        assert abs(value - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def test_array_arithmetic_rounds_as_the_scalar_arithmetic():
     rng = np.random.default_rng(605)
-    x = rng.normal(size=200) * 3.0
     a = rng.normal(size=200) + 1j * rng.normal(size=200)
     b = rng.normal(size=200) + 1j * rng.normal(size=200)
-    for e in (1, 2, 3, 5):
-        assert [float(v) for v in _power(x, e)] == [v ** e for v in x]
     assert [complex(z) for z in _cmul(a, b)] \
         == [complex(u) * complex(w) for u, w in zip(a, b)]
 
 
-def test_evaluate_many_rejects_points_of_the_wrong_shape():
+def test_evaluate_rejects_points_of_the_wrong_shape():
     f = random_state(610, 2, poly_degree=1, n_terms=2)
-    for bad in (np.zeros((4, 3)), np.zeros((4, 1)), np.zeros(2),
-                np.zeros((2, 2, 2))):
+    for bad in (np.zeros(3), np.zeros(1), np.zeros(()), np.zeros((1, 2)),
+                np.zeros((2, 2))):
         with pytest.raises(ValueError):
-            f.evaluate_many(bad)
-        with pytest.raises(ValueError):
-            f.terms[0].evaluate_many(bad)
-        with pytest.raises(ValueError):
-            f.terms[0].poly.eval_many(bad)
+            f.evaluate(bad)
     with pytest.raises(ValueError):
-        f.evaluate(np.zeros(3))
-    with pytest.raises(ValueError):
-        f.evaluate(np.zeros((1, 2)))
-    assert f.evaluate_many(np.zeros((0, 2))).shape == (0,)
+        f.terms[0].poly.eval(np.zeros(3))
 
 
 # -- trusted transforms ------------------------------------------------------

@@ -106,14 +106,25 @@ WRONG_TYPES = {
     "fractional_count": {"n_unitarity_cases": 2.5},
     "string_scale": {"scale": "1"},
     "scalar_t_samples": {"t_samples": 0.5},
+    "bool_t_sample": {"t_samples": [True]},
     "rep_without_kind": {"reps": [{"gamma": 1.0}]},
     "bool_rep_label": {"reps": [{"kind": "bargmann3d", "gamma": True}]},
     "non_string_divergence": {"expected_divergences": [3]},
 }
 
 
+# the fields a Python caller sets to a number, or a list of numbers
+SCALAR_FIELDS = {"seed", "scale", "n_triples", "n_pairs", "n_time_cases",
+                 "n_unitarity_cases", "n_time_zero_cases",
+                 "n_exponent_triples", "t_samples"}
+
+
 @pytest.mark.parametrize("overrides", WRONG_TYPES.values(), ids=WRONG_TYPES)
 def test_config_rejects_wrongly_typed_values(overrides, tmp_path, capsys):
+    if set(overrides) <= SCALAR_FIELDS:
+        # the same value from Python fails before any check runs
+        with pytest.raises(ValueError):
+            default_config(**overrides)
     for path in _write_both_formats(tmp_path, overrides):
         with pytest.raises(ValueError):
             load_config(str(path))
@@ -240,6 +251,11 @@ def test_config_takes_a_count_written_as_a_whole_float(tmp_path):
     for path in _write_both_formats(tmp_path, {"n_triples": 6.0}):
         cfg = load_config(str(path))
         assert cfg.n_triples == 6 and type(cfg.n_triples) is int
+    # a Python caller passes an int: a float count would reach range()
+    for key in ("n_triples", "n_pairs", "n_exponent_triples"):
+        with pytest.raises(ValueError, match=f"{key} must be a positive "
+                                             f"integer, got 6.0"):
+            default_config(**{key: 6.0})
 
 
 @pytest.mark.parametrize("tolerances", ({"unitarty": 1e-30},
@@ -657,6 +673,17 @@ def test_cli_heisenberg_prints_the_suite_entry(capsys):
         assert json.loads(capsys.readouterr().out) == entry
         assert code == (0 if entry["pass"] or entry["documented_exception"]
                         else 1)
+
+
+def test_cli_heisenberg_takes_the_seed_of_verify_all(monkeypatch, capsys):
+    monkeypatch.setenv("GALIRAY_SEED", "7")
+    assert main(["verify-all"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    entry, = (c for c in report["checks"]
+              if c["check"] == "heisenberg_bargmann3d")
+    assert main(["heisenberg", "--rep", "bargmann3d"]) == 0
+    printed = capsys.readouterr().out
+    assert printed == json.dumps(entry, indent=2, sort_keys=True) + "\n"
 
 
 def test_a_negated_hamiltonian_fails_the_cli_heisenberg(monkeypatch, capsys):
