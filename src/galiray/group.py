@@ -10,6 +10,7 @@ embed_matrix and rotation_angle run it on a 1-row batch.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,12 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-9
+_eye = functools.lru_cache(lambda n: _frozen(np.eye(n)))  # one per n
+# closed-form determinant of a (dim, dim) matrix from its row-major entries
+_DET = {1: lambda a: a,
+        2: lambda a, b, c, d: a * d - b * c,
+        3: lambda a, b, c, d, e, f, g, h, i: (
+            a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))}
 
 
 def _check_dim(dim):
@@ -45,9 +52,13 @@ def _check_dim(dim):
 
 
 def _frozen(a):
-    a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+def _orthogonal(W) -> bool:
+    """W is within _ORTHO_TOL of orthogonal; a NaN deviation fails too."""
+    return np.abs(W.T @ W - _eye(len(W))).max() <= _ORTHO_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,22 +73,21 @@ class GalileiElement:
 
     def __post_init__(self):
         _check_dim(self.dim)
-        W = np.array(self.W, dtype=float).reshape(self.dim, self.dim)
-        v = np.array(self.v, dtype=float).reshape(self.dim)
-        u = np.array(self.u, dtype=float).reshape(self.dim)
-        ortho_err = np.max(np.abs(W.T @ W - np.eye(self.dim)))
-        # written so that a NaN deviation fails too
-        if not ortho_err <= _ORTHO_TOL:
-            raise ValueError(f"W not orthogonal, max deviation {ortho_err:.3e}")
-        if np.linalg.det(W) < 0.0:
-            raise ValueError("W must be a proper rotation (det +1)")
+        W = _frozen(np.array(self.W, dtype=float).reshape(self.dim, self.dim))
+        v = _frozen(np.array(self.v, dtype=float).reshape(self.dim))
+        u = _frozen(np.array(self.u, dtype=float).reshape(self.dim))
         eta = float(self.eta)
+        if not _orthogonal(W):
+            raise ValueError(f"W not orthogonal within {_ORTHO_TOL}")
+        # W is orthogonal, so det W is +-1 to about 1e-9 and its sign exact
+        if _DET[self.dim](*W.ravel().tolist()) < 0.0:
+            raise ValueError("W must be a proper rotation (det +1)")
         if not all(map(math.isfinite, (eta, *v.tolist(), *u.tolist()))):
             raise ValueError("eta, v and u must be finite")
-        object.__setattr__(self, "W", _frozen(W))
+        object.__setattr__(self, "W", W)
         object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "v", _frozen(v))
-        object.__setattr__(self, "u", _frozen(u))
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "u", u)
 
     def __repr__(self):
         return (f"GalileiElement(dim={self.dim}, W={self.W.tolist()}, "

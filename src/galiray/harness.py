@@ -127,11 +127,17 @@ class SuiteConfig:
             if not _finite_positive(tol):
                 raise ValueError(f"tolerance {name!r} must be a finite, "
                                  f"positive number, got {tol!r}")
+        for name, ok in (("tau_sequence", _is_number),
+                         ("t_samples", _is_number),
+                         ("reps", lambda x: isinstance(x, RepDescriptor)),
+                         ("expected_divergences",
+                          lambda x: isinstance(x, str))):
+            value = getattr(self, name)
+            if not (isinstance(value, (tuple, list)) and all(map(ok, value))):
+                raise ValueError(f"{name} has the wrong type: {value!r}")
         cocycles._checked_taus(self.tau_sequence)
-        if not (isinstance(self.t_samples, (tuple, list)) and self.t_samples
-                and all(map(_is_number, self.t_samples))):
-            raise ValueError(f"t_samples must be a non-empty list of numbers, "
-                             f"got {self.t_samples!r}")
+        if not self.t_samples:
+            raise ValueError("t_samples must not be empty")
         if not all(map(math.isfinite, self.t_samples)):
             raise ValueError(f"t_samples must be finite, "
                              f"got {self.t_samples!r}")

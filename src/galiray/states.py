@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import _ORTHO_TOL, _dot, _matvec, _uniform
+from .group import _dot, _matvec, _orthogonal, _uniform
 
 __all__ = [
     "DegreeOverflowError",
@@ -465,7 +465,7 @@ class PolyGaussianState:
         """New state g with g(p) = self(W^{-1}(p + shift)) for an orthogonal
         W, whose inverse is taken as W^T; any other W raises."""
         W = np.asarray(W, dtype=float).reshape(self.dim, self.dim)
-        if not np.max(np.abs(W.T @ W - np.eye(self.dim))) <= _ORTHO_TOL:
+        if not _orthogonal(W):
             raise ValueError("substitute needs an orthogonal W")
         shift = np.asarray(shift, dtype=complex).reshape(self.dim)
         return StateBatch.of(self).substitute(W[None], shift[None]).row(0)

@@ -21,7 +21,7 @@ import numpy as np
 from . import cocycles
 from .cocycles import PhaseExponent
 from .group import (GalileiBatch, GalileiElement, _dot, _rotation_angles,
-                    _row, multiply, multiply_batch, stack_batches)
+                    _row, multiply, multiply_batch)
 from .representations import (RepDescriptor, apply_batch, generator,
                               generator_names, static_generator)
 from .states import (PolyDiffOperator, PolyGaussianState, StateBatch,
@@ -201,11 +201,14 @@ def exponent_cocycle_residual(rep: RepDescriptor, r: GalileiElement,
     xi(r,s) + xi(rs,q) = xi(s,q) + xi(r,sq) holds modulo 2 pi for the
     extracted principal-branch exponents; measuring the phase of the
     multiplier combination removes the branch ambiguity.  The four
-    multipliers are one 4-row extraction.
+    multipliers are one 4-row extraction, a triple per call until ROADMAP
+    items 1 and 2 batch the triples (perfbench counts its multiply calls).
     """
     rs, sq = multiply(r, s), multiply(s, q)
-    a = stack_batches([_row(x) for x in (r, rs, s, r)])
-    b = stack_batches([_row(x) for x in (s, q, q, sq)])
+    # the 4-row batches: one np.array of the four elements' W, eta, v and u
+    a, b = (GalileiBatch(*map(np.array, zip(*((x.W, x.eta, x.v, x.u)
+                                               for x in xs))))
+            for xs in ((r, rs, s, r), (s, q, q, sq)))
     w = extract_multiplier_batch(rep, a, b, t, state).omega
     return float(abs(np.angle(w[0] * w[1] * np.conj(w[2] * w[3]))))
 

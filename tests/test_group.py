@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from galiray.group import (
+    _ORTHO_TOL,
     GalileiElement,
     act_on_momentum,
     element_from_dict,
     element_to_dict,
     embed_matrix,
     identity,
+    identity_batch,
     inverse,
     multiply,
     random_element,
@@ -153,10 +155,52 @@ def test_element_validation():
         multiply(random_element(1, 1), random_element(2, 2))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_element_rejects_a_reflection(dim):
+    # R with its first row, or its first column, negated: det -1 with every
+    # entry of the closed-form determinant in play
+    R = random_element(40 + dim, dim).W
+    flip = np.diag([-1.0] + [1.0] * (dim - 1))
+    for W in (flip @ R, R @ flip):
+        with pytest.raises(ValueError, match="proper rotation"):
+            GalileiElement(dim, W, 0.0, np.zeros(dim), np.zeros(dim))
+    GalileiElement(dim, R, 0.0, np.zeros(dim), np.zeros(dim))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_orthogonality_is_tested_at_the_tolerance(dim):
+    # (1 + e) R deviates from orthogonal by (1 + e)^2 - 1, about 2e
+    R = random_element(50 + dim, dim).W
+    z = np.zeros(dim)
+    GalileiElement(dim, (1.0 + 0.4 * _ORTHO_TOL) * R, 0.0, z, z)
+    with pytest.raises(ValueError, match="not orthogonal"):
+        GalileiElement(dim, (1.0 + 0.6 * _ORTHO_TOL) * R, 0.0, z, z)
+
+
 def test_element_arrays_are_frozen():
     r = random_element(3, 2)
     with pytest.raises(ValueError):
         r.W[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        r.v[0] = 5.0
+    with pytest.raises(ValueError):
+        r.u[1] = 5.0
+
+
+def test_element_keeps_its_own_copy_of_the_inputs():
+    W, v, u = rotation_2d(0.3), np.array([0.1, 0.2]), np.array([0.3, 0.4])
+    r = GalileiElement(2, W, 0.5, v, u)
+    want = element_to_dict(r)
+    W[0, 0], v[0], u[1] = 9.0, 9.0, 9.0
+    assert element_to_dict(r) == want
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_an_identity_batch_row_is_an_element(dim):
+    # the batch's W rows are read-only broadcast views of one identity
+    e = identity_batch(dim, 2).element(0)
+    assert element_to_dict(e) == element_to_dict(identity(dim))
+    assert not e.W.flags.writeable
 
 
 def test_dict_round_trip_is_exact():

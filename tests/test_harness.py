@@ -107,24 +107,19 @@ WRONG_TYPES = {
     "string_scale": {"scale": "1"},
     "scalar_t_samples": {"t_samples": 0.5},
     "bool_t_sample": {"t_samples": [True]},
+    "string_taus": {"tau_sequence": ["0.1", "0.05", "0.025"]},
     "rep_without_kind": {"reps": [{"gamma": 1.0}]},
     "bool_rep_label": {"reps": [{"kind": "bargmann3d", "gamma": True}]},
     "non_string_divergence": {"expected_divergences": [3]},
 }
 
 
-# the fields a Python caller sets to a number, or a list of numbers
-SCALAR_FIELDS = {"seed", "scale", "n_triples", "n_pairs", "n_time_cases",
-                 "n_unitarity_cases", "n_time_zero_cases",
-                 "n_exponent_triples", "t_samples"}
-
-
 @pytest.mark.parametrize("overrides", WRONG_TYPES.values(), ids=WRONG_TYPES)
 def test_config_rejects_wrongly_typed_values(overrides, tmp_path, capsys):
-    if set(overrides) <= SCALAR_FIELDS:
-        # the same value from Python fails before any check runs
-        with pytest.raises(ValueError):
-            default_config(**overrides)
+    # the same value from Python fails before any check runs: a dict is not
+    # a RepDescriptor, and no string stands for a number or a check name
+    with pytest.raises(ValueError):
+        default_config(**overrides)
     for path in _write_both_formats(tmp_path, overrides):
         with pytest.raises(ValueError):
             load_config(str(path))

@@ -3,8 +3,8 @@ multipliers, branch-safe cocycle residuals, and the per-generator fit paths."""
 
 import numpy as np
 
-from galiray.group import (GalileiElement, _row, identity, random_element,
-                           stack_batches)
+from galiray.group import (GalileiElement, _row, identity, multiply,
+                           random_element, stack_batches)
 from galiray.representations import RepDescriptor, generator_names
 from galiray.states import PolyGaussianState, Polynomial, random_state
 from galiray.verify import (
@@ -14,6 +14,7 @@ from galiray.verify import (
     expected_multiplier_exponent_batch,
     exponent_cocycle_residual,
     extract_multiplier,
+    extract_multiplier_batch,
     heisenberg_fit,
     match_exponent_batch,
 )
@@ -135,6 +136,28 @@ def test_exponent_cocycle_residual_is_small():
             t = float(rng.uniform(-1.0, 1.0))
             res = exponent_cocycle_residual(rep, r, s, q, t, state)
             assert res < 1e-8
+
+
+def _stacked_exponent_cocycle_residual(rep, r, s, q, t, state):
+    """exponent_cocycle_residual with its 4-row batches stacked from 1-row
+    batches."""
+    rs, sq = multiply(r, s), multiply(s, q)
+    a = stack_batches([_row(x) for x in (r, rs, s, r)])
+    b = stack_batches([_row(x) for x in (s, q, q, sq)])
+    w = extract_multiplier_batch(rep, a, b, t, state).omega
+    return float(abs(np.angle(w[0] * w[1] * np.conj(w[2] * w[3]))))
+
+
+def test_exponent_cocycle_residual_is_the_stacked_one_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for rep in REPS.values():
+        state = random_state(rng, rep.dim)
+        for _ in range(6):
+            r, s, q = (random_element(rng, rep.dim) for _ in range(3))
+            t = float(rng.uniform(-1.0, 1.0))
+            assert (exponent_cocycle_residual(rep, r, s, q, t, state)
+                    == _stacked_exponent_cocycle_residual(rep, r, s, q, t,
+                                                          state))
 
 
 def test_a_vanishing_state_still_gives_its_multiplier():
