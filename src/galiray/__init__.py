@@ -35,7 +35,8 @@ from .verify import (HeisenbergFitResult, MultiplierBatch,
                      check_initial_condition, check_time_multiplier_batch,
                      default_sample_points,
                      expected_multiplier_exponent_batch,
-                     exponent_cocycle_residual, extract_multiplier,
+                     exponent_cocycle_residual,
+                     exponent_cocycle_residual_batch, extract_multiplier,
                      extract_multiplier_batch, heisenberg_fit,
                      match_exponent_batch)
 from .harness import (SuiteConfig, cocycle_sweep, config_from_dict,

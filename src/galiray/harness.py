@@ -20,8 +20,9 @@ from .algebra import (AlgebraBatch, algebra_batch_from_uniforms,
                       jacobi_residual_batch)
 from .cocycles import (DEFAULT_TAU_SEQUENCE, PhaseExponent,
                        cocycle_residual_batch)
-# multiply is not called here; perfbench/test_perfbench.py and
-# tests/test_carrier.py read it from this module
+# multiply is not called here: the suite's scalar products are rs and sq of
+# verify.exponent_cocycle_residual_batch; perfbench/test_perfbench.py reads
+# the name from this module
 from .group import (_from_raw, _raw_width, _uniform, embed_matrix_batch,
                     identity_batch, inverse_batch, multiply, multiply_batch,
                     random_element_batch)
@@ -30,7 +31,8 @@ from .representations import (MOMENTUM_KINDS, RepDescriptor, apply_batch,
 from .states import _StateDraws, inner_product_batch, random_state
 from .verify import (_FIT_TOL, _modulus, _term_mismatch, _worst,
                      check_initial_condition, check_time_multiplier_batch,
-                     exponent_cocycle_residual, extract_multiplier_batch,
+                     exponent_cocycle_residual_batch,
+                     extract_multiplier_batch,
                      heisenberg_fit, match_exponent_batch)
 
 __all__ = [
@@ -561,10 +563,8 @@ def _multiplier_residuals(rep, state, r, s):
 
 
 def _exponent_cocycle_residuals(rep, state, r, s, q):
-    """exponent_cocycle_residual of each triple (r, s, q), one at a time."""
-    return [exponent_cocycle_residual(rep, r.element(i), s.element(i),
-                                      q.element(i), 0.0, state)
-            for i in range(len(r))]
+    """Exponent-cocycle residual of each triple (r, s, q) at t = 0."""
+    return exponent_cocycle_residual_batch(rep, r, s, q, 0.0, state)
 
 
 def _multipliers_pass(cfg: SuiteConfig, spread, modulus, match) -> bool:

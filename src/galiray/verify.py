@@ -2,12 +2,15 @@
 matching against phase exponents, the time-dependent multiplier law, and
 Heisenberg-picture constant fitting.
 
-Extraction, prediction and the time multiplier are written once, row-wise
-over GalileiBatch pairs with a per-row t (the *_batch functions);
-extract_multiplier is the 1-row view of the extraction.  U_t(r) U_t(s) f and U_t(rs) f are states of one term
-layout, so a multiplier is read off their term parameters: omega =
-e^{dalpha} of the first term, and every other difference of the two sides
-is a term mismatch.  No state is evaluated at a point.  The Heisenberg
+Extraction, prediction, the time multiplier and the exponent-cocycle
+residual are written once, row-wise over GalileiBatch rows with a per-row t
+(the *_batch functions); extract_multiplier is the 1-row view of the
+extraction and exponent_cocycle_residual the 1-triple view of the residual,
+which pools the four multipliers of all its triples into one extraction.
+U_t(r) U_t(s) f and U_t(rs) f are states of one term layout, so a
+multiplier is read off their term parameters: omega = e^{dalpha} of the
+first term, and every other difference of the two sides is a term
+mismatch.  No state is evaluated at a point.  The Heisenberg
 and initial-condition residuals are likewise the largest coefficient of an
 exact operator difference.
 """
@@ -21,11 +24,11 @@ import numpy as np
 from . import cocycles
 from .cocycles import PhaseExponent
 from .group import (GalileiBatch, GalileiElement, _dot, _rotation_angles,
-                    _row, multiply, multiply_batch)
+                    _row, multiply, multiply_batch, stack_batches)
 from .representations import (RepDescriptor, apply_batch, generator,
                               generator_names, static_generator)
 from .states import (PolyDiffOperator, PolyGaussianState, StateBatch,
-                     _poly_mismatch)
+                     _cmul, _poly_mismatch)
 
 __all__ = [
     "MultiplierBatch",
@@ -35,6 +38,7 @@ __all__ = [
     "expected_multiplier_exponent_batch",
     "match_exponent_batch",
     "exponent_cocycle_residual",
+    "exponent_cocycle_residual_batch",
     "check_time_multiplier_batch",
     "HeisenbergFitResult",
     "heisenberg_fit",
@@ -193,24 +197,43 @@ def match_exponent_batch(rep: RepDescriptor, r: GalileiBatch,
     return name, _phase_mismatch(rows.omega, value)
 
 
+def exponent_cocycle_residual_batch(rep: RepDescriptor, r: GalileiBatch,
+                                    s: GalileiBatch, q: GalileiBatch, t,
+                                    state: PolyGaussianState) -> np.ndarray:
+    """Cocycle identity on extracted exponents, branch-safe, per triple.
+
+    xi(r,s) + xi(rs,q) = xi(s,q) + xi(r,sq) holds modulo 2 pi for the
+    extracted principal-branch exponents; row i is the phase of
+    w(r,s) w(rs,q) conj(w(s,q) w(r,sq)) for triple i, which removes the
+    branch ambiguity.  The four multipliers of every triple are one 4n-row
+    extraction; t is one time or one per triple.
+    """
+    n = len(r)
+    rs, sq = [], []
+    for i in range(n):
+        # scalar multiply until ROADMAP items 1 and 2 swap it for
+        # multiply_batch: perfbench/test_perfbench.py's
+        # test_traced_report_matches_untraced_and_self_times_fit asserts
+        # that the suite calls group.multiply
+        s_i = s.element(i)
+        rs.append(_row(multiply(r.element(i), s_i)))
+        sq.append(_row(multiply(s_i, q.element(i))))
+    a = stack_batches([r, *rs, s, r])
+    b = stack_batches([s, q, q, *sq])
+    if np.ndim(t):
+        t = np.tile(t, 4)
+    w0, w1, w2, w3 = extract_multiplier_batch(rep, a, b, t,
+                                              state).omega.reshape(4, n)
+    # _cmul rounds as the complex scalars w0 * w1 * conj(w2 * w3) do
+    return np.abs(np.angle(_cmul(_cmul(w0, w1), np.conj(_cmul(w2, w3)))))
+
+
 def exponent_cocycle_residual(rep: RepDescriptor, r: GalileiElement,
                               s: GalileiElement, q: GalileiElement,
                               t: float, state: PolyGaussianState) -> float:
-    """Cocycle identity on extracted exponents, branch-safe.
-
-    xi(r,s) + xi(rs,q) = xi(s,q) + xi(r,sq) holds modulo 2 pi for the
-    extracted principal-branch exponents; measuring the phase of the
-    multiplier combination removes the branch ambiguity.  The four
-    multipliers are one 4-row extraction, a triple per call until ROADMAP
-    items 1 and 2 batch the triples (perfbench counts its multiply calls).
-    """
-    rs, sq = multiply(r, s), multiply(s, q)
-    # the 4-row batches: one np.array of the four elements' W, eta, v and u
-    a, b = (GalileiBatch(*map(np.array, zip(*((x.W, x.eta, x.v, x.u)
-                                               for x in xs))))
-            for xs in ((r, rs, s, r), (s, q, q, sq)))
-    w = extract_multiplier_batch(rep, a, b, t, state).omega
-    return float(abs(np.angle(w[0] * w[1] * np.conj(w[2] * w[3]))))
+    """The 1-triple exponent_cocycle_residual_batch."""
+    return float(exponent_cocycle_residual_batch(rep, _row(r), _row(s),
+                                                 _row(q), t, state)[0])
 
 
 def check_time_multiplier_batch(rep: RepDescriptor, r: GalileiBatch,

@@ -394,6 +394,6 @@ def test_each_multiplier_pair_builds_its_product_once(monkeypatch):
     harness._check_multipliers(cfg)
     n_reps = len(harness._momentum_reps(cfg))
     # the pairs' products are one multiply_batch per chunk; the branch-safe
-    # cocycle residual builds rs and sq per triple, as operands of its one
-    # 4-row extraction
+    # cocycle residual builds rs and sq per triple, as rows of its chunk's
+    # one 4n-row extraction, in verify's namespace
     assert len(calls) == n_reps * 2 * 2

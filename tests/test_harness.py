@@ -430,8 +430,8 @@ NAN_INJECTIONS = {
                          "match_exponent_batch", 0,
                          lambda out: (out[0], _nan_row(out[1], 0))),
     "multiplier_cocycle": ("_check_multipliers", harness,
-                           "exponent_cocycle_residual", 0,
-                           lambda x: math.nan),
+                           "exponent_cocycle_residual_batch", 0,
+                           lambda out: _nan_row(out, 0)),
     # case 0 is a pure boost, case 20 the first general pair
     "time_multiplier_boost": ("_check_time_multiplier", harness,
                               "check_time_multiplier_batch", 0,

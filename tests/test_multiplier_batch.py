@@ -171,6 +171,23 @@ def test_exponent_cocycle_residual_matches_the_case_by_case_loop():
         assert report["details"]["n_exponent_triples"] == 7
 
 
+def test_the_multiplier_check_extracts_once_per_sweep_chunk(monkeypatch):
+    calls = []
+    real = verify.extract_multiplier_batch
+
+    def counting(rep, r, s, t, state):
+        calls.append(len(r))
+        return real(rep, r, s, t, state)
+
+    for owner in (harness, verify):
+        monkeypatch.setattr(owner, "extract_multiplier_batch", counting)
+    # the carrier_heavy counts of perfbench/workloads.py, one chunk each:
+    # per rep, one extraction of the pairs and one of the triples' 4n rows
+    cfg = default_config(n_pairs=340, n_exponent_triples=42)
+    harness._check_multipliers(cfg)
+    assert calls == [340, 4 * 42] * 3
+
+
 # -- negative controls: each fault must fail its check -----------------------
 
 FAULT_CFG = dict(n_triples=3, n_pairs=30, n_time_cases=24,
@@ -277,6 +294,19 @@ def test_a_product_built_as_s_r_fails_every_multiplier(monkeypatch):
     monkeypatch.setattr(verify, "multiply_batch",
                         lambda r, s: multiply_batch(s, r))
     assert not any(_verdicts("_check_multipliers").values())
+
+
+def test_rs_and_sq_built_as_s_r_fail_the_exponent_cocycle_alone(
+        monkeypatch):
+    assert _all_pass("_check_multipliers")
+    real = verify.multiply
+    monkeypatch.setattr(verify, "multiply", lambda r, s: real(s, r))
+    cfg = default_config(**FAULT_CFG)
+    for entry in harness._check_multipliers(cfg):
+        assert entry["pass"] is False
+        assert {key for key, tol in DETAIL_TOLS.items()
+                if not entry["details"][key] < cfg.tol(tol)} == {
+            "max_exponent_cocycle_residual"}
 
 
 # -- scale 10 -------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Multiplier extraction and Heisenberg constant fitting: known closed-form
 multipliers, branch-safe cocycle residuals, and the per-generator fit paths."""
 
+import math
+
 import numpy as np
+import pytest
 
 from galiray.group import (GalileiElement, _row, identity, multiply,
-                           random_element, stack_batches)
+                           random_element, random_element_batch,
+                           stack_batches)
 from galiray.representations import RepDescriptor, generator_names
 from galiray.states import PolyGaussianState, Polynomial, random_state
 from galiray.verify import (
@@ -13,6 +17,7 @@ from galiray.verify import (
     default_sample_points,
     expected_multiplier_exponent_batch,
     exponent_cocycle_residual,
+    exponent_cocycle_residual_batch,
     extract_multiplier,
     extract_multiplier_batch,
     heisenberg_fit,
@@ -148,16 +153,59 @@ def _stacked_exponent_cocycle_residual(rep, r, s, q, t, state):
     return float(abs(np.angle(w[0] * w[1] * np.conj(w[2] * w[3]))))
 
 
+def _triples(rep, n, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    state = random_state(rng, rep.dim)
+    b = random_element_batch(rng, 3 * n, rep.dim, scale)
+    return state, [b[0::3], b[1::3], b[2::3]]
+
+
 def test_exponent_cocycle_residual_is_the_stacked_one_bit_for_bit():
-    rng = np.random.default_rng(17)
-    for rep in REPS.values():
-        state = random_state(rng, rep.dim)
-        for _ in range(6):
-            r, s, q = (random_element(rng, rep.dim) for _ in range(3))
-            t = float(rng.uniform(-1.0, 1.0))
-            assert (exponent_cocycle_residual(rep, r, s, q, t, state)
-                    == _stacked_exponent_cocycle_residual(rep, r, s, q, t,
-                                                          state))
+    n = 300
+    for scale in (0.01, 1.0, 100.0):
+        for rep in REPS.values():
+            state, triples = _triples(rep, n, 17, scale)
+            t = np.where(np.arange(n) % 3 == 0, 0.0,
+                         np.random.default_rng(18).uniform(-1.0, 1.0, n))
+            stacked = np.array([_stacked_exponent_cocycle_residual(
+                rep, *(x.element(i) for x in triples), t[i], state)
+                for i in range(n)])
+            batch = exponent_cocycle_residual_batch(rep, *triples, t, state)
+            assert batch.shape == (n,)
+            assert batch.tobytes() == stacked.tobytes()
+            # one t for the whole batch, as the suite passes it
+            zero = t == 0.0
+            batch = exponent_cocycle_residual_batch(rep, *triples, 0.0,
+                                                    state)
+            assert batch[zero].tobytes() == stacked[zero].tobytes()
+            for i in range(3):
+                assert (exponent_cocycle_residual(
+                    rep, *(x.element(i) for x in triples), t[i], state)
+                    == stacked[i])
+
+
+# a NaN eta in s or q reaches term 0's alpha through the substitution of the
+# operator applied after it; r's eta enters only the quadratic phase of the
+# outermost operator, which leaves omega as it is in 2D
+@pytest.mark.parametrize("operand", ("s", "q"))
+@pytest.mark.parametrize("rep", REPS.values(), ids=REPS)
+def test_a_nan_eta_gives_nan_in_its_own_triple_only(rep, operand,
+                                                    monkeypatch):
+    n, k = 5, 2
+    state, triples = _triples(rep, n, 19)
+    scalar = np.array([exponent_cocycle_residual(
+        rep, *(x.element(i) for x in triples), 0.0, state)
+        for i in range(n)])
+    j = "rsq".index(operand)
+    poisoned = triples[j][:]
+    poisoned.eta = poisoned.eta.copy()
+    poisoned.eta[k] = math.nan
+    triples[j] = poisoned
+    # a validated element cannot hold a NaN: build the rows unvalidated
+    monkeypatch.setattr(GalileiElement, "__post_init__", lambda self: None)
+    got = exponent_cocycle_residual_batch(rep, *triples, 0.0, state)
+    assert np.isnan(got[k])
+    assert np.delete(got, k).tobytes() == np.delete(scalar, k).tobytes()
 
 
 def test_a_vanishing_state_still_gives_its_multiplier():
