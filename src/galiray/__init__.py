@@ -29,8 +29,8 @@ from .states import (DegreeOverflowError, PolyDiffOperator, PolyGaussianState,
 from .representations import (KIND_DIMS, MOMENTUM_KINDS, RepDescriptor, apply,
                               apply_batch, apply_time,
                               basis_generator_pairing, generator,
-                              generator_names, one_parameter_derivative,
-                              rep_from_dict, rep_to_dict, static_generator)
+                              generator_names, rep_from_dict, rep_to_dict,
+                              static_generator)
 from .verify import (HeisenbergFitResult, MultiplierBatch,
                      check_initial_condition, check_time_multiplier_batch,
                      default_sample_points,

@@ -51,6 +51,11 @@ def _check_dim(dim):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
 
 
+def _is_number(x) -> bool:
+    """An int or a float, but not a bool: a JSON true is an int in Python."""
+    return not isinstance(x, bool) and isinstance(x, (int, float))
+
+
 def _frozen(a):
     a.flags.writeable = False
     return a
@@ -242,8 +247,11 @@ def _rotation_angles(W) -> np.ndarray:
     """rotation_angle of each matrix of a (N,2,2) stack."""
     # math.atan2, one row at a time: np.arctan2 (numpy 2.4) differs from libm
     # by one ulp on about 1% of the (cos, sin) pairs of random rotations,
-    # which moves the digits of cocycle_xi2_dim2
-    return np.fromiter(map(math.atan2, W[:, 1, 0], W[:, 0, 0]), float, len(W))
+    # which moves the digits of cocycle_xi2_dim2.  Its arguments come from
+    # tolist(), the same doubles as Python floats, which it reads faster
+    # than numpy scalars
+    return np.fromiter(map(math.atan2, W[:, 1, 0].tolist(),
+                           W[:, 0, 0].tolist()), float, len(W))
 
 
 def random_element(seed, dim: int, scale: float = 1.0,
@@ -357,12 +365,32 @@ def element_to_dict(r: GalileiElement) -> dict:
     }
 
 
+def _numbers(key: str, value, n: int) -> list:
+    """A document's list of n numbers."""
+    if not (isinstance(value, (list, tuple)) and len(value) == n
+            and all(map(_is_number, value))):
+        raise ValueError(f"{key} must be a list of {n} numbers, "
+                         f"got {value!r}")
+    return value
+
+
 def element_from_dict(d: dict) -> GalileiElement:
-    """Inverse of element_to_dict; ValueError for any other document."""
+    """Inverse of element_to_dict; ValueError for any other document.
+
+    dim is 1, 2 or 3; W (row-major), v and u are lists of dim^2, dim and
+    dim numbers, and eta is a number.  A number is a JSON number: neither
+    a string nor a boolean.
+    """
     try:
-        dim = int(d["dim"])
-        W = np.asarray(d["W"], dtype=float).reshape(dim, dim)
-        return GalileiElement(dim, W, float(d["eta"]), d["v"], d["u"])
+        dim = d["dim"]
+        if not (_is_number(dim) and dim in (1, 2, 3)):
+            raise ValueError(f"dim must be 1, 2 or 3, got {dim!r}")
+        dim = int(dim)
+        if not _is_number(d["eta"]):
+            raise ValueError(f"eta must be a number, got {d['eta']!r}")
+        return GalileiElement(dim, _numbers("W", d["W"], dim * dim), d["eta"],
+                              _numbers("v", d["v"], dim),
+                              _numbers("u", d["u"], dim))
     except KeyError as exc:
         raise ValueError(f"element lacks the key {exc}") from exc
     except TypeError as exc:

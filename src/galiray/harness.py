@@ -23,9 +23,9 @@ from .cocycles import (DEFAULT_TAU_SEQUENCE, PhaseExponent,
 # multiply is not called here: the suite's scalar products are rs and sq of
 # verify.exponent_cocycle_residual_batch; perfbench/test_perfbench.py reads
 # the name from this module
-from .group import (_from_raw, _raw_width, _uniform, embed_matrix_batch,
-                    identity_batch, inverse_batch, multiply, multiply_batch,
-                    random_element_batch)
+from .group import (_from_raw, _is_number, _raw_width, _uniform,
+                    embed_matrix_batch, identity_batch, inverse_batch,
+                    multiply, multiply_batch, random_element_batch)
 from .representations import (MOMENTUM_KINDS, RepDescriptor, apply_batch,
                               generator_names, rep_from_dict, rep_to_dict)
 from .states import _StateDraws, inner_product_batch, random_state
@@ -71,11 +71,6 @@ _SWEEP_CHUNK = 512  # cases per batch: bounds the temporaries at any count
 _COUNTS = {"seed": 0, "n_triples": 1, "n_pairs": 1, "n_time_cases": 1,
            "n_unitarity_cases": 1, "n_time_zero_cases": 1,
            "n_exponent_triples": 1}
-
-
-def _is_number(x) -> bool:
-    """An int or a float, but not a bool: a JSON true is an int in Python."""
-    return not isinstance(x, bool) and isinstance(x, (int, float))
 
 
 def _finite_positive(x) -> bool:
@@ -563,7 +558,8 @@ def _multiplier_residuals(rep, state, r, s):
 
 
 def _exponent_cocycle_residuals(rep, state, r, s, q):
-    """Exponent-cocycle residual of each triple (r, s, q) at t = 0."""
+    """(exponent-cocycle residual, constancy spread, modulus error) of each
+    triple (r, s, q) at t = 0."""
     return exponent_cocycle_residual_batch(rep, r, s, q, 0.0, state)
 
 
@@ -585,9 +581,12 @@ def _check_multipliers(cfg: SuiteConfig):
         max_spread, max_modulus, max_match = _sweep(
             rng, cfg.n_pairs, _elements(2, rep.dim, cfg.scale),
             functools.partial(_multiplier_residuals, rep, state))
-        max_cocycle = _sweep(
+        max_cocycle, triple_spread, triple_modulus = _sweep(
             rng, cfg.n_exponent_triples, _elements(3, rep.dim, cfg.scale),
             functools.partial(_exponent_cocycle_residuals, rep, state))
+        # the triples' extractions are held to the pairs' tolerances
+        max_spread = _worst((max_spread, triple_spread))
+        max_modulus = _worst((max_modulus, triple_modulus))
         passed = (_multipliers_pass(cfg, max_spread, max_modulus, max_match)
                   and max_cocycle < cfg.tol("exponent_cocycle"))
         details = {

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import basis_element, exponential
-from .group import GalileiBatch, GalileiElement, _dot, _rotation_angles, _row
+from .group import (GalileiBatch, GalileiElement, _dot, _is_number,
+                    _rotation_angles, _row)
 from .states import PolyDiffOperator, PolyGaussianState, Polynomial, StateBatch
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "generator",
     "static_generator",
     "generator_names",
-    "one_parameter_derivative",
     "basis_generator_pairing",
 ]
 
@@ -99,8 +98,10 @@ def rep_to_dict(rep: RepDescriptor) -> dict:
 
 
 def _label(d: dict, key: str, default: float) -> float:
+    """A label of a representation document: a number, not a string or a
+    boolean (float() would read "0.9" and true as numbers)."""
     value = d.get(key, default)
-    if isinstance(value, bool):  # float(True) would read it as 1.0
+    if not _is_number(value):
         raise ValueError(f"{key} must be a number, got {value!r}")
     return float(value)
 
@@ -314,25 +315,10 @@ def static_generator(rep: RepDescriptor, name: str) -> PolyDiffOperator:
     return _momentum_generator(rep, name)
 
 
-def one_parameter_derivative(rep: RepDescriptor, basis_name: str, t: float,
-                             state: PolyGaussianState,
-                             step: float = 1e-5) -> PolyGaussianState:
-    """Central difference in tau of apply_time(exponential(tau X), t) at 0.
-
-    Returns the difference-quotient state; against the exact generators it
-    fixes the derivative convention constant of each basis direction.
-    """
-    _require_momentum(rep, "one_parameter_derivative")
-    dim = rep.dim
-    X = basis_element(basis_name, dim)
-    plus = apply_time(rep, exponential(X.scale(step)), t, state)
-    minus = apply_time(rep, exponential(X.scale(-step)), t, state)
-    return plus.add(minus.scale(-1.0)).scale(1.0 / (2.0 * step))
-
-
 def basis_generator_pairing(rep: RepDescriptor, basis_name: str):
-    """Map an algebra basis direction to (generator name, convention
-    constant c) with one_parameter_derivative = c * R_t(generator)."""
+    """Map an algebra basis direction X to (generator name, convention
+    constant c) with d/dtau U_t(exp tau X) f = c R_t(generator) f at
+    tau = 0."""
     _require_momentum(rep, "basis_generator_pairing")
     kind = basis_name[0]
     if kind == "b":

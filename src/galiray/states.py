@@ -223,6 +223,19 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
+def _congruence(W: np.ndarray, Gamma: np.ndarray,
+                M: np.ndarray) -> np.ndarray:
+    """W @ Gamma @ M for real W and M and complex Gamma, one real product
+    per part of Gamma."""
+    # the complex product promotes W and M to complex and takes longer.  It
+    # gives the same numbers, up to the sign of an exact zero entry, since
+    # the imaginary parts of W and M are zero; it also carries a NaN or inf
+    # of one part of Gamma into the other, which this does not.  The
+    # matrix-vector products of substitute stay complex: a real split of
+    # _matvec rounds differently from numpy's complex one in most rows.
+    return _complex(W @ Gamma.real @ M, W @ Gamma.imag @ M)
+
+
 # -- dense polynomial rows ----------------------------------------------------
 # A StateBatch polynomial that differs between rows is an (N, M) coefficient
 # array over the graded basis _basis(dim, deg).  Every sum over coefficients
@@ -562,7 +575,7 @@ class StateBatch:
             for poly, alpha, beta, Gamma in self.terms])
 
     def substitute(self, W, shift) -> "StateBatch":
-        """Row i becomes g(p) = f_i(W_i^T (p + shift_i)), for orthogonal
+        """Row i becomes g(p) = f_i(W_i^T (p + shift_i)), for real orthogonal
         W (N, dim, dim), which is trusted, and complex shift (N, dim)."""
         M = W.swapaxes(-1, -2)
         c = _matvec(M, shift)
@@ -574,7 +587,7 @@ class StateBatch:
             # Re(Gamma) negative-definite
             out.append((poly, alpha + _dot(beta, c) + _dot(cG, c),
                         _matvec(W, beta) + 2.0 * _matvec(W, _matvec(Gamma, c)),
-                        W @ Gamma @ M))
+                        _congruence(W, Gamma, M)))
         return StateBatch(self.dim, out)
 
     def multiply_phase(self, quad=None, lin=None, const=None) -> "StateBatch":
@@ -887,13 +900,15 @@ class _StateDraws:
         self.degree[i] = degree
         k, end = self.dim ** 2, 2 * self.dim * (self.dim + 1)
         n_coeffs = 2 * (_size(self.dim, degree) - 1)
+        # each call draws in place what rng.normal(size=...) and rng.random()
+        # would return: the same numbers and the same stream position
         for normal, uniform in zip(self.normal[:, i], self.uniform[:, i]):
-            normal[:k] = rng.normal(size=k)
-            uniform[0] = rng.random()
-            normal[k:end] = rng.normal(size=end - k)
+            rng.standard_normal(out=normal[:k])
+            rng.random(out=uniform[:1])
+            rng.standard_normal(out=normal[k:end])
             rng.random(out=uniform[1:])
             if n_coeffs:
-                normal[end:end + n_coeffs] = rng.normal(size=n_coeffs)
+                rng.standard_normal(out=normal[end:end + n_coeffs])
 
     def batch(self) -> "StateBatch":
         dim, k, end = self.dim, self.dim ** 2, 2 * self.dim * (self.dim + 1)

@@ -200,13 +200,18 @@ def match_exponent_batch(rep: RepDescriptor, r: GalileiBatch,
 def exponent_cocycle_residual_batch(rep: RepDescriptor, r: GalileiBatch,
                                     s: GalileiBatch, q: GalileiBatch, t,
                                     state: PolyGaussianState) -> np.ndarray:
-    """Cocycle identity on extracted exponents, branch-safe, per triple.
+    """Cocycle identity on extracted exponents, branch-safe, per triple:
+    a (3, n) stack of the residual, the constancy spread and the modulus
+    error of each triple.
 
     xi(r,s) + xi(rs,q) = xi(s,q) + xi(r,sq) holds modulo 2 pi for the
-    extracted principal-branch exponents; row i is the phase of
-    w(r,s) w(rs,q) conj(w(s,q) w(r,sq)) for triple i, which removes the
-    branch ambiguity.  The four multipliers of every triple are one 4n-row
-    extraction; t is one time or one per triple.
+    extracted principal-branch exponents; the residual of triple i is the
+    phase of w(r,s) w(rs,q) conj(w(s,q) w(r,sq)), which removes the branch
+    ambiguity.  Its spread and modulus error are the largest of its four
+    extractions, so that a fault that leaves the multipliers alone (a NaN
+    eta of r reaches only a quadratic phase in 2D) still fails.  The four
+    multipliers of every triple are one 4n-row extraction; t is one time
+    or one per triple.
     """
     n = len(r)
     rs, sq = [], []
@@ -222,18 +227,22 @@ def exponent_cocycle_residual_batch(rep: RepDescriptor, r: GalileiBatch,
     b = stack_batches([s, q, q, *sq])
     if np.ndim(t):
         t = np.tile(t, 4)
-    w0, w1, w2, w3 = extract_multiplier_batch(rep, a, b, t,
-                                              state).omega.reshape(4, n)
+    rows = extract_multiplier_batch(rep, a, b, t, state)
+    w0, w1, w2, w3 = rows.omega.reshape(4, n)
     # _cmul rounds as the complex scalars w0 * w1 * conj(w2 * w3) do
-    return np.abs(np.angle(_cmul(_cmul(w0, w1), np.conj(_cmul(w2, w3)))))
+    residual = np.abs(np.angle(_cmul(_cmul(w0, w1), np.conj(_cmul(w2, w3)))))
+    # the maximum propagates NaN
+    return np.stack([residual,
+                     rows.constancy_spread.reshape(4, n).max(axis=0),
+                     rows.modulus_error.reshape(4, n).max(axis=0)])
 
 
 def exponent_cocycle_residual(rep: RepDescriptor, r: GalileiElement,
                               s: GalileiElement, q: GalileiElement,
                               t: float, state: PolyGaussianState) -> float:
-    """The 1-triple exponent_cocycle_residual_batch."""
+    """The residual of the 1-triple exponent_cocycle_residual_batch."""
     return float(exponent_cocycle_residual_batch(rep, _row(r), _row(s),
-                                                 _row(q), t, state)[0])
+                                                 _row(q), t, state)[0, 0])
 
 
 def check_time_multiplier_batch(rep: RepDescriptor, r: GalileiBatch,

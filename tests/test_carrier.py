@@ -8,7 +8,9 @@ A state has one pointwise formula, evaluate, kept for tests and tools: no
 check evaluates a state at a point, and it is tested against the formula
 written out term by term.  The trusted transforms must keep every term's
 Gamma symmetric with a negative-definite real part, which the validating
-check confirms.
+check confirms.  The congruence in real arithmetic and the draws in place
+must give what the complex product and the rng.normal draws they replace
+give, bit for bit.
 """
 
 import cmath
@@ -24,8 +26,8 @@ from galiray.group import GalileiElement, _rodrigues, rotation_2d
 from galiray.representations import (RepDescriptor, apply_batch,
                                      apply_time, generator, generator_names)
 from galiray.states import (PolyGaussianState, Polynomial, StateBatch,
-                            _check_gamma, _cmul, _PolyRows, _StateDraws,
-                            random_state)
+                            _check_gamma, _cmul, _congruence, _PolyRows,
+                            _size, _StateDraws, random_state)
 
 # -- the pointwise formula ---------------------------------------------------
 
@@ -397,3 +399,101 @@ def test_each_multiplier_pair_builds_its_product_once(monkeypatch):
     # cocycle residual builds rs and sq per triple, as rows of its chunk's
     # one 4n-row extraction, in verify's namespace
     assert len(calls) == n_reps * 2 * 2
+
+
+# -- the congruence in real arithmetic ---------------------------------------
+
+def _suite_layouts(dim, seed):
+    """(W, states) in the layouts the suite hands to substitute: the strided
+    rows b[i::k] of a sweep draw against StateBatch.of broadcasts and against
+    the composed images built of them, a 1-row view, and _StateDraws rows."""
+    rng = np.random.default_rng(seed)
+    n = 40
+    f = random_state(rng, dim, poly_degree=2, n_terms=2)
+    b = harness.random_element_batch(rng, 3 * n, dim)
+    F = StateBatch.of(f, n)
+    shift = rng.normal(size=(n, dim)) + 0j
+    Q = rng.normal(size=(n, dim, dim))
+    image = F.substitute(b[1::3].W, shift).multiply_phase(
+        quad=1j * (Q + Q.swapaxes(-1, -2)))
+    draws = _StateDraws(n, dim, 2, n_terms=2)
+    for i in range(n):
+        draws.draw(i, rng, i % 3)
+    return [(b[0::3].W, F), (b[2::3].W, image), (b[:1].W, StateBatch.of(f)),
+            (b.W[5][None], StateBatch.of(f)), (b[1::3].W, draws.batch())]
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_the_real_congruence_is_the_complex_product_bit_for_bit(dim):
+    for W, F in _suite_layouts(dim, 700 + dim):
+        M = W.swapaxes(-1, -2)
+        shift = np.ones((len(W), dim), dtype=complex)
+        G = F.substitute(W, shift)
+        for (*_, Gamma), (*_, got) in zip(F.terms, G.terms):
+            want = (W @ Gamma @ M).tobytes()
+            assert _congruence(W, Gamma, M).tobytes() == want
+            assert got.tobytes() == want
+
+
+@pytest.mark.parametrize("where", ("re_gamma", "im_gamma", "nan_w", "inf_w"))
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_a_non_finite_row_stays_non_finite_through_the_congruence(dim, where):
+    rng = np.random.default_rng(710 + dim)
+    n, k = 4, 2
+    W = harness.random_element_batch(rng, n, dim).W
+    F = StateBatch.of(random_state(rng, dim, poly_degree=1), n)
+    shift = rng.normal(size=(n, dim)) + 0j
+    clean = F.substitute(W, shift)
+    (poly, alpha, beta, Gamma), = F.terms
+    Gamma, W = Gamma.copy(), W.copy()
+    if where == "re_gamma":
+        Gamma.real[k, 0, 0] = math.nan
+    elif where == "im_gamma":
+        Gamma.imag[k, 0, 0] = math.inf
+    else:
+        W[k, 0, 0] = math.nan if where == "nan_w" else math.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        G = StateBatch(dim, [(poly, alpha, beta, Gamma)]).substitute(W, shift)
+        _, mismatch = verify._term_mismatch(G, clean)
+    out = G.terms[0][3]
+    assert not np.isfinite(out[k]).all()
+    assert np.isfinite(np.delete(out, k, axis=0)).all()
+    # the row fails its constancy spread; the other rows match exactly
+    assert not mismatch[k] < harness.DEFAULT_TOLERANCES["multiplier_spread"]
+    assert (np.delete(mismatch, k) == 0.0).all()
+    if where == "re_gamma":
+        # unlike the complex product, the split keeps a NaN in its own part
+        assert np.isfinite(out[k].imag).all()
+
+
+# -- state draws in place ----------------------------------------------------
+
+def _draw_by_copies(draws, i, rng, degree):
+    """_StateDraws.draw written with rng.normal(size=...) and slice copies:
+    the stream that the draws in place must take."""
+    draws.degree[i] = degree
+    k, end = draws.dim ** 2, 2 * draws.dim * (draws.dim + 1)
+    n_coeffs = 2 * (_size(draws.dim, degree) - 1)
+    for normal, uniform in zip(draws.normal[:, i], draws.uniform[:, i]):
+        normal[:k] = rng.normal(size=k)
+        uniform[0] = rng.random()
+        normal[k:end] = rng.normal(size=end - k)
+        rng.random(out=uniform[1:])
+        if n_coeffs:
+            normal[end:end + n_coeffs] = rng.normal(size=n_coeffs)
+
+
+@pytest.mark.parametrize("n_terms", (1, 2))
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_state_draws_in_place_take_the_stream_of_rng_normal(dim, n_terms):
+    degrees = (0, 1, 2, 2, 1, 0)
+    got = _StateDraws(len(degrees), dim, 2, n_terms)
+    want = _StateDraws(len(degrees), dim, 2, n_terms)
+    rng, ref = (np.random.default_rng(720 + dim) for _ in range(2))
+    for i, degree in enumerate(degrees):
+        got.draw(i, rng, degree)
+        _draw_by_copies(want, i, ref, degree)
+        assert rng.bit_generator.state == ref.bit_generator.state
+    assert got.normal.tobytes() == want.normal.tobytes()
+    assert got.uniform.tobytes() == want.uniform.tobytes()
+    assert np.array_equal(got.degree, want.degree)

@@ -1,6 +1,7 @@
 """Group law, inverses, matrix embedding and element serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from galiray.group import (
     _ORTHO_TOL,
     GalileiElement,
+    _rotation_angles,
     act_on_momentum,
     element_from_dict,
     element_to_dict,
@@ -17,6 +19,7 @@ from galiray.group import (
     inverse,
     multiply,
     random_element,
+    random_element_batch,
     rotation_2d,
     rotation_angle,
 )
@@ -128,6 +131,20 @@ def test_rotation_angle_recovers_theta():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="theta must be finite"):
             rotation_2d(bad)
+
+
+def test_rotation_angles_are_the_per_row_atan2():
+    # the ends of the branch: a sine of +-0 at cosine 1 and -1 gives +-0
+    # and +-pi, which only the sign of the zero tells apart
+    cos = [1.0, 1.0, -1.0, -1.0, 0.0, -0.0, 0.6]
+    sin = [0.0, -0.0, 0.0, -0.0, 1.0, -1.0, -0.8]
+    W = np.array([[[c, -s], [s, c]] for c, s in zip(cos, sin)])
+    W = np.concatenate([W, random_element_batch(71, 300, 2).W])
+    for rows in (W, W[1::3]):  # contiguous, and strided as a sweep's rows
+        want = np.array([math.atan2(w[1, 0], w[0, 0]) for w in rows])
+        assert _rotation_angles(rows).tobytes() == want.tobytes()
+    assert _rotation_angles(W[:4]).tolist() == [0.0, -0.0, math.pi, -math.pi]
+    assert math.copysign(1.0, _rotation_angles(W[1:2])[0]) == -1.0
 
 
 def test_random_element_determinism_and_angle_cap():

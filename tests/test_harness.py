@@ -110,6 +110,7 @@ WRONG_TYPES = {
     "string_taus": {"tau_sequence": ["0.1", "0.05", "0.025"]},
     "rep_without_kind": {"reps": [{"gamma": 1.0}]},
     "bool_rep_label": {"reps": [{"kind": "bargmann3d", "gamma": True}]},
+    "string_rep_label": {"reps": [{"kind": "bargmann3d", "gamma": "0.9"}]},
     "non_string_divergence": {"expected_divergences": [3]},
 }
 
@@ -431,7 +432,13 @@ NAN_INJECTIONS = {
                          lambda out: (out[0], _nan_row(out[1], 0))),
     "multiplier_cocycle": ("_check_multipliers", harness,
                            "exponent_cocycle_residual_batch", 0,
-                           lambda out: _nan_row(out, 0)),
+                           lambda out: _nan_row(out, (0, 0))),
+    "multiplier_cocycle_spread": ("_check_multipliers", harness,
+                                  "exponent_cocycle_residual_batch", 0,
+                                  lambda out: _nan_row(out, (1, 0))),
+    "multiplier_cocycle_modulus": ("_check_multipliers", harness,
+                                   "exponent_cocycle_residual_batch", 0,
+                                   lambda out: _nan_row(out, (2, 0))),
     # case 0 is a pure boost, case 20 the first general pair
     "time_multiplier_boost": ("_check_time_multiplier", harness,
                               "check_time_multiplier_batch", 0,
@@ -566,12 +573,32 @@ def _element_without_u():
     return d
 
 
+def _element_with(key, value):
+    d = element_to_dict(identity(2))
+    if isinstance(d[key], list):
+        d[key] = [value, *d[key][1:]]
+    else:
+        d[key] = value
+    return {"r": element_to_dict(identity(2)), "s": d}
+
+
 MALFORMED_PAIRS = {
     "missing_s": {"r": element_to_dict(identity(2))},
     "missing_u": {"r": element_to_dict(identity(2)),
                   "s": _element_without_u()},
     "list_document": [element_to_dict(identity(2))] * 2,
     "list_element": {"r": element_to_dict(identity(2)), "s": [0.0] * 8},
+    # a number is a JSON number: not a string, not a boolean
+    "fractional_dim": _element_with("dim", 2.9),
+    "bool_dim": {x: {**element_to_dict(identity(1)), "dim": True}
+                 for x in "rs"},
+    "string_W": _element_with("W", "1"),
+    "bool_W": _element_with("W", True),
+    "string_eta": _element_with("eta", "0.5"),
+    "bool_eta": _element_with("eta", False),
+    "string_v": _element_with("v", "0"),
+    "bool_u": _element_with("u", False),
+    "list_in_W": _element_with("W", [1.0, 0.0]),
 }
 
 

@@ -20,7 +20,7 @@ import pytest
 
 from galiray import cocycles, harness, verify
 from galiray.cli import main
-from galiray.group import (multiply_batch, random_element,
+from galiray.group import (GalileiElement, multiply_batch, random_element,
                            random_element_batch)
 from galiray.harness import config_to_dict, default_config, report_json
 from galiray.representations import RepDescriptor, apply_batch, apply_time
@@ -307,6 +307,29 @@ def test_rs_and_sq_built_as_s_r_fail_the_exponent_cocycle_alone(
         assert {key for key, tol in DETAIL_TOLS.items()
                 if not entry["details"][key] < cfg.tol(tol)} == {
             "max_exponent_cocycle_residual"}
+
+
+def test_a_nan_eta_of_r_fails_the_triples_of_every_rep(monkeypatch):
+    # r's eta enters a 2D triple only through the quadratic phase of the
+    # outermost operator: its residual stays finite, and the check fails on
+    # the triple's constancy spread, which it holds to the pairs' tolerance
+    assert _all_pass("_check_multipliers")
+    real = harness.exponent_cocycle_residual_batch
+
+    def poisoned(rep, r, s, q, t, state):
+        r = r[:]
+        r.eta = r.eta.copy()
+        r.eta[0] = math.nan
+        return real(rep, r, s, q, t, state)
+
+    monkeypatch.setattr(harness, "exponent_cocycle_residual_batch", poisoned)
+    # a validated element cannot hold a NaN: build the rows unvalidated
+    monkeypatch.setattr(GalileiElement, "__post_init__", lambda self: None)
+    for entry in harness._check_multipliers(default_config(**FAULT_CFG)):
+        assert entry["pass"] is False
+        assert math.isnan(entry["details"]["max_constancy_spread"])
+        cocycle = entry["details"]["max_exponent_cocycle_residual"]
+        assert math.isnan(cocycle) == (entry["rep"] == "bargmann3d")
 
 
 # -- scale 10 -------------------------------------------------------------

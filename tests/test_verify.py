@@ -144,13 +144,17 @@ def test_exponent_cocycle_residual_is_small():
 
 
 def _stacked_exponent_cocycle_residual(rep, r, s, q, t, state):
-    """exponent_cocycle_residual with its 4-row batches stacked from 1-row
-    batches."""
+    """(residual, constancy spread, modulus error) of one triple, with its
+    4-row batches stacked from 1-row batches: the largest spread and
+    modulus error of the four extractions."""
     rs, sq = multiply(r, s), multiply(s, q)
     a = stack_batches([_row(x) for x in (r, rs, s, r)])
     b = stack_batches([_row(x) for x in (s, q, q, sq)])
-    w = extract_multiplier_batch(rep, a, b, t, state).omega
-    return float(abs(np.angle(w[0] * w[1] * np.conj(w[2] * w[3]))))
+    rows = extract_multiplier_batch(rep, a, b, t, state)
+    w = rows.omega
+    return (float(abs(np.angle(w[0] * w[1] * np.conj(w[2] * w[3])))),
+            float(np.max(rows.constancy_spread)),
+            float(np.max(rows.modulus_error)))
 
 
 def _triples(rep, n, seed, scale=1.0):
@@ -169,33 +173,33 @@ def test_exponent_cocycle_residual_is_the_stacked_one_bit_for_bit():
                          np.random.default_rng(18).uniform(-1.0, 1.0, n))
             stacked = np.array([_stacked_exponent_cocycle_residual(
                 rep, *(x.element(i) for x in triples), t[i], state)
-                for i in range(n)])
+                for i in range(n)]).T
             batch = exponent_cocycle_residual_batch(rep, *triples, t, state)
-            assert batch.shape == (n,)
-            assert batch.tobytes() == stacked.tobytes()
+            assert batch.shape == (3, n)
+            assert batch.tobytes() == np.ascontiguousarray(stacked).tobytes()
             # one t for the whole batch, as the suite passes it
             zero = t == 0.0
             batch = exponent_cocycle_residual_batch(rep, *triples, 0.0,
                                                     state)
-            assert batch[zero].tobytes() == stacked[zero].tobytes()
+            assert (batch[:, zero].tobytes()
+                    == np.ascontiguousarray(stacked[:, zero]).tobytes())
             for i in range(3):
                 assert (exponent_cocycle_residual(
                     rep, *(x.element(i) for x in triples), t[i], state)
-                    == stacked[i])
+                    == stacked[0, i])
 
 
 # a NaN eta in s or q reaches term 0's alpha through the substitution of the
-# operator applied after it; r's eta enters only the quadratic phase of the
-# outermost operator, which leaves omega as it is in 2D
-@pytest.mark.parametrize("operand", ("s", "q"))
+# operator applied after it, and so the residual; r's eta enters only the
+# quadratic phase of the outermost operator, which leaves omega as it is in
+# 2D, and reaches the triple through its constancy spread
+@pytest.mark.parametrize("operand", ("r", "s", "q"))
 @pytest.mark.parametrize("rep", REPS.values(), ids=REPS)
 def test_a_nan_eta_gives_nan_in_its_own_triple_only(rep, operand,
                                                     monkeypatch):
     n, k = 5, 2
     state, triples = _triples(rep, n, 19)
-    scalar = np.array([exponent_cocycle_residual(
-        rep, *(x.element(i) for x in triples), 0.0, state)
-        for i in range(n)])
+    want = exponent_cocycle_residual_batch(rep, *triples, 0.0, state)
     j = "rsq".index(operand)
     poisoned = triples[j][:]
     poisoned.eta = poisoned.eta.copy()
@@ -204,8 +208,13 @@ def test_a_nan_eta_gives_nan_in_its_own_triple_only(rep, operand,
     # a validated element cannot hold a NaN: build the rows unvalidated
     monkeypatch.setattr(GalileiElement, "__post_init__", lambda self: None)
     got = exponent_cocycle_residual_batch(rep, *triples, 0.0, state)
-    assert np.isnan(got[k])
-    assert np.delete(got, k).tobytes() == np.delete(scalar, k).tobytes()
+    assert np.isnan(got[1, k])
+    if operand != "r" or rep.kind == "bargmann3d":
+        assert np.isnan(got[0, k])
+    else:
+        assert np.isfinite(got[0, k])
+    assert (np.delete(got, k, axis=1).tobytes()
+            == np.delete(want, k, axis=1).tobytes())
 
 
 def test_a_vanishing_state_still_gives_its_multiplier():
