@@ -44,8 +44,6 @@ __all__ = [
     "jacobi_residual_batch",
     "embed_algebra_batch",
     "exponential_batch",
-    "algebra_to_dict",
-    "algebra_from_dict",
 ]
 
 _ANTISYM_TOL = 1e-12
@@ -358,18 +356,3 @@ def exponential(X: AlgebraElement) -> GalileiElement:
     """Exponential map onto the group, via the embedding."""
     return exponential_batch(_row(X)).element(0)
 
-
-def algebra_to_dict(X: AlgebraElement) -> dict:
-    return {
-        "dim": X.dim,
-        "rot": [float(x) for x in X.rot.reshape(-1)],
-        "trans": [float(x) for x in X.trans],
-        "boost": [float(x) for x in X.boost],
-        "time": X.time,
-    }
-
-
-def algebra_from_dict(d: dict) -> AlgebraElement:
-    dim = int(d["dim"])
-    rot = np.asarray(d["rot"], dtype=float).reshape(dim, dim)
-    return AlgebraElement(dim, rot, d["trans"], d["boost"], float(d["time"]))

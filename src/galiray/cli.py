@@ -11,14 +11,14 @@ import sys
 
 import numpy as np
 
-from .cocycles import (DEFAULT_TAU_SEQUENCE, PhaseExponent,
+from .cocycles import (DEFAULT_TAU_SEQUENCE, PhaseExponent, evaluate,
                        infinitesimal_exponent)
 from .algebra import basis_element
 from .group import _row, element_from_dict, random_element
-from .harness import (DEFAULT_TOLERANCES, _fails, _heisenberg_entry,
-                      _json_safe, _mark_exception, _multipliers_pass,
-                      cocycle_sweep, default_config, load_config, report_json,
-                      run_suite)
+from .harness import (DEFAULT_TOLERANCES, _fails, _finite_positive,
+                      _heisenberg_entry, _json_safe, _mark_exception,
+                      _multipliers_pass, cocycle_sweep, default_config,
+                      load_config, report_json, run_suite)
 from .representations import MOMENTUM_KINDS, rep_to_dict
 from .states import random_state
 from .verify import extract_multiplier_batch, match_exponent_batch
@@ -139,7 +139,8 @@ def _cmd_heisenberg(args) -> int:
 
 def _cmd_action(args) -> int:
     r, s = _load_pair(args.pair, None, 0)
-    value = PhaseExponent("xi_t", r.dim, gamma=args.gamma, t=args.t)(r, s)
+    value = evaluate(PhaseExponent("xi_t", r.dim, gamma=args.gamma, t=args.t),
+                     r, s)
     _print({
         "gamma": args.gamma,
         "t": args.t,
@@ -155,6 +156,16 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(
             f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """argparse type: a finite, positive float, as a config's scale and
+    tolerances are."""
+    value = float(text)
+    if not _finite_positive(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite, positive number, got {text!r}")
     return value
 
 
@@ -187,8 +198,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, choices=(1, 2, 3))
     p.add_argument("--triples", type=int, default=1000)
     p.add_argument("--seed", type=_seed, default=12345)
-    p.add_argument("--scale", type=_finite, default=1.0)
-    p.add_argument("--tolerance", type=_finite,
+    p.add_argument("--scale", type=_positive, default=1.0)
+    p.add_argument("--tolerance", type=_positive,
                    default=DEFAULT_TOLERANCES["cocycle"])
     p.add_argument("--gamma", type=_finite, default=1.0)
     p.add_argument("--lam", type=_finite, default=1.0)

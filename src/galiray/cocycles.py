@@ -2,11 +2,15 @@
 
 Five closed-form two-argument exponents (xi0, xi1, xi2, xi_eta, xi_t), the
 cocycle residual that validates them, coboundary shifts, and the
-infinitesimal-exponent limit computed by Richardson extrapolation.  Each
-exponent formula is written once, row-wise over GalileiBatch
-(evaluate_batch); evaluate is its 1-row view.  The infinitesimal exponent
-runs every pair and tau as one batch (infinitesimal_exponent_batch), and
-infinitesimal_exponent is its 1-row view.
+infinitesimal-exponent limit computed by Richardson extrapolation.
+
+Every exponent is called row-wise: xi(r, s) takes two GalileiBatches and
+returns xi(r[i], s[i]) for every row.  A PhaseExponent's call is
+evaluate_batch, where each formula is written once; a coboundary-shifted
+exponent (equivalence_transform) calls its base and phi the same way.
+evaluate is the 1-row view of any exponent.  cocycle_residual_batch and
+infinitesimal_exponent_batch run every triple, pair and tau as one batch,
+and cocycle_residual and infinitesimal_exponent are their 1-row views.
 """
 from __future__ import annotations
 
@@ -74,22 +78,20 @@ class PhaseExponent:
                       "a1": self.a1, "a2": self.a2, "t": self.t}
         return {k: all_params[k] for k in used}
 
-    def __call__(self, r: gg.GalileiElement, s: gg.GalileiElement) -> float:
-        return evaluate(self, r, s)
+    def __call__(self, r: gg.GalileiBatch, s: gg.GalileiBatch) -> np.ndarray:
+        return evaluate_batch(self, r, s)
 
 
-def evaluate(xi: PhaseExponent, r: gg.GalileiElement,
-             s: gg.GalileiElement) -> float:
-    """xi(r, s) as a real number (no 2pi wrapping)."""
-    return float(evaluate_batch(xi, gg._row(r), gg._row(s))[0])
+def evaluate(xi, r: gg.GalileiElement, s: gg.GalileiElement) -> float:
+    """xi(r, s) of two elements as a real number (no 2pi wrapping); xi is
+    any row-wise exponent."""
+    return float(xi(gg._row(r), gg._row(s))[0])
 
 
 def cocycle_residual(xi, r: gg.GalileiElement, s: gg.GalileiElement,
                      q: gg.GalileiElement) -> float:
-    """|xi(r,s) + xi(rs,q) - xi(s,q) - xi(r,sq)|.
-
-    xi may be a PhaseExponent or any callable of two elements.
-    """
+    """|xi(r,s) + xi(rs,q) - xi(s,q) - xi(r,sq)| of three elements; xi is
+    any row-wise exponent."""
     return float(cocycle_residual_batch(xi, gg._row(r), gg._row(s),
                                         gg._row(q))[0])
 
@@ -125,33 +127,35 @@ def evaluate_batch(xi: PhaseExponent, r: gg.GalileiBatch,
 
 def cocycle_residual_batch(xi, r: gg.GalileiBatch, s: gg.GalileiBatch,
                            q: gg.GalileiBatch) -> np.ndarray:
-    """Row-wise cocycle_residual over triples of rows; xi as in
-    _evaluate_rows."""
+    """Row-wise cocycle_residual over triples of rows."""
     rs = gg.multiply_batch(r, s)
     sq = gg.multiply_batch(s, q)
-    return np.abs(_evaluate_rows(xi, r, s) + _evaluate_rows(xi, rs, q)
-                  - _evaluate_rows(xi, s, q) - _evaluate_rows(xi, r, sq))
+    return np.abs(xi(r, s) + xi(rs, q) - xi(s, q) - xi(r, sq))
 
 
 @dataclass(frozen=True)
 class _TransformedExponent:
-    """xi'(r,s) = xi(r,s) + phi(r) + phi(s) - phi(rs); same cocycle class."""
+    """xi'(r,s) = xi(r,s) + phi(r) + phi(s) - phi(rs); same cocycle class.
+    Row-wise, as its base exponent and phi."""
 
     name: str
     dim: int
     base: object
     phi: object
 
-    def __call__(self, r, s):
-        return self.base(r, s) + self.phi(r) + self.phi(s) - self.phi(gg.multiply(r, s))
+    def __call__(self, r: gg.GalileiBatch, s: gg.GalileiBatch) -> np.ndarray:
+        return (self.base(r, s) + self.phi(r) + self.phi(s)
+                - self.phi(gg.multiply_batch(r, s)))
 
 
 def equivalence_transform(xi, phi, dim: int | None = None):
-    """Shift xi by the coboundary of phi.  phi must vanish at the identity."""
+    """Shift the exponent xi by the coboundary of phi, a row-wise function
+    of a GalileiBatch (one value per row) that must vanish at the identity;
+    a NaN there fails too."""
     if dim is None:
         dim = xi.dim
-    at_identity = phi(gg.identity(dim))
-    if abs(at_identity) > 1e-12:
+    at_identity = np.asarray(phi(gg.identity_batch(dim, 1))).item()
+    if not abs(at_identity) <= 1e-12:
         raise ValueError(f"phi(identity) must be 0, got {at_identity}")
     name = getattr(xi, "name", "custom")
     return _TransformedExponent(name=f"{name}+coboundary", dim=dim,
@@ -195,15 +199,6 @@ def _repeat(X: la.AlgebraBatch, k: int) -> la.AlgebraBatch:
                              for f in la.AlgebraBatch.__slots__))
 
 
-def _evaluate_rows(xi, r: gg.GalileiBatch, s: gg.GalileiBatch) -> np.ndarray:
-    """evaluate_batch of a PhaseExponent; any other two-element callable
-    (a coboundary-shifted exponent, say) is called row by row."""
-    if isinstance(xi, PhaseExponent):
-        return evaluate_batch(xi, r, s)
-    return np.array([xi(r.element(i), s.element(i)) for i in range(len(r))],
-                    dtype=float)
-
-
 def _checked_taus(tau_sequence) -> tuple:
     """tau_sequence as a tuple of floats; ValueError unless it holds at
     least 3 values, all finite, positive and distinct (_richardson divides
@@ -232,8 +227,7 @@ def infinitesimal_exponent_batch(xi, X: la.AlgebraBatch, Y: la.AlgebraBatch,
     h = la.exponential_batch(_repeat(Y, k).scale(t))
     ginv, hinv = gg.inverse_batch(g), gg.inverse_batch(h)
     gh, ginv_hinv = gg.multiply_batch(g, h), gg.multiply_batch(ginv, hinv)
-    total = (_evaluate_rows(xi, gh, ginv_hinv) + _evaluate_rows(xi, g, h)
-             + _evaluate_rows(xi, ginv, hinv))
+    total = xi(gh, ginv_hinv) + xi(g, h) + xi(ginv, hinv)
     # tau ** 2 as Python rounds it
     samples = total.reshape(n, k) / np.array([tau ** 2 for tau in taus])
     return _richardson(taus, samples)
@@ -243,8 +237,8 @@ def infinitesimal_exponent(xi, X: la.AlgebraElement, Y: la.AlgebraElement,
                            tau_sequence=DEFAULT_TAU_SEQUENCE) -> InfinitesimalExponentValue:
     """Second-order limit
     lim tau^-2 [xi(gh, g^-1 h^-1) + xi(g, h) + xi(g^-1, h^-1)]
-    with g = exponential(tau X), h = exponential(tau Y); xi may be a
-    PhaseExponent or any callable of two elements."""
+    with g = exponential(tau X), h = exponential(tau Y); xi is any
+    row-wise exponent."""
     taus = tuple(map(float, tau_sequence))
     value, err, converged = infinitesimal_exponent_batch(
         xi, la._row(X), la._row(Y), taus)

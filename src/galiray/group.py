@@ -2,11 +2,12 @@
 
 An element bundles a rotation W, a time shift eta, a boost velocity v and a
 space translation u, composed as (W_r W_s, eta_r + eta_s, W_r v_s + v_r,
-W_r u_s + u_r + eta_s v_r).  The faithful (dim+2)x(dim+2) matrix picture and
-the momentum action used by the ray representations live here too.
+W_r u_s + u_r + eta_s v_r).  The faithful (dim+2)x(dim+2) matrix picture
+lives here too; the momentum substitution of the ray representations is
+representations.apply_batch's.
 
-Each operation is written once, over GalileiBatch rows; multiply, inverse,
-embed_matrix and rotation_angle run it on a 1-row batch.
+Each operation is written once, over GalileiBatch rows; multiply, inverse
+and embed_matrix run it on a 1-row batch.
 """
 from __future__ import annotations
 
@@ -23,9 +24,7 @@ __all__ = [
     "multiply",
     "inverse",
     "embed_matrix",
-    "act_on_momentum",
     "rotation_2d",
-    "rotation_angle",
     "random_element",
     "random_element_batch",
     "identity_batch",
@@ -222,12 +221,6 @@ def embed_matrix(r: GalileiElement) -> np.ndarray:
     return embed_matrix_batch(_row(r))[0]
 
 
-def act_on_momentum(r: GalileiElement, p, gamma: float) -> np.ndarray:
-    """Substitution argument W^{-1}(p + gamma v) used by the momentum reps."""
-    p = np.asarray(p, dtype=float)
-    return r.W.T @ (p + gamma * r.v)
-
-
 def rotation_2d(theta: float) -> np.ndarray:
     """2D rotation matrix for angle theta."""
     if not math.isfinite(theta):
@@ -235,16 +228,9 @@ def rotation_2d(theta: float) -> np.ndarray:
     return _rotations_2d((theta,))[0]
 
 
-def rotation_angle(r) -> float:
-    """Angle of the rotation part, dim=2 only; principal branch (-pi, pi]."""
-    W = r.W if isinstance(r, GalileiElement) else np.asarray(r, dtype=float)
-    if W.shape != (2, 2):
-        raise ValueError("rotation_angle is defined only for dim=2")
-    return float(_rotation_angles(W[None])[0])
-
-
 def _rotation_angles(W) -> np.ndarray:
-    """rotation_angle of each matrix of a (N,2,2) stack."""
+    """The angle of each rotation of a (N,2,2) stack, on the principal
+    branch (-pi, pi]."""
     # math.atan2, one row at a time: np.arctan2 (numpy 2.4) differs from libm
     # by one ulp on about 1% of the (cos, sin) pairs of random rotations,
     # which moves the digits of cocycle_xi2_dim2.  Its arguments come from

@@ -3,8 +3,8 @@
 Momentum-space kinds act on PolyGaussianState by a quadratic phase and the
 substitution p -> W^{-1}(p + gamma v); the position-space kind is specified
 by its generator family only.  The action is written once, row-wise over a
-GalileiBatch and a StateBatch with a per-row t (apply_batch); apply and
-apply_time are its 1-row views.
+GalileiBatch and a StateBatch with a per-row t (apply_batch); apply_time is
+its 1-row view, and the plain action U(r) is apply_time at t = 0.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ __all__ = [
     "RepDescriptor",
     "rep_to_dict",
     "rep_from_dict",
-    "apply",
     "apply_time",
     "apply_batch",
     "generator",
@@ -47,7 +46,9 @@ class RepDescriptor:
 
     gamma is the mass label of the momentum-space kinds, lam the extra
     boost-commutator label of nonabelian2d, s the rotation character label
-    of the 2D kinds. hbar, m, force_f, V0 belong to position1d only.
+    of the 2D kinds. hbar, m, force_f, V0 belong to position1d only.  Each
+    label is a finite number, neither a string nor a boolean, and is kept
+    as a float.
     """
 
     kind: str
@@ -63,9 +64,11 @@ class RepDescriptor:
         if self.kind not in KIND_DIMS:
             raise ValueError(f"unknown representation kind {self.kind!r}")
         for name in ("gamma", "lam", "s", "hbar", "m", "force_f", "V0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, "
-                                 f"got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (_is_number(value) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, "
+                                 f"got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.kind in MOMENTUM_KINDS and self.gamma == 0.0:
             raise ValueError("gamma must be nonzero (phases divide by it)")
         if self.kind == "position1d":
@@ -77,11 +80,6 @@ class RepDescriptor:
     @property
     def dim(self) -> int:
         return KIND_DIMS[self.kind]
-
-    @property
-    def a3(self) -> float:
-        # V0 = a3 / (2 a1) with a1 = m
-        return 2.0 * self.m * self.V0
 
 
 def rep_to_dict(rep: RepDescriptor) -> dict:
@@ -97,27 +95,18 @@ def rep_to_dict(rep: RepDescriptor) -> dict:
     }
 
 
-def _label(d: dict, key: str, default: float) -> float:
-    """A label of a representation document: a number, not a string or a
-    boolean (float() would read "0.9" and true as numbers)."""
-    value = d.get(key, default)
-    if not _is_number(value):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
 def rep_from_dict(d: dict) -> RepDescriptor:
     """Inverse of rep_to_dict; ValueError for any other document."""
     try:
         return RepDescriptor(
             kind=d["kind"],
-            gamma=_label(d, "gamma", 1.0),
-            lam=_label(d, "lambda", 0.0),
-            s=_label(d, "s", 0.0),
-            hbar=_label(d, "hbar", 1.0),
-            m=_label(d, "m", 1.0),
-            force_f=_label(d, "f", 0.0),
-            V0=_label(d, "V0", 0.0),
+            gamma=d.get("gamma", 1.0),
+            lam=d.get("lambda", 0.0),
+            s=d.get("s", 0.0),
+            hbar=d.get("hbar", 1.0),
+            m=d.get("m", 1.0),
+            force_f=d.get("f", 0.0),
+            V0=d.get("V0", 0.0),
         )
     except KeyError as exc:
         raise ValueError(f"representation lacks the key {exc}") from exc
@@ -177,15 +166,11 @@ def apply_batch(rep: RepDescriptor, r: GalileiBatch, t,
     return out
 
 
-def apply(rep: RepDescriptor, r: GalileiElement,
-          state: PolyGaussianState) -> PolyGaussianState:
-    """(U(r) f)(p) = e^{i phi_r(p)} f(W^{-1}(p + gamma v))."""
-    return apply_time(rep, r, 0.0, state)
-
-
 def apply_time(rep: RepDescriptor, r: GalileiElement, t: float,
                state: PolyGaussianState) -> PolyGaussianState:
-    """(U_t(r) f)(p) = e^{-i <p, v_r> t} (U(r) f)(p)."""
+    """(U_t(r) f)(p) = e^{-i <p, v_r> t} (U(r) f)(p), where the plain action
+    (U(r) f)(p) = e^{i phi_r(p)} f(W^{-1}(p + gamma v)) is its value at
+    t = 0."""
     return apply_batch(rep, _row(r), t, StateBatch.of(state)).row(0)
 
 

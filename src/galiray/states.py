@@ -58,11 +58,7 @@ __all__ = [
     "PolyDiffOperator",
     "inner_product",
     "inner_product_batch",
-    "state_norm",
-    "normalized",
     "random_state",
-    "state_to_dict",
-    "state_from_dict",
     "DEFAULT_MAX_DEGREE",
 ]
 
@@ -350,8 +346,8 @@ class _PolyRows:
         return cls(dim, deg, coef)
 
     def row(self, i: int) -> Polynomial:
-        """Row i as a Polynomial, its monomials in ascending order as
-        state_to_dict writes them."""
+        """Row i as a Polynomial, its monomials in ascending order, the
+        order in which random_state draws their coefficients."""
         monomials, columns = _ascending(self.dim, self.deg)
         return Polynomial._built(self.dim, dict(zip(
             monomials, self.coef[i, columns].tolist())))
@@ -858,17 +854,6 @@ def inner_product(f: PolyGaussianState, g: PolyGaussianState) -> complex:
     return complex(value[0])
 
 
-def state_norm(f: PolyGaussianState) -> float:
-    return math.sqrt(max(inner_product(f, f).real, 0.0))
-
-
-def normalized(f: PolyGaussianState) -> PolyGaussianState:
-    n = state_norm(f)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero state")
-    return f.scale(1.0 / n)
-
-
 @functools.cache
 def _draw_columns(dim: int, degree: int) -> np.ndarray:
     """Column in _basis(dim, degree) of each non-constant monomial, in the
@@ -956,35 +941,3 @@ def _monomials_up_to(dim: int, degree: int):
         for tail in _monomials_up_to(dim - 1, degree - head):
             yield (head,) + tail
 
-
-def _complex_to_pair(z: complex):
-    return [float(z.real), float(z.imag)]
-
-
-def state_to_dict(f: PolyGaussianState) -> dict:
-    terms = []
-    for t in f.terms:
-        poly = [list(exps) + _complex_to_pair(c)
-                for exps, c in sorted(t.poly.coeffs.items())]
-        terms.append({
-            "poly": poly,
-            "alpha": _complex_to_pair(t.alpha),
-            "beta": [_complex_to_pair(z) for z in t.beta],
-            "Gamma": [_complex_to_pair(z) for z in t.Gamma.reshape(-1)],
-        })
-    return {"dim": f.dim, "terms": terms}
-
-
-def state_from_dict(d: dict) -> PolyGaussianState:
-    dim = int(d["dim"])
-    terms = []
-    for td in d["terms"]:
-        coeffs = {}
-        for row in td["poly"]:
-            exps = tuple(int(e) for e in row[:dim])
-            coeffs[exps] = complex(row[dim], row[dim + 1])
-        alpha = complex(td["alpha"][0], td["alpha"][1])
-        beta = np.array([complex(a, b) for a, b in td["beta"]])
-        Gamma = np.array([complex(a, b) for a, b in td["Gamma"]]).reshape(dim, dim)
-        terms.append(PolyGaussianTerm(Polynomial(dim, coeffs), alpha, beta, Gamma))
-    return PolyGaussianState(dim, terms)

@@ -5,8 +5,8 @@ Heisenberg-picture constant fitting.
 Extraction, prediction, the time multiplier and the exponent-cocycle
 residual are written once, row-wise over GalileiBatch rows with a per-row t
 (the *_batch functions); extract_multiplier is the 1-row view of the
-extraction and exponent_cocycle_residual the 1-triple view of the residual,
-which pools the four multipliers of all its triples into one extraction.
+extraction, and the exponent-cocycle residual pools the four multipliers of
+all its triples into one extraction.
 U_t(r) U_t(s) f and U_t(rs) f are states of one term layout, so a
 multiplier is read off their term parameters: omega = e^{dalpha} of the
 first term, and every other difference of the two sides is a term
@@ -37,7 +37,6 @@ __all__ = [
     "extract_multiplier_batch",
     "expected_multiplier_exponent_batch",
     "match_exponent_batch",
-    "exponent_cocycle_residual",
     "exponent_cocycle_residual_batch",
     "check_time_multiplier_batch",
     "HeisenbergFitResult",
@@ -237,14 +236,6 @@ def exponent_cocycle_residual_batch(rep: RepDescriptor, r: GalileiBatch,
                      rows.modulus_error.reshape(4, n).max(axis=0)])
 
 
-def exponent_cocycle_residual(rep: RepDescriptor, r: GalileiElement,
-                              s: GalileiElement, q: GalileiElement,
-                              t: float, state: PolyGaussianState) -> float:
-    """The residual of the 1-triple exponent_cocycle_residual_batch."""
-    return float(exponent_cocycle_residual_batch(rep, _row(r), _row(s),
-                                                 _row(q), t, state)[0, 0])
-
-
 def check_time_multiplier_batch(rep: RepDescriptor, r: GalileiBatch,
                                 s: GalileiBatch, t,
                                 state: PolyGaussianState) -> np.ndarray:
@@ -307,13 +298,11 @@ def _fit_scalar(lhs: PolyDiffOperator, rhs: PolyDiffOperator):
     return complex(num / den)
 
 
-def heisenberg_fit(rep: RepDescriptor,
-                   generators=None) -> HeisenbergFitResult:
-    """Fit the evolution constant per generator, then look for a single
+def heisenberg_fit(rep: RepDescriptor) -> HeisenbergFitResult:
+    """Fit the evolution constant of each generator, then look for a single
     constant K; sign flips are reported if only a per-generator sign repair
     works."""
-    names = tuple(generators) if generators is not None \
-        else generator_names(rep)
+    names = generator_names(rep)
     H = generator(rep, "H")
     per_generator = {}
     time_independent = {}

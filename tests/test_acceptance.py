@@ -61,8 +61,8 @@ def test_acceptance_2_phase_exponent_cocycle_identities():
 
     # the eta_r variant of the fifth exponent must fail loudly, not quietly
     def broken(r, s):
-        vr, ur, etar = float(r.v[0]), float(r.u[0]), r.eta
-        vs, us, etas = float(s.v[0]), float(s.u[0]), s.eta
+        vr, ur, etar = r.v[:, 0], r.u[:, 0], r.eta
+        vs, us, etas = s.v[:, 0], s.u[:, 0], s.eta
         part1 = ur * vs - us * vr + etar * vr * vs
         part2 = ur * etas - us * etar - etar * etas * vr
         return 0.5 * (part1 + part2)

@@ -1,15 +1,12 @@
 """Lie algebra basis, brackets, Jacobi identity and the exponential map."""
 
 import itertools
-import json
 
 import numpy as np
 import pytest
 
 from galiray.algebra import (
     AlgebraElement,
-    algebra_from_dict,
-    algebra_to_dict,
     basis_element,
     basis_names,
     commutator,
@@ -178,14 +175,6 @@ def test_element_arithmetic_and_embedding_layout():
     assert Z.max_abs() == 2.0
 
 
-def test_algebra_dict_round_trip():
-    for seed in range(6):
-        dim = seed % 3 + 1
-        X = random_algebra_element(seed, dim, scale=2.0)
-        back = algebra_from_dict(algebra_to_dict(X))
-        assert mat_diff(embed_algebra(back), embed_algebra(X)) == 0.0
-
-
 NON_FINITE_ALGEBRA = {
     "nan_trans_inf_boost_nan_time": ([[0, 1], [-1, 0]], [np.nan, 0],
                                      [np.inf, 0], np.nan),
@@ -206,8 +195,3 @@ def test_non_finite_algebra_elements_are_rejected(parts):
     rot, trans, boost, time = parts
     with pytest.raises(ValueError, match="must be finite"):
         AlgebraElement(2, rot, trans, boost, time)
-    # json writes NaN and Infinity literals, which json.loads accepts
-    d = json.loads(json.dumps({"dim": 2, "rot": np.ravel(rot).tolist(),
-                               "trans": trans, "boost": boost, "time": time}))
-    with pytest.raises(ValueError, match="must be finite"):
-        algebra_from_dict(d)

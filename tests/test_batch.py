@@ -446,8 +446,9 @@ def test_infinitesimal_exponent_batches_its_taus_exactly():
     for tau in taus:
         g, h = exponential(X.scale(tau)), exponential(Y.scale(tau))
         gi, hi = inverse(g), inverse(h)
-        samples.append((xi(multiply(g, h), multiply(gi, hi)) + xi(g, h)
-                        + xi(gi, hi)) / tau ** 2)
+        samples.append((evaluate(xi, multiply(g, h), multiply(gi, hi))
+                        + evaluate(xi, g, h) + evaluate(xi, gi, hi))
+                       / tau ** 2)
     assert infinitesimal_exponent(xi, X, Y, taus).value == \
         _richardson(taus, np.array([samples]))[0][0]
 

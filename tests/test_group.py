@@ -10,7 +10,7 @@ from galiray.group import (
     _ORTHO_TOL,
     GalileiElement,
     _rotation_angles,
-    act_on_momentum,
+    _row,
     element_from_dict,
     element_to_dict,
     embed_matrix,
@@ -21,8 +21,9 @@ from galiray.group import (
     random_element,
     random_element_batch,
     rotation_2d,
-    rotation_angle,
 )
+from galiray.representations import RepDescriptor, apply_batch
+from galiray.states import PolyGaussianState, StateBatch
 
 
 def mat_diff(a, b):
@@ -102,32 +103,43 @@ def test_time_shift_feeds_boost_into_translation():
     assert mat_diff(sr.u, [0.0, 0.0]) == 0.0
 
 
+def _pulled_back_center(r, p0, gamma):
+    """The center of a Gaussian centered at p0 after the momentum
+    substitution p -> W^{-1}(p + gamma v) of r, which the momentum reps'
+    action apply_batch makes: the p with W^{-1}(p + gamma v) = p0."""
+    rep = RepDescriptor("bargmann3d" if r.dim == 3 else "schrodinger2d",
+                        gamma=gamma)
+    f = PolyGaussianState.gaussian(r.dim, beta=p0, Gamma=-0.5 * np.eye(r.dim))
+    return apply_batch(rep, _row(r), 0.0, StateBatch.of(f)).row(0).center()
+
+
 def test_momentum_action_composes_contravariantly():
+    # U(r) U(s) pulls a center back by s, then by r: the center of rs
     rng = np.random.default_rng(404)
     for _ in range(50):
-        dim = int(rng.integers(1, 4))
+        dim = int(rng.integers(2, 4))
         r = random_element(rng, dim)
         s = random_element(rng, dim)
-        p = rng.normal(size=dim)
+        p0 = rng.normal(size=dim)
         gamma = float(rng.uniform(0.5, 2.0))
-        direct = act_on_momentum(multiply(r, s), p, gamma)
-        stepped = act_on_momentum(s, act_on_momentum(r, p, gamma), gamma)
+        direct = _pulled_back_center(multiply(r, s), p0, gamma)
+        stepped = _pulled_back_center(r, _pulled_back_center(s, p0, gamma),
+                                      gamma)
         assert mat_diff(direct, stepped) < 1e-12
 
 
 def test_momentum_action_formula():
     r = GalileiElement(2, rotation_2d(-0.7), 0.3, [1.2, -0.5], [0.1, 0.9])
-    p = np.array([0.4, -1.1])
+    p0 = np.array([0.4, -1.1])
     gamma = 1.3
-    expected = r.W.T @ (p + gamma * np.asarray(r.v))
-    assert mat_diff(act_on_momentum(r, p, gamma), expected) == 0.0
+    expected = r.W @ p0 - gamma * np.asarray(r.v)
+    assert mat_diff(_pulled_back_center(r, p0, gamma), expected) < 1e-15
 
 
 def test_rotation_angle_recovers_theta():
-    for theta in (-3.0, -0.5, 0.0, 0.2, 1.9, 3.1):
-        assert abs(rotation_angle(rotation_2d(theta)) - theta) < 1e-12
-    with pytest.raises(ValueError):
-        rotation_angle(identity(3))
+    thetas = (-3.0, -0.5, 0.0, 0.2, 1.9, 3.1)
+    angles = _rotation_angles(np.array([rotation_2d(t) for t in thetas]))
+    assert mat_diff(angles, thetas) < 1e-12
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="theta must be finite"):
             rotation_2d(bad)
@@ -153,7 +165,7 @@ def test_random_element_determinism_and_angle_cap():
     assert mat_diff(embed_matrix(a), embed_matrix(b)) == 0.0
     for seed in range(40):
         r = random_element(seed, 2, max_angle=0.4)
-        assert abs(rotation_angle(r)) <= 0.4 + 1e-12
+        assert abs(_rotation_angles(r.W[None])[0]) <= 0.4 + 1e-12
     for seed in range(40):
         W = random_element(seed, 3).W
         assert mat_diff(W.T @ W, np.eye(3)) < 1e-12

@@ -12,7 +12,7 @@ import pytest
 from galiray import cli, cocycles, harness, representations
 from galiray.cli import main
 from galiray.group import GalileiElement, element_to_dict, identity
-from galiray.representations import rep_from_dict, rep_to_dict
+from galiray.representations import RepDescriptor, rep_from_dict, rep_to_dict
 from galiray.states import PolyDiffOperator
 from galiray.harness import (
     DEFAULT_TOLERANCES,
@@ -300,6 +300,20 @@ def test_config_dict_round_trip():
     assert config_from_dict(config_to_dict(cfg)) == cfg
     with pytest.raises(ValueError):
         config_from_dict({"n_tripels": 5})
+
+
+def test_every_rep_round_trips_through_a_config_document():
+    # labels given as integers are kept as floats, so a reloaded config
+    # writes the document it was read from
+    reps = (RepDescriptor("schrodinger2d", gamma=2, s=1),
+            RepDescriptor("nonabelian2d", gamma=1, lam=-1),
+            RepDescriptor("bargmann3d", gamma=3),
+            RepDescriptor("position1d", hbar=1, m=2, force_f=1, V0=0))
+    for cfg in (default_config(**TINY), default_config(reps=reps, **TINY)):
+        doc = config_to_dict(cfg)
+        back = config_from_dict(json.loads(json.dumps(doc)))
+        assert back == cfg
+        assert json.dumps(config_to_dict(back)) == json.dumps(doc)
 
 
 def test_load_config_line_format(tmp_path):
@@ -665,6 +679,20 @@ def test_cli_rejects_a_non_finite_float_flag(command, flag, value, tmp_path,
     capsys.readouterr()
     assert main(argv + [f"{flag}={value}"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ("0", "-3", "-0.0"))
+@pytest.mark.parametrize("flag", ("--scale", "--tolerance"))
+def test_cli_cocycle_rejects_a_scale_or_tolerance_that_is_not_positive(
+        flag, value, capsys):
+    # as a config's scale and tolerances must be: a scale of 0 sweeps
+    # identity elements and would pass on residual 0, and a negative one
+    # would cap the rotation angles below 0 and fail xi2 spuriously
+    argv = ["cocycle", "xi2", "--triples", "5"]
+    assert main(argv + [f"{flag}=0.5"]) == 0
+    capsys.readouterr()
+    assert main(argv + [f"{flag}={value}"]) == 2
+    assert "positive" in capsys.readouterr().err
 
 
 def test_cli_heisenberg(capsys):

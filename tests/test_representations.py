@@ -15,7 +15,6 @@ from galiray.representations import (
     KIND_DIMS,
     MOMENTUM_KINDS,
     RepDescriptor,
-    apply,
     apply_time,
     basis_generator_pairing,
     generator,
@@ -51,7 +50,20 @@ def test_descriptor_validation():
         RepDescriptor("position1d", m=-1.0)
     assert RepDescriptor("bargmann3d").dim == 3
     assert KIND_DIMS["schrodinger2d"] == 2
-    assert RepDescriptor("position1d", m=2.0, V0=0.75).a3 == 3.0
+
+
+# (kind, label): every label of RepDescriptor
+LABELS = (("bargmann3d", "gamma"), ("nonabelian2d", "lam"),
+          ("schrodinger2d", "s"), ("position1d", "hbar"), ("position1d", "m"),
+          ("position1d", "force_f"), ("position1d", "V0"))
+
+
+@pytest.mark.parametrize("value", (True, "0.9"), ids=("bool", "string"))
+@pytest.mark.parametrize("kind, label", LABELS,
+                         ids=[label for _, label in LABELS])
+def test_a_label_that_is_not_a_number_is_rejected(kind, label, value):
+    with pytest.raises(ValueError, match=f"{label} must be a finite number"):
+        RepDescriptor(kind, **{label: value})
 
 
 def test_descriptor_dict_round_trip():
@@ -70,7 +82,7 @@ def test_identity_element_acts_trivially():
     for kind in MOMENTUM_KINDS:
         rep = REPS[kind]
         f = random_state(rng, rep.dim, poly_degree=1)
-        g = apply(rep, identity(rep.dim), f)
+        g = apply_time(rep, identity(rep.dim), 0.0, f)
         for _ in range(8):
             p = rng.normal(size=rep.dim)
             assert abs(g.evaluate(p) - f.evaluate(p)) < 1e-14
@@ -82,7 +94,7 @@ def test_schrodinger_pure_boost_is_a_pure_shift():
     r = GalileiElement(2, np.eye(2), 0.0, v, np.zeros(2))
     rng = np.random.default_rng(452)
     f = random_state(rng, 2)
-    g = apply(rep, r, f)
+    g = apply_time(rep, r, 0.0, f)
     for _ in range(10):
         p = rng.normal(size=2)
         assert abs(g.evaluate(p) - f.evaluate(p + rep.gamma * v)) < 1e-13
@@ -94,7 +106,7 @@ def test_nonabelian_pure_boost_carries_a_wedge_phase():
     r = GalileiElement(2, np.eye(2), 0.0, v, np.zeros(2))
     rng = np.random.default_rng(453)
     f = random_state(rng, 2)
-    g = apply(rep, r, f)
+    g = apply_time(rep, r, 0.0, f)
     k = rep.lam / (2.0 * rep.gamma)
     for _ in range(10):
         p = rng.normal(size=2)
@@ -109,7 +121,7 @@ def test_translation_phase_is_linear_in_p():
     r = GalileiElement(3, np.eye(3), 0.0, np.zeros(3), u)
     rng = np.random.default_rng(454)
     f = random_state(rng, 3)
-    g = apply(rep, r, f)
+    g = apply_time(rep, r, 0.0, f)
     for _ in range(10):
         p = rng.normal(size=3)
         want = np.exp(1j * float(u @ p)) * f.evaluate(p)
@@ -122,7 +134,7 @@ def test_schrodinger_full_phase_formula():
     r = GalileiElement(2, rotation_2d(theta), 0.7, [0.4, -0.2], [-0.6, 0.3])
     rng = np.random.default_rng(455)
     f = random_state(rng, 2)
-    g = apply(rep, r, f)
+    g = apply_time(rep, r, 0.0, f)
     gamma, s = rep.gamma, rep.s
     u, v, eta = np.asarray(r.u), np.asarray(r.v), r.eta
     for _ in range(10):
@@ -133,6 +145,19 @@ def test_schrodinger_full_phase_formula():
         assert abs(g.evaluate(p) - want) < 1e-12
 
 
+def _static_phase(rep, r, p):
+    """phi_r(p) of the plain action (U(r) f)(p) = e^{i phi_r(p)}
+    f(W^{-1}(p + gamma v)), written out per kind."""
+    gamma, u, v, eta = rep.gamma, r.u, r.v, r.eta
+    phase = eta / (2.0 * gamma) * (p @ p) + u @ p
+    if rep.kind == "bargmann3d":
+        return phase + gamma * (u @ v) - 0.5 * eta * gamma * (v @ v)
+    if rep.kind == "nonabelian2d":
+        phase -= rep.lam / (2.0 * gamma) * (v[0] * p[1] - v[1] * p[0])
+    theta = np.arctan2(r.W[1, 0], r.W[0, 0])
+    return phase + 0.5 * gamma * (u @ v) + rep.s * theta
+
+
 def test_time_zero_reduces_to_the_static_map():
     rng = np.random.default_rng(456)
     for kind in MOMENTUM_KINDS:
@@ -141,10 +166,11 @@ def test_time_zero_reduces_to_the_static_map():
             r = random_element(rng, rep.dim)
             f = random_state(rng, rep.dim, poly_degree=k % 3)
             a = apply_time(rep, r, 0.0, f)
-            b = apply(rep, r, f)
             for _ in range(5):
                 p = rng.normal(size=rep.dim)
-                assert abs(a.evaluate(p) - b.evaluate(p)) < 1e-14
+                want = (np.exp(1j * _static_phase(rep, r, p))
+                        * f.evaluate(r.W.T @ (p + rep.gamma * r.v)))
+                assert abs(a.evaluate(p) - want) < 1e-12
 
 
 def test_time_factor_is_a_boost_plane_wave():
@@ -154,7 +180,7 @@ def test_time_factor_is_a_boost_plane_wave():
     f = random_state(rng, 2)
     t = 1.3
     g = apply_time(rep, r, t, f)
-    h = apply(rep, r, f)
+    h = apply_time(rep, r, 0.0, f)
     for _ in range(10):
         p = rng.normal(size=2)
         factor = np.exp(-1j * t * float(np.asarray(r.v) @ p))
@@ -166,7 +192,7 @@ def test_position_representation_has_no_pointwise_action():
     f = random_state(np.random.default_rng(0), 1)
     r = random_element(3, 1)
     with pytest.raises(ValueError):
-        apply(rep, r, f)
+        apply_time(rep, r, 0.0, f)
     with pytest.raises(ValueError):
         apply_time(rep, r, 0.5, f)
 
@@ -174,9 +200,11 @@ def test_position_representation_has_no_pointwise_action():
 def test_apply_rejects_dimension_mismatch():
     rep = REPS["bargmann3d"]
     with pytest.raises(ValueError):
-        apply(rep, random_element(4, 2), random_state(np.random.default_rng(1), 3))
+        apply_time(rep, random_element(4, 2), 0.0,
+                   random_state(np.random.default_rng(1), 3))
     with pytest.raises(ValueError):
-        apply(rep, random_element(4, 3), random_state(np.random.default_rng(1), 2))
+        apply_time(rep, random_element(4, 3), 0.0,
+                   random_state(np.random.default_rng(1), 2))
 
 
 def test_unitarity_of_the_momentum_maps():

@@ -25,10 +25,9 @@ from galiray.algebra import basis_element, basis_names
 from galiray.cocycles import (PhaseExponent, equivalence_transform,
                               infinitesimal_exponent,
                               infinitesimal_exponent_batch)
-from galiray.group import random_element, random_element_batch
+from galiray.group import _row, random_element, random_element_batch
 from galiray.harness import default_config, report_json, run_suite
-from galiray.representations import (RepDescriptor, apply, apply_batch,
-                                     apply_time)
+from galiray.representations import RepDescriptor, apply_batch, apply_time
 from galiray.states import (PolyGaussianState, PolyGaussianTerm, Polynomial,
                             StateBatch, _monomials_up_to, inner_product,
                             inner_product_batch, random_state)
@@ -55,7 +54,7 @@ EXPONENTS = {
     "xi_eta": PhaseExponent("xi_eta", 1, a1=0.9, a2=0.7),
     "coboundary": equivalence_transform(
         PhaseExponent("xi0", 2, gamma=0.7),
-        lambda r: 0.7 * r.eta ** 2 + 0.3 * r.u[0] * r.v[1]),
+        lambda r: 0.7 * r.eta ** 2 + 0.3 * r.u[:, 0] * r.v[:, 1]),
 }
 
 
@@ -93,7 +92,7 @@ def test_the_infinitesimal_batch_rejects_bad_tau_sequences():
 def test_a_limit_that_does_not_exist_is_unconverged():
     # the bracket combination grows as tau^0.5, so F diverges as tau^-1.5
     def rough(r, s):
-        return math.sqrt(abs(r.u[0]) + abs(r.v[0]))
+        return np.sqrt(np.abs(r.u[:, 0]) + np.abs(r.v[:, 0]))
 
     _, _, (XB, YB) = _basis_pairs(1)
     value, err, converged = infinitesimal_exponent_batch(rough, XB, YB)
@@ -394,8 +393,9 @@ def test_the_carrier_families_build_no_polynomial_per_case(monkeypatch):
 
 def test_time_zero_matches_a_case_by_case_loop(monkeypatch):
     """The draws and verdicts of the check, one case at a time through
-    random_state, random_element, apply_time at t = 0 and apply, compared
-    at sample points."""
+    random_state, random_element and apply_time at t = 0 against the plain
+    action apply_batch gives at the single t = 0.0, compared at sample
+    points."""
     cfg = default_config(**{**TINY, "n_time_zero_cases": 7})
     calls = []
 
@@ -424,7 +424,8 @@ def test_time_zero_matches_a_case_by_case_loop(monkeypatch):
             assert _same(row.alpha, term.alpha)
             assert _same(row.beta, term.beta) and _same(row.Gamma, term.Gamma)
             points = default_sample_points(f, n=8, seed=entry["seed"] + i)
-            timed, plain = apply_time(rep, r, 0.0, f), apply(rep, r, f)
+            timed = apply_time(rep, r, 0.0, f)
+            plain = apply_batch(rep, _row(r), 0.0, StateBatch.of(f)).row(0)
             worst = max([worst] + [abs(timed.evaluate(p) - plain.evaluate(p))
                                    for p in points])
         assert entry["pass"] is True

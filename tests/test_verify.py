@@ -16,7 +16,6 @@ from galiray.verify import (
     check_time_multiplier_batch,
     default_sample_points,
     expected_multiplier_exponent_batch,
-    exponent_cocycle_residual,
     exponent_cocycle_residual_batch,
     extract_multiplier,
     extract_multiplier_batch,
@@ -139,8 +138,14 @@ def test_exponent_cocycle_residual_is_small():
             s = random_element(rng, rep.dim)
             q = random_element(rng, rep.dim)
             t = float(rng.uniform(-1.0, 1.0))
-            res = exponent_cocycle_residual(rep, r, s, q, t, state)
+            res = _one_triple(rep, r, s, q, t, state)
             assert res < 1e-8
+
+
+def _one_triple(rep, r, s, q, t, state):
+    """The exponent-cocycle residual of the triple of elements (r, s, q)."""
+    return float(exponent_cocycle_residual_batch(
+        rep, _row(r), _row(s), _row(q), t, state)[0, 0])
 
 
 def _stacked_exponent_cocycle_residual(rep, r, s, q, t, state):
@@ -184,7 +189,7 @@ def test_exponent_cocycle_residual_is_the_stacked_one_bit_for_bit():
             assert (batch[:, zero].tobytes()
                     == np.ascontiguousarray(stacked[:, zero]).tobytes())
             for i in range(3):
-                assert (exponent_cocycle_residual(
+                assert (_one_triple(
                     rep, *(x.element(i) for x in triples), t[i], state)
                     == stacked[0, i])
 
@@ -279,12 +284,18 @@ def test_force_free_position_fit_is_uniform():
 
 
 def test_fit_on_a_generator_subset():
+    # H and N alone agree on K = i: H constrains nothing and N fits i; only
+    # P, at -i, keeps the full fit from being uniform
     rep = RepDescriptor("position1d", m=1.0, hbar=1.0, force_f=0.5, V0=0.25)
-    fit = heisenberg_fit(rep, generators=["H", "N"])
-    assert fit.uniform
-    assert abs(fit.K - 1j) < 1e-12
-    assert set(fit.per_generator) == {"H", "N"}
-    assert fit.time_independent == {"H": True, "N": False}
+    fit = heisenberg_fit(rep)
+    assert not fit.uniform
+    assert set(fit.per_generator) == {"H", "P", "N"}
+    H, P, N = (fit.per_generator[name] for name in ("H", "P", "N"))
+    assert not H["constrained"] and H["K"] is None
+    assert N["constrained"] and abs(N["K"] - 1j) < 1e-12
+    assert P["constrained"] and abs(P["K"] + 1j) < 1e-12
+    assert max(H["residual"], N["residual"]) < 1e-12
+    assert fit.time_independent == {"H": True, "P": False, "N": False}
 
 
 def test_generators_at_time_zero_match_the_static_ones():
