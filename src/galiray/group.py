@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,11 @@ def _check_dim(dim):
 
 
 def _is_number(x) -> bool:
-    """An int or a float, but not a bool: a JSON true is an int in Python."""
-    return not isinstance(x, bool) and isinstance(x, (int, float))
+    """A float, or an int that a float holds, but not a bool: a JSON true is
+    an int in Python, and a JSON integer may exceed every float."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return abs(x) <= sys.float_info.max
+    return isinstance(x, float)
 
 
 def _frozen(a):

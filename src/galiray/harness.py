@@ -557,12 +557,6 @@ def _multiplier_residuals(rep, state, r, s):
     return np.stack([rows.constancy_spread, rows.modulus_error, match])
 
 
-def _exponent_cocycle_residuals(rep, state, r, s, q):
-    """(exponent-cocycle residual, constancy spread, modulus error) of each
-    triple (r, s, q) at t = 0."""
-    return exponent_cocycle_residual_batch(rep, r, s, q, 0.0, state)
-
-
 def _multipliers_pass(cfg: SuiteConfig, spread, modulus, match) -> bool:
     """The verdict on multipliers of pairs with these worst constancy
     spread, modulus error and matched-exponent residual; NaN fails."""
@@ -583,7 +577,8 @@ def _check_multipliers(cfg: SuiteConfig):
             functools.partial(_multiplier_residuals, rep, state))
         max_cocycle, triple_spread, triple_modulus = _sweep(
             rng, cfg.n_exponent_triples, _elements(3, rep.dim, cfg.scale),
-            functools.partial(_exponent_cocycle_residuals, rep, state))
+            functools.partial(exponent_cocycle_residual_batch, rep, t=0.0,
+                              state=state))
         # the triples' extractions are held to the pairs' tolerances
         max_spread = _worst((max_spread, triple_spread))
         max_modulus = _worst((max_modulus, triple_modulus))

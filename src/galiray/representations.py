@@ -82,34 +82,28 @@ class RepDescriptor:
         return KIND_DIMS[self.kind]
 
 
+# the document key of each RepDescriptor field, as rep_to_dict writes them
+_REP_KEYS = {"kind": "kind", "gamma": "gamma", "lambda": "lam", "s": "s",
+             "hbar": "hbar", "m": "m", "f": "force_f", "V0": "V0"}
+
+
 def rep_to_dict(rep: RepDescriptor) -> dict:
-    return {
-        "kind": rep.kind,
-        "gamma": rep.gamma,
-        "lambda": rep.lam,
-        "s": rep.s,
-        "hbar": rep.hbar,
-        "m": rep.m,
-        "f": rep.force_f,
-        "V0": rep.V0,
-    }
+    return {key: getattr(rep, name) for key, name in _REP_KEYS.items()}
 
 
 def rep_from_dict(d: dict) -> RepDescriptor:
-    """Inverse of rep_to_dict; ValueError for any other document."""
+    """Inverse of rep_to_dict; ValueError for any other document, one with
+    a key that rep_to_dict does not write too."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a representation must be an object, got {d!r}")
+    unknown = set(d) - set(_REP_KEYS)
+    if unknown:
+        raise ValueError(f"unknown representation keys: "
+                         f"{sorted(unknown, key=str)}")
+    if "kind" not in d:
+        raise ValueError("representation lacks the key 'kind'")
     try:
-        return RepDescriptor(
-            kind=d["kind"],
-            gamma=d.get("gamma", 1.0),
-            lam=d.get("lambda", 0.0),
-            s=d.get("s", 0.0),
-            hbar=d.get("hbar", 1.0),
-            m=d.get("m", 1.0),
-            force_f=d.get("f", 0.0),
-            V0=d.get("V0", 0.0),
-        )
-    except KeyError as exc:
-        raise ValueError(f"representation lacks the key {exc}") from exc
+        return RepDescriptor(**{_REP_KEYS[key]: v for key, v in d.items()})
     except TypeError as exc:
         raise ValueError(f"malformed representation {d!r}: {exc}") from exc
 

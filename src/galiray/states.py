@@ -6,8 +6,9 @@ family to itself, so all checks run in closed form with no discretization.
 Inner products reduce to complex Gaussian moment formulas.
 
 A state has one pointwise formula, PolyGaussianState.evaluate (with
-Polynomial.eval), kept for tests and tools: no check evaluates a state at a
-point.
+Polynomial.eval), and an operator one action, PolyDiffOperator.apply_batch
+on the rows of a StateBatch, whose one-row view is apply.  Both are kept for
+tests and tools: no check evaluates a state at a point or applies an operator.
 
 StateBatch stacks N states of one term layout, so that N carrier actions
 run as one array pass: its substitute and multiply_phase act row-wise, and
@@ -21,8 +22,9 @@ products conj(f) g of an inner product and the shift of its Gaussian
 integral run on these arrays through one product table per pair of
 degrees, and add each coefficient's terms one at a time in an order fixed
 by the degrees, so row i equals the 1-row call bit for bit whatever degrees
-the other rows have.  The sparse Polynomial stays the form of single states
-and of PolyDiffOperator coefficients.
+the other rows have.  PolyDiffOperator.apply_batch runs on them too, each
+coefficient fixed at t as one dense row.  The sparse Polynomial stays the
+form of single states and of operator coefficients, which keep t symbolic.
 
 random_state is the one-row view of _StateDraws: a draw-only loop takes
 each state's raw numbers from the stream in the case-by-case order, and one
@@ -33,9 +35,9 @@ negative-definite real part.  PolyGaussianState(...) checks it, once, when
 a state is built from input.  The transforms that keep it by construction
 build their result without a re-check: substitute (a congruence by an
 orthogonal W, which it requires), multiply_phase with a symmetric, purely
-imaginary quad, scale, add, conjugated, and PolyDiffOperator.apply, which
-reuses each input term's Gamma.  random_state draws terms that keep it, and
-builds its state without the check too.
+imaginary quad, scale, add, conjugated, and PolyDiffOperator.apply_batch,
+which reuses each input term's Gamma.  random_state draws terms that keep
+it, and builds its state without the check too.
 """
 from __future__ import annotations
 
@@ -179,15 +181,6 @@ class Polynomial:
             key = tuple(e)
             out[key] = out.get(key, 0.0) + c * value ** power
         return Polynomial(self.nvars, out)
-
-    def drop_var(self, i: int) -> "Polynomial":
-        """Remove a variable that no monomial uses."""
-        out = {}
-        for exps, c in self.coeffs.items():
-            if exps[i] != 0:
-                raise ValueError("cannot drop a variable still in use")
-            out[exps[:i] + exps[i + 1:]] = c
-        return Polynomial(self.nvars - 1, out)
 
     def conj(self) -> "Polynomial":
         """Coefficient-wise conjugate; equals pointwise conjugation on
@@ -336,13 +329,14 @@ class _PolyRows:
 
     @classmethod
     def of(cls, polys, dim: int) -> "_PolyRows":
-        """The Polynomials as rows, at the highest of their degrees."""
+        """The Polynomials as rows, at the highest of their degrees, in their
+        first dim variables: any further variable must be unused."""
         deg = max(p.degree() for p in polys)
         index = _index(dim, deg)
         coef = np.zeros((len(polys), len(index)), dtype=complex)
         for row, poly in zip(coef, polys):
             for exps, c in poly.coeffs.items():
-                row[index[exps]] = c
+                row[index[exps[:dim]]] = c
         return cls(dim, deg, coef)
 
     def row(self, i: int) -> Polynomial:
@@ -698,6 +692,9 @@ class PolyDiffOperator:
             self.dim, [(coeff.diff(self.dim), d) for coeff, d in self.terms])
 
     def at_time(self, t: float) -> "PolyDiffOperator":
+        """The operator with t fixed to a number, which must be finite."""
+        if not cmath.isfinite(t):
+            raise ValueError(f"t must be finite, got {t!r}")
         return PolyDiffOperator.build(
             self.dim, [(coeff.subs_var(self.dim, t), d)
                        for coeff, d in self.terms])
@@ -708,48 +705,56 @@ class PolyDiffOperator:
         return float(np.max([coeff.max_abs() for coeff, _ in self.terms],
                             initial=0.0))
 
-    def apply(self, state: PolyGaussianState, t: float = 0.0,
-              max_degree: int = DEFAULT_MAX_DEGREE) -> PolyGaussianState:
-        """Exact action on a state, with t fixed numerically."""
-        if state.dim != self.dim:
+    def apply_batch(self, states: StateBatch, t: float = 0.0,
+                    max_degree: int = DEFAULT_MAX_DEGREE) -> StateBatch:
+        """Exact action on each row, with t fixed numerically.  Each operator
+        term whose coefficient is nonzero at t gives one term per state term,
+        operator term outer; with none, each row is one zero term."""
+        if states.dim != self.dim:
             raise ValueError("dimension mismatch")
         dim = self.dim
-        out_terms = []
-        for coeff, deriv in self.terms:
-            coeff_p = coeff.subs_var(dim, t).drop_var(dim)
-            for term in state.terms:
-                poly = term.poly
-                for i in range(dim):
-                    for _ in range(deriv[i]):
-                        poly = _poly_after_derivative(poly, term, i)
-                poly = poly * coeff_p
-                if poly.degree() > max_degree:
+        out = []
+        for coeff, deriv in self.at_time(t).terms:
+            coeff = _PolyRows.of([coeff], dim)
+            for poly, alpha, beta, Gamma in states.terms:
+                deg = poly.deg + sum(deriv) + coeff.deg
+                if deg > max_degree:
                     raise DegreeOverflowError(
-                        f"degree {poly.degree()} exceeds bound {max_degree}")
-                if not poly.is_zero():
-                    out_terms.append(PolyGaussianTerm(poly, term.alpha,
-                                                      term.beta, term.Gamma))
-        if not out_terms:
-            zero_term = PolyGaussianTerm(Polynomial(dim), 0j,
-                                         np.zeros(dim, dtype=complex),
-                                         -0.5 * np.eye(dim, dtype=complex))
-            out_terms = [zero_term]
-        # every term reuses the Gamma of a term of state
-        return PolyGaussianState._trusted(dim, out_terms)
+                        f"degree {deg} exceeds bound {max_degree}")
+                for i, k in enumerate(deriv):
+                    # d/dp_i [poly e^g] = (poly' + poly lin) e^g, with lin
+                    # the degree-1 rows beta_i + 2 (Gamma p)_i
+                    lin = np.concatenate((beta[:, i, None], 2.0 * Gamma[:, i]),
+                                         axis=1)
+                    for _ in range(k):
+                        coef = _product(poly.coef, lin, dim, poly.deg, 1)
+                        K, J, E = _derivative_columns(dim, poly.deg, i)
+                        coef[:, K] += poly.coef[:, J] * E
+                        poly = _PolyRows(dim, poly.deg + 1, coef)
+                out.append((_PolyRows(dim, deg, _product(
+                    poly.coef, coeff.coef, dim, poly.deg, coeff.deg)),
+                    alpha, beta, Gamma))
+        if not out:
+            zero = PolyGaussianState.gaussian(dim, poly=Polynomial(dim))
+            return StateBatch.of(zero, len(states))
+        # every term reuses the Gamma of a term of states
+        return StateBatch(dim, out)
+
+    def apply(self, state: PolyGaussianState, t: float = 0.0,
+              max_degree: int = DEFAULT_MAX_DEGREE) -> PolyGaussianState:
+        """Exact action on a state, with t fixed numerically: the one-row
+        view of apply_batch."""
+        return self.apply_batch(StateBatch.of(state), t, max_degree).row(0)
 
 
-def _poly_after_derivative(poly: Polynomial, term: PolyGaussianTerm,
-                           i: int) -> Polynomial:
-    # d/dp_i [poly e^g] = (poly' + poly (beta_i + 2 (Gamma p)_i)) e^g
-    dim = poly.nvars
-    lin = {tuple([0] * dim): term.beta[i]}
-    for j in range(dim):
-        g = term.Gamma[i, j]
-        if g != 0:
-            e = [0] * dim
-            e[j] = 1
-            lin[tuple(e)] = 2.0 * g
-    return poly.diff(i) + poly * Polynomial(dim, lin)
+@functools.cache
+def _derivative_columns(dim: int, deg: int, i: int) -> np.ndarray:
+    """d/dq_i over _basis(dim, deg) as rows (K, J, E): column K[j] of the
+    derivative is E[j] times column J[j]."""
+    index = _index(dim, deg)
+    return np.array([(index[e[:i] + (e[i] - 1,) + e[i + 1:]], j, e[i])
+                     for j, e in enumerate(_basis(dim, deg)) if e[i]],
+                    dtype=int).reshape(-1, 3).T
 
 
 def _sub_multi_indices(a):

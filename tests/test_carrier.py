@@ -10,10 +10,12 @@ written out term by term.  The trusted transforms must keep every term's
 Gamma symmetric with a negative-definite real part, which the validating
 check confirms.  The congruence in real arithmetic and the draws in place
 must give what the complex product and the rng.normal draws they replace
-give, bit for bit.
+give, bit for bit.  An operator acts on the dense rows of a StateBatch, and
+each row must match the per-term dict loop it replaces.
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +27,9 @@ from galiray import harness, verify
 from galiray.group import GalileiElement, _rodrigues, rotation_2d
 from galiray.representations import (RepDescriptor, apply_batch,
                                      apply_time, generator, generator_names)
-from galiray.states import (PolyGaussianState, Polynomial, StateBatch,
+from galiray.states import (DEFAULT_MAX_DEGREE, DegreeOverflowError,
+                            PolyDiffOperator, PolyGaussianState,
+                            PolyGaussianTerm, Polynomial, StateBatch,
                             _check_gamma, _cmul, _congruence, _PolyRows,
                             _size, _StateDraws, random_state)
 
@@ -497,3 +501,136 @@ def test_state_draws_in_place_take_the_stream_of_rng_normal(dim, n_terms):
     assert got.normal.tobytes() == want.normal.tobytes()
     assert got.uniform.tobytes() == want.uniform.tobytes()
     assert np.array_equal(got.degree, want.degree)
+
+
+# -- the operator action on dense rows ---------------------------------------
+
+def _reference_apply(op, state, t=0.0, max_degree=DEFAULT_MAX_DEGREE):
+    """The terms of op applied to state by the per-term dict loop that
+    PolyDiffOperator.apply ran before apply_batch: each coefficient fixed at
+    t, each derivative d/dp_i taken as poly' + poly (beta_i + 2 (Gamma p)_i),
+    and the zero products dropped."""
+    dim = op.dim
+    out = []
+    for coeff, deriv in op.terms:
+        coeff_p = Polynomial(dim, {e[:dim]: c for e, c in
+                                   coeff.subs_var(dim, t).coeffs.items()})
+        for term in state.terms:
+            poly = term.poly
+            for i in range(dim):
+                for _ in range(deriv[i]):
+                    lin = {(0,) * dim: term.beta[i]}
+                    for j in range(dim):
+                        if term.Gamma[i, j] != 0:
+                            lin[tuple(int(j == k) for k in range(dim))] = (
+                                2.0 * term.Gamma[i, j])
+                    poly = poly.diff(i) + poly * Polynomial(dim, lin)
+            poly = poly * coeff_p
+            if poly.degree() > max_degree:
+                raise DegreeOverflowError(poly.degree())
+            if not poly.is_zero():
+                out.append(PolyGaussianTerm(poly, term.alpha, term.beta,
+                                            term.Gamma))
+    return out
+
+
+def _assert_terms_match(got, want):
+    """Same term layout, and each coefficient within 1e-15 of the largest
+    of its reference term."""
+    assert len(got.terms) == len(want)
+    for g, w in zip(got.terms, want):
+        assert g.alpha == w.alpha
+        assert np.array_equal(g.beta, w.beta)
+        assert np.array_equal(g.Gamma, w.Gamma)
+        assert g.poly.coeffs.keys() == w.poly.coeffs.keys()
+        scale = w.poly.max_abs()
+        for e, c in w.poly.coeffs.items():
+            assert abs(g.poly.coeffs[e] - c) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("t", (0.0, 0.8, -1.7))
+@pytest.mark.parametrize("rep", harness.default_config().reps,
+                         ids=lambda rep: rep.kind)
+def test_apply_batch_matches_the_dict_loop_on_every_row(rep, t):
+    rng = np.random.default_rng(750)
+    degrees = (0, 1, 2, 2, 0, 1, 1, 2, 0)
+    for n_terms in (1, 2):
+        states = [random_state(rng, rep.dim, poly_degree=d, n_terms=n_terms)
+                  for d in degrees]
+        batch = StateBatch.stack(states)
+        for name in generator_names(rep):
+            op = generator(rep, name)
+            out = op.apply_batch(batch, t)
+            assert len(out) == len(states)
+            for i, f in enumerate(states):
+                row = out.row(i)
+                _assert_terms_match(row, want=_reference_apply(op, f, t))
+                # whatever degrees the other rows have, row i is the 1-row
+                # call bit for bit
+                assert [u.poly.coeffs for u in row.terms] == [
+                    u.poly.coeffs for u in op.apply(f, t).terms]
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_degree_overflow_fires_where_the_dict_loop_fired(dim):
+    rng = np.random.default_rng(760 + dim)
+    for deg, c, k in itertools.product(range(3), repeat=3):
+        # p_0^c d^k/dp_0^k on states up to degree deg: degree deg + c + k
+        coeff = Polynomial(dim + 1, {(c,) + (0,) * dim: 1.0})
+        op = PolyDiffOperator.build(dim, [(coeff, (k,) + (0,) * (dim - 1))])
+        states = [random_state(rng, dim, poly_degree=d)
+                  for d in range(deg + 1)]
+        batch = StateBatch.stack(states)
+        need = deg + c + k
+        for bound in range(need + 2):
+            try:
+                _reference_apply(op, states[-1], max_degree=bound)
+                overflows = False
+            except DegreeOverflowError:
+                overflows = True
+            assert overflows == (need > bound)
+            for call in (lambda: op.apply(states[-1], max_degree=bound),
+                         lambda: op.apply_batch(batch, max_degree=bound)):
+                if overflows:
+                    with pytest.raises(DegreeOverflowError):
+                        call()
+                else:
+                    call()
+        # a bound lifted to the degree needed lets the action through
+        assert op.apply(states[-1], max_degree=need).max_degree() == need
+
+
+def test_a_coefficient_that_vanishes_at_t_gives_no_term():
+    # (t - 1) p_0 + d/dp_0 at t = 1 keeps only the derivative term; at t = 1
+    # the coefficient of t - 1 alone leaves the zero state on every row
+    dim = 2
+    t_minus_1 = Polynomial(dim + 1, {(1, 0, 1): 1.0, (1, 0, 0): -1.0})
+    vanishing = PolyDiffOperator.build(dim, [(t_minus_1, (0, 0))])
+    op = vanishing + PolyDiffOperator.derivative(dim, 0)
+    rng = np.random.default_rng(770)
+    states = [random_state(rng, dim, poly_degree=d, n_terms=2)
+              for d in (0, 2, 1)]
+    batch = StateBatch.stack(states)
+    out = op.apply_batch(batch, t=1.0)
+    assert len(out.terms) == 2
+    for i, f in enumerate(states):
+        _assert_terms_match(out.row(i), _reference_apply(op, f, t=1.0))
+    zero = vanishing.apply_batch(batch, t=1.0)
+    assert len(zero) == len(states)
+    for i in range(len(states)):
+        (term,) = zero.row(i).terms
+        assert term.poly.is_zero() and term.alpha == 0.0
+        assert np.array_equal(term.Gamma, -0.5 * np.eye(dim))
+
+
+@pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf))
+def test_a_non_finite_time_is_rejected(t):
+    rep = harness.default_config().reps[0]
+    f = random_state(780, rep.dim, poly_degree=1)
+    op = generator(rep, "N1")
+    for call in (lambda: op.apply(f, t=t),
+                 lambda: op.apply_batch(StateBatch.of(f, 2), t=t),
+                 lambda: generator(rep, "N1", t),
+                 lambda: op.at_time(t)):
+        with pytest.raises(ValueError, match="t must be finite"):
+            call()

@@ -295,6 +295,21 @@ def test_config_rejects_non_finite_rep_labels(rep, tmp_path):
         load_config(str(as_lines))
 
 
+@pytest.mark.parametrize("rep", ({"kind": "bargmann3d", "gammma": 2},
+                                 "bargmann3d"), ids=("misspelt_key", "string"))
+def test_config_rejects_a_rep_document_rep_to_dict_does_not_write(rep,
+                                                                  tmp_path,
+                                                                  capsys):
+    # a misspelt label would otherwise run at its default, gamma = 1
+    doc = {"reps": [rep]}
+    with pytest.raises(ValueError, match="gammma|object"):
+        config_from_dict(doc)
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify-all", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_config_dict_round_trip():
     cfg = default_config(seed=99, **TINY)
     assert config_from_dict(config_to_dict(cfg)) == cfg
@@ -626,6 +641,35 @@ def test_cli_rejects_a_malformed_pair_file(doc, argv, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(argv + ["--pair", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+HUGE = 10 ** 400  # a JSON integer beyond every float
+HUGE_INPUTS = {
+    "scale": (["verify-all", "--config"], {"scale": HUGE}),
+    "seed": (["verify-all", "--config"], {"seed": HUGE}),
+    "n_pairs": (["verify-all", "--config"], {"n_pairs": HUGE}),
+    "tolerance": (["verify-all", "--config"], {"tolerances": {"group": HUGE}}),
+    "t_samples": (["verify-all", "--config"], {"t_samples": [0.5, HUGE]}),
+    "tau_sequence": (["verify-all", "--config"],
+                     {"tau_sequence": [0.1, 0.05, HUGE]}),
+    "rep_gamma": (["verify-all", "--config"],
+                  {"reps": [{"kind": "bargmann3d", "gamma": HUGE}]}),
+    "multiplier_eta": (["multiplier", "--rep", "schrodinger2d", "--pair"],
+                       _element_with("eta", HUGE)),
+    "action_eta": (["action", "--gamma", "1.0", "--t", "1.0", "--pair"],
+                   _element_with("eta", HUGE)),
+}
+
+
+@pytest.mark.parametrize("argv, doc", HUGE_INPUTS.values(), ids=HUGE_INPUTS)
+def test_cli_rejects_an_integer_beyond_every_float(argv, doc, tmp_path,
+                                                    capsys):
+    # a usage error on one line, not an OverflowError traceback
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_multiplier_random_pair(capsys):
