@@ -90,8 +90,12 @@ class GalileiElement:
         # W is orthogonal, so det W is +-1 to about 1e-9 and its sign exact
         if _DET[self.dim](*W.ravel().tolist()) < 0.0:
             raise ValueError("W must be a proper rotation (det +1)")
+        self._set(self.dim, W, eta, v, u)
+
+    def _set(self, dim, W, eta, v, u):  # once eta, v and u are shown finite
         if not all(map(math.isfinite, (eta, *v.tolist(), *u.tolist()))):
             raise ValueError("eta, v and u must be finite")
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "v", v)
@@ -207,14 +211,24 @@ def _row(r: GalileiElement) -> GalileiBatch:
     return GalileiBatch(r.W[None], np.array((r.eta,)), r.v[None], r.u[None])
 
 
+def _trusted(b: GalileiBatch) -> GalileiElement:
+    """Row 0 of a product or inverse of validated elements, whose W is a
+    proper rotation by construction: only the finiteness test runs."""
+    r = object.__new__(GalileiElement)
+    r._set(b.dim, _frozen(b.W[0]), float(b.eta[0]), _frozen(b.v[0]),
+           _frozen(b.u[0]))
+    return r
+
+
 def multiply(r: GalileiElement, s: GalileiElement) -> GalileiElement:
-    """Group composition rs."""
-    return multiply_batch(_row(r), _row(s)).element(0)
+    """Group composition rs, not re-validated but for an overflow of eta,
+    v or u, which raises ValueError as GalileiElement does."""
+    return _trusted(multiply_batch(_row(r), _row(s)))
 
 
 def inverse(r: GalileiElement) -> GalileiElement:
     """Group inverse, so that multiply(r, inverse(r)) is the identity."""
-    return inverse_batch(_row(r)).element(0)
+    return _trusted(inverse_batch(_row(r)))
 
 
 def embed_matrix(r: GalileiElement) -> np.ndarray:

@@ -597,32 +597,43 @@ def _check_multipliers(cfg: SuiteConfig):
     return reports
 
 
-def _check_time_multiplier(cfg: SuiteConfig):
-    """|omega_t / omega_0 - e^{i xi_t}| over cases drawn one by one: t
-    unless it is a t_samples entry, then r and s, pure boosts for the first
-    n_boost cases, whose worst is reported apart from the rest."""
-    reports = []
-    tol = cfg.tol("time_multiplier")
-    n_boost = 20
+def _time_cases(dim: int, scale: float, t_samples, n_boost: int):
+    """draw for _sweep: per case t, unless it is t_samples[i], then r and
+    s, pure boosts for the first n_boost cases; returns t, r, s and which
+    cases are pure boosts.  Each later case takes a uniform for t, as
+    rng.uniform(-2, 2) does, then the raw rows of r and s: one block draw."""
+    width = _raw_width(dim)
 
-    def draw(dim, rng, cases):
-        # a draw-only loop in the case-by-case order, then one array pass
-        t = np.empty(len(cases))
-        raw = np.zeros((2 * len(cases), _raw_width(dim)))
-        v = np.zeros((2 * len(cases), dim))
-        for j, i in enumerate(cases):
-            t[j] = (cfg.t_samples[i] if i < len(cfg.t_samples)
+    def draw(rng, cases):
+        n, start = len(cases), cases.start
+        t, v = np.empty(n), np.zeros((2 * n, dim))
+        raw = np.zeros((2 * n, width))
+        head = min(max(n_boost, len(t_samples), start) - start, n)
+        for j, i in enumerate(cases[:head]):
+            t[j] = (t_samples[i] if i < len(t_samples)
                     else rng.uniform(-2.0, 2.0))
             if i < n_boost:
                 v[2 * j:2 * j + 2] = rng.normal(size=(2, dim))
             else:
                 rng.random(out=raw[2 * j:2 * j + 2])
-        b = _from_raw(raw, dim, cfg.scale)
+        U = rng.random((n - head, 1 + 2 * width))
+        t[head:] = _uniform(U[:, 0], 2.0)
+        raw[2 * head:] = U[:, 1:].reshape(-1, width)
+        b = _from_raw(raw, dim, scale)
         boost = np.array(cases) < n_boost
         pure = boost.repeat(2)
         b.W[pure], b.eta[pure], b.u[pure] = np.eye(dim), 0.0, 0.0
         b.v[pure] = v[pure]
         return t, b[0::2], b[1::2], boost
+    return draw
+
+
+def _check_time_multiplier(cfg: SuiteConfig):
+    """|omega_t / omega_0 - e^{i xi_t}| over the cases of _time_cases; the
+    worst of the pure boosts is reported apart from the rest."""
+    reports = []
+    tol = cfg.tol("time_multiplier")
+    n_boost = 20
 
     def residuals(rep, state, t, r, s, boost):
         # one row per kind, 0 where the case is of the other kind
@@ -634,7 +645,8 @@ def _check_time_multiplier(cfg: SuiteConfig):
         rng = np.random.default_rng(seed)
         state = random_state(rng, rep.dim)
         worst_boost, worst_general = _sweep(
-            rng, cfg.n_time_cases, functools.partial(draw, rep.dim),
+            rng, cfg.n_time_cases,
+            _time_cases(rep.dim, cfg.scale, cfg.t_samples, n_boost),
             functools.partial(residuals, rep, state))
         worst = _worst((worst_boost, worst_general))
         details = {"pure_boost_max": worst_boost,

@@ -143,7 +143,8 @@ def apply_batch(rep: RepDescriptor, r: GalileiBatch, t,
     """Row i of states acted on by U_t(r[i]), for a per-row t (or one t):
     (U_t(r) f)(p) = e^{i phi_r(p) - i <p, v_r> t} f(W^{-1}(p + gamma v)).
 
-    The rows of r are trusted to be proper rotations, as GalileiBatch rows
+    It is _time_phase of the static action U(r) f, its value at t = 0.  The
+    rows of r are trusted to be proper rotations, as GalileiBatch rows
     are."""
     _require_momentum(rep, "apply")
     if r.dim != rep.dim or states.dim != rep.dim:
@@ -151,13 +152,18 @@ def apply_batch(rep: RepDescriptor, r: GalileiBatch, t,
     out = states.substitute(r.W, (rep.gamma * r.v).astype(complex))
     quad, lin, const = _phase_parts(rep, r)
     out = out.multiply_phase(1j * quad, 1j * lin, 1j * const)
+    return _time_phase(r, t, out)
+
+
+def _time_phase(r: GalileiBatch, t, states: StateBatch) -> StateBatch:
+    """Row i of states times e^{-i <p, v_r[i]> t[i]}: U_t(r) f from U(r) f.
+    The rows with t = 0 stay as they are, signed zeros included."""
     t = np.asarray(t, dtype=float)[..., None]
     moving = t != 0.0
-    if moving.any():
-        # the time phase leaves the rows with t = 0 as they are
-        out = out.multiply_phase(lin=np.where(moving, -1j * t * r.v,
+    if not moving.any():
+        return states
+    return states.multiply_phase(lin=np.where(moving, -1j * t * r.v,
                                               _NO_CHANGE))
-    return out
 
 
 def apply_time(rep: RepDescriptor, r: GalileiElement, t: float,

@@ -214,15 +214,19 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 def _congruence(W: np.ndarray, Gamma: np.ndarray,
                 M: np.ndarray) -> np.ndarray:
-    """W @ Gamma @ M for real W and M and complex Gamma, one real product
-    per part of Gamma."""
+    """W @ Gamma @ M for real W and M and complex Gamma, in two real
+    products: W [Re Gamma | Im Gamma], then [W Re Gamma ; W Im Gamma] M."""
     # the complex product promotes W and M to complex and takes longer.  It
     # gives the same numbers, up to the sign of an exact zero entry, since
     # the imaginary parts of W and M are zero; it also carries a NaN or inf
-    # of one part of Gamma into the other, which this does not.  The
-    # matrix-vector products of substitute stay complex: a real split of
-    # _matvec rounds differently from numpy's complex one in most rows.
-    return _complex(W @ Gamma.real @ M, W @ Gamma.imag @ M)
+    # of one part of Gamma into the other, which this does not.  A wider
+    # product rounds each entry as one product per part does, in half the
+    # calls.  The matrix-vector products of substitute stay complex: a real
+    # split of _matvec rounds differently from numpy's complex one.
+    dim = Gamma.shape[-1]
+    WG = W @ np.concatenate((Gamma.real, Gamma.imag), axis=-1)
+    out = np.concatenate((WG[..., :dim], WG[..., dim:]), axis=-2) @ M
+    return _complex(out[..., :dim, :], out[..., dim:, :])
 
 
 # -- dense polynomial rows ----------------------------------------------------
@@ -789,29 +793,46 @@ def _central_moment(Sigma: np.ndarray, exps: tuple,
     return total
 
 
+def _integrable_root(A: np.ndarray):
+    """Per matrix of the stack A = -2 Gamma: whether it is finite with Re A
+    positive-definite (its pivots positive, by Sylvester), and sqrt(det A)
+    as prod sqrt(p_k) over the pivots of A (1 where not integrable).  Each
+    Re p_k > 0, as Schur complements of accretive matrices are accretive, so
+    this root is continuous on the convex set Re A > 0 and positive on real
+    A: the branch of prod sqrt(lambda_k) over the eigenvalues."""
+    n = len(A)
+    # one LDL^T pass, without pivoting, over the lower triangles of
+    # [Re A ; A]; a zero pivot makes the later ones inf or NaN
+    P = np.concatenate((A.real.astype(complex), A))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(A.shape[-1] - 1):
+            col = P[:, k + 1:, k]
+            P[:, k + 1:, k + 1:] -= ((col / P[:, k, k, None])[:, :, None]
+                                     * col[:, None, :])
+    pivots = np.diagonal(P, axis1=1, axis2=2)
+    integrable = (np.isfinite(A).all(axis=(1, 2))
+                  & (pivots[:n].real > 0.0).all(axis=1))
+    roots = np.sqrt(np.where(integrable[:, None], pivots[n:], 1.0))
+    det_root = roots[:, 0]
+    for k in range(1, A.shape[-1]):
+        det_root = _cmul(det_root, roots[:, k])
+    return integrable, det_root
+
+
 def _gaussian_integrals(poly: _PolyRows, alpha: np.ndarray, beta: np.ndarray,
                         Gamma: np.ndarray):
     """Row-wise integral of poly[i](p) exp(alpha + <beta,p> + p^T Gamma p)
     over R^dim, and per row whether it converges: Gamma must be finite and
-    Re(-2 Gamma) positive-definite.  A row that does not converge gives
-    NaN."""
+    Re(-2 Gamma) positive-definite (_integrable_root).  A row that does not
+    converge gives NaN."""
     n, dim = beta.shape
     A = -2.0 * Gamma
-    finite = np.isfinite(A).all(axis=(1, 2))
+    integrable, det_root = _integrable_root(A)
+    # stand-in rows keep solve and inv off a singular or non-finite matrix
     eye = np.eye(dim)
-    # stand-in rows keep the stacked linalg off a singular or non-finite
-    # matrix, on which eigvalsh returns arbitrary values
-    re_eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], A.real, eye))
-    integrable = finite & (re_eigs[:, 0] > 0.0)
     A = np.where(integrable[:, None, None], A, eye)
     m = np.linalg.solve(A, beta[:, :, None])[:, :, 0]
     Sigma = np.linalg.inv(A)
-    # Re(A) positive-definite puts every eigenvalue in the right half-plane,
-    # so the principal square root is the branch continuous from real A.
-    roots = np.sqrt(np.linalg.eigvals(A))
-    det_root = roots[:, 0]
-    for k in range(1, dim):
-        det_root = _cmul(det_root, roots[:, k])
     prefactor = _cmul((2.0 * math.pi) ** (dim / 2.0) / det_root,
                       np.exp(alpha + 0.5 * _dot(beta, m)))
     # the integrand is poly(q + m) times a centered Gaussian in q

@@ -25,8 +25,8 @@ from . import cocycles
 from .cocycles import PhaseExponent
 from .group import (GalileiBatch, GalileiElement, _dot, _rotation_angles,
                     _row, multiply, multiply_batch, stack_batches)
-from .representations import (RepDescriptor, apply_batch, generator,
-                              generator_names, static_generator)
+from .representations import (RepDescriptor, _time_phase, apply_batch,
+                              generator, generator_names, static_generator)
 from .states import (PolyDiffOperator, PolyGaussianState, StateBatch,
                      _cmul, _poly_mismatch)
 
@@ -118,10 +118,14 @@ def extract_multiplier_batch(rep: RepDescriptor, r: GalileiBatch,
     time or one per row.
     """
     f = StateBatch.of(state, len(r))
-    composed = apply_batch(rep, r, t, apply_batch(rep, s, t, f))
+    return _multiplier_rows(apply_batch(rep, r, t, apply_batch(rep, s, t, f)),
+                            apply_batch(rep, multiply_batch(r, s), t, f))
+
+
+def _multiplier_rows(composed: StateBatch, direct: StateBatch):
+    """The MultiplierBatch of composed = omega direct, row by row."""
     with np.errstate(over="ignore", invalid="ignore"):
-        dalpha, mismatch = _term_mismatch(
-            composed, apply_batch(rep, multiply_batch(r, s), t, f))
+        dalpha, mismatch = _term_mismatch(composed, direct)
         return MultiplierBatch(np.exp(dalpha), mismatch,
                                np.abs(np.expm1(dalpha.real)))
 
@@ -241,17 +245,20 @@ def check_time_multiplier_batch(rep: RepDescriptor, r: GalileiBatch,
                                 state: PolyGaussianState) -> np.ndarray:
     """Per row |omega_t / omega_0 - e^{i xi_t}|, the time multiplier against
     the static one, or the term mismatch of either extraction when that is
-    larger; t as in extract_multiplier_batch."""
+    larger; t as in extract_multiplier_batch.  Both extractions share the
+    static actions U(s) f and U(rs) f, the one at t through _time_phase."""
     n = len(r)
     t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
-    twice = np.tile(np.arange(n), 2)
-    rows = extract_multiplier_batch(rep, r[twice], s[twice],
-                                    np.concatenate((t, np.zeros(n))), state)
+    f = StateBatch.of(state, n)
+    rs = multiply_batch(r, s)
+    sf, rsf = (apply_batch(rep, b, 0.0, f) for b in (s, rs))
+    at_t = _multiplier_rows(apply_batch(rep, r, t, _time_phase(s, t, sf)),
+                            _time_phase(rs, t, rsf))
+    at_0 = _multiplier_rows(apply_batch(rep, r, 0.0, sf), rsf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = rows.omega[:n] / rows.omega[n:]
-    spread = rows.constancy_spread
-    return np.maximum(_phase_mismatch(ratio, _xi_t(rep, r, s, t)),
-                      np.maximum(spread[:n], spread[n:]))
+        ratio = at_t.omega / at_0.omega
+    spread = np.maximum(at_t.constancy_spread, at_0.constancy_spread)
+    return np.maximum(_phase_mismatch(ratio, _xi_t(rep, r, s, t)), spread)
 
 
 # how close two fitted constants, or their moduli, must be to count as one

@@ -8,6 +8,7 @@ import pytest
 
 from galiray.group import (
     _ORTHO_TOL,
+    GalileiBatch,
     GalileiElement,
     _rotation_angles,
     _row,
@@ -17,7 +18,9 @@ from galiray.group import (
     identity,
     identity_batch,
     inverse,
+    inverse_batch,
     multiply,
+    multiply_batch,
     random_element,
     random_element_batch,
     rotation_2d,
@@ -265,3 +268,46 @@ def test_non_finite_elements_are_rejected(parts):
                                "eta": eta, "v": list(v), "u": list(u)}))
     with pytest.raises(ValueError), np.errstate(invalid="ignore"):
         element_from_dict(d)
+
+
+def _same_bits(a: GalileiElement, b: GalileiElement) -> bool:
+    return (a.dim == b.dim and type(a.eta) is type(b.eta) is float
+            and all(np.asarray(getattr(a, f)).tobytes()
+                    == np.asarray(getattr(b, f)).tobytes()
+                    for f in ("W", "eta", "v", "u")))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_multiply_and_inverse_are_row_0_of_the_batch_operations(dim):
+    # their products are not re-validated, and are the validated rows
+    rng = np.random.default_rng(70 + dim)
+    for _ in range(20):
+        r, s = random_element(rng, dim, 5.0), random_element(rng, dim, 5.0)
+        for got, batch in ((multiply(r, s), multiply_batch(_row(r), _row(s))),
+                           (inverse(r), inverse_batch(_row(r)))):
+            assert _same_bits(got, batch.element(0))
+            assert not (got.W.flags.writeable or got.v.flags.writeable
+                        or got.u.flags.writeable)
+
+
+@pytest.mark.parametrize("field", ["eta", "v", "u"])
+def test_a_product_that_overflows_still_raises(field):
+    big = GalileiElement(2, np.eye(2), 1e308 * (field == "eta"),
+                         [1e308 * (field == "v"), 0.0],
+                         [1e308 * (field == "u"), 0.0])
+    with pytest.raises(ValueError, match="finite"), \
+            np.errstate(over="ignore"):
+        multiply(big, big)
+
+
+def test_a_batch_row_is_still_validated():
+    z = np.zeros((1, 2))
+    refl = np.array([[[1.0, 0.0], [0.0, -1.0]]])
+    for W, eta, match in ((2.0 * np.eye(2)[None], 0.0, "not orthogonal"),
+                          (refl, 0.0, "proper rotation"),
+                          (np.eye(2)[None], math.nan, "finite")):
+        with pytest.raises(ValueError, match=match):
+            GalileiBatch(W, np.array([eta]), z, z).element(0)
+    nan_W = np.full((1, 2, 2), math.nan)
+    with pytest.raises(ValueError, match="not orthogonal"):
+        GalileiBatch(nan_W, np.zeros(1), z, z).element(0)

@@ -18,12 +18,14 @@ import math
 import numpy as np
 import pytest
 
-from galiray import cocycles, harness, verify
+from galiray import cocycles, group, harness, verify
 from galiray.cli import main
-from galiray.group import (GalileiElement, _row, multiply_batch,
+from galiray.group import (GalileiBatch, GalileiElement, _from_raw,
+                           _raw_width, _row, identity_batch, multiply_batch,
                            random_element, random_element_batch)
 from galiray.harness import config_to_dict, default_config, report_json
-from galiray.representations import RepDescriptor, apply_batch, apply_time
+from galiray.representations import (RepDescriptor, _time_phase,
+                                     apply_batch, apply_time)
 from galiray.states import (PolyGaussianState, Polynomial, StateBatch,
                             random_state)
 from galiray.verify import (check_time_multiplier_batch,
@@ -80,6 +82,103 @@ def test_row_i_of_the_batched_core_is_the_one_row_call(rep, kind, n):
         assert name == one_name and _same(match[i], one_match[0])
         assert timed[i] == check_time_multiplier_batch(
             rep, r[[i]], s[[i]], t[i], state)[0]
+
+
+def _same_states(a: StateBatch, b: StateBatch) -> bool:
+    """Every term array of a and b equal bit for bit, signed zeros too."""
+    return len(a.terms) == len(b.terms) and all(
+        _same(x, y) for ta, tb in zip(a.terms, b.terms)
+        for x, y in zip((ta[0].coef, *ta[1:]), (tb[0].coef, *tb[1:])))
+
+
+@pytest.mark.parametrize("kind", STATES)
+@pytest.mark.parametrize("rep", REPS, ids=lambda rep: rep.kind)
+def test_the_action_at_t_is_the_time_phase_of_the_static_action(rep, kind):
+    state, r, s, t = _cases(rep, 9, 80, **STATES[kind])
+    # rows of identities keep exact zeros of beta, and a signed zero of the
+    # state's beta, as they are
+    zero = PolyGaussianState.gaussian(rep.dim, beta=[-0.0] + [0.0] * (
+        rep.dim - 1))
+    for f, b in ((StateBatch.of(state, 9), r),
+                 (StateBatch.of(zero, 4), identity_batch(rep.dim, 4))):
+        ts = t[:len(b)]
+        static = apply_batch(rep, b, 0.0, f)
+        assert _same_states(apply_batch(rep, b, ts, f),
+                            _time_phase(b, ts, static))
+        assert _same_states(apply_batch(rep, b, 0.7, f),
+                            _time_phase(b, 0.7, static))
+        assert _time_phase(b, np.zeros(len(b)), static) is static
+
+
+def _time_multiplier_of_two_extractions(rep, r, s, t, state):
+    """check_time_multiplier_batch as one 2n-row extraction at t and at 0,
+    each applying U(s) f and U(rs) f again."""
+    n = len(r)
+    t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
+    twice = np.tile(np.arange(n), 2)
+    rows = extract_multiplier_batch(rep, r[twice], s[twice],
+                                    np.concatenate((t, np.zeros(n))), state)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = rows.omega[:n] / rows.omega[n:]
+    spread = rows.constancy_spread
+    return np.maximum(verify._phase_mismatch(ratio,
+                                             verify._xi_t(rep, r, s, t)),
+                      np.maximum(spread[:n], spread[n:]))
+
+
+@pytest.mark.parametrize("kind", STATES)
+@pytest.mark.parametrize("rep", REPS, ids=lambda rep: rep.kind)
+def test_the_time_multiplier_equals_its_two_extractions(rep, kind):
+    state, r, s, t = _cases(rep, 12, 85, **STATES[kind])
+    for ts in (t, 0.0, -1.3):
+        assert _same(check_time_multiplier_batch(rep, r, s, ts, state),
+                     _time_multiplier_of_two_extractions(rep, r, s, ts,
+                                                         state))
+
+
+def _time_cases_one_by_one(dim, scale, t_samples, n_boost):
+    """harness._time_cases as a loop over every case: t (a t_samples entry
+    or rng.uniform(-2, 2)), then rng.normal for a pure boost's two v or
+    rng.random for the raw rows of r and s."""
+    def draw(rng, cases):
+        t = np.empty(len(cases))
+        raw = np.zeros((2 * len(cases), _raw_width(dim)))
+        v = np.zeros((2 * len(cases), dim))
+        for j, i in enumerate(cases):
+            t[j] = (t_samples[i] if i < len(t_samples)
+                    else rng.uniform(-2.0, 2.0))
+            if i < n_boost:
+                v[2 * j:2 * j + 2] = rng.normal(size=(2, dim))
+            else:
+                rng.random(out=raw[2 * j:2 * j + 2])
+        b = _from_raw(raw, dim, scale)
+        boost = np.array(cases) < n_boost
+        pure = boost.repeat(2)
+        b.W[pure], b.eta[pure], b.u[pure] = np.eye(dim), 0.0, 0.0
+        b.v[pure] = v[pure]
+        return t, b[0::2], b[1::2], boost
+    return draw
+
+
+@pytest.mark.parametrize("t_samples", [(0.5, 1.7), tuple(range(-12, 13))],
+                         ids=["two", "past_the_boosts"])
+@pytest.mark.parametrize("n", (1, 19, 20, 21, 530))
+@pytest.mark.parametrize("dim", (2, 3))
+def test_the_time_case_draw_is_the_case_by_case_loop(dim, n, t_samples):
+    # 530 cases cross a sweep chunk of 512
+    draws = (harness._time_cases(dim, 3.0, t_samples, 20),
+             _time_cases_one_by_one(dim, 3.0, t_samples, 20))
+    rngs = [np.random.default_rng(97 + n) for _ in draws]
+    for start in range(0, n, harness._SWEEP_CHUNK):
+        cases = range(start, min(start + harness._SWEEP_CHUNK, n))
+        (t, r, s, boost), (t1, r1, s1, boost1) = (
+            draw(rng, cases) for draw, rng in zip(draws, rngs))
+        assert _same(t, t1) and _same(boost, boost1)
+        for f in GalileiBatch.__slots__:
+            assert _same(getattr(r, f), getattr(r1, f))
+            assert _same(getattr(s, f), getattr(s1, f))
+    # and both leave the stream at one position
+    assert rngs[0].random() == rngs[1].random()
 
 
 def test_the_term_mismatch_sees_each_term_parameter():
@@ -325,8 +424,10 @@ def test_a_nan_eta_of_r_fails_the_triples_of_every_rep(monkeypatch):
         return real(rep, r, s, q, t, state)
 
     monkeypatch.setattr(harness, "exponent_cocycle_residual_batch", poisoned)
-    # a validated element cannot hold a NaN: build the rows unvalidated
+    # a validated element cannot hold a NaN: build the rows unvalidated, and
+    # the products of multiply, which check that they are finite, too
     monkeypatch.setattr(GalileiElement, "__post_init__", lambda self: None)
+    monkeypatch.setattr(group, "_trusted", lambda b: b.element(0))
     for entry in harness._check_multipliers(default_config(**FAULT_CFG)):
         assert entry["pass"] is False
         assert math.isnan(entry["details"]["max_constancy_spread"])

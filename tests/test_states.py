@@ -1,6 +1,7 @@
 """Polynomial-Gaussian states, exact differential operators, inner products."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from galiray.states import (
     PolyGaussianTerm,
     Polynomial,
     _PolyRows,
+    _gaussian_integrals,
+    _integrable_root,
     inner_product,
     random_state,
 )
@@ -318,3 +321,96 @@ NON_FINITE_STATES = {
 def test_non_finite_states_are_rejected(parts):
     with pytest.raises(ValueError):
         PolyGaussianState.gaussian(2, **parts)
+
+
+def _accretive(rng, n, dim, im_scale):
+    """n random symmetric matrices with Re A positive-definite and Im A
+    symmetric of entries up to about im_scale."""
+    B = rng.normal(size=(n, dim, dim))
+    C = rng.normal(size=(n, dim, dim)) * im_scale
+    return (B @ B.swapaxes(1, 2) + 0.1 * np.eye(dim)
+            + 0.5j * (C + C.swapaxes(1, 2)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_the_pivot_root_is_the_branch_of_the_eigenvalue_roots(dim):
+    rng = np.random.default_rng(800 + dim)
+    A = np.concatenate([_accretive(rng, 400, dim, s)
+                        for s in (0.0, 1.0, 30.0, 1e3)])
+    integrable, root = _integrable_root(A)
+    want = np.prod(np.sqrt(np.linalg.eigvals(A)), axis=1)
+    assert integrable.all()
+    assert np.max(np.abs(root - want) / np.abs(want)) < 1e-10
+    # where the eigenvalue arguments sum past +-pi, the principal root of
+    # det A is the other branch, and the pivot root is still right
+    past = np.abs(np.angle(np.linalg.eigvals(A)).sum(axis=1)) > math.pi
+    if dim < 3:
+        # each argument is below pi/2 in modulus
+        assert not past.any()
+        return
+    assert past.sum() > 10
+    principal = np.sqrt(np.linalg.det(A[past]))
+    assert np.allclose(principal, -want[past], rtol=1e-8)
+    assert np.allclose(root[past], want[past], rtol=1e-10)
+
+
+def _re_rows():
+    """Re A rows of every kind: definite, indefinite, singular, and with a
+    NaN or an inf, in dims 2 and 3."""
+    rows = {2: [[[2.0, 0.5], [0.5, 1.0]], [[1.0, 2.0], [2.0, 1.0]],
+                [[-1.0, 0.0], [0.0, 3.0]], [[1.0, 1.0], [1.0, 1.0]],
+                [[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0], [0.0, 0.0]],
+                [[0.0, 0.0], [0.0, 1.0]], [[math.nan, 0.0], [0.0, 1.0]],
+                [[1.0, math.inf], [math.inf, 1.0]],
+                [[math.inf, 0.0], [0.0, 1.0]]],
+            3: [[[4.0, 2.0, 2.0], [2.0, 1.0, 1.0], [2.0, 1.0, 3.0]],
+                [[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 0.5]],
+                [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]],
+                [[1.0, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 1.0]]]}
+    rng = np.random.default_rng(830)
+    for dim in (2, 3):
+        B = rng.normal(size=(200, dim, dim))
+        # from clearly definite to clearly indefinite
+        shift = np.linspace(-2.0, 2.0, 200)[:, None, None] * np.eye(dim)
+        yield dim, np.concatenate((np.array(rows[dim]),
+                                   B @ B.swapaxes(1, 2) / dim + shift))
+
+
+def test_the_integrability_flag_is_sylvester_on_every_kind_of_row():
+    for dim, re_a in _re_rows():
+        im_a = np.zeros_like(re_a)
+        im_a[:, 0, -1] = im_a[:, -1, 0] = 0.3
+        finite = np.isfinite(re_a).all(axis=(1, 2))
+        eigs = np.linalg.eigvalsh(np.where(finite[:, None, None], re_a,
+                                           np.eye(dim)))
+        want = finite & (eigs[:, 0] > 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            integrable, root = _integrable_root(re_a + 1j * im_a)
+        assert np.array_equal(integrable, want)
+        assert 0 < want.sum() < len(want) - 1
+        assert np.isfinite(root).all() and (root[~integrable] == 1.0).all()
+
+
+def test_a_non_finite_imaginary_part_is_not_integrable():
+    A = np.tile(np.eye(2, dtype=complex), (4, 1, 1))
+    A.imag[:, 0, 1] = A.imag[:, 1, 0] = (0.5, math.nan, math.inf, -math.inf)
+    integrable, _ = _integrable_root(A)
+    assert integrable.tolist() == [True, False, False, False]
+
+
+def test_a_non_integrable_row_gives_nan_without_a_warning():
+    Gamma = np.array([-0.5 * np.eye(2), 0.5 * np.eye(2),
+                      np.diag([-0.5, 0.0]), np.diag([-0.5, math.nan]),
+                      np.full((2, 2), math.nan)], dtype=complex)
+    poly = _PolyRows.of([Polynomial.variable(2, 0) * Polynomial.variable(2, 0)] * len(Gamma), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, integrable = _gaussian_integrals(
+            poly, np.zeros(len(Gamma), dtype=complex),
+            np.zeros((len(Gamma), 2), dtype=complex), Gamma)
+    assert integrable.tolist() == [True, False, False, False, False]
+    # the second moment of N(0, 1) times 2 pi
+    assert abs(value[0] - 2.0 * math.pi) < 1e-14
+    assert np.isnan(value[1:]).all()

@@ -1,7 +1,9 @@
 """tools/report_digests.py: the sha256 of a config's deterministic report
 text, the report of run_suite without its generated_at timestamp."""
 
+import copy
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -27,3 +29,53 @@ def test_report_digests_hashes_the_report_without_its_timestamp(tmp_path):
     assert done.stdout.split() == [str(path),
                                    hashlib.sha256(text.encode()).hexdigest()]
 
+
+
+WARM_UP = dict(n_triples=3, n_pairs=2, n_time_cases=2, n_unitarity_cases=1,
+               n_time_zero_cases=1, n_exponent_triples=1)
+
+
+def test_report_digests_diff_of_the_tree_against_itself_is_empty(tmp_path):
+    path = tmp_path / "warm_up.json"
+    path.write_text(json.dumps(config_to_dict(default_config(**WARM_UP))))
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, str(TOOL), "--config", str(path),
+                           "--diff", str(src)], capture_output=True,
+                          text=True)
+    assert (done.returncode, done.stdout) == (0, ""), done.stderr
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("report_digests", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_report_digests_diff_lists_moved_residuals_and_flips():
+    report = json.loads(json.dumps(run_suite(default_config(**WARM_UP))))
+    moved = copy.deepcopy(report)
+    moved["checks"][0]["max_residual"] *= 2.0
+    moved["checks"][1]["details"] = {"note": "changed"}
+    moved["checks"][2]["pass"] = not moved["checks"][2]["pass"]
+    del moved["checks"][3]
+    names = [c["check"] for c in report["checks"][:4]]
+    lines, flips = _load_tool().diff_lines("cfg", report, moved, (3.0, 2.5))
+    assert flips == 2
+    assert lines == [
+        f"cfg {names[0]} max_residual "
+        f"{report['checks'][0]['max_residual']!r} -> "
+        f"{moved['checks'][0]['max_residual']!r}",
+        f"cfg {names[1]} max_residual "
+        f"{report['checks'][1]['max_residual']!r} -> "
+        f"{report['checks'][1]['max_residual']!r}",
+        f"cfg {names[2]} max_residual "
+        f"{report['checks'][2]['max_residual']!r} -> "
+        f"{report['checks'][2]['max_residual']!r}",
+        f"cfg {names[2]} VERDICT pass True -> False",
+        f"cfg {names[3]} max_residual "
+        f"{report['checks'][3]['max_residual']!r} -> None",
+        f"cfg {names[3]} VERDICT pass True -> None",
+        "cfg min_margin_dec 3.0 -> 2.5"]
+    assert _load_tool().diff_lines("cfg", report, report, (3.0, 3.0)) \
+        == ([], 0)

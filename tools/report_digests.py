@@ -3,6 +3,7 @@
 Usage, from the root of a galiray checkout:
 
     python3 tools/report_digests.py [--src DIR] [--config FILE]
+                                    [--json | --diff OTHER_SRC]
 
 For each config it prints `<name> <sha256>`, the digest of the report of
 `run_suite` without its `generated_at` timestamp, serialized as
@@ -13,11 +14,21 @@ workload at the seeds 1, 201 and 1401.  --config digests one config file
 (as `galiray verify-all --config` reads it) instead, and --src imports
 galiray from another source tree (by default this checkout's src/), so
 that one run can digest the reports of another revision.
+
+--json prints the reports themselves, one JSON object by config name.
+--diff OTHER_SRC compares each config's report with the one galiray from
+OTHER_SRC gives (run in a child process, as --json).  It prints one line per
+check whose entry differs, with the old (OTHER_SRC) and new max_residual,
+one per verdict that flips, and one per config whose minimum margin
+(perfbench/gate.py's min_margin_dec) changes; identical reports print
+nothing.  It exits 1 if a verdict flips, else 0.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,13 +55,64 @@ def digest(harness, gate, cfg) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _entries(report: dict) -> dict:
+    """The report's check entries by name, each as canonical JSON text, so
+    that a NaN residual compares equal to itself."""
+    return {c["check"]: json.dumps(c, sort_keys=True)
+            for c in report["checks"]}
+
+
+def diff_lines(name: str, old: dict, new: dict, margins) -> tuple:
+    """(lines, flips) for the reports old and new of config name: one line
+    per check whose entry differs or is missing on one side, one per
+    verdict flip, and one if the minimum margin pair margins differs."""
+    lines, flips = [], 0
+    old_entries, new_entries = _entries(old), _entries(new)
+    for check in dict.fromkeys([*old_entries, *new_entries]):
+        if old_entries.get(check) == new_entries.get(check):
+            continue
+        a, b = (json.loads(e) if e else {"max_residual": None, "pass": None}
+                for e in (old_entries.get(check), new_entries.get(check)))
+        lines.append(f"{name} {check} max_residual "
+                     f"{a['max_residual']!r} -> {b['max_residual']!r}")
+        if a["pass"] != b["pass"]:
+            flips += 1
+            lines.append(f"{name} {check} VERDICT pass "
+                         f"{a['pass']} -> {b['pass']}")
+    if margins[0] != margins[1]:
+        lines.append(f"{name} min_margin_dec {margins[0]!r} -> "
+                     f"{margins[1]!r}")
+    return lines, flips
+
+
+def _min_margin(harness, gate, cfg, report: dict) -> float:
+    tolerances = {key: cfg.tol(key) for key in harness.DEFAULT_TOLERANCES}
+    return gate.check_report(report, cfg, tolerances,
+                             harness.MOMENTUM_KINDS).min_margin_dec
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the galiray package")
     parser.add_argument("--config", type=Path,
                         help="digest this config file instead")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--json", action="store_true",
+                      help="print the reports instead of their digests")
+    mode.add_argument("--diff", type=Path, metavar="OTHER_SRC",
+                      help="list what differs from the reports of the "
+                           "galiray in OTHER_SRC")
     args = parser.parse_args(argv)
+    other = None
+    if args.diff is not None:
+        # the other tree's reports come from a child process, which runs
+        # while this one computes its own
+        command = [sys.executable, str(Path(__file__).resolve()), "--json",
+                   "--src", str(args.diff)]
+        if args.config is not None:
+            command += ["--config", str(args.config)]
+        other = subprocess.Popen(command, stdout=subprocess.PIPE, text=True)
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
     import gate
     import workloads
@@ -60,9 +122,34 @@ def main(argv=None) -> int:
         cfgs = reference_configs(harness, workloads)
     else:
         cfgs = {str(args.config): lambda: harness.load_config(args.config)}
+    if args.json:
+        print(json.dumps({name: json.loads(gate.deterministic_text(
+            harness.run_suite(make()))) for name, make in cfgs.items()}))
+        return 0
+    if other is None:
+        for name, make in cfgs.items():
+            print(name, digest(harness, gate, make()), flush=True)
+        return 0
+    new = {}
     for name, make in cfgs.items():
-        print(name, digest(harness, gate, make()), flush=True)
-    return 0
+        cfg = make()
+        new[name] = (cfg, json.loads(gate.deterministic_text(
+            harness.run_suite(cfg))))
+    out, _ = other.communicate()
+    if other.returncode:
+        print(f"the reports of {args.diff} could not be made",
+              file=sys.stderr)
+        return 2
+    old = json.loads(out)
+    flips = 0
+    for name, (cfg, report) in new.items():
+        margins = (_min_margin(harness, gate, cfg, old[name]),
+                   _min_margin(harness, gate, cfg, report))
+        lines, n = diff_lines(name, old[name], report, margins)
+        flips += n
+        for line in lines:
+            print(line)
+    return 1 if flips else 0
 
 
 if __name__ == "__main__":
