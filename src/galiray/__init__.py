@@ -22,8 +22,8 @@ from .cocycles import (DEFAULT_TAU_SEQUENCE, InfinitesimalExponentValue,
                        infinitesimal_exponent, infinitesimal_exponent_batch)
 from .states import (DEFAULT_MAX_DEGREE, DegreeOverflowError,
                      PolyDiffOperator, PolyGaussianState, PolyGaussianTerm,
-                     Polynomial, StateBatch, inner_product,
-                     inner_product_batch, random_state)
+                     StateBatch, inner_product, inner_product_batch,
+                     random_state)
 from .representations import (KIND_DIMS, MOMENTUM_KINDS, RepDescriptor,
                               apply_batch, apply_time,
                               basis_generator_pairing, generator,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .group import (GalileiBatch, GalileiElement, _dot, _is_number,
                     _rotation_angles, _row)
-from .states import PolyDiffOperator, PolyGaussianState, Polynomial, StateBatch
+from .states import PolyDiffOperator, PolyGaussianState, StateBatch
 
 __all__ = [
     "KIND_DIMS",
@@ -182,55 +182,41 @@ def generator_names(rep: RepDescriptor) -> tuple:
     return ("H", "P1", "P2", "P3", "M12", "M13", "M23", "N1", "N2", "N3")
 
 
-def _p_coeff(dim: int, i: int, power: int = 1, value=1.0) -> Polynomial:
-    exps = [0] * (dim + 1)
-    exps[i] = power
-    return Polynomial(dim + 1, {tuple(exps): value})
-
-
-def _const_coeff(dim: int, value) -> Polynomial:
-    return Polynomial.constant(dim + 1, value)
+def _term(dim: int, c, p=(), d=(), t: int = 0) -> tuple:
+    """The term c p^p t^t d^d as a PolyDiffOperator entry: p and d list the
+    variable of each factor p_i and d/dp_i, t is the power of t."""
+    exps, deriv = [0] * (dim + 1), [0] * dim
+    for i in p:
+        exps[i] += 1
+    for i in d:
+        deriv[i] += 1
+    exps[dim] = t
+    return (tuple(deriv), tuple(exps)), c
 
 
 def _momentum_generator(rep: RepDescriptor, name: str) -> PolyDiffOperator:
     dim = rep.dim
-    zero = (0,) * dim
-
-    def d_idx(i):
-        e = [0] * dim
-        e[i] = 1
-        return tuple(e)
-
     if name == "H":
-        coeff = Polynomial(dim + 1)
-        for i in range(dim):
-            coeff = coeff + _p_coeff(dim, i, 2, 1.0 / (2.0 * rep.gamma))
-        return PolyDiffOperator.build(dim, [(coeff, zero)])
+        return PolyDiffOperator.build(dim, [
+            _term(dim, 1.0 / (2.0 * rep.gamma), p=(i, i)) for i in range(dim)])
     if name.startswith("P"):
         i = int(name[1:]) - 1
-        return PolyDiffOperator.build(dim, [(_p_coeff(dim, i), zero)])
+        return PolyDiffOperator.build(dim, [_term(dim, 1.0, p=(i,))])
     if name == "M" and dim == 2:
         # i s + p2 d/dp1 - p1 d/dp2
         return PolyDiffOperator.build(dim, [
-            (_const_coeff(dim, 1j * rep.s), zero),
-            (_p_coeff(dim, 1), d_idx(0)),
-            (_p_coeff(dim, 0, value=-1.0), d_idx(1)),
-        ])
+            _term(dim, 1j * rep.s), _term(dim, 1.0, p=(1,), d=(0,)),
+            _term(dim, -1.0, p=(0,), d=(1,))])
     if name.startswith("M") and dim == 3:
         i, j = int(name[1]) - 1, int(name[2]) - 1
         return PolyDiffOperator.build(dim, [
-            (_p_coeff(dim, j), d_idx(i)),
-            (_p_coeff(dim, i, value=-1.0), d_idx(j)),
-        ])
+            _term(dim, 1.0, p=(j,), d=(i,)), _term(dim, -1.0, p=(i,), d=(j,))])
     if name.startswith("N"):
         i = int(name[1:]) - 1
-        t_coeff = PolyDiffOperator.time_poly(dim) * _p_coeff(dim, i, value=-1j)
-        terms = [(t_coeff, zero), (_const_coeff(dim, rep.gamma), d_idx(i))]
+        terms = [_term(dim, -1j, p=(i,), t=1), _term(dim, rep.gamma, d=(i,))]
         if rep.kind == "nonabelian2d":
             k = rep.lam / (2.0 * rep.gamma)
-            other = 1 - i
-            sign = -1j if i == 0 else 1j
-            terms.append((_p_coeff(dim, other, value=sign * k), zero))
+            terms.append(_term(dim, (-1j if i == 0 else 1j) * k, p=(1 - i,)))
         return PolyDiffOperator.build(dim, terms)
     raise ValueError(f"unknown generator {name!r} for kind {rep.kind}")
 
@@ -239,24 +225,15 @@ def _position_generator(rep: RepDescriptor, name: str) -> PolyDiffOperator:
     hbar, m, f, V0 = rep.hbar, rep.m, rep.force_f, rep.V0
     if name == "H":
         return PolyDiffOperator.build(1, [
-            (_const_coeff(1, -hbar * hbar / (2.0 * m)), (2,)),
-            (_p_coeff(1, 0, value=f), (0,)),
-            (_const_coeff(1, V0), (0,)),
-        ])
+            _term(1, -hbar * hbar / (2.0 * m), d=(0, 0)),
+            _term(1, f, p=(0,)), _term(1, V0)])
     if name == "P":
-        t_term = PolyDiffOperator.time_poly(1) * _const_coeff(1, -f)
-        return PolyDiffOperator.build(1, [
-            (_const_coeff(1, 1j * hbar), (1,)),
-            (t_term, (0,)),
-        ])
+        return PolyDiffOperator.build(1, [_term(1, 1j * hbar, d=(0,)),
+                                          _term(1, -f, t=1)])
     if name == "N":
-        t_term = PolyDiffOperator.time_poly(1) * _const_coeff(1, -1j * hbar)
-        t2_term = PolyDiffOperator.time_poly(1, 2) * _const_coeff(1, -0.5 * f)
         return PolyDiffOperator.build(1, [
-            (_p_coeff(1, 0, value=m), (0,)),
-            (t_term, (1,)),
-            (t2_term, (0,)),
-        ])
+            _term(1, m, p=(0,)), _term(1, -1j * hbar, d=(0,), t=1),
+            _term(1, -0.5 * f, t=2)])
     raise ValueError(f"unknown generator {name!r} for kind position1d")
 
 
@@ -275,28 +252,21 @@ def generator(rep: RepDescriptor, name: str, t: float = None) -> PolyDiffOperato
 def static_generator(rep: RepDescriptor, name: str) -> PolyDiffOperator:
     """The t-free generator R(name), built independently of generator()
     so that the t=0 initial condition is a real check."""
-    dim = rep.dim
     if rep.kind == "position1d":
         if name == "H":
             return _position_generator(rep, "H")
         if name == "P":
-            return PolyDiffOperator.build(1, [(_const_coeff(1, 1j * rep.hbar),
-                                               (1,))])
+            return PolyDiffOperator.build(1, [_term(1, 1j * rep.hbar, d=(0,))])
         if name == "N":
-            return PolyDiffOperator.build(1, [(_p_coeff(1, 0, value=rep.m),
-                                               (0,))])
+            return PolyDiffOperator.build(1, [_term(1, rep.m, p=(0,))])
         raise ValueError(f"unknown generator {name!r} for kind position1d")
     if name.startswith("N"):
         i = int(name[1:]) - 1
-        e = [0] * dim
-        e[i] = 1
-        terms = [(_const_coeff(dim, rep.gamma), tuple(e))]
+        terms = [_term(rep.dim, rep.gamma, d=(i,))]
         if rep.kind == "nonabelian2d":
             k = rep.lam / (2.0 * rep.gamma)
-            other = 1 - i
-            sign = -1j if i == 0 else 1j
-            terms.append((_p_coeff(dim, other, value=sign * k), (0,) * dim))
-        return PolyDiffOperator.build(dim, terms)
+            terms.append(_term(2, (-1j if i == 0 else 1j) * k, p=(1 - i,)))
+        return PolyDiffOperator.build(rep.dim, terms)
     return _momentum_generator(rep, name)
 
 

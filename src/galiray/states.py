@@ -5,10 +5,10 @@ Every representation phase (quadratic in p) and every generator maps the
 family to itself, so all checks run in closed form with no discretization.
 Inner products reduce to complex Gaussian moment formulas.
 
-A state has one pointwise formula, PolyGaussianState.evaluate (with
-Polynomial.eval), and an operator one action, PolyDiffOperator.apply_batch
-on the rows of a StateBatch, whose one-row view is apply.  Both are kept for
-tests and tools: no check evaluates a state at a point or applies an operator.
+A state has one pointwise formula, PolyGaussianState.evaluate, and an
+operator one action, PolyDiffOperator.apply_batch on the rows of a
+StateBatch, whose one-row view is apply.  Both are kept for tests and tools:
+no check evaluates a state at a point or applies an operator.
 
 StateBatch stacks N states of one term layout, so that N carrier actions
 run as one array pass: its substitute and multiply_phase act row-wise, and
@@ -16,15 +16,17 @@ PolyGaussianState.substitute and multiply_phase are their one-row views.
 inner_product_batch takes N inner products with stacked linear algebra,
 and inner_product is its one-row view.
 
-A StateBatch term polynomial is always dense rows: an (N, M) coefficient
-array over the graded monomial basis _basis(dim, deg).  Substitution, the
+Each object has one polynomial form.  A state's term polynomial is dense
+rows (_PolyRows): an (N, M) coefficient array over the graded monomial basis
+_basis(dim, deg), one row for a PolyGaussianTerm.  Substitution, the
 products conj(f) g of an inner product and the shift of its Gaussian
 integral run on these arrays through one product table per pair of
 degrees, and add each coefficient's terms one at a time in an order fixed
 by the degrees, so row i equals the 1-row call bit for bit whatever degrees
-the other rows have.  PolyDiffOperator.apply_batch runs on them too, each
-coefficient fixed at t as one dense row.  The sparse Polynomial stays the
-form of single states and of operator coefficients, which keep t symbolic.
+the other rows have.  A {exponent tuple: coefficient} mapping from input
+becomes rows once, through _PolyRows.of.  An operator is one flat map
+(deriv, exps) -> c over its monomials, t symbolic as a trailing exponent;
+apply_batch fixes t and makes each derivative's coefficient one dense row.
 
 random_state is the one-row view of _StateDraws: a draw-only loop takes
 each state's raw numbers from the stream in the case-by-case order, and one
@@ -46,6 +48,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -53,7 +56,6 @@ from .group import _dot, _matvec, _orthogonal, _uniform
 
 __all__ = [
     "DegreeOverflowError",
-    "Polynomial",
     "PolyGaussianTerm",
     "PolyGaussianState",
     "StateBatch",
@@ -71,126 +73,6 @@ _SYM_TOL = 1e-12
 
 class DegreeOverflowError(ValueError):
     """Raised when an operation would push a polynomial past the degree bound."""
-
-
-class Polynomial:
-    """Complex-coefficient polynomial in nvars variables, sparse over
-    exponent tuples."""
-
-    __slots__ = ("nvars", "coeffs")
-
-    def __init__(self, nvars: int, coeffs=None):
-        self.nvars = nvars
-        self.coeffs: dict[tuple, complex] = {}
-        if coeffs:
-            for exps, c in coeffs.items():
-                c = complex(c)
-                if c != 0:
-                    self.coeffs[tuple(map(int, exps))] = c
-
-    @classmethod
-    def _built(cls, nvars: int, coeffs: dict) -> "Polynomial":
-        """A polynomial from a dict this class built: int-tuple keys and
-        complex values, which are kept as they are; zeros are dropped."""
-        poly = cls.__new__(cls)
-        poly.nvars = nvars
-        poly.coeffs = {e: c for e, c in coeffs.items() if c != 0}
-        return poly
-
-    @classmethod
-    def constant(cls, nvars: int, c) -> "Polynomial":
-        return cls(nvars, {tuple([0] * nvars): c})
-
-    @classmethod
-    def variable(cls, nvars: int, i: int) -> "Polynomial":
-        exps = [0] * nvars
-        exps[i] = 1
-        return cls(nvars, {tuple(exps): 1.0})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.coeffs), default=0)
-
-    def max_abs(self) -> float:
-        """Largest coefficient magnitude, 0.0 for the zero polynomial; a NaN
-        coefficient gives NaN."""
-        c = np.fromiter(self.coeffs.values(), complex, len(self.coeffs))
-        return float(np.max(np.hypot(c.real, c.imag), initial=0.0))
-
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.nvars, other)
-        if self.nvars != other.nvars:
-            raise ValueError("polynomial variable count mismatch")
-        out = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
-            out[exps] = out.get(exps, 0.0) + c
-        return Polynomial._built(self.nvars, out)
-
-    def __neg__(self):
-        return Polynomial._built(self.nvars,
-                                 {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.nvars, other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, Polynomial):
-            c = complex(other)
-            return Polynomial._built(self.nvars,
-                                     {e: v * c for e, v in self.coeffs.items()})
-        if self.nvars != other.nvars:
-            raise ValueError("polynomial variable count mismatch")
-        out: dict[tuple, complex] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                key = tuple(map(operator.add, e1, e2))
-                out[key] = out.get(key, 0.0) + c1 * c2
-        return Polynomial._built(self.nvars, out)
-
-    __rmul__ = __mul__
-
-    def diff(self, i: int) -> "Polynomial":
-        out: dict[tuple, complex] = {}
-        for exps, c in self.coeffs.items():
-            if exps[i] > 0:
-                e = list(exps)
-                e[i] -= 1
-                key = tuple(e)
-                out[key] = out.get(key, 0.0) + c * exps[i]
-        return Polynomial(self.nvars, out)
-
-    def eval(self, point) -> complex:
-        """The value at one point of nvars coordinates."""
-        return complex(sum(
-            (c * math.prod(x ** e for x, e in zip(point, exps, strict=True))
-             for exps, c in self.coeffs.items()), 0j))
-
-    def subs_var(self, i: int, value) -> "Polynomial":
-        """Fix variable i to a numeric value (variable count unchanged)."""
-        value = complex(value)
-        out: dict[tuple, complex] = {}
-        for exps, c in self.coeffs.items():
-            e = list(exps)
-            power = e[i]
-            e[i] = 0
-            key = tuple(e)
-            out[key] = out.get(key, 0.0) + c * value ** power
-        return Polynomial(self.nvars, out)
-
-    def conj(self) -> "Polynomial":
-        """Coefficient-wise conjugate; equals pointwise conjugation on
-        real arguments."""
-        return Polynomial._built(self.nvars,
-                                 {e: c.conjugate()
-                                  for e, c in self.coeffs.items()})
-
-    def __repr__(self):
-        return f"Polynomial(nvars={self.nvars}, coeffs={self.coeffs})"
 
 
 def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -253,11 +135,9 @@ def _index(dim: int, deg: int) -> dict:
 
 
 @functools.cache
-def _ascending(dim: int, deg: int) -> tuple:
-    """The monomials of _basis(dim, deg) in ascending order, and their
-    columns."""
-    columns = sorted(range(_size(dim, deg)), key=_basis(dim, deg).__getitem__)
-    return tuple(_basis(dim, deg)[k] for k in columns), np.array(columns)
+def _exponents(dim: int, deg: int) -> np.ndarray:
+    """_basis(dim, deg) as an (M, dim) integer array."""
+    return np.array(_basis(dim, deg)).reshape(-1, dim)
 
 
 @functools.cache
@@ -333,22 +213,29 @@ class _PolyRows:
 
     @classmethod
     def of(cls, polys, dim: int) -> "_PolyRows":
-        """The Polynomials as rows, at the highest of their degrees, in their
-        first dim variables: any further variable must be unused."""
-        deg = max(p.degree() for p in polys)
+        """The {exponent tuple: coefficient} mappings as rows, at the highest
+        degree of their nonzero coefficients, in their first dim variables:
+        any further variable must be unused."""
+        deg = max((sum(e) for p in polys for e, c in p.items() if c != 0),
+                  default=0)
         index = _index(dim, deg)
         coef = np.zeros((len(polys), len(index)), dtype=complex)
         for row, poly in zip(coef, polys):
-            for exps, c in poly.coeffs.items():
-                row[index[exps[:dim]]] = c
+            for exps, c in poly.items():
+                if c != 0:
+                    row[index[exps[:dim]]] = c
         return cls(dim, deg, coef)
 
-    def row(self, i: int) -> Polynomial:
-        """Row i as a Polynomial, its monomials in ascending order, the
-        order in which random_state draws their coefficients."""
-        monomials, columns = _ascending(self.dim, self.deg)
-        return Polynomial._built(self.dim, dict(zip(
-            monomials, self.coef[i, columns].tolist())))
+    @classmethod
+    def stacked(cls, polys) -> "_PolyRows":
+        """The rows of all polys, at the highest of their degrees."""
+        deg = max(p.deg for p in polys)
+        return cls(polys[0].dim, deg,
+                   np.concatenate([p.padded(deg) for p in polys]))
+
+    def at(self, p: np.ndarray) -> np.ndarray:
+        """The value of each row at the point p of shape (dim,)."""
+        return self.coef @ np.prod(p ** _exponents(self.dim, self.deg), axis=1)
 
     def repeat(self, n: int) -> "_PolyRows":
         """Row 0 as n rows, a read-only view."""
@@ -405,23 +292,30 @@ def _check_gamma(dim: int, Gamma: np.ndarray) -> np.ndarray:
 
 
 def _checked_term(dim: int, term) -> "PolyGaussianTerm":
-    if term.poly.nvars != dim:
+    """term with its polynomial as one dense row; term.poly is one, or a
+    {exponent tuple: coefficient} mapping."""
+    poly = term.poly
+    if not isinstance(poly, _PolyRows):
+        if not all(len(e) == dim and min(e) >= 0 for e in poly):
+            raise ValueError("term polynomial has wrong variable count")
+        poly = _PolyRows.of([poly], dim)
+    if poly.dim != dim or len(poly.coef) != 1:
         raise ValueError("term polynomial has wrong variable count")
     alpha = complex(term.alpha)
     beta = np.asarray(term.beta, dtype=complex).reshape(dim)
     Gamma = _check_gamma(dim, term.Gamma)
     if not (cmath.isfinite(alpha) and np.isfinite(beta).all()
-            and all(map(cmath.isfinite, term.poly.coeffs.values()))):
+            and np.isfinite(poly.coef).all()):
         raise ValueError("alpha, beta and the polynomial coefficients "
                          "must be finite")
-    return PolyGaussianTerm(term.poly, alpha, beta, Gamma)
+    return PolyGaussianTerm(poly, alpha, beta, Gamma)
 
 
 @dataclass(frozen=True, eq=False)
 class PolyGaussianTerm:
-    """poly(p) * exp(alpha + <beta, p> + p^T Gamma p)."""
+    """poly(p) * exp(alpha + <beta, p> + p^T Gamma p), poly one dense row."""
 
-    poly: Polynomial
+    poly: _PolyRows
     alpha: complex
     beta: np.ndarray
     Gamma: np.ndarray
@@ -447,12 +341,14 @@ class PolyGaussianState:
     @classmethod
     def gaussian(cls, dim: int, alpha=0.0, beta=None, Gamma=None,
                  poly=None) -> "PolyGaussianState":
+        """One term; poly is a {exponent tuple: coefficient} mapping, 1 by
+        default."""
         if beta is None:
             beta = np.zeros(dim, dtype=complex)
         if Gamma is None:
             Gamma = -0.5 * np.eye(dim, dtype=complex)
         if poly is None:
-            poly = Polynomial.constant(dim, 1.0)
+            poly = {(0,) * dim: 1.0}
         term = PolyGaussianTerm(poly, complex(alpha),
                                 np.asarray(beta, dtype=complex),
                                 np.asarray(Gamma, dtype=complex))
@@ -465,7 +361,8 @@ class PolyGaussianState:
         if p.shape != (self.dim,):
             raise ValueError(f"point must have shape ({self.dim},)")
         return complex(sum(
-            (t.poly.eval(p) * cmath.exp(t.alpha + t.beta @ p + p @ t.Gamma @ p)
+            (t.poly.at(p)[0]
+             * cmath.exp(t.alpha + t.beta @ p + p @ t.Gamma @ p)
              for t in self.terms), 0j))
 
     def substitute(self, W, shift) -> "PolyGaussianState":
@@ -493,7 +390,9 @@ class PolyGaussianState:
         return out
 
     def scale(self, c) -> "PolyGaussianState":
-        out = [PolyGaussianTerm(t.poly * c, t.alpha, t.beta, t.Gamma)
+        out = [PolyGaussianTerm(_PolyRows(self.dim, t.poly.deg,
+                                          t.poly.coef * complex(c)),
+                                t.alpha, t.beta, t.Gamma)
                for t in self.terms]
         return PolyGaussianState._trusted(self.dim, out)
 
@@ -503,7 +402,9 @@ class PolyGaussianState:
         return PolyGaussianState._trusted(self.dim, self.terms + other.terms)
 
     def conjugated(self) -> "PolyGaussianState":
-        out = [PolyGaussianTerm(t.poly.conj(), t.alpha.conjugate(),
+        out = [PolyGaussianTerm(_PolyRows(self.dim, t.poly.deg,
+                                          t.poly.coef.conj()),
+                                t.alpha.conjugate(),
                                 t.beta.conjugate(), t.Gamma.conjugate())
                for t in self.terms]
         return PolyGaussianState._trusted(self.dim, out)
@@ -514,15 +415,16 @@ class PolyGaussianState:
         return np.linalg.solve(-2.0 * t.Gamma.real, t.beta.real)
 
     def max_degree(self) -> int:
-        return max((t.poly.degree() for t in self.terms), default=0)
+        """The highest degree of the terms' dense rows."""
+        return max((t.poly.deg for t in self.terms), default=0)
 
 
 class StateBatch:
     """N states of one term layout as stacked arrays; row i is a state.
 
     Term k is (poly, alpha (N,), beta (N, dim), Gamma (N, dim, dim)), poly
-    dense rows (_PolyRows): of broadcasts one state's row, stack builds one
-    row per state, and row(i) turns row i back into a Polynomial.
+    dense rows (_PolyRows): of broadcasts one state's row, stack stacks one
+    row per state, and row(i) is a state of the i-th rows, a view.
     Substitution returns a constant as it is.  The transforms keep the
     invariant as the state methods they generalise do, so rows are not
     re-validated.
@@ -538,7 +440,7 @@ class StateBatch:
     def of(cls, state: PolyGaussianState, n: int = 1) -> "StateBatch":
         """n rows, each the given state; each term polynomial is one dense
         row broadcast to n, a read-only view."""
-        return cls(state.dim, [(_PolyRows.of([t.poly], state.dim).repeat(n),
+        return cls(state.dim, [(t.poly.repeat(n),
                                 np.array((t.alpha,)).repeat(n),
                                 t.beta[None].repeat(n, axis=0),
                                 t.Gamma[None].repeat(n, axis=0))
@@ -546,14 +448,14 @@ class StateBatch:
 
     @classmethod
     def stack(cls, states) -> "StateBatch":
-        """The states as rows, their polynomials as dense rows; they must
-        share a dimension and a term count."""
+        """The states as rows, each term's rows at the highest degree of the
+        column; they must share a dimension and a term count."""
         dim, n_terms = states[0].dim, len(states[0].terms)
         if any(f.dim != dim or len(f.terms) != n_terms for f in states):
             raise ValueError("stacked states need one dimension and term "
                              "count")
         columns = [[f.terms[k] for f in states] for k in range(n_terms)]
-        return cls(dim, [(_PolyRows.of([t.poly for t in col], dim),
+        return cls(dim, [(_PolyRows.stacked([t.poly for t in col]),
                           np.array([t.alpha for t in col]),
                           np.array([t.beta for t in col]),
                           np.array([t.Gamma for t in col]))
@@ -564,8 +466,8 @@ class StateBatch:
 
     def row(self, i: int) -> PolyGaussianState:
         return PolyGaussianState._trusted(self.dim, [
-            PolyGaussianTerm(poly.row(i), complex(alpha[i]), beta[i],
-                             Gamma[i])
+            PolyGaussianTerm(_PolyRows(self.dim, poly.deg, poly.coef[i, None]),
+                             complex(alpha[i]), beta[i], Gamma[i])
             for poly, alpha, beta, Gamma in self.terms])
 
     def substitute(self, W, shift) -> "StateBatch":
@@ -597,129 +499,108 @@ class StateBatch:
 
 @dataclass(frozen=True, eq=False)
 class PolyDiffOperator:
-    """Sum of coeff(p, t) * d^k/dp^k terms, derivatives right-most.
+    """Sum of c p^e t^k d^deriv terms, derivatives right-most.
 
-    Coefficients are polynomials in dim + 1 variables, the trailing one
-    being the external time parameter t.
+    terms is a read-only flat map (deriv, exps) -> c with no zero value:
+    deriv is the derivative multi-index in the dim variables p, exps the
+    exponents of p followed by that of the external time parameter t.
     """
 
     dim: int
-    terms: tuple  # of (Polynomial in dim+1 vars, deriv multi-index tuple)
+    terms: MappingProxyType
 
     @classmethod
-    def build(cls, dim: int, raw_terms) -> "PolyDiffOperator":
-        collected: dict[tuple, Polynomial] = {}
-        for coeff, deriv in raw_terms:
-            deriv = tuple(int(k) for k in deriv)
+    def build(cls, dim: int, entries) -> "PolyDiffOperator":
+        """The operator of ((deriv, exps), c) entries; equal keys add up."""
+        out: dict = {}
+        for (deriv, exps), c in entries:
+            deriv, exps = tuple(map(int, deriv)), tuple(map(int, exps))
             if len(deriv) != dim:
                 raise ValueError("derivative multi-index has wrong length")
-            if not isinstance(coeff, Polynomial):
-                coeff = Polynomial.constant(dim + 1, coeff)
-            if coeff.nvars != dim + 1:
+            if len(exps) != dim + 1:
                 raise ValueError("coefficient must use dim+1 variables")
-            if deriv in collected:
-                collected[deriv] = collected[deriv] + coeff
-            else:
-                collected[deriv] = coeff
-        terms = tuple((c, d) for d, c in sorted(collected.items())
-                      if not c.is_zero())
-        return cls(dim, terms)
+            key = (deriv, exps)
+            out[key] = out.get(key, 0.0) + complex(c)
+        return cls._of(dim, out)
 
     @classmethod
-    def zero(cls, dim: int) -> "PolyDiffOperator":
-        return cls.build(dim, [])
-
-    @classmethod
-    def identity(cls, dim: int) -> "PolyDiffOperator":
-        return cls.build(dim, [(1.0, (0,) * dim)])
-
-    @classmethod
-    def coordinate(cls, dim: int, i: int) -> "PolyDiffOperator":
-        """Multiplication by the i-th coordinate."""
-        return cls.build(dim, [(Polynomial.variable(dim + 1, i), (0,) * dim)])
-
-    @classmethod
-    def derivative(cls, dim: int, i: int) -> "PolyDiffOperator":
-        deriv = [0] * dim
-        deriv[i] = 1
-        return cls.build(dim, [(1.0, tuple(deriv))])
-
-    @classmethod
-    def time_poly(cls, dim: int, degree: int = 1) -> "Polynomial":
-        """The coefficient polynomial t**degree."""
-        exps = [0] * (dim + 1)
-        exps[dim] = degree
-        return Polynomial(dim + 1, {tuple(exps): 1.0})
+    def _of(cls, dim: int, terms: dict) -> "PolyDiffOperator":
+        """The operator of a flat map this class built, zeros dropped."""
+        return cls(dim, MappingProxyType(
+            {key: c for key, c in terms.items() if c != 0}))
 
     def __add__(self, other: "PolyDiffOperator") -> "PolyDiffOperator":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        return PolyDiffOperator.build(self.dim,
-                                      list(self.terms) + list(other.terms))
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0.0) + c
+        return PolyDiffOperator._of(self.dim, out)
 
     def __sub__(self, other: "PolyDiffOperator") -> "PolyDiffOperator":
         return self + other.scale(-1.0)
 
     def scale(self, c) -> "PolyDiffOperator":
-        return PolyDiffOperator.build(self.dim,
-                                      [(coeff * c, d) for coeff, d in self.terms])
+        c = complex(c)
+        return PolyDiffOperator._of(self.dim, {key: v * c for key, v
+                                               in self.terms.items()})
 
     def compose(self, other: "PolyDiffOperator") -> "PolyDiffOperator":
-        """Operator product self . other via the Leibniz rule; t is a
-        parameter, untouched by the derivatives."""
+        """Operator product self . other by the Leibniz rule, entry by entry:
+        c p^e d^a . c' p^f d^b is the sum over j <= a of
+        prod_i C(a_i, j_i) (f_i)_(j_i) c c' p^(e + f - j) d^(a - j + b),
+        with (x)_k the falling factorial (_leibniz); t is a parameter,
+        untouched by the derivatives."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        dim = self.dim
-        raw = []
-        for cA, a in self.terms:
-            for cB, b in other.terms:
-                for j in _sub_multi_indices(a):
-                    coeff = cB
-                    for i in range(dim):
-                        for _ in range(j[i]):
-                            coeff = coeff.diff(i)
-                    if coeff.is_zero():
-                        continue
-                    binom = 1
-                    for i in range(dim):
-                        binom *= math.comb(a[i], j[i])
-                    deriv = tuple(a[i] - j[i] + b[i] for i in range(dim))
-                    raw.append((cA * coeff * binom, deriv))
-        return PolyDiffOperator.build(dim, raw)
+        out: dict = {}
+        for (a, e), c in self.terms.items():
+            for (b, f), c2 in other.terms.items():
+                for key, factor in _leibniz(a, e, b, f):
+                    out[key] = out.get(key, 0.0) + c * c2 * factor
+        return PolyDiffOperator._of(self.dim, out)
 
     def commutator(self, other: "PolyDiffOperator") -> "PolyDiffOperator":
         return self.compose(other) - other.compose(self)
 
     def d_dt(self) -> "PolyDiffOperator":
         """Exact derivative in the external parameter t."""
-        return PolyDiffOperator.build(
-            self.dim, [(coeff.diff(self.dim), d) for coeff, d in self.terms])
+        return PolyDiffOperator._of(self.dim, {
+            (deriv, e[:-1] + (e[-1] - 1,)): c * e[-1]
+            for (deriv, e), c in self.terms.items() if e[-1]})
 
     def at_time(self, t: float) -> "PolyDiffOperator":
         """The operator with t fixed to a number, which must be finite."""
         if not cmath.isfinite(t):
             raise ValueError(f"t must be finite, got {t!r}")
-        return PolyDiffOperator.build(
-            self.dim, [(coeff.subs_var(self.dim, t), d)
-                       for coeff, d in self.terms])
+        t = complex(t)
+        out: dict = {}
+        for (deriv, e), c in self.terms.items():
+            key = (deriv, e[:-1] + (0,))
+            out[key] = out.get(key, 0.0) + c * t ** e[-1]
+        return PolyDiffOperator._of(self.dim, out)
 
     def norm(self) -> float:
         """Largest coefficient magnitude; zero iff the operator is zero, NaN
         when a coefficient is."""
-        return float(np.max([coeff.max_abs() for coeff, _ in self.terms],
-                            initial=0.0))
+        c = np.fromiter(self.terms.values(), complex, len(self.terms))
+        return float(np.max(np.hypot(c.real, c.imag), initial=0.0))
 
     def apply_batch(self, states: StateBatch, t: float = 0.0,
                     max_degree: int = DEFAULT_MAX_DEGREE) -> StateBatch:
-        """Exact action on each row, with t fixed numerically.  Each operator
-        term whose coefficient is nonzero at t gives one term per state term,
-        operator term outer; with none, each row is one zero term."""
+        """Exact action on each row, with t fixed numerically.  The entries
+        nonzero at t form one dense coefficient row per derivative, and each
+        derivative gives one term per state term, in sorted order, derivative
+        outer; with none, each row is one zero term."""
         if states.dim != self.dim:
             raise ValueError("dimension mismatch")
         dim = self.dim
+        groups: dict = {}
+        for (deriv, exps), c in self.at_time(t).terms.items():
+            groups.setdefault(deriv, {})[exps] = c
         out = []
-        for coeff, deriv in self.at_time(t).terms:
-            coeff = _PolyRows.of([coeff], dim)
+        for deriv in sorted(groups):
+            coeff = _PolyRows.of([groups[deriv]], dim)
             for poly, alpha, beta, Gamma in states.terms:
                 deg = poly.deg + sum(deriv) + coeff.deg
                 if deg > max_degree:
@@ -739,7 +620,7 @@ class PolyDiffOperator:
                     poly.coef, coeff.coef, dim, poly.deg, coeff.deg)),
                     alpha, beta, Gamma))
         if not out:
-            zero = PolyGaussianState.gaussian(dim, poly=Polynomial(dim))
+            zero = PolyGaussianState.gaussian(dim, poly={})
             return StateBatch.of(zero, len(states))
         # every term reuses the Gamma of a term of states
         return StateBatch(dim, out)
@@ -749,6 +630,22 @@ class PolyDiffOperator:
         """Exact action on a state, with t fixed numerically: the one-row
         view of apply_batch."""
         return self.apply_batch(StateBatch.of(state), t, max_degree).row(0)
+
+
+@functools.lru_cache(maxsize=4096)
+def _leibniz(a: tuple, e: tuple, b: tuple, f: tuple) -> tuple:
+    """The terms of p^e d^a . p^f d^b as (key, factor) pairs: for each j <= a
+    with j <= f, where (f_i)_(j_i) does not vanish, the key
+    (a - j + b, e + f - j) and the factor prod_i C(a_i, j_i) (f_i)_(j_i)."""
+    out = []
+    for j in _sub_multi_indices(tuple(map(min, a, f))):
+        factor = 1
+        for a_i, f_i, j_i in zip(a, f, j):
+            factor *= math.comb(a_i, j_i) * math.perm(f_i, j_i)
+        out.append(((tuple(x - y + z for x, y, z in zip(a, j, b)),
+                     tuple(x + y - z for x, y, z in zip(e, f, j + (0,)))),
+                    factor))
+    return tuple(out)
 
 
 @functools.cache
@@ -826,7 +723,9 @@ def _gaussian_integrals(poly: _PolyRows, alpha: np.ndarray, beta: np.ndarray,
     Re(-2 Gamma) positive-definite (_integrable_root).  A row that does not
     converge gives NaN."""
     n, dim = beta.shape
-    A = -2.0 * Gamma
+    # part by part: the complex product by -2 would take 0 * inf of an
+    # infinite part, which warns and carries a NaN into the other part
+    A = _complex(-2.0 * Gamma.real, -2.0 * Gamma.imag)
     integrable, det_root = _integrable_root(A)
     # stand-in rows keep solve and inv off a singular or non-finite matrix
     eye = np.eye(dim)

@@ -12,7 +12,9 @@ multiplier is read off their term parameters: omega = e^{dalpha} of the
 first term, and every other difference of the two sides is a term
 mismatch.  No state is evaluated at a point.  The Heisenberg
 and initial-condition residuals are likewise the largest coefficient of an
-exact operator difference.
+exact operator difference, and the Heisenberg constant is a least-squares
+fit over the coefficients of the operators' flat maps
+(PolyDiffOperator.terms).
 """
 from __future__ import annotations
 
@@ -284,24 +286,14 @@ class HeisenbergFitResult:
     note: str = ""
 
 
-def _operator_coeff_map(op: PolyDiffOperator) -> dict:
-    out = {}
-    for coeff, deriv in op.terms:
-        for exps, c in coeff.coeffs.items():
-            out[(deriv, exps)] = c
-    return out
-
-
 def _fit_scalar(lhs: PolyDiffOperator, rhs: PolyDiffOperator):
     """Least-squares K minimizing ||lhs - K rhs|| over coefficients;
     None when rhs = 0 (K unconstrained)."""
-    rhs_map = _operator_coeff_map(rhs)
-    if not rhs_map:
+    if not rhs.terms:
         return None
-    lhs_map = _operator_coeff_map(lhs)
-    num = sum(c.conjugate() * lhs_map.get(key, 0.0)
-              for key, c in rhs_map.items())
-    den = sum(abs(c) ** 2 for c in rhs_map.values())
+    num = sum(c.conjugate() * lhs.terms.get(key, 0.0)
+              for key, c in rhs.terms.items())
+    den = sum(abs(c) ** 2 for c in rhs.terms.values())
     return complex(num / den)
 
 

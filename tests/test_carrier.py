@@ -1,8 +1,7 @@
 """Carrier states at array speed: the one pointwise formula, the
 transforms that build their result without re-validating it, the array
-affine substitution against the dict substitution, dense rows as the one
-StateBatch polynomial form, and Polynomial arithmetic that does not
-re-normalise what it built.
+affine substitution against pointwise substitution, dense rows as the one
+state polynomial form, and the flat monomial map of an operator.
 
 A state has one pointwise formula, evaluate, kept for tests and tools: no
 check evaluates a state at a point, and it is tested against the formula
@@ -10,8 +9,9 @@ written out term by term.  The trusted transforms must keep every term's
 Gamma symmetric with a negative-definite real part, which the validating
 check confirms.  The congruence in real arithmetic and the draws in place
 must give what the complex product and the rng.normal draws they replace
-give, bit for bit.  An operator acts on the dense rows of a StateBatch, and
-each row must match the per-term dict loop it replaces.
+give, bit for bit.  An operator acts on the dense rows of a StateBatch, row
+i as the 1-row call, and its composition must act as the sequential
+actions, whatever form either takes.
 """
 
 import cmath
@@ -27,9 +27,8 @@ from galiray import harness, verify
 from galiray.group import GalileiElement, _rodrigues, rotation_2d
 from galiray.representations import (RepDescriptor, apply_batch,
                                      apply_time, generator, generator_names)
-from galiray.states import (DEFAULT_MAX_DEGREE, DegreeOverflowError,
-                            PolyDiffOperator, PolyGaussianState,
-                            PolyGaussianTerm, Polynomial, StateBatch,
+from galiray.states import (DegreeOverflowError, PolyDiffOperator,
+                            PolyGaussianState, StateBatch, _basis,
                             _check_gamma, _cmul, _congruence, _PolyRows,
                             _size, _StateDraws, random_state)
 
@@ -42,7 +41,7 @@ def _reference_evaluate(f, p):
     total = 0.0 + 0.0j
     for t in f.terms:
         poly = 0.0 + 0.0j
-        for exps, c in t.poly.coeffs.items():
+        for exps, c in zip(_basis(f.dim, t.poly.deg), t.poly.coef[0]):
             poly += c * math.prod(float(x) ** e for x, e in zip(p, exps))
         total += poly * cmath.exp(t.alpha + t.beta @ p + p @ t.Gamma @ p)
     return total
@@ -73,7 +72,7 @@ def test_evaluate_rejects_points_of_the_wrong_shape():
         with pytest.raises(ValueError):
             f.evaluate(bad)
     with pytest.raises(ValueError):
-        f.terms[0].poly.eval(np.zeros(3))
+        f.terms[0].poly.at(np.zeros(3))
 
 
 # -- trusted transforms ------------------------------------------------------
@@ -166,66 +165,10 @@ def test_only_a_real_or_asymmetric_quad_is_revalidated():
 
 
 # -- array affine substitution -----------------------------------------------
-# The oracle is the dict substitution that StateBatch used before its term
-# polynomials became dense rows: per monomial, the product of the powers of
-# the affine lines it uses, all terms adding up in one dict.
+# The oracle is the substitution written pointwise: the substituted row at x
+# is the row at M x + c.
 
-def _affine_line(row, shift) -> Polynomial:
-    """The polynomial sum_j row[j] q_j + shift."""
-    n = len(row)
-    coeffs = {}
-    for j in range(n):
-        if row[j] != 0:
-            e = [0] * n
-            e[j] = 1
-            coeffs[tuple(e)] = row[j]
-    if shift != 0:
-        coeffs[tuple([0] * n)] = shift
-    return Polynomial(n, coeffs)
-
-
-def _dict_subs_affine(poly, M, c):
-    """Substitute variable_i -> sum_j M[i,j] q_j + c[i] in a Polynomial."""
-    n = poly.nvars
-    lines, powers = [None] * n, [[] for _ in range(n)]
-    out = {}
-    for exps, coef in poly.coeffs.items():
-        term = Polynomial.constant(n, coef)
-        for i, e in enumerate(exps):
-            if e:
-                if lines[i] is None:
-                    lines[i] = _affine_line(M[i], c[i])
-                    powers[i].append(Polynomial.constant(n, 1.0))
-                while len(powers[i]) <= e:
-                    powers[i].append(powers[i][-1] * lines[i])
-                term = term * powers[i][e]
-        for key, c_term in term.coeffs.items():
-            out[key] = out.get(key, 0.0) + c_term
-    return Polynomial(n, out)
-
-
-def _array_subs_affine(poly, M, c):
-    """The same substitution through the dense rows of a StateBatch."""
-    return _PolyRows.of([poly], poly.nvars).substitute(
-        np.asarray(M)[None], np.asarray(c, dtype=complex)[None]).row(0)
-
-
-def _assert_substitution_agrees(poly, M, c, exact: bool):
-    """The array substitution equals the dict one: exactly, or within 8 ulp
-    of the largest coefficient of any one monomial's substituted term."""
-    got, want = _array_subs_affine(poly, M, c), _dict_subs_affine(poly, M, c)
-    assert all(type(e) is int for exps in got.coeffs for e in exps)
-    assert all(type(v) is complex for v in got.coeffs.values())
-    if exact:
-        assert got.coeffs == want.coeffs
-        return
-    largest = max((_dict_subs_affine(Polynomial(poly.nvars, {e: v}), M,
-                                     c).max_abs()
-                   for e, v in poly.coeffs.items()), default=0.0)
-    assert (got - want).max_abs() <= 8 * np.finfo(float).eps * largest
-
-
-def test_array_substitution_agrees_with_the_dict_substitution():
+def test_array_substitution_agrees_with_the_pointwise_substitution():
     rng = np.random.default_rng(630)
     for case in range(60):
         n = 1 + case % 3
@@ -236,18 +179,25 @@ def test_array_substitution_agrees_with_the_dict_substitution():
         if case % 4 == 1:
             # leave the last variable unused
             coeffs = {e[:-1] + (0,): c for e, c in coeffs.items()}
-        poly = Polynomial(n, coeffs)
+        rows = _PolyRows.of([coeffs], n)
         M = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.7)
         c = (rng.normal(size=n) + 1j * rng.normal(size=n)) \
             * (rng.random(n) < 0.7)
-        _assert_substitution_agrees(poly, M, c, exact=False)
+        sub = rows.substitute(M[None], c[None])
+        assert sub.deg == rows.deg
+        # the size of the largest sum the substitution rounds
+        bound = _PolyRows(n, rows.deg, np.abs(rows.coef))
+        for x in rng.normal(size=(4, n)):
+            y = M @ x + c
+            scale = bound.at(np.abs(M) @ np.abs(x) + np.abs(c))[0].real
+            assert abs(sub.at(x)[0] - rows.at(y)[0]) <= 1e-13 * scale
 
 
 def _assert_dense(batch):
     assert all(type(poly) is _PolyRows for poly, *_ in batch.terms)
 
 
-def test_every_state_batch_polynomial_is_dense_rows():
+def test_every_state_polynomial_is_dense_rows():
     rng = np.random.default_rng(640)
     rep = MOMENTUM_REPS[2]
     gaussian = random_state(rng, 3, poly_degree=0, n_terms=2)
@@ -264,124 +214,32 @@ def test_every_state_batch_polynomial_is_dense_rows():
     for i in range(3):
         draws.draw(i, rng, 0)
     _assert_dense(draws.batch())
+    # a single state's term holds one row, from input or from a batch
+    for state in (f, PolyGaussianState.gaussian(3, poly={(1, 0, 2): 2.0}),
+                  StateBatch.stack([gaussian, f]).row(0), f.scale(2.0),
+                  f.conjugated(), generator(rep, "N1").apply(f, t=0.3)):
+        for term in state.terms:
+            assert type(term.poly) is _PolyRows
+            assert term.poly.coef.shape == (1, _size(3, term.poly.deg))
 
 
-# -- Polynomial arithmetic without re-normalisation ---------------------------
-# The references rebuild every result through the normalising constructor
-# Polynomial(nvars, dict), as the arithmetic did before it kept its own
-# dicts as they are.
-
-def _ref_add(a, b):
-    out = dict(a.coeffs)
-    for exps, c in b.coeffs.items():
-        out[exps] = out.get(exps, 0.0) + c
-    return Polynomial(a.nvars, out)
-
-
-def _ref_neg(a):
-    return Polynomial(a.nvars, {e: -c for e, c in a.coeffs.items()})
-
-
-def _ref_mul(a, b):
-    if not isinstance(b, Polynomial):
-        c = complex(b)
-        return Polynomial(a.nvars, {e: v * c for e, v in a.coeffs.items()})
-    out = {}
-    for e1, c1 in a.coeffs.items():
-        for e2, c2 in b.coeffs.items():
-            key = tuple(x + y for x, y in zip(e1, e2))
-            out[key] = out.get(key, 0.0) + c1 * c2
-    return Polynomial(a.nvars, out)
-
-
-def _ref_conj(a):
-    return Polynomial(a.nvars, {e: c.conjugate() for e, c in a.coeffs.items()})
-
-
-def _bits(poly):
-    """Keys in dict order and values bit for bit, signed zeros included."""
-    assert all(type(e) is int for exps in poly.coeffs for e in exps)
-    assert all(type(c) is complex for c in poly.coeffs.values())
-    return poly.nvars, [(exps, c.real.hex(), c.imag.hex())
-                        for exps, c in poly.coeffs.items()]
-
-
-# exactly representable values, so that sums cancel exactly
-SMALL = (1.0, -1.0, 0.5, -0.5, 2.0, 1j, -1j, 0.5 - 0.5j, -0.0 + 1j)
-
-
-def _random_poly(rng, n):
-    degree = int(rng.integers(0, 4))
-    coeffs = {}
-    for _ in range(int(rng.integers(0, 7))):
-        exps = [0] * n
-        for _ in range(int(rng.integers(0, degree + 1))):
-            exps[int(rng.integers(0, n))] += 1
-        coeffs[tuple(exps)] = (SMALL[rng.integers(len(SMALL))]
-                               if rng.random() < 0.5
-                               else complex(rng.normal(), rng.normal()))
-    return Polynomial(n, coeffs)
-
-
-def _partner(rng, a):
-    """A random polynomial sharing some of a's monomials, some of them with
-    the negated coefficient, so that a + b cancels there exactly."""
-    b = _random_poly(rng, a.nvars)
-    coeffs = dict(b.coeffs)
-    for exps, c in a.coeffs.items():
-        if rng.random() < 0.5:
-            coeffs[exps] = -c if rng.random() < 0.7 else c
-    return Polynomial(a.nvars, coeffs)
-
-
-def test_polynomial_arithmetic_equals_the_normalising_path_bit_for_bit():
-    rng = np.random.default_rng(640)
-    n_dropped = n_exact = 0
-    for case in range(400):
-        n = 1 + case % 4
-        a = _random_poly(rng, n)
-        b = _partner(rng, a)
-        scalar = (0.0, 3, -1.0, 1j, 2.5 - 0.25j, np.float64(0.7),
-                  complex(rng.normal(), rng.normal()))[case % 7]
-        M = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.7)
-        c = (rng.normal(size=n) + 1j * rng.normal(size=n)) \
-            * (rng.random(n) < 0.7)
-        if case % 3 == 0:
-            M, c = np.round(M), np.round(c)
-        pairs = [(a + b, _ref_add(a, b)), (a - b, _ref_add(a, _ref_neg(b))),
-                 (-a, _ref_neg(a)), (a * b, _ref_mul(a, b)),
-                 (a * scalar, _ref_mul(a, scalar)),
-                 (scalar * a, _ref_mul(a, scalar)),
-                 (a.conj(), _ref_conj(a))]
-        for fast, ref in pairs:
-            assert _bits(fast) == _bits(ref)
-        # exact on exactly representable inputs, which sum without rounding
-        exact = case % 3 == 0 and all(v in SMALL for v in a.coeffs.values())
-        _assert_substitution_agrees(a, M, c, exact)
-        n_exact += exact
-        n_dropped += len(set(a.coeffs) & set(b.coeffs)) \
-            - len(set(a.coeffs) & set((a + b).coeffs))
-    assert n_dropped > 0 and n_exact > 0
-
-
-def test_a_sum_that_cancels_drops_its_monomial_and_keeps_the_order():
-    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    a = x * 1.5 + y * 2.0 + 1.0
-    assert list((a - x * 1.5).coeffs) == [(0, 1), (0, 0)]
-    # x -> q1 + 1, y -> -q1 + 1: q1 cancels in x + y, and x^2 adds it back;
-    # a row of dense coefficients lists its monomials in ascending order
-    poly = x + y + x * x
-    M, c = np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1.0, 1.0])
-    got = _array_subs_affine(poly, M, c)
-    assert got.coeffs == _dict_subs_affine(poly, M, c).coeffs
-    assert list(got.coeffs) == [(0, 0), (1, 0), (2, 0)]
-
-
-def test_the_input_constructor_still_normalises():
-    p = Polynomial(2, {(np.int64(1), 0): 2, (0, 1): 0.0, (0, 0): np.float64(3)})
-    assert list(p.coeffs) == [(1, 0), (0, 0)]
-    assert _bits(p) == (2, [((1, 0), (2.0).hex(), (0.0).hex()),
-                            ((0, 0), (3.0).hex(), (0.0).hex())])
+def test_build_normalises_its_input_once():
+    op = PolyDiffOperator.build(1, [
+        (((np.int64(1),), (0, np.int64(2))), 2),
+        (((0,), (1, 0)), np.float64(0.5)),
+        (((0,), (3, 0)), 0.0)])
+    # int keys, complex values, no zero, and a map no caller can change
+    assert dict(op.terms) == {((1,), (0, 2)): 2 + 0j, ((0,), (1, 0)): 0.5 + 0j}
+    assert all(type(k) is int for key in op.terms for part in key
+               for k in part)
+    assert all(type(c) is complex for c in op.terms.values())
+    with pytest.raises(TypeError):
+        op.terms[((0,), (0, 0))] = 1.0
+    # every operation keeps the form, zeros dropped
+    for out in (op + op, op - op, op.scale(1j), op.compose(op), op.d_dt(),
+                op.at_time(0.5), op.commutator(op)):
+        assert all(type(c) is complex and c != 0 for c in out.terms.values())
+    assert not (op - op).terms and not op.commutator(op).terms
 
 
 # -- each multiplier product is built once -----------------------------------
@@ -505,53 +363,31 @@ def test_state_draws_in_place_take_the_stream_of_rng_normal(dim, n_terms):
 
 # -- the operator action on dense rows ---------------------------------------
 
-def _reference_apply(op, state, t=0.0, max_degree=DEFAULT_MAX_DEGREE):
-    """The terms of op applied to state by the per-term dict loop that
-    PolyDiffOperator.apply ran before apply_batch: each coefficient fixed at
-    t, each derivative d/dp_i taken as poly' + poly (beta_i + 2 (Gamma p)_i),
-    and the zero products dropped."""
-    dim = op.dim
-    out = []
-    for coeff, deriv in op.terms:
-        coeff_p = Polynomial(dim, {e[:dim]: c for e, c in
-                                   coeff.subs_var(dim, t).coeffs.items()})
-        for term in state.terms:
-            poly = term.poly
-            for i in range(dim):
-                for _ in range(deriv[i]):
-                    lin = {(0,) * dim: term.beta[i]}
-                    for j in range(dim):
-                        if term.Gamma[i, j] != 0:
-                            lin[tuple(int(j == k) for k in range(dim))] = (
-                                2.0 * term.Gamma[i, j])
-                    poly = poly.diff(i) + poly * Polynomial(dim, lin)
-            poly = poly * coeff_p
-            if poly.degree() > max_degree:
-                raise DegreeOverflowError(poly.degree())
-            if not poly.is_zero():
-                out.append(PolyGaussianTerm(poly, term.alpha, term.beta,
-                                            term.Gamma))
-    return out
+def _same(a, b) -> bool:
+    """Equal bit for bit."""
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-def _assert_terms_match(got, want):
-    """Same term layout, and each coefficient within 1e-15 of the largest
-    of its reference term."""
-    assert len(got.terms) == len(want)
-    for g, w in zip(got.terms, want):
-        assert g.alpha == w.alpha
-        assert np.array_equal(g.beta, w.beta)
-        assert np.array_equal(g.Gamma, w.Gamma)
-        assert g.poly.coeffs.keys() == w.poly.coeffs.keys()
-        scale = w.poly.max_abs()
-        for e, c in w.poly.coeffs.items():
-            assert abs(g.poly.coeffs[e] - c) <= 1e-15 * scale
+def _same_poly(a, b) -> bool:
+    """Equal rows bit for bit over the higher of their degrees, apart from
+    the sign of a coefficient that is zero in both."""
+    deg = max(a.deg, b.deg)
+    x, y = a.padded(deg), b.padded(deg)
+    nonzero = (x != 0) | (y != 0)
+    return _same(x[nonzero], y[nonzero])
+
+
+def _same_terms(f, g) -> bool:
+    return len(f.terms) == len(g.terms) and all(
+        a.alpha == b.alpha and _same(a.beta, b.beta)
+        and _same(a.Gamma, b.Gamma) and _same_poly(a.poly, b.poly)
+        for a, b in zip(f.terms, g.terms))
 
 
 @pytest.mark.parametrize("t", (0.0, 0.8, -1.7))
 @pytest.mark.parametrize("rep", harness.default_config().reps,
                          ids=lambda rep: rep.kind)
-def test_apply_batch_matches_the_dict_loop_on_every_row(rep, t):
+def test_row_i_of_apply_batch_is_the_one_row_call(rep, t):
     rng = np.random.default_rng(750)
     degrees = (0, 1, 2, 2, 0, 1, 1, 2, 0)
     for n_terms in (1, 2):
@@ -563,35 +399,55 @@ def test_apply_batch_matches_the_dict_loop_on_every_row(rep, t):
             out = op.apply_batch(batch, t)
             assert len(out) == len(states)
             for i, f in enumerate(states):
-                row = out.row(i)
-                _assert_terms_match(row, want=_reference_apply(op, f, t))
                 # whatever degrees the other rows have, row i is the 1-row
                 # call bit for bit
-                assert [u.poly.coeffs for u in row.terms] == [
-                    u.poly.coeffs for u in op.apply(f, t).terms]
+                assert _same_terms(out.row(i), op.apply(f, t))
+
+
+def _part(op, deriv):
+    """The entries of op with the given derivative, as an operator."""
+    return PolyDiffOperator.build(op.dim, [(key, c) for key, c
+                                           in op.terms.items()
+                                           if key[0] == deriv])
+
+
+def test_apply_batch_lays_out_each_derivative_in_sorted_order():
+    # entries built out of order: d/dp_1, then 1, then d/dp_0 p_1 t
+    op = PolyDiffOperator.build(2, [(((0, 1), (1, 0, 0)), 0.5),
+                                    (((0, 0), (0, 2, 1)), -1.5j),
+                                    (((1, 0), (0, 1, 1)), 2.0),
+                                    (((0, 0), (0, 0, 0)), 0.25)])
+    rng = np.random.default_rng(765)
+    batch = StateBatch.stack([random_state(rng, 2, poly_degree=d, n_terms=2)
+                              for d in (0, 2, 1)])
+    out = op.apply_batch(batch, t=0.6)
+    derivs = sorted({deriv for deriv, _ in op.terms})
+    assert derivs == [(0, 0), (0, 1), (1, 0)]
+    # one term per derivative and state term, derivative outer
+    assert len(out.terms) == len(derivs) * len(batch.terms)
+    for k, deriv in enumerate(derivs):
+        part = _part(op, deriv).apply_batch(batch, t=0.6)
+        for m, term in enumerate(part.terms):
+            got = out.terms[k * len(batch.terms) + m]
+            assert all(_same(x, y) for x, y in zip((got[0].coef, *got[1:]),
+                                                   (term[0].coef, *term[1:])))
 
 
 @pytest.mark.parametrize("dim", (1, 2, 3))
-def test_degree_overflow_fires_where_the_dict_loop_fired(dim):
+def test_degree_overflow_fires_past_the_bound(dim):
     rng = np.random.default_rng(760 + dim)
     for deg, c, k in itertools.product(range(3), repeat=3):
         # p_0^c d^k/dp_0^k on states up to degree deg: degree deg + c + k
-        coeff = Polynomial(dim + 1, {(c,) + (0,) * dim: 1.0})
-        op = PolyDiffOperator.build(dim, [(coeff, (k,) + (0,) * (dim - 1))])
+        op = PolyDiffOperator.build(dim, [(((k,) + (0,) * (dim - 1),
+                                            (c,) + (0,) * dim), 1.0)])
         states = [random_state(rng, dim, poly_degree=d)
                   for d in range(deg + 1)]
         batch = StateBatch.stack(states)
         need = deg + c + k
         for bound in range(need + 2):
-            try:
-                _reference_apply(op, states[-1], max_degree=bound)
-                overflows = False
-            except DegreeOverflowError:
-                overflows = True
-            assert overflows == (need > bound)
             for call in (lambda: op.apply(states[-1], max_degree=bound),
                          lambda: op.apply_batch(batch, max_degree=bound)):
-                if overflows:
+                if need > bound:
                     with pytest.raises(DegreeOverflowError):
                         call()
                 else:
@@ -604,23 +460,57 @@ def test_a_coefficient_that_vanishes_at_t_gives_no_term():
     # (t - 1) p_0 + d/dp_0 at t = 1 keeps only the derivative term; at t = 1
     # the coefficient of t - 1 alone leaves the zero state on every row
     dim = 2
-    t_minus_1 = Polynomial(dim + 1, {(1, 0, 1): 1.0, (1, 0, 0): -1.0})
-    vanishing = PolyDiffOperator.build(dim, [(t_minus_1, (0, 0))])
-    op = vanishing + PolyDiffOperator.derivative(dim, 0)
+    vanishing = PolyDiffOperator.build(dim, [(((0, 0), (1, 0, 1)), 1.0),
+                                             (((0, 0), (1, 0, 0)), -1.0)])
+    derivative = PolyDiffOperator.build(dim, [(((1, 0), (0, 0, 0)), 1.0)])
+    op = vanishing + derivative
     rng = np.random.default_rng(770)
     states = [random_state(rng, dim, poly_degree=d, n_terms=2)
               for d in (0, 2, 1)]
     batch = StateBatch.stack(states)
     out = op.apply_batch(batch, t=1.0)
     assert len(out.terms) == 2
-    for i, f in enumerate(states):
-        _assert_terms_match(out.row(i), _reference_apply(op, f, t=1.0))
+    want = derivative.apply_batch(batch)
+    for i in range(len(states)):
+        assert _same_terms(out.row(i), want.row(i))
     zero = vanishing.apply_batch(batch, t=1.0)
     assert len(zero) == len(states)
     for i in range(len(states)):
         (term,) = zero.row(i).terms
-        assert term.poly.is_zero() and term.alpha == 0.0
+        assert not term.poly.coef.any() and term.alpha == 0.0
         assert np.array_equal(term.Gamma, -0.5 * np.eye(dim))
+
+
+# -- composition through the action -------------------------------------------
+# The oracle is the action itself, whatever form an operator takes: (A . B) f
+# must be A (B f), and [H, R] f must be H (R f) - R (H f), at sample points.
+
+def _values(state, points):
+    return np.array([state.evaluate(p) for p in points])
+
+
+@pytest.mark.parametrize("t", (0.0, 0.8))
+@pytest.mark.parametrize("rep", harness.default_config().reps,
+                         ids=lambda rep: rep.kind)
+def test_compose_acts_as_the_sequential_actions(rep, t):
+    rng = np.random.default_rng(790)
+    names = generator_names(rep)
+    ops = {name: generator(rep, name) for name in names}
+    H = ops["H"]
+    for degree in (0, 1, 2):
+        f = random_state(rng, rep.dim, poly_degree=degree, n_terms=2)
+        points = verify.default_sample_points(f, n=6, seed=degree)
+        acted = {name: op.apply(f, t) for name, op in ops.items()}
+        for a, b in itertools.product(names, repeat=2):
+            want = _values(ops[a].apply(acted[b], t), points)
+            got = _values(ops[a].compose(ops[b]).apply(f, t), points)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        for name in names:
+            first = _values(H.apply(acted[name], t), points)
+            second = _values(ops[name].apply(acted["H"], t), points)
+            got = _values(H.commutator(ops[name]).apply(f, t), points)
+            scale = max(np.max(np.abs(first)), np.max(np.abs(second)))
+            assert np.max(np.abs(got - (first - second))) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf))

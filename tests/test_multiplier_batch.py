@@ -26,7 +26,7 @@ from galiray.group import (GalileiBatch, GalileiElement, _from_raw,
 from galiray.harness import config_to_dict, default_config, report_json
 from galiray.representations import (RepDescriptor, _time_phase,
                                      apply_batch, apply_time)
-from galiray.states import (PolyGaussianState, Polynomial, StateBatch,
+from galiray.states import (PolyGaussianState, StateBatch, _PolyRows,
                             random_state)
 from galiray.verify import (check_time_multiplier_batch,
                             default_sample_points,
@@ -71,7 +71,8 @@ def test_row_i_of_the_batched_core_is_the_one_row_call(rep, kind, n):
         for got, want in zip(acted.row(i).terms, one.terms):
             assert got.alpha == want.alpha
             assert _same(got.beta, want.beta) and _same(got.Gamma, want.Gamma)
-            assert got.poly.coeffs == want.poly.coeffs
+            assert got.poly.deg == want.poly.deg
+            assert _same(got.poly.coef, want.poly.coef)
         one = extract_multiplier(rep, ri, si, ti, state)
         assert len(one.omega) == 1
         assert rows.omega[i] == one.omega[0]
@@ -310,7 +311,7 @@ def test_the_multiplier_families_evaluate_no_state(monkeypatch, capsys):
         raise AssertionError("a state was evaluated at a point")
 
     for owner, attr in ((PolyGaussianState, "evaluate"),
-                        (Polynomial, "eval"),
+                        (_PolyRows, "at"),
                         (verify, "default_sample_points")):
         monkeypatch.setattr(owner, attr, forbidden)
     cfg = default_config(**FAULT_CFG)

@@ -25,7 +25,6 @@ from galiray.representations import (
 )
 from galiray.states import (
     PolyDiffOperator,
-    Polynomial,
     inner_product,
     random_state,
 )
@@ -231,30 +230,29 @@ def test_generator_names_by_kind():
         generator(REPS["schrodinger2d"], "Q")
 
 
+def _op(dim, *terms):
+    """The operator of (deriv, exps, c) terms, exps over p and then t."""
+    return PolyDiffOperator.build(dim, [((d, e), c) for d, e, c in terms])
+
+
 def test_generator_operator_content_2d():
     rep = REPS["schrodinger2d"]
     g = rep.gamma
     H = generator(rep, "H")
-    wantH = PolyDiffOperator.build(
-        2, [(Polynomial(3, {(2, 0, 0): 1.0 / (2.0 * g),
-                            (0, 2, 0): 1.0 / (2.0 * g)}), (0, 0))])
+    wantH = _op(2, ((0, 0), (2, 0, 0), 1.0 / (2.0 * g)),
+                ((0, 0), (0, 2, 0), 1.0 / (2.0 * g)))
     assert (H - wantH).norm() == 0.0
     P2 = generator(rep, "P2")
-    wantP2 = PolyDiffOperator.build(2, [(Polynomial(3, {(0, 1, 0): 1.0}),
-                                         (0, 0))])
+    wantP2 = _op(2, ((0, 0), (0, 1, 0), 1.0))
     assert (P2 - wantP2).norm() == 0.0
     N1 = generator(rep, "N1")
-    wantN1 = PolyDiffOperator.build(2, [
-        (Polynomial(3, {(1, 0, 1): -1j}), (0, 0)),
-        (Polynomial(3, {(0, 0, 0): g}), (1, 0)),
-    ])
+    wantN1 = _op(2, ((0, 0), (1, 0, 1), -1j),
+                    ((1, 0), (0, 0, 0), g))
     assert (N1 - wantN1).norm() == 0.0
     M = generator(rep, "M")
-    wantM = PolyDiffOperator.build(2, [
-        (Polynomial(3, {(0, 0, 0): 1j * rep.s}), (0, 0)),
-        (Polynomial(3, {(0, 1, 0): 1.0}), (1, 0)),
-        (Polynomial(3, {(1, 0, 0): -1.0}), (0, 1)),
-    ])
+    wantM = _op(2, ((0, 0), (0, 0, 0), 1j * rep.s),
+                   ((1, 0), (0, 1, 0), 1.0),
+                   ((0, 1), (1, 0, 0), -1.0))
     assert (M - wantM).norm() == 0.0
 
 
@@ -263,42 +261,32 @@ def test_nonabelian_generators_pick_up_lambda_terms():
     g, lam = rep.gamma, rep.lam
     k = lam / (2.0 * g)
     N1 = generator(rep, "N1")
-    want1 = PolyDiffOperator.build(2, [
-        (Polynomial(3, {(1, 0, 1): -1j}), (0, 0)),
-        (Polynomial(3, {(0, 0, 0): g}), (1, 0)),
-        (Polynomial(3, {(0, 1, 0): -1j * k}), (0, 0)),
-    ])
+    want1 = _op(2, ((0, 0), (1, 0, 1), -1j),
+                   ((1, 0), (0, 0, 0), g),
+                   ((0, 0), (0, 1, 0), -1j * k))
     assert (N1 - want1).norm() == 0.0
     N2 = generator(rep, "N2")
-    want2 = PolyDiffOperator.build(2, [
-        (Polynomial(3, {(0, 1, 1): -1j}), (0, 0)),
-        (Polynomial(3, {(0, 0, 0): g}), (0, 1)),
-        (Polynomial(3, {(1, 0, 0): 1j * k}), (0, 0)),
-    ])
+    want2 = _op(2, ((0, 0), (0, 1, 1), -1j),
+                   ((0, 1), (0, 0, 0), g),
+                   ((0, 0), (1, 0, 0), 1j * k))
     assert (N2 - want2).norm() == 0.0
 
 
 def test_position_generator_content():
     rep = REPS["position1d"]   # m = 1, hbar = 1, f = 0.5, V0 = 0.25
     H = generator(rep, "H")
-    wantH = PolyDiffOperator.build(1, [
-        (Polynomial(2, {(0, 0): -0.5}), (2,)),
-        (Polynomial(2, {(1, 0): 0.5}), (0,)),
-        (Polynomial(2, {(0, 0): 0.25}), (0,)),
-    ])
+    wantH = _op(1, ((2,), (0, 0), -0.5),
+                   ((0,), (1, 0), 0.5),
+                   ((0,), (0, 0), 0.25))
     assert (H - wantH).norm() == 0.0
     P = generator(rep, "P")
-    wantP = PolyDiffOperator.build(1, [
-        (Polynomial(2, {(0, 0): 1j}), (1,)),
-        (Polynomial(2, {(0, 1): -0.5}), (0,)),
-    ])
+    wantP = _op(1, ((1,), (0, 0), 1j),
+                   ((0,), (0, 1), -0.5))
     assert (P - wantP).norm() == 0.0
     N = generator(rep, "N")
-    wantN = PolyDiffOperator.build(1, [
-        (Polynomial(2, {(1, 0): 1.0}), (0,)),
-        (Polynomial(2, {(0, 1): -1j}), (1,)),
-        (Polynomial(2, {(0, 2): -0.25}), (0,)),
-    ])
+    wantN = _op(1, ((0,), (1, 0), 1.0),
+                   ((1,), (0, 1), -1j),
+                   ((0,), (0, 2), -0.25))
     assert (N - wantN).norm() == 0.0
 
 
@@ -325,7 +313,8 @@ def test_central_charge_appears_in_the_boost_translation_bracket():
         rep = REPS[kind]
         N1 = static_generator(rep, "N1")
         P1 = static_generator(rep, "P1")
-        want = PolyDiffOperator.identity(rep.dim).scale(rep.gamma)
+        want = _op(rep.dim, ((0,) * rep.dim, (0,) * (rep.dim + 1),
+                               rep.gamma))
         assert (N1.commutator(P1) - want).norm() == 0.0
 
 

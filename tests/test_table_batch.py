@@ -7,9 +7,10 @@ and inner_product are their 1-row views, so row i of an N-row call must
 equal the 1-row call on row i bit for bit, whatever polynomial degrees the
 other rows have.  The suite's unitarity and time-zero checks draw their
 cases as arrays and run in chunks: the drawn cases must equal a
-case-by-case random_state and random_element loop, no Polynomial is built
-per case, and the reports must not depend on the chunk size; each must
-equal a case-by-case loop that draws the same cases.  Each negative
+case-by-case random_state and random_element loop, no polynomial mapping
+becomes rows and no row becomes a state per case, and the reports must not
+depend on the chunk size; each must equal a case-by-case loop that draws
+the same cases.  Each negative
 control breaks one piece and the check must fail; a row whose Gaussian
 does not converge fails its entry instead of aborting the suite.  No family
 of the suite evaluates a state at a point.
@@ -28,8 +29,8 @@ from galiray.cocycles import (PhaseExponent, equivalence_transform,
 from galiray.group import _row, random_element, random_element_batch
 from galiray.harness import default_config, report_json, run_suite
 from galiray.representations import RepDescriptor, apply_batch, apply_time
-from galiray.states import (PolyGaussianState, PolyGaussianTerm, Polynomial,
-                            StateBatch, _monomials_up_to, inner_product,
+from galiray.states import (PolyGaussianState, PolyGaussianTerm, StateBatch,
+                            _monomials_up_to, _PolyRows, inner_product,
                             inner_product_batch, random_state)
 from galiray.verify import default_sample_points
 
@@ -169,11 +170,16 @@ def test_row_i_of_substitute_is_the_one_row_call(dim, degrees, terms):
             assert _same(got.alpha, want.alpha)
             assert _same(got.beta, want.beta)
             assert _same(got.Gamma, want.Gamma)
-            assert _coefficient_bits(got.poly) == _coefficient_bits(want.poly)
+            assert _same_poly(got.poly, want.poly)
 
 
-def _coefficient_bits(poly):
-    return {e: (c.real.hex(), c.imag.hex()) for e, c in poly.coeffs.items()}
+def _same_poly(a, b) -> bool:
+    """Equal rows bit for bit over the higher of their degrees, apart from
+    the sign of a coefficient that is zero in both."""
+    deg = max(a.deg, b.deg)
+    x, y = a.padded(deg), b.padded(deg)
+    nonzero = (x != 0) | (y != 0)
+    return _same(x[nonzero], y[nonzero])
 
 
 @pytest.mark.parametrize("degree", (0, 2))
@@ -296,7 +302,7 @@ def test_a_shiftless_polynomial_substitution_fails_every_unitarity_entry(
 # -- the array draw ----------------------------------------------------------
 
 def _dict_random_state(rng, dim, poly_degree=0, n_terms=1):
-    """random_state as it was drawn term by term into Polynomial dicts."""
+    """random_state as it was drawn term by term into dicts."""
     terms = []
     for _ in range(n_terms):
         B = rng.normal(size=(dim, dim))
@@ -310,18 +316,16 @@ def _dict_random_state(rng, dim, poly_degree=0, n_terms=1):
             for exps in _monomials_up_to(dim, poly_degree):
                 if sum(exps) > 0:
                     coeffs[exps] = complex(rng.normal(), rng.normal()) * 0.3
-        terms.append(PolyGaussianTerm(Polynomial(dim, coeffs), alpha, beta,
-                                      Gamma))
+        terms.append(PolyGaussianTerm(_PolyRows.of([coeffs], dim), alpha,
+                                      beta, Gamma))
     return PolyGaussianState._trusted(dim, terms)
 
 
 def _same_state(f, g) -> bool:
-    """Equal terms bit for bit, the polynomials in the same key order."""
+    """Equal terms bit for bit (_same_poly for the polynomials)."""
     return len(f.terms) == len(g.terms) and all(
         _same(a.alpha, b.alpha) and _same(a.beta, b.beta)
-        and _same(a.Gamma, b.Gamma)
-        and list(a.poly.coeffs) == list(b.poly.coeffs)
-        and _coefficient_bits(a.poly) == _coefficient_bits(b.poly)
+        and _same(a.Gamma, b.Gamma) and _same_poly(a.poly, b.poly)
         for a, b in zip(f.terms, g.terms))
 
 
@@ -366,18 +370,18 @@ def test_carrier_cases_equal_the_case_by_case_draw(dim, degrees, chunk,
 
 def test_the_carrier_families_build_no_polynomial_per_case(monkeypatch):
     built = []
-    init, made = Polynomial.__init__, Polynomial._built.__func__
+    of, row = _PolyRows.of.__func__, StateBatch.row
 
-    def counting_init(self, *args, **kwargs):
+    def counting_of(cls, *args):
         built.append(1)
-        init(self, *args, **kwargs)
+        return of(cls, *args)
 
-    def counting_built(cls, *args):
+    def counting_row(self, i):
         built.append(1)
-        return made(cls, *args)
+        return row(self, i)
 
-    monkeypatch.setattr(Polynomial, "__init__", counting_init)
-    monkeypatch.setattr(Polynomial, "_built", classmethod(counting_built))
+    monkeypatch.setattr(_PolyRows, "of", classmethod(counting_of))
+    monkeypatch.setattr(StateBatch, "row", counting_row)
     counts = []
     for n in (6, 60):
         cfg = default_config(**{**TINY, "n_unitarity_cases": n,
@@ -420,7 +424,7 @@ def test_time_zero_matches_a_case_by_case_loop(monkeypatch):
             assert all(_same(getattr(R, x)[i], getattr(r, x))
                        for x in ("W", "eta", "v", "u"))
             (row,), (term,) = F.row(i).terms, f.terms
-            assert row.poly.coeffs == term.poly.coeffs
+            assert _same_poly(row.poly, term.poly)
             assert _same(row.alpha, term.alpha)
             assert _same(row.beta, term.beta) and _same(row.Gamma, term.Gamma)
             points = default_sample_points(f, n=8, seed=entry["seed"] + i)
@@ -464,7 +468,7 @@ def test_the_suite_evaluates_no_state_at_a_point(monkeypatch):
         raise AssertionError("a state was evaluated at a point")
 
     for owner, attr in ((PolyGaussianState, "evaluate"),
-                        (Polynomial, "eval"),
+                        (_PolyRows, "at"),
                         (verify, "default_sample_points")):
         monkeypatch.setattr(owner, attr, forbidden)
     got = run_suite(cfg)
@@ -480,6 +484,6 @@ def test_random_states_pass_the_validating_constructor():
         f = random_state(rng, dim, poly_degree=degree, n_terms=1 + i % 2)
         checked = PolyGaussianState(f.dim, f.terms)
         for a, b in zip(f.terms, checked.terms):
-            assert a.poly.coeffs == b.poly.coeffs
+            assert _same_poly(a.poly, b.poly)
             assert _same(a.alpha, b.alpha)
             assert _same(a.beta, b.beta) and _same(a.Gamma, b.Gamma)

@@ -11,7 +11,7 @@ from galiray.group import (GalileiElement, _row, identity, multiply,
                            random_element, random_element_batch,
                            stack_batches)
 from galiray.representations import RepDescriptor, generator_names
-from galiray.states import PolyGaussianState, Polynomial, random_state
+from galiray.states import PolyGaussianState, random_state
 from galiray.verify import (
     check_initial_condition,
     check_time_multiplier_batch,
@@ -227,7 +227,7 @@ def test_a_nan_eta_gives_nan_in_its_own_triple_only(rep, operand,
 
 def test_a_vanishing_state_still_gives_its_multiplier():
     # f vanishes on the axis p1 = 0, which a pointwise ratio has to skip
-    state = PolyGaussianState.gaussian(2, poly=Polynomial.variable(2, 0))
+    state = PolyGaussianState.gaussian(2, poly={(1, 0): 1.0})
     rpt = extract_multiplier(REPS["schrodinger2d"], identity(2), identity(2),
                              0.0, state)
     assert rpt.omega[0] == 1.0
