@@ -21,9 +21,8 @@ from .cocycles import (DEFAULT_TAU_SEQUENCE, InfinitesimalExponentValue,
                        equivalence_transform, evaluate, evaluate_batch,
                        infinitesimal_exponent, infinitesimal_exponent_batch)
 from .states import (DEFAULT_MAX_DEGREE, DegreeOverflowError,
-                     PolyDiffOperator, PolyGaussianState, PolyGaussianTerm,
-                     StateBatch, inner_product, inner_product_batch,
-                     random_state)
+                     PolyDiffOperator, PolyGaussianState, StateBatch,
+                     inner_product, inner_product_batch, random_state)
 from .representations import (KIND_DIMS, MOMENTUM_KINDS, RepDescriptor,
                               apply_batch, apply_time,
                               basis_generator_pairing, generator,

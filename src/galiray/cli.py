@@ -181,6 +181,18 @@ def _seed(text: str) -> int:
     return value
 
 
+def _count(text: str) -> int:
+    """argparse type: a positive integer, as a sweep's case count is."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="galiray",
@@ -196,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cocycle", help="residual sweep for one phase exponent")
     p.add_argument("name", choices=sorted(_DEFAULT_XI_DIMS))
     p.add_argument("--dim", type=int, choices=(1, 2, 3))
-    p.add_argument("--triples", type=int, default=1000)
+    p.add_argument("--triples", type=_count, default=1000)
     p.add_argument("--seed", type=_seed, default=12345)
     p.add_argument("--scale", type=_positive, default=1.0)
     p.add_argument("--tolerance", type=_positive,

@@ -149,9 +149,11 @@ def apply_batch(rep: RepDescriptor, r: GalileiBatch, t,
     _require_momentum(rep, "apply")
     if r.dim != rep.dim or states.dim != rep.dim:
         raise ValueError("dimension mismatch between rep, element, and state")
-    out = states.substitute(r.W, (rep.gamma * r.v).astype(complex))
+    # the StateBatch transforms by name: a state's own are one-row views
+    out = StateBatch.substitute(states, r.W,
+                                (rep.gamma * r.v).astype(complex))
     quad, lin, const = _phase_parts(rep, r)
-    out = out.multiply_phase(1j * quad, 1j * lin, 1j * const)
+    out = StateBatch.multiply_phase(out, 1j * quad, 1j * lin, 1j * const)
     return _time_phase(r, t, out)
 
 
@@ -162,8 +164,8 @@ def _time_phase(r: GalileiBatch, t, states: StateBatch) -> StateBatch:
     moving = t != 0.0
     if not moving.any():
         return states
-    return states.multiply_phase(lin=np.where(moving, -1j * t * r.v,
-                                              _NO_CHANGE))
+    return StateBatch.multiply_phase(
+        states, lin=np.where(moving, -1j * t * r.v, _NO_CHANGE))
 
 
 def apply_time(rep: RepDescriptor, r: GalileiElement, t: float,
@@ -171,7 +173,7 @@ def apply_time(rep: RepDescriptor, r: GalileiElement, t: float,
     """(U_t(r) f)(p) = e^{-i <p, v_r> t} (U(r) f)(p), where the plain action
     (U(r) f)(p) = e^{i phi_r(p)} f(W^{-1}(p + gamma v)) is its value at
     t = 0."""
-    return apply_batch(rep, _row(r), t, StateBatch.of(state)).row(0)
+    return apply_batch(rep, _row(r), t, state)
 
 
 def generator_names(rep: RepDescriptor) -> tuple:

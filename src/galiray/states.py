@@ -5,41 +5,45 @@ Every representation phase (quadratic in p) and every generator maps the
 family to itself, so all checks run in closed form with no discretization.
 Inner products reduce to complex Gaussian moment formulas.
 
+A state has one layout.  StateBatch stacks N states, each term
+(poly, alpha (N,), beta (N, dim), Gamma (N, dim, dim)), so that N carrier
+actions run as one array pass, and a PolyGaussianState is the StateBatch
+of one row: repeat makes n rows of it and row(i) slices row i back out,
+a view.  StateBatch.substitute and multiply_phase act row-wise,
+and the state's substitute and multiply_phase are their one-row views.
+inner_product_batch takes N inner products with stacked linear algebra,
+and inner_product is it on two states.
+
 A state has one pointwise formula, PolyGaussianState.evaluate, and an
 operator one action, PolyDiffOperator.apply_batch on the rows of a
-StateBatch, whose one-row view is apply.  Both are kept for tests and tools:
-no check evaluates a state at a point or applies an operator.
-
-StateBatch stacks N states of one term layout, so that N carrier actions
-run as one array pass: its substitute and multiply_phase act row-wise, and
-PolyGaussianState.substitute and multiply_phase are their one-row views.
-inner_product_batch takes N inner products with stacked linear algebra,
-and inner_product is its one-row view.
+StateBatch; apply is it on a state.  Both are kept for tests and tools: no
+check evaluates a state at a point or applies an operator.
 
 Each object has one polynomial form.  A state's term polynomial is dense
 rows (_PolyRows): an (N, M) coefficient array over the graded monomial basis
-_basis(dim, deg), one row for a PolyGaussianTerm.  Substitution, the
-products conj(f) g of an inner product and the shift of its Gaussian
-integral run on these arrays through one product table per pair of
-degrees, and add each coefficient's terms one at a time in an order fixed
-by the degrees, so row i equals the 1-row call bit for bit whatever degrees
-the other rows have.  A {exponent tuple: coefficient} mapping from input
-becomes rows once, through _PolyRows.of.  An operator is one flat map
-(deriv, exps) -> c over its monomials, t symbolic as a trailing exponent;
-apply_batch fixes t and makes each derivative's coefficient one dense row.
+_basis(dim, deg).  Substitution, the products conj(f) g of an inner product
+and the shift of its Gaussian integral run on these arrays through one
+product table per pair of degrees, and add each coefficient's terms one at
+a time in an order fixed by the degrees, so row i equals the 1-row call bit
+for bit whatever degrees the other rows have.  A {exponent tuple:
+coefficient} mapping from input becomes rows once, through _PolyRows.of.
+An operator is one flat map (deriv, exps) -> c over its monomials, t
+symbolic as a trailing exponent; apply_batch fixes t and makes each
+derivative's coefficient one dense row.
 
-random_state is the one-row view of _StateDraws: a draw-only loop takes
+random_state is row 0 of a one-state _StateDraws: a draw-only loop takes
 each state's raw numbers from the stream in the case-by-case order, and one
 array pass builds the alpha, beta, Gamma and coefficient arrays of them all.
 
 Each term keeps an invariant: finite entries, and Gamma symmetric with a
 negative-definite real part.  PolyGaussianState(...) checks it, once, when
 a state is built from input.  The transforms that keep it by construction
-build their result without a re-check: substitute (a congruence by an
-orthogonal W, which it requires), multiply_phase with a symmetric, purely
-imaginary quad, scale, add, conjugated, and PolyDiffOperator.apply_batch,
-which reuses each input term's Gamma.  random_state draws terms that keep
-it, and builds its state without the check too.
+build their result without a re-check (StateBatch._unchecked): substitute
+(a congruence by an orthogonal W, which the state's view requires),
+multiply_phase with a symmetric, purely imaginary quad, and
+PolyDiffOperator.apply_batch, which reuses each input term's Gamma.  A
+transform of a state is a state.  random_state draws terms that keep it,
+and row(i) slices a batch that does, so neither re-checks it either.
 """
 from __future__ import annotations
 
@@ -56,7 +60,6 @@ from .group import _dot, _matvec, _orthogonal, _uniform
 
 __all__ = [
     "DegreeOverflowError",
-    "PolyGaussianTerm",
     "PolyGaussianState",
     "StateBatch",
     "PolyDiffOperator",
@@ -226,13 +229,6 @@ class _PolyRows:
                     row[index[exps[:dim]]] = c
         return cls(dim, deg, coef)
 
-    @classmethod
-    def stacked(cls, polys) -> "_PolyRows":
-        """The rows of all polys, at the highest of their degrees."""
-        deg = max(p.deg for p in polys)
-        return cls(polys[0].dim, deg,
-                   np.concatenate([p.padded(deg) for p in polys]))
-
     def at(self, p: np.ndarray) -> np.ndarray:
         """The value of each row at the point p of shape (dim,)."""
         return self.coef @ np.prod(p ** _exponents(self.dim, self.deg), axis=1)
@@ -291,143 +287,36 @@ def _check_gamma(dim: int, Gamma: np.ndarray) -> np.ndarray:
     return Gamma
 
 
-def _checked_term(dim: int, term) -> "PolyGaussianTerm":
-    """term with its polynomial as one dense row; term.poly is one, or a
-    {exponent tuple: coefficient} mapping."""
-    poly = term.poly
+def _checked_term(dim: int, term) -> tuple:
+    """term (poly, alpha, beta, Gamma) as the one-row StateBatch term it
+    names, checked; poly is one dense row, or a {exponent tuple:
+    coefficient} mapping."""
+    poly, alpha, beta, Gamma = term
     if not isinstance(poly, _PolyRows):
         if not all(len(e) == dim and min(e) >= 0 for e in poly):
             raise ValueError("term polynomial has wrong variable count")
         poly = _PolyRows.of([poly], dim)
     if poly.dim != dim or len(poly.coef) != 1:
         raise ValueError("term polynomial has wrong variable count")
-    alpha = complex(term.alpha)
-    beta = np.asarray(term.beta, dtype=complex).reshape(dim)
-    Gamma = _check_gamma(dim, term.Gamma)
-    if not (cmath.isfinite(alpha) and np.isfinite(beta).all()
+    alpha = np.asarray(alpha, dtype=complex).reshape(1)
+    beta = np.asarray(beta, dtype=complex).reshape(1, dim)
+    Gamma = _check_gamma(dim, Gamma)
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()
             and np.isfinite(poly.coef).all()):
         raise ValueError("alpha, beta and the polynomial coefficients "
                          "must be finite")
-    return PolyGaussianTerm(poly, alpha, beta, Gamma)
-
-
-@dataclass(frozen=True, eq=False)
-class PolyGaussianTerm:
-    """poly(p) * exp(alpha + <beta, p> + p^T Gamma p), poly one dense row."""
-
-    poly: _PolyRows
-    alpha: complex
-    beta: np.ndarray
-    Gamma: np.ndarray
-
-
-class PolyGaussianState:
-    """Finite sum of polynomial-Gaussian terms in dim variables."""
-
-    def __init__(self, dim: int, terms):
-        """Validating constructor: every term is checked (see the module
-        docstring), so a state built from input is sound."""
-        self.dim = dim
-        self.terms = tuple(_checked_term(dim, term) for term in terms)
-
-    @classmethod
-    def _trusted(cls, dim: int, terms) -> "PolyGaussianState":
-        """A state from terms that keep the invariant by construction."""
-        state = cls.__new__(cls)
-        state.dim = dim
-        state.terms = tuple(terms)
-        return state
-
-    @classmethod
-    def gaussian(cls, dim: int, alpha=0.0, beta=None, Gamma=None,
-                 poly=None) -> "PolyGaussianState":
-        """One term; poly is a {exponent tuple: coefficient} mapping, 1 by
-        default."""
-        if beta is None:
-            beta = np.zeros(dim, dtype=complex)
-        if Gamma is None:
-            Gamma = -0.5 * np.eye(dim, dtype=complex)
-        if poly is None:
-            poly = {(0,) * dim: 1.0}
-        term = PolyGaussianTerm(poly, complex(alpha),
-                                np.asarray(beta, dtype=complex),
-                                np.asarray(Gamma, dtype=complex))
-        return cls(dim, [term])
-
-    def evaluate(self, p) -> complex:
-        """The value at one point p of shape (dim,): the sum over terms of
-        poly(p) exp(alpha + <beta, p> + p^T Gamma p)."""
-        p = np.asarray(p)
-        if p.shape != (self.dim,):
-            raise ValueError(f"point must have shape ({self.dim},)")
-        return complex(sum(
-            (t.poly.at(p)[0]
-             * cmath.exp(t.alpha + t.beta @ p + p @ t.Gamma @ p)
-             for t in self.terms), 0j))
-
-    def substitute(self, W, shift) -> "PolyGaussianState":
-        """New state g with g(p) = self(W^{-1}(p + shift)) for an orthogonal
-        W, whose inverse is taken as W^T; any other W raises."""
-        W = np.asarray(W, dtype=float).reshape(self.dim, self.dim)
-        if not _orthogonal(W):
-            raise ValueError("substitute needs an orthogonal W")
-        shift = np.asarray(shift, dtype=complex).reshape(self.dim)
-        return StateBatch.of(self).substitute(W[None], shift[None]).row(0)
-
-    def multiply_phase(self, quad=None, lin=None, const=0.0) -> "PolyGaussianState":
-        """Multiply by exp(const + <lin, p> + p^T quad p); the arguments are
-        the complex exponent increments."""
-        dim = self.dim
-        quad = (np.zeros((dim, dim), dtype=complex) if quad is None
-                else np.asarray(quad, dtype=complex).reshape(dim, dim))
-        lin = (np.zeros(dim, dtype=complex) if lin is None
-               else np.asarray(lin, dtype=complex).reshape(dim))
-        out = StateBatch.of(self).multiply_phase(
-            quad[None], lin[None], np.array((complex(const),))).row(0)
-        if quad.real.any() or not (quad == quad.T).all():
-            # a real or asymmetric quad can break the invariant: check it
-            return PolyGaussianState(dim, out.terms)
-        return out
-
-    def scale(self, c) -> "PolyGaussianState":
-        out = [PolyGaussianTerm(_PolyRows(self.dim, t.poly.deg,
-                                          t.poly.coef * complex(c)),
-                                t.alpha, t.beta, t.Gamma)
-               for t in self.terms]
-        return PolyGaussianState._trusted(self.dim, out)
-
-    def add(self, other: "PolyGaussianState") -> "PolyGaussianState":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return PolyGaussianState._trusted(self.dim, self.terms + other.terms)
-
-    def conjugated(self) -> "PolyGaussianState":
-        out = [PolyGaussianTerm(_PolyRows(self.dim, t.poly.deg,
-                                          t.poly.coef.conj()),
-                                t.alpha.conjugate(),
-                                t.beta.conjugate(), t.Gamma.conjugate())
-               for t in self.terms]
-        return PolyGaussianState._trusted(self.dim, out)
-
-    def center(self) -> np.ndarray:
-        """Peak of the leading term's Gaussian envelope."""
-        t = self.terms[0]
-        return np.linalg.solve(-2.0 * t.Gamma.real, t.beta.real)
-
-    def max_degree(self) -> int:
-        """The highest degree of the terms' dense rows."""
-        return max((t.poly.deg for t in self.terms), default=0)
+    return poly, alpha, beta, Gamma[None]
 
 
 class StateBatch:
     """N states of one term layout as stacked arrays; row i is a state.
 
     Term k is (poly, alpha (N,), beta (N, dim), Gamma (N, dim, dim)), poly
-    dense rows (_PolyRows): of broadcasts one state's row, stack stacks one
-    row per state, and row(i) is a state of the i-th rows, a view.
-    Substitution returns a constant as it is.  The transforms keep the
-    invariant as the state methods they generalise do, so rows are not
-    re-validated.
+    dense rows (_PolyRows).  A PolyGaussianState is the one-row batch:
+    repeat makes n rows of row 0 and row(i) slices row i, a view of every
+    array.  Substitution returns a constant as it is.  The transforms keep
+    the invariant as the state methods they generalise do, so rows are not
+    re-validated, and a transform of a state is a state.
     """
 
     __slots__ = ("dim", "terms")
@@ -437,37 +326,29 @@ class StateBatch:
         self.terms = tuple(terms)
 
     @classmethod
-    def of(cls, state: PolyGaussianState, n: int = 1) -> "StateBatch":
-        """n rows, each the given state; each term polynomial is one dense
-        row broadcast to n, a read-only view."""
-        return cls(state.dim, [(t.poly.repeat(n),
-                                np.array((t.alpha,)).repeat(n),
-                                t.beta[None].repeat(n, axis=0),
-                                t.Gamma[None].repeat(n, axis=0))
-                               for t in state.terms])
-
-    @classmethod
-    def stack(cls, states) -> "StateBatch":
-        """The states as rows, each term's rows at the highest degree of the
-        column; they must share a dimension and a term count."""
-        dim, n_terms = states[0].dim, len(states[0].terms)
-        if any(f.dim != dim or len(f.terms) != n_terms for f in states):
-            raise ValueError("stacked states need one dimension and term "
-                             "count")
-        columns = [[f.terms[k] for f in states] for k in range(n_terms)]
-        return cls(dim, [(_PolyRows.stacked([t.poly for t in col]),
-                          np.array([t.alpha for t in col]),
-                          np.array([t.beta for t in col]),
-                          np.array([t.Gamma for t in col]))
-                         for col in columns])
+    def _unchecked(cls, dim: int, terms) -> "StateBatch":
+        """A cls of terms that keep the invariant by construction: a state
+        built here skips the check of PolyGaussianState(...)."""
+        out = object.__new__(cls)
+        StateBatch.__init__(out, dim, terms)
+        return out
 
     def __len__(self) -> int:
         return len(self.terms[0][1])
 
-    def row(self, i: int) -> PolyGaussianState:
-        return PolyGaussianState._trusted(self.dim, [
-            PolyGaussianTerm(_PolyRows(self.dim, poly.deg, poly.coef[i, None]),
-                             complex(alpha[i]), beta[i], Gamma[i])
+    def repeat(self, n: int) -> "StateBatch":
+        """Row 0 as n rows: each polynomial broadcast, a read-only view,
+        and alpha, beta and Gamma copied (a copy of these small arrays
+        takes a quarter of the time of np.broadcast_to)."""
+        return StateBatch(self.dim, [
+            (poly.repeat(n), *(x[:1].repeat(n, axis=0) for x in rest))
+            for poly, *rest in self.terms])
+
+    def row(self, i: int) -> "PolyGaussianState":
+        """Row i as a state: row i of every array, a view."""
+        return PolyGaussianState._unchecked(self.dim, [
+            (_PolyRows(self.dim, poly.deg, poly.coef[i, None]), alpha[i, None],
+             beta[i, None], Gamma[i, None])
             for poly, alpha, beta, Gamma in self.terms])
 
     def substitute(self, W, shift) -> "StateBatch":
@@ -484,17 +365,88 @@ class StateBatch:
             out.append((poly, alpha + _dot(beta, c) + _dot(cG, c),
                         _matvec(W, beta) + 2.0 * _matvec(W, _matvec(Gamma, c)),
                         _congruence(W, Gamma, M)))
-        return StateBatch(self.dim, out)
+        return type(self)._unchecked(self.dim, out)
 
     def multiply_phase(self, quad=None, lin=None, const=None) -> "StateBatch":
         """Row i times exp(const_i + <lin_i, p> + p^T quad_i p); the complex
         increments have shapes (N, dim, dim), (N, dim) and (N,), and None
         adds nothing."""
-        return StateBatch(self.dim, [
+        return type(self)._unchecked(self.dim, [
             (poly, alpha if const is None else alpha + const,
              beta if lin is None else beta + lin,
              Gamma if quad is None else Gamma + quad)
             for poly, alpha, beta, Gamma in self.terms])
+
+
+class PolyGaussianState(StateBatch):
+    """A StateBatch of one row: a finite sum of polynomial-Gaussian terms
+    poly(p) exp(alpha + <beta, p> + p^T Gamma p) in dim variables.
+
+    Its substitute and multiply_phase are the one-row views of the
+    StateBatch transforms, for one W, shift, quad and lin; batch code that
+    may hold a state calls the StateBatch ones by name.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, dim: int, terms):
+        """Validating constructor: every (poly, alpha, beta, Gamma) term is
+        checked (see the module docstring), so a state built from input is
+        sound."""
+        super().__init__(dim, [_checked_term(dim, term) for term in terms])
+
+    @classmethod
+    def gaussian(cls, dim: int, alpha=0.0, beta=None, Gamma=None,
+                 poly=None) -> "PolyGaussianState":
+        """One term; poly is a {exponent tuple: coefficient} mapping, 1 by
+        default."""
+        if beta is None:
+            beta = np.zeros(dim, dtype=complex)
+        if Gamma is None:
+            Gamma = -0.5 * np.eye(dim, dtype=complex)
+        if poly is None:
+            poly = {(0,) * dim: 1.0}
+        return cls(dim, [(poly, alpha, beta, Gamma)])
+
+    def evaluate(self, p) -> complex:
+        """The value at one point p of shape (dim,): the sum over terms of
+        poly(p) exp(alpha + <beta, p> + p^T Gamma p)."""
+        p = np.asarray(p)
+        if p.shape != (self.dim,):
+            raise ValueError(f"point must have shape ({self.dim},)")
+        return complex(sum(
+            (poly.at(p)[0]
+             * cmath.exp(alpha[0] + beta[0] @ p + p @ Gamma[0] @ p)
+             for poly, alpha, beta, Gamma in self.terms), 0j))
+
+    def substitute(self, W, shift) -> "PolyGaussianState":
+        """New state g with g(p) = self(W^{-1}(p + shift)) for an orthogonal
+        W, whose inverse is taken as W^T; any other W raises."""
+        W = np.asarray(W, dtype=float).reshape(self.dim, self.dim)
+        if not _orthogonal(W):
+            raise ValueError("substitute needs an orthogonal W")
+        shift = np.asarray(shift, dtype=complex).reshape(self.dim)
+        return super().substitute(W[None], shift[None])
+
+    def multiply_phase(self, quad=None, lin=None, const=0.0) -> "PolyGaussianState":
+        """Multiply by exp(const + <lin, p> + p^T quad p); the arguments are
+        the complex exponent increments."""
+        dim = self.dim
+        quad = (np.zeros((dim, dim), dtype=complex) if quad is None
+                else np.asarray(quad, dtype=complex).reshape(dim, dim))
+        lin = (np.zeros(dim, dtype=complex) if lin is None
+               else np.asarray(lin, dtype=complex).reshape(dim))
+        out = super().multiply_phase(quad[None], lin[None],
+                                     np.array((complex(const),)))
+        if quad.real.any() or not (quad == quad.T).all():
+            # a real or asymmetric quad can break the invariant: check it
+            return PolyGaussianState(dim, out.terms)
+        return out
+
+    def center(self) -> np.ndarray:
+        """Peak of the leading term's Gaussian envelope."""
+        _, _, beta, Gamma = self.terms[0]
+        return np.linalg.solve(-2.0 * Gamma[0].real, beta[0].real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -519,6 +471,9 @@ class PolyDiffOperator:
                 raise ValueError("derivative multi-index has wrong length")
             if len(exps) != dim + 1:
                 raise ValueError("coefficient must use dim+1 variables")
+            if min(deriv + exps) < 0:
+                raise ValueError("derivative orders and exponents must be "
+                                 "non-negative")
             key = (deriv, exps)
             out[key] = out.get(key, 0.0) + complex(c)
         return cls._of(dim, out)
@@ -621,15 +576,15 @@ class PolyDiffOperator:
                     alpha, beta, Gamma))
         if not out:
             zero = PolyGaussianState.gaussian(dim, poly={})
-            return StateBatch.of(zero, len(states))
+            out = zero.repeat(len(states)).terms
         # every term reuses the Gamma of a term of states
-        return StateBatch(dim, out)
+        return type(states)._unchecked(dim, out)
 
     def apply(self, state: PolyGaussianState, t: float = 0.0,
               max_degree: int = DEFAULT_MAX_DEGREE) -> PolyGaussianState:
-        """Exact action on a state, with t fixed numerically: the one-row
-        view of apply_batch."""
-        return self.apply_batch(StateBatch.of(state), t, max_degree).row(0)
+        """Exact action on a state, with t fixed numerically: apply_batch
+        on its one row."""
+        return self.apply_batch(state, t, max_degree)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -773,7 +728,7 @@ def inner_product_batch(F: "StateBatch", G: "StateBatch") -> np.ndarray:
 
 def inner_product(f: PolyGaussianState, g: PolyGaussianState) -> complex:
     """<f, g> = integral of conj(f(p)) g(p) over R^dim, in closed form."""
-    value, integrable = _inner_products(StateBatch.of(f), StateBatch.of(g))
+    value, integrable = _inner_products(f, g)
     if not integrable[0]:
         raise ValueError("non-integrable Gaussian combination")
     return complex(value[0])

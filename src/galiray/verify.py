@@ -119,7 +119,7 @@ def extract_multiplier_batch(rep: RepDescriptor, r: GalileiBatch,
     which the composed state is not omega times the direct one.  t is one
     time or one per row.
     """
-    f = StateBatch.of(state, len(r))
+    f = state.repeat(len(r))
     return _multiplier_rows(apply_batch(rep, r, t, apply_batch(rep, s, t, f)),
                             apply_batch(rep, multiply_batch(r, s), t, f))
 
@@ -251,7 +251,7 @@ def check_time_multiplier_batch(rep: RepDescriptor, r: GalileiBatch,
     static actions U(s) f and U(rs) f, the one at t through _time_phase."""
     n = len(r)
     t = np.broadcast_to(np.asarray(t, dtype=float), (n,))
-    f = StateBatch.of(state, n)
+    f = state.repeat(n)
     rs = multiply_batch(r, s)
     sf, rsf = (apply_batch(rep, b, 0.0, f) for b in (s, rs))
     at_t = _multiplier_rows(apply_batch(rep, r, t, _time_phase(s, t, sf)),

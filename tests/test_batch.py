@@ -636,4 +636,8 @@ def test_cli_cocycle_prints_the_harness_sweep(capsys):
     xi = PhaseExponent("xi0", 3, gamma=1.3)
     assert doc["max_residual"] == harness.cocycle_sweep(xi, 31, 40)
     assert doc["max_residual"] == _reference_cocycle_worst(xi, 31, 40, 1.0)
-    assert main(["cocycle", "xi0", "--triples", "0"]) == 2
+    # a count below 1 is refused by the flag's type, which names the flag
+    for count in ("0", "-3"):
+        assert main(["cocycle", "xi0", "--triples", count]) == 2
+        assert "argument --triples: expected a positive integer" \
+            in capsys.readouterr().err

@@ -1,7 +1,7 @@
 """Carrier states at array speed: the one pointwise formula, the
 transforms that build their result without re-validating it, the array
-affine substitution against pointwise substitution, dense rows as the one
-state polynomial form, and the flat monomial map of an operator.
+affine substitution against pointwise substitution, the one state layout (a
+state is the one-row StateBatch), and the flat monomial map of an operator.
 
 A state has one pointwise formula, evaluate, kept for tests and tools: no
 check evaluates a state at a point, and it is tested against the formula
@@ -39,11 +39,11 @@ def _reference_evaluate(f, p):
     """The pointwise formula, term by term: poly(p) exp(alpha + <beta, p>
     + p^T Gamma p)."""
     total = 0.0 + 0.0j
-    for t in f.terms:
+    for rows, (alpha,), (beta,), (Gamma,) in f.terms:
         poly = 0.0 + 0.0j
-        for exps, c in zip(_basis(f.dim, t.poly.deg), t.poly.coef[0]):
+        for exps, c in zip(_basis(f.dim, rows.deg), rows.coef[0]):
             poly += c * math.prod(float(x) ** e for x, e in zip(p, exps))
-        total += poly * cmath.exp(t.alpha + t.beta @ p + p @ t.Gamma @ p)
+        total += poly * cmath.exp(alpha + beta @ p + p @ Gamma @ p)
     return total
 
 
@@ -72,15 +72,15 @@ def test_evaluate_rejects_points_of_the_wrong_shape():
         with pytest.raises(ValueError):
             f.evaluate(bad)
     with pytest.raises(ValueError):
-        f.terms[0].poly.at(np.zeros(3))
+        f.terms[0][0].at(np.zeros(3))
 
 
 # -- trusted transforms ------------------------------------------------------
 
 def _assert_terms_hold_the_invariant(state):
-    for t in state.terms:
-        assert np.array_equal(_check_gamma(state.dim, t.Gamma), t.Gamma)
-        assert np.isfinite(t.beta).all() and cmath.isfinite(t.alpha)
+    for _, (alpha,), beta, (Gamma,) in state.terms:
+        assert np.array_equal(_check_gamma(state.dim, Gamma), Gamma)
+        assert np.isfinite(beta).all() and cmath.isfinite(alpha)
 
 
 # angles anywhere in [-pi, pi], with extra weight at the ends of the range
@@ -161,7 +161,7 @@ def test_only_a_real_or_asymmetric_quad_is_revalidated():
         f.multiply_phase(quad=np.diag([1j * math.nan, 0.0]))
     # a real quad that keeps Re(Gamma) negative-definite is accepted
     g = f.multiply_phase(quad=np.diag([0.2, 0.1]))
-    assert np.array_equal(g.terms[0].Gamma, np.diag([-0.3, -0.4]) + 0j)
+    assert np.array_equal(g.terms[0][3], [np.diag([-0.3, -0.4]) + 0j])
 
 
 # -- array affine substitution -----------------------------------------------
@@ -193,34 +193,78 @@ def test_array_substitution_agrees_with_the_pointwise_substitution():
             assert abs(sub.at(x)[0] - rows.at(y)[0]) <= 1e-13 * scale
 
 
-def _assert_dense(batch):
-    assert all(type(poly) is _PolyRows for poly, *_ in batch.terms)
+def _stack(states):
+    """The states as the rows of one batch, each term's polynomial rows
+    padded to the highest of their degrees."""
+    out = []
+    for column in zip(*(f.terms for f in states)):
+        polys, *arrays = zip(*column)
+        deg = max(poly.deg for poly in polys)
+        out.append((_PolyRows(states[0].dim, deg, np.concatenate(
+            [poly.padded(deg) for poly in polys])),
+            *map(np.concatenate, arrays)))
+    return StateBatch(states[0].dim, out)
 
 
-def test_every_state_polynomial_is_dense_rows():
+def _assert_layout(batch, n):
+    """Every term of batch is n rows: dense polynomial rows, alpha (n,),
+    beta (n, dim) and Gamma (n, dim, dim)."""
+    dim = batch.dim
+    assert len(batch) == n
+    for poly, alpha, beta, Gamma in batch.terms:
+        assert type(poly) is _PolyRows and poly.dim == dim
+        assert poly.coef.shape == (n, _size(dim, poly.deg))
+        assert alpha.shape == (n,) and beta.shape == (n, dim)
+        assert Gamma.shape == (n, dim, dim)
+
+
+def test_every_state_is_the_one_row_layout():
     rng = np.random.default_rng(640)
     rep = MOMENTUM_REPS[2]
     gaussian = random_state(rng, 3, poly_degree=0, n_terms=2)
     f = random_state(rng, 3, poly_degree=2, n_terms=2)
     r = harness.random_element_batch(rng, 4, 3)
     for state in (gaussian, f):
-        F = StateBatch.of(state, 4)
-        _assert_dense(F)
-        _assert_dense(F.substitute(r.W, rng.normal(size=(4, 3)) + 0j))
-        _assert_dense(F.multiply_phase(const=np.ones(4, dtype=complex)))
-        _assert_dense(apply_batch(rep, r, 0.4, F))
-    _assert_dense(StateBatch.stack([gaussian, f]))
+        F = state.repeat(4)
+        _assert_layout(F, 4)
+        _assert_layout(F.substitute(r.W, rng.normal(size=(4, 3)) + 0j), 4)
+        _assert_layout(F.multiply_phase(const=np.ones(4, dtype=complex)), 4)
+        _assert_layout(apply_batch(rep, r, 0.4, F), 4)
     draws = _StateDraws(3, 3, 2, n_terms=2)
     for i in range(3):
         draws.draw(i, rng, 0)
-    _assert_dense(draws.batch())
-    # a single state's term holds one row, from input or from a batch
+    _assert_layout(draws.batch(), 3)
+    # a state is a one-row batch, from input, from a batch or from an action
     for state in (f, PolyGaussianState.gaussian(3, poly={(1, 0, 2): 2.0}),
-                  StateBatch.stack([gaussian, f]).row(0), f.scale(2.0),
-                  f.conjugated(), generator(rep, "N1").apply(f, t=0.3)):
-        for term in state.terms:
-            assert type(term.poly) is _PolyRows
-            assert term.poly.coef.shape == (1, _size(3, term.poly.deg))
+                  _stack([gaussian, f]).row(1),
+                  f.substitute(r.W[0], [0.0, 1.0, 0.0]),
+                  f.multiply_phase(const=1j),
+                  apply_time(rep, r.element(0), 0.3, f),
+                  generator(rep, "N1").apply(f, t=0.3)):
+        assert type(state) is PolyGaussianState
+        _assert_layout(state, 1)
+
+
+def test_row_is_a_view_and_repeat_makes_rows_of_row_0():
+    rng = np.random.default_rng(641)
+    batch = _stack([random_state(rng, 2, poly_degree=d, n_terms=2)
+                    for d in (0, 2, 1)])
+    f = batch.row(-1)
+    for (poly, *arrays), (rows, *batch_arrays) in zip(f.terms, batch.terms):
+        assert np.shares_memory(poly.coef, rows.coef)
+        assert all(np.shares_memory(x, y)
+                   for x, y in zip(arrays, batch_arrays))
+        assert poly.deg == rows.deg == 2
+    assert _same_terms(f, _stack([f]).row(0))
+    F = f.repeat(5)
+    assert type(F) is StateBatch
+    _assert_layout(F, 5)
+    for (poly, *arrays), (rows, *repeated) in zip(f.terms, F.terms):
+        # the polynomial is broadcast, a read-only view
+        assert np.shares_memory(poly.coef, rows.coef)
+        assert not rows.coef.flags.writeable
+        for x, y in zip((poly.coef, *arrays), (rows.coef, *repeated)):
+            assert all(_same(x[0], row) for row in y)
 
 
 def test_build_normalises_its_input_once():
@@ -267,13 +311,13 @@ def test_each_multiplier_pair_builds_its_product_once(monkeypatch):
 
 def _suite_layouts(dim, seed):
     """(W, states) in the layouts the suite hands to substitute: the strided
-    rows b[i::k] of a sweep draw against StateBatch.of broadcasts and against
-    the composed images built of them, a 1-row view, and _StateDraws rows."""
+    rows b[i::k] of a sweep draw against a state's repeat and against the
+    composed images built of them, a state itself, and _StateDraws rows."""
     rng = np.random.default_rng(seed)
     n = 40
     f = random_state(rng, dim, poly_degree=2, n_terms=2)
     b = harness.random_element_batch(rng, 3 * n, dim)
-    F = StateBatch.of(f, n)
+    F = f.repeat(n)
     shift = rng.normal(size=(n, dim)) + 0j
     Q = rng.normal(size=(n, dim, dim))
     image = F.substitute(b[1::3].W, shift).multiply_phase(
@@ -281,8 +325,8 @@ def _suite_layouts(dim, seed):
     draws = _StateDraws(n, dim, 2, n_terms=2)
     for i in range(n):
         draws.draw(i, rng, i % 3)
-    return [(b[0::3].W, F), (b[2::3].W, image), (b[:1].W, StateBatch.of(f)),
-            (b.W[5][None], StateBatch.of(f)), (b[1::3].W, draws.batch())]
+    return [(b[0::3].W, F), (b[2::3].W, image), (b[:1].W, f),
+            (b.W[5][None], f), (b[1::3].W, draws.batch())]
 
 
 @pytest.mark.parametrize("dim", (1, 2, 3))
@@ -290,7 +334,8 @@ def test_the_real_congruence_is_the_complex_product_bit_for_bit(dim):
     for W, F in _suite_layouts(dim, 700 + dim):
         M = W.swapaxes(-1, -2)
         shift = np.ones((len(W), dim), dtype=complex)
-        G = F.substitute(W, shift)
+        # as representations.apply_batch calls it, on a state too
+        G = StateBatch.substitute(F, W, shift)
         for (*_, Gamma), (*_, got) in zip(F.terms, G.terms):
             want = (W @ Gamma @ M).tobytes()
             assert _congruence(W, Gamma, M).tobytes() == want
@@ -303,7 +348,7 @@ def test_a_non_finite_row_stays_non_finite_through_the_congruence(dim, where):
     rng = np.random.default_rng(710 + dim)
     n, k = 4, 2
     W = harness.random_element_batch(rng, n, dim).W
-    F = StateBatch.of(random_state(rng, dim, poly_degree=1), n)
+    F = random_state(rng, dim, poly_degree=1).repeat(n)
     shift = rng.normal(size=(n, dim)) + 0j
     clean = F.substitute(W, shift)
     (poly, alpha, beta, Gamma), = F.terms
@@ -378,9 +423,9 @@ def _same_poly(a, b) -> bool:
 
 
 def _same_terms(f, g) -> bool:
+    """Equal terms bit for bit (_same_poly for the polynomials)."""
     return len(f.terms) == len(g.terms) and all(
-        a.alpha == b.alpha and _same(a.beta, b.beta)
-        and _same(a.Gamma, b.Gamma) and _same_poly(a.poly, b.poly)
+        _same_poly(a[0], b[0]) and all(map(_same, a[1:], b[1:]))
         for a, b in zip(f.terms, g.terms))
 
 
@@ -393,7 +438,7 @@ def test_row_i_of_apply_batch_is_the_one_row_call(rep, t):
     for n_terms in (1, 2):
         states = [random_state(rng, rep.dim, poly_degree=d, n_terms=n_terms)
                   for d in degrees]
-        batch = StateBatch.stack(states)
+        batch = _stack(states)
         for name in generator_names(rep):
             op = generator(rep, name)
             out = op.apply_batch(batch, t)
@@ -418,8 +463,8 @@ def test_apply_batch_lays_out_each_derivative_in_sorted_order():
                                     (((1, 0), (0, 1, 1)), 2.0),
                                     (((0, 0), (0, 0, 0)), 0.25)])
     rng = np.random.default_rng(765)
-    batch = StateBatch.stack([random_state(rng, 2, poly_degree=d, n_terms=2)
-                              for d in (0, 2, 1)])
+    batch = _stack([random_state(rng, 2, poly_degree=d, n_terms=2)
+                    for d in (0, 2, 1)])
     out = op.apply_batch(batch, t=0.6)
     derivs = sorted({deriv for deriv, _ in op.terms})
     assert derivs == [(0, 0), (0, 1), (1, 0)]
@@ -442,7 +487,7 @@ def test_degree_overflow_fires_past_the_bound(dim):
                                             (c,) + (0,) * dim), 1.0)])
         states = [random_state(rng, dim, poly_degree=d)
                   for d in range(deg + 1)]
-        batch = StateBatch.stack(states)
+        batch = _stack(states)
         need = deg + c + k
         for bound in range(need + 2):
             for call in (lambda: op.apply(states[-1], max_degree=bound),
@@ -453,7 +498,8 @@ def test_degree_overflow_fires_past_the_bound(dim):
                 else:
                     call()
         # a bound lifted to the degree needed lets the action through
-        assert op.apply(states[-1], max_degree=need).max_degree() == need
+        (poly, *_), = op.apply(states[-1], max_degree=need).terms
+        assert poly.deg == need
 
 
 def test_a_coefficient_that_vanishes_at_t_gives_no_term():
@@ -467,7 +513,7 @@ def test_a_coefficient_that_vanishes_at_t_gives_no_term():
     rng = np.random.default_rng(770)
     states = [random_state(rng, dim, poly_degree=d, n_terms=2)
               for d in (0, 2, 1)]
-    batch = StateBatch.stack(states)
+    batch = _stack(states)
     out = op.apply_batch(batch, t=1.0)
     assert len(out.terms) == 2
     want = derivative.apply_batch(batch)
@@ -476,9 +522,9 @@ def test_a_coefficient_that_vanishes_at_t_gives_no_term():
     zero = vanishing.apply_batch(batch, t=1.0)
     assert len(zero) == len(states)
     for i in range(len(states)):
-        (term,) = zero.row(i).terms
-        assert not term.poly.coef.any() and term.alpha == 0.0
-        assert np.array_equal(term.Gamma, -0.5 * np.eye(dim))
+        (poly, alpha, _, Gamma), = zero.row(i).terms
+        assert not poly.coef.any() and alpha == 0.0
+        assert np.array_equal(Gamma, [-0.5 * np.eye(dim)])
 
 
 # -- composition through the action -------------------------------------------
@@ -519,7 +565,7 @@ def test_a_non_finite_time_is_rejected(t):
     f = random_state(780, rep.dim, poly_degree=1)
     op = generator(rep, "N1")
     for call in (lambda: op.apply(f, t=t),
-                 lambda: op.apply_batch(StateBatch.of(f, 2), t=t),
+                 lambda: op.apply_batch(f.repeat(2), t=t),
                  lambda: generator(rep, "N1", t),
                  lambda: op.at_time(t)):
         with pytest.raises(ValueError, match="t must be finite"):

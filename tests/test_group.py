@@ -26,7 +26,7 @@ from galiray.group import (
     rotation_2d,
 )
 from galiray.representations import RepDescriptor, apply_batch
-from galiray.states import PolyGaussianState, StateBatch
+from galiray.states import PolyGaussianState
 
 
 def mat_diff(a, b):
@@ -113,7 +113,7 @@ def _pulled_back_center(r, p0, gamma):
     rep = RepDescriptor("bargmann3d" if r.dim == 3 else "schrodinger2d",
                         gamma=gamma)
     f = PolyGaussianState.gaussian(r.dim, beta=p0, Gamma=-0.5 * np.eye(r.dim))
-    return apply_batch(rep, _row(r), 0.0, StateBatch.of(f)).row(0).center()
+    return apply_batch(rep, _row(r), 0.0, f).center()
 
 
 def test_momentum_action_composes_contravariantly():

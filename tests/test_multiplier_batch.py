@@ -61,18 +61,13 @@ def _cases(rep, n, seed, **state_kw):
 @pytest.mark.parametrize("rep", REPS, ids=lambda rep: rep.kind)
 def test_row_i_of_the_batched_core_is_the_one_row_call(rep, kind, n):
     state, r, s, t = _cases(rep, n, 40 + n, **STATES[kind])
-    acted = apply_batch(rep, r, t, StateBatch.of(state, n))
+    acted = apply_batch(rep, r, t, state.repeat(n))
     rows = extract_multiplier_batch(rep, r, s, t, state)
     name, match = match_exponent_batch(rep, r, s, t, rows)
     timed = check_time_multiplier_batch(rep, r, s, t, state)
     for i in range(n):
         ri, si, ti = r.element(i), s.element(i), float(t[i])
-        one = apply_time(rep, ri, ti, state)
-        for got, want in zip(acted.row(i).terms, one.terms):
-            assert got.alpha == want.alpha
-            assert _same(got.beta, want.beta) and _same(got.Gamma, want.Gamma)
-            assert got.poly.deg == want.poly.deg
-            assert _same(got.poly.coef, want.poly.coef)
+        assert _same_states(acted.row(i), apply_time(rep, ri, ti, state))
         one = extract_multiplier(rep, ri, si, ti, state)
         assert len(one.omega) == 1
         assert rows.omega[i] == one.omega[0]
@@ -86,10 +81,13 @@ def test_row_i_of_the_batched_core_is_the_one_row_call(rep, kind, n):
 
 
 def _same_states(a: StateBatch, b: StateBatch) -> bool:
-    """Every term array of a and b equal bit for bit, signed zeros too."""
+    """Every term array of a and b equal bit for bit, signed zeros too, and
+    each polynomial of one degree."""
     return len(a.terms) == len(b.terms) and all(
-        _same(x, y) for ta, tb in zip(a.terms, b.terms)
-        for x, y in zip((ta[0].coef, *ta[1:]), (tb[0].coef, *tb[1:])))
+        ta[0].deg == tb[0].deg
+        and all(_same(x, y) for x, y in zip((ta[0].coef, *ta[1:]),
+                                             (tb[0].coef, *tb[1:])))
+        for ta, tb in zip(a.terms, b.terms))
 
 
 @pytest.mark.parametrize("kind", STATES)
@@ -100,8 +98,8 @@ def test_the_action_at_t_is_the_time_phase_of_the_static_action(rep, kind):
     # state's beta, as they are
     zero = PolyGaussianState.gaussian(rep.dim, beta=[-0.0] + [0.0] * (
         rep.dim - 1))
-    for f, b in ((StateBatch.of(state, 9), r),
-                 (StateBatch.of(zero, 4), identity_batch(rep.dim, 4))):
+    for f, b in ((state.repeat(9), r),
+                 (zero.repeat(4), identity_batch(rep.dim, 4))):
         ts = t[:len(b)]
         static = apply_batch(rep, b, 0.0, f)
         assert _same_states(apply_batch(rep, b, ts, f),
@@ -186,7 +184,7 @@ def test_the_term_mismatch_sees_each_term_parameter():
     rng = np.random.default_rng(67)
     state = random_state(rng, 2, poly_degree=1, n_terms=2)
     direct = apply_batch(REPS[0], random_element_batch(rng, 3, 2), 0.5,
-                         StateBatch.of(state, 3))
+                         state.repeat(3))
     c = np.array([0.1 + 0.2j, -0.3j, 0.0])
     composed = direct.multiply_phase(const=c)
     dalpha, mismatch = verify._term_mismatch(composed, direct)
@@ -226,7 +224,7 @@ def test_omega_is_the_mean_pointwise_ratio(rep):
                                  n_terms=n_terms)
             b = random_element_batch(rng, 2 * n, rep.dim)
             r, s, t = b[0::2], b[1::2], rng.uniform(-2.0, 2.0, n)
-            f = StateBatch.of(state, n)
+            f = state.repeat(n)
             composed = apply_batch(rep, r, t, apply_batch(rep, s, t, f))
             direct = apply_batch(rep, multiply_batch(r, s), t, f)
             omega = extract_multiplier_batch(rep, r, s, t, state).omega

@@ -29,9 +29,9 @@ from galiray.cocycles import (PhaseExponent, equivalence_transform,
 from galiray.group import _row, random_element, random_element_batch
 from galiray.harness import default_config, report_json, run_suite
 from galiray.representations import RepDescriptor, apply_batch, apply_time
-from galiray.states import (PolyGaussianState, PolyGaussianTerm, StateBatch,
-                            _monomials_up_to, _PolyRows, inner_product,
-                            inner_product_batch, random_state)
+from galiray.states import (PolyGaussianState, StateBatch, _monomials_up_to,
+                            _PolyRows, inner_product, inner_product_batch,
+                            random_state)
 from galiray.verify import default_sample_points
 
 TINY = dict(n_triples=6, n_pairs=3, n_time_cases=3, n_unitarity_cases=2,
@@ -139,6 +139,19 @@ def _states(rng, dim, n, n_terms, degrees):
                          n_terms=n_terms) for i in range(n)]
 
 
+def _stack(states):
+    """The states as the rows of one batch, each term's polynomial rows
+    padded to the highest of their degrees."""
+    out = []
+    for column in zip(*(f.terms for f in states)):
+        polys, *arrays = zip(*column)
+        deg = max(poly.deg for poly in polys)
+        out.append((_PolyRows(states[0].dim, deg, np.concatenate(
+            [poly.padded(deg) for poly in polys])),
+            *map(np.concatenate, arrays)))
+    return StateBatch(states[0].dim, out)
+
+
 @pytest.mark.parametrize("terms", ((1, 1), (1, 2), (2, 2)))
 @pytest.mark.parametrize("degrees", ((0,), (1,), (2,), (0, 1, 2)))
 @pytest.mark.parametrize("dim", (1, 2, 3))
@@ -146,8 +159,8 @@ def test_row_i_of_inner_product_batch_is_the_one_row_call(dim, degrees,
                                                           terms):
     rng = np.random.default_rng(100 * dim + 10 * len(degrees) + sum(terms))
     n = 5
-    F = StateBatch.stack(_states(rng, dim, n, terms[0], degrees))
-    G = StateBatch.stack(_states(rng, dim, n, terms[1], degrees[::-1]))
+    F = _stack(_states(rng, dim, n, terms[0], degrees))
+    G = _stack(_states(rng, dim, n, terms[1], degrees[::-1]))
     values = inner_product_batch(F, G)
     assert values.shape == (n,)
     for i in range(n):
@@ -163,14 +176,9 @@ def test_row_i_of_substitute_is_the_one_row_call(dim, degrees, terms):
     fs = _states(rng, dim, n, terms, degrees)
     W = random_element_batch(rng, n, dim).W
     shift = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
-    rows = StateBatch.stack(fs).substitute(W, shift)
+    rows = _stack(fs).substitute(W, shift)
     for i in range(n):
-        for got, want in zip(rows.row(i).terms,
-                             fs[i].substitute(W[i], shift[i]).terms):
-            assert _same(got.alpha, want.alpha)
-            assert _same(got.beta, want.beta)
-            assert _same(got.Gamma, want.Gamma)
-            assert _same_poly(got.poly, want.poly)
+        assert _same_state(rows.row(i), fs[i].substitute(W[i], shift[i]))
 
 
 def _same_poly(a, b) -> bool:
@@ -190,21 +198,19 @@ def test_acted_rows_of_a_shared_state_match_the_one_row_call(degree):
     g = random_state(rng, 3, poly_degree=1)
     r = random_element_batch(rng, 4, 3)
     t = np.array([0.0, 0.5, -1.2, 0.0])
-    F = apply_batch(rep, r, t, StateBatch.of(f, 4))
-    G = apply_batch(rep, r, t, StateBatch.of(g, 4))
+    F = apply_batch(rep, r, t, f.repeat(4))
+    G = apply_batch(rep, r, t, g.repeat(4))
     values = inner_product_batch(F, G)
     for i in range(4):
         assert _same(values[i], inner_product(F.row(i), G.row(i)))
-    assert _same(inner_product_batch(StateBatch.of(f), StateBatch.of(g)),
-                 [inner_product(f, g)])
+    assert _same(inner_product_batch(f, g), [inner_product(f, g)])
 
 
 def _diverging(state: PolyGaussianState) -> PolyGaussianState:
-    """state with Re Gamma made positive-definite: its inner products with
-    the random states do not converge."""
-    (t,) = state.terms
-    return PolyGaussianState._trusted(state.dim, [type(t)(
-        t.poly, t.alpha, t.beta, t.Gamma + 3.0 * np.eye(state.dim))])
+    """state with Re Gamma made positive-definite, by the StateBatch
+    transform, which does not check it: its inner products with the random
+    states do not converge."""
+    return StateBatch.multiply_phase(state, quad=[3.0 * np.eye(state.dim)])
 
 
 def test_a_diverging_row_is_nan_in_the_batch_and_raises_in_the_row():
@@ -212,7 +218,7 @@ def test_a_diverging_row_is_nan_in_the_batch_and_raises_in_the_row():
     fs = _states(rng, 2, 4, 1, (0, 1))
     gs = _states(rng, 2, 4, 1, (1, 0))
     gs[2] = _diverging(gs[2])
-    values = inner_product_batch(StateBatch.stack(fs), StateBatch.stack(gs))
+    values = inner_product_batch(_stack(fs), _stack(gs))
     assert np.isnan(values[2])
     for i in (0, 1, 3):
         assert _same(values[i], inner_product(fs[i], gs[i]))
@@ -316,16 +322,15 @@ def _dict_random_state(rng, dim, poly_degree=0, n_terms=1):
             for exps in _monomials_up_to(dim, poly_degree):
                 if sum(exps) > 0:
                     coeffs[exps] = complex(rng.normal(), rng.normal()) * 0.3
-        terms.append(PolyGaussianTerm(_PolyRows.of([coeffs], dim), alpha,
-                                      beta, Gamma))
-    return PolyGaussianState._trusted(dim, terms)
+        terms.append((_PolyRows.of([coeffs], dim), np.array([alpha]),
+                      beta[None], Gamma[None]))
+    return StateBatch(dim, terms)
 
 
 def _same_state(f, g) -> bool:
     """Equal terms bit for bit (_same_poly for the polynomials)."""
     return len(f.terms) == len(g.terms) and all(
-        _same(a.alpha, b.alpha) and _same(a.beta, b.beta)
-        and _same(a.Gamma, b.Gamma) and _same_poly(a.poly, b.poly)
+        _same_poly(a[0], b[0]) and all(map(_same, a[1:], b[1:]))
         for a, b in zip(f.terms, g.terms))
 
 
@@ -423,13 +428,10 @@ def test_time_zero_matches_a_case_by_case_loop(monkeypatch):
             r = random_element(rng, rep.dim, cfg.scale)
             assert all(_same(getattr(R, x)[i], getattr(r, x))
                        for x in ("W", "eta", "v", "u"))
-            (row,), (term,) = F.row(i).terms, f.terms
-            assert _same_poly(row.poly, term.poly)
-            assert _same(row.alpha, term.alpha)
-            assert _same(row.beta, term.beta) and _same(row.Gamma, term.Gamma)
+            assert _same_state(F.row(i), f)
             points = default_sample_points(f, n=8, seed=entry["seed"] + i)
             timed = apply_time(rep, r, 0.0, f)
-            plain = apply_batch(rep, _row(r), 0.0, StateBatch.of(f)).row(0)
+            plain = apply_batch(rep, _row(r), 0.0, f)
             worst = max([worst] + [abs(timed.evaluate(p) - plain.evaluate(p))
                                    for p in points])
         assert entry["pass"] is True
@@ -482,8 +484,4 @@ def test_random_states_pass_the_validating_constructor():
     for i in range(300):
         dim, degree = 1 + i % 3, (i // 3) % 3
         f = random_state(rng, dim, poly_degree=degree, n_terms=1 + i % 2)
-        checked = PolyGaussianState(f.dim, f.terms)
-        for a, b in zip(f.terms, checked.terms):
-            assert _same_poly(a.poly, b.poly)
-            assert _same(a.alpha, b.alpha)
-            assert _same(a.beta, b.beta) and _same(a.Gamma, b.Gamma)
+        assert _same_state(PolyGaussianState(f.dim, f.terms), f)
