@@ -160,6 +160,11 @@ class AlgebraBatch:
     def __len__(self) -> int:
         return len(self.time)
 
+    def __getitem__(self, rows) -> "AlgebraBatch":
+        """Sub-batch of the selected rows (a slice or an index array)."""
+        return AlgebraBatch(self.rot[rows], self.trans[rows], self.boost[rows],
+                            self.time[rows])
+
     def element(self, i: int) -> AlgebraElement:
         """Row i as a validated AlgebraElement."""
         return AlgebraElement(self.dim, self.rot[i], self.trans[i],

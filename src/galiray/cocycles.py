@@ -193,10 +193,21 @@ def _richardson(taus, values) -> tuple:
     return final, err, converged
 
 
-def _repeat(X: la.AlgebraBatch, k: int) -> la.AlgebraBatch:
-    """Each row of X k times in a row."""
-    return la.AlgebraBatch(*(np.repeat(getattr(X, f), k, axis=0)
-                             for f in la.AlgebraBatch.__slots__))
+def _distinct_rows(X: la.AlgebraBatch, Y: la.AlgebraBatch) -> tuple:
+    """The distinct rows of X and Y as one batch, and the row of it that
+    each row of X and of Y is.  Rows are equal only bit for bit: a -0.0 is
+    not a 0.0, and a NaN matches only its own bits."""
+    fields = [np.concatenate((getattr(X, f), getattr(Y, f)))
+              for f in la.AlgebraBatch.__slots__]
+    data = np.concatenate([x.reshape(len(x), -1) for x in fields], axis=1,
+                          dtype=float).tobytes()
+    width = len(data) // len(fields[-1])
+    rows: dict = {}
+    inverse = np.array([rows.setdefault(data[i:i + width], len(rows))
+                        for i in range(0, len(data), width)])
+    first = np.unique(inverse, return_index=True)[1]
+    return (la.AlgebraBatch(*fields)[first], inverse[:len(X)],
+            inverse[len(X):])
 
 
 def _checked_taus(tau_sequence) -> tuple:
@@ -217,15 +228,22 @@ def _checked_taus(tau_sequence) -> tuple:
 def infinitesimal_exponent_batch(xi, X: la.AlgebraBatch, Y: la.AlgebraBatch,
                                  tau_sequence=DEFAULT_TAU_SEQUENCE) -> tuple:
     """(value, extrapolation_error, converged), (N,) arrays whose row i is
-    what infinitesimal_exponent gives for the pair (X[i], Y[i]); all pairs
-    and taus run as one batch of len(X) * len(tau_sequence) rows."""
+    what infinitesimal_exponent gives for the pair (X[i], Y[i]).  The
+    exponentials exp(tau X) and exp(tau Y) and their inverses run as one
+    batch, once per distinct row of X and Y and tau, and all pairs and taus
+    as one batch of len(X) * len(tau_sequence) rows."""
     taus = _checked_taus(tau_sequence)
     n, k = len(X), len(taus)
+    U, ix, iy = _distinct_rows(X, Y)
+    # row u * k + j is U[u] at taus[j]
+    m = len(U)
+    g = la.exponential_batch(U[np.repeat(np.arange(m), k)].scale(
+        np.tile(taus, m)))
+    ginv = gg.inverse_batch(g)
     # row i * k + j is pair i at taus[j]
-    t = np.tile(taus, n)
-    g = la.exponential_batch(_repeat(X, k).scale(t))
-    h = la.exponential_batch(_repeat(Y, k).scale(t))
-    ginv, hinv = gg.inverse_batch(g), gg.inverse_batch(h)
+    gx = (ix[:, None] * k + np.arange(k)).ravel()
+    gy = (iy[:, None] * k + np.arange(k)).ravel()
+    g, h, ginv, hinv = g[gx], g[gy], ginv[gx], ginv[gy]
     gh, ginv_hinv = gg.multiply_batch(g, h), gg.multiply_batch(ginv, hinv)
     total = xi(gh, ginv_hinv) + xi(g, h) + xi(ginv, hinv)
     # tau ** 2 as Python rounds it

@@ -25,7 +25,8 @@ from .cocycles import (DEFAULT_TAU_SEQUENCE, PhaseExponent,
 # the name from this module
 from .group import (_from_raw, _is_number, _raw_width, _uniform,
                     embed_matrix_batch, identity_batch, inverse_batch,
-                    multiply, multiply_batch, random_element_batch)
+                    multiply, multiply_batch, random_element_batch,
+                    stack_batches)
 from .representations import (MOMENTUM_KINDS, RepDescriptor, apply_batch,
                               generator_names, rep_from_dict, rep_to_dict)
 from .states import _StateDraws, inner_product_batch, random_state
@@ -365,18 +366,20 @@ def _algebra_cases(dim: int, scale: float):
 def _algebra_residuals(X, Y, Z, a, b) -> np.ndarray:
     """Jacobi identity, bracket = matrix commutator, one-parameter
     homomorphism of the exponential map, and exp(X) exp(-X) = 1."""
+    n = len(X)
     MX, MY = embed_algebra_batch(X), embed_algebra_batch(Y)
+    # exp(aX), exp(X), exp(bX), exp(-X), exp((a+b)X) as one batch (1 and -1
+    # scale exactly); then both products, and all three matrices, as one
+    E = exponential_batch(X[np.tile(np.arange(n), 5)].scale(
+        np.concatenate((a, np.ones(n), b, np.full(n, -1.0), a + b))))
+    M = embed_matrix_batch(stack_batches(
+        (multiply_batch(E[:2 * n], E[2 * n:4 * n]), E[4 * n:])))
     return np.max([
         jacobi_residual_batch(X, Y, Z),
         _mat_diff(embed_algebra_batch(commutator_batch(X, Y)),
                   MX @ MY - MY @ MX),
-        _mat_diff(embed_matrix_batch(exponential_batch(X.scale(a + b))),
-                  embed_matrix_batch(multiply_batch(
-                      exponential_batch(X.scale(a)),
-                      exponential_batch(X.scale(b))))),
-        _mat_diff(embed_matrix_batch(multiply_batch(
-            exponential_batch(X), exponential_batch(X.scale(-1.0)))),
-            np.eye(X.dim + 2)),
+        _mat_diff(M[2 * n:], M[:n]),
+        _mat_diff(M[n:2 * n], np.eye(X.dim + 2)),
     ], axis=0)
 
 
@@ -429,13 +432,18 @@ def _check_cocycles(cfg: SuiteConfig):
     return reports
 
 
+@functools.cache
+def _basis_table(dim: int) -> AlgebraBatch:
+    """The elements of basis_names(dim) as the rows of one AlgebraBatch."""
+    X = [basis_element(name, dim) for name in basis_names(dim)]
+    return AlgebraBatch(*(np.array([getattr(x, f) for x in X])
+                          for f in AlgebraBatch.__slots__))
+
+
 def _basis_rows(names, dim: int) -> AlgebraBatch:
     """The named basis elements as the rows of one AlgebraBatch."""
     basis = basis_names(dim)
-    X = [basis_element(name, dim) for name in basis]
-    rows = [basis.index(name) for name in names]
-    return AlgebraBatch(*(np.array([getattr(x, f) for x in X])[rows]
-                          for f in AlgebraBatch.__slots__))
+    return _basis_table(dim)[[basis.index(name) for name in names]]
 
 
 def _pairing(x: str, y: str) -> float:

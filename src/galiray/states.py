@@ -23,9 +23,10 @@ Each object has one polynomial form.  A state's term polynomial is dense
 rows (_PolyRows): an (N, M) coefficient array over the graded monomial basis
 _basis(dim, deg).  Substitution, the products conj(f) g of an inner product
 and the shift of its Gaussian integral run on these arrays through one
-product table per pair of degrees, and add each coefficient's terms one at
-a time in an order fixed by the degrees, so row i equals the 1-row call bit
-for bit whatever degrees the other rows have.  A {exponent tuple:
+product table per pair of degrees, and the Gaussian moments through one
+round table per degree (_moment_table); each adds a coefficient's terms one
+at a time in an order fixed by the degrees, so row i equals the 1-row call
+bit for bit whatever degrees the other rows have.  A {exponent tuple:
 coefficient} mapping from input becomes rows once, through _PolyRows.of.
 An operator is one flat map (deriv, exps) -> c over its monomials, t
 symbolic as a trailing exponent; apply_batch fixes t and makes each
@@ -205,6 +206,15 @@ def _monomial_images(lines: np.ndarray, deg: int) -> np.ndarray:
     return P
 
 
+def _column_sum(terms: np.ndarray) -> np.ndarray:
+    """The sum over axis 1 of terms, added one column at a time onto zero
+    in column order."""
+    out = np.zeros(terms.shape[:1] + terms.shape[2:], dtype=terms.dtype)
+    for k in range(terms.shape[1]):
+        out += terms[:, k]
+    return out
+
+
 class _PolyRows:
     """N polynomials in dim variables: row i of coef (N, M) holds the
     coefficients of polynomial i over _basis(dim, deg)."""
@@ -252,16 +262,16 @@ class _PolyRows:
 
     def substitute(self, M: np.ndarray, c: np.ndarray) -> "_PolyRows":
         """Row i with variable j -> sum_k M[i, j, k] q_k + c[i, j], for M
-        (N, dim, dim) and c (N, dim)."""
+        (N, dim, dim) and c (N, dim): each coefficient times the image of
+        its monomial, one product over the (N, M, M) block, and the images
+        added in basis order."""
         if self.deg == 0:
             return self
         lines = np.empty(c.shape + (self.dim + 1,), dtype=complex)
         lines[..., 0], lines[..., 1:] = c, M
         images = _monomial_images(lines, self.deg)
-        out = np.zeros(images.shape[::2], dtype=complex)
-        for k in range(out.shape[1]):
-            out += _cmul(self.coef[:, k, None], images[:, k])
-        return _PolyRows(self.dim, self.deg, out)
+        return _PolyRows(self.dim, self.deg, _column_sum(
+            _cmul(self.coef[:, :, None], images)))
 
 
 def _poly_mismatch(a: _PolyRows, b: _PolyRows, n: int) -> np.ndarray:
@@ -392,8 +402,12 @@ class PolyGaussianState(StateBatch):
     def __init__(self, dim: int, terms):
         """Validating constructor: every (poly, alpha, beta, Gamma) term is
         checked (see the module docstring), so a state built from input is
-        sound."""
-        super().__init__(dim, [_checked_term(dim, term) for term in terms])
+        sound.  A state has at least one term: the zero state is one term
+        with a zero polynomial."""
+        terms = [_checked_term(dim, term) for term in terms]
+        if not terms:
+            raise ValueError("a state needs at least one term")
+        super().__init__(dim, terms)
 
     @classmethod
     def gaussian(cls, dim: int, alpha=0.0, beta=None, Gamma=None,
@@ -623,26 +637,37 @@ def _sub_multi_indices(a):
             yield (head,) + tail
 
 
-def _central_moment(Sigma: np.ndarray, exps: tuple,
-                    cache: dict) -> np.ndarray:
-    """E[q^exps] of a centered Gaussian with complex covariance Sigma, per
-    matrix of the stack Sigma (N, dim, dim)."""
-    if exps in cache:
-        return cache[exps]
-    total_deg = sum(exps)
-    total = np.full(len(Sigma), complex(total_deg == 0))
-    if total_deg % 2 == 0 and total_deg > 0:
-        a = next(i for i, e in enumerate(exps) if e > 0)
-        rest = list(exps)
-        rest[a] -= 1
-        for b, count in enumerate(rest):
-            if count > 0:
-                nxt = list(rest)
-                nxt[b] -= 1
-                total = total + _cmul(count * Sigma[:, a, b], _central_moment(
-                    Sigma, tuple(nxt), cache))
-    cache[exps] = total
-    return total
+@functools.cache
+def _moment_table(dim: int, deg: int) -> tuple:
+    """The moments of _basis(dim, deg) as rounds (K, J, A, B, C): column
+    K[j] gains C[j] Sigma[A[j], B[j]] times column J[j].  E[q^e] is the sum
+    over b of r_b Sigma[a, b] E[q^(r - 1_b)], r = e - 1_a for a the first
+    variable e uses, its terms in the order of b; the rounds run by degree,
+    so a column is complete before a higher degree reads it."""
+    index = _index(dim, deg)
+    rounds = []
+    for d in range(2, deg + 1, 2):
+        terms = []
+        for e in _basis(dim, deg)[_size(dim, d - 1):_size(dim, d)]:
+            a = next(i for i, x in enumerate(e) if x)
+            rest = e[:a] + (e[a] - 1,) + e[a + 1:]
+            terms.append([(index[e], index[rest[:b] + (c - 1,) + rest[b + 1:]],
+                           a, b, c) for b, c in enumerate(rest) if c])
+        rounds += [tuple(map(np.array, zip(*(t[r] for t in terms
+                                             if len(t) > r))))
+                   for r in range(max(map(len, terms)))]
+    return tuple(rounds)
+
+
+def _moments(Sigma: np.ndarray, deg: int) -> np.ndarray:
+    """E[q^e] (N, M) of a centered Gaussian with complex covariance Sigma
+    (N, dim, dim) for each e of _basis(dim, deg), one product per round."""
+    n, dim = Sigma.shape[:2]
+    out = np.zeros((n, _size(dim, deg)), dtype=complex)
+    out[:, 0] = 1.0
+    for K, J, A, B, C in _moment_table(dim, deg):
+        out[:, K] += _cmul(C * Sigma[:, A, B], out[:, J])
+    return out
 
 
 def _integrable_root(A: np.ndarray):
@@ -676,8 +701,10 @@ def _gaussian_integrals(poly: _PolyRows, alpha: np.ndarray, beta: np.ndarray,
     """Row-wise integral of poly[i](p) exp(alpha + <beta,p> + p^T Gamma p)
     over R^dim, and per row whether it converges: Gamma must be finite and
     Re(-2 Gamma) positive-definite (_integrable_root).  A row that does not
-    converge gives NaN."""
-    n, dim = beta.shape
+    converge gives NaN.  The polynomial shifted to the Gaussian's centre
+    meets every moment of _moments in one product over the (N, M) block,
+    whose columns are then added in basis order."""
+    dim = beta.shape[1]
     # part by part: the complex product by -2 would take 0 * inf of an
     # infinite part, which warns and carries a NaN into the other part
     A = _complex(-2.0 * Gamma.real, -2.0 * Gamma.imag)
@@ -691,11 +718,7 @@ def _gaussian_integrals(poly: _PolyRows, alpha: np.ndarray, beta: np.ndarray,
                       np.exp(alpha + 0.5 * _dot(beta, m)))
     # the integrand is poly(q + m) times a centered Gaussian in q
     shifted = poly.substitute(np.broadcast_to(eye, A.shape), m).coef
-    cache: dict = {}
-    total = np.zeros(n, dtype=complex)
-    for k, exps in enumerate(_basis(dim, poly.deg)):
-        total = total + _cmul(shifted[:, k], _central_moment(Sigma, exps,
-                                                             cache))
+    total = _column_sum(_cmul(shifted, _moments(Sigma, poly.deg)))
     out = _cmul(prefactor, total)
     out[~integrable] = complex(math.nan, math.nan)
     return out, integrable

@@ -521,6 +521,60 @@ def test_group_and_algebra_checks_match_the_scalar_loops():
             report["seed"], report["n_cases"], dim, SMALL.scale)
 
 
+def _per_call_algebra_residuals(X, Y, Z, a, b):
+    """harness._algebra_residuals with one exponential_batch call per flow
+    parameter, two multiply_batch calls and four embed_matrix_batch calls."""
+    MX, MY = embed_algebra_batch(X), embed_algebra_batch(Y)
+    return np.max([
+        jacobi_residual_batch(X, Y, Z),
+        harness._mat_diff(embed_algebra_batch(commutator_batch(X, Y)),
+                          MX @ MY - MY @ MX),
+        harness._mat_diff(
+            embed_matrix_batch(exponential_batch(X.scale(a + b))),
+            embed_matrix_batch(multiply_batch(exponential_batch(X.scale(a)),
+                                              exponential_batch(X.scale(b))))),
+        harness._mat_diff(embed_matrix_batch(multiply_batch(
+            exponential_batch(X), exponential_batch(X.scale(-1.0)))),
+            np.eye(X.dim + 2)),
+    ], axis=0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_the_stacked_algebra_residuals_equal_the_per_call_ones(dim):
+    """Every case of one chunk, rows at and near a zero angle, on both sides
+    of the series switch, and a NaN row among them, bit for bit."""
+    rng = np.random.default_rng(700 + dim)
+    X, Y, Z, a, b = harness._algebra_cases(dim, 2.0)(rng, range(40))
+    X.rot[:4] *= np.array([0.0, 1e-9, _SERIES[0] / 2, _SERIES[0]])[
+        :, None, None]
+    X.time[5] = math.nan
+    a[6] = -0.0
+    got = harness._algebra_residuals(X, Y, Z, a, b)
+    want = _per_call_algebra_residuals(X, Y, Z, a, b)
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(got[5]) and np.isfinite(np.delete(got, 5)).all()
+
+
+def test_the_algebra_check_makes_one_exponential_call_per_chunk(monkeypatch):
+    cfg = harness.default_config(seed=31, n_triples=30, scale=1.5)
+    whole = harness._check_algebra(cfg)
+    calls = []
+
+    def counted(X):
+        calls.append(len(X))
+        return exponential_batch(X)
+
+    monkeypatch.setattr(harness, "exponential_batch", counted)
+    monkeypatch.setattr(harness, "_SWEEP_CHUNK", 3)
+    assert harness._check_algebra(cfg) == whole
+    # 10 cases per dimension in chunks of 3, 3, 3, 1; five flows per case
+    assert calls == [15, 15, 15, 5] * 3
+    monkeypatch.setattr(harness, "_SWEEP_CHUNK", 512)
+    monkeypatch.setattr(harness, "_algebra_residuals",
+                        _per_call_algebra_residuals)
+    assert harness._check_algebra(cfg) == whole
+
+
 def test_cocycle_check_matches_the_scalar_loop():
     reports = harness._check_cocycles(SMALL)
     cases = harness._cocycle_cases(SMALL)

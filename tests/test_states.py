@@ -6,16 +6,23 @@ import warnings
 import numpy as np
 import pytest
 
-from galiray.group import rotation_2d
+from galiray.group import _dot, rotation_2d
 from galiray.states import (
     DEFAULT_MAX_DEGREE,
     DegreeOverflowError,
     PolyDiffOperator,
     PolyGaussianState,
     StateBatch,
-    _PolyRows,
+    _basis,
+    _cmul,
+    _complex,
     _gaussian_integrals,
     _integrable_root,
+    _moments,
+    _monomial_images,
+    _PolyRows,
+    _size,
+    _StateDraws,
     inner_product,
     inner_product_batch,
     random_state,
@@ -459,3 +466,139 @@ def test_an_infinite_gamma_row_gives_nan_in_its_own_row_only():
     assert np.isnan(values[1].real) and np.isnan(values[1].imag)
     want = inner_product(f, f)
     assert values[0] == want and values[2] == want
+
+
+def test_a_state_needs_a_term():
+    # the zero state is one term with a zero polynomial, as apply_batch
+    # writes it
+    with pytest.raises(ValueError, match="at least one term"):
+        PolyGaussianState(2, [])
+    with pytest.raises(ValueError, match="at least one term"):
+        inner_product(PolyGaussianState(2, iter(())), random_state(451, 2))
+    zero = PolyGaussianState.gaussian(2, poly={})
+    assert len(zero) == 1
+    assert inner_product(zero, random_state(451, 2)) == 0
+
+
+# -- the moment table against the recursion it replaces ----------------------
+
+def _reference_central_moment(Sigma, exps, cache):
+    """E[q^exps] of a centered Gaussian with complex covariance Sigma, per
+    matrix of the stack Sigma (N, dim, dim): one product per term of the
+    recursion over the first variable exps uses."""
+    if exps in cache:
+        return cache[exps]
+    total_deg = sum(exps)
+    total = np.full(len(Sigma), complex(total_deg == 0))
+    if total_deg % 2 == 0 and total_deg > 0:
+        a = next(i for i, e in enumerate(exps) if e > 0)
+        rest = list(exps)
+        rest[a] -= 1
+        for b, count in enumerate(rest):
+            if count > 0:
+                nxt = list(rest)
+                nxt[b] -= 1
+                total = total + _cmul(count * Sigma[:, a, b],
+                                      _reference_central_moment(
+                                          Sigma, tuple(nxt), cache))
+    cache[exps] = total
+    return total
+
+
+def _reference_substitute(poly, M, c):
+    """_PolyRows.substitute with one product per coefficient column."""
+    if poly.deg == 0:
+        return poly
+    lines = np.empty(c.shape + (poly.dim + 1,), dtype=complex)
+    lines[..., 0], lines[..., 1:] = c, M
+    images = _monomial_images(lines, poly.deg)
+    out = np.zeros(images.shape[::2], dtype=complex)
+    for k in range(out.shape[1]):
+        out += _cmul(poly.coef[:, k, None], images[:, k])
+    return _PolyRows(poly.dim, poly.deg, out)
+
+
+def _reference_gaussian_integrals(poly, alpha, beta, Gamma):
+    """_gaussian_integrals with one product per monomial of the moment sum
+    and the moments from the recursion."""
+    n, dim = beta.shape
+    A = _complex(-2.0 * Gamma.real, -2.0 * Gamma.imag)
+    integrable, det_root = _integrable_root(A)
+    eye = np.eye(dim)
+    A = np.where(integrable[:, None, None], A, eye)
+    m = np.linalg.solve(A, beta[:, :, None])[:, :, 0]
+    Sigma = np.linalg.inv(A)
+    prefactor = _cmul((2.0 * math.pi) ** (dim / 2.0) / det_root,
+                      np.exp(alpha + 0.5 * _dot(beta, m)))
+    shifted = _reference_substitute(poly, np.broadcast_to(eye, A.shape),
+                                    m).coef
+    cache: dict = {}
+    total = np.zeros(n, dtype=complex)
+    for k, exps in enumerate(_basis(dim, poly.deg)):
+        total = total + _cmul(shifted[:, k], _reference_central_moment(
+            Sigma, exps, cache))
+    out = _cmul(prefactor, total)
+    out[~integrable] = complex(math.nan, math.nan)
+    return out
+
+
+def _reference_inner_products(F, G):
+    total = np.zeros(len(F), dtype=complex)
+    for pf, af, bf, Gf in F.terms:
+        for pg, ag, bg, Gg in G.terms:
+            total = total + _reference_gaussian_integrals(
+                pf.conj_times(pg), af.conjugate() + ag, bf.conjugate() + bg,
+                Gf.conjugate() + Gg)
+    return total
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_the_moment_table_is_the_recursion_bit_for_bit(dim):
+    # two degree-8 states reach degree 16 under DEFAULT_MAX_DEGREE
+    deg = 2 * DEFAULT_MAX_DEGREE
+    rng = np.random.default_rng(460 + dim)
+    Sigma = _complex(rng.normal(size=(6, dim, dim)),
+                     rng.normal(size=(6, dim, dim)))
+    Sigma[2, dim - 1, 0] = complex(math.nan, 0.5)
+    Sigma[4, 0, 0] = complex(0.5, math.nan)
+    got = _moments(Sigma, deg)
+    cache: dict = {}
+    for k, exps in enumerate(_basis(dim, deg)):
+        want = _reference_central_moment(Sigma, exps, cache)
+        assert got[:, k].tobytes() == want.tobytes(), exps
+    # every lower degree reads the same table as a prefix
+    for d in range(deg):
+        assert _moments(Sigma, d).tobytes() == np.ascontiguousarray(
+            got[:, :_size(dim, d)]).tobytes()
+
+
+def _draw_batch(rng, dim, degrees, n_terms):
+    draws = _StateDraws(len(degrees), dim, max(degrees), n_terms)
+    for i, degree in enumerate(degrees):
+        draws.draw(i, rng, degree)
+    return draws.batch()
+
+
+@pytest.mark.parametrize("dim, max_degree", [(1, 8), (2, 8), (3, 4)])
+@pytest.mark.parametrize("n_terms", [(1, 1), (1, 2), (2, 2)])
+def test_inner_products_equal_the_per_monomial_loop(dim, max_degree,
+                                                    n_terms):
+    """Rows of mixed degrees up to max_degree per side (degree 8 in dim 3
+    would take tens of MB per row), a NaN beta and a NaN polynomial
+    coefficient among them: every value has the repr it had with one
+    product per monomial and the moment recursion."""
+    rng = np.random.default_rng(470 + 10 * dim + sum(n_terms))
+    degrees = list(range(max_degree + 1))
+    F = _draw_batch(rng, dim, degrees, n_terms[0])
+    G = _draw_batch(rng, dim, degrees[::-1], n_terms[1])
+    (poly, alpha, beta, Gamma), *rest = G.terms
+    beta, coef = beta.copy(), poly.coef.copy()
+    beta[1, 0] = math.nan
+    coef[3, -1] = complex(math.nan, 1.0)
+    G = StateBatch(dim, [(_PolyRows(dim, poly.deg, coef), alpha, beta,
+                          Gamma), *rest])
+    got = inner_product_batch(F, G)
+    want = _reference_inner_products(F, G)
+    assert list(map(repr, got.tolist())) == list(map(repr, want.tolist()))
+    assert np.isnan(got[[1, 3]]).all()
+    assert np.isfinite(np.delete(got, [1, 3])).all()

@@ -21,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from galiray import cocycles, harness, verify
+from galiray import algebra, cocycles, harness, verify
 from galiray.algebra import basis_element, basis_names
 from galiray.cocycles import (PhaseExponent, equivalence_transform,
                               infinitesimal_exponent,
@@ -78,6 +78,61 @@ def test_row_i_of_the_infinitesimal_batch_is_the_one_row_call(name):
         assert _same(value[i], one.value)
         assert _same(err[i], one.extrapolation_error)
         assert bool(converged[i]) is one.converged
+
+
+@pytest.mark.parametrize("name", ["xi0", "xi1"])
+def test_repeated_and_permuted_rows_keep_their_one_row_values(name):
+    xi = EXPONENTS[name]
+    pool = algebra.random_algebra_batch(60, 5, xi.dim, 0.8)
+    rows_x, rows_y = np.random.default_rng(61).integers(0, 5, (2, 40))
+    value, err, converged = infinitesimal_exponent_batch(xi, pool[rows_x],
+                                                         pool[rows_y])
+    for i, (x, y) in enumerate(zip(rows_x, rows_y)):
+        one = infinitesimal_exponent(xi, pool.element(x), pool.element(y))
+        assert _same(value[i], one.value)
+        assert _same(err[i], one.extrapolation_error)
+        assert bool(converged[i]) is one.converged
+
+
+def test_the_table_exponentiates_each_distinct_row_once(monkeypatch):
+    rows = []
+    exponential_batch = algebra.exponential_batch
+
+    def counted(X):
+        rows.append(len(X))
+        return exponential_batch(X)
+
+    monkeypatch.setattr(algebra, "exponential_batch", counted)
+    (entry,) = harness._check_infinitesimal(default_config(**TINY))
+    assert entry["pass"] is True
+    # 100 pairs of the 10 dim-3 basis directions, at 5 taus
+    assert rows == [10 * len(cocycles.DEFAULT_TAU_SEQUENCE)]
+
+
+def test_rows_merge_only_when_equal_bit_for_bit():
+    X = algebra.random_algebra_batch(70, 1, 2, 0.8)[[0] * 5]
+    X.trans[1, 0] = 0.0
+    X.trans[2, 0] = -0.0
+    X.time[3] = X.time[4] = math.nan
+    Y = X[[4, 0, 2, 1, 3]]
+    U, ix, iy = cocycles._distinct_rows(X, Y)
+    # rows 3 and 4 hold the same NaN, so they are one row; 1 and 2 differ
+    # in the sign of a zero
+    assert len(U) == 4
+    assert len(set(ix[[0, 1, 2, 3]])) == 4 and ix[3] == ix[4]
+    assert iy.tolist() == ix[[4, 0, 2, 1, 3]].tolist()
+    stacked = {f: np.concatenate((getattr(X, f), getattr(Y, f)))
+               for f in algebra.AlgebraBatch.__slots__}
+    for f, rows in stacked.items():
+        assert _same(getattr(U, f)[np.concatenate((ix, iy))], rows)
+    value, _, converged = infinitesimal_exponent_batch(
+        PhaseExponent("xi0", 2), X, Y)
+    # pair 0 meets the NaN row of Y, pairs 3 and 4 that of X
+    assert np.isnan(value[[0, 3, 4]]).all() and not converged[[0, 3, 4]].any()
+    for i in (1, 2):
+        one = infinitesimal_exponent(PhaseExponent("xi0", 2), X.element(i),
+                                     Y.element(i))
+        assert _same(value[i], one.value)
 
 
 def test_the_infinitesimal_batch_rejects_bad_tau_sequences():
