@@ -187,7 +187,7 @@ class AlgebraBatch:
         """Per-row max-norm; NaN in a row gives NaN."""
         n = len(self)
         return np.max(np.abs(np.concatenate(
-            (self.rot.reshape(n, -1), self.trans, self.boost,
+            (self.rot.reshape(n, self.dim ** 2), self.trans, self.boost,
              self.time[:, None]), axis=1)), axis=1)
 
 

@@ -199,12 +199,13 @@ def _distinct_rows(X: la.AlgebraBatch, Y: la.AlgebraBatch) -> tuple:
     not a 0.0, and a NaN matches only its own bits."""
     fields = [np.concatenate((getattr(X, f), getattr(Y, f)))
               for f in la.AlgebraBatch.__slots__]
-    data = np.concatenate([x.reshape(len(x), -1) for x in fields], axis=1,
-                          dtype=float).tobytes()
-    width = len(data) // len(fields[-1])
+    table = np.concatenate([x.reshape(len(x), math.prod(x.shape[1:]))
+                            for x in fields], axis=1, dtype=float)
+    data, width = table.tobytes(), table.itemsize * table.shape[1]
     rows: dict = {}
-    inverse = np.array([rows.setdefault(data[i:i + width], len(rows))
-                        for i in range(0, len(data), width)])
+    inverse = np.fromiter((rows.setdefault(data[i:i + width], len(rows))
+                           for i in range(0, len(data), width)), int,
+                          len(table))
     first = np.unique(inverse, return_index=True)[1]
     return (la.AlgebraBatch(*fields)[first], inverse[:len(X)],
             inverse[len(X):])

@@ -249,13 +249,9 @@ def rotation_2d(theta: float) -> np.ndarray:
 def _rotation_angles(W) -> np.ndarray:
     """The angle of each rotation of a (N,2,2) stack, on the principal
     branch (-pi, pi]."""
-    # math.atan2, one row at a time: np.arctan2 (numpy 2.4) differs from libm
-    # by one ulp on about 1% of the (cos, sin) pairs of random rotations,
-    # which moves the digits of cocycle_xi2_dim2.  Its arguments come from
-    # tolist(), the same doubles as Python floats, which it reads faster
-    # than numpy scalars
-    return np.fromiter(map(math.atan2, W[:, 1, 0].tolist(),
-                           W[:, 0, 0].tolist()), float, len(W))
+    # one np.arctan2 call: it rounds each row alike, whatever its position
+    # or the batch size, though not always as libm's atan2 does
+    return np.arctan2(W[:, 1, 0], W[:, 0, 0])
 
 
 def random_element(seed, dim: int, scale: float = 1.0,

@@ -29,7 +29,8 @@ from .group import (_from_raw, _is_number, _raw_width, _uniform,
                     stack_batches)
 from .representations import (MOMENTUM_KINDS, RepDescriptor, apply_batch,
                               generator_names, rep_from_dict, rep_to_dict)
-from .states import _StateDraws, inner_product_batch, random_state
+from .states import (_state_widths, _states_from_blocks, inner_product_batch,
+                     random_state)
 from .verify import (_FIT_TOL, _modulus, _term_mismatch, _worst,
                      check_initial_condition, check_time_multiplier_batch,
                      exponent_cocycle_residual_batch,
@@ -65,6 +66,9 @@ DEFAULT_TOLERANCES = {
 
 _CHECK_SEED_STRIDE = 1009  # distinct rng stream per check, still seed-derived
 _SWEEP_CHUNK = 512  # cases per batch: bounds the temporaries at any count
+# the version of the carrier checks' draws and arithmetic, stamped in every
+# report: 2 since the carrier cases are block draws of fixed-width slices
+STREAM = 2
 
 
 # each count field and its least value: each check draws from seed + k *
@@ -482,26 +486,42 @@ def _momentum_reps(cfg: SuiteConfig):
     return [r for r in cfg.reps if r.kind in MOMENTUM_KINDS]
 
 
-def _carrier_cases(dim: int, scale: float, degrees, ts):
+def _streams(seed: int) -> tuple:
+    """The two sub-streams of a carrier check's cases: the stream of seed
+    gives their uniforms, and its first spawned child their normals."""
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    return np.random.default_rng(seed), np.random.default_rng(child)
+
+
+def _carrier_cases(normal, dim: int, scale: float, degrees, ts):
     """draw for _sweep: case i takes one random state per entry of
     degrees[i % len(degrees)], of that polynomial degree, then one element
     r, and runs at t = ts[i % len(ts)].  Returns one StateBatch per state
     slot, r as one GalileiBatch, and t.
 
-    A draw-only loop takes each case's raw numbers as random_state and
-    random_element take them; the chunk's states and elements are then
-    built in one array pass each."""
+    Each case takes a fixed-width slice of two sub-streams: its states'
+    normals from normal, and its states' uniforms and then r's from the
+    sweep's rng.  A slot is as wide as a state of its highest degree
+    (_state_widths), whatever the case's own, so case i takes the same
+    numbers at any chunk size.  The chunk's states and elements are built
+    from one block per sub-stream, in one array pass each."""
+    slots = [_state_widths(dim, max(d[k] for d in degrees))
+             for k in range(len(degrees[0]))]
+    n_normal = sum(w for w, _ in slots)
+    n_uniform = sum(w for _, w in slots) + _raw_width(dim)
+    degrees, ts = np.array(degrees), np.array(ts, dtype=float)
+
     def draw(rng, cases):
-        slots = [_StateDraws(len(cases), dim, max(d[k] for d in degrees))
-                 for k in range(len(degrees[0]))]
-        raw = np.empty((len(cases), _raw_width(dim)))
-        for j, i in enumerate(cases):
-            for slot, degree in zip(slots, degrees[i % len(degrees)]):
-                slot.draw(j, rng, degree)
-            rng.random(out=raw[j])
-        t = np.array([ts[i % len(ts)] for i in cases])
-        return (*(slot.batch() for slot in slots),
-                _from_raw(raw, dim, scale), t)
+        i = np.arange(cases.start, cases.stop)
+        N = normal.standard_normal((len(i), n_normal))
+        U = rng.random((len(i), n_uniform))
+        states, a, b = [], 0, 0
+        for k, (wn, wu) in enumerate(slots):
+            states.append(_states_from_blocks(
+                N[:, a:a + wn], U[:, b:b + wu], dim,
+                degrees[i % len(degrees), k]))
+            a, b = a + wn, b + wu
+        return (*states, _from_raw(U[:, b:], dim, scale), ts[i % len(ts)])
     return draw
 
 
@@ -520,8 +540,10 @@ def _check_unitarity(cfg: SuiteConfig):
     degrees, ts = ((0, 1), (1, 0)), (0.0,) + tuple(cfg.t_samples)
     for k, rep in enumerate(_momentum_reps(cfg)):
         seed = cfg.seed + _CHECK_SEED_STRIDE * (60 + k)
-        worst = _sweep(seed, cfg.n_unitarity_cases,
-                       _carrier_cases(rep.dim, cfg.scale, degrees, ts),
+        rng, normal = _streams(seed)
+        worst = _sweep(rng, cfg.n_unitarity_cases,
+                       _carrier_cases(normal, rep.dim, cfg.scale, degrees,
+                                      ts),
                        functools.partial(_unitarity_residuals, rep))
         reports.append(_report(f"unitarity_{rep.kind}", rep.kind, seed,
                                cfg.n_unitarity_cases, worst, worst < tol))
@@ -549,8 +571,10 @@ def _check_time_zero(cfg: SuiteConfig):
     tol = cfg.tol("time_zero")
     for k, rep in enumerate(_momentum_reps(cfg)):
         seed = cfg.seed + _CHECK_SEED_STRIDE * (70 + k)
-        worst = _sweep(seed, cfg.n_time_zero_cases,
-                       _carrier_cases(rep.dim, cfg.scale, ((0,),), (0.0,)),
+        rng, normal = _streams(seed)
+        worst = _sweep(rng, cfg.n_time_zero_cases,
+                       _carrier_cases(normal, rep.dim, cfg.scale, ((0,),),
+                                      (0.0,)),
                        functools.partial(_time_zero_residuals, rep))
         reports.append(_report(f"time_zero_{rep.kind}", rep.kind, seed,
                                cfg.n_time_zero_cases, worst, worst < tol))
@@ -605,33 +629,31 @@ def _check_multipliers(cfg: SuiteConfig):
     return reports
 
 
-def _time_cases(dim: int, scale: float, t_samples, n_boost: int):
-    """draw for _sweep: per case t, unless it is t_samples[i], then r and
-    s, pure boosts for the first n_boost cases; returns t, r, s and which
-    cases are pure boosts.  Each later case takes a uniform for t, as
-    rng.uniform(-2, 2) does, then the raw rows of r and s: one block draw."""
+def _time_cases(normal, dim: int, scale: float, t_samples, n_boost: int):
+    """draw for _sweep: per case t, t_samples[i] for the first cases, then r
+    and s, pure boosts for the first n_boost cases; returns t, r, s and which
+    cases are pure boosts.
+
+    Each case takes 1 + 2 width uniforms of the sweep's rng: t's, mapped as
+    rng.uniform(-2, 2) maps its draw, then the raw rows of r and s.  A pure
+    boost takes its two velocities, 2 dim normals, from normal instead; the
+    boosts come first, so case i takes the same numbers at any chunk
+    size."""
     width = _raw_width(dim)
+    t_samples = np.array(t_samples, dtype=float)
 
     def draw(rng, cases):
-        n, start = len(cases), cases.start
-        t, v = np.empty(n), np.zeros((2 * n, dim))
-        raw = np.zeros((2 * n, width))
-        head = min(max(n_boost, len(t_samples), start) - start, n)
-        for j, i in enumerate(cases[:head]):
-            t[j] = (t_samples[i] if i < len(t_samples)
-                    else rng.uniform(-2.0, 2.0))
-            if i < n_boost:
-                v[2 * j:2 * j + 2] = rng.normal(size=(2, dim))
-            else:
-                rng.random(out=raw[2 * j:2 * j + 2])
-        U = rng.random((n - head, 1 + 2 * width))
-        t[head:] = _uniform(U[:, 0], 2.0)
-        raw[2 * head:] = U[:, 1:].reshape(-1, width)
-        b = _from_raw(raw, dim, scale)
-        boost = np.array(cases) < n_boost
+        i = np.arange(cases.start, cases.stop)
+        U = rng.random((len(i), 1 + 2 * width))
+        t = _uniform(U[:, 0], 2.0)
+        sampled = i < len(t_samples)
+        t[sampled] = t_samples[i[sampled]]
+        b = _from_raw(U[:, 1:].reshape(-1, width), dim, scale)
+        boost = i < n_boost
         pure = boost.repeat(2)
         b.W[pure], b.eta[pure], b.u[pure] = np.eye(dim), 0.0, 0.0
-        b.v[pure] = v[pure]
+        b.v[pure] = normal.standard_normal((2 * np.count_nonzero(boost),
+                                            dim))
         return t, b[0::2], b[1::2], boost
     return draw
 
@@ -650,11 +672,11 @@ def _check_time_multiplier(cfg: SuiteConfig):
 
     for k, rep in enumerate(_momentum_reps(cfg)):
         seed = cfg.seed + _CHECK_SEED_STRIDE * (90 + k)
-        rng = np.random.default_rng(seed)
+        rng, normal = _streams(seed)
         state = random_state(rng, rep.dim)
         worst_boost, worst_general = _sweep(
             rng, cfg.n_time_cases,
-            _time_cases(rep.dim, cfg.scale, cfg.t_samples, n_boost),
+            _time_cases(normal, rep.dim, cfg.scale, cfg.t_samples, n_boost),
             functools.partial(residuals, rep, state))
         worst = _worst((worst_boost, worst_general))
         details = {"pure_boost_max": worst_boost,
@@ -742,6 +764,7 @@ def run_suite(cfg: SuiteConfig = None) -> dict:
     n_exceptions = sum(1 for r in checks if r["documented_exception"])
     return {
         "schema": 1,
+        "stream": STREAM,
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "seed": cfg.seed,
         "suite_pass": n_failed == 0,

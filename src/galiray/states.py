@@ -32,9 +32,10 @@ An operator is one flat map (deriv, exps) -> c over its monomials, t
 symbolic as a trailing exponent; apply_batch fixes t and makes each
 derivative's coefficient one dense row.
 
-random_state is row 0 of a one-state _StateDraws: a draw-only loop takes
-each state's raw numbers from the stream in the case-by-case order, and one
-array pass builds the alpha, beta, Gamma and coefficient arrays of them all.
+Random states come in blocks: each state takes a fixed number of normals
+and of uniforms (_state_widths), and _states_from_blocks builds the alpha,
+beta, Gamma and coefficient arrays of a whole block of them in one array
+pass.  random_state is the block of one state.
 
 Each term keeps an invariant: finite entries, and Gamma symmetric with a
 negative-definite real part.  PolyGaussianState(...) checks it, once, when
@@ -77,18 +78,6 @@ _SYM_TOL = 1e-12
 
 class DegreeOverflowError(ValueError):
     """Raised when an operation would push a polynomial past the degree bound."""
-
-
-def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b for complex arrays that broadcast, rounded as Python's complex
-    product."""
-    # numpy's complex multiply fuses multiply-adds, and so differs in the
-    # last digit from Python's complex product
-    re = a.real * b.real - a.imag * b.imag
-    out = np.empty(re.shape, dtype=complex)
-    out.real = re
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -173,7 +162,7 @@ def _product(a: np.ndarray, b: np.ndarray, dim: int, d1: int,
     out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
                    + (_size(dim, d1 + d2),), dtype=complex)
     for K, I, J in _product_table(dim, d1, d2):
-        out[..., K] += _cmul(a[..., I], b[..., J])
+        out[..., K] += a[..., I] * b[..., J]
     return out
 
 
@@ -269,9 +258,12 @@ class _PolyRows:
             return self
         lines = np.empty(c.shape + (self.dim + 1,), dtype=complex)
         lines[..., 0], lines[..., 1:] = c, M
+        # the images are this call's own: the product overwrites them (in
+        # this order: a complex product rounds differently with its
+        # factors swapped)
         images = _monomial_images(lines, self.deg)
-        return _PolyRows(self.dim, self.deg, _column_sum(
-            _cmul(self.coef[:, :, None], images)))
+        np.multiply(self.coef[:, :, None], images, out=images)
+        return _PolyRows(self.dim, self.deg, _column_sum(images))
 
 
 def _poly_mismatch(a: _PolyRows, b: _PolyRows, n: int) -> np.ndarray:
@@ -666,7 +658,7 @@ def _moments(Sigma: np.ndarray, deg: int) -> np.ndarray:
     out = np.zeros((n, _size(dim, deg)), dtype=complex)
     out[:, 0] = 1.0
     for K, J, A, B, C in _moment_table(dim, deg):
-        out[:, K] += _cmul(C * Sigma[:, A, B], out[:, J])
+        out[:, K] += C * Sigma[:, A, B] * out[:, J]
     return out
 
 
@@ -692,7 +684,7 @@ def _integrable_root(A: np.ndarray):
     roots = np.sqrt(np.where(integrable[:, None], pivots[n:], 1.0))
     det_root = roots[:, 0]
     for k in range(1, A.shape[-1]):
-        det_root = _cmul(det_root, roots[:, k])
+        det_root = det_root * roots[:, k]
     return integrable, det_root
 
 
@@ -714,12 +706,12 @@ def _gaussian_integrals(poly: _PolyRows, alpha: np.ndarray, beta: np.ndarray,
     A = np.where(integrable[:, None, None], A, eye)
     m = np.linalg.solve(A, beta[:, :, None])[:, :, 0]
     Sigma = np.linalg.inv(A)
-    prefactor = _cmul((2.0 * math.pi) ** (dim / 2.0) / det_root,
-                      np.exp(alpha + 0.5 * _dot(beta, m)))
+    prefactor = ((2.0 * math.pi) ** (dim / 2.0) / det_root
+                 * np.exp(alpha + 0.5 * _dot(beta, m)))
     # the integrand is poly(q + m) times a centered Gaussian in q
     shifted = poly.substitute(np.broadcast_to(eye, A.shape), m).coef
-    total = _column_sum(_cmul(shifted, _moments(Sigma, poly.deg)))
-    out = _cmul(prefactor, total)
+    total = _column_sum(shifted * _moments(Sigma, poly.deg))
+    out = prefactor * total
     out[~integrable] = complex(math.nan, math.nan)
     return out, integrable
 
@@ -766,74 +758,63 @@ def _draw_columns(dim: int, degree: int) -> np.ndarray:
                      if sum(e) > 0], dtype=int)
 
 
-class _StateDraws:
-    """The raw numbers of n random states in dim variables, n_terms terms
-    each, of polynomial degree at most max_degree.
+def _state_widths(dim: int, max_degree: int, n_terms: int = 1) -> tuple:
+    """(normals, uniforms) that a random state of polynomial degree at most
+    max_degree takes: per term B and C (dim^2 each), Re beta and Im beta
+    (dim each) and a pair per non-constant monomial, then the shift of
+    Re Gamma, Re alpha and Im alpha."""
+    return (n_terms * (2 * dim * (dim + 1) + 2 * (_size(dim, max_degree) - 1)),
+            3 * n_terms)
 
-    draw(i, rng, degree) takes row i's numbers from rng as random_state
-    takes them, and batch() builds every row's terms in one array pass.
-    """
 
-    def __init__(self, n: int, dim: int, max_degree: int, n_terms: int = 1):
-        self.dim = dim
-        self.degree = np.zeros(n, dtype=int)
-        # per term and row: B, C (dim^2 each), Re beta, Im beta (dim each),
-        # then a pair per non-constant monomial
-        self.normal = np.zeros((n_terms, n, 2 * dim * (dim + 1)
-                                + 2 * (_size(dim, max_degree) - 1)))
-        # per term and row: the shift of Re Gamma, Re alpha, Im alpha
-        self.uniform = np.empty((n_terms, n, 3))
-
-    def draw(self, i: int, rng, degree: int):
-        self.degree[i] = degree
-        k, end = self.dim ** 2, 2 * self.dim * (self.dim + 1)
-        n_coeffs = 2 * (_size(self.dim, degree) - 1)
-        # each call draws in place what rng.normal(size=...) and rng.random()
-        # would return: the same numbers and the same stream position
-        for normal, uniform in zip(self.normal[:, i], self.uniform[:, i]):
-            rng.standard_normal(out=normal[:k])
-            rng.random(out=uniform[:1])
-            rng.standard_normal(out=normal[k:end])
-            rng.random(out=uniform[1:])
-            if n_coeffs:
-                rng.standard_normal(out=normal[end:end + n_coeffs])
-
-    def batch(self) -> "StateBatch":
-        dim, k, end = self.dim, self.dim ** 2, 2 * self.dim * (self.dim + 1)
-        shape = self.normal.shape[:2] + (dim, dim)
-        B = self.normal[..., :k].reshape(shape)
-        # Re Gamma = -(BB^T/2 + cI) with c >= 0.4 is negative-definite, and
-        # Gamma is symmetric, so the terms keep the invariant by construction
-        re_g = -(0.5 * B @ B.swapaxes(-1, -2)
-                 + (0.4 + 0.3 * self.uniform[..., 0])[..., None, None]
-                 * np.eye(dim))
-        C = self.normal[..., k:2 * k].reshape(shape) * 0.25
-        Gamma = re_g + 1j * (C + C.swapaxes(-1, -2)) / 2.0
-        beta = (self.normal[..., 2 * k:2 * k + dim] * 0.5
-                + 1j * self.normal[..., 2 * k + dim:end] * 0.5)
-        a = _uniform(self.uniform[..., 1:], 0.2)
-        alpha = _complex(a[..., 0], a[..., 1])
-        deg = int(self.degree.max())
-        coef = np.zeros(self.normal.shape[:2] + (_size(dim, deg),),
-                        dtype=complex)
-        coef[..., 0] = 1.0
-        for d in range(1, deg + 1):
-            rows = np.flatnonzero(self.degree == d)
-            cols = _draw_columns(dim, d)
-            pairs = self.normal[:, rows, end:end + 2 * len(cols)] * 0.3
-            coef[:, rows[:, None], cols] = _complex(pairs[..., 0::2],
-                                                    pairs[..., 1::2])
-        polys = [_PolyRows(dim, deg, c) for c in coef]
-        return StateBatch(dim, zip(polys, alpha, beta, Gamma))
+def _states_from_blocks(normal: np.ndarray, uniform: np.ndarray, dim: int,
+                        degree, n_terms: int = 1) -> StateBatch:
+    """The random states of the rows of a normal and a uniform block, each
+    row as wide as _state_widths gives for some highest degree; row i's
+    polynomial has degree degree[i] (or degree, for every row) and takes the
+    first coefficient pairs of its row, so it does not depend on the width.
+    One array pass builds every row's alpha, beta, Gamma and coefficients."""
+    n, k, end = len(normal), dim * dim, 2 * dim * (dim + 1)
+    normal = normal.reshape(n, n_terms, -1).swapaxes(0, 1)
+    uniform = uniform.reshape(n, n_terms, 3).swapaxes(0, 1)
+    degree = np.broadcast_to(degree, (n,))
+    shape = (n_terms, n, dim, dim)
+    B = normal[..., :k].reshape(shape)
+    # Re Gamma = -(BB^T/2 + cI) with c >= 0.4 is negative-definite, and
+    # Gamma is symmetric, so the terms keep the invariant by construction
+    re_g = -(0.5 * B @ B.swapaxes(-1, -2)
+             + (0.4 + 0.3 * uniform[..., 0])[..., None, None] * np.eye(dim))
+    C = normal[..., k:2 * k].reshape(shape) * 0.25
+    Gamma = re_g + 1j * (C + C.swapaxes(-1, -2)) / 2.0
+    beta = (normal[..., 2 * k:2 * k + dim] * 0.5
+            + 1j * normal[..., 2 * k + dim:end] * 0.5)
+    a = _uniform(uniform[..., 1:], 0.2)
+    alpha = _complex(a[..., 0], a[..., 1])
+    deg = int(degree.max(initial=0))
+    coef = np.zeros((n_terms, n, _size(dim, deg)), dtype=complex)
+    coef[..., 0] = 1.0
+    for d in range(1, deg + 1):
+        rows = np.flatnonzero(degree == d)
+        cols = _draw_columns(dim, d)
+        pairs = normal[:, rows, end:end + 2 * len(cols)] * 0.3
+        coef[:, rows[:, None], cols] = _complex(pairs[..., 0::2],
+                                                pairs[..., 1::2])
+    polys = [_PolyRows(dim, deg, c) for c in coef]
+    return StateBatch(dim, zip(polys, alpha, beta, Gamma))
 
 
 def random_state(rng, dim: int, poly_degree: int = 0,
                  n_terms: int = 1) -> PolyGaussianState:
     """Seeded random normalizable state; poly_degree 0 gives pure Gaussians,
-    which are nowhere zero.  This is the one row of a _StateDraws batch."""
-    draws = _StateDraws(1, dim, poly_degree, n_terms)
-    draws.draw(0, np.random.default_rng(rng), poly_degree)
-    return draws.batch().row(0)
+    which are nowhere zero.
+
+    The one-row block draw of _states_from_blocks: its _state_widths normals
+    and then its uniforms, both from rng (a seed or a numpy Generator)."""
+    rng = np.random.default_rng(rng)
+    n_normal, n_uniform = _state_widths(dim, poly_degree, n_terms)
+    normal = rng.standard_normal((1, n_normal))
+    return _states_from_blocks(normal, rng.random((1, n_uniform)), dim,
+                               poly_degree, n_terms).row(0)
 
 
 def _monomials_up_to(dim: int, degree: int):

@@ -30,7 +30,7 @@ from .group import (GalileiBatch, GalileiElement, _dot, _rotation_angles,
 from .representations import (RepDescriptor, _time_phase, apply_batch,
                               generator, generator_names, static_generator)
 from .states import (PolyDiffOperator, PolyGaussianState, StateBatch,
-                     _cmul, _poly_mismatch)
+                     _poly_mismatch)
 
 __all__ = [
     "MultiplierBatch",
@@ -234,8 +234,7 @@ def exponent_cocycle_residual_batch(rep: RepDescriptor, r: GalileiBatch,
         t = np.tile(t, 4)
     rows = extract_multiplier_batch(rep, a, b, t, state)
     w0, w1, w2, w3 = rows.omega.reshape(4, n)
-    # _cmul rounds as the complex scalars w0 * w1 * conj(w2 * w3) do
-    residual = np.abs(np.angle(_cmul(_cmul(w0, w1), np.conj(_cmul(w2, w3)))))
+    residual = np.abs(np.angle(w0 * w1 * np.conj(w2 * w3)))
     # the maximum propagates NaN
     return np.stack([residual,
                      rows.constancy_spread.reshape(4, n).max(axis=0),

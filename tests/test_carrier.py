@@ -29,8 +29,8 @@ from galiray.representations import (RepDescriptor, apply_batch,
                                      apply_time, generator, generator_names)
 from galiray.states import (DegreeOverflowError, PolyDiffOperator,
                             PolyGaussianState, StateBatch, _basis,
-                            _check_gamma, _cmul, _congruence, _PolyRows,
-                            _size, _StateDraws, random_state)
+                            _check_gamma, _congruence, _PolyRows, _size,
+                            _state_widths, _states_from_blocks, random_state)
 
 # -- the pointwise formula ---------------------------------------------------
 
@@ -57,12 +57,23 @@ def test_evaluate_is_the_pointwise_formula(dim):
         assert abs(value - want) <= 1e-13 * max(1.0, abs(want))
 
 
-def test_array_arithmetic_rounds_as_the_scalar_arithmetic():
+def test_array_arithmetic_rounds_each_element_alike():
+    """numpy's complex product, which the carrier family uses throughout,
+    gives each element the bits it has in a one-element product, whatever
+    its position, the array's length or its stride; it need not round as
+    Python's complex product does, but stays within a few ulps of it."""
     rng = np.random.default_rng(605)
-    a = rng.normal(size=200) + 1j * rng.normal(size=200)
-    b = rng.normal(size=200) + 1j * rng.normal(size=200)
-    assert [complex(z) for z in _cmul(a, b)] \
-        == [complex(u) * complex(w) for u, w in zip(a, b)]
+    a = rng.normal(size=203) + 1j * rng.normal(size=203)
+    b = rng.normal(size=203) + 1j * rng.normal(size=203)
+    ones = [(a[i:i + 1] * b[i:i + 1])[0] for i in range(len(a))]
+    for rows in (slice(None), slice(1, None, 3), slice(200, None)):
+        assert (a[rows] * b[rows]).tobytes() == np.array(ones)[rows].tobytes()
+    # a broadcast factor, as the polynomial products use
+    assert (a[:, None] * b[None, :5]).tobytes() == np.array(
+        [[(a[i:i + 1] * b[j:j + 1])[0] for j in range(5)]
+         for i in range(len(a))]).tobytes()
+    for u, w, z in zip(a, b, ones):
+        assert abs(z - complex(u) * complex(w)) <= 4e-16 * abs(u) * abs(w)
 
 
 def test_evaluate_rejects_points_of_the_wrong_shape():
@@ -230,10 +241,7 @@ def test_every_state_is_the_one_row_layout():
         _assert_layout(F.substitute(r.W, rng.normal(size=(4, 3)) + 0j), 4)
         _assert_layout(F.multiply_phase(const=np.ones(4, dtype=complex)), 4)
         _assert_layout(apply_batch(rep, r, 0.4, F), 4)
-    draws = _StateDraws(3, 3, 2, n_terms=2)
-    for i in range(3):
-        draws.draw(i, rng, 0)
-    _assert_layout(draws.batch(), 3)
+    _assert_layout(_block_states(rng, 3, (0, 0, 0), 2), 3)
     # a state is a one-row batch, from input, from a batch or from an action
     for state in (f, PolyGaussianState.gaussian(3, poly={(1, 0, 2): 2.0}),
                   _stack([gaussian, f]).row(1),
@@ -312,7 +320,7 @@ def test_each_multiplier_pair_builds_its_product_once(monkeypatch):
 def _suite_layouts(dim, seed):
     """(W, states) in the layouts the suite hands to substitute: the strided
     rows b[i::k] of a sweep draw against a state's repeat and against the
-    composed images built of them, a state itself, and _StateDraws rows."""
+    composed images built of them, a state itself, and block-drawn rows."""
     rng = np.random.default_rng(seed)
     n = 40
     f = random_state(rng, dim, poly_degree=2, n_terms=2)
@@ -322,11 +330,10 @@ def _suite_layouts(dim, seed):
     Q = rng.normal(size=(n, dim, dim))
     image = F.substitute(b[1::3].W, shift).multiply_phase(
         quad=1j * (Q + Q.swapaxes(-1, -2)))
-    draws = _StateDraws(n, dim, 2, n_terms=2)
-    for i in range(n):
-        draws.draw(i, rng, i % 3)
     return [(b[0::3].W, F), (b[2::3].W, image), (b[:1].W, f),
-            (b.W[5][None], f), (b[1::3].W, draws.batch())]
+            (b.W[5][None], f),
+            (b[1::3].W, _block_states(rng, dim, [i % 3 for i in range(n)],
+                                      2))]
 
 
 @pytest.mark.parametrize("dim", (1, 2, 3))
@@ -373,37 +380,34 @@ def test_a_non_finite_row_stays_non_finite_through_the_congruence(dim, where):
         assert np.isfinite(out[k].imag).all()
 
 
-# -- state draws in place ----------------------------------------------------
+# -- block draws of states ---------------------------------------------------
 
-def _draw_by_copies(draws, i, rng, degree):
-    """_StateDraws.draw written with rng.normal(size=...) and slice copies:
-    the stream that the draws in place must take."""
-    draws.degree[i] = degree
-    k, end = draws.dim ** 2, 2 * draws.dim * (draws.dim + 1)
-    n_coeffs = 2 * (_size(draws.dim, degree) - 1)
-    for normal, uniform in zip(draws.normal[:, i], draws.uniform[:, i]):
-        normal[:k] = rng.normal(size=k)
-        uniform[0] = rng.random()
-        normal[k:end] = rng.normal(size=end - k)
-        rng.random(out=uniform[1:])
-        if n_coeffs:
-            normal[end:end + n_coeffs] = rng.normal(size=n_coeffs)
+def _block_states(rng, dim, degrees, n_terms):
+    """A block of states of the given degrees, as wide as the highest."""
+    n_normal, n_uniform = _state_widths(dim, max(degrees), n_terms)
+    return _states_from_blocks(rng.standard_normal((len(degrees), n_normal)),
+                               rng.random((len(degrees), n_uniform)), dim,
+                               np.array(degrees), n_terms)
 
 
 @pytest.mark.parametrize("n_terms", (1, 2))
 @pytest.mark.parametrize("dim", (1, 2, 3))
-def test_state_draws_in_place_take_the_stream_of_rng_normal(dim, n_terms):
+def test_a_block_row_is_the_one_row_block_of_its_own_degree(dim, n_terms):
+    """Row i of a block as wide as degree 2 equals the one-row block of its
+    own degree made of the same numbers, each term's unused coefficient
+    normals dropped: a state does not depend on its slice's width."""
     degrees = (0, 1, 2, 2, 1, 0)
-    got = _StateDraws(len(degrees), dim, 2, n_terms)
-    want = _StateDraws(len(degrees), dim, 2, n_terms)
-    rng, ref = (np.random.default_rng(720 + dim) for _ in range(2))
+    rng = np.random.default_rng(720 + dim)
+    n_normal, n_uniform = _state_widths(dim, 2, n_terms)
+    N = rng.standard_normal((len(degrees), n_normal))
+    U = rng.random((len(degrees), n_uniform))
+    block = _states_from_blocks(N, U, dim, np.array(degrees), n_terms)
     for i, degree in enumerate(degrees):
-        got.draw(i, rng, degree)
-        _draw_by_copies(want, i, ref, degree)
-        assert rng.bit_generator.state == ref.bit_generator.state
-    assert got.normal.tobytes() == want.normal.tobytes()
-    assert got.uniform.tobytes() == want.uniform.tobytes()
-    assert np.array_equal(got.degree, want.degree)
+        width = _state_widths(dim, degree)[0]
+        own = N[i].reshape(n_terms, -1)[:, :width].reshape(1, -1)
+        one = _states_from_blocks(own, U[i:i + 1], dim, degree, n_terms)
+        assert _same_terms(block.row(i), one.row(0))
+        assert block.row(i).terms[0][0].deg == 2
 
 
 # -- the operator action on dense rows ---------------------------------------

@@ -148,16 +148,22 @@ def test_rotation_angle_recovers_theta():
             rotation_2d(bad)
 
 
-def test_rotation_angles_are_the_per_row_atan2():
+def test_rotation_angles_are_the_one_row_arctan2():
+    """np.arctan2 gives each row the angle of its one-row call, whatever
+    its position or the batch's stride, and stays within an ulp of libm's
+    atan2, which it need not equal."""
     # the ends of the branch: a sine of +-0 at cosine 1 and -1 gives +-0
     # and +-pi, which only the sign of the zero tells apart
     cos = [1.0, 1.0, -1.0, -1.0, 0.0, -0.0, 0.6]
     sin = [0.0, -0.0, 0.0, -0.0, 1.0, -1.0, -0.8]
     W = np.array([[[c, -s], [s, c]] for c, s in zip(cos, sin)])
     W = np.concatenate([W, random_element_batch(71, 300, 2).W])
-    for rows in (W, W[1::3]):  # contiguous, and strided as a sweep's rows
-        want = np.array([math.atan2(w[1, 0], w[0, 0]) for w in rows])
-        assert _rotation_angles(rows).tobytes() == want.tobytes()
+    ones = np.array([_rotation_angles(W[i:i + 1])[0] for i in range(len(W))])
+    # contiguous, strided as a sweep's rows, and a short tail
+    for rows in (slice(None), slice(1, None, 3), slice(300, None)):
+        assert _rotation_angles(W[rows]).tobytes() == ones[rows].tobytes()
+    libm = np.array([math.atan2(w[1, 0], w[0, 0]) for w in W])
+    assert np.abs(ones - libm).max() <= 4.5e-16
     assert _rotation_angles(W[:4]).tolist() == [0.0, -0.0, math.pi, -math.pi]
     assert math.copysign(1.0, _rotation_angles(W[1:2])[0]) == -1.0
 

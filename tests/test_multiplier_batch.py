@@ -20,9 +20,9 @@ import pytest
 
 from galiray import cocycles, group, harness, verify
 from galiray.cli import main
-from galiray.group import (GalileiBatch, GalileiElement, _from_raw,
-                           _raw_width, _row, identity_batch, multiply_batch,
-                           random_element, random_element_batch)
+from galiray.group import (GalileiBatch, GalileiElement, _row,
+                           identity_batch, multiply_batch, random_element,
+                           random_element_batch, stack_batches)
 from galiray.harness import config_to_dict, default_config, report_json
 from galiray.representations import (RepDescriptor, _time_phase,
                                      apply_batch, apply_time)
@@ -135,27 +135,25 @@ def test_the_time_multiplier_equals_its_two_extractions(rep, kind):
                                                          state))
 
 
-def _time_cases_one_by_one(dim, scale, t_samples, n_boost):
-    """harness._time_cases as a loop over every case: t (a t_samples entry
-    or rng.uniform(-2, 2)), then rng.normal for a pure boost's two v or
-    rng.random for the raw rows of r and s."""
+def _time_cases_one_by_one(normal, dim, scale, t_samples, n_boost):
+    """harness._time_cases as a loop over every case, through the scalar
+    draws: t's uniform (rng.uniform(-2, 2)), kept unless t_samples has an
+    entry for the case, then r and s (random_element on rng); a pure boost
+    replaces r and s by boosts of two velocities from normal."""
     def draw(rng, cases):
-        t = np.empty(len(cases))
-        raw = np.zeros((2 * len(cases), _raw_width(dim)))
-        v = np.zeros((2 * len(cases), dim))
-        for j, i in enumerate(cases):
-            t[j] = (t_samples[i] if i < len(t_samples)
-                    else rng.uniform(-2.0, 2.0))
+        t, rows = [], []
+        for i in cases:
+            t.append(rng.uniform(-2.0, 2.0))
+            if i < len(t_samples):
+                t[-1] = t_samples[i]
+            pair = [random_element(rng, dim, scale) for _ in range(2)]
             if i < n_boost:
-                v[2 * j:2 * j + 2] = rng.normal(size=(2, dim))
-            else:
-                rng.random(out=raw[2 * j:2 * j + 2])
-        b = _from_raw(raw, dim, scale)
-        boost = np.array(cases) < n_boost
-        pure = boost.repeat(2)
-        b.W[pure], b.eta[pure], b.u[pure] = np.eye(dim), 0.0, 0.0
-        b.v[pure] = v[pure]
-        return t, b[0::2], b[1::2], boost
+                pair = [GalileiElement(dim, np.eye(dim), 0.0, v, np.zeros(dim))
+                        for v in normal.standard_normal((2, dim))]
+            rows += map(_row, pair)
+        b = stack_batches(rows)
+        return (np.array(t, dtype=float), b[0::2], b[1::2],
+                np.array(cases) < n_boost)
     return draw
 
 
@@ -164,20 +162,27 @@ def _time_cases_one_by_one(dim, scale, t_samples, n_boost):
 @pytest.mark.parametrize("n", (1, 19, 20, 21, 530))
 @pytest.mark.parametrize("dim", (2, 3))
 def test_the_time_case_draw_is_the_case_by_case_loop(dim, n, t_samples):
-    # 530 cases cross a sweep chunk of 512
-    draws = (harness._time_cases(dim, 3.0, t_samples, 20),
-             _time_cases_one_by_one(dim, 3.0, t_samples, 20))
-    rngs = [np.random.default_rng(97 + n) for _ in draws]
-    for start in range(0, n, harness._SWEEP_CHUNK):
-        cases = range(start, min(start + harness._SWEEP_CHUNK, n))
-        (t, r, s, boost), (t1, r1, s1, boost1) = (
-            draw(rng, cases) for draw, rng in zip(draws, rngs))
-        assert _same(t, t1) and _same(boost, boost1)
-        for f in GalileiBatch.__slots__:
-            assert _same(getattr(r, f), getattr(r1, f))
-            assert _same(getattr(s, f), getattr(s1, f))
-    # and both leave the stream at one position
-    assert rngs[0].random() == rngs[1].random()
+    """Each case takes a fixed slice of the two sub-streams, so the chunked
+    draw equals the loop at any chunk size; 530 cases cross a sweep chunk
+    of 512, and a chunk of 3 splits the boosts."""
+    for chunk in (harness._SWEEP_CHUNK, 3):
+        streams = [[np.random.default_rng(97 + n),
+                    np.random.default_rng(98 + n)] for _ in range(2)]
+        draws = (harness._time_cases(streams[0][1], dim, 3.0, t_samples, 20),
+                 _time_cases_one_by_one(streams[1][1], dim, 3.0, t_samples,
+                                        20))
+        got = []
+        for draw, (rng, _) in zip(draws, streams):
+            got.append([draw(rng, range(start, min(start + chunk, n)))
+                        for start in range(0, n, chunk)])
+        for (t, r, s, boost), (t1, r1, s1, boost1) in zip(*got):
+            assert _same(t, t1) and _same(boost, boost1)
+            for f in GalileiBatch.__slots__:
+                assert _same(getattr(r, f), getattr(r1, f))
+                assert _same(getattr(s, f), getattr(s1, f))
+        # and both leave each sub-stream at one position
+        for a, b in zip(*streams):
+            assert a.random() == b.random()
 
 
 def test_the_term_mismatch_sees_each_term_parameter():

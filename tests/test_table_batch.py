@@ -7,7 +7,8 @@ and inner_product are their 1-row views, so row i of an N-row call must
 equal the 1-row call on row i bit for bit, whatever polynomial degrees the
 other rows have.  The suite's unitarity and time-zero checks draw their
 cases as arrays and run in chunks: the drawn cases must equal a
-case-by-case random_state and random_element loop, no polynomial mapping
+case-by-case random_state and random_element loop on the check's two
+sub-streams, each case its fixed slice of both, no polynomial mapping
 becomes rows and no row becomes a state per case, and the reports must not
 depend on the chunk size; each must equal a case-by-case loop that draws
 the same cases.  Each negative
@@ -30,8 +31,8 @@ from galiray.group import _row, random_element, random_element_batch
 from galiray.harness import default_config, report_json, run_suite
 from galiray.representations import RepDescriptor, apply_batch, apply_time
 from galiray.states import (PolyGaussianState, StateBatch, _monomials_up_to,
-                            _PolyRows, inner_product, inner_product_batch,
-                            random_state)
+                            _PolyRows, _states_from_blocks, inner_product,
+                            inner_product_batch, random_state)
 from galiray.verify import default_sample_points
 
 TINY = dict(n_triples=6, n_pairs=3, n_time_cases=3, n_unitarity_cases=2,
@@ -311,19 +312,37 @@ def test_a_shifted_alpha_fails_every_unitarity_entry(monkeypatch):
         assert entry["max_residual"] > 1e-9
 
 
+def _sub_streams(seed):
+    """A carrier check's two sub-streams, (uniform, normal): the stream of
+    seed and its first spawned child."""
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    return np.random.default_rng(seed), np.random.default_rng(child)
+
+
+def _slot_state(normal, uniform, dim, degree, slot_degree):
+    """The state of a case's slot, as one row from the two sub-streams: the
+    normals of a state of degree slot_degree, of which a state of degree
+    degree reads the first coefficient pairs, then its 3 uniforms."""
+    width = 2 * dim * (dim + 1) + 2 * (math.comb(dim + slot_degree, dim) - 1)
+    return _states_from_blocks(normal.standard_normal((1, width)),
+                               uniform.random((1, 3)), dim, degree).row(0)
+
+
 def test_unitarity_matches_a_case_by_case_loop():
     """The draws and residuals of the check, one case at a time through
-    random_element, apply_time and inner_product."""
+    random_state, random_element, apply_time and inner_product: case i
+    takes the normals of f and then of g, each slot as wide as a degree-1
+    state, and the uniforms of f, g and then r."""
     cfg = default_config(**{**TINY, "n_unitarity_cases": 12})
     ts = (0.0,) + tuple(cfg.t_samples)
     entries = harness._check_unitarity(cfg)
     for entry, rep in zip(entries, harness._momentum_reps(cfg)):
-        rng = np.random.default_rng(entry["seed"])
+        uniform, normal = _sub_streams(entry["seed"])
         worst = 0.0
         for i in range(cfg.n_unitarity_cases):
-            f = random_state(rng, rep.dim, poly_degree=i % 2)
-            g = random_state(rng, rep.dim, poly_degree=(i + 1) % 2)
-            r = random_element(rng, rep.dim, cfg.scale)
+            f = _slot_state(normal, uniform, rep.dim, i % 2, 1)
+            g = _slot_state(normal, uniform, rep.dim, (i + 1) % 2, 1)
+            r = random_element(uniform, rep.dim, cfg.scale)
             t = ts[i % len(ts)]
             after = inner_product(apply_time(rep, r, t, f),
                                   apply_time(rep, r, t, g))
@@ -363,20 +382,25 @@ def test_a_shiftless_polynomial_substitution_fails_every_unitarity_entry(
 # -- the array draw ----------------------------------------------------------
 
 def _dict_random_state(rng, dim, poly_degree=0, n_terms=1):
-    """random_state as it was drawn term by term into dicts."""
-    terms = []
+    """random_state drawn term by term into dicts: every term's normals
+    (B, C, Re beta, Im beta, then a pair per non-constant monomial), then
+    every term's uniforms (the shift of Re Gamma, Re alpha, Im alpha)."""
+    normals = []
     for _ in range(n_terms):
         B = rng.normal(size=(dim, dim))
-        re_g = -(0.5 * B @ B.T + (0.4 + rng.uniform(0, 0.3)) * np.eye(dim))
         C = rng.normal(size=(dim, dim)) * 0.25
-        Gamma = re_g + 1j * (C + C.T) / 2.0
         beta = rng.normal(size=dim) * 0.5 + 1j * rng.normal(size=dim) * 0.5
-        alpha = complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
         coeffs = {tuple([0] * dim): 1.0 + 0.0j}
         if poly_degree > 0:
             for exps in _monomials_up_to(dim, poly_degree):
                 if sum(exps) > 0:
                     coeffs[exps] = complex(rng.normal(), rng.normal()) * 0.3
+        normals.append((B, C, beta, coeffs))
+    terms = []
+    for B, C, beta, coeffs in normals:
+        re_g = -(0.5 * B @ B.T + (0.4 + rng.uniform(0, 0.3)) * np.eye(dim))
+        Gamma = re_g + 1j * (C + C.T) / 2.0
+        alpha = complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
         terms.append((_PolyRows.of([coeffs], dim), np.array([alpha]),
                       beta[None], Gamma[None]))
     return StateBatch(dim, terms)
@@ -413,16 +437,18 @@ def test_carrier_cases_equal_the_case_by_case_draw(dim, degrees, chunk,
         drawn.append(operands)
         return np.zeros(len(operands[-1]))
 
-    harness._sweep(91, n, harness._carrier_cases(dim, scale, degrees, ts),
-                   record)
-    rng = np.random.default_rng(91)
+    harness._sweep(91, n, harness._carrier_cases(
+        _sub_streams(91)[1], dim, scale, degrees, ts), record)
+    uniform, normal = _sub_streams(91)
+    tops = [max(d[k] for d in degrees) for k in range(len(degrees[0]))]
     for i in range(n):
         *slots, r, t = drawn[i // chunk]
         j = i % chunk
-        for batch, degree in zip(slots, degrees[i % len(degrees)]):
-            assert _same_state(batch.row(j),
-                               random_state(rng, dim, poly_degree=degree))
-        one = random_element_batch(rng, 1, dim, scale)
+        for batch, degree, top in zip(slots, degrees[i % len(degrees)],
+                                      tops):
+            assert _same_state(batch.row(j), _slot_state(
+                normal, uniform, dim, degree, top))
+        one = random_element_batch(uniform, 1, dim, scale)
         for x in ("W", "eta", "v", "u"):
             assert _same(getattr(r, x)[j], getattr(one, x)[0])
         assert t[j] == ts[i % len(ts)]
@@ -457,9 +483,9 @@ def test_the_carrier_families_build_no_polynomial_per_case(monkeypatch):
 
 def test_time_zero_matches_a_case_by_case_loop(monkeypatch):
     """The draws and verdicts of the check, one case at a time through
-    random_state, random_element and apply_time at t = 0 against the plain
-    action apply_batch gives at the single t = 0.0, compared at sample
-    points."""
+    random_state and random_element on the two sub-streams, and apply_time
+    at t = 0 against the plain action apply_batch gives at the single
+    t = 0.0, compared at sample points."""
     cfg = default_config(**{**TINY, "n_time_zero_cases": 7})
     calls = []
 
@@ -476,11 +502,11 @@ def test_time_zero_matches_a_case_by_case_loop(monkeypatch):
     for k, (entry, rep) in enumerate(zip(entries, reps)):
         (R, F), (R_plain, F_plain) = calls[2 * k], calls[2 * k + 1]
         assert R is R_plain and F is F_plain
-        rng = np.random.default_rng(entry["seed"])
+        uniform, normal = _sub_streams(entry["seed"])
         worst = 0.0
         for i in range(cfg.n_time_zero_cases):
-            f = random_state(rng, rep.dim)
-            r = random_element(rng, rep.dim, cfg.scale)
+            f = _slot_state(normal, uniform, rep.dim, 0, 0)
+            r = random_element(uniform, rep.dim, cfg.scale)
             assert all(_same(getattr(R, x)[i], getattr(r, x))
                        for x in ("W", "eta", "v", "u"))
             assert _same_state(F.row(i), f)

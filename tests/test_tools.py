@@ -5,6 +5,7 @@ import copy
 import hashlib
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -79,3 +80,32 @@ def test_report_digests_diff_lists_moved_residuals_and_flips():
         "cfg min_margin_dec 3.0 -> 2.5"]
     assert _load_tool().diff_lines("cfg", report, report, (3.0, 3.0)) \
         == ([], 0)
+
+
+def test_report_digests_diff_ends_with_one_line_per_moved_family():
+    tool = _load_tool()
+    report = json.loads(json.dumps(run_suite(default_config(**WARM_UP))))
+    moved = copy.deepcopy(report)
+    by_name = {c["check"]: c for c in moved["checks"]}
+    by_name["unitarity_bargmann3d"]["max_residual"] = 3e-15
+    by_name["unitarity_schrodinger2d"]["max_residual"] = 2e-15
+    by_name["time_multiplier_bargmann3d"]["details"] = {"note": "moved"}
+    by_name["multiplier_nonabelian2d"]["max_residual"] = math.nan
+    moves = tool.moved_entries(report, moved)
+    assert [check for check, *_ in moves] == [
+        "multiplier_nonabelian2d", "time_multiplier_bargmann3d",
+        "unitarity_bargmann3d", "unitarity_schrodinger2d"]
+    old = {c["check"]: c["max_residual"] for c in report["checks"]}
+    prefixes = ("unitarity_", "time_multiplier_", "multiplier_", "algebra_")
+    lines = tool.family_lines(moves, prefixes)
+    unitarity = max(old["unitarity_bargmann3d"],
+                    old["unitarity_schrodinger2d"])
+    assert lines == [
+        f"family unitarity: 2 moved, largest max_residual {unitarity!r} "
+        f"-> 3e-15",
+        f"family time_multiplier: 1 moved, largest max_residual "
+        f"{old['time_multiplier_bargmann3d']!r} -> "
+        f"{old['time_multiplier_bargmann3d']!r}",
+        f"family multiplier: 1 moved, largest max_residual "
+        f"{old['multiplier_nonabelian2d']!r} -> nan"]
+    assert tool.family_lines([], prefixes) == []

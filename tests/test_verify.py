@@ -152,13 +152,14 @@ def _one_triple(rep, r, s, q, t, state):
 def _stacked_exponent_cocycle_residual(rep, r, s, q, t, state):
     """(residual, constancy spread, modulus error) of one triple, with its
     4-row batches stacked from 1-row batches: the largest spread and
-    modulus error of the four extractions."""
+    modulus error of the four extractions, and the residual from numpy's
+    complex product on the one-element rows of its multipliers."""
     rs, sq = multiply(r, s), multiply(s, q)
     a = stack_batches([_row(x) for x in (r, rs, s, r)])
     b = stack_batches([_row(x) for x in (s, q, q, sq)])
     rows = extract_multiplier_batch(rep, a, b, t, state)
-    w = rows.omega
-    return (float(abs(np.angle(w[0] * w[1] * np.conj(w[2] * w[3])))),
+    w0, w1, w2, w3 = rows.omega[:, None]
+    return (float(abs(np.angle(w0 * w1 * np.conj(w2 * w3)))[0]),
             float(np.max(rows.constancy_spread)),
             float(np.max(rows.modulus_error)))
 

@@ -21,13 +21,17 @@ OTHER_SRC gives (run in a child process, as --json).  It prints one line per
 check whose entry differs, with the old (OTHER_SRC) and new max_residual,
 one per verdict that flips, and one per config whose minimum margin
 (perfbench/gate.py's min_margin_dec) changes; identical reports print
-nothing.  It exits 1 if a verdict flips, else 0.
+nothing.  It ends with one line per check family (perfbench/gate.py's
+FAMILIES) with a moved entry: how many entries moved over all configs, and
+the largest max_residual among them, old and new.  It exits 1 if a
+verdict flips, else 0.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -62,17 +66,25 @@ def _entries(report: dict) -> dict:
             for c in report["checks"]}
 
 
+def moved_entries(old: dict, new: dict) -> list:
+    """(check, old entry, new entry) for each check whose entry differs
+    between the reports old and new; a missing entry is None."""
+    old_entries, new_entries = _entries(old), _entries(new)
+    return [(check, *(json.loads(e) if e else None
+                      for e in (old_entries.get(check),
+                                new_entries.get(check))))
+            for check in dict.fromkeys([*old_entries, *new_entries])
+            if old_entries.get(check) != new_entries.get(check)]
+
+
 def diff_lines(name: str, old: dict, new: dict, margins) -> tuple:
     """(lines, flips) for the reports old and new of config name: one line
     per check whose entry differs or is missing on one side, one per
     verdict flip, and one if the minimum margin pair margins differs."""
     lines, flips = [], 0
-    old_entries, new_entries = _entries(old), _entries(new)
-    for check in dict.fromkeys([*old_entries, *new_entries]):
-        if old_entries.get(check) == new_entries.get(check):
-            continue
-        a, b = (json.loads(e) if e else {"max_residual": None, "pass": None}
-                for e in (old_entries.get(check), new_entries.get(check)))
+    missing = {"max_residual": None, "pass": None}
+    for check, a, b in moved_entries(old, new):
+        a, b = a or missing, b or missing
         lines.append(f"{name} {check} max_residual "
                      f"{a['max_residual']!r} -> {b['max_residual']!r}")
         if a["pass"] != b["pass"]:
@@ -83,6 +95,28 @@ def diff_lines(name: str, old: dict, new: dict, margins) -> tuple:
         lines.append(f"{name} min_margin_dec {margins[0]!r} -> "
                      f"{margins[1]!r}")
     return lines, flips
+
+
+def _largest(values) -> float | None:
+    """The largest of the numbers among values; NaN if one is NaN."""
+    numbers = [v for v in values if isinstance(v, float)]
+    return max(numbers, key=lambda v: (math.isnan(v), v), default=None)
+
+
+def family_lines(moves, prefixes) -> list:
+    """One line per family, in the order of prefixes (check-name prefixes,
+    as perfbench/gate.py's FAMILIES give them), that has an entry among
+    moves, (check, old entry, new entry) triples: the number of moved
+    entries and the largest old and new max_residual among them."""
+    lines = []
+    for prefix in prefixes:
+        mine = [(a, b) for check, a, b in moves if check.startswith(prefix)]
+        if mine:
+            old, new = (_largest(e["max_residual"] for e in side if e)
+                        for side in zip(*mine))
+            lines.append(f"family {prefix.rstrip('_')}: {len(mine)} moved, "
+                         f"largest max_residual {old!r} -> {new!r}")
+    return lines
 
 
 def _min_margin(harness, gate, cfg, report: dict) -> float:
@@ -141,14 +175,17 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     old = json.loads(out)
-    flips = 0
+    flips, moves = 0, []
     for name, (cfg, report) in new.items():
         margins = (_min_margin(harness, gate, cfg, old[name]),
                    _min_margin(harness, gate, cfg, report))
         lines, n = diff_lines(name, old[name], report, margins)
         flips += n
+        moves += moved_entries(old[name], report)
         for line in lines:
             print(line)
+    for line in family_lines(moves, [p for p, *_ in gate.FAMILIES]):
+        print(line)
     return 1 if flips else 0
 
 
