@@ -19,7 +19,7 @@ from .harness import (DEFAULT_TOLERANCES, _fails, _finite_positive,
                       _heisenberg_entry, _json_safe, _mark_exception,
                       _multipliers_pass, cocycle_sweep, default_config,
                       load_config, report_json, run_suite)
-from .representations import MOMENTUM_KINDS, rep_to_dict
+from .representations import KIND_DIMS, MOMENTUM_KINDS, rep_to_dict
 from .states import random_state
 from .verify import extract_multiplier_batch, match_exponent_batch
 
@@ -150,47 +150,27 @@ def _cmd_action(args) -> int:
     return 0
 
 
-def _finite(text: str) -> float:
-    """argparse type: a float that is neither NaN nor infinite."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number, got {text!r}")
-    return value
+def _parsed(parse, ok, message: str):
+    """argparse type: parse(text) where ok holds of it, else an error that
+    says message and names the text."""
+    def check(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{message}, got {text!r}")
+        return value
+    return check
 
 
-def _positive(text: str) -> float:
-    """argparse type: a finite, positive float, as a config's scale and
-    tolerances are."""
-    value = float(text)
-    if not _finite_positive(value):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite, positive number, got {text!r}")
-    return value
-
-
-def _seed(text: str) -> int:
-    """argparse type: a non-negative integer seed, as numpy takes it."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(
-            f"seed must be a non-negative integer, got {text!r}")
-    return value
-
-
-def _count(text: str) -> int:
-    """argparse type: a positive integer, as a sweep's case count is."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return value
+# the number flags: a finite number; a scale or tolerance, as a config's;
+# a seed, as numpy takes it; a sweep's case count
+_finite = _parsed(float, math.isfinite, "expected a finite number")
+_positive = _parsed(float, _finite_positive,
+                    "expected a finite, positive number")
+_seed = _parsed(int, lambda n: n >= 0, "seed must be a non-negative integer")
+_count = _parsed(int, lambda n: n >= 1, "expected a positive integer")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -237,8 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_infexp)
 
     p = sub.add_parser("heisenberg", help="fit the evolution constant")
-    p.add_argument("--rep", required=True,
-                   choices=MOMENTUM_KINDS + ("position1d",))
+    p.add_argument("--rep", required=True, choices=tuple(KIND_DIMS))
     p.set_defaults(func=_cmd_heisenberg)
 
     p = sub.add_parser("action", help="time-extension phase exponent")

@@ -702,14 +702,9 @@ def _heisenberg_entry(cfg: SuiteConfig, k: int, rep) -> dict:
     else:
         # position1d as printed: expected to lack a single constant K
         passed = fit.uniform and fit.max_residual < tol
-    details = {
-        "K": fit.K,
-        "uniform": fit.uniform,
-        "per_generator_flips": fit.per_generator_flips,
-        "per_generator": fit.per_generator,
-        "time_independent": fit.time_independent,
-        "note": fit.note,
-    }
+    details = {key: getattr(fit, key) for key in (
+        "K", "uniform", "per_generator_flips", "per_generator",
+        "time_independent", "note")}
     return _report(f"heisenberg_{rep.kind}", rep.kind, seed, len(names),
                    fit.max_residual, passed, details)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,24 +32,40 @@ __all__ = [
     "basis_generator_pairing",
 ]
 
-KIND_DIMS = {
-    "schrodinger2d": 2,
-    "nonabelian2d": 2,
-    "bargmann3d": 3,
-    "position1d": 1,
+
+class _Preset(NamedTuple):
+    dim: int
+    labels: tuple  # the document keys of the labels its formulas read
+    coboundary: bool = False  # whether the momentum phase adds phi
+    momentum: bool = True
+
+
+# each kind as a preset of its family; position1d has its own generators
+_PRESETS = {
+    "schrodinger2d": _Preset(2, ("gamma", "s")),
+    "nonabelian2d": _Preset(2, ("gamma", "lambda", "s")),
+    "bargmann3d": _Preset(3, ("gamma",), coboundary=True),
+    "position1d": _Preset(1, ("hbar", "m", "f", "V0"), momentum=False),
 }
-MOMENTUM_KINDS = ("schrodinger2d", "nonabelian2d", "bargmann3d")
+KIND_DIMS = {kind: preset.dim for kind, preset in _PRESETS.items()}
+MOMENTUM_KINDS = tuple(kind for kind, preset in _PRESETS.items()
+                       if preset.momentum)
+# the document key of each RepDescriptor field, as rep_to_dict writes them
+_REP_KEYS = {"kind": "kind", "gamma": "gamma", "lambda": "lam", "s": "s",
+             "hbar": "hbar", "m": "m", "f": "force_f", "V0": "V0"}
 
 
 @dataclass(frozen=True)
 class RepDescriptor:
-    """Which representation, with its numerical labels.
-
-    gamma is the mass label of the momentum-space kinds, lam the extra
-    boost-commutator label of nonabelian2d, s the rotation character label
-    of the 2D kinds. hbar, m, force_f, V0 belong to position1d only.  Each
-    label is a finite number, neither a string nor a boolean, and is kept
-    as a float.
+    """Which representation, with its labels, named here by their document
+    keys.  The momentum kinds are presets of one family: gamma is the mass
+    label in every dimension, lambda the boost-commutator label and s the
+    rotation character label in dim 2.  schrodinger2d reads gamma and s,
+    nonabelian2d gamma, lambda and s, and bargmann3d, the dim-3 member plus
+    the coboundary phi, gamma alone; position1d reads hbar, m, f and V0.  A
+    label the kind does not read must keep its default, or it is a
+    ValueError.  Each label is a finite number, neither a string nor a
+    boolean, and is kept as a float.
     """
 
     kind: str
@@ -61,30 +78,29 @@ class RepDescriptor:
     V0: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in KIND_DIMS:
+        if self.kind not in _PRESETS:
             raise ValueError(f"unknown representation kind {self.kind!r}")
-        for name in ("gamma", "lam", "s", "hbar", "m", "force_f", "V0"):
-            value = getattr(self, name)
+        for key, name in list(_REP_KEYS.items())[1:]:
+            value, default = getattr(self, name), getattr(RepDescriptor, name)
             if not (_is_number(value) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, "
                                  f"got {value!r}")
+            if key not in _PRESETS[self.kind].labels and value != default:
+                raise ValueError(f"{self.kind} does not read the label "
+                                 f"{key!r}: it must keep its default "
+                                 f"{default!r}, got {value!r}")
             object.__setattr__(self, name, float(value))
-        if self.kind in MOMENTUM_KINDS and self.gamma == 0.0:
+        # the defaults of the labels a kind does not read pass these
+        if self.gamma == 0.0:
             raise ValueError("gamma must be nonzero (phases divide by it)")
-        if self.kind == "position1d":
-            if self.hbar <= 0.0:
-                raise ValueError("hbar must be positive")
-            if self.m <= 0.0:
-                raise ValueError("m must be positive")
+        if self.hbar <= 0.0:
+            raise ValueError("hbar must be positive")
+        if self.m <= 0.0:
+            raise ValueError("m must be positive")
 
     @property
     def dim(self) -> int:
-        return KIND_DIMS[self.kind]
-
-
-# the document key of each RepDescriptor field, as rep_to_dict writes them
-_REP_KEYS = {"kind": "kind", "gamma": "gamma", "lambda": "lam", "s": "s",
-             "hbar": "hbar", "m": "m", "f": "force_f", "V0": "V0"}
+        return _PRESETS[self.kind].dim
 
 
 def rep_to_dict(rep: RepDescriptor) -> dict:
@@ -115,22 +131,27 @@ def _require_momentum(rep: RepDescriptor, op: str):
             "its generator family only")
 
 
+def _coboundary_phi(gamma: float, r: GalileiBatch) -> np.ndarray:
+    """phi(r) = (gamma/2)(u.v - eta v.v) of each row: the coboundary that a
+    preset with coboundary adds to its phase and to its multiplier."""
+    return 0.5 * gamma * (_dot(r.u, r.v) - r.eta * _dot(r.v, r.v))
+
+
 def _phase_parts(rep: RepDescriptor, r: GalileiBatch):
     """Real phase phi_r(p) = const + <lin, p> + p^T quad p of each acting
     row, in the outgoing variable p: quad (N, dim, dim), lin (N, dim) and
-    const (N,)."""
+    const (N,): u and (gamma/2) u.v, plus the lambda term and s theta in
+    dim 2, plus phi(r) if the preset adds the coboundary."""
     quad = (r.eta / (2.0 * rep.gamma))[:, None, None] * np.eye(rep.dim)
     lin = r.u.astype(float)
-    if rep.kind == "bargmann3d":
-        const = rep.gamma * _dot(r.u, r.v) \
-            - 0.5 * r.eta * rep.gamma * _dot(r.v, r.v)
-        return quad, lin, const
-    if rep.kind == "nonabelian2d":
+    const = 0.5 * rep.gamma * _dot(r.u, r.v)
+    if rep.dim == 2:
         # -(lam/2gamma) (v ^ p) with v ^ p = v1 p2 - v2 p1
         k = rep.lam / (2.0 * rep.gamma)
         lin = lin + r.v[:, ::-1] * (k, -k)  # (k v2, -k v1)
-    const = 0.5 * rep.gamma * _dot(r.u, r.v) \
-        + rep.s * _rotation_angles(r.W)
+        const = const + rep.s * _rotation_angles(r.W)
+    if _PRESETS[rep.kind].coboundary:
+        const = const + _coboundary_phi(rep.gamma, r)
     return quad, lin, const
 
 
@@ -177,7 +198,7 @@ def apply_time(rep: RepDescriptor, r: GalileiElement, t: float,
 
 
 def generator_names(rep: RepDescriptor) -> tuple:
-    if rep.kind == "position1d":
+    if rep.kind not in MOMENTUM_KINDS:
         return ("H", "P", "N")
     if rep.dim == 2:
         return ("H", "P1", "P2", "M", "N1", "N2")
@@ -216,7 +237,7 @@ def _momentum_generator(rep: RepDescriptor, name: str) -> PolyDiffOperator:
     if name.startswith("N"):
         i = int(name[1:]) - 1
         terms = [_term(dim, -1j, p=(i,), t=1), _term(dim, rep.gamma, d=(i,))]
-        if rep.kind == "nonabelian2d":
+        if dim == 2:
             k = rep.lam / (2.0 * rep.gamma)
             terms.append(_term(dim, (-1j if i == 0 else 1j) * k, p=(1 - i,)))
         return PolyDiffOperator.build(dim, terms)
@@ -242,10 +263,10 @@ def _position_generator(rep: RepDescriptor, name: str) -> PolyDiffOperator:
 def generator(rep: RepDescriptor, name: str, t: float = None) -> PolyDiffOperator:
     """Time-dependent generator R_t(name); t=None keeps t symbolic (the
     trailing coefficient variable), a number substitutes it."""
-    if rep.kind == "position1d":
-        op = _position_generator(rep, name)
-    else:
+    if rep.kind in MOMENTUM_KINDS:
         op = _momentum_generator(rep, name)
+    else:
+        op = _position_generator(rep, name)
     if t is not None:
         op = op.at_time(float(t))
     return op
@@ -254,7 +275,7 @@ def generator(rep: RepDescriptor, name: str, t: float = None) -> PolyDiffOperato
 def static_generator(rep: RepDescriptor, name: str) -> PolyDiffOperator:
     """The t-free generator R(name), built independently of generator()
     so that the t=0 initial condition is a real check."""
-    if rep.kind == "position1d":
+    if rep.kind not in MOMENTUM_KINDS:
         if name == "H":
             return _position_generator(rep, "H")
         if name == "P":
@@ -265,7 +286,7 @@ def static_generator(rep: RepDescriptor, name: str) -> PolyDiffOperator:
     if name.startswith("N"):
         i = int(name[1:]) - 1
         terms = [_term(rep.dim, rep.gamma, d=(i,))]
-        if rep.kind == "nonabelian2d":
+        if rep.dim == 2:
             k = rep.lam / (2.0 * rep.gamma)
             terms.append(_term(2, (-1j if i == 0 else 1j) * k, p=(1 - i,)))
         return PolyDiffOperator.build(rep.dim, terms)

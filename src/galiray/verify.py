@@ -25,9 +25,10 @@ import numpy as np
 
 from . import cocycles
 from .cocycles import PhaseExponent
-from .group import (GalileiBatch, GalileiElement, _dot, _rotation_angles,
-                    _row, multiply, multiply_batch, stack_batches)
-from .representations import (RepDescriptor, _time_phase, apply_batch,
+from .group import (GalileiBatch, GalileiElement, _rotation_angles, _row,
+                    multiply, multiply_batch, stack_batches)
+from .representations import (_PRESETS, RepDescriptor, _coboundary_phi,
+                              _require_momentum, _time_phase, apply_batch,
                               generator, generator_names, static_generator)
 from .states import (PolyDiffOperator, PolyGaussianState, StateBatch,
                      _poly_mismatch)
@@ -164,33 +165,27 @@ def _phase_mismatch(omega: np.ndarray, exponent: np.ndarray) -> np.ndarray:
         return np.abs(omega - np.exp(1j * exponent))
 
 
-def _coboundary_phi(gamma: float, r: GalileiBatch) -> np.ndarray:
-    return 0.5 * gamma * (_dot(r.u, r.v) - r.eta * _dot(r.v, r.v))
-
-
 def expected_multiplier_exponent_batch(rep: RepDescriptor, r: GalileiBatch,
                                        s: GalileiBatch, t=0.0):
     """Closed-form prediction (name, exponents): row i has multiplier
-    e^{i exponents[i]}; t as in extract_multiplier_batch."""
+    e^{i exponents[i]}; t as in extract_multiplier_batch.  It is -gamma xi0
+    + xi_t, plus lambda xi1 + s dtheta (the rotation wrap) in dim 2 and
+    dphi when rep's preset adds phi; name lists the terms."""
+    _require_momentum(rep, "a multiplier prediction")
     rs = multiply_batch(r, s)
     xi0 = PhaseExponent("xi0", rep.dim, gamma=rep.gamma)
     value = -cocycles.evaluate_batch(xi0, r, s)
     value += _xi_t(rep, r, s, t)
-    if rep.kind == "schrodinger2d":
-        name = "-gamma*xi0 + s*dtheta + xi_t"
-    elif rep.kind == "nonabelian2d":
+    name = "-gamma*xi0 + xi_t"
+    if rep.dim == 2:
         xi1 = PhaseExponent("xi1", 2, lam=rep.lam)
         value += cocycles.evaluate_batch(xi1, r, s)
-        name = "-gamma*xi0 + lambda*xi1 + s*dtheta + xi_t"
-    elif rep.kind == "bargmann3d":
+        value += rep.s * _rotation_wrap(r, s, rs)
+        name += " + lambda*xi1 + s*dtheta"
+    if _PRESETS[rep.kind].coboundary:
         value += (_coboundary_phi(rep.gamma, r) + _coboundary_phi(rep.gamma, s)
                   - _coboundary_phi(rep.gamma, rs))
-        name = "-gamma*xi0 + dphi + xi_t"
-    else:
-        raise ValueError(f"no multiplier prediction for kind {rep.kind}")
-    if rep.kind in ("schrodinger2d", "nonabelian2d"):
-        # the rotation character contributes the principal-branch wrap
-        value += rep.s * _rotation_wrap(r, s, rs)
+        name += " + dphi"
     return name, value
 
 

@@ -295,19 +295,36 @@ def test_config_rejects_non_finite_rep_labels(rep, tmp_path):
         load_config(str(as_lines))
 
 
-@pytest.mark.parametrize("rep", ({"kind": "bargmann3d", "gammma": 2},
-                                 "bargmann3d"), ids=("misspelt_key", "string"))
+# a label that the kind's preset does not read, away from its default
+IGNORED_LABELS = (("schrodinger2d", "lambda", 0.9), ("bargmann3d", "s", 0.5),
+                  ("bargmann3d", "lambda", 0.9), ("position1d", "gamma", 7),
+                  ("position1d", "s", 2), ("nonabelian2d", "hbar", 2))
+REJECTED_REPS = {
+    "misspelt_key": ({"kind": "bargmann3d", "gammma": 2}, "gammma"),
+    "string": ("bargmann3d", "object"),
+    **{f"{kind}_{key}": ({"kind": kind, key: value},
+                         f"{kind} does not read the label '{key}'")
+       for kind, key, value in IGNORED_LABELS}}
+
+
+@pytest.mark.parametrize("rep, message", REJECTED_REPS.values(),
+                         ids=REJECTED_REPS)
 def test_config_rejects_a_rep_document_rep_to_dict_does_not_write(rep,
+                                                                  message,
                                                                   tmp_path,
                                                                   capsys):
-    # a misspelt label would otherwise run at its default, gamma = 1
+    # a misspelt label would otherwise run at its default, gamma = 1, and
+    # an ignored one would be reported as if it had been tested
     doc = {"reps": [rep]}
-    with pytest.raises(ValueError, match="gammma|object"):
+    with pytest.raises(ValueError, match=re.escape(message)):
         config_from_dict(doc)
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(doc))
     assert main(["verify-all", "--config", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_config_dict_round_trip():

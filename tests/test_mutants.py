@@ -178,18 +178,24 @@ SURVIVORS = {
     "e_rotations_negated_3d": (representations, "_momentum_generator",
                                _generator(
         lambda rep, name, op: op.scale(-1.0)
-        if rep.kind == "bargmann3d" and name.startswith("M") else op)),
+        if rep.dim == 3 and name.startswith("M") else op)),
 }
 
 
 def _install(monkeypatch, owner, attribute, replace):
     """Bind replace(original) to every galiray module name that holds the
-    original owner.attribute."""
-    real = getattr(owner, attribute)
+    original owner.attribute.  A target that no module holds is a
+    LookupError, not an AssertionError, so that a stale survivor fails
+    its strict xfail instead of passing it."""
+    real = getattr(owner, attribute, None)
+    holders = [module for module in MODULES if real is not None
+               and getattr(module, attribute, None) is real]
+    if not holders:
+        raise LookupError(f"no galiray module holds {owner.__name__}."
+                          f"{attribute}")
     mutant = replace(real)
-    for module in MODULES:
-        if getattr(module, attribute, None) is real:
-            monkeypatch.setattr(module, attribute, mutant)
+    for module in holders:
+        monkeypatch.setattr(module, attribute, mutant)
 
 
 def _failing(report) -> list:
@@ -211,7 +217,29 @@ def test_the_unmutated_suite_passes_the_small_config():
 
 @pytest.mark.parametrize("name", [
     *MUTANTS,
-    *(pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=ITEM_5))
+    *(pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=ITEM_5))
       for name in SURVIVORS)])
 def test_every_mutant_fails_the_suite(name):
     assert failing_checks(name), f"mutant {name} passes every check"
+
+
+def _zero_coboundary(gamma, r):
+    return np.zeros(len(r))
+
+
+def test_the_coboundary_is_a_convention_the_prediction_must_follow():
+    # bargmann3d and the 2D kinds use representatives that differ by the
+    # coboundary phi: without it in both the action and the prediction
+    # bargmann3d passes as well, without it in the prediction only it fails
+    no_coboundary = representations._PRESETS["bargmann3d"]._replace(
+        coboundary=False)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setitem(representations._PRESETS, "bargmann3d",
+                            no_coboundary)
+        assert _failing(harness.run_suite(
+            harness.default_config(**SMALL))) == []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(verify, "_coboundary_phi", _zero_coboundary)
+        assert "multiplier_bargmann3d" in _failing(harness.run_suite(
+            harness.default_config(**SMALL)))

@@ -10,7 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from galiray.harness import config_to_dict, default_config, run_suite
+from galiray import harness
+from galiray.harness import (DEFAULT_TOLERANCES, config_to_dict,
+                             default_config, run_suite)
+from galiray.representations import MOMENTUM_KINDS
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_digests.py"
 
@@ -67,12 +70,7 @@ def test_report_digests_diff_lists_moved_residuals_and_flips():
         f"cfg {names[0]} max_residual "
         f"{report['checks'][0]['max_residual']!r} -> "
         f"{moved['checks'][0]['max_residual']!r}",
-        f"cfg {names[1]} max_residual "
-        f"{report['checks'][1]['max_residual']!r} -> "
-        f"{report['checks'][1]['max_residual']!r}",
-        f"cfg {names[2]} max_residual "
-        f"{report['checks'][2]['max_residual']!r} -> "
-        f"{report['checks'][2]['max_residual']!r}",
+        f"cfg {names[1]} details [] -> {{'note': 'changed'}}",
         f"cfg {names[2]} VERDICT pass True -> False",
         f"cfg {names[3]} max_residual "
         f"{report['checks'][3]['max_residual']!r} -> None",
@@ -80,6 +78,40 @@ def test_report_digests_diff_lists_moved_residuals_and_flips():
         "cfg min_margin_dec 3.0 -> 2.5"]
     assert _load_tool().diff_lines("cfg", report, report, (3.0, 3.0)) \
         == ([], 0)
+
+
+def test_report_digests_diff_names_the_moved_details_fields():
+    # an entry whose max_residual stayed says which of its details moved
+    report = json.loads(json.dumps(run_suite(default_config(**WARM_UP))))
+    moved = copy.deepcopy(report)
+    old, new = (next(c["details"] for c in r["checks"]
+                     if c["check"] == "multiplier_bargmann3d")
+                for r in (report, moved))
+    new["max_matched_exponent_residual"] = 2e-16
+    new["max_exponent_cocycle_residual"] = math.nan
+    lines, flips = _load_tool().diff_lines("cfg", report, moved, (3.0, 3.0))
+    assert (lines, flips) == ([
+        f"cfg multiplier_bargmann3d details.max_exponent_cocycle_residual "
+        f"{old['max_exponent_cocycle_residual']!r} -> nan, "
+        f"details.max_matched_exponent_residual "
+        f"{old['max_matched_exponent_residual']!r} -> 2e-16"], 0)
+
+
+def test_report_digests_reads_momentum_kinds_from_representations(
+        monkeypatch):
+    # harness re-exports MOMENTUM_KINDS only for its own use
+    sys.path.insert(0, str(TOOL.parent.parent / "perfbench"))
+    try:
+        import gate
+    finally:
+        sys.path.pop(0)
+    cfg = default_config(**WARM_UP)
+    report = json.loads(gate.deterministic_text(run_suite(cfg)))
+    expected = gate.check_report(
+        report, cfg, {key: cfg.tol(key) for key in DEFAULT_TOLERANCES},
+        MOMENTUM_KINDS).min_margin_dec
+    monkeypatch.delattr(harness, "MOMENTUM_KINDS")
+    assert _load_tool().min_margin(harness, gate, cfg, report) == expected
 
 
 def test_report_digests_diff_ends_with_one_line_per_moved_family():

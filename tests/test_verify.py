@@ -68,6 +68,14 @@ def test_translation_boost_pair_gives_the_known_multiplier():
     assert abs(value[0] - (-0.5 * float(u @ v))) < 1e-14
 
 
+# the terms each kind's preset adds to the prediction
+PREDICTION_NAMES = {
+    "schrodinger2d": "-gamma*xi0 + xi_t + lambda*xi1 + s*dtheta",
+    "nonabelian2d": "-gamma*xi0 + xi_t + lambda*xi1 + s*dtheta",
+    "bargmann3d": "-gamma*xi0 + xi_t + dphi",
+}
+
+
 def test_extracted_multipliers_match_the_phase_exponents():
     rng = np.random.default_rng(9)
     for kind, rep in REPS.items():
@@ -81,8 +89,13 @@ def test_extracted_multipliers_match_the_phase_exponents():
             assert rpt.modulus_error[0] < 1e-10
             name, residual = match_exponent_batch(rep, _row(r), _row(s), t,
                                                   rpt)
-            assert "xi0" in name
+            assert name == PREDICTION_NAMES[kind]
             assert residual[0] < 1e-9
+    # position1d has no action, so no multiplier to predict
+    with pytest.raises(ValueError, match="undefined for position1d"):
+        expected_multiplier_exponent_batch(RepDescriptor("position1d"),
+                                           _row(identity(1)),
+                                           _row(identity(1)))
 
 
 def test_time_multiplier_ratio_matches_the_action_term():

@@ -18,8 +18,10 @@ that one run can digest the reports of another revision.
 --json prints the reports themselves, one JSON object by config name.
 --diff OTHER_SRC compares each config's report with the one galiray from
 OTHER_SRC gives (run in a child process, as --json).  It prints one line per
-check whose entry differs, with the old (OTHER_SRC) and new max_residual,
-one per verdict that flips, and one per config whose minimum margin
+check whose entry differs: the old (OTHER_SRC) and new max_residual if that
+moved, else the old and new value of each other field that did, a field of
+details by its name there (details.<field>).  It prints one line more per
+verdict that flips, and one per config whose minimum margin
 (perfbench/gate.py's min_margin_dec) changes; identical reports print
 nothing.  It ends with one line per check family (perfbench/gate.py's
 FAMILIES) with a moved entry: how many entries moved over all configs, and
@@ -77,16 +79,40 @@ def moved_entries(old: dict, new: dict) -> list:
             if old_entries.get(check) != new_entries.get(check)]
 
 
+def _fields(entry: dict, expand: bool) -> dict:
+    """The fields of a report entry but check and pass; if expand, each
+    field of its details object as details.<field>."""
+    out = {k: v for k, v in entry.items() if k not in ("check", "pass")}
+    if expand:
+        out.update({f"details.{k}": v for k, v in out.pop("details").items()})
+    return out
+
+
+def moved_fields(a: dict, b: dict) -> list:
+    """(field, old, new) for each field, as _fields names it, that differs
+    between the entries a and b; details is split into its fields when it
+    is an object in both."""
+    expand = all(isinstance(e.get("details"), dict) for e in (a, b))
+    a, b = _fields(a, expand), _fields(b, expand)
+    return [(k, a.get(k), b.get(k)) for k in dict.fromkeys([*a, *b])
+            if json.dumps(a.get(k)) != json.dumps(b.get(k))]
+
+
 def diff_lines(name: str, old: dict, new: dict, margins) -> tuple:
     """(lines, flips) for the reports old and new of config name: one line
-    per check whose entry differs or is missing on one side, one per
-    verdict flip, and one if the minimum margin pair margins differs."""
+    per check whose entry differs or is missing on one side, other than in
+    its verdict alone, one per verdict flip, and one if the minimum margin
+    pair margins differs."""
     lines, flips = [], 0
     missing = {"max_residual": None, "pass": None}
     for check, a, b in moved_entries(old, new):
         a, b = a or missing, b or missing
-        lines.append(f"{name} {check} max_residual "
-                     f"{a['max_residual']!r} -> {b['max_residual']!r}")
+        moved = moved_fields(a, b)
+        if any(field == "max_residual" for field, *_ in moved):
+            moved = [("max_residual", a["max_residual"], b["max_residual"])]
+        if moved:
+            lines.append(f"{name} {check} " + ", ".join(
+                f"{field} {x!r} -> {y!r}" for field, x, y in moved))
         if a["pass"] != b["pass"]:
             flips += 1
             lines.append(f"{name} {check} VERDICT pass "
@@ -119,10 +145,13 @@ def family_lines(moves, prefixes) -> list:
     return lines
 
 
-def _min_margin(harness, gate, cfg, report: dict) -> float:
+def min_margin(harness, gate, cfg, report: dict) -> float:
+    # galiray is importable once main has put --src on sys.path
+    from galiray.representations import MOMENTUM_KINDS
+
     tolerances = {key: cfg.tol(key) for key in harness.DEFAULT_TOLERANCES}
     return gate.check_report(report, cfg, tolerances,
-                             harness.MOMENTUM_KINDS).min_margin_dec
+                             MOMENTUM_KINDS).min_margin_dec
 
 
 def main(argv=None) -> int:
@@ -177,8 +206,8 @@ def main(argv=None) -> int:
     old = json.loads(out)
     flips, moves = 0, []
     for name, (cfg, report) in new.items():
-        margins = (_min_margin(harness, gate, cfg, old[name]),
-                   _min_margin(harness, gate, cfg, report))
+        margins = (min_margin(harness, gate, cfg, old[name]),
+                   min_margin(harness, gate, cfg, report))
         lines, n = diff_lines(name, old[name], report, margins)
         flips += n
         moves += moved_entries(old[name], report)
