@@ -7,15 +7,15 @@ algebraic identity they are supposed to satisfy.
 """
 from .group import (GalileiBatch, GalileiElement, element_from_dict,
                     element_to_dict, embed_matrix, embed_matrix_batch,
-                    identity, identity_batch, inverse, inverse_batch,
-                    multiply, multiply_batch, random_element,
-                    random_element_batch, rotation_2d, stack_batches)
+                    identity_batch, inverse, inverse_batch, multiply,
+                    multiply_batch, random_element, random_element_batch,
+                    stack_batches)
 from .algebra import (AlgebraBatch, AlgebraElement,
                       algebra_batch_from_uniforms, basis_element, basis_names,
-                      commutator, commutator_batch, embed_algebra,
+                      basis_rows, commutator, commutator_batch, embed_algebra,
                       embed_algebra_batch, exponential, exponential_batch,
                       jacobi_residual, jacobi_residual_batch,
-                      random_algebra_batch, random_algebra_element, zero)
+                      random_algebra_batch)
 from .cocycles import (DEFAULT_TAU_SEQUENCE, InfinitesimalExponentValue,
                        PhaseExponent, cocycle_residual, cocycle_residual_batch,
                        equivalence_transform, evaluate, evaluate_batch,

@@ -6,7 +6,9 @@ on the coefficient blocks, which reproduces the matrix commutator of the
 (dim+2)x(dim+2) embedding exactly.  AlgebraBatch holds N elements as stacked
 arrays.  Each operation is written once, over batch rows, as in the group
 module: commutator, jacobi_residual, embed_algebra and exponential run it on
-a 1-row batch.
+a 1-row batch.  The basis is one cached, read-only AlgebraBatch per
+dimension, in the order of basis_names; basis_rows reads named rows of it,
+and basis_element is its 1-row view.
 
 The exponential is in closed form on the blocks too: the rotation, and the
 integrated rotations phi_1(R), phi_2(R) that carry the boost and the
@@ -18,8 +20,8 @@ row never depends on the other rows of its batch.
 """
 from __future__ import annotations
 
+import functools
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +32,13 @@ from .group import (GalileiBatch, GalileiElement, _check_dim, _frozen,
 __all__ = [
     "AlgebraElement",
     "AlgebraBatch",
-    "zero",
     "basis_element",
     "basis_names",
+    "basis_rows",
     "commutator",
     "jacobi_residual",
     "embed_algebra",
     "exponential",
-    "random_algebra_element",
     "random_algebra_batch",
     "algebra_batch_from_uniforms",
     "commutator_batch",
@@ -77,20 +78,6 @@ class AlgebraElement:
         object.__setattr__(self, "boost", _frozen(boost))
         object.__setattr__(self, "time", time)
 
-    def scale(self, c: float) -> "AlgebraElement":
-        return _row(self).scale(c).element(0)
-
-    def add(self, other: "AlgebraElement") -> "AlgebraElement":
-        return _row(self).add(_row(other)).element(0)
-
-    def max_abs(self) -> float:
-        return float(_row(self).max_abs()[0])
-
-
-def zero(dim: int) -> AlgebraElement:
-    z = np.zeros(dim)
-    return AlgebraElement(dim, np.zeros((dim, dim)), z, z, 0.0)
-
 
 def basis_names(dim: int) -> list[str]:
     """All basis element names for the dimension, e.g. a12, b1, d1, f."""
@@ -101,40 +88,43 @@ def basis_names(dim: int) -> list[str]:
     return names
 
 
+@functools.cache
+def _basis_table(dim: int) -> "AlgebraBatch":
+    """The elements of basis_names(dim), in order, as the read-only rows of
+    one AlgebraBatch: a_ij has +1 at rot (i,j) and -1 at (j,i), b_i and d_i
+    the unit vector e_i, and f the time 1 (indices 1-based)."""
+    names = basis_names(dim)
+    n = len(names)
+    rot, time = np.zeros((n, dim, dim)), np.zeros(n)
+    trans, boost = np.zeros((n, dim)), np.zeros((n, dim))
+    for k, name in enumerate(names):
+        index = [int(c) - 1 for c in name[1:]]
+        if name[0] == "a":
+            i, j = index
+            rot[k, i, j], rot[k, j, i] = 1.0, -1.0
+        elif name == "f":
+            time[k] = 1.0
+        else:
+            (trans if name[0] == "b" else boost)[k, index[0]] = 1.0
+    return AlgebraBatch(*map(_frozen, (rot, trans, boost, time)))
+
+
+def basis_rows(names, dim: int) -> "AlgebraBatch":
+    """The named basis elements as the rows of one AlgebraBatch; a name
+    outside basis_names(dim) is a ValueError."""
+    _check_dim(dim)
+    valid = basis_names(dim)
+    unknown = [name for name in names if name not in valid]
+    if unknown:
+        raise ValueError(f"unknown basis element {unknown[0]!r} for dim "
+                         f"{dim}: expected one of {', '.join(valid)}")
+    return _basis_table(dim)[[valid.index(name) for name in names]]
+
+
 def basis_element(name: str, dim: int) -> AlgebraElement:
-    """Basis element by name string: "a12", "b1", "d3" or "f" (1-based)."""
-    X = zero(dim)
-    if name == "f":
-        return AlgebraElement(dim, X.rot, X.trans, X.boost, 1.0)
-    m = re.fullmatch(r"([abd])([1-3])([1-3])?", name)
-    if not m:
-        raise ValueError(f"unknown basis element {name!r}")
-    kind, i = m.group(1), int(m.group(2)) - 1
-    if kind == "a":
-        if m.group(3) is None:
-            raise ValueError(f"rotation basis needs two indices, got {name!r}")
-        j = int(m.group(3)) - 1
-        if i == j or i >= dim or j >= dim:
-            raise ValueError(f"indices of {name!r} out of range for dim {dim}")
-        rot = np.zeros((dim, dim))
-        rot[i, j] = 1.0
-        rot[j, i] = -1.0
-        return AlgebraElement(dim, rot, X.trans, X.boost, 0.0)
-    if m.group(3) is not None:
-        raise ValueError(f"unknown basis element {name!r}")
-    if i >= dim:
-        raise ValueError(f"index of {name!r} out of range for dim {dim}")
-    vec = np.zeros(dim)
-    vec[i] = 1.0
-    if kind == "b":
-        return AlgebraElement(dim, X.rot, vec, X.boost, 0.0)
-    return AlgebraElement(dim, X.rot, X.trans, vec, 0.0)
-
-
-def random_algebra_element(seed, dim: int, scale: float = 1.0) -> AlgebraElement:
-    """Seeded random element with coefficients uniform in [-scale, scale]:
-    row 0 of random_algebra_batch(seed, 1, dim, scale)."""
-    return random_algebra_batch(seed, 1, dim, scale).element(0)
+    """Basis element by name string: "a12", "b1", "d3" or "f" (1-based),
+    the one-row view of basis_rows."""
+    return basis_rows([name], dim).element(0)
 
 
 class AlgebraBatch:
@@ -193,8 +183,8 @@ class AlgebraBatch:
 
 def algebra_batch_from_uniforms(U, dim: int,
                                 scale: float = 1.0) -> AlgebraBatch:
-    """Map unit uniforms U (N, (dim+1)**2) to the rows random_algebra_element
-    draws from them: dim**2 for the rotation block, then trans, boost, time."""
+    """Map unit uniforms U (N, (dim+1)**2) to the rows of random algebra
+    elements: dim**2 for the rotation block, then trans, boost, time."""
     n, d = len(U), dim
     X = _uniform(U, scale)
     A = X[:, :d * d].reshape(n, d, d)
@@ -204,8 +194,10 @@ def algebra_batch_from_uniforms(U, dim: int,
 
 def random_algebra_batch(seed, n: int, dim: int,
                          scale: float = 1.0) -> AlgebraBatch:
-    """n seeded random elements, consuming the stream of seed (an integer or
-    a numpy Generator) exactly as n calls of random_algebra_element do."""
+    """n seeded random elements with coefficients uniform in [-scale,
+    scale].  Each row takes (dim+1)**2 uniforms of the stream of seed (an
+    integer or a numpy Generator), so n one-row draws from one Generator
+    give the rows of one n-row draw."""
     _check_dim(dim)
     rng = np.random.default_rng(seed)
     return algebra_batch_from_uniforms(rng.random((n, (dim + 1) ** 2)), dim,

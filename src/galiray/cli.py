@@ -9,12 +9,10 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from .cocycles import (DEFAULT_TAU_SEQUENCE, PhaseExponent, evaluate,
-                       infinitesimal_exponent)
-from .algebra import basis_element
-from .group import _row, element_from_dict, random_element
+from .cocycles import (_EXPONENTS, DEFAULT_TAU_SEQUENCE, PhaseExponent,
+                       evaluate_batch, infinitesimal_exponent_batch)
+from .algebra import basis_rows
+from .group import _row, element_from_dict, random_element_batch
 from .harness import (DEFAULT_TOLERANCES, _fails, _finite_positive,
                       _heisenberg_entry, _json_safe, _mark_exception,
                       _multipliers_pass, cocycle_sweep, default_config,
@@ -24,8 +22,6 @@ from .states import random_state
 from .verify import extract_multiplier_batch, match_exponent_batch
 
 __all__ = ["main"]
-
-_DEFAULT_XI_DIMS = {"xi0": 3, "xi1": 2, "xi2": 2, "xi_eta": 1, "xi_t": 2}
 
 
 def _print(doc: dict):
@@ -41,15 +37,16 @@ def _rep_by_kind(cfg, kind: str):
 
 
 def _load_pair(path: str, dim: int, seed: int):
+    """(r, s) as 1-row batches: from the JSON file, or a seeded draw."""
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if not (isinstance(doc, dict) and {"r", "s"} <= doc.keys()):
             raise ValueError(f"{path}: expected a JSON object with the "
                              f"elements r and s")
-        return element_from_dict(doc["r"]), element_from_dict(doc["s"])
-    rng = np.random.default_rng(seed)
-    return random_element(rng, dim), random_element(rng, dim)
+        return tuple(_row(element_from_dict(doc[key])) for key in "rs")
+    pair = random_element_batch(seed, 2, dim)
+    return pair[:1], pair[1:]
 
 
 def _seeded(cfg, seed):
@@ -77,7 +74,7 @@ def _cmd_verify_all(args) -> int:
 
 
 def _cmd_cocycle(args) -> int:
-    dim = args.dim if args.dim is not None else _DEFAULT_XI_DIMS[args.name]
+    dim = args.dim or _EXPONENTS[args.name].dims[0]
     xi = PhaseExponent(args.name, dim, gamma=args.gamma, lam=args.lam,
                        S=args.S, a1=args.a1, a2=args.a2, t=args.t)
     worst = cocycle_sweep(xi, args.seed, args.triples, args.scale)
@@ -91,7 +88,7 @@ def _cmd_cocycle(args) -> int:
 def _cmd_multiplier(args) -> int:
     cfg = default_config()
     _, rep = _rep_by_kind(cfg, args.rep)
-    r, s = map(_row, _load_pair(args.pair, rep.dim, args.seed))
+    r, s = _load_pair(args.pair, rep.dim, args.seed)
     state = random_state(args.seed + 1, rep.dim)
     rows = extract_multiplier_batch(rep, r, s, args.t, state)
     name, match = match_exponent_batch(rep, r, s, args.t, rows)
@@ -111,22 +108,21 @@ def _cmd_multiplier(args) -> int:
 
 
 def _cmd_infexp(args) -> int:
-    dim = args.dim if args.dim is not None else _DEFAULT_XI_DIMS[args.name]
-    xi = PhaseExponent(args.name, dim, gamma=args.gamma)
-    X = basis_element(args.x, dim)
-    Y = basis_element(args.y, dim)
-    result = infinitesimal_exponent(xi, X, Y, DEFAULT_TAU_SEQUENCE)
+    xi = PhaseExponent(args.name, args.dim or _EXPONENTS[args.name].dims[0],
+                       gamma=args.gamma)
+    value, error, converged = (x[0] for x in infinitesimal_exponent_batch(
+        xi, basis_rows([args.x], xi.dim), basis_rows([args.y], xi.dim)))
     _print({
         "name": args.name,
         "x": args.x,
         "y": args.y,
         "gamma": args.gamma,
-        "value": result.value,
-        "tau_sequence": list(result.tau_sequence),
-        "extrapolation_error": result.extrapolation_error,
-        "converged": result.converged,
+        "value": float(value),
+        "tau_sequence": list(DEFAULT_TAU_SEQUENCE),
+        "extrapolation_error": float(error),
+        "converged": bool(converged),
     })
-    return 0 if result.converged else 1
+    return 0 if converged else 1
 
 
 def _cmd_heisenberg(args) -> int:
@@ -139,8 +135,8 @@ def _cmd_heisenberg(args) -> int:
 
 def _cmd_action(args) -> int:
     r, s = _load_pair(args.pair, None, 0)
-    value = evaluate(PhaseExponent("xi_t", r.dim, gamma=args.gamma, t=args.t),
-                     r, s)
+    value = float(evaluate_batch(
+        PhaseExponent("xi_t", r.dim, gamma=args.gamma, t=args.t), r, s)[0])
     _print({
         "gamma": args.gamma,
         "t": args.t,
@@ -186,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_all)
 
     p = sub.add_parser("cocycle", help="residual sweep for one phase exponent")
-    p.add_argument("name", choices=sorted(_DEFAULT_XI_DIMS))
+    p.add_argument("name", choices=sorted(_EXPONENTS))
     p.add_argument("--dim", type=int, choices=(1, 2, 3))
     p.add_argument("--triples", type=_count, default=1000)
     p.add_argument("--seed", type=_seed, default=12345)
@@ -209,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_multiplier)
 
     p = sub.add_parser("infexp", help="infinitesimal exponent of a basis pair")
-    p.add_argument("name", choices=sorted(_DEFAULT_XI_DIMS))
+    p.add_argument("name", choices=sorted(_EXPONENTS))
     p.add_argument("--x", required=True, help="basis name, e.g. b1")
     p.add_argument("--y", required=True, help="basis name, e.g. d1")
     p.add_argument("--dim", type=int, choices=(1, 2, 3))

@@ -15,7 +15,8 @@ and cocycle_residual and infinitesimal_exponent are their 1-row views.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,19 @@ __all__ = [
 
 DEFAULT_TAU_SEQUENCE = (0.1, 0.05, 0.025, 0.0125, 0.00625)
 
-_NAMES = ("xi0", "xi1", "xi2", "xi_eta", "xi_t")
+
+class _Exponent(NamedTuple):
+    params: tuple  # the PhaseExponent fields its formula reads
+    dims: tuple  # the dims it is defined in, the CLI's default first
+
+
+_EXPONENTS = {
+    "xi0": _Exponent(("gamma",), (3, 1, 2)),
+    "xi1": _Exponent(("lam",), (2,)),
+    "xi2": _Exponent(("S",), (2,)),
+    "xi_eta": _Exponent(("a1", "a2"), (1,)),
+    "xi_t": _Exponent(("gamma", "t"), (2, 1, 3)),
+}
 
 
 @dataclass(frozen=True)
@@ -46,6 +59,8 @@ class PhaseExponent:
 
     gamma scales xi0 and xi_t (mass), lam scales xi1, S scales xi2,
     a1/a2 weight the two parts of the 1D exponent xi_eta, t enters xi_t only.
+    _EXPONENTS gives each exponent's dims; a parameter it does not read
+    must keep its default, or it is a ValueError.
     """
 
     name: str
@@ -58,25 +73,23 @@ class PhaseExponent:
     t: float = 0.0
 
     def __post_init__(self):
-        if self.name not in _NAMES:
+        if self.name not in _EXPONENTS:
             raise ValueError(f"unknown exponent {self.name!r}")
-        if self.name in ("xi1", "xi2") and self.dim != 2:
-            raise ValueError(f"{self.name} requires dim=2")
-        if self.name == "xi_eta" and self.dim != 1:
-            raise ValueError("xi_eta requires dim=1")
+        params, dims = _EXPONENTS[self.name]
+        if self.dim not in dims:
+            raise ValueError(f"{self.name} is defined in dims "
+                             f"{sorted(dims)}, got {self.dim!r}")
+        for field in dataclass_fields(self)[2:]:
+            value = getattr(self, field.name)
+            if field.name not in params and value != field.default:
+                raise ValueError(f"{self.name} does not read the parameter "
+                                 f"{field.name!r}: it must keep its default "
+                                 f"{field.default!r}, got {value!r}")
 
     def params(self) -> dict:
         """The parameters the named exponent actually uses, for reports."""
-        used = {
-            "xi0": ("gamma",),
-            "xi1": ("lambda",),
-            "xi2": ("S",),
-            "xi_eta": ("a1", "a2"),
-            "xi_t": ("gamma", "t"),
-        }[self.name]
-        all_params = {"gamma": self.gamma, "lambda": self.lam, "S": self.S,
-                      "a1": self.a1, "a2": self.a2, "t": self.t}
-        return {k: all_params[k] for k in used}
+        return {"lambda" if field == "lam" else field: getattr(self, field)
+                for field in _EXPONENTS[self.name].params}
 
     def __call__(self, r: gg.GalileiBatch, s: gg.GalileiBatch) -> np.ndarray:
         return evaluate_batch(self, r, s)
@@ -228,11 +241,14 @@ def _checked_taus(tau_sequence) -> tuple:
 
 def infinitesimal_exponent_batch(xi, X: la.AlgebraBatch, Y: la.AlgebraBatch,
                                  tau_sequence=DEFAULT_TAU_SEQUENCE) -> tuple:
-    """(value, extrapolation_error, converged), (N,) arrays whose row i is
-    what infinitesimal_exponent gives for the pair (X[i], Y[i]).  The
-    exponentials exp(tau X) and exp(tau Y) and their inverses run as one
-    batch, once per distinct row of X and Y and tau, and all pairs and taus
-    as one batch of len(X) * len(tau_sequence) rows."""
+    """Second-order limit
+    lim tau^-2 [xi(gh, g^-1 h^-1) + xi(g, h) + xi(g^-1, h^-1)]
+    with g = exponential(tau X[i]), h = exponential(tau Y[i]), as the (N,)
+    arrays (value, extrapolation_error, converged); xi is any row-wise
+    exponent.  The exponentials exp(tau X) and exp(tau Y) and their
+    inverses run as one batch, once per distinct row of X and Y and tau,
+    and all pairs and taus as one batch of len(X) * len(tau_sequence)
+    rows."""
     taus = _checked_taus(tau_sequence)
     n, k = len(X), len(taus)
     U, ix, iy = _distinct_rows(X, Y)
@@ -254,10 +270,7 @@ def infinitesimal_exponent_batch(xi, X: la.AlgebraBatch, Y: la.AlgebraBatch,
 
 def infinitesimal_exponent(xi, X: la.AlgebraElement, Y: la.AlgebraElement,
                            tau_sequence=DEFAULT_TAU_SEQUENCE) -> InfinitesimalExponentValue:
-    """Second-order limit
-    lim tau^-2 [xi(gh, g^-1 h^-1) + xi(g, h) + xi(g^-1, h^-1)]
-    with g = exponential(tau X), h = exponential(tau Y); xi is any
-    row-wise exponent."""
+    """The 1-row view of infinitesimal_exponent_batch."""
     taus = tuple(map(float, tau_sequence))
     value, err, converged = infinitesimal_exponent_batch(
         xi, la._row(X), la._row(Y), taus)

@@ -21,11 +21,9 @@ import numpy as np
 __all__ = [
     "GalileiElement",
     "GalileiBatch",
-    "identity",
     "multiply",
     "inverse",
     "embed_matrix",
-    "rotation_2d",
     "random_element",
     "random_element_batch",
     "identity_batch",
@@ -104,12 +102,6 @@ class GalileiElement:
     def __repr__(self):
         return (f"GalileiElement(dim={self.dim}, W={self.W.tolist()}, "
                 f"eta={self.eta}, v={self.v.tolist()}, u={self.u.tolist()})")
-
-
-def identity(dim: int) -> GalileiElement:
-    """Neutral element in the given dimension."""
-    z = np.zeros(dim)
-    return GalileiElement(dim, np.eye(dim), 0.0, z, z)
 
 
 class GalileiBatch:
@@ -239,13 +231,6 @@ def embed_matrix(r: GalileiElement) -> np.ndarray:
     return embed_matrix_batch(_row(r))[0]
 
 
-def rotation_2d(theta: float) -> np.ndarray:
-    """2D rotation matrix for angle theta."""
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
-    return _rotations_2d((theta,))[0]
-
-
 def _rotation_angles(W) -> np.ndarray:
     """The angle of each rotation of a (N,2,2) stack, on the principal
     branch (-pi, pi]."""
@@ -256,15 +241,7 @@ def _rotation_angles(W) -> np.ndarray:
 
 def random_element(seed, dim: int, scale: float = 1.0,
                    max_angle: float = math.pi) -> GalileiElement:
-    """Seeded random element: W a random rotation, eta and the components of
-    v, u uniform in [-scale, scale].
-
-    seed may be an integer or a numpy Generator (streamed draws).  max_angle
-    restricts the rotation angle; cocycle sweeps pass a value below pi/3 so
-    that angles of triple products stay on the principal branch.  This is
-    row 0 of random_element_batch(seed, 1, ...), so n calls on one Generator
-    give the rows of one n-row batch draw.
-    """
+    """Row 0 of random_element_batch(seed, 1, ...), as an element."""
     return random_element_batch(seed, 1, dim, scale, max_angle).element(0)
 
 
@@ -275,7 +252,7 @@ def _uniform(U, bound: float):
 
 
 def _rotations_2d(angle) -> np.ndarray:
-    """rotation_2d of each angle."""
+    """The (N,2,2) stack of the rotations by each angle."""
     # one np.cos/np.sin call per batch: numpy's float64 cos and sin round as
     # libm does on every row, so a draw does not depend on its batch size
     c, s = np.cos(angle), np.sin(angle)
@@ -343,11 +320,14 @@ def _from_raw(raw: np.ndarray, dim: int, scale: float = 1.0,
 
 def random_element_batch(seed, n: int, dim: int, scale: float = 1.0,
                          max_angle: float = math.pi) -> GalileiBatch:
-    """n seeded random elements, distributed as random_element.
+    """n seeded random elements: W a random rotation, eta and the
+    components of v, u uniform in [-scale, scale].
 
-    Consumes the stream of seed (an integer or a numpy Generator) exactly as
-    n calls of random_element do, so the rows are the elements those calls
-    return.
+    Each row takes _raw_width(dim) uniforms of the stream of seed (an integer
+    or a numpy Generator), so n one-row draws from one Generator give the
+    rows of one n-row draw.  max_angle restricts the rotation angle; cocycle
+    sweeps pass a value below pi/3 so that angles of triple products stay on
+    the principal branch.
     """
     _check_dim(dim)
     rng = np.random.default_rng(seed)

@@ -5,25 +5,30 @@ import itertools
 import numpy as np
 import pytest
 
+from galiray import algebra
 from galiray.algebra import (
     AlgebraElement,
     basis_element,
     basis_names,
+    basis_rows,
     commutator,
+    commutator_batch,
     embed_algebra,
     embed_algebra_batch,
     exponential,
     exponential_batch,
     jacobi_residual,
     random_algebra_batch,
-    random_algebra_element,
-    zero,
 )
-from galiray.group import embed_matrix, embed_matrix_batch, identity, multiply
+from galiray.group import embed_matrix, embed_matrix_batch, multiply_batch
 
 
 def mat_diff(a, b):
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+def random_algebra_element(rng, dim, scale=1.0):
+    return random_algebra_batch(rng, 1, dim, scale).element(0)
 
 
 def test_basis_sizes_and_order():
@@ -34,8 +39,10 @@ def test_basis_sizes_and_order():
 
 
 def test_basis_element_rejects_malformed_names():
-    for bad in ("a1", "b4", "q1", "a11", "ff", "d0", "b12"):
-        with pytest.raises(ValueError):
+    for bad in ("a1", "b4", "q1", "a11", "ff", "d0", "b12", "a21", "a32",
+                "F", " b1", 1):
+        with pytest.raises(ValueError, match="expected one of a12, a13, a23, "
+                           "b1, b2, b3, d1, d2, d3, f"):
             basis_element(bad, 3)
     with pytest.raises(ValueError):
         basis_element("a12", 1)
@@ -43,6 +50,32 @@ def test_basis_element_rejects_malformed_names():
         basis_element("b3", 2)
     with pytest.raises(ValueError):
         basis_element("a13", 2)
+    with pytest.raises(ValueError, match="'a21' for dim 2"):
+        basis_rows(["a12", "a21"], 2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_the_basis_table_is_one_read_only_batch(dim):
+    names = basis_names(dim)
+    table = algebra._basis_table(dim)
+    assert table is algebra._basis_table(dim)
+    assert all(not getattr(table, f).flags.writeable
+               for f in table.__slots__)
+    # one unit entry per row, in the slot the name gives it
+    rows = basis_rows(names[::-1], dim)
+    M = embed_algebra_batch(rows)
+    for k, name in enumerate(names[::-1]):
+        want = np.zeros((dim + 2, dim + 2))
+        if name == "f":
+            want[dim, dim + 1] = 1.0
+        elif name[0] == "a":
+            i, j = int(name[1]) - 1, int(name[2]) - 1
+            want[i, j], want[j, i] = 1.0, -1.0
+        else:
+            want[int(name[1]) - 1, dim + 1 if name[0] == "b" else dim] = 1.0
+        assert M[k].tobytes() == want.tobytes(), name
+        assert (embed_algebra(basis_element(name, dim)).tobytes()
+                == want.tobytes())
 
 
 def test_named_brackets():
@@ -55,16 +88,17 @@ def test_named_brackets():
             assert mat_diff(embed_algebra(commutator(d, f)),
                             embed_algebra(b)) == 0.0
             assert mat_diff(embed_algebra(commutator(f, d)),
-                            embed_algebra(b.scale(-1.0))) == 0.0
+                            -embed_algebra(b)) == 0.0
     # translations and boosts commute at the group level; the central
     # charge pairing them appears only in the ray representations
-    assert commutator(basis_element("b1", 3), basis_element("d1", 3)).max_abs() == 0.0
+    assert not embed_algebra(commutator(basis_element("b1", 3),
+                                        basis_element("d1", 3))).any()
     # rotations rotate the vector labels
     a12 = basis_element("a12", 2)
     b1 = basis_element("b1", 2)
     b2 = basis_element("b2", 2)
     assert mat_diff(embed_algebra(commutator(a12, b1)),
-                    embed_algebra(b2.scale(-1.0))) == 0.0
+                    -embed_algebra(b2)) == 0.0
 
 
 def test_bracket_matches_matrix_commutator():
@@ -88,9 +122,9 @@ def test_jacobi_identity():
 
 def test_exponential_mixed_boost_time_flow():
     # exp(tau (d1 + f)) picks up the integrated translation tau^2/2 e1
-    X = basis_element("d1", 3).add(basis_element("f", 3))
+    X = basis_rows(["d1"], 3).add(basis_rows(["f"], 3))
     tau = 0.7
-    g = exponential(X.scale(tau))
+    g = exponential_batch(X.scale(tau)).element(0)
     assert mat_diff(g.W, np.eye(3)) < 1e-14
     assert abs(g.eta - tau) < 1e-14
     assert mat_diff(g.v, [tau, 0.0, 0.0]) < 1e-14
@@ -99,8 +133,10 @@ def test_exponential_mixed_boost_time_flow():
 
 def test_exponential_of_zero_is_identity():
     for dim in (1, 2, 3):
-        g = exponential(zero(dim))
-        assert mat_diff(embed_matrix(g), embed_matrix(identity(dim))) == 0.0
+        zero = AlgebraElement(dim, np.zeros((dim, dim)), np.zeros(dim),
+                              np.zeros(dim), 0.0)
+        assert mat_diff(embed_matrix(exponential(zero)),
+                        np.eye(dim + 2)) == 0.0
 
 
 def test_exponential_matches_scipy_expm():
@@ -129,50 +165,53 @@ def test_one_parameter_flows_compose():
     rng = np.random.default_rng(414)
     for _ in range(50):
         dim = int(rng.integers(1, 4))
-        X = random_algebra_element(rng, dim)
+        X = random_algebra_batch(rng, 1, dim)
         a, b = rng.uniform(-1.5, 1.5, size=2)
-        lhs = embed_matrix(exponential(X.scale(a + b)))
-        rhs = embed_matrix(multiply(exponential(X.scale(a)),
-                                    exponential(X.scale(b))))
+        lhs = embed_matrix_batch(exponential_batch(X.scale(a + b)))
+        rhs = embed_matrix_batch(multiply_batch(exponential_batch(X.scale(a)),
+                                                exponential_batch(X.scale(b))))
         assert mat_diff(lhs, rhs) < 1e-12
-        round_trip = multiply(exponential(X), exponential(X.scale(-1.0)))
-        assert mat_diff(embed_matrix(round_trip),
-                        embed_matrix(identity(dim))) < 1e-13
+        round_trip = multiply_batch(exponential_batch(X),
+                                    exponential_batch(X.scale(-1.0)))
+        assert mat_diff(embed_matrix_batch(round_trip)[0],
+                        np.eye(dim + 2)) < 1e-13
 
 
 def test_group_commutator_word_converges_to_bracket():
     # exp(tX) exp(tY) exp(-tX) exp(-tY) = exp(t^2 [X,Y] + O(t^3))
-    X = basis_element("a12", 2)
-    Y = basis_element("d1", 2)
-    C = embed_algebra(commutator(X, Y))
+    X, Y = basis_rows(["a12"], 2), basis_rows(["d1"], 2)
+    C = embed_algebra_batch(commutator_batch(X, Y))[0]
     errs = []
     for tau in (0.1, 0.05, 0.025):
-        word = multiply(
-            multiply(exponential(X.scale(tau)), exponential(Y.scale(tau))),
-            multiply(exponential(X.scale(-tau)), exponential(Y.scale(-tau))))
-        approx = (embed_matrix(word) - np.eye(4)) / tau ** 2
+        gx, gy, gxi, gyi = (exponential_batch(Z.scale(c)) for Z, c in (
+            (X, tau), (Y, tau), (X, -tau), (Y, -tau)))
+        word = multiply_batch(multiply_batch(gx, gy), multiply_batch(gxi, gyi))
+        approx = (embed_matrix_batch(word)[0] - np.eye(4)) / tau ** 2
         errs.append(mat_diff(approx, C))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 0.05
 
 
-def test_random_algebra_element_determinism_and_shape():
-    X = random_algebra_element(42, 3)
-    Y = random_algebra_element(42, 3)
-    assert mat_diff(embed_algebra(X), embed_algebra(Y)) == 0.0
-    assert mat_diff(X.rot, -X.rot.T) == 0.0
+def test_random_algebra_batch_determinism_and_shape():
+    X = random_algebra_batch(42, 4, 3)
+    Y = random_algebra_batch(42, 4, 3)
+    assert embed_algebra_batch(X).tobytes() == embed_algebra_batch(Y).tobytes()
+    assert mat_diff(X.rot, -X.rot.transpose(0, 2, 1)) == 0.0
+    # n one-row draws from one Generator are the rows of one n-row draw
+    rng = np.random.default_rng(42)
+    for i in range(4):
+        assert (embed_algebra(random_algebra_element(rng, 3)).tobytes()
+                == embed_algebra_batch(X)[i].tobytes())
 
 
-def test_element_arithmetic_and_embedding_layout():
-    X = basis_element("b1", 2)
-    Y = basis_element("f", 2)
-    Z = X.scale(2.0).add(Y.scale(-0.5))
-    M = embed_algebra(Z)
+def test_batch_arithmetic_and_embedding_layout():
+    Z = basis_rows(["b1"], 2).scale(2.0).add(basis_rows(["f"], 2).scale(-0.5))
+    M = embed_algebra_batch(Z)[0]
     assert M[0, 3] == 2.0    # b1 lands in the translation column
     assert M[2, 3] == -0.5   # f lands in the time slot
     assert M[0, 2] == 0.0    # no boost part
-    assert zero(2).max_abs() == 0.0
-    assert Z.max_abs() == 2.0
+    assert basis_rows(["f"], 2).scale(0.0).max_abs()[0] == 0.0
+    assert Z.max_abs()[0] == 2.0
 
 
 NON_FINITE_ALGEBRA = {

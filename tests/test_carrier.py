@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galiray import harness, verify
-from galiray.group import GalileiElement, _rodrigues, rotation_2d
+from galiray.group import GalileiElement, _rodrigues, _rotations_2d
 from galiray.representations import (RepDescriptor, apply_batch,
                                      apply_time, generator, generator_names)
 from galiray.states import (DegreeOverflowError, PolyDiffOperator,
@@ -106,7 +106,7 @@ def _rotation(dim, angle, axis):
     if dim == 1:
         return np.eye(1)
     if dim == 2:
-        return rotation_2d(angle)
+        return _rotations_2d(np.array([angle]))[0]
     return _rodrigues(np.array([angle]), np.array([axis]))[0]
 
 

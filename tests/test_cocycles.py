@@ -16,8 +16,12 @@ from galiray.cocycles import (
     evaluate,
     infinitesimal_exponent,
 )
-from galiray.group import (GalileiElement, _row, multiply, random_element,
-                           random_element_batch, rotation_2d)
+from galiray.group import (GalileiElement, _row, _rotations_2d, multiply,
+                           random_element, random_element_batch)
+
+
+def rotation_2d(theta):
+    return _rotations_2d(np.array([theta]))[0]
 
 
 def test_xi0_translation_boost_pair():
@@ -220,6 +224,40 @@ def test_exponent_parameter_reporting_and_validation():
         PhaseExponent("xi1", 3)
     with pytest.raises(ValueError):
         PhaseExponent("xi_eta", 2)
+    for dim in (0, 4):
+        with pytest.raises(ValueError, match=r"xi0 is defined in dims "
+                           rf"\[1, 2, 3\], got {dim}"):
+            PhaseExponent("xi0", dim)
+
+
+EXPONENT_DIMS = {"xi0": 3, "xi1": 2, "xi2": 2, "xi_eta": 1, "xi_t": 2}
+PARAMETERS = ("gamma", "lam", "S", "a1", "a2", "t")
+
+
+@pytest.mark.parametrize("name", EXPONENT_DIMS)
+def test_an_exponent_reads_exactly_the_parameters_it_reports(name):
+    """A parameter the formula reads moves its value and is reported; one
+    it does not read leaves the value alone and is rejected away from its
+    default, with a message that names the exponent and the parameter."""
+    dim = EXPONENT_DIMS[name]
+    r, s = (random_element_batch(430 + k, 8, dim, 1.0, 0.8) for k in (0, 1))
+    # xi_t vanishes at its default t = 0, whatever gamma
+    start = {"t": 0.7} if name == "xi_t" else {}
+    base = PhaseExponent(name, dim, **start)
+    for field in PARAMETERS:
+        # the formula at 2.5, past the check that rejects an unread one
+        moved = object.__new__(PhaseExponent)
+        moved.__dict__.update(base.__dict__, **{field: 2.5})
+        reads = not np.array_equal(moved(r, s), base(r, s))
+        key = "lambda" if field == "lam" else field
+        assert reads == (key in base.params()), field
+        if reads:
+            assert PhaseExponent(name, dim, **{**start, field: 2.5}).params(
+                )[key] == 2.5
+        else:
+            with pytest.raises(ValueError, match=f"{name} does not read the "
+                               f"parameter '{field}'"):
+                PhaseExponent(name, dim, **{field: 2.5})
 
 
 def test_time_exponent_closed_form_on_random_dim3_pairs():

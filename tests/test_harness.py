@@ -11,7 +11,7 @@ import pytest
 
 from galiray import cli, cocycles, harness, representations
 from galiray.cli import main
-from galiray.group import GalileiElement, element_to_dict, identity
+from galiray.group import GalileiElement, element_to_dict, identity_batch
 from galiray.representations import RepDescriptor, rep_from_dict, rep_to_dict
 from galiray.states import PolyDiffOperator
 from galiray.harness import (
@@ -23,6 +23,11 @@ from galiray.harness import (
     report_json,
     run_suite,
 )
+
+
+def identity(dim):
+    return identity_batch(dim, 1).element(0)
+
 
 # small case counts so the whole battery runs in well under a second per call
 TINY = dict(n_triples=6, n_pairs=3, n_time_cases=3, n_unitarity_cases=2,
@@ -586,6 +591,40 @@ def test_cli_infexp(capsys):
     assert doc["converged"] is True
 
 
+CLI_REJECTED_INPUTS = {
+    # a21 is not a basis name: it is -a12, not a direction of its own
+    "infexp_a21": (["infexp", "xi0", "--x", "a21", "--y", "b1"],
+                   "unknown basis element 'a21' for dim 3: expected one of "
+                   "a12, a13, a23, b1, b2, b3, d1, d2, d3, f"),
+    "infexp_a12_in_dim_1": (["infexp", "xi0", "--x", "a12", "--y", "b1",
+                             "--dim", "1"], "expected one of b1, d1, f"),
+    "infexp_b3_in_dim_2": (["infexp", "xi1", "--x", "d1", "--y", "b3"],
+                           "unknown basis element 'b3' for dim 2"),
+    # an exponent parameter the exponent does not read
+    "cocycle_xi0_lam": (["cocycle", "xi0", "--lam", "3"],
+                        "xi0 does not read the parameter 'lam'"),
+    "cocycle_xi_t_S": (["cocycle", "xi_t", "--S", "2"],
+                       "xi_t does not read the parameter 'S'"),
+    "cocycle_xi_eta_t": (["cocycle", "xi_eta", "--t", "0.5"],
+                         "xi_eta does not read the parameter 't'"),
+    "infexp_xi1_gamma": (["infexp", "xi1", "--x", "d1", "--y", "d2",
+                          "--gamma", "7"],
+                         "xi1 does not read the parameter 'gamma'"),
+}
+
+
+@pytest.mark.parametrize("argv, message", CLI_REJECTED_INPUTS.values(),
+                         ids=CLI_REJECTED_INPUTS)
+def test_cli_rejects_a_non_basis_name_or_an_unread_parameter(argv, message,
+                                                             capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 def test_cli_multiplier_with_pair_file(tmp_path, capsys):
     pair = {"r": element_to_dict(identity(2)),
             "s": element_to_dict(identity(2))}
@@ -722,6 +761,10 @@ CLI_FLOAT_FLAGS = {
     "infexp": (["infexp", "xi0", "--x", "b1", "--y", "d1"], ("--gamma",)),
     "action": (["action", "--gamma", "1.0", "--t", "1.0"], ("--gamma", "--t")),
 }
+# the exponent of cocycle that reads each parameter flag: another exponent
+# rejects the flag away from its default, finite or not
+COCYCLE_READERS = {"--gamma": "xi0", "--S": "xi2", "--a1": "xi_eta",
+                   "--a2": "xi_eta", "--t": "xi_t"}
 
 
 @pytest.mark.parametrize("value", ("nan", "inf", "-inf"))
@@ -736,6 +779,8 @@ def test_cli_rejects_a_non_finite_float_flag(command, flag, value, tmp_path,
                                 "s": element_to_dict(identity(2))}))
     argv = CLI_FLOAT_FLAGS[command][0] + ["--pair", str(path)] * (
         command == "action")
+    if command == "cocycle":
+        argv[1] = COCYCLE_READERS.get(flag, argv[1])
     assert main(argv + [f"{flag}=0.5"]) == 0
     capsys.readouterr()
     assert main(argv + [f"{flag}={value}"]) == 2

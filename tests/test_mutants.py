@@ -7,7 +7,9 @@ galiray module holds the original under that name, so a function imported
 by name (multiply_batch into harness and verify, say) is replaced there
 too.  The mutants of SURVIVORS change the action or the generators in a way
 that no family of the suite can see yet: they are strict xfails until the
-action is tied to the paper's generators (ROADMAP item 5).
+action is tied to the paper's generators (ROADMAP item 5), and the
+conjugated sqrt(det A) until a check pins the value of an inner product
+(item 16).
 """
 
 import numpy as np
@@ -116,6 +118,15 @@ def _pivot_branch(real):
     return mutant
 
 
+def _det_root_conjugated(real):
+    """sqrt(det A) on the other sheet wherever A is complex: every inner
+    product moves, which tests/test_states.py sees against quadrature."""
+    def mutant(A):
+        integrable, det_root = real(A)
+        return integrable, np.conj(det_root)
+    return mutant
+
+
 def _action_character(real):
     # (a): every action times e^{0.37 i eta_r}, a character of the group
     def mutant(rep, r, t, states):
@@ -125,8 +136,8 @@ def _action_character(real):
 
 
 def _generator(change):
-    """_momentum_generator with change(rep, name, op) applied to its
-    output."""
+    """A generator function (rep, name) -> op with change(rep, name, op)
+    applied to its output."""
     def replace(real):
         def mutant(rep, name):
             return change(rep, name, real(rep, name))
@@ -136,6 +147,25 @@ def _generator(change):
 
 def _plus(op, c):
     return op + PolyDiffOperator.build(op.dim, [_term(op.dim, c)])
+
+
+def _added_to_boosts(term):
+    """_momentum_generator with the operator term(rep, i), a _term entry,
+    added to each N_i."""
+    def change(rep, name, op):
+        if not name.startswith("N"):
+            return op
+        i = int(name[1:]) - 1
+        return op + PolyDiffOperator.build(rep.dim, [term(rep, i)])
+    return _generator(change)
+
+
+def _lambda_flipped(rep, i):
+    # minus twice the lambda term of N_i, which only dim 2 has
+    if rep.dim != 2:
+        return _term(rep.dim, 0.0)
+    return _term(2, (1j if i == 0 else -1j) * rep.lam / rep.gamma,
+                 p=(1 - i,))
 
 
 MUTANTS = {
@@ -161,6 +191,25 @@ MUTANTS = {
     "exponential_quadratic": (algebra, "exponential_batch",
                               _exponential_quadratic),
     "det_root_pivot_branch": (states, "_integrable_root", _pivot_branch),
+    # the generators: each term of N_i, H, and the static N_i.  On SMALL
+    # the time term fails heisenberg_* of the 3 momentum kinds, the gamma
+    # term those and initial_conditions_* of the 3, the lambda term
+    # initial_conditions_nonabelian2d alone, H heisenberg_* of the 3, and
+    # the static N_i initial_conditions_* of all 4 kinds
+    "boost_time_term_doubled": (representations, "_momentum_generator",
+                                _added_to_boosts(lambda rep, i: _term(
+                                    rep.dim, -1j, p=(i,), t=1))),
+    "boost_gamma_term_scaled": (representations, "_momentum_generator",
+                                _added_to_boosts(lambda rep, i: _term(
+                                    rep.dim, 0.1 * rep.gamma, d=(i,)))),
+    "boost_lambda_term_flipped": (representations, "_momentum_generator",
+                                  _added_to_boosts(_lambda_flipped)),
+    "hamiltonian_scaled": (representations, "_momentum_generator",
+                           _generator(lambda rep, name, op: op.scale(1.1)
+                                      if name == "H" else op)),
+    "static_boosts_scaled": (representations, "static_generator",
+                             _generator(lambda rep, name, op: op.scale(1.1)
+                                        if name.startswith("N") else op)),
 }
 
 ITEM_5 = ("ROADMAP item 5: no check ties the action to the paper's "
@@ -179,7 +228,13 @@ SURVIVORS = {
                                _generator(
         lambda rep, name, op: op.scale(-1.0)
         if rep.dim == 3 and name.startswith("M") else op)),
+    "f_det_root_conjugated": (states, "_integrable_root",
+                              _det_root_conjugated),
 }
+# the survivors that item 5 will not catch, each with the item that will
+ITEM_16 = ("ROADMAP item 16: no family pins the value of an inner product; "
+           "its Plancherel check will")
+REASONS = {"f_det_root_conjugated": ITEM_16}
 
 
 def _install(monkeypatch, owner, attribute, replace):
@@ -218,7 +273,8 @@ def test_the_unmutated_suite_passes_the_small_config():
 @pytest.mark.parametrize("name", [
     *MUTANTS,
     *(pytest.param(name, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason=ITEM_5))
+        strict=True, raises=AssertionError,
+        reason=REASONS.get(name, ITEM_5)))
       for name in SURVIVORS)])
 def test_every_mutant_fails_the_suite(name):
     assert failing_checks(name), f"mutant {name} passes every check"

@@ -4,12 +4,12 @@ their generators, and the convention constants tying the two together."""
 import numpy as np
 import pytest
 
-from galiray.algebra import basis_element, basis_names, exponential
+from galiray.algebra import basis_names, basis_rows, exponential_batch
 from galiray.group import (
     GalileiElement,
-    identity,
+    _rotations_2d,
+    identity_batch,
     random_element,
-    rotation_2d,
 )
 from galiray.representations import (
     KIND_DIMS,
@@ -81,7 +81,7 @@ def test_identity_element_acts_trivially():
     for kind in MOMENTUM_KINDS:
         rep = REPS[kind]
         f = random_state(rng, rep.dim, poly_degree=1)
-        g = apply_time(rep, identity(rep.dim), 0.0, f)
+        g = apply_time(rep, identity_batch(rep.dim, 1).element(0), 0.0, f)
         for _ in range(8):
             p = rng.normal(size=rep.dim)
             assert abs(g.evaluate(p) - f.evaluate(p)) < 1e-14
@@ -130,7 +130,8 @@ def test_translation_phase_is_linear_in_p():
 def test_schrodinger_full_phase_formula():
     rep = REPS["schrodinger2d"]
     theta = 0.8
-    r = GalileiElement(2, rotation_2d(theta), 0.7, [0.4, -0.2], [-0.6, 0.3])
+    r = GalileiElement(2, _rotations_2d(np.array([theta]))[0], 0.7,
+                       [0.4, -0.2], [-0.6, 0.3])
     rng = np.random.default_rng(455)
     f = random_state(rng, 2)
     g = apply_time(rep, r, 0.0, f)
@@ -331,9 +332,9 @@ def _one_parameter_derivative(rep, basis_name, t, state, step=1e-5):
     """Central difference in tau of apply_time(exponential(tau X), t) at 0,
     as a function of the point p: the oracle that fixes the convention
     constant of each basis direction against the exact generators."""
-    X = basis_element(basis_name, rep.dim)
-    plus = apply_time(rep, exponential(X.scale(step)), t, state)
-    minus = apply_time(rep, exponential(X.scale(-step)), t, state)
+    X = basis_rows([basis_name], rep.dim)
+    plus, minus = (apply_time(rep, exponential_batch(X.scale(c)).element(0),
+                              t, state) for c in (step, -step))
     return lambda p: (plus.evaluate(p) - minus.evaluate(p)) / (2.0 * step)
 
 

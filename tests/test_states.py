@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from galiray.group import _dot, rotation_2d
+from galiray import states
+from galiray.group import _dot, _rotations_2d
 from galiray.states import (
     DEFAULT_MAX_DEGREE,
     DegreeOverflowError,
@@ -126,7 +127,7 @@ def test_gaussian_evaluation_closed_form():
 def test_substitution_matches_pointwise_composition():
     rng = np.random.default_rng(432)
     f = random_state(rng, 2, poly_degree=2, n_terms=2)
-    W = rotation_2d(0.7)
+    W = _rotations_2d(np.array([0.7]))[0]
     shift = np.array([0.4, -1.2])
     g = f.substitute(W, shift)
     for _ in range(20):
@@ -295,6 +296,61 @@ def test_inner_product_against_quadrature_dim2():
     im, _ = scipy_integrate.dblquad(lambda y, x: value(x, y).imag,
                                     -8.0, 8.0, -8.0, 8.0)
     assert abs(inner_product(f, g) - (re + 1j * im)) < 1e-6
+
+
+def _values(state, P):
+    """The state at each point of P (M, dim): poly(p) exp(alpha + <beta, p>
+    + p^T Gamma p) summed over terms, vectorised over the points."""
+    total = np.zeros(len(P), dtype=complex)
+    for poly, alpha, beta, Gamma in state.terms:
+        E = np.array(_basis(state.dim, poly.deg)).reshape(-1, state.dim)
+        monomials = np.prod(P[:, None, :] ** E, axis=2)
+        total += (monomials @ poly.coef[0]) * np.exp(
+            alpha[0] + P @ beta[0] + np.einsum("mi,ij,mj->m", P, Gamma[0], P))
+    return total
+
+
+# dim: (half-width, points per axis).  The trapezoid rule converges
+# geometrically in the step on a Gaussian whose tails end inside the grid
+QUADRATURE_GRIDS = {1: (14.0, 2801), 2: (10.0, 201)}
+QUADRATURE_DEGREES = ((0, 0), (1, 0), (2, 1), (1, 2), (2, 2))
+
+
+def _worst_quadrature_error():
+    """Largest relative distance of inner_product_batch from the trapezoid
+    rule, over random states of degrees 0 to 2 with complex Gamma, the
+    left one a sum of two terms."""
+    rng = np.random.default_rng(901)
+    worst = 0.0
+    for dim, (half, n) in QUADRATURE_GRIDS.items():
+        axis = np.linspace(-half, half, n)
+        P = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"),
+                     axis=-1).reshape(-1, dim)
+        weight = (axis[1] - axis[0]) ** dim
+        for df, dg in QUADRATURE_DEGREES:
+            f = random_state(rng, dim, df, n_terms=2)
+            g = random_state(rng, dim, dg)
+            want = weight * np.sum(np.conj(_values(f, P)) * _values(g, P))
+            got = inner_product_batch(f, g)[0]
+            worst = max(worst, abs(got - want) / abs(want))
+    return worst
+
+
+def test_inner_product_batch_matches_trapezoid_quadrature():
+    assert _worst_quadrature_error() < 1e-10
+
+
+def test_a_conjugated_det_root_misses_the_quadrature(monkeypatch):
+    # sqrt(det A) on the other sheet for a complex Gamma: no suite family
+    # pins the value of an inner product (tests/test_mutants.py), so this
+    # comparison is where the branch shows
+    real = states._integrable_root
+
+    def conjugated(A):
+        integrable, det_root = real(A)
+        return integrable, np.conj(det_root)
+    monkeypatch.setattr(states, "_integrable_root", conjugated)
+    assert _worst_quadrature_error() > 1e-2
 
 
 def test_inner_product_symmetry_and_positivity():

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from galiray import algebra, cocycles, harness, verify
-from galiray.algebra import basis_element, basis_names
+from galiray.algebra import basis_element, basis_names, basis_rows
 from galiray.cocycles import (PhaseExponent, equivalence_transform,
                               infinitesimal_exponent,
                               infinitesimal_exponent_batch)
@@ -64,7 +64,7 @@ def _basis_pairs(dim):
     names = basis_names(dim)
     pairs = [(x, y) for x in names for y in names]
     X, Y = ([basis_element(p[k], dim) for p in pairs] for k in (0, 1))
-    stack = [harness._basis_rows([p[k] for p in pairs], dim) for k in (0, 1)]
+    stack = [basis_rows([p[k] for p in pairs], dim) for k in (0, 1)]
     return X, Y, stack
 
 

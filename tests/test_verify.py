@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from galiray import group
-from galiray.group import (GalileiElement, _row, identity, multiply,
+from galiray.group import (GalileiElement, _row, identity_batch, multiply,
                            random_element, random_element_batch,
                            stack_batches)
 from galiray.representations import RepDescriptor, generator_names
@@ -29,6 +29,10 @@ REPS = {
     "nonabelian2d": RepDescriptor("nonabelian2d", gamma=1.1, lam=0.8, s=-0.4),
     "bargmann3d": RepDescriptor("bargmann3d", gamma=0.9),
 }
+
+
+def identity(dim):
+    return identity_batch(dim, 1).element(0)
 
 
 def boost(dim, v):
@@ -94,8 +98,8 @@ def test_extracted_multipliers_match_the_phase_exponents():
     # position1d has no action, so no multiplier to predict
     with pytest.raises(ValueError, match="undefined for position1d"):
         expected_multiplier_exponent_batch(RepDescriptor("position1d"),
-                                           _row(identity(1)),
-                                           _row(identity(1)))
+                                           identity_batch(1, 1),
+                                           identity_batch(1, 1))
 
 
 def test_time_multiplier_ratio_matches_the_action_term():
