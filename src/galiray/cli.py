@@ -13,8 +13,8 @@ from .cocycles import (_EXPONENTS, DEFAULT_TAU_SEQUENCE, PhaseExponent,
                        evaluate_batch, infinitesimal_exponent_batch)
 from .algebra import basis_rows
 from .group import _row, element_from_dict, random_element_batch
-from .harness import (DEFAULT_TOLERANCES, _fails, _finite_positive,
-                      _heisenberg_entry, _json_safe, _mark_exception,
+from .harness import (DEFAULT_TOLERANCES, _check_heisenberg, _fails,
+                      _finite_positive, _json_safe, _mark_exception,
                       _multipliers_pass, cocycle_sweep, default_config,
                       load_config, report_json, run_suite)
 from .representations import KIND_DIMS, MOMENTUM_KINDS, rep_to_dict
@@ -26,14 +26,6 @@ __all__ = ["main"]
 
 def _print(doc: dict):
     print(json.dumps(_json_safe(doc), indent=2, sort_keys=True))
-
-
-def _rep_by_kind(cfg, kind: str):
-    """(k, rep): the rep of this kind, the k-th of cfg.reps."""
-    for k, rep in enumerate(cfg.reps):
-        if rep.kind == kind:
-            return k, rep
-    raise ValueError(f"no default descriptor for kind {kind!r}")
 
 
 def _load_pair(path: str, dim: int, seed: int):
@@ -50,7 +42,8 @@ def _load_pair(path: str, dim: int, seed: int):
 
 
 def _seeded(cfg, seed):
-    """cfg with the seed of GALIRAY_SEED if set, then of seed if not None."""
+    """cfg with the seed of GALIRAY_SEED if set, then of seed if not None;
+    dataclasses.replace validates the config it builds."""
     env_seed = os.environ.get("GALIRAY_SEED")
     if env_seed is not None:
         try:
@@ -59,7 +52,7 @@ def _seeded(cfg, seed):
             raise ValueError(f"GALIRAY_SEED: {exc}") from None
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
-    return cfg.validate()
+    return cfg
 
 
 def _cmd_verify_all(args) -> int:
@@ -87,7 +80,7 @@ def _cmd_cocycle(args) -> int:
 
 def _cmd_multiplier(args) -> int:
     cfg = default_config()
-    _, rep = _rep_by_kind(cfg, args.rep)
+    rep = {r.kind: r for r in cfg.reps}[args.rep]
     r, s = _load_pair(args.pair, rep.dim, args.seed)
     state = random_state(args.seed + 1, rep.dim)
     rows = extract_multiplier_batch(rep, r, s, args.t, state)
@@ -127,8 +120,8 @@ def _cmd_infexp(args) -> int:
 
 def _cmd_heisenberg(args) -> int:
     cfg = _seeded(default_config(), None)
-    entry = _mark_exception(cfg, _heisenberg_entry(
-        cfg, *_rep_by_kind(cfg, args.rep)))
+    [entry] = [_mark_exception(cfg, e) for e in _check_heisenberg(cfg)
+               if e["rep"] == args.rep]
     _print(entry)
     return 1 if _fails(entry) else 0
 

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -283,8 +284,10 @@ def _check_gamma(dim: int, Gamma: np.ndarray) -> np.ndarray:
         raise ValueError("Gamma must be finite")
     if np.max(np.abs(Gamma - Gamma.T)) > _SYM_TOL:
         raise ValueError("Gamma must be symmetric")
-    re_eigs = np.linalg.eigvalsh(Gamma.real)
-    if np.max(re_eigs) >= 0.0:
+    # the pivot test of the Gaussian integrals: an accepted state is one
+    # whose integrals converge
+    integrable, _ = _integrable_root(-2.0 * Gamma[None])
+    if not integrable[0]:
         raise ValueError("Re(Gamma) must be negative-definite")
     return Gamma
 
@@ -599,7 +602,7 @@ def _leibniz(a: tuple, e: tuple, b: tuple, f: tuple) -> tuple:
     with j <= f, where (f_i)_(j_i) does not vanish, the key
     (a - j + b, e + f - j) and the factor prod_i C(a_i, j_i) (f_i)_(j_i)."""
     out = []
-    for j in _sub_multi_indices(tuple(map(min, a, f))):
+    for j in itertools.product(*(range(m + 1) for m in map(min, a, f))):
         factor = 1
         for a_i, f_i, j_i in zip(a, f, j):
             factor *= math.comb(a_i, j_i) * math.perm(f_i, j_i)
@@ -617,16 +620,6 @@ def _derivative_columns(dim: int, deg: int, i: int) -> np.ndarray:
     return np.array([(index[e[:i] + (e[i] - 1,) + e[i + 1:]], j, e[i])
                      for j, e in enumerate(_basis(dim, deg)) if e[i]],
                     dtype=int).reshape(-1, 3).T
-
-
-def _sub_multi_indices(a):
-    """All multi-indices j with 0 <= j <= a componentwise."""
-    if not a:
-        yield ()
-        return
-    for head in range(a[0] + 1):
-        for tail in _sub_multi_indices(a[1:]):
-            yield (head,) + tail
 
 
 @functools.cache
@@ -818,10 +811,8 @@ def random_state(rng, dim: int, poly_degree: int = 0,
 
 
 def _monomials_up_to(dim: int, degree: int):
-    if dim == 0:
-        yield ()
-        return
-    for head in range(degree + 1):
-        for tail in _monomials_up_to(dim - 1, degree - head):
-            yield (head,) + tail
+    """Every exponent tuple of total degree <= degree in dim variables, in
+    lexicographic order."""
+    return (e for e in itertools.product(range(degree + 1), repeat=dim)
+            if sum(e) <= degree)
 

@@ -106,6 +106,8 @@ def test_config_rejects_a_boolean_tolerance(tmp_path):
 
 WRONG_TYPES = {
     "list_tolerances": {"tolerances": [1, 2]},
+    "null_tolerances": {"tolerances": None},
+    "null_reps": {"reps": None},
     "list_count": {"n_triples": [3]},
     "bool_count": {"n_pairs": True},
     "fractional_count": {"n_unitarity_cases": 2.5},
@@ -330,6 +332,43 @@ def test_config_rejects_a_rep_document_rep_to_dict_does_not_write(rep,
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+# what config_from_dict converts: (document, field, value it loads as); the
+# repr tells an int from a float
+CONVERSIONS = {
+    "int_scale": ({"scale": 1}, "scale", 1.0),
+    "whole_float_count": ({"n_triples": 6.0}, "n_triples", 6),
+    "int_taus": ({"tau_sequence": [1, 2, 4]}, "tau_sequence", (1.0, 2.0, 4.0)),
+    "int_tolerance": ({"tolerances": {"group": 1}}, "tolerances",
+                      {**DEFAULT_TOLERANCES, "group": 1}),
+}
+
+
+@pytest.mark.parametrize("doc, key, loaded", CONVERSIONS.values(),
+                         ids=CONVERSIONS)
+def test_config_from_dict_converts_json_forms_only(doc, key, loaded):
+    cfg = config_from_dict(doc)
+    assert repr(getattr(cfg, key)) == repr(loaded)
+    # the document of the loaded config loads as the same config
+    back = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+    assert back == cfg
+    assert repr(getattr(back, key)) == repr(loaded)
+
+
+def test_dropping_the_last_rep_keeps_every_other_entry():
+    # a check's seed depends on its family and its place in the family
+    # alone, so an entry keeps its bytes whatever reps follow its own
+    full_cfg = default_config(**TINY)
+    full = {c["check"]: c for c in run_suite(full_cfg)["checks"]}
+    for n in (3, 2):
+        kept = {c["check"]: c for c in run_suite(default_config(
+            reps=full_cfg.reps[:n], **TINY))["checks"]}
+        gone = {rep.kind for rep in full_cfg.reps[n:]}
+        assert set(kept) == {name for name, c in full.items()
+                             if c["rep"] not in gone}
+        for name, entry in kept.items():
+            assert report_json(entry) == report_json(full[name]), name
 
 
 def test_config_dict_round_trip():
