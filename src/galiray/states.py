@@ -267,12 +267,13 @@ class _PolyRows:
         return _PolyRows(self.dim, self.deg, _column_sum(images))
 
 
-def _poly_mismatch(a: _PolyRows, b: _PolyRows, n: int) -> np.ndarray:
+def _poly_mismatch(a: _PolyRows, b: _PolyRows) -> np.ndarray:
     """Per row, the largest coefficient difference of two StateBatch term
-    polynomials: 0 while both are one object, as substitution leaves a
-    constant."""
+    polynomials.  While both are one object, as substitution leaves a
+    constant, it is 0 for a row of finite coefficients and NaN for any
+    other, so that a non-finite polynomial fails its check."""
     if a is b:
-        return np.zeros(n)
+        return np.where(np.isfinite(a.coef).all(axis=1), 0.0, math.nan)
     deg = max(a.deg, b.deg)
     d = a.padded(deg) - b.padded(deg)
     return np.max(np.hypot(d.real, d.imag), axis=1)

@@ -106,7 +106,7 @@ def _term_mismatch(composed: StateBatch, direct: StateBatch):
         parts += [np.abs(np.expm1(aa - ab - dalpha)),
                   np.abs(ba - bb).max(axis=1),
                   np.abs(Ga - Gb).max(axis=(1, 2)),
-                  _poly_mismatch(pa, pb, len(dalpha))]
+                  _poly_mismatch(pa, pb)]
     return dalpha, np.max(parts, axis=0)
 
 

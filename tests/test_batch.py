@@ -585,8 +585,8 @@ def test_the_algebra_check_makes_one_exponential_call_per_chunk(monkeypatch):
 def test_cocycle_check_matches_the_scalar_loop():
     reports = harness._check_cocycles(SMALL)
     cases = harness._cocycle_cases(SMALL)
-    assert [r["check"] for r in reports] == [name for name, _ in cases]
-    for report, (_, xi) in zip(reports, cases):
+    assert [r["check"] for r in reports] == [name for name, _, _ in cases]
+    for report, (_, _, xi) in zip(reports, cases):
         assert report["max_residual"] == _reference_cocycle_worst(
             xi, report["seed"], SMALL.n_triples, SMALL.scale)
 

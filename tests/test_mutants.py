@@ -5,11 +5,11 @@ variant built from the original, and run_suite on a small config must then
 report at least one failing entry.  The replacement is bound wherever a
 galiray module holds the original under that name, so a function imported
 by name (multiply_batch into harness and verify, say) is replaced there
-too.  The mutants of SURVIVORS change the action or the generators in a way
-that no family of the suite can see yet: they are strict xfails until the
-action is tied to the paper's generators (ROADMAP item 5), and the
-conjugated sqrt(det A) until a check pins the value of an inner product
-(item 16).
+too; a method is replaced on its class.  The mutants of SURVIVORS change
+the action or the generators in a way that no family of the suite can see
+yet: they are strict xfails until the action is tied to the paper's
+generators (ROADMAP item 5), and the conjugated sqrt(det A) until a check
+pins the value of an inner product (item 16).
 """
 
 import numpy as np
@@ -127,6 +127,13 @@ def _det_root_conjugated(real):
     return mutant
 
 
+def _substitution_unshifted(real):
+    # (g): every polynomial substitution q -> M q + c without its shift c
+    def mutant(self, M, c):
+        return real(self, M, 0 * c)
+    return mutant
+
+
 def _action_character(real):
     # (a): every action times e^{0.37 i eta_r}, a character of the group
     def mutant(rep, r, t, states):
@@ -230,6 +237,8 @@ SURVIVORS = {
         if rep.dim == 3 and name.startswith("M") else op)),
     "f_det_root_conjugated": (states, "_integrable_root",
                               _det_root_conjugated),
+    "g_substitution_unshifted": (states._PolyRows, "substitute",
+                                 _substitution_unshifted),
 }
 # the survivors that item 5 will not catch, each with the item that will
 ITEM_16 = ("ROADMAP item 16: no family pins the value of an inner product; "
@@ -238,19 +247,21 @@ REASONS = {"f_det_root_conjugated": ITEM_16}
 
 
 def _install(monkeypatch, owner, attribute, replace):
-    """Bind replace(original) to every galiray module name that holds the
-    original owner.attribute.  A target that no module holds is a
-    LookupError, not an AssertionError, so that a stale survivor fails
-    its strict xfail instead of passing it."""
+    """Bind replace(original) to owner.attribute where owner is a class, or
+    else to every galiray module name that holds the original
+    owner.attribute.  A target that no module holds is a LookupError, not an
+    AssertionError, so that a stale survivor fails its strict xfail instead
+    of passing it."""
     real = getattr(owner, attribute, None)
-    holders = [module for module in MODULES if real is not None
-               and getattr(module, attribute, None) is real]
+    holders = ([owner] if isinstance(owner, type) and real is not None
+               else [module for module in MODULES if real is not None
+                     and getattr(module, attribute, None) is real])
     if not holders:
         raise LookupError(f"no galiray module holds {owner.__name__}."
                           f"{attribute}")
     mutant = replace(real)
-    for module in holders:
-        monkeypatch.setattr(module, attribute, mutant)
+    for holder in holders:
+        monkeypatch.setattr(holder, attribute, mutant)
 
 
 def _failing(report) -> list:
@@ -278,6 +289,31 @@ def test_the_unmutated_suite_passes_the_small_config():
       for name in SURVIVORS)])
 def test_every_mutant_fails_the_suite(name):
     assert failing_checks(name), f"mutant {name} passes every check"
+
+
+def _nan_constant(real):
+    """random_state with NaN for the constant coefficient of its first
+    term's polynomial."""
+    def mutant(*args, **kwargs):
+        state = real(*args, **kwargs)
+        poly = state.terms[0][0]
+        poly.coef = poly.coef.copy()
+        poly.coef[:, 0] = np.nan
+        return state
+    return mutant
+
+
+def test_a_nan_in_the_drawn_state_fails_the_checks_that_read_it():
+    # the state random_state draws is the one state of the multiplier and
+    # time-multiplier checks; its degree-0 polynomial passes substitution
+    # as the same object, which must not hide a NaN
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _install(monkeypatch, harness, "random_state", _nan_constant)
+        failing = _failing(harness.run_suite(harness.default_config(**SMALL)))
+    kinds = representations.MOMENTUM_KINDS
+    assert sorted(failing) == sorted(
+        [f"multiplier_{k}" for k in kinds]
+        + [f"time_multiplier_{k}" for k in kinds])
 
 
 def _zero_coboundary(gamma, r):
