@@ -6,7 +6,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 
 from .cocycles import (_EXPONENTS, DEFAULT_TAU_SEQUENCE, PhaseExponent,
@@ -14,9 +13,9 @@ from .cocycles import (_EXPONENTS, DEFAULT_TAU_SEQUENCE, PhaseExponent,
 from .algebra import basis_rows
 from .group import _row, element_from_dict, random_element_batch
 from .harness import (DEFAULT_TOLERANCES, _check_heisenberg, _fails,
-                      _finite_positive, _json_safe, _mark_exception,
-                      _multipliers_pass, cocycle_sweep, default_config,
-                      load_config, report_json, run_suite)
+                      _finite_positive, _json_safe, _multipliers_pass,
+                      _read_json, cocycle_sweep, default_config, load_config,
+                      report_json, run_suite)
 from .representations import KIND_DIMS, MOMENTUM_KINDS, rep_to_dict
 from .states import random_state
 from .verify import extract_multiplier_batch, match_exponent_batch
@@ -31,8 +30,7 @@ def _print(doc: dict):
 def _load_pair(path: str, dim: int, seed: int):
     """(r, s) as 1-row batches: from the JSON file, or a seeded draw."""
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _read_json(path)
         if not (isinstance(doc, dict) and {"r", "s"} <= doc.keys()):
             raise ValueError(f"{path}: expected a JSON object with the "
                              f"elements r and s")
@@ -41,28 +39,12 @@ def _load_pair(path: str, dim: int, seed: int):
     return pair[:1], pair[1:]
 
 
-def _seeded(cfg, seed):
-    """cfg with the seed of GALIRAY_SEED if set, then of seed if not None;
-    dataclasses.replace validates the config it builds."""
-    env_seed = os.environ.get("GALIRAY_SEED")
-    if env_seed is not None:
-        try:
-            cfg = dataclasses.replace(cfg, seed=_seed(env_seed))
-        except argparse.ArgumentTypeError as exc:
-            raise ValueError(f"GALIRAY_SEED: {exc}") from None
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
-    return cfg
-
-
 def _cmd_verify_all(args) -> int:
     cfg = load_config(args.config) if args.config else default_config()
-    report = run_suite(_seeded(cfg, args.seed))
-    text = report_json(report)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+    if args.seed is not None:  # --seed beats the config's seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    report = run_suite(cfg)
+    print(report_json(report))
     return 0 if report["suite_pass"] else 1
 
 
@@ -119,8 +101,7 @@ def _cmd_infexp(args) -> int:
 
 
 def _cmd_heisenberg(args) -> int:
-    cfg = _seeded(default_config(), None)
-    [entry] = [_mark_exception(cfg, e) for e in _check_heisenberg(cfg)
+    [entry] = [e for e in _check_heisenberg(default_config())
                if e["rep"] == args.rep]
     _print(entry)
     return 1 if _fails(entry) else 0
@@ -169,9 +150,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-all", help="run the full check suite")
-    p.add_argument("--config", help="config file (key = value lines or JSON)")
-    p.add_argument("--seed", type=_seed, help="override the suite seed")
-    p.add_argument("--json", help="also write the report to this file")
+    p.add_argument("--config",
+                   help="JSON config file: an object of SuiteConfig fields")
+    p.add_argument("--seed", type=_seed, help="override the config's seed")
     p.set_defaults(func=_cmd_verify_all)
 
     p = sub.add_parser("cocycle", help="residual sweep for one phase exponent")
@@ -226,7 +207,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

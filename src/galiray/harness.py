@@ -126,9 +126,10 @@ class SuiteConfig:
 
     def __post_init__(self):
         self.validate()
-        # read-only, and a copy: no edit after the build bypasses validate
-        object.__setattr__(self, "tolerances",
-                           MappingProxyType(dict(self.tolerances)))
+        # every name, onto the defaults; read-only, and a copy: no edit after
+        # the build bypasses validate
+        object.__setattr__(self, "tolerances", MappingProxyType(
+            {**DEFAULT_TOLERANCES, **self.tolerances}))
 
     def validate(self):
         """ValueError for a config the suite cannot run; every SuiteConfig
@@ -182,7 +183,7 @@ class SuiteConfig:
                              f"{repeated} appear more than once")
 
     def tol(self, name: str) -> float:
-        return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
+        return float(self.tolerances[name])
 
 
 def default_config(**overrides) -> SuiteConfig:
@@ -203,9 +204,9 @@ def _float(x):
 def config_from_dict(data: dict) -> SuiteConfig:
     """The config of a JSON document.  Only JSON forms are converted here: a
     number to a float, a count written as a whole float to an int, a list
-    to a tuple, rep documents to RepDescriptors, and tolerances onto the
-    defaults; SuiteConfig rejects any value still of the wrong type or out
-    of range, as it does from Python."""
+    to a tuple, and rep documents to RepDescriptors; SuiteConfig puts the
+    tolerances onto the defaults and rejects any value still of the wrong
+    type or out of range, as it does from Python."""
     types = typing.get_type_hints(SuiteConfig)
     unknown = set(data) - set(types)
     if unknown:
@@ -217,8 +218,6 @@ def config_from_dict(data: dict) -> SuiteConfig:
             value = int(value)
         elif kind is float:
             value = _float(value)
-        elif kind is Mapping and isinstance(value, dict):
-            value = {**DEFAULT_TOLERANCES, **value}
         elif kind is tuple and isinstance(value, list):
             value = tuple(map(rep_from_dict if key == "reps" else _float,
                               value))
@@ -226,29 +225,28 @@ def config_from_dict(data: dict) -> SuiteConfig:
     return SuiteConfig(**kwargs)
 
 
-def load_config(path: str) -> SuiteConfig:
-    """Config file: full JSON, or line-oriented key = value with JSON
-    values (lists and objects inline)."""
+def _read_json(path: str):
+    """The JSON document of the file at path.  A file json.load cannot read,
+    malformed or nested deeper than the parser recurses, is a ValueError
+    that names it: an input error, not a fault of the program."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        return config_from_dict(json.loads(stripped))
-    data = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
         try:
-            data[key] = json.loads(value)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: bad value for {key}: {value!r}"
-                             ) from exc
-    return config_from_dict(data)
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: cannot read as JSON: nested too "
+                             f"deeply") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: cannot read as JSON: {exc}") from None
+
+
+def load_config(path: str) -> SuiteConfig:
+    """The config of a JSON file: one object whose keys are SuiteConfig
+    fields (config_to_dict writes one)."""
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: the top level must be a JSON object of "
+                         f"config fields")
+    return config_from_dict(doc)
 
 
 def _json_safe(obj):
@@ -275,8 +273,9 @@ class _Family:
     rep label, subject), and run(cfg, subject, seed) runs one check and
     returns (n_cases, max_residual, ok, details).  The k-th check has the
     seed cfg.seed + 1009 (offset + k).  A check passes if ok holds and
-    max_residual is below the tolerance tol_key (if not None).  Called on
-    cfg, a family returns its checks' report entries."""
+    max_residual is below the tolerance tol_key (if not None); a failing
+    check that cfg.expected_divergences lists is a documented exception.
+    Called on cfg, a family returns its checks' report entries."""
 
     name: str
     offset: int
@@ -290,9 +289,12 @@ class _Family:
         for k, (check, rep, subject) in enumerate(self.subjects(cfg)):
             seed = cfg.seed + _CHECK_SEED_STRIDE * (self.offset + k)
             n_cases, worst, ok, details = self.run(cfg, subject, seed)
+            passed = bool(ok and worst < tol)
             entries.append({
                 "check": check, "rep": rep, "seed": seed, "n_cases": n_cases,
-                "max_residual": float(worst), "pass": bool(ok and worst < tol),
+                "max_residual": float(worst), "pass": passed,
+                "documented_exception": (not passed and check
+                                         in cfg.expected_divergences),
                 "details": _json_safe([] if details is None else details)})
         return entries
 
@@ -701,15 +703,9 @@ FAMILIES = (
 globals().update((f"_check_{family.name}", family) for family in FAMILIES)
 
 
-def _mark_exception(cfg: SuiteConfig, report: dict) -> dict:
-    """Set report's documented_exception: it fails, and cfg expects it to."""
-    report["documented_exception"] = bool(
-        not report["pass"] and report["check"] in cfg.expected_divergences)
-    return report
-
-
 def _fails(report: dict) -> bool:
-    """Whether a marked report entry fails its suite."""
+    """Whether a report entry fails its suite: it fails, and is not a
+    documented exception."""
     return not report["pass"] and not report["documented_exception"]
 
 
@@ -718,7 +714,7 @@ def run_suite(cfg: SuiteConfig = None) -> dict:
     cfg = cfg or default_config()
     # each family through its module name, so that a wrapper bound to the
     # name (a tracer's) sees the call
-    checks = [_mark_exception(cfg, report) for family in FAMILIES
+    checks = [report for family in FAMILIES
               for report in globals()[f"_check_{family.name}"](cfg)]
     checks.sort(key=lambda r: r["check"])
     n_failed = sum(map(_fails, checks))

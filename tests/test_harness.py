@@ -70,39 +70,29 @@ NON_FINITE = {
 }
 
 
+def _write_config(tmp_path, overrides):
+    """The overrides as a JSON config file."""
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(overrides))
+    return path
+
+
 @pytest.mark.parametrize("overrides", NON_FINITE.values(), ids=NON_FINITE)
 def test_config_rejects_non_finite_values(overrides, tmp_path):
     with pytest.raises(ValueError):
         default_config(**overrides)
     # json writes NaN and Infinity literals, which json.loads accepts
-    as_json = tmp_path / "suite.json"
-    as_json.write_text(json.dumps(overrides))
     with pytest.raises(ValueError):
-        load_config(str(as_json))
-    as_lines = tmp_path / "suite.cfg"
-    as_lines.write_text("".join(f"{k} = {json.dumps(v)}\n"
-                                for k, v in overrides.items()))
-    with pytest.raises(ValueError):
-        load_config(str(as_lines))
-
-
-def _write_both_formats(tmp_path, overrides):
-    """The overrides as a JSON config file and as a line-format one."""
-    as_json = tmp_path / "suite.json"
-    as_json.write_text(json.dumps(overrides))
-    as_lines = tmp_path / "suite.cfg"
-    as_lines.write_text("".join(f"{k} = {json.dumps(v)}\n"
-                                for k, v in overrides.items()))
-    return as_json, as_lines
+        load_config(str(_write_config(tmp_path, overrides)))
 
 
 def test_config_rejects_a_boolean_tolerance(tmp_path):
     # a JSON true is an int in Python, and would set the tolerance to 1.0
     with pytest.raises(ValueError, match="tolerance 'group'"):
         default_config(tolerances={"group": True})
-    for path in _write_both_formats(tmp_path, {"tolerances": {"group": True}}):
-        with pytest.raises(ValueError, match="tolerance 'group'"):
-            load_config(str(path))
+    path = _write_config(tmp_path, {"tolerances": {"group": True}})
+    with pytest.raises(ValueError, match="tolerance 'group'"):
+        load_config(str(path))
 
 
 WRONG_TYPES = {
@@ -129,12 +119,12 @@ def test_config_rejects_wrongly_typed_values(overrides, tmp_path, capsys):
     # a RepDescriptor, and no string stands for a number or a check name
     with pytest.raises(ValueError):
         default_config(**overrides)
-    for path in _write_both_formats(tmp_path, overrides):
-        with pytest.raises(ValueError):
-            load_config(str(path))
-        # an input error, not a failed check
-        assert main(["verify-all", "--config", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+    path = _write_config(tmp_path, overrides)
+    with pytest.raises(ValueError):
+        load_config(str(path))
+    # an input error, not a failed check
+    assert main(["verify-all", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 T_LABEL_CLASHES = {
@@ -152,11 +142,11 @@ def test_config_rejects_t_samples_that_share_a_check_name(t_samples, clash,
     # each t names its cocycle_xi_t checks by its {t:g} label
     with pytest.raises(ValueError, match=re.escape(clash)):
         default_config(t_samples=tuple(t_samples))
-    for path in _write_both_formats(tmp_path, {"t_samples": t_samples}):
-        with pytest.raises(ValueError, match=re.escape(clash)):
-            load_config(str(path))
-        assert main(["verify-all", "--config", str(path)]) == 2
-        assert clash in capsys.readouterr().err
+    path = _write_config(tmp_path, {"t_samples": t_samples})
+    with pytest.raises(ValueError, match=re.escape(clash)):
+        load_config(str(path))
+    assert main(["verify-all", "--config", str(path)]) == 2
+    assert clash in capsys.readouterr().err
 
 
 REPEATED_KINDS = {
@@ -179,11 +169,11 @@ def test_config_rejects_reps_that_repeat_a_kind(kinds, repeated, tmp_path,
     with pytest.raises(ValueError, match=re.escape(repeated)):
         default_config(reps=tuple(reps))
     docs = [rep_to_dict(rep) for rep in reps]
-    for path in _write_both_formats(tmp_path, {"reps": docs}):
-        with pytest.raises(ValueError, match=re.escape(repeated)):
-            load_config(str(path))
-        assert main(["verify-all", "--config", str(path)]) == 2
-        assert repeated in capsys.readouterr().err
+    path = _write_config(tmp_path, {"reps": docs})
+    with pytest.raises(ValueError, match=re.escape(repeated)):
+        load_config(str(path))
+    assert main(["verify-all", "--config", str(path)]) == 2
+    assert repeated in capsys.readouterr().err
     # distinct kinds, even in another order, are accepted
     default_config(reps=tuple(by_kind[kind] for kind in sorted(set(kinds))))
 
@@ -201,11 +191,11 @@ def test_config_rejects_a_repeated_tau(taus, repeated, tmp_path, capsys):
     # Richardson extrapolation over a repeated tau divides by zero
     with pytest.raises(ValueError, match=re.escape(repeated)):
         default_config(tau_sequence=tuple(taus))
-    for path in _write_both_formats(tmp_path, {"tau_sequence": taus}):
-        with pytest.raises(ValueError, match=re.escape(repeated)):
-            load_config(str(path))
-        assert main(["verify-all", "--config", str(path)]) == 2
-        assert repeated in capsys.readouterr().err
+    path = _write_config(tmp_path, {"tau_sequence": taus})
+    with pytest.raises(ValueError, match=re.escape(repeated)):
+        load_config(str(path))
+    assert main(["verify-all", "--config", str(path)]) == 2
+    assert repeated in capsys.readouterr().err
 
 
 BAD_SEEDS = {"negative": -1, "below_every_offset": -2000, "fraction": 1.5,
@@ -217,9 +207,8 @@ def test_config_rejects_a_seed_that_is_not_a_non_negative_integer(seed,
                                                                   tmp_path):
     with pytest.raises(ValueError, match="seed must be"):
         default_config(seed=seed)
-    for path in _write_both_formats(tmp_path, {"seed": seed}):
-        with pytest.raises(ValueError, match="seed must be"):
-            load_config(str(path))
+    with pytest.raises(ValueError, match="seed must be"):
+        load_config(str(_write_config(tmp_path, {"seed": seed})))
 
 
 def test_cli_rejects_a_negative_seed_before_any_check(tmp_path, capsys,
@@ -228,17 +217,11 @@ def test_cli_rejects_a_negative_seed_before_any_check(tmp_path, capsys,
         pytest.fail(f"run_suite ran with seed {cfg.seed}")
 
     monkeypatch.setattr(cli, "run_suite", forbidden)
-    monkeypatch.delenv("GALIRAY_SEED", raising=False)
-    as_json, as_lines = _write_both_formats(tmp_path, {"seed": -1})
+    path = _write_config(tmp_path, {"seed": -1})
     for argv in (["--seed", "-1"], ["--seed=-2000"], ["--seed", "1.5"],
-                 ["--config", str(as_json)], ["--config", str(as_lines)]):
+                 ["--config", str(path)]):
         assert main(["verify-all", *argv]) == 2, argv
         assert "seed must be a non-negative integer" in capsys.readouterr().err
-    for env_seed in ("-1", "-2000", "abc", "1.5"):
-        monkeypatch.setenv("GALIRAY_SEED", env_seed)
-        assert main(["verify-all"]) == 2
-        assert (f"GALIRAY_SEED: seed must be a non-negative integer, got "
-                f"{env_seed!r}") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["cocycle", "xi0"],
@@ -252,9 +235,8 @@ def test_cli_subcommands_reject_a_bad_seed_by_name(argv, seed, capsys):
 
 
 def test_config_takes_a_count_written_as_a_whole_float(tmp_path):
-    for path in _write_both_formats(tmp_path, {"n_triples": 6.0}):
-        cfg = load_config(str(path))
-        assert cfg.n_triples == 6 and type(cfg.n_triples) is int
+    cfg = load_config(str(_write_config(tmp_path, {"n_triples": 6.0})))
+    assert cfg.n_triples == 6 and type(cfg.n_triples) is int
     # a Python caller passes an int: a float count would reach range()
     for key in ("n_triples", "n_pairs", "n_exponent_triples"):
         with pytest.raises(ValueError, match=f"{key} must be a positive "
@@ -268,14 +250,9 @@ def test_config_rejects_unknown_tolerance_names(tolerances, tmp_path):
     # a misspelled name would otherwise leave its check at the default
     with pytest.raises(ValueError, match="unknown tolerance names"):
         default_config(tolerances=tolerances)
-    as_json = tmp_path / "suite.json"
-    as_json.write_text(json.dumps({"tolerances": tolerances}))
+    path = _write_config(tmp_path, {"tolerances": tolerances})
     with pytest.raises(ValueError, match="unknown tolerance names"):
-        load_config(str(as_json))
-    as_lines = tmp_path / "suite.cfg"
-    as_lines.write_text(f"tolerances = {json.dumps(tolerances)}\n")
-    with pytest.raises(ValueError, match="unknown tolerance names"):
-        load_config(str(as_lines))
+        load_config(str(path))
     # a subset of the known names is still accepted
     assert default_config(tolerances={"group": 1e-11}).tol("group") == 1e-11
 
@@ -293,14 +270,8 @@ NON_FINITE_REPS = {
 def test_config_rejects_non_finite_rep_labels(rep, tmp_path):
     with pytest.raises(ValueError):
         default_config(reps=(rep_from_dict(rep),))
-    as_json = tmp_path / "suite.json"
-    as_json.write_text(json.dumps({"reps": [rep]}))
     with pytest.raises(ValueError):
-        load_config(str(as_json))
-    as_lines = tmp_path / "suite.cfg"
-    as_lines.write_text(f"reps = {json.dumps([rep])}\n")
-    with pytest.raises(ValueError):
-        load_config(str(as_lines))
+        load_config(str(_write_config(tmp_path, {"reps": [rep]})))
 
 
 # a label that the kind's preset does not read, away from its default
@@ -456,16 +427,6 @@ def test_every_rep_round_trips_through_a_config_document():
         assert json.dumps(config_to_dict(back)) == json.dumps(doc)
 
 
-def test_load_config_line_format(tmp_path):
-    path = tmp_path / "suite.cfg"
-    path.write_text("# comment\n\nseed = 7\nt_samples = [0.5, 1.0]\n"
-                    "n_triples = 6\n")
-    cfg = load_config(str(path))
-    assert cfg.seed == 7
-    assert cfg.t_samples == (0.5, 1.0)
-    assert cfg.n_triples == 6
-
-
 def test_load_config_json_format(tmp_path):
     path = tmp_path / "suite.json"
     path.write_text(json.dumps({"seed": 42, "n_triples": 6}))
@@ -474,12 +435,54 @@ def test_load_config_json_format(tmp_path):
 
 def test_load_config_rejects_garbage(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("seed 7\n")
-    with pytest.raises(ValueError):
-        load_config(str(path))
-    path.write_text("seed = nope\n")
-    with pytest.raises(ValueError):
-        load_config(str(path))
+    # key = value lines, whose values are JSON, are not a JSON document;
+    # nor is a file that is not UTF-8
+    for data in (b"seed 7\n", b"seed = nope\n",
+                 b"# comment\n\nseed = 7\nt_samples = [0.5, 1.0]\n",
+                 b"\xff\xfe{}"):
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: "
+                                             f"cannot read as JSON"):
+            load_config(str(path))
+
+
+# a JSON document that is not an object, each as the top level of a file
+NOT_AN_OBJECT = {"array": [["seed", 7]], "number": 7, "string": "seed = 7",
+                 "null": None}
+
+
+@pytest.mark.parametrize("doc", NOT_AN_OBJECT.values(), ids=NOT_AN_OBJECT)
+def test_cli_rejects_a_config_that_is_not_a_json_object(doc, tmp_path,
+                                                       capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: pytest.fail("ran"))
+    path = _write_config(tmp_path, doc)
+    assert main(["verify-all", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: the top level must be a JSON "
+                            f"object of config fields\n")
+
+
+# every file the CLI reads, as the arguments that the file name follows
+READERS = {
+    "verify_all_config": ["verify-all", "--config"],
+    "multiplier_pair": ["multiplier", "--rep", "bargmann3d", "--pair"],
+    "action_pair": ["action", "--gamma", "1.0", "--t", "0.5", "--pair"],
+}
+
+
+@pytest.mark.parametrize("argv", READERS.values(), ids=READERS)
+def test_cli_rejects_a_document_nested_too_deeply_to_read(argv, tmp_path,
+                                                         capsys):
+    # json.load recurses once per level: a RecursionError is an input
+    # error of the file that holds the document, not a failed check
+    path = tmp_path / "deep.json"
+    path.write_text('{"reps": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: cannot read as JSON: nested "
+                            f"too deeply\n")
 
 
 def test_suite_report_shape_and_documented_exception():
@@ -540,6 +543,24 @@ def test_suite_is_deterministic():
     b.pop("generated_at")
     assert report_json(a) == report_json(b)
     json.loads(report_json(a))
+
+
+# 25 time cases cross the 20 pure boosts, and at a chunk size of 3 every
+# sweep spans several chunks
+CHUNKED = dict(seed=5, n_triples=30, n_pairs=10, n_time_cases=25,
+               n_unitarity_cases=10, n_time_zero_cases=10,
+               n_exponent_triples=7)
+
+
+@pytest.mark.parametrize("family", harness.FAMILIES,
+                         ids=[family.name for family in harness.FAMILIES])
+def test_reports_do_not_depend_on_the_chunk_size(family, monkeypatch):
+    # a case takes the same numbers of its streams at any chunk size
+    cfg = default_config(**CHUNKED)
+    monkeypatch.setattr(harness, "_SWEEP_CHUNK", 512)
+    whole = report_json(family(cfg))
+    monkeypatch.setattr(harness, "_SWEEP_CHUNK", 3)
+    assert report_json(family(cfg)) == whole
 
 
 # -- fail closed: a NaN residual in any one case fails its check ------------
@@ -645,32 +666,20 @@ def test_a_nan_inner_product_after_an_underflow_fails_unitarity(monkeypatch):
         "unitarity_bargmann3d"}
 
 
-def test_cli_verify_all(tmp_path, capsys, monkeypatch):
-    cfg_path = tmp_path / "suite.json"
-    cfg_path.write_text(json.dumps(config_to_dict(default_config(**TINY))))
-    out_path = tmp_path / "report.json"
+def test_cli_verify_all(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path, config_to_dict(default_config(
+        seed=777, **TINY)))
 
-    monkeypatch.delenv("GALIRAY_SEED", raising=False)
-    code = main(["verify-all", "--config", str(cfg_path),
-                 "--json", str(out_path)])
-    capsys.readouterr()
+    code = main(["verify-all", "--config", str(cfg_path)])
+    report = json.loads(capsys.readouterr().out)
     assert code == 0
-    report = json.loads(out_path.read_text())
     assert report["suite_pass"] is True
-    assert report["seed"] == 12345
+    assert report["seed"] == 777
 
-    monkeypatch.setenv("GALIRAY_SEED", "777")
-    code = main(["verify-all", "--config", str(cfg_path),
-                 "--json", str(out_path)])
-    capsys.readouterr()
+    # --seed beats the config's seed
+    code = main(["verify-all", "--config", str(cfg_path), "--seed", "888"])
     assert code == 0
-    assert json.loads(out_path.read_text())["seed"] == 777
-
-    code = main(["verify-all", "--config", str(cfg_path), "--seed", "888",
-                 "--json", str(out_path)])
-    capsys.readouterr()
-    assert code == 0
-    assert json.loads(out_path.read_text())["seed"] == 888
+    assert json.loads(capsys.readouterr().out)["seed"] == 888
 
 
 def test_cli_cocycle(capsys):
@@ -932,17 +941,6 @@ def test_cli_heisenberg_prints_the_suite_entry(capsys):
         assert json.loads(capsys.readouterr().out) == entry
         assert code == (0 if entry["pass"] or entry["documented_exception"]
                         else 1)
-
-
-def test_cli_heisenberg_takes_the_seed_of_verify_all(monkeypatch, capsys):
-    monkeypatch.setenv("GALIRAY_SEED", "7")
-    assert main(["verify-all"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    entry, = (c for c in report["checks"]
-              if c["check"] == "heisenberg_bargmann3d")
-    assert main(["heisenberg", "--rep", "bargmann3d"]) == 0
-    printed = capsys.readouterr().out
-    assert printed == json.dumps(entry, indent=2, sort_keys=True) + "\n"
 
 
 def test_a_negated_hamiltonian_fails_the_cli_heisenberg(monkeypatch, capsys):

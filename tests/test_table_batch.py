@@ -350,14 +350,6 @@ def test_unitarity_matches_a_case_by_case_loop():
         assert entry["max_residual"] == worst
 
 
-def test_unitarity_reports_do_not_depend_on_the_chunk_size(monkeypatch):
-    cfg = default_config(**{**TINY, "n_unitarity_cases": 10})
-    monkeypatch.setattr(harness, "_SWEEP_CHUNK", 512)
-    whole = report_json(harness._check_unitarity(cfg))
-    monkeypatch.setattr(harness, "_SWEEP_CHUNK", 3)
-    assert report_json(harness._check_unitarity(cfg)) == whole
-
-
 def test_a_shiftless_polynomial_substitution_fails_every_unitarity_entry(
         monkeypatch):
     # the Gaussian parts take the shift, the polynomials p -> W^T p only
@@ -517,14 +509,6 @@ def test_time_zero_matches_a_case_by_case_loop(monkeypatch):
                                    for p in points])
         assert entry["pass"] is True
         assert entry["max_residual"] == worst == 0.0
-
-
-def test_time_zero_reports_do_not_depend_on_the_chunk_size(monkeypatch):
-    cfg = default_config(**{**TINY, "n_time_zero_cases": 10})
-    monkeypatch.setattr(harness, "_SWEEP_CHUNK", 512)
-    whole = report_json(harness._check_time_zero(cfg))
-    monkeypatch.setattr(harness, "_SWEEP_CHUNK", 3)
-    assert report_json(harness._check_time_zero(cfg)) == whole
 
 
 def test_a_time_phase_left_at_t_zero_fails_every_time_zero_entry(
