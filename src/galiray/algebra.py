@@ -4,11 +4,12 @@ a_ij generate rotations (matrix with +1 at (i,j), -1 at (j,i)), b_i space
 translations, d_i boosts, f time translation.  The commutator is carried out
 on the coefficient blocks, which reproduces the matrix commutator of the
 (dim+2)x(dim+2) embedding exactly.  AlgebraBatch holds N elements as stacked
-arrays.  Each operation is written once, over batch rows, as in the group
-module: commutator, jacobi_residual, embed_algebra and exponential run it on
-a 1-row batch.  The basis is one cached, read-only AlgebraBatch per
+arrays, and an AlgebraElement is the validated one-row AlgebraBatch.  Each
+operation is written once, over batch rows, as in the group module:
+commutator, jacobi_residual, embed_algebra and exponential call it on their
+elements as they are.  The basis is one cached, read-only AlgebraBatch per
 dimension, in the order of basis_names; basis_rows reads named rows of it,
-and basis_element is its 1-row view.
+and basis_element copies one.
 
 The exponential is in closed form on the blocks too: the rotation, and the
 integrated rotations phi_1(R), phi_2(R) that carry the boost and the
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,35 +48,6 @@ __all__ = [
 ]
 
 _ANTISYM_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class AlgebraElement:
-    """Real coefficients: rot (antisymmetric matrix over a_ij), trans (b_i),
-    boost (d_i), time (f)."""
-
-    dim: int
-    rot: np.ndarray
-    trans: np.ndarray
-    boost: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        _check_dim(self.dim)
-        rot = np.array(self.rot, dtype=float).reshape(self.dim, self.dim)
-        trans = np.array(self.trans, dtype=float).reshape(self.dim)
-        boost = np.array(self.boost, dtype=float).reshape(self.dim)
-        time = float(self.time)
-        # before the antisymmetry test, where inf + (-inf) would warn
-        if not all(map(math.isfinite, (time, *rot.ravel().tolist(),
-                                       *trans.tolist(), *boost.tolist()))):
-            raise ValueError("rot, trans, boost and time must be finite")
-        if np.max(np.abs(rot + rot.T)) > _ANTISYM_TOL:
-            raise ValueError("rot must be antisymmetric")
-        object.__setattr__(self, "rot", _frozen(rot))
-        object.__setattr__(self, "trans", _frozen(trans))
-        object.__setattr__(self, "boost", _frozen(boost))
-        object.__setattr__(self, "time", time)
 
 
 def basis_names(dim: int) -> list[str]:
@@ -123,7 +94,7 @@ def basis_rows(names, dim: int) -> "AlgebraBatch":
 
 def basis_element(name: str, dim: int) -> AlgebraElement:
     """Basis element by name string: "a12", "b1", "d3" or "f" (1-based),
-    the one-row view of basis_rows."""
+    row 0 of basis_rows([name], dim)."""
     return basis_rows([name], dim).element(0)
 
 
@@ -132,9 +103,8 @@ class AlgebraBatch:
     (N,dim,dim), trans (N,dim), boost (N,dim), time (N,).
 
     Batches come from algebra_batch_from_uniforms, whose rot blocks are
-    antisymmetric by construction, from validated elements (one row each),
-    and from the batched operations, which do not re-validate the rows they
-    build.
+    antisymmetric by construction, from validated elements, and from the
+    batched operations, which do not re-validate the rows they build.
     """
 
     # a plain class, as GalileiBatch
@@ -156,7 +126,7 @@ class AlgebraBatch:
                             self.time[rows])
 
     def element(self, i: int) -> AlgebraElement:
-        """Row i as a validated AlgebraElement."""
+        """Row i as a validated AlgebraElement, a copy."""
         return AlgebraElement(self.dim, self.rot[i], self.trans[i],
                               self.boost[i], self.time[i])
 
@@ -179,6 +149,29 @@ class AlgebraBatch:
         return np.max(np.abs(np.concatenate(
             (self.rot.reshape(n, self.dim ** 2), self.trans, self.boost,
              self.time[:, None]), axis=1)), axis=1)
+
+
+class AlgebraElement(AlgebraBatch):
+    """Real coefficients: rot (antisymmetric matrix over a_ij), trans (b_i),
+    boost (d_i), time (f).  It is the one-row AlgebraBatch, rot
+    (1,dim,dim), trans and boost (1,dim), time (1,), each array read-only."""
+
+    __slots__ = ()
+
+    def __init__(self, dim: int, rot, trans, boost, time):
+        _check_dim(dim)
+        rot = np.array(rot, dtype=float).reshape(1, dim, dim)
+        trans = np.array(trans, dtype=float).reshape(1, dim)
+        boost = np.array(boost, dtype=float).reshape(1, dim)
+        time = np.array(time, dtype=float).reshape(1)
+        # before the antisymmetry test, where inf + (-inf) would warn
+        if not all(map(math.isfinite, (*time.tolist(), *rot.ravel().tolist(),
+                                       *trans.ravel().tolist(),
+                                       *boost.ravel().tolist()))):
+            raise ValueError("rot, trans, boost and time must be finite")
+        if np.max(np.abs(rot[0] + rot[0].T)) > _ANTISYM_TOL:
+            raise ValueError("rot must be antisymmetric")
+        super().__init__(*map(_frozen, (rot, trans, boost, time)))
 
 
 def algebra_batch_from_uniforms(U, dim: int,
@@ -323,21 +316,15 @@ def exponential_batch(X: AlgebraBatch) -> GalileiBatch:
         + _matvec(RR, f3 * b + tau[:, None] * f4 * v))
 
 
-def _row(X: AlgebraElement) -> AlgebraBatch:
-    """X as a 1-row batch: the scalar operations below are its row 0."""
-    return AlgebraBatch(X.rot[None], X.trans[None], X.boost[None],
-                        np.array((X.time,)))
-
-
 def commutator(X: AlgebraElement, Y: AlgebraElement) -> AlgebraElement:
     """[X, Y], matching the matrix commutator of the embedding."""
-    return commutator_batch(_row(X), _row(Y)).element(0)
+    return commutator_batch(X, Y).element(0)
 
 
 def jacobi_residual(X: AlgebraElement, Y: AlgebraElement,
                     Z: AlgebraElement) -> float:
     """Max-norm of [X,[Y,Z]] + [Y,[Z,X]] + [Z,[X,Y]]."""
-    return float(jacobi_residual_batch(_row(X), _row(Y), _row(Z))[0])
+    return float(jacobi_residual_batch(X, Y, Z)[0])
 
 
 def embed_algebra(X: AlgebraElement) -> np.ndarray:
@@ -346,10 +333,10 @@ def embed_algebra(X: AlgebraElement) -> np.ndarray:
     The matrix exponential of this embedding is the group embedding of
     exponential(X).
     """
-    return embed_algebra_batch(_row(X))[0]
+    return embed_algebra_batch(X)[0]
 
 
 def exponential(X: AlgebraElement) -> GalileiElement:
     """Exponential map onto the group, via the embedding."""
-    return exponential_batch(_row(X)).element(0)
+    return exponential_batch(X).element(0)
 

@@ -8,10 +8,12 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .cocycles import (_EXPONENTS, DEFAULT_TAU_SEQUENCE, PhaseExponent,
                        evaluate_batch, infinitesimal_exponent_batch)
 from .algebra import basis_rows
-from .group import _row, element_from_dict, random_element_batch
+from .group import element_from_dict, random_element_batch
 from .harness import (DEFAULT_TOLERANCES, _check_heisenberg, _fails,
                       _finite_positive, _json_safe, _multipliers_pass,
                       _read_json, cocycle_sweep, default_config, load_config,
@@ -31,10 +33,10 @@ def _load_pair(path: str, dim: int, seed: int):
     """(r, s) as 1-row batches: from the JSON file, or a seeded draw."""
     if path:
         doc = _read_json(path)
-        if not (isinstance(doc, dict) and {"r", "s"} <= doc.keys()):
+        if not (isinstance(doc, dict) and doc.keys() == {"r", "s"}):
             raise ValueError(f"{path}: expected a JSON object with the "
-                             f"elements r and s")
-        return tuple(_row(element_from_dict(doc[key])) for key in "rs")
+                             f"elements r and s and no other key")
+        return tuple(element_from_dict(doc[key]) for key in "rs")
     pair = random_element_batch(seed, 2, dim)
     return pair[:1], pair[1:]
 
@@ -65,8 +67,10 @@ def _cmd_multiplier(args) -> int:
     rep = {r.kind: r for r in cfg.reps}[args.rep]
     r, s = _load_pair(args.pair, rep.dim, args.seed)
     state = random_state(args.seed + 1, rep.dim)
-    rows = extract_multiplier_batch(rep, r, s, args.t, state)
-    name, match = match_exponent_batch(rep, r, s, args.t, rows)
+    # a pair that overflows gives NaN residuals, as a sweep's case does
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = extract_multiplier_batch(rep, r, s, args.t, state)
+        name, match = match_exponent_batch(rep, r, s, args.t, rows)
     spread, modulus, match = (float(x[0]) for x in (
         rows.constancy_spread, rows.modulus_error, match))
     passed = _multipliers_pass(cfg, spread, modulus, match)
@@ -109,8 +113,12 @@ def _cmd_heisenberg(args) -> int:
 
 def _cmd_action(args) -> int:
     r, s = _load_pair(args.pair, None, 0)
-    value = float(evaluate_batch(
-        PhaseExponent("xi_t", r.dim, gamma=args.gamma, t=args.t), r, s)[0])
+    xi = PhaseExponent("xi_t", r.dim, gamma=args.gamma, t=args.t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(evaluate_batch(xi, r, s)[0])
+    if not math.isfinite(value):
+        raise ValueError(f"the exponent xi_t of the pair is not finite: "
+                         f"{value}")
     _print({
         "gamma": args.gamma,
         "t": args.t,

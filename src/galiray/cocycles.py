@@ -98,15 +98,14 @@ class PhaseExponent:
 def evaluate(xi, r: gg.GalileiElement, s: gg.GalileiElement) -> float:
     """xi(r, s) of two elements as a real number (no 2pi wrapping); xi is
     any row-wise exponent."""
-    return float(xi(gg._row(r), gg._row(s))[0])
+    return float(xi(r, s)[0])
 
 
 def cocycle_residual(xi, r: gg.GalileiElement, s: gg.GalileiElement,
                      q: gg.GalileiElement) -> float:
     """|xi(r,s) + xi(rs,q) - xi(s,q) - xi(r,sq)| of three elements; xi is
     any row-wise exponent."""
-    return float(cocycle_residual_batch(xi, gg._row(r), gg._row(s),
-                                        gg._row(q))[0])
+    return float(cocycle_residual_batch(xi, r, s, q)[0])
 
 
 def evaluate_batch(xi: PhaseExponent, r: gg.GalileiBatch,
@@ -272,8 +271,7 @@ def infinitesimal_exponent(xi, X: la.AlgebraElement, Y: la.AlgebraElement,
                            tau_sequence=DEFAULT_TAU_SEQUENCE) -> InfinitesimalExponentValue:
     """The 1-row view of infinitesimal_exponent_batch."""
     taus = tuple(map(float, tau_sequence))
-    value, err, converged = infinitesimal_exponent_batch(
-        xi, la._row(X), la._row(Y), taus)
+    value, err, converged = infinitesimal_exponent_batch(xi, X, Y, taus)
     return InfinitesimalExponentValue(
         value=float(value[0]), tau_sequence=taus,
         extrapolation_error=float(err[0]), converged=bool(converged[0]))

@@ -6,15 +6,15 @@ W_r u_s + u_r + eta_s v_r).  The faithful (dim+2)x(dim+2) matrix picture
 lives here too; the momentum substitution of the ray representations is
 representations.apply_batch's.
 
-Each operation is written once, over GalileiBatch rows; multiply, inverse
-and embed_matrix run it on a 1-row batch.
+Each operation is written once, over GalileiBatch rows.  A GalileiElement
+is the validated one-row GalileiBatch, so multiply, inverse and embed_matrix
+call the batch operation on their elements as they are.
 """
 from __future__ import annotations
 
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,41 +67,11 @@ def _orthogonal(W) -> bool:
     return np.abs(W.T @ W - _eye(len(W))).max() <= _ORTHO_TOL
 
 
-@dataclass(frozen=True, eq=False)
-class GalileiElement:
-    """Immutable group element (W, eta, v, u) in spatial dimension dim."""
-
-    dim: int
-    W: np.ndarray
-    eta: float
-    v: np.ndarray
-    u: np.ndarray
-
-    def __post_init__(self):
-        _check_dim(self.dim)
-        W = _frozen(np.array(self.W, dtype=float).reshape(self.dim, self.dim))
-        v = _frozen(np.array(self.v, dtype=float).reshape(self.dim))
-        u = _frozen(np.array(self.u, dtype=float).reshape(self.dim))
-        eta = float(self.eta)
-        if not _orthogonal(W):
-            raise ValueError(f"W not orthogonal within {_ORTHO_TOL}")
-        # W is orthogonal, so det W is +-1 to about 1e-9 and its sign exact
-        if _DET[self.dim](*W.ravel().tolist()) < 0.0:
-            raise ValueError("W must be a proper rotation (det +1)")
-        self._set(self.dim, W, eta, v, u)
-
-    def _set(self, dim, W, eta, v, u):  # once eta, v and u are shown finite
-        if not all(map(math.isfinite, (eta, *v.tolist(), *u.tolist()))):
-            raise ValueError("eta, v and u must be finite")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "W", W)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "u", u)
-
-    def __repr__(self):
-        return (f"GalileiElement(dim={self.dim}, W={self.W.tolist()}, "
-                f"eta={self.eta}, v={self.v.tolist()}, u={self.u.tolist()})")
+def _check_finite(r):
+    """ValueError unless every eta, v and u of the batch r is finite."""
+    if not all(map(math.isfinite, (*r.eta.tolist(), *r.v.ravel().tolist(),
+                                   *r.u.ravel().tolist()))):
+        raise ValueError("eta, v and u must be finite")
 
 
 class GalileiBatch:
@@ -109,9 +79,9 @@ class GalileiBatch:
     eta (N,), v (N,dim), u (N,dim).
 
     Batches come from random_element_batch, whose rotations are proper by
-    construction, from validated elements (one row each), and from the
-    batched operations below, which trust their operands and do not
-    re-validate the rows they build.
+    construction, from validated elements, and from the batched operations
+    below, which trust their operands and do not re-validate the rows they
+    build.
     """
 
     # not a dataclass: generating a dataclass's methods at import takes
@@ -134,9 +104,41 @@ class GalileiBatch:
                             self.u[rows])
 
     def element(self, i: int) -> GalileiElement:
-        """Row i as a validated GalileiElement."""
+        """Row i as a validated GalileiElement, a copy."""
         return GalileiElement(self.dim, self.W[i], self.eta[i], self.v[i],
                               self.u[i])
+
+
+class GalileiElement(GalileiBatch):
+    """Group element (W, eta, v, u) in spatial dimension dim: the one-row
+    GalileiBatch, W (1,dim,dim), eta (1,), v and u (1,dim), each array
+    read-only."""
+
+    __slots__ = ()
+
+    def __init__(self, dim: int, W, eta, v, u):
+        _check_dim(dim)
+        super().__init__(
+            _frozen(np.array(W, dtype=float).reshape(1, dim, dim)),
+            _frozen(np.array(eta, dtype=float).reshape(1)),
+            _frozen(np.array(v, dtype=float).reshape(1, dim)),
+            _frozen(np.array(u, dtype=float).reshape(1, dim)))
+        self.__post_init__()
+
+    def __post_init__(self):
+        """The element check: W a proper rotation, eta, v and u finite."""
+        W = self.W[0]
+        if not _orthogonal(W):
+            raise ValueError(f"W not orthogonal within {_ORTHO_TOL}")
+        # W is orthogonal, so det W is +-1 to about 1e-9 and its sign exact
+        if _DET[self.dim](*W.ravel().tolist()) < 0.0:
+            raise ValueError("W must be a proper rotation (det +1)")
+        _check_finite(self)
+
+    def __repr__(self):
+        return (f"GalileiElement(dim={self.dim}, W={self.W[0].tolist()}, "
+                f"eta={self.eta[0]}, v={self.v[0].tolist()}, "
+                f"u={self.u[0].tolist()})")
 
 
 def _matvec(A, x):
@@ -198,29 +200,25 @@ def embed_matrix_batch(r: GalileiBatch) -> np.ndarray:
     return M
 
 
-def _row(r: GalileiElement) -> GalileiBatch:
-    """r as a 1-row batch: the scalar operations below are its row 0."""
-    return GalileiBatch(r.W[None], np.array((r.eta,)), r.v[None], r.u[None])
-
-
 def _trusted(b: GalileiBatch) -> GalileiElement:
-    """Row 0 of a product or inverse of validated elements, whose W is a
-    proper rotation by construction: only the finiteness test runs."""
+    """The one-row product or inverse b of validated elements as an element:
+    its W is a proper rotation by construction, so only the finiteness test
+    runs."""
+    _check_finite(b)
     r = object.__new__(GalileiElement)
-    r._set(b.dim, _frozen(b.W[0]), float(b.eta[0]), _frozen(b.v[0]),
-           _frozen(b.u[0]))
+    GalileiBatch.__init__(r, *map(_frozen, (b.W, b.eta, b.v, b.u)))
     return r
 
 
 def multiply(r: GalileiElement, s: GalileiElement) -> GalileiElement:
     """Group composition rs, not re-validated but for an overflow of eta,
     v or u, which raises ValueError as GalileiElement does."""
-    return _trusted(multiply_batch(_row(r), _row(s)))
+    return _trusted(multiply_batch(r, s))
 
 
 def inverse(r: GalileiElement) -> GalileiElement:
     """Group inverse, so that multiply(r, inverse(r)) is the identity."""
-    return _trusted(inverse_batch(_row(r)))
+    return _trusted(inverse_batch(r))
 
 
 def embed_matrix(r: GalileiElement) -> np.ndarray:
@@ -228,7 +226,7 @@ def embed_matrix(r: GalileiElement) -> np.ndarray:
 
     Matrix multiplication of embeddings reproduces the group law.
     """
-    return embed_matrix_batch(_row(r))[0]
+    return embed_matrix_batch(r)[0]
 
 
 def _rotation_angles(W) -> np.ndarray:
@@ -336,13 +334,8 @@ def random_element_batch(seed, n: int, dim: int, scale: float = 1.0,
 
 def element_to_dict(r: GalileiElement) -> dict:
     """JSON-ready encoding with W flattened row-major."""
-    return {
-        "dim": r.dim,
-        "W": [float(x) for x in r.W.reshape(-1)],
-        "eta": r.eta,
-        "v": [float(x) for x in r.v],
-        "u": [float(x) for x in r.u],
-    }
+    return {"dim": r.dim, "W": r.W.ravel().tolist(), "eta": float(r.eta[0]),
+            "v": r.v[0].tolist(), "u": r.u[0].tolist()}
 
 
 def _numbers(key: str, value, n: int) -> list:
@@ -355,12 +348,18 @@ def _numbers(key: str, value, n: int) -> list:
 
 
 def element_from_dict(d: dict) -> GalileiElement:
-    """Inverse of element_to_dict; ValueError for any other document.
+    """Inverse of element_to_dict; ValueError for any other document, one with
+    a key that element_to_dict does not write too.
 
     dim is 1, 2 or 3; W (row-major), v and u are lists of dim^2, dim and
     dim numbers, and eta is a number.  A number is a JSON number: neither
     a string nor a boolean.
     """
+    if not isinstance(d, dict):
+        raise ValueError(f"an element must be an object, got {d!r}")
+    unknown = set(d) - {"dim", "W", "eta", "v", "u"}
+    if unknown:
+        raise ValueError(f"unknown element keys: {sorted(unknown, key=str)}")
     try:
         dim = d["dim"]
         if not (_is_number(dim) and dim in (1, 2, 3)):

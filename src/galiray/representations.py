@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .group import (GalileiBatch, GalileiElement, _dot, _is_number,
-                    _rotation_angles, _row)
+                    _rotation_angles)
 from .states import PolyDiffOperator, PolyGaussianState, StateBatch
 
 __all__ = [
@@ -194,7 +194,7 @@ def apply_time(rep: RepDescriptor, r: GalileiElement, t: float,
     """(U_t(r) f)(p) = e^{-i <p, v_r> t} (U(r) f)(p), where the plain action
     (U(r) f)(p) = e^{i phi_r(p)} f(W^{-1}(p + gamma v)) is its value at
     t = 0."""
-    return apply_batch(rep, _row(r), t, state)
+    return apply_batch(rep, r, t, state)
 
 
 def generator_names(rep: RepDescriptor) -> tuple:

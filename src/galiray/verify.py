@@ -25,7 +25,7 @@ import numpy as np
 
 from . import cocycles
 from .cocycles import PhaseExponent
-from .group import (GalileiBatch, GalileiElement, _rotation_angles, _row,
+from .group import (GalileiBatch, GalileiElement, _rotation_angles,
                     multiply, multiply_batch, stack_batches)
 from .representations import (_PRESETS, RepDescriptor, _coboundary_phi,
                               _require_momentum, _time_phase, apply_batch,
@@ -141,7 +141,7 @@ def extract_multiplier(rep: RepDescriptor, r: GalileiElement,
     For a ray representation omega is unimodular and constancy_spread, the
     term mismatch of the two sides, is zero.
     """
-    return extract_multiplier_batch(rep, _row(r), _row(s), t, state)
+    return extract_multiplier_batch(rep, r, s, t, state)
 
 
 def _xi_t(rep: RepDescriptor, r: GalileiBatch, s: GalileiBatch, t):
@@ -221,8 +221,8 @@ def exponent_cocycle_residual_batch(rep: RepDescriptor, r: GalileiBatch,
         # test_traced_report_matches_untraced_and_self_times_fit asserts
         # that the suite calls group.multiply
         s_i = s.element(i)
-        rs.append(_row(multiply(r.element(i), s_i)))
-        sq.append(_row(multiply(s_i, q.element(i))))
+        rs.append(multiply(r.element(i), s_i))
+        sq.append(multiply(s_i, q.element(i)))
     a = stack_batches([r, *rs, s, r])
     b = stack_batches([s, q, q, *sq])
     if np.ndim(t):

@@ -7,6 +7,7 @@ import pytest
 
 from galiray import algebra
 from galiray.algebra import (
+    AlgebraBatch,
     AlgebraElement,
     basis_element,
     basis_names,
@@ -18,9 +19,11 @@ from galiray.algebra import (
     exponential,
     exponential_batch,
     jacobi_residual,
+    jacobi_residual_batch,
     random_algebra_batch,
 )
 from galiray.group import embed_matrix, embed_matrix_batch, multiply_batch
+from test_group import is_row_0
 
 
 def mat_diff(a, b):
@@ -234,3 +237,26 @@ def test_non_finite_algebra_elements_are_rejected(parts):
     rot, trans, boost, time = parts
     with pytest.raises(ValueError, match="must be finite"):
         AlgebraElement(2, rot, trans, boost, time)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_the_algebra_twins_are_row_0_of_the_batch_operations(dim):
+    # an element is a one-row batch, so each twin is its batch operation
+    rng = np.random.default_rng(80 + dim)
+    for _ in range(20):
+        X, Y, Z = (random_algebra_element(rng, dim, 3.0) for _ in range(3))
+        assert is_row_0(commutator(X, Y), commutator_batch(X, Y))
+        assert (np.float64(jacobi_residual(X, Y, Z)).tobytes()
+                == jacobi_residual_batch(X, Y, Z)[0].tobytes())
+        assert embed_algebra(X).tobytes() == embed_algebra_batch(X)[0].tobytes()
+        assert is_row_0(exponential(X), exponential_batch(X))
+    for name in basis_names(dim):
+        assert is_row_0(basis_element(name, dim), basis_rows([name], dim))
+
+
+def test_an_algebra_batch_row_is_still_validated():
+    z = np.zeros((1, 2))
+    for rot, time, match in ((np.eye(2)[None], 0.0, "antisymmetric"),
+                             (np.zeros((1, 2, 2)), np.nan, "finite")):
+        with pytest.raises(ValueError, match=match):
+            AlgebraBatch(rot, z, z, np.array([time])).element(0)

@@ -37,7 +37,7 @@ CAP = math.pi / 3.5
 
 def _scaled(X, c):
     """The algebra element X times c, through the batch core."""
-    return algebra._row(X).scale(c).element(0)
+    return X.scale(c).element(0)
 
 
 def _reference_element(rng, dim, scale=1.0, max_angle=math.pi):
@@ -97,8 +97,8 @@ def test_batch_draw_equals_scalar_draws(dim, max_angle, n):
     for i in range(n):
         W, eta, v, u = _reference_element(ref_rng, dim, 0.7, max_angle)
         row = batch.element(i)
-        assert np.array_equal(row.W, W) and row.eta == eta
-        assert np.array_equal(row.v, v) and np.array_equal(row.u, u)
+        assert np.array_equal(row.W[0], W) and row.eta[0] == eta
+        assert np.array_equal(row.v[0], v) and np.array_equal(row.u[0], u)
         assert_same_element(row, random_element(scalar_rng, dim, 0.7,
                                                 max_angle))
     # all three leave the stream at the same place
@@ -203,9 +203,9 @@ def test_algebra_batch_draw_equals_scalar_draws(dim):
     for i in range(30):
         rot, trans, boost, time = _reference_algebra(ref_rng, dim, 1.3)
         row = batch.element(i)
-        assert np.array_equal(row.rot, rot) and row.time == time
-        assert np.array_equal(row.trans, trans)
-        assert np.array_equal(row.boost, boost)
+        assert np.array_equal(row.rot[0], rot) and row.time[0] == time
+        assert np.array_equal(row.trans[0], trans)
+        assert np.array_equal(row.boost[0], boost)
     assert rng.random() == ref_rng.random()
 
 

@@ -11,10 +11,10 @@ from galiray.group import (
     GalileiBatch,
     GalileiElement,
     _rotation_angles,
-    _row,
     element_from_dict,
     element_to_dict,
     embed_matrix,
+    embed_matrix_batch,
     identity_batch,
     inverse,
     inverse_batch,
@@ -40,18 +40,24 @@ def identity(dim):
     return identity_batch(dim, 1).element(0)
 
 
+def components(r):
+    """W, eta, v and u of the one row of an element."""
+    return r.W[0], r.eta[0], r.v[0], r.u[0]
+
+
 def test_composition_components_match_the_closed_form():
     rng = np.random.default_rng(401)
     for _ in range(200):
         dim = int(rng.integers(1, 4))
         r = random_element(rng, dim)
         s = random_element(rng, dim)
-        rs = multiply(r, s)
-        assert mat_diff(rs.W, r.W @ s.W) < 1e-15
-        assert abs(rs.eta - (r.eta + s.eta)) < 1e-15
-        assert mat_diff(rs.v, r.W @ s.v + r.v) < 1e-15
+        (Wr, er, vr, ur), (Ws, es, vs, us) = components(r), components(s)
+        Wrs, ers, vrs, urs = components(multiply(r, s))
+        assert mat_diff(Wrs, Wr @ Ws) < 1e-15
+        assert abs(ers - (er + es)) < 1e-15
+        assert mat_diff(vrs, Wr @ vs + vr) < 1e-15
         # the time shift of s feeds the boost of r into the translation
-        assert mat_diff(rs.u, r.W @ s.u + r.u + s.eta * r.v) < 1e-15
+        assert mat_diff(urs, Wr @ us + ur + es * vr) < 1e-15
 
 
 def test_embedding_is_a_homomorphism():
@@ -84,11 +90,12 @@ def test_inverse_closed_form_and_two_sided():
         dim = int(rng.integers(1, 4))
         r = random_element(rng, dim)
         rinv = inverse(r)
-        Winv = r.W.T
-        assert mat_diff(rinv.W, Winv) < 1e-15
-        assert abs(rinv.eta + r.eta) < 1e-15
-        assert mat_diff(rinv.v, -Winv @ r.v) < 1e-14
-        assert mat_diff(rinv.u, -Winv @ (r.u - r.eta * r.v)) < 1e-14
+        W, eta, v, u = components(r)
+        Winv = W.T
+        assert mat_diff(rinv.W[0], Winv) < 1e-15
+        assert abs(rinv.eta[0] + eta) < 1e-15
+        assert mat_diff(rinv.v[0], -Winv @ v) < 1e-14
+        assert mat_diff(rinv.u[0], -Winv @ (u - eta * v)) < 1e-14
         e = identity(dim)
         for prod in (multiply(r, rinv), multiply(rinv, r)):
             assert mat_diff(embed_matrix(prod), embed_matrix(e)) < 1e-13
@@ -120,7 +127,7 @@ def _pulled_back_center(r, p0, gamma):
     rep = RepDescriptor("bargmann3d" if r.dim == 3 else "schrodinger2d",
                         gamma=gamma)
     f = PolyGaussianState.gaussian(r.dim, beta=p0, Gamma=-0.5 * np.eye(r.dim))
-    return apply_batch(rep, _row(r), 0.0, f).center()
+    return apply_batch(rep, r, 0.0, f).center()
 
 
 def test_momentum_action_composes_contravariantly():
@@ -178,9 +185,9 @@ def test_random_element_determinism_and_angle_cap():
     assert mat_diff(embed_matrix(a), embed_matrix(b)) == 0.0
     for seed in range(40):
         r = random_element(seed, 2, max_angle=0.4)
-        assert abs(_rotation_angles(r.W[None])[0]) <= 0.4 + 1e-12
+        assert abs(_rotation_angles(r.W)[0]) <= 0.4 + 1e-12
     for seed in range(40):
-        W = random_element(seed, 3).W
+        W = random_element(seed, 3).W[0]
         assert mat_diff(W.T @ W, np.eye(3)) < 1e-12
         assert np.linalg.det(W) > 0.0
 
@@ -281,24 +288,27 @@ def test_non_finite_elements_are_rejected(parts):
         element_from_dict(d)
 
 
-def _same_bits(a: GalileiElement, b: GalileiElement) -> bool:
-    return (a.dim == b.dim and type(a.eta) is type(b.eta) is float
-            and all(np.asarray(getattr(a, f)).tobytes()
-                    == np.asarray(getattr(b, f)).tobytes()
-                    for f in ("W", "eta", "v", "u")))
+def is_row_0(got, batch) -> bool:
+    """got is a one-row batch of batch's class with read-only arrays, and
+    row 0 of batch bit for bit."""
+    cls = type(batch)
+    return isinstance(got, cls) and len(got) == 1 and all(
+        not getattr(got, f).flags.writeable
+        and getattr(got, f).shape == getattr(batch, f)[:1].shape
+        and getattr(got, f).tobytes() == getattr(batch, f)[:1].tobytes()
+        for f in cls.__slots__)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_multiply_and_inverse_are_row_0_of_the_batch_operations(dim):
-    # their products are not re-validated, and are the validated rows
-    rng = np.random.default_rng(70 + dim)
-    for _ in range(20):
-        r, s = random_element(rng, dim, 5.0), random_element(rng, dim, 5.0)
-        for got, batch in ((multiply(r, s), multiply_batch(_row(r), _row(s))),
-                           (inverse(r), inverse_batch(_row(r)))):
-            assert _same_bits(got, batch.element(0))
-            assert not (got.W.flags.writeable or got.v.flags.writeable
-                        or got.u.flags.writeable)
+def test_the_group_twins_are_row_0_of_the_batch_operations(dim):
+    # an element is a one-row batch, so each twin is its batch operation
+    for seed in range(70 * dim, 70 * dim + 20):
+        r = random_element(seed, dim, 5.0)
+        assert is_row_0(r, random_element_batch(seed, 1, dim, 5.0))
+        s = random_element(seed + 1000, dim, 5.0)
+        assert is_row_0(multiply(r, s), multiply_batch(r, s))
+        assert is_row_0(inverse(r), inverse_batch(r))
+        assert embed_matrix(r).tobytes() == embed_matrix_batch(r)[0].tobytes()
 
 
 @pytest.mark.parametrize("field", ["eta", "v", "u"])

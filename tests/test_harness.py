@@ -811,6 +811,63 @@ def test_cli_rejects_a_malformed_pair_file(doc, argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+PAIR_ARGV = {"multiplier": ["multiplier", "--rep", "schrodinger2d"],
+             "action": ["action", "--gamma", "1.0", "--t", "1.0"]}
+UNREAD_KEYS = {
+    "element": ({"r": {**element_to_dict(identity(2)), "x": 1},
+                 "s": element_to_dict(identity(2))},
+                "unknown element keys: ['x']"),
+    "pair": ({"r": element_to_dict(identity(2)),
+              "s": element_to_dict(identity(2)), "x": 1},
+             "the elements r and s and no other key"),
+}
+
+
+@pytest.mark.parametrize("doc, message", UNREAD_KEYS.values(),
+                         ids=UNREAD_KEYS)
+@pytest.mark.parametrize("argv", PAIR_ARGV.values(), ids=PAIR_ARGV)
+def test_cli_rejects_a_pair_with_a_key_it_does_not_read(doc, message, argv,
+                                                       tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    assert main(argv + ["--pair", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_cli_takes_a_whole_float_dim_as_a_config_takes_a_count(tmp_path,
+                                                               capsys):
+    outputs = []
+    for dim in (2, 2.0):
+        r = {**element_to_dict(identity(2)), "dim": dim, "v": [0.3, -0.2]}
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"r": r, "s": r}))
+        assert main(PAIR_ARGV["action"] + ["--pair", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", PAIR_ARGV.values(), ids=PAIR_ARGV)
+def test_cli_fails_closed_on_a_pair_that_overflows(argv, tmp_path, capsys):
+    # finite entries whose products overflow: no RuntimeWarning (pyproject
+    # makes one an error), and no verdict but a failure
+    big = {"dim": 2, "W": [1.0, 0.0, 0.0, 1.0], "eta": 1e308,
+           "v": [1e308, 1e308], "u": [0.0, 0.0]}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"r": big, "s": big}))
+    code = main(argv + ["--pair", str(path)])
+    out, err = capsys.readouterr()
+    if argv[0] == "action":
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not finite" in err
+    else:
+        doc = json.loads(out)
+        assert code == 1 and doc["pass"] is False
+        assert math.isnan(doc["matched_exponent"]["residual"])
+
+
 HUGE = 10 ** 400  # a JSON integer beyond every float
 HUGE_INPUTS = {
     "scale": (["verify-all", "--config"], {"scale": HUGE}),

@@ -20,7 +20,7 @@ import pytest
 
 from galiray import cocycles, group, harness, verify
 from galiray.cli import main
-from galiray.group import (GalileiBatch, GalileiElement, _row,
+from galiray.group import (GalileiBatch, GalileiElement,
                            identity_batch, multiply_batch, random_element,
                            random_element_batch, stack_batches)
 from galiray.harness import config_to_dict, default_config
@@ -150,7 +150,7 @@ def _time_cases_one_by_one(normal, dim, scale, t_samples, n_boost):
             if i < n_boost:
                 pair = [GalileiElement(dim, np.eye(dim), 0.0, v, np.zeros(dim))
                         for v in normal.standard_normal((2, dim))]
-            rows += map(_row, pair)
+            rows += pair
         b = stack_batches(rows)
         return (np.array(t, dtype=float), b[0::2], b[1::2],
                 np.array(cases) < n_boost)
@@ -258,7 +258,7 @@ def test_exponent_cocycle_residual_matches_the_case_by_case_loop():
             r, s, q = (random_element(rng, rep.dim, cfg.scale)
                        for _ in range(3))
             residual = exponent_cocycle_residual_batch(
-                rep, _row(r), _row(s), _row(q), 0.0, state)[0, 0]
+                rep, r, s, q, 0.0, state)[0, 0]
             worst = max(worst, float(residual))
         assert report["details"]["max_exponent_cocycle_residual"] == worst
         assert report["rep"] == rep.kind

@@ -136,25 +136,25 @@ def test_schrodinger_full_phase_formula():
     f = random_state(rng, 2)
     g = apply_time(rep, r, 0.0, f)
     gamma, s = rep.gamma, rep.s
-    u, v, eta = np.asarray(r.u), np.asarray(r.v), r.eta
+    u, v, eta = r.u[0], r.v[0], r.eta[0]
     for _ in range(10):
         p = rng.normal(size=2)
         phase = (u @ p + 0.5 * gamma * (u @ v)
                  + (eta / (2.0 * gamma)) * (p @ p) + s * theta)
-        want = np.exp(1j * phase) * f.evaluate(r.W.T @ (p + gamma * v))
+        want = np.exp(1j * phase) * f.evaluate(r.W[0].T @ (p + gamma * v))
         assert abs(g.evaluate(p) - want) < 1e-12
 
 
 def _static_phase(rep, r, p):
     """phi_r(p) of the plain action (U(r) f)(p) = e^{i phi_r(p)}
     f(W^{-1}(p + gamma v)), written out per kind."""
-    gamma, u, v, eta = rep.gamma, r.u, r.v, r.eta
+    gamma, u, v, eta = rep.gamma, r.u[0], r.v[0], r.eta[0]
     phase = eta / (2.0 * gamma) * (p @ p) + u @ p
     if rep.kind == "bargmann3d":
         return phase + gamma * (u @ v) - 0.5 * eta * gamma * (v @ v)
     if rep.kind == "nonabelian2d":
         phase -= rep.lam / (2.0 * gamma) * (v[0] * p[1] - v[1] * p[0])
-    theta = np.arctan2(r.W[1, 0], r.W[0, 0])
+    theta = np.arctan2(r.W[0, 1, 0], r.W[0, 0, 0])
     return phase + 0.5 * gamma * (u @ v) + rep.s * theta
 
 
@@ -169,7 +169,7 @@ def test_time_zero_reduces_to_the_static_map():
             for _ in range(5):
                 p = rng.normal(size=rep.dim)
                 want = (np.exp(1j * _static_phase(rep, r, p))
-                        * f.evaluate(r.W.T @ (p + rep.gamma * r.v)))
+                        * f.evaluate(r.W[0].T @ (p + rep.gamma * r.v[0])))
                 assert abs(a.evaluate(p) - want) < 1e-12
 
 
@@ -183,7 +183,7 @@ def test_time_factor_is_a_boost_plane_wave():
     h = apply_time(rep, r, 0.0, f)
     for _ in range(10):
         p = rng.normal(size=2)
-        factor = np.exp(-1j * t * float(np.asarray(r.v) @ p))
+        factor = np.exp(-1j * t * float(r.v[0] @ p))
         assert abs(g.evaluate(p) - factor * h.evaluate(p)) < 1e-13
 
 

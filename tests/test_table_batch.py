@@ -27,7 +27,7 @@ from galiray.algebra import basis_element, basis_names, basis_rows
 from galiray.cocycles import (PhaseExponent, equivalence_transform,
                               infinitesimal_exponent,
                               infinitesimal_exponent_batch)
-from galiray.group import _row, random_element, random_element_batch
+from galiray.group import random_element, random_element_batch
 from galiray.harness import default_config, report_json, run_suite
 from galiray.representations import RepDescriptor, apply_batch, apply_time
 from galiray.states import (PolyGaussianState, StateBatch, _monomials_up_to,
@@ -504,7 +504,7 @@ def test_time_zero_matches_a_case_by_case_loop(monkeypatch):
             assert _same_state(F.row(i), f)
             points = default_sample_points(f, n=8, seed=entry["seed"] + i)
             timed = apply_time(rep, r, 0.0, f)
-            plain = apply_batch(rep, _row(r), 0.0, f)
+            plain = apply_batch(rep, r, 0.0, f)
             worst = max([worst] + [abs(timed.evaluate(p) - plain.evaluate(p))
                                    for p in points])
         assert entry["pass"] is True

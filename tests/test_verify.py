@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from galiray import group
-from galiray.group import (GalileiElement, _row, identity_batch, multiply,
+from galiray.group import (GalileiElement, identity_batch, multiply,
                            random_element, random_element_batch,
                            stack_batches)
 from galiray.representations import RepDescriptor, generator_names
@@ -66,7 +66,7 @@ def test_translation_boost_pair_gives_the_known_multiplier():
     want = np.exp(-0.5j * float(u @ v))
     assert abs(rpt.omega[0] - want) < 1e-12
     name, value = expected_multiplier_exponent_batch(
-        rep, _row(translation(2, u)), _row(boost(2, v)), 0.0)
+        rep, translation(2, u), boost(2, v), 0.0)
     assert "xi0" in name
     assert value.shape == (1,)
     assert abs(value[0] - (-0.5 * float(u @ v))) < 1e-14
@@ -91,7 +91,7 @@ def test_extracted_multipliers_match_the_phase_exponents():
             rpt = extract_multiplier(rep, r, s, t, state)
             assert rpt.constancy_spread[0] < 1e-9
             assert rpt.modulus_error[0] < 1e-10
-            name, residual = match_exponent_batch(rep, _row(r), _row(s), t,
+            name, residual = match_exponent_batch(rep, r, s, t,
                                                   rpt)
             assert name == PREDICTION_NAMES[kind]
             assert residual[0] < 1e-9
@@ -110,7 +110,7 @@ def test_time_multiplier_ratio_matches_the_action_term():
         for _ in range(8):
             rows += [random_element(rng, rep.dim), random_element(rng, rep.dim)]
             ts.append(float(rng.uniform(-2.0, 2.0)))
-        b = stack_batches([_row(x) for x in rows])
+        b = stack_batches(rows)
         residuals = check_time_multiplier_batch(rep, b[0::2], b[1::2],
                                                 np.array(ts), state)
         assert residuals.shape == (8,) and residuals.max() < 1e-10
@@ -163,7 +163,7 @@ def test_exponent_cocycle_residual_is_small():
 def _one_triple(rep, r, s, q, t, state):
     """The exponent-cocycle residual of the triple of elements (r, s, q)."""
     return float(exponent_cocycle_residual_batch(
-        rep, _row(r), _row(s), _row(q), t, state)[0, 0])
+        rep, r, s, q, t, state)[0, 0])
 
 
 def _stacked_exponent_cocycle_residual(rep, r, s, q, t, state):
@@ -172,8 +172,8 @@ def _stacked_exponent_cocycle_residual(rep, r, s, q, t, state):
     modulus error of the four extractions, and the residual from numpy's
     complex product on the one-element rows of its multipliers."""
     rs, sq = multiply(r, s), multiply(s, q)
-    a = stack_batches([_row(x) for x in (r, rs, s, r)])
-    b = stack_batches([_row(x) for x in (s, q, q, sq)])
+    a = stack_batches([r, rs, s, r])
+    b = stack_batches([s, q, q, sq])
     rows = extract_multiplier_batch(rep, a, b, t, state)
     w0, w1, w2, w3 = rows.omega[:, None]
     return (float(abs(np.angle(w0 * w1 * np.conj(w2 * w3)))[0]),
