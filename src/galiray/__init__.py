@@ -28,9 +28,8 @@ from .representations import (KIND_DIMS, MOMENTUM_KINDS, RepDescriptor,
                               basis_generator_pairing, generator,
                               generator_names, rep_from_dict, rep_to_dict,
                               static_generator)
-from .verify import (HeisenbergFitResult, MultiplierBatch,
-                     check_initial_condition, check_time_multiplier_batch,
-                     default_sample_points,
+from .verify import (MultiplierBatch, check_initial_condition,
+                     check_time_multiplier_batch, default_sample_points,
                      expected_multiplier_exponent_batch,
                      exponent_cocycle_residual_batch, extract_multiplier,
                      extract_multiplier_batch, heisenberg_fit,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 
@@ -15,7 +14,7 @@ from .cocycles import (_EXPONENTS, DEFAULT_TAU_SEQUENCE, PhaseExponent,
 from .algebra import basis_rows
 from .group import element_from_dict, random_element_batch
 from .harness import (DEFAULT_TOLERANCES, _check_heisenberg, _fails,
-                      _finite_positive, _json_safe, _multipliers_pass,
+                      _finite_positive, _multipliers_pass,
                       _read_json, cocycle_sweep, default_config, load_config,
                       report_json, run_suite)
 from .representations import KIND_DIMS, MOMENTUM_KINDS, rep_to_dict
@@ -26,7 +25,7 @@ __all__ = ["main"]
 
 
 def _print(doc: dict):
-    print(json.dumps(_json_safe(doc), indent=2, sort_keys=True))
+    print(report_json(doc))
 
 
 def _load_pair(path: str, dim: int, seed: int):
@@ -46,7 +45,7 @@ def _cmd_verify_all(args) -> int:
     if args.seed is not None:  # --seed beats the config's seed
         cfg = dataclasses.replace(cfg, seed=args.seed)
     report = run_suite(cfg)
-    print(report_json(report))
+    _print(report)
     return 0 if report["suite_pass"] else 1
 
 
@@ -194,7 +193,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=_finite, default=1.0)
     p.set_defaults(func=_cmd_infexp)
 
-    p = sub.add_parser("heisenberg", help="fit the evolution constant")
+    p = sub.add_parser("heisenberg",
+                       help="check the Heisenberg law at K = i/hbar")
     p.add_argument("--rep", required=True, choices=tuple(KIND_DIMS))
     p.set_defaults(func=_cmd_heisenberg)
 

@@ -44,8 +44,8 @@ from .representations import (MOMENTUM_KINDS, RepDescriptor, apply_batch,
                               generator_names, rep_from_dict, rep_to_dict)
 from .states import (_state_widths, _states_from_blocks, inner_product_batch,
                      random_state)
-from .verify import (_FIT_TOL, _modulus, _term_mismatch, _worst,
-                     check_initial_condition, check_time_multiplier_batch,
+from .verify import (_modulus, _term_mismatch, check_initial_condition,
+                     check_time_multiplier_batch,
                      exponent_cocycle_residual_batch, extract_multiplier_batch,
                      heisenberg_fit, match_exponent_batch)
 
@@ -88,6 +88,12 @@ STREAM = 2
 _COUNTS = {"seed": 0, "n_triples": 1, "n_pairs": 1, "n_time_cases": 1,
            "n_unitarity_cases": 1, "n_time_zero_cases": 1,
            "n_exponent_triples": 1}
+
+
+def _worst(residuals) -> float:
+    """Largest of the residuals, 0.0 for none.  A NaN residual gives NaN, so
+    the check fails; Python's max(0.0, nan) would return 0.0 and pass."""
+    return float(np.max(np.asarray(residuals, dtype=float), initial=0.0))
 
 
 def _finite_positive(x) -> bool:
@@ -249,9 +255,16 @@ def load_config(path: str) -> SuiteConfig:
     return config_from_dict(doc)
 
 
+# a float that is not finite, as a string that float() reads back
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _json_safe(obj):
-    """obj as plain JSON values: a rep as its document, a complex number as
-    [re, im], a numpy scalar as a Python one."""
+    """obj as standard JSON values: a numpy scalar as a Python one, a rep as
+    its document, a complex number as [re, im], and a float that is not
+    finite as the string "NaN", "Infinity" or "-Infinity"."""
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, RepDescriptor):
         return rep_to_dict(obj)
     if isinstance(obj, Mapping):
@@ -259,11 +272,9 @@ def _json_safe(obj):
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
     if isinstance(obj, complex):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
+        return _json_safe([obj.real, obj.imag])
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return _NON_FINITE[repr(obj)]
     return obj
 
 
@@ -271,7 +282,8 @@ def _json_safe(obj):
 class _Family:
     """A check family.  subjects(cfg) lists its checks, each as (check name,
     rep label, subject), and run(cfg, subject, seed) runs one check and
-    returns (n_cases, max_residual, ok, details).  The k-th check has the
+    returns (n_cases, max_residual, ok, details), details of plain Python
+    JSON values (a float may be NaN) or None.  The k-th check has the
     seed cfg.seed + 1009 (offset + k).  A check passes if ok holds and
     max_residual is below the tolerance tol_key (if not None); a failing
     check that cfg.expected_divergences lists is a documented exception.
@@ -295,7 +307,7 @@ class _Family:
                 "max_residual": float(worst), "pass": passed,
                 "documented_exception": (not passed and check
                                          in cfg.expected_divergences),
-                "details": _json_safe([] if details is None else details)})
+                "details": [] if details is None else details})
         return entries
 
 
@@ -651,19 +663,18 @@ def _run_time_multiplier(cfg: SuiteConfig, rep, seed: int):
 
 
 def _run_heisenberg(cfg: SuiteConfig, rep, seed: int):
-    """The evolution constant K of rep's generators; it seeds nothing."""
-    fit = heisenberg_fit(rep)
-    names = generator_names(rep)
-    # position1d as printed: expected to lack a single constant K
-    ok = fit.uniform
-    if rep.kind in MOMENTUM_KINDS:
-        ok = (ok and fit.K is not None and abs(fit.K - 1j) < _FIT_TOL
-              and all(fit.time_independent[n] for n in names
-                      if not n.startswith("N")))
-    details = {key: getattr(fit, key) for key in (
-        "K", "uniform", "per_generator_flips", "per_generator",
-        "time_independent", "note")}
-    return len(names), fit.max_residual, ok, details
+    """The Heisenberg law of each of rep's generators at K = i/hbar
+    (verify.heisenberg_fit); a momentum kind's H, P_i and M must also be
+    free of t.  It seeds nothing.  position1d as printed breaks the law for
+    P alone, by 2|f|: the sign of P's force term (ROADMAP item 8)."""
+    residuals, time_independent = heisenberg_fit(rep)
+    ok = rep.kind not in MOMENTUM_KINDS or all(
+        free for name, free in time_independent.items()
+        if not name.startswith("N"))
+    details = {"per_generator": {name: {"residual": r}
+                                 for name, r in residuals.items()},
+               "time_independent": time_independent}
+    return len(residuals), _worst(list(residuals.values())), ok, details
 
 
 def _run_initial_conditions(cfg: SuiteConfig, rep, seed: int):
@@ -710,7 +721,8 @@ def _fails(report: dict) -> bool:
 
 
 def run_suite(cfg: SuiteConfig = None) -> dict:
-    """Run every check; returns the JSON-ready report document."""
+    """Run every check; returns the report document, of plain Python JSON
+    values with any NaN residual kept a float (report_json writes it)."""
     cfg = cfg or default_config()
     # each family through its module name, so that a wrapper bound to the
     # name (a tracer's) sees the call
@@ -733,6 +745,9 @@ def run_suite(cfg: SuiteConfig = None) -> dict:
     }
 
 
-def report_json(report: dict) -> str:
-    """report as JSON text; run_suite's entries are JSON-ready already."""
-    return json.dumps(report, indent=2, sort_keys=True)
+def report_json(doc: dict) -> str:
+    """doc as standard JSON text (_json_safe), the one writer of every
+    document galiray prints.  A non-finite value that escapes the conversion
+    is a ValueError, not a bare NaN token."""
+    return json.dumps(_json_safe(doc), indent=2, sort_keys=True,
+                      allow_nan=False)

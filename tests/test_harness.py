@@ -5,6 +5,8 @@ import dataclasses
 import json
 import math
 import re
+import sys
+from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
@@ -485,7 +487,7 @@ def test_cli_rejects_a_document_nested_too_deeply_to_read(argv, tmp_path,
                             f"too deeply\n")
 
 
-def test_suite_report_shape_and_documented_exception():
+def test_suite_report_shape_and_documented_exception(capsys):
     report = run_suite(default_config(**TINY))
     assert report["schema"] == 1
     assert report["suite_pass"] is True
@@ -518,13 +520,16 @@ def test_suite_report_shape_and_documented_exception():
     diverging = by_name["heisenberg_position1d"]
     assert diverging["pass"] is False
     assert diverging["documented_exception"] is True
-    assert "sign flips" in diverging["details"]["note"]
+    # P breaks the law at K = i/hbar by 2|f|, f = 0.5: the sign of its force
+    # term (ROADMAP item 8)
+    assert diverging["max_residual"] == 1.0
+    assert diverging["details"] == {
+        "per_generator": {"H": {"residual": 0.0}, "P": {"residual": 1.0},
+                          "N": {"residual": 0.0}},
+        "time_independent": {"H": True, "P": False, "N": False}}
     passing = [c for c in report["checks"] if c["check"] != "heisenberg_position1d"]
     assert all(c["pass"] for c in passing)
 
-    # complex values render as [re, im] so the report is plain JSON
-    K = by_name["heisenberg_schrodinger2d"]["details"]["K"]
-    assert abs(K[0]) < 1e-12 and abs(K[1] - 1.0) < 1e-12
     mult = by_name["multiplier_bargmann3d"]["details"]
     assert set(mult) == {"max_constancy_spread", "max_modulus_error",
                          "max_matched_exponent_residual",
@@ -534,6 +539,12 @@ def test_suite_report_shape_and_documented_exception():
     tm = by_name["time_multiplier_bargmann3d"]["details"]
     assert tm["n_pure_boost"] == 20
     assert tm["pure_boost_max"] < 1e-9
+
+    # complex values render as [re, im] so the output is plain JSON
+    assert main(["multiplier", "--rep", "schrodinger2d"]) == 0
+    omega = json.loads(capsys.readouterr().out)["omega"]
+    assert len(omega) == 2 and all(isinstance(x, float) for x in omega)
+    assert abs(math.hypot(*omega) - 1.0) < 1e-12
 
 
 def test_suite_is_deterministic():
@@ -863,9 +874,63 @@ def test_cli_fails_closed_on_a_pair_that_overflows(argv, tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "not finite" in err
     else:
-        doc = json.loads(out)
+        # standard JSON: each NaN is the string "NaN", not a bare token
+        doc = _strict_json(out)
         assert code == 1 and doc["pass"] is False
-        assert math.isnan(doc["matched_exponent"]["residual"])
+        assert doc["omega"] == ["NaN", "NaN"]
+        assert doc["constancy_spread"] == doc["modulus_error"] == "NaN"
+        assert math.isnan(float(doc["matched_exponent"]["residual"]))
+
+
+def _strict_json(text: str):
+    """The JSON document of text, which must be standard JSON: a bare NaN,
+    Infinity or -Infinity token is an error."""
+    def reject(token):
+        raise ValueError(f"not standard JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_report_json_writes_standard_json():
+    doc = {"nan": math.nan, "inf": [math.inf, -math.inf], "z": 1.5 + 2j,
+           "x": np.float64(0.25)}
+    text = report_json(doc)
+    back = _strict_json(text)
+    assert back == {"nan": "NaN", "inf": ["Infinity", "-Infinity"],
+                    "z": [1.5, 2.0], "x": 0.25}
+    # float() reads each string back
+    assert math.isnan(float(back["nan"]))
+    assert list(map(float, back["inf"])) == [math.inf, -math.inf]
+
+
+def test_report_json_raises_on_a_non_finite_value_it_misses(monkeypatch):
+    monkeypatch.setattr(harness, "_json_safe", lambda obj: obj)
+    with pytest.raises(ValueError):
+        report_json({"x": math.nan})
+
+
+def test_the_benchmark_gate_fails_a_parsed_nan_residual():
+    # the gate holds a string residual, as it holds a NaN, not finite
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent
+                           / "perfbench"))
+    try:
+        import gate
+    finally:
+        sys.path.pop(0)
+    cfg = default_config(**TINY)
+    report = run_suite(cfg)
+    doc = _strict_json(report_json(report))
+    tolerances = {key: cfg.tol(key) for key in DEFAULT_TOLERANCES}
+    assert gate.check_report(doc, cfg, tolerances,
+                             representations.MOMENTUM_KINDS).failed == 0
+    entry = next(c for c in report["checks"]
+                 if c["check"] == "heisenberg_bargmann3d")
+    entry["details"]["per_generator"]["H"]["residual"] = math.nan
+    doc = _strict_json(report_json(report))
+    result = gate.check_report(doc, cfg, tolerances,
+                               representations.MOMENTUM_KINDS)
+    assert result.failed == 1
+    assert result.problems == [
+        "heisenberg_bargmann3d: per_generator.H is 'NaN'"]
 
 
 HUGE = 10 ** 400  # a JSON integer beyond every float
@@ -976,17 +1041,19 @@ def test_cli_heisenberg(capsys):
     assert code == 0
     assert doc["check"] == "heisenberg_schrodinger2d"
     assert doc["pass"] is True and doc["documented_exception"] is False
-    assert doc["details"]["uniform"] is True
-    K = doc["details"]["K"]
-    assert abs(K[0]) < 1e-12 and abs(K[1] - 1.0) < 1e-12
+    names = ("H", "P1", "P2", "M", "N1", "N2")
+    assert doc["details"]["per_generator"] == {
+        name: {"residual": 0.0} for name in names}
+    assert doc["max_residual"] == 0.0
 
-    # position1d fails the fit, but the default config expects it to
+    # position1d breaks the law for P, but the default config expects it to
     code = main(["heisenberg", "--rep", "position1d"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert doc["pass"] is False and doc["documented_exception"] is True
-    assert doc["details"]["uniform"] is False
-    assert "sign flips" in doc["details"]["note"]
+    residuals = {name: record["residual"] for name, record
+                 in doc["details"]["per_generator"].items()}
+    assert residuals == {"H": 0.0, "P": 1.0, "N": 0.0}
 
 
 def test_cli_heisenberg_prints_the_suite_entry(capsys):
@@ -1001,8 +1068,8 @@ def test_cli_heisenberg_prints_the_suite_entry(capsys):
 
 
 def test_a_negated_hamiltonian_fails_the_cli_heisenberg(monkeypatch, capsys):
-    # -H fits the evolution law with K = -i as exactly as H does with i, so
-    # only the check on K sees it
+    # -H obeys the law at K = -i, not at the convention's K = i: each boost
+    # N_i reads d/dt N_i - i [-H, N_i] = -2i p_i, so its residual is 2
     real = representations._momentum_generator
     monkeypatch.setattr(
         representations, "_momentum_generator",
@@ -1010,9 +1077,25 @@ def test_a_negated_hamiltonian_fails_the_cli_heisenberg(monkeypatch, capsys):
         else real(rep, name))
     assert main(["heisenberg", "--rep", "bargmann3d"]) == 1
     doc = json.loads(capsys.readouterr().out)
-    assert doc["pass"] is False and doc["max_residual"] < 1e-12
-    K = doc["details"]["K"]
-    assert abs(K[0]) < 1e-12 and abs(K[1] + 1.0) < 1e-12
+    assert doc["pass"] is False and doc["max_residual"] == 2.0
+    residuals = {name: record["residual"] for name, record
+                 in doc["details"]["per_generator"].items()}
+    assert residuals == {name: 2.0 if name.startswith("N") else 0.0
+                         for name in residuals}
+
+
+def test_a_time_dependent_momentum_fails_the_heisenberg_check(monkeypatch):
+    # the law is linear, so P1 + N1 obeys it as N1 does: only the demand
+    # that a momentum kind's P_i be free of t sees it
+    real = representations._momentum_generator
+    monkeypatch.setattr(
+        representations, "_momentum_generator",
+        lambda rep, name: real(rep, name) + real(rep, "N1") if name == "P1"
+        else real(rep, name))
+    [entry] = harness._check_heisenberg(default_config(
+        reps=(RepDescriptor("bargmann3d", gamma=0.9),)))
+    assert entry["pass"] is False and entry["max_residual"] == 0.0
+    assert entry["details"]["time_independent"]["P1"] is False
 
 
 def test_cli_error_paths(tmp_path, capsys):

@@ -1,16 +1,18 @@
-"""Multiplier extraction and Heisenberg constant fitting: known closed-form
-multipliers, branch-safe cocycle residuals, and the per-generator fit paths."""
+"""Multiplier extraction and the Heisenberg law: known closed-form
+multipliers, branch-safe cocycle residuals, and the law's residual per
+generator at K = i/hbar."""
 
 import math
 
 import numpy as np
 import pytest
 
-from galiray import group
+from galiray import group, harness
 from galiray.group import (GalileiElement, identity_batch, multiply,
                            random_element, random_element_batch,
                            stack_batches)
-from galiray.representations import RepDescriptor, generator_names
+from galiray.harness import default_config
+from galiray.representations import RepDescriptor, generator, generator_names
 from galiray.states import PolyGaussianState, random_state
 from galiray.verify import (
     check_initial_condition,
@@ -264,59 +266,47 @@ def test_default_sample_points_cluster_around_the_center():
     assert not np.array_equal(pts, other)
 
 
-def test_momentum_fit_finds_the_uniform_constant():
+def test_momentum_generators_obey_the_law_at_k_i():
+    # hbar is 1 for the momentum kinds, so K = i/hbar is i
     for kind, rep in REPS.items():
-        fit = heisenberg_fit(rep)
-        assert fit.uniform
-        assert abs(fit.K - 1j) < 1e-12
-        assert fit.max_residual < 1e-12
-        assert fit.note == ""
-        assert not any(fit.per_generator_flips.values())
-        for name in generator_names(rep):
-            boosts = name.startswith("N")
-            assert fit.time_independent[name] == (not boosts)
-            # only boosts pick up [H, .] != 0; the rest leave K free
-            assert fit.per_generator[name]["constrained"] == boosts
-            assert fit.per_generator[name]["residual"] < 1e-12
+        residuals, time_independent = heisenberg_fit(rep)
+        assert residuals == {name: 0.0 for name in generator_names(rep)}
+        assert time_independent == {name: not name.startswith("N")
+                                    for name in generator_names(rep)}
 
 
-def test_position_fit_needs_per_generator_sign_flips():
-    rep = RepDescriptor("position1d", m=1.0, hbar=2.0, force_f=0.5, V0=0.25)
-    fit = heisenberg_fit(rep)
-    assert not fit.uniform
-    assert abs(fit.K - 0.5j) < 1e-12
-    assert fit.per_generator_flips == {"H": False, "P": True, "N": False}
-    assert "sign flips" in fit.note
-    assert abs(fit.per_generator["P"]["K"] - (-0.5j)) < 1e-12
-    assert abs(fit.per_generator["N"]["K"] - 0.5j) < 1e-12
-    assert not fit.per_generator["H"]["constrained"]
-    assert fit.max_residual < 1e-12
-    assert fit.time_independent == {"H": True, "P": False, "N": False}
+@pytest.mark.parametrize("f, hbar, m", [(0.5, 1.0, 1.0), (0.5, 2.0, 1.0),
+                                        (-1.7, 0.3, 2.5), (3.0, 1.0, 0.2),
+                                        (1e-3, 7.0, 0.9)])
+def test_position_law_breaks_for_p_alone_by_twice_the_force(f, hbar, m):
+    # P as printed carries -f t where the law needs +f t
+    # (tests/test_heisenberg_derivation.py), so d/dt P - K [H, P] = -2f
+    rep = RepDescriptor("position1d", m=m, hbar=hbar, force_f=f, V0=0.25)
+    residuals, time_independent = heisenberg_fit(rep)
+    assert residuals["P"] == pytest.approx(2.0 * abs(f), rel=1e-15)
+    assert residuals["H"] == pytest.approx(0.0, abs=1e-15)
+    assert residuals["N"] == pytest.approx(0.0, abs=1e-15)
+    assert time_independent == {"H": True, "P": False, "N": False}
 
 
-def test_force_free_position_fit_is_uniform():
+def test_force_free_position_obeys_the_law():
     rep = RepDescriptor("position1d", m=1.3, hbar=2.0, force_f=0.0)
-    fit = heisenberg_fit(rep)
-    assert fit.uniform
-    assert abs(fit.K - 0.5j) < 1e-12
-    assert fit.note == ""
-    assert not fit.per_generator["P"]["constrained"]
-    assert fit.max_residual < 1e-12
+    residuals, time_independent = heisenberg_fit(rep)
+    assert residuals == {"H": 0.0, "P": 0.0, "N": 0.0}
+    assert time_independent == {"H": True, "P": True, "N": False}
+    # so its suite entry passes, though the default config would forgive it
+    [entry] = harness._check_heisenberg(default_config(reps=(rep,)))
+    assert entry["pass"] is True and entry["documented_exception"] is False
 
 
-def test_fit_on_a_generator_subset():
-    # H and N alone agree on K = i: H constrains nothing and N fits i; only
-    # P, at -i, keeps the full fit from being uniform
-    rep = RepDescriptor("position1d", m=1.0, hbar=1.0, force_f=0.5, V0=0.25)
-    fit = heisenberg_fit(rep)
-    assert not fit.uniform
-    assert set(fit.per_generator) == {"H", "P", "N"}
-    H, P, N = (fit.per_generator[name] for name in ("H", "P", "N"))
-    assert not H["constrained"] and H["K"] is None
-    assert N["constrained"] and abs(N["K"] - 1j) < 1e-12
-    assert P["constrained"] and abs(P["K"] + 1j) < 1e-12
-    assert max(H["residual"], N["residual"]) < 1e-12
-    assert fit.time_independent == {"H": True, "P": False, "N": False}
+def test_the_law_is_checked_at_i_over_hbar():
+    # at hbar = 2 the law holds for H and N at K = i/2 and not at K = i,
+    # so the constant is the convention's, not one that fits
+    rep = RepDescriptor("position1d", m=1.0, hbar=2.0, force_f=0.5, V0=0.25)
+    residuals, _ = heisenberg_fit(rep)
+    assert residuals == {"H": 0.0, "P": 1.0, "N": 0.0}
+    H, N = (generator(rep, name) for name in ("H", "N"))
+    assert (N.d_dt() - H.commutator(N).scale(1j)).norm() == 2.0
 
 
 def test_generators_at_time_zero_match_the_static_ones():
