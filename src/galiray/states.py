@@ -21,9 +21,9 @@ check evaluates a state at a point or applies an operator.
 
 Each object has one polynomial form.  A state's term polynomial is dense
 rows (_PolyRows): an (N, M) coefficient array over the graded monomial basis
-_basis(dim, deg).  Substitution, the products conj(f) g of an inner product
-and the shift of its Gaussian integral run on these arrays through one
-product table per pair of degrees, and the Gaussian moments through one
+_basis(dim, deg).  Substitution and the products conj(f) g of an inner
+product run on these arrays through one product table per pair of degrees,
+and the moments of a Gaussian integral, about the origin, through one
 round table per degree (_moment_table); each adds a coefficient's terms one
 at a time in an order fixed by the degrees, so row i equals the 1-row call
 bit for bit whatever degrees the other rows have.  A {exponent tuple:
@@ -626,33 +626,37 @@ def _derivative_columns(dim: int, deg: int, i: int) -> np.ndarray:
 @functools.cache
 def _moment_table(dim: int, deg: int) -> tuple:
     """The moments of _basis(dim, deg) as rounds (K, J, A, B, C): column
-    K[j] gains C[j] Sigma[A[j], B[j]] times column J[j].  E[q^e] is the sum
-    over b of r_b Sigma[a, b] E[q^(r - 1_b)], r = e - 1_a for a the first
-    variable e uses, its terms in the order of b; the rounds run by degree,
-    so a column is complete before a higher degree reads it."""
+    K[j] gains C[j] S[A[j], B[j]] times column J[j], for S = [Sigma | m]
+    (N, dim, dim + 1).  E[q^e] is m_a E[q^r] plus the sum over b of r_b
+    Sigma[a, b] E[q^(r - 1_b)], for (r, a) the parent and variable of e
+    (_steps), its terms in that order; the rounds run by degree, so a
+    column is complete before a higher degree reads it."""
     index = _index(dim, deg)
     rounds = []
-    for d in range(2, deg + 1, 2):
+    for d in range(1, deg + 1):
         terms = []
-        for e in _basis(dim, deg)[_size(dim, d - 1):_size(dim, d)]:
-            a = next(i for i, x in enumerate(e) if x)
-            rest = e[:a] + (e[a] - 1,) + e[a + 1:]
-            terms.append([(index[e], index[rest[:b] + (c - 1,) + rest[b + 1:]],
-                           a, b, c) for b, c in enumerate(rest) if c])
-        rounds += [tuple(map(np.array, zip(*(t[r] for t in terms
-                                             if len(t) > r))))
-                   for r in range(max(map(len, terms)))]
+        for k, r, a in zip(range(_size(dim, d - 1), _size(dim, d)),
+                           *_steps(dim, d)):
+            rest = _basis(dim, d)[r]
+            terms.append([(k, r, a, dim, 1)] + [
+                (k, index[rest[:b] + (c - 1,) + rest[b + 1:]], a, b, c)
+                for b, c in enumerate(rest) if c])
+        rounds += [tuple(map(np.array, zip(*(t[i] for t in terms
+                                             if len(t) > i))))
+                   for i in range(max(map(len, terms)))]
     return tuple(rounds)
 
 
-def _moments(Sigma: np.ndarray, deg: int) -> np.ndarray:
-    """E[q^e] (N, M) of a centered Gaussian with complex covariance Sigma
-    (N, dim, dim) for each e of _basis(dim, deg), one product per round."""
-    n, dim = Sigma.shape[:2]
+def _moments(Sigma: np.ndarray, m: np.ndarray, deg: int) -> np.ndarray:
+    """E[q^e] (N, M) of a Gaussian with mean m (N, dim) and complex
+    covariance Sigma (N, dim, dim) for each e of _basis(dim, deg), one
+    product per round."""
+    n, dim = m.shape
+    S = np.concatenate((Sigma, m[:, :, None]), axis=2)
     out = np.zeros((n, _size(dim, deg)), dtype=complex)
     out[:, 0] = 1.0
     for K, J, A, B, C in _moment_table(dim, deg):
-        out[:, K] += C * Sigma[:, A, B] * out[:, J]
+        out[:, K] += C * S[:, A, B] * out[:, J]
     return out
 
 
@@ -687,24 +691,22 @@ def _gaussian_integrals(poly: _PolyRows, alpha: np.ndarray, beta: np.ndarray,
     """Row-wise integral of poly[i](p) exp(alpha + <beta,p> + p^T Gamma p)
     over R^dim, and per row whether it converges: Gamma must be finite and
     Re(-2 Gamma) positive-definite (_integrable_root).  A row that does not
-    converge gives NaN.  The polynomial shifted to the Gaussian's centre
-    meets every moment of _moments in one product over the (N, M) block,
-    whose columns are then added in basis order."""
+    converge gives NaN.  The polynomial meets the moments of the Gaussian's
+    own mean and covariance (_moments) in one product over the (N, M)
+    block, whose columns are then added in basis order."""
     dim = beta.shape[1]
     # part by part: the complex product by -2 would take 0 * inf of an
     # infinite part, which warns and carries a NaN into the other part
     A = _complex(-2.0 * Gamma.real, -2.0 * Gamma.imag)
     integrable, det_root = _integrable_root(A)
     # stand-in rows keep solve and inv off a singular or non-finite matrix
-    eye = np.eye(dim)
-    A = np.where(integrable[:, None, None], A, eye)
+    A = np.where(integrable[:, None, None], A, np.eye(dim))
     m = np.linalg.solve(A, beta[:, :, None])[:, :, 0]
     Sigma = np.linalg.inv(A)
     prefactor = ((2.0 * math.pi) ** (dim / 2.0) / det_root
                  * np.exp(alpha + 0.5 * _dot(beta, m)))
-    # the integrand is poly(q + m) times a centered Gaussian in q
-    shifted = poly.substitute(np.broadcast_to(eye, A.shape), m).coef
-    total = _column_sum(shifted * _moments(Sigma, poly.deg))
+    # the integrand is poly(q) times a Gaussian of mean m, covariance Sigma
+    total = _column_sum(poly.coef * _moments(Sigma, m, poly.deg))
     out = prefactor * total
     out[~integrable] = complex(math.nan, math.nan)
     return out, integrable

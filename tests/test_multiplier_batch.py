@@ -7,9 +7,10 @@ extract_multiplier are 1-row views, so row i of an N-row call must equal the
 parameters of the two states, and must agree with a pointwise ratio of their
 values.  The
 suite's multiplier checks run the core in chunks, and their reports must not
-depend on the chunk size.  Each negative control breaks one piece of the
-prediction or the extraction and the check must fail; at scale 10 the
-multiplier checks must still pass.
+depend on the chunk size, nor evaluate a state at a point.  At scale 10
+the multiplier checks must still pass.  The faults in the prediction or
+the extraction that each check must fail on are entries of the mutant
+registry (tests/test_mutants.py).
 """
 
 import json
@@ -18,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from galiray import cocycles, group, harness, verify
+from galiray import harness, verify
 from galiray.cli import main
 from galiray.group import (GalileiBatch, GalileiElement,
                            identity_batch, multiply_batch, random_element,
@@ -282,21 +283,7 @@ def test_the_multiplier_check_extracts_once_per_sweep_chunk(monkeypatch):
     assert calls == [340, 4 * 42] * 3
 
 
-# -- negative controls: each fault must fail its check -----------------------
-
-FAULT_CFG = dict(n_triples=3, n_pairs=30, n_time_cases=24,
-                 n_unitarity_cases=1, n_time_zero_cases=1,
-                 n_exponent_triples=1)
-
-
-def _verdicts(family) -> dict:
-    return {c["rep"]: c["pass"]
-            for c in getattr(harness, family)(default_config(**FAULT_CFG))}
-
-
-def _all_pass(family):
-    return {rep.kind: True for rep in REPS} == _verdicts(family)
-
+# -- no state is evaluated at a point -----------------------------------------
 
 def test_the_multiplier_families_evaluate_no_state(monkeypatch, capsys):
     def forbidden(*args, **kwargs):
@@ -306,126 +293,11 @@ def test_the_multiplier_families_evaluate_no_state(monkeypatch, capsys):
                         (_PolyRows, "at"),
                         (verify, "default_sample_points")):
         monkeypatch.setattr(owner, attr, forbidden)
-    cfg = default_config(**FAULT_CFG)
+    cfg = default_config(n_pairs=30, n_time_cases=24, n_exponent_triples=1)
     for family in ("_check_multipliers", "_check_time_multiplier"):
         assert all(c["pass"] for c in getattr(harness, family)(cfg))
     assert main(["multiplier", "--rep", "bargmann3d", "--t", "0.9"]) == 0
     capsys.readouterr()
-
-
-def test_a_sign_flipped_xi1_fails_the_nonabelian_multiplier(monkeypatch):
-    assert _all_pass("_check_multipliers")
-    real = cocycles.evaluate_batch
-
-    def flipped(xi, r, s):
-        value = real(xi, r, s)
-        return -value if xi.name == "xi1" else value
-
-    monkeypatch.setattr(cocycles, "evaluate_batch", flipped)
-    assert _verdicts("_check_multipliers") == {
-        "schrodinger2d": True, "nonabelian2d": False, "bargmann3d": True}
-
-
-def test_a_dropped_rotation_wrap_fails_the_2d_multipliers(monkeypatch):
-    assert _all_pass("_check_multipliers")
-    monkeypatch.setattr(verify, "_rotation_wrap",
-                        lambda r, s, rs: np.zeros(len(r)))
-    assert _verdicts("_check_multipliers") == {
-        "schrodinger2d": False, "nonabelian2d": False, "bargmann3d": True}
-
-
-def test_a_sign_flipped_xi_t_fails_the_time_multiplier(monkeypatch):
-    assert _all_pass("_check_time_multiplier")
-    real = verify._xi_t
-    monkeypatch.setattr(verify, "_xi_t", lambda *args: -real(*args))
-    assert not any(_verdicts("_check_time_multiplier").values())
-
-
-def _wrong_beta(composed):
-    (poly, alpha, beta, Gamma), *rest = composed.terms
-    return StateBatch(composed.dim, [(poly, alpha, beta + 1e-6, Gamma), *rest])
-
-
-def _scaled(composed):
-    return composed.multiply_phase(const=np.full(len(composed.terms[0][1]),
-                                                 1e-6))
-
-
-# a fault in the composed state U_t(r) U_t(s) f, and the multiplier details it
-# must fail (a scale changes |omega|, so the match fails with the modulus)
-COMPOSED_FAULTS = {
-    "wrong_beta": (_wrong_beta, {"max_constancy_spread"}),
-    "scaled": (_scaled, {"max_modulus_error",
-                         "max_matched_exponent_residual"}),
-}
-DETAIL_TOLS = {"max_constancy_spread": "multiplier_spread",
-               "max_modulus_error": "multiplier_modulus",
-               "max_matched_exponent_residual": "multiplier_match",
-               "max_exponent_cocycle_residual": "exponent_cocycle"}
-
-
-@pytest.mark.parametrize("fault", COMPOSED_FAULTS)
-def test_a_faulty_composed_state_fails_its_details_alone(fault, monkeypatch):
-    assert _all_pass("_check_multipliers")
-    change, failing = COMPOSED_FAULTS[fault]
-    real = verify._term_mismatch
-    monkeypatch.setattr(verify, "_term_mismatch",
-                        lambda composed, direct: real(change(composed),
-                                                      direct))
-    cfg = default_config(**FAULT_CFG)
-    for entry in harness._check_multipliers(cfg):
-        assert entry["pass"] is False
-        assert {key for key, tol in DETAIL_TOLS.items()
-                if not entry["details"][key] < cfg.tol(tol)} == failing
-    # the time multiplier takes in the term mismatch of its extractions; a
-    # scale of both cancels in omega_t / omega_0
-    time_verdicts = set(_verdicts("_check_time_multiplier").values())
-    assert time_verdicts == {fault == "scaled"}
-
-
-def test_a_product_built_as_s_r_fails_every_multiplier(monkeypatch):
-    assert _all_pass("_check_multipliers")
-    monkeypatch.setattr(verify, "multiply_batch",
-                        lambda r, s: multiply_batch(s, r))
-    assert not any(_verdicts("_check_multipliers").values())
-
-
-def test_rs_and_sq_built_as_s_r_fail_the_exponent_cocycle_alone(
-        monkeypatch):
-    assert _all_pass("_check_multipliers")
-    real = verify.multiply
-    monkeypatch.setattr(verify, "multiply", lambda r, s: real(s, r))
-    cfg = default_config(**FAULT_CFG)
-    for entry in harness._check_multipliers(cfg):
-        assert entry["pass"] is False
-        assert {key for key, tol in DETAIL_TOLS.items()
-                if not entry["details"][key] < cfg.tol(tol)} == {
-            "max_exponent_cocycle_residual"}
-
-
-def test_a_nan_eta_of_r_fails_the_triples_of_every_rep(monkeypatch):
-    # r's eta enters a 2D triple only through the quadratic phase of the
-    # outermost operator: its residual stays finite, and the check fails on
-    # the triple's constancy spread, which it holds to the pairs' tolerance
-    assert _all_pass("_check_multipliers")
-    real = harness.exponent_cocycle_residual_batch
-
-    def poisoned(rep, r, s, q, t, state):
-        r = r[:]
-        r.eta = r.eta.copy()
-        r.eta[0] = math.nan
-        return real(rep, r, s, q, t, state)
-
-    monkeypatch.setattr(harness, "exponent_cocycle_residual_batch", poisoned)
-    # a validated element cannot hold a NaN: build the rows unvalidated, and
-    # the products of multiply, which check that they are finite, too
-    monkeypatch.setattr(GalileiElement, "__post_init__", lambda self: None)
-    monkeypatch.setattr(group, "_trusted", lambda b: b.element(0))
-    for entry in harness._check_multipliers(default_config(**FAULT_CFG)):
-        assert entry["pass"] is False
-        assert math.isnan(entry["details"]["max_constancy_spread"])
-        cocycle = entry["details"]["max_exponent_cocycle_residual"]
-        assert math.isnan(cocycle) == (entry["rep"] == "bargmann3d")
 
 
 # -- scale 10 -------------------------------------------------------------

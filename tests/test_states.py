@@ -509,26 +509,27 @@ def test_a_state_needs_a_term():
 
 # -- the moment table against the recursion it replaces ----------------------
 
-def _reference_central_moment(Sigma, exps, cache):
-    """E[q^exps] of a centered Gaussian with complex covariance Sigma, per
-    matrix of the stack Sigma (N, dim, dim): one product per term of the
-    recursion over the first variable exps uses."""
-    if exps in cache:
-        return cache[exps]
-    total_deg = sum(exps)
-    total = np.full(len(Sigma), complex(total_deg == 0))
-    if total_deg % 2 == 0 and total_deg > 0:
-        a = next(i for i, e in enumerate(exps) if e > 0)
-        rest = list(exps)
-        rest[a] -= 1
-        for b, count in enumerate(rest):
-            if count > 0:
-                nxt = list(rest)
-                nxt[b] -= 1
-                total = total + count * Sigma[:, a, b] * \
-                    _reference_central_moment(Sigma, tuple(nxt), cache)
-    cache[exps] = total
-    return total
+def _reference_moment(Sigma, m, exps, cache):
+    """E[q^exps] of a Gaussian with mean m and complex covariance Sigma, per
+    row of the stacks m (N, dim) and Sigma (N, dim, dim): one product per
+    term of the recursion over the first variable exps uses, m's term
+    first."""
+    if exps not in cache:
+        total = np.full(len(m), complex(sum(exps) == 0))
+        if sum(exps):
+            a = next(i for i, e in enumerate(exps) if e > 0)
+            rest = list(exps)
+            rest[a] -= 1
+            total = total + 1 * m[:, a] * _reference_moment(
+                Sigma, m, tuple(rest), cache)
+            for b, count in enumerate(rest):
+                if count > 0:
+                    nxt = list(rest)
+                    nxt[b] -= 1
+                    total = total + count * Sigma[:, a, b] * \
+                        _reference_moment(Sigma, m, tuple(nxt), cache)
+        cache[exps] = total
+    return cache[exps]
 
 
 def _reference_substitute(poly, M, c):
@@ -544,9 +545,11 @@ def _reference_substitute(poly, M, c):
     return _PolyRows(poly.dim, poly.deg, out)
 
 
-def _reference_gaussian_integrals(poly, alpha, beta, Gamma):
+def _reference_gaussian_integrals(poly, alpha, beta, Gamma, shift):
     """_gaussian_integrals with one product per monomial of the moment sum
-    and the moments from the recursion."""
+    and the moments from the recursion: about the origin, or, if shift, the
+    polynomial shifted to the Gaussian's mean against the central moments,
+    as the integrals were taken before."""
     n, dim = beta.shape
     A = _complex(-2.0 * Gamma.real, -2.0 * Gamma.imag)
     integrable, det_root = _integrable_root(A)
@@ -556,25 +559,27 @@ def _reference_gaussian_integrals(poly, alpha, beta, Gamma):
     Sigma = np.linalg.inv(A)
     prefactor = ((2.0 * math.pi) ** (dim / 2.0) / det_root
                  * np.exp(alpha + 0.5 * _dot(beta, m)))
-    shifted = _reference_substitute(poly, np.broadcast_to(eye, A.shape),
-                                    m).coef
+    coef = poly.coef
+    if shift:
+        coef = _reference_substitute(poly, np.broadcast_to(eye, A.shape),
+                                     m).coef
+        m = np.zeros_like(m)
     cache: dict = {}
     total = np.zeros(n, dtype=complex)
     for k, exps in enumerate(_basis(dim, poly.deg)):
-        total = total + shifted[:, k] * _reference_central_moment(
-            Sigma, exps, cache)
+        total = total + coef[:, k] * _reference_moment(Sigma, m, exps, cache)
     out = prefactor * total
     out[~integrable] = complex(math.nan, math.nan)
     return out
 
 
-def _reference_inner_products(F, G):
+def _reference_inner_products(F, G, shift=False):
     total = np.zeros(len(F), dtype=complex)
     for pf, af, bf, Gf in F.terms:
         for pg, ag, bg, Gg in G.terms:
             total = total + _reference_gaussian_integrals(
                 pf.conj_times(pg), af.conjugate() + ag, bf.conjugate() + bg,
-                Gf.conjugate() + Gg)
+                Gf.conjugate() + Gg, shift)
     return total
 
 
@@ -585,16 +590,18 @@ def test_the_moment_table_is_the_recursion_bit_for_bit(dim):
     rng = np.random.default_rng(460 + dim)
     Sigma = _complex(rng.normal(size=(6, dim, dim)),
                      rng.normal(size=(6, dim, dim)))
+    m = _complex(rng.normal(size=(6, dim)), rng.normal(size=(6, dim)))
     Sigma[2, dim - 1, 0] = complex(math.nan, 0.5)
     Sigma[4, 0, 0] = complex(0.5, math.nan)
-    got = _moments(Sigma, deg)
+    m[5, dim - 1] = complex(-0.0, math.nan)
+    got = _moments(Sigma, m, deg)
     cache: dict = {}
     for k, exps in enumerate(_basis(dim, deg)):
-        want = _reference_central_moment(Sigma, exps, cache)
+        want = _reference_moment(Sigma, m, exps, cache)
         assert got[:, k].tobytes() == want.tobytes(), exps
     # every lower degree reads the same table as a prefix
     for d in range(deg):
-        assert _moments(Sigma, d).tobytes() == np.ascontiguousarray(
+        assert _moments(Sigma, m, d).tobytes() == np.ascontiguousarray(
             got[:, :_size(dim, d)]).tobytes()
 
 
@@ -609,10 +616,11 @@ def _draw_batch(rng, dim, degrees, n_terms):
 @pytest.mark.parametrize("n_terms", [(1, 1), (1, 2), (2, 2)])
 def test_inner_products_equal_the_per_monomial_loop(dim, max_degree,
                                                     n_terms):
-    """Rows of mixed degrees up to max_degree per side (degree 8 in dim 3
-    would take tens of MB per row), a NaN beta and a NaN polynomial
-    coefficient among them: every value has the repr it had with one
-    product per monomial and the moment recursion."""
+    """Rows of mixed degrees up to max_degree per side, a NaN beta and a
+    NaN polynomial coefficient among them: every value has the repr it has
+    with one product per monomial and the moment recursion, and agrees to
+    1e-12 with the polynomial shifted to the mean against the central
+    moments."""
     rng = np.random.default_rng(470 + 10 * dim + sum(n_terms))
     degrees = list(range(max_degree + 1))
     F = _draw_batch(rng, dim, degrees, n_terms[0])
@@ -626,16 +634,18 @@ def test_inner_products_equal_the_per_monomial_loop(dim, max_degree,
     got = inner_product_batch(F, G)
     want = _reference_inner_products(F, G)
     assert list(map(repr, got.tolist())) == list(map(repr, want.tolist()))
+    shifted = _reference_inner_products(F, G, shift=True)
+    np.testing.assert_allclose(got, shifted, rtol=1e-12)
     assert np.isnan(got[[1, 3]]).all()
     assert np.isfinite(np.delete(got, [1, 3])).all()
 
 
 def test_a_degree_8_inner_product_in_dim_3_stays_within_its_memory():
-    """One inner product of two degree-8 states in dimension 3 shifts a
-    degree-16 polynomial: its substitution forms a (1, 969, 969) complex
-    block of monomial images, 15 MB, which the coefficients multiply in
-    place.  The traced peak stays below 34.4 MB, what it took before the
-    block was formed in one product."""
+    """One inner product of two degree-8 states in dimension 3 meets a
+    degree-16 polynomial with its 969 moments, a few (1, 969) rows: the
+    traced peak stays below 1 MB.  Shifting the polynomial by substitution,
+    as the integrals did before, formed a (1, 969, 969) block and peaked
+    near 29 MB."""
     f, g = random_state(1, 3, poly_degree=8), random_state(2, 3, poly_degree=8)
     inner_product(f, g)  # the product and moment tables, built once
     tracemalloc.start()
@@ -644,4 +654,4 @@ def test_a_degree_8_inner_product_in_dim_3_stays_within_its_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 34.4e6
+    assert peak < 1e6

@@ -49,6 +49,31 @@ def test_report_digests_diff_of_the_tree_against_itself_is_empty(tmp_path):
     assert (done.returncode, done.stdout) == (0, ""), done.stderr
 
 
+def _refuse(token):
+    raise ValueError(f"bare {token} token")
+
+
+def test_report_digests_json_writes_a_non_finite_residual_as_a_string(
+        tmp_path):
+    # at scale 1e160 the sweeps overflow to NaN residuals; position1d alone
+    # runs no multiplier check, whose products would raise instead
+    cfg = default_config(scale=1e160, reps=default_config().reps[-1:],
+                         **WARM_UP)
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(config_to_dict(cfg)))
+    done = subprocess.run([sys.executable, str(TOOL), "--config", str(path),
+                           "--json"], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout, parse_constant=_refuse)[str(path)]
+    axioms = [c for c in report["checks"]
+              if c["check"].startswith("group_axioms_")]
+    assert [c["max_residual"] for c in axioms] == ["NaN"] * 3
+    # the family line reads the string back as NaN
+    assert _load_tool().family_lines(
+        [(c["check"], None, c) for c in axioms], ("group_axioms_",)) == [
+        "family group_axioms: 3 moved, largest max_residual None -> nan"]
+
+
 def _load_tool():
     spec = importlib.util.spec_from_file_location("report_digests", TOOL)
     module = importlib.util.module_from_spec(spec)

@@ -6,8 +6,9 @@ Usage, from the root of a galiray checkout:
                                     [--json | --diff OTHER_SRC]
 
 For each config it prints `<name> <sha256>`, the digest of the report of
-`run_suite` without its `generated_at` timestamp, serialized as
-perfbench/gate.py's deterministic_text does.  Equal digests on two
+`run_suite` without its `generated_at` timestamp, serialized by galiray's
+one JSON writer, `harness.report_json` (a value that is not finite as the
+string "NaN", "Infinity" or "-Infinity").  Equal digests on two
 checkouts mean byte-identical reports.  The reference configs are
 `default_config()`, the scales 0.001, 100 and 1000, and each benchmark
 workload at the seeds 1, 201 and 1401.  --config digests one config file
@@ -56,9 +57,15 @@ def reference_configs(harness, workloads) -> dict:
     return configs
 
 
-def digest(harness, gate, cfg) -> str:
-    text = gate.deterministic_text(harness.run_suite(cfg))
-    return hashlib.sha256(text.encode()).hexdigest()
+def report_text(harness, cfg) -> str:
+    """The report of cfg without its timestamp, as report_json writes it."""
+    report = harness.run_suite(cfg)
+    del report["generated_at"]
+    return harness.report_json(report)
+
+
+def digest(harness, cfg) -> str:
+    return hashlib.sha256(report_text(harness, cfg).encode()).hexdigest()
 
 
 def _entries(report: dict) -> dict:
@@ -124,8 +131,10 @@ def diff_lines(name: str, old: dict, new: dict, margins) -> tuple:
 
 
 def _largest(values) -> float | None:
-    """The largest of the numbers among values; NaN if one is NaN."""
-    numbers = [v for v in values if isinstance(v, float)]
+    """The largest of the numbers among values, a value that is not finite
+    read from its report_json string too; NaN if one is NaN."""
+    numbers = [float(v) for v in values if isinstance(v, float)
+               or v in ("NaN", "Infinity", "-Infinity")]
     return max(numbers, key=lambda v: (math.isnan(v), v), default=None)
 
 
@@ -186,18 +195,17 @@ def main(argv=None) -> int:
     else:
         cfgs = {str(args.config): lambda: harness.load_config(args.config)}
     if args.json:
-        print(json.dumps({name: json.loads(gate.deterministic_text(
-            harness.run_suite(make()))) for name, make in cfgs.items()}))
+        print(json.dumps({name: json.loads(report_text(harness, make()))
+                          for name, make in cfgs.items()}))
         return 0
     if other is None:
         for name, make in cfgs.items():
-            print(name, digest(harness, gate, make()), flush=True)
+            print(name, digest(harness, make()), flush=True)
         return 0
     new = {}
     for name, make in cfgs.items():
         cfg = make()
-        new[name] = (cfg, json.loads(gate.deterministic_text(
-            harness.run_suite(cfg))))
+        new[name] = (cfg, json.loads(report_text(harness, cfg)))
     out, _ = other.communicate()
     if other.returncode:
         print(f"the reports of {args.diff} could not be made",
