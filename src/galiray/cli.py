@@ -62,8 +62,7 @@ def _cmd_cocycle(args) -> int:
 
 
 def _cmd_multiplier(args) -> int:
-    cfg = default_config()
-    rep = {r.kind: r for r in cfg.reps}[args.rep]
+    rep = {r.kind: r for r in default_config().reps}[args.rep]
     r, s = _load_pair(args.pair, rep.dim, args.seed)
     state = random_state(args.seed + 1, rep.dim)
     # a pair that overflows gives NaN residuals, as a sweep's case does
@@ -72,7 +71,7 @@ def _cmd_multiplier(args) -> int:
         name, match = match_exponent_batch(rep, r, s, args.t, rows)
     spread, modulus, match = (float(x[0]) for x in (
         rows.constancy_spread, rows.modulus_error, match))
-    passed = _multipliers_pass(cfg, spread, modulus, match)
+    passed = _multipliers_pass(spread, modulus, match)
     _print({
         "rep": rep_to_dict(rep),
         "t": args.t,
@@ -141,7 +140,7 @@ def _parsed(parse, ok, message: str):
     return check
 
 
-# the number flags: a finite number; a scale or tolerance, as a config's;
+# the number flags: a finite number; a scale, as a config's, or a tolerance;
 # a seed, as numpy takes it; a sweep's case count
 _finite = _parsed(float, math.isfinite, "expected a finite number")
 _positive = _parsed(float, _finite_positive,

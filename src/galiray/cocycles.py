@@ -177,7 +177,6 @@ def equivalence_transform(xi, phi, dim: int | None = None):
 @dataclass(frozen=True)
 class InfinitesimalExponentValue:
     value: float
-    tau_sequence: tuple
     extrapolation_error: float
     converged: bool
 
@@ -223,32 +222,17 @@ def _distinct_rows(X: la.AlgebraBatch, Y: la.AlgebraBatch) -> tuple:
             inverse[len(X):])
 
 
-def _checked_taus(tau_sequence) -> tuple:
-    """tau_sequence as a tuple of floats; ValueError unless it holds at
-    least 3 values, all finite, positive and distinct (_richardson divides
-    by 1 - (b/a)**p, which is 0 for a repeated tau)."""
-    taus = tuple(map(float, tau_sequence))
-    if len(taus) < 3 or not all(math.isfinite(t) and t > 0 for t in taus):
-        raise ValueError(f"tau_sequence needs at least 3 entries, all finite "
-                         f"and positive, got {list(taus)}")
-    repeated = sorted({t for t in taus if taus.count(t) > 1})
-    if repeated:
-        raise ValueError(f"tau_sequence must not repeat a value, got "
-                         f"{repeated} more than once in {list(taus)}")
-    return taus
-
-
-def infinitesimal_exponent_batch(xi, X: la.AlgebraBatch, Y: la.AlgebraBatch,
-                                 tau_sequence=DEFAULT_TAU_SEQUENCE) -> tuple:
+def infinitesimal_exponent_batch(xi, X: la.AlgebraBatch,
+                                 Y: la.AlgebraBatch) -> tuple:
     """Second-order limit
     lim tau^-2 [xi(gh, g^-1 h^-1) + xi(g, h) + xi(g^-1, h^-1)]
-    with g = exponential(tau X[i]), h = exponential(tau Y[i]), as the (N,)
-    arrays (value, extrapolation_error, converged); xi is any row-wise
-    exponent.  The exponentials exp(tau X) and exp(tau Y) and their
-    inverses run as one batch, once per distinct row of X and Y and tau,
-    and all pairs and taus as one batch of len(X) * len(tau_sequence)
-    rows."""
-    taus = _checked_taus(tau_sequence)
+    with g = exponential(tau X[i]), h = exponential(tau Y[i]), extrapolated
+    over the taus of DEFAULT_TAU_SEQUENCE, as the (N,) arrays (value,
+    extrapolation_error, converged); xi is any row-wise exponent.  The
+    exponentials exp(tau X) and exp(tau Y) and their inverses run as one
+    batch, once per distinct row of X and Y and tau, and all pairs and
+    taus as one batch of len(X) * len(DEFAULT_TAU_SEQUENCE) rows."""
+    taus = DEFAULT_TAU_SEQUENCE
     n, k = len(X), len(taus)
     U, ix, iy = _distinct_rows(X, Y)
     # row u * k + j is U[u] at taus[j]
@@ -267,11 +251,10 @@ def infinitesimal_exponent_batch(xi, X: la.AlgebraBatch, Y: la.AlgebraBatch,
     return _richardson(taus, samples)
 
 
-def infinitesimal_exponent(xi, X: la.AlgebraElement, Y: la.AlgebraElement,
-                           tau_sequence=DEFAULT_TAU_SEQUENCE) -> InfinitesimalExponentValue:
+def infinitesimal_exponent(xi, X: la.AlgebraElement,
+                           Y: la.AlgebraElement) -> InfinitesimalExponentValue:
     """The 1-row view of infinitesimal_exponent_batch."""
-    taus = tuple(map(float, tau_sequence))
-    value, err, converged = infinitesimal_exponent_batch(xi, X, Y, taus)
+    value, err, converged = infinitesimal_exponent_batch(xi, X, Y)
     return InfinitesimalExponentValue(
-        value=float(value[0]), tau_sequence=taus,
-        extrapolation_error=float(err[0]), converged=bool(converged[0]))
+        value=float(value[0]), extrapolation_error=float(err[0]),
+        converged=bool(converged[0]))

@@ -25,7 +25,8 @@ from galiray.algebra import (_SERIES, AlgebraBatch, AlgebraElement,
                              exponential_batch, jacobi_residual,
                              jacobi_residual_batch, random_algebra_batch)
 from galiray.cli import main
-from galiray.cocycles import (PhaseExponent, _richardson, cocycle_residual,
+from galiray.cocycles import (DEFAULT_TAU_SEQUENCE, PhaseExponent,
+                              _richardson, cocycle_residual,
                               cocycle_residual_batch, evaluate,
                               evaluate_batch, infinitesimal_exponent)
 from galiray.group import (_rodrigues, _rotations_2d,
@@ -444,11 +445,12 @@ def test_exponents_match_the_scalar_ones_row_by_row(xi, n, scale):
 
 def test_infinitesimal_exponent_batches_its_taus_exactly():
     """One batch over the taus gives what a tau-by-tau loop of exponentials
-    gives; a random X and Y mix squaring counts across the taus."""
+    gives; at scale 16, Y's rotation angles cross the series threshold
+    (algebra._SERIES) across the taus."""
     xi = PhaseExponent("xi0", 3, gamma=1.3)
-    X, Y = (random_algebra_batch(560 + i, 1, 3, 4.0).element(0)
+    X, Y = (random_algebra_batch(560 + i, 1, 3, 16.0).element(0)
             for i in range(2))
-    taus = (0.4, 0.2, 0.1, 0.05)
+    taus = DEFAULT_TAU_SEQUENCE
     samples = []
     for tau in taus:
         g, h = exponential(_scaled(X, tau)), exponential(_scaled(Y, tau))
@@ -456,7 +458,7 @@ def test_infinitesimal_exponent_batches_its_taus_exactly():
         samples.append((evaluate(xi, multiply(g, h), multiply(gi, hi))
                         + evaluate(xi, g, h) + evaluate(xi, gi, hi))
                        / tau ** 2)
-    assert infinitesimal_exponent(xi, X, Y, taus).value == \
+    assert infinitesimal_exponent(xi, X, Y).value == \
         _richardson(taus, np.array([samples]))[0][0]
 
 

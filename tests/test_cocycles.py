@@ -204,16 +204,6 @@ def test_infinitesimal_exponent_handles_odd_order_terms():
     assert got.extrapolation_error < 1e-7
 
 
-def test_infinitesimal_exponent_rejects_bad_tau_sequences():
-    xi = PhaseExponent("xi0", 2)
-    X = basis_element("b1", 2)
-    Y = basis_element("d1", 2)
-    with pytest.raises(ValueError):
-        infinitesimal_exponent(xi, X, Y, tau_sequence=(0.1, 0.05))
-    with pytest.raises(ValueError):
-        infinitesimal_exponent(xi, X, Y, tau_sequence=(0.1, -0.05, 0.025))
-
-
 def test_exponent_parameter_reporting_and_validation():
     assert PhaseExponent("xi1", 2, lam=0.7).params() == {"lambda": 0.7}
     assert PhaseExponent("xi_t", 3, gamma=1.2, t=0.4).params() == \

@@ -8,13 +8,13 @@ import math
 import re
 import sys
 from pathlib import Path
-from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 from galiray import cli, harness, representations
 from galiray.cli import main
+from galiray.cocycles import DEFAULT_TAU_SEQUENCE
 from galiray.group import GalileiElement, element_to_dict, identity_batch
 from galiray.representations import RepDescriptor, rep_from_dict, rep_to_dict
 from galiray.harness import (
@@ -42,7 +42,12 @@ def test_default_config_is_valid():
     assert cfg.seed == 12345
     assert cfg.n_triples == 1000
     assert cfg.n_pairs == 500
-    assert set(cfg.tolerances) == set(DEFAULT_TOLERANCES)
+    # the times, the documented exception, the tolerances and the taus are
+    # the battery's constants, not fields
+    assert [f.name for f in dataclasses.fields(cfg)] == [
+        "seed", "scale", "n_triples", "n_pairs", "reps", "n_time_cases",
+        "n_unitarity_cases", "n_time_zero_cases", "n_exponent_triples"]
+    assert cfg.t_samples == (0.5, 1.7)
     assert cfg.expected_divergences == ("heisenberg_position1d",)
     assert tuple(r.kind for r in cfg.reps) == (
         "schrodinger2d", "nonabelian2d", "bargmann3d", "position1d")
@@ -54,13 +59,31 @@ def test_config_validation_rejects_bad_values():
     with pytest.raises(ValueError):
         default_config(scale=0.0)
     with pytest.raises(ValueError):
-        default_config(tau_sequence=(0.1, 0.05))
-    with pytest.raises(ValueError):
-        default_config(t_samples=())
-    with pytest.raises(ValueError):
         default_config(n_time_cases=0)
-    with pytest.raises(ValueError):
-        default_config(tolerances={**DEFAULT_TOLERANCES, "group": -1.0})
+
+
+# each key of the battery's constants, at its value
+FIXED_KEYS = {"tolerances": dict(DEFAULT_TOLERANCES),
+              "tau_sequence": list(DEFAULT_TAU_SEQUENCE),
+              "t_samples": list(harness.SuiteConfig.t_samples),
+              "expected_divergences": ["heisenberg_position1d"]}
+
+
+def _python_error(overrides):
+    """What default_config(**overrides) raises: a key of the battery's
+    constants is no keyword of SuiteConfig."""
+    return TypeError if FIXED_KEYS.keys() & overrides.keys() else ValueError
+
+
+def _assert_rejects_a_fixed_key(doc, key, tmp_path, capsys):
+    """A config document that names a key of the battery's constants is an
+    input error that names the key, from a dict and from verify-all."""
+    message = f"unknown config keys: ['{key}']"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config_from_dict(doc)
+    path = _write_config(tmp_path, doc)
+    assert main(["verify-all", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 NON_FINITE = {
@@ -81,20 +104,21 @@ def _write_config(tmp_path, overrides):
 
 @pytest.mark.parametrize("overrides", NON_FINITE.values(), ids=NON_FINITE)
 def test_config_rejects_non_finite_values(overrides, tmp_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(_python_error(overrides)):
         default_config(**overrides)
     # json writes NaN and Infinity literals, which json.loads accepts
     with pytest.raises(ValueError):
         load_config(str(_write_config(tmp_path, overrides)))
 
 
-def test_config_rejects_a_boolean_tolerance(tmp_path):
-    # a JSON true is an int in Python, and would set the tolerance to 1.0
-    with pytest.raises(ValueError, match="tolerance 'group'"):
+def test_config_rejects_a_boolean_tolerance(tmp_path, capsys):
+    # a JSON true is an int in Python, and would set the tolerance to 1.0;
+    # the tolerances are constants, so the config cannot name one at all
+    with pytest.raises(TypeError):
         default_config(tolerances={"group": True})
-    path = _write_config(tmp_path, {"tolerances": {"group": True}})
-    with pytest.raises(ValueError, match="tolerance 'group'"):
-        load_config(str(path))
+    _assert_rejects_a_fixed_key({"tolerances": {"group": True}},
+                                "tolerances", tmp_path, capsys)
+    assert DEFAULT_TOLERANCES["group"] == 1e-12
 
 
 WRONG_TYPES = {
@@ -118,8 +142,9 @@ WRONG_TYPES = {
 @pytest.mark.parametrize("overrides", WRONG_TYPES.values(), ids=WRONG_TYPES)
 def test_config_rejects_wrongly_typed_values(overrides, tmp_path, capsys):
     # the same value from Python fails before any check runs: a dict is not
-    # a RepDescriptor, and no string stands for a number or a check name
-    with pytest.raises(ValueError):
+    # a RepDescriptor, no string stands for a number, and a key of the
+    # battery's constants is no keyword
+    with pytest.raises(_python_error(overrides)):
         default_config(**overrides)
     path = _write_config(tmp_path, overrides)
     with pytest.raises(ValueError):
@@ -130,25 +155,22 @@ def test_config_rejects_wrongly_typed_values(overrides, tmp_path, capsys):
 
 
 T_LABEL_CLASHES = {
-    "equal": ([0.5, 0.5], "[0.5, 0.5] all give t0.5"),
-    "same_label": ([0.5, 0.5000001], "[0.5, 0.5000001] all give t0.5"),
-    "among_others": ([1.7, 0.5, 1.7000001, 2.0],
-                     "[1.7, 1.7000001] all give t1.7"),
+    "equal": [0.5, 0.5],
+    "same_label": [0.5, 0.5000001],
+    "among_others": [1.7, 0.5, 1.7000001, 2.0],
 }
 
 
-@pytest.mark.parametrize("t_samples, clash", T_LABEL_CLASHES.values(),
+@pytest.mark.parametrize("t_samples", T_LABEL_CLASHES.values(),
                          ids=T_LABEL_CLASHES)
-def test_config_rejects_t_samples_that_share_a_check_name(t_samples, clash,
+def test_config_rejects_t_samples_that_share_a_check_name(t_samples,
                                                           tmp_path, capsys):
-    # each t names its cocycle_xi_t checks by its {t:g} label
-    with pytest.raises(ValueError, match=re.escape(clash)):
-        default_config(t_samples=tuple(t_samples))
-    path = _write_config(tmp_path, {"t_samples": t_samples})
-    with pytest.raises(ValueError, match=re.escape(clash)):
-        load_config(str(path))
-    assert main(["verify-all", "--config", str(path)]) == 2
-    assert clash in capsys.readouterr().err
+    # each t names its cocycle_xi_t checks by its {t:g} label: the battery's
+    # own times give distinct labels, and a config cannot name others
+    labels = [f"{t:g}" for t in harness.SuiteConfig.t_samples]
+    assert len(set(labels)) == len(labels)
+    _assert_rejects_a_fixed_key({"t_samples": t_samples}, "t_samples",
+                                tmp_path, capsys)
 
 
 REPEATED_KINDS = {
@@ -181,23 +203,19 @@ def test_config_rejects_reps_that_repeat_a_kind(kinds, repeated, tmp_path,
 
 
 REPEATED_TAUS = {
-    "adjacent": ([0.1, 0.1, 0.05], "[0.1] more than once"),
-    "apart": ([0.2, 0.1, 0.05, 0.1], "[0.1] more than once"),
-    "two_values": ([0.2, 0.2, 0.1, 0.05, 0.1], "[0.1, 0.2] more than once"),
+    "adjacent": [0.1, 0.1, 0.05],
+    "apart": [0.2, 0.1, 0.05, 0.1],
+    "two_values": [0.2, 0.2, 0.1, 0.05, 0.1],
 }
 
 
-@pytest.mark.parametrize("taus, repeated", REPEATED_TAUS.values(),
-                         ids=REPEATED_TAUS)
-def test_config_rejects_a_repeated_tau(taus, repeated, tmp_path, capsys):
-    # Richardson extrapolation over a repeated tau divides by zero
-    with pytest.raises(ValueError, match=re.escape(repeated)):
-        default_config(tau_sequence=tuple(taus))
-    path = _write_config(tmp_path, {"tau_sequence": taus})
-    with pytest.raises(ValueError, match=re.escape(repeated)):
-        load_config(str(path))
-    assert main(["verify-all", "--config", str(path)]) == 2
-    assert repeated in capsys.readouterr().err
+@pytest.mark.parametrize("taus", REPEATED_TAUS.values(), ids=REPEATED_TAUS)
+def test_config_rejects_a_repeated_tau(taus, tmp_path, capsys):
+    # Richardson extrapolation over a repeated tau divides by zero: the
+    # battery's own taus are distinct, and a config cannot name others
+    assert len(set(DEFAULT_TAU_SEQUENCE)) == len(DEFAULT_TAU_SEQUENCE)
+    _assert_rejects_a_fixed_key({"tau_sequence": taus}, "tau_sequence",
+                                tmp_path, capsys)
 
 
 BAD_SEEDS = {"negative": -1, "below_every_offset": -2000, "fraction": 1.5,
@@ -248,15 +266,13 @@ def test_config_takes_a_count_written_as_a_whole_float(tmp_path):
 
 @pytest.mark.parametrize("tolerances", ({"unitarty": 1e-30},
                                         {**DEFAULT_TOLERANCES, "cocyle": 1.0}))
-def test_config_rejects_unknown_tolerance_names(tolerances, tmp_path):
-    # a misspelled name would otherwise leave its check at the default
-    with pytest.raises(ValueError, match="unknown tolerance names"):
-        default_config(tolerances=tolerances)
-    path = _write_config(tmp_path, {"tolerances": tolerances})
-    with pytest.raises(ValueError, match="unknown tolerance names"):
-        load_config(str(path))
-    # a subset of the known names is still accepted
-    assert default_config(tolerances={"group": 1e-11}).tol("group") == 1e-11
+def test_config_rejects_unknown_tolerance_names(tolerances, tmp_path, capsys):
+    # a misspelled name would leave its check at the default: the battery
+    # checks at DEFAULT_TOLERANCES, and a config names no tolerance at all
+    _assert_rejects_a_fixed_key({"tolerances": tolerances}, "tolerances",
+                                tmp_path, capsys)
+    assert "unitarty" not in DEFAULT_TOLERANCES
+    assert "cocyle" not in DEFAULT_TOLERANCES
 
 
 NON_FINITE_REPS = {
@@ -309,13 +325,10 @@ def test_config_rejects_a_rep_document_rep_to_dict_does_not_write(rep,
 
 
 # what config_from_dict converts: (document, field, value it loads as); the
-# repr tells an int from a float, and a read-only mapping from a dict
+# repr tells an int from a float
 CONVERSIONS = {
     "int_scale": ({"scale": 1}, "scale", 1.0),
     "whole_float_count": ({"n_triples": 6.0}, "n_triples", 6),
-    "int_taus": ({"tau_sequence": [1, 2, 4]}, "tau_sequence", (1.0, 2.0, 4.0)),
-    "int_tolerance": ({"tolerances": {"group": 1}}, "tolerances",
-                      MappingProxyType({**DEFAULT_TOLERANCES, "group": 1})),
 }
 
 
@@ -345,67 +358,52 @@ def test_dropping_the_last_rep_keeps_every_other_entry():
             assert report_json(entry) == report_json(full[name]), name
 
 
-# 14 times: the cocycle family grows with t_samples, and must not reach the
-# seeds of another family
-FOURTEEN_TIMES = tuple(k / 10 for k in range(1, 15))
-# the families that read every t_sample: dropping one moves their entries
-READ_EVERY_T = ("unitarity_", "time_multiplier_")
-
-
-def _entries(cfg) -> dict:
-    return {c["check"]: report_json(c) for c in run_suite(cfg)["checks"]}
-
-
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 18: a check's seed hangs on its place in its family, so "
-    "with 14 t_samples three pairs of checks share one, and reordering reps "
-    "or dropping a time moves other entries; seeds from check names land "
-    "after item 9"))
+    "reordering reps or dropping one moves other entries; seeds from check "
+    "names land after item 9"))
 def test_an_entry_depends_on_its_own_check_alone():
     # with a seed that is one function of the suite seed and the check's
     # name, no two checks share a stream, and an entry keeps its bytes
-    # whatever other reps or times the config holds, and in whatever order
-    full_cfg = default_config(t_samples=FOURTEEN_TIMES, **TINY)
-    full = _entries(full_cfg)
+    # whatever other reps the config holds, and in whatever order
+    full_cfg = default_config(**TINY)
+    full = {c["check"]: report_json(c) for c in run_suite(full_cfg)["checks"]}
     seeds = [json.loads(entry)["seed"] for entry in full.values()]
-    assert len(full) == 4 + 2 * 14 + 1 + 6 + 4 * 3 + 2 * 4
+    assert len(full) == 4 + 2 * 2 + 1 + 6 + 4 * 3 + 2 * 4
     assert len(set(seeds)) == len(seeds)
-    reps, times = full_cfg.reps, FOURTEEN_TIMES
-    variants = [(dataclasses.replace(full_cfg, reps=reps[::-1]), ())]
-    variants += [(dataclasses.replace(full_cfg, reps=reps[:k] + reps[k + 1:]),
-                  ()) for k in range(len(reps))]
-    variants += [(dataclasses.replace(
-        full_cfg, t_samples=times[:k] + times[k + 1:]), READ_EVERY_T)
-        for k in range(len(times))]
-    for cfg, moved in variants:
-        kept = _entries(cfg)
+    reps = full_cfg.reps
+    variants = [dataclasses.replace(full_cfg, reps=reps[::-1])]
+    variants += [dataclasses.replace(full_cfg, reps=reps[:k] + reps[k + 1:])
+                 for k in range(len(reps))]
+    for cfg in variants:
+        kept = {c["check"]: report_json(c) for c in run_suite(cfg)["checks"]}
         gone = {f"{prefix}_{rep.kind}" for rep in set(reps) - set(cfg.reps)
                 for prefix in ("unitarity", "time_zero", "multiplier",
                                "time_multiplier", "heisenberg",
                                "initial_conditions")}
-        gone |= {f"cocycle_xi_t_dim{dim}_t{t:g}" for dim in (2, 3)
-                 for t in set(times) - set(cfg.t_samples)}
         assert set(kept) == set(full) - gone
         for name, entry in kept.items():
-            if not name.startswith(moved):
-                assert entry == full[name], name
+            assert entry == full[name], name
+
+
+@pytest.mark.parametrize("key, value", FIXED_KEYS.items(), ids=FIXED_KEYS)
+def test_config_rejects_a_key_of_the_fixed_battery(key, value, tmp_path,
+                                                   capsys, monkeypatch):
+    # the times, taus, tolerances and documented exception are what the
+    # verdict means, not settings: a config that names one is an input
+    # error, even at the battery's own value
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: pytest.fail("ran"))
+    _assert_rejects_a_fixed_key({"seed": 7, key: value}, key, tmp_path,
+                                capsys)
 
 
 def test_tolerances_are_read_only():
-    mine = dict(DEFAULT_TOLERANCES)
-    cfg = default_config(tolerances=mine)
-    with pytest.raises(TypeError):
-        cfg.tolerances["group"] = "x"
     with pytest.raises(TypeError):
         DEFAULT_TOLERANCES["group"] = 1.0
-    # the config holds a copy of the mapping it was given
-    mine["group"] = "x"
-    assert cfg.tol("group") == 1e-12
-    # a config built from it, and its document, are as before
-    cfg = dataclasses.replace(cfg, seed=3)
-    assert cfg.tolerances == DEFAULT_TOLERANCES
-    assert type(config_to_dict(cfg)["tolerances"]) is dict
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    # a config holds no copy of them, and its document names none
+    cfg = default_config()
+    assert not hasattr(cfg, "tolerances")
+    assert "tolerances" not in config_to_dict(cfg)
 
 
 def test_config_dict_round_trip():
@@ -545,6 +543,34 @@ def test_suite_report_shape_and_documented_exception(capsys):
     omega = json.loads(capsys.readouterr().out)["omega"]
     assert len(omega) == 2 and all(isinstance(x, float) for x in omega)
     assert abs(math.hypot(*omega) - 1.0) < 1e-12
+
+
+# the multiplier triples' scalar products raise on the overflowed elements
+# of this config
+OVERFLOWING = dict(scale=1e160, n_triples=3, n_pairs=2, n_time_cases=2,
+                   n_unitarity_cases=1, n_time_zero_cases=1,
+                   n_exponent_triples=1)
+
+
+def test_a_check_that_raises_fails_alone_and_the_suite_reports(tmp_path,
+                                                               capsys):
+    report = run_suite(default_config(**OVERFLOWING))
+    errors = {c["check"]: c for c in report["checks"]
+              if "error" in c["details"]}
+    assert set(errors) == {f"multiplier_{kind}"
+                           for kind in representations.MOMENTUM_KINDS}
+    for entry in errors.values():
+        assert entry["details"] == {
+            "error": "ValueError: eta, v and u must be finite"}
+        assert entry["n_cases"] == 0 and math.isnan(entry["max_residual"])
+        assert entry["pass"] is False
+        assert entry["documented_exception"] is False
+    assert report["n_checks"] == 35 and report["suite_pass"] is False
+    # the CLI prints the report, as standard JSON, and exits 1: checks failed
+    path = _write_config(tmp_path, OVERFLOWING)
+    assert main(["verify-all", "--config", str(path)]) == 1
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["n_failed"] == report["n_failed"]
 
 
 def test_suite_is_deterministic():
@@ -816,14 +842,13 @@ def test_the_benchmark_gate_fails_a_parsed_nan_residual():
     cfg = default_config(**TINY)
     report = run_suite(cfg)
     doc = _strict_json(report_json(report))
-    tolerances = {key: cfg.tol(key) for key in DEFAULT_TOLERANCES}
-    assert gate.check_report(doc, cfg, tolerances,
+    assert gate.check_report(doc, cfg, DEFAULT_TOLERANCES,
                              representations.MOMENTUM_KINDS).failed == 0
     entry = next(c for c in report["checks"]
                  if c["check"] == "heisenberg_bargmann3d")
     entry["details"]["per_generator"]["H"]["residual"] = math.nan
     doc = _strict_json(report_json(report))
-    result = gate.check_report(doc, cfg, tolerances,
+    result = gate.check_report(doc, cfg, DEFAULT_TOLERANCES,
                                representations.MOMENTUM_KINDS)
     assert result.failed == 1
     assert result.problems == [

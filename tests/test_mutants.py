@@ -285,7 +285,8 @@ def _multiplier_details(*failing):
         for name in _each("multiplier"):
             details = entries[name]["details"]
             assert {key for key, tol in DETAIL_TOLS.items()
-                    if not details[key] < CFG.tol(tol)} == set(failing)
+                    if not details[key] < harness.DEFAULT_TOLERANCES[tol]
+                    } == set(failing)
     return check
 
 
@@ -307,6 +308,21 @@ def _infinitesimal(n_unconverged, failing_pairs):
         assert sorted((p["x"], p["y"]) for p in details["failing_pairs"]) \
             == sorted(failing_pairs)
     return check
+
+
+def _raising(real):
+    def raises(*args, **kwargs):
+        raise RuntimeError("injected fault")
+    return raises
+
+
+def _errors(entries):
+    # the entry of a check whose run raised names the exception; the
+    # documented exception heisenberg_position1d is none then
+    for name in _checks("heisenberg"):
+        assert entries[name]["details"] == {
+            "error": "RuntimeError: injected fault"}
+        assert entries[name]["documented_exception"] is False
 
 
 def _time_dependent_p1(entries):
@@ -449,6 +465,10 @@ MUTANTS = {
         _generator(lambda op, rep, name: op.scale(1.1)
                    if name.startswith("N") else op, "static_generator"),
         fails=("initial_conditions",)),
+    # an exception inside one family fails each of its checks alone
+    "heisenberg_fit_raises": _mutant(
+        (harness, "heisenberg_fit", _raising), fails=("heisenberg",),
+        nan=("heisenberg",), check=_errors),
     # NaN inputs
     "nan_eta_of_r_in_the_triples": _mutant(
         (harness, "exponent_cocycle_residual_batch", _before(_nan_eta_of_r)),

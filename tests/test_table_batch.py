@@ -134,16 +134,6 @@ def test_rows_merge_only_when_equal_bit_for_bit():
         assert _same(value[i], one.value)
 
 
-def test_the_infinitesimal_batch_rejects_bad_tau_sequences():
-    _, _, (XB, YB) = _basis_pairs(1)
-    with pytest.raises(ValueError):
-        infinitesimal_exponent_batch(EXPONENTS["xi_eta"], XB, YB, (0.1, 0.05))
-    # a repeated tau would divide by zero in the Richardson table
-    with pytest.raises(ValueError, match=r"\[0\.1\] more than once"):
-        infinitesimal_exponent_batch(EXPONENTS["xi_eta"], XB, YB,
-                                     (0.1, 0.1, 0.05))
-
-
 def test_a_limit_that_does_not_exist_is_unconverged():
     # the bracket combination grows as tau^0.5, so F diverges as tau^-1.5
     def rough(r, s):

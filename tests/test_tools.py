@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from galiray import harness
 from galiray.harness import (DEFAULT_TOLERANCES, config_to_dict,
                              default_config, run_suite)
@@ -55,10 +57,8 @@ def _refuse(token):
 
 def test_report_digests_json_writes_a_non_finite_residual_as_a_string(
         tmp_path):
-    # at scale 1e160 the sweeps overflow to NaN residuals; position1d alone
-    # runs no multiplier check, whose products would raise instead
-    cfg = default_config(scale=1e160, reps=default_config().reps[-1:],
-                         **WARM_UP)
+    # at scale 1e160 the sweeps overflow to NaN residuals
+    cfg = default_config(scale=1e160, **WARM_UP)
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(config_to_dict(cfg)))
     done = subprocess.run([sys.executable, str(TOOL), "--config", str(path),
@@ -87,22 +87,42 @@ def test_report_digests_diff_lists_moved_residuals_and_flips():
     moved["checks"][0]["max_residual"] *= 2.0
     moved["checks"][1]["details"] = {"note": "changed"}
     moved["checks"][2]["pass"] = not moved["checks"][2]["pass"]
-    del moved["checks"][3]
-    names = [c["check"] for c in report["checks"][:4]]
+    names = [c["check"] for c in report["checks"][:3]]
     lines, flips = _load_tool().diff_lines("cfg", report, moved, (3.0, 2.5))
-    assert flips == 2
+    assert flips == 1
     assert lines == [
         f"cfg {names[0]} max_residual "
         f"{report['checks'][0]['max_residual']!r} -> "
         f"{moved['checks'][0]['max_residual']!r}",
         f"cfg {names[1]} details [] -> {{'note': 'changed'}}",
         f"cfg {names[2]} VERDICT pass True -> False",
-        f"cfg {names[3]} max_residual "
-        f"{report['checks'][3]['max_residual']!r} -> None",
-        f"cfg {names[3]} VERDICT pass True -> None",
         "cfg min_margin_dec 3.0 -> 2.5"]
     assert _load_tool().diff_lines("cfg", report, report, (3.0, 3.0)) \
         == ([], 0)
+
+
+# a check that one report alone holds, passing or failing: (the side that
+# holds it, its verdict, whether the change is a flip)
+ONE_SIDED = {"added_passing": ("new", True, 0),
+             "removed_passing": ("old", True, 0),
+             "added_failing": ("new", False, 1),
+             "removed_failing": ("old", False, 1)}
+
+
+@pytest.mark.parametrize("side, passed, flips", ONE_SIDED.values(),
+                         ids=ONE_SIDED)
+def test_report_digests_diff_prints_an_added_or_removed_check(side, passed,
+                                                              flips):
+    # a new or retired check is not a flip unless it fails; the drift step
+    # exits 1 on a flip
+    report = json.loads(json.dumps(run_suite(default_config(**WARM_UP))))
+    extra = {**report["checks"][0], "check": "extra_check", "pass": passed,
+             "max_residual": 0.5}
+    grown = {**report, "checks": [*report["checks"], extra]}
+    old, new = (grown, report) if side == "old" else (report, grown)
+    change = "added" if side == "new" else "removed"
+    assert _load_tool().diff_lines("cfg", old, new, (3.0, 3.0)) == (
+        [f"cfg extra_check {change}, pass {passed}: max_residual 0.5"], flips)
 
 
 def test_report_digests_diff_names_the_moved_details_fields():
@@ -132,9 +152,8 @@ def test_report_digests_reads_momentum_kinds_from_representations(
         sys.path.pop(0)
     cfg = default_config(**WARM_UP)
     report = json.loads(gate.deterministic_text(run_suite(cfg)))
-    expected = gate.check_report(
-        report, cfg, {key: cfg.tol(key) for key in DEFAULT_TOLERANCES},
-        MOMENTUM_KINDS).min_margin_dec
+    expected = gate.check_report(report, cfg, DEFAULT_TOLERANCES,
+                                 MOMENTUM_KINDS).min_margin_dec
     monkeypatch.delattr(harness, "MOMENTUM_KINDS")
     assert _load_tool().min_margin(harness, gate, cfg, report) == expected
 

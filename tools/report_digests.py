@@ -19,15 +19,18 @@ that one run can digest the reports of another revision.
 --json prints the reports themselves, one JSON object by config name.
 --diff OTHER_SRC compares each config's report with the one galiray from
 OTHER_SRC gives (run in a child process, as --json).  It prints one line per
-check whose entry differs: the old (OTHER_SRC) and new max_residual if that
-moved, else the old and new value of each other field that did, a field of
-details by its name there (details.<field>).  It prints one line more per
-verdict that flips, and one per config whose minimum margin
-(perfbench/gate.py's min_margin_dec) changes; identical reports print
-nothing.  It ends with one line per check family (perfbench/gate.py's
-FAMILIES) with a moved entry: how many entries moved over all configs, and
-the largest max_residual among them, old and new.  It exits 1 if a
-verdict flips, else 0.
+check that only one report holds, added or removed, with its verdict and
+max_residual, and one per kept check whose entry differs: the old
+(OTHER_SRC) and new max_residual if that moved, else the old and new value
+of each other field that did, a field of details by its name there
+(details.<field>).  It prints one line more per kept check whose verdict
+flips, and one per config whose minimum margin (perfbench/gate.py's
+min_margin_dec) changes; identical reports print nothing.  It ends with one
+line per check family (perfbench/gate.py's FAMILIES) with a moved, added or
+removed entry: how many entries moved over all configs, and the largest
+max_residual among them, old and new.  It exits 1 if a verdict flips, or a
+failing check is added or removed, else 0: an added or removed passing
+check is not a flip.
 """
 from __future__ import annotations
 
@@ -107,13 +110,18 @@ def moved_fields(a: dict, b: dict) -> list:
 
 def diff_lines(name: str, old: dict, new: dict, margins) -> tuple:
     """(lines, flips) for the reports old and new of config name: one line
-    per check whose entry differs or is missing on one side, other than in
-    its verdict alone, one per verdict flip, and one if the minimum margin
-    pair margins differs."""
+    per check that one report alone holds, one per kept check whose entry
+    differs other than in its verdict alone, one per verdict flip, and one
+    if the minimum margin pair margins differs.  flips counts the verdict
+    flips and the failing checks that one report alone holds."""
     lines, flips = [], 0
-    missing = {"max_residual": None, "pass": None}
     for check, a, b in moved_entries(old, new):
-        a, b = a or missing, b or missing
+        if a is None or b is None:
+            change, entry = ("added", b) if a is None else ("removed", a)
+            flips += not entry["pass"]
+            lines.append(f"{name} {check} {change}, pass {entry['pass']}: "
+                         f"max_residual {entry['max_residual']!r}")
+            continue
         moved = moved_fields(a, b)
         if any(field == "max_residual" for field, *_ in moved):
             moved = [("max_residual", a["max_residual"], b["max_residual"])]
@@ -158,8 +166,7 @@ def min_margin(harness, gate, cfg, report: dict) -> float:
     # galiray is importable once main has put --src on sys.path
     from galiray.representations import MOMENTUM_KINDS
 
-    tolerances = {key: cfg.tol(key) for key in harness.DEFAULT_TOLERANCES}
-    return gate.check_report(report, cfg, tolerances,
+    return gate.check_report(report, cfg, harness.DEFAULT_TOLERANCES,
                              MOMENTUM_KINDS).min_margin_dec
 
 
