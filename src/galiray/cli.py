@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import math
 import sys
 
@@ -21,7 +22,7 @@ from .representations import KIND_DIMS, MOMENTUM_KINDS, rep_to_dict
 from .states import random_state
 from .verify import extract_multiplier_batch, match_exponent_batch
 
-__all__ = ["main"]
+__all__ = ["entry", "main"]
 
 
 def _print(doc: dict):
@@ -219,5 +220,17 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> int:
+    """The process entry of the `galiray` console script and of `python -m
+    galiray.cli`: main on sys.argv, then gc.freeze() once its output is
+    written, so that the interpreter's final collection skips its walk over
+    every object still alive.  Output, exit codes and atexit handlers are
+    unchanged.  An in-process main(argv) never freezes: that would pin the
+    caller's garbage for good."""
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

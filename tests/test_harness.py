@@ -3,10 +3,16 @@ The faults that each family's reductions must fail on are entries of the
 mutant registry (tests/test_mutants.py)."""
 
 import dataclasses
+import gc
+import importlib
 import json
 import math
+import os
 import re
+import runpy
+import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -535,7 +541,9 @@ def test_suite_report_shape_and_documented_exception(capsys):
                          "n_exponent_triples"}
     assert mult["n_exponent_triples"] == 1
     tm = by_name["time_multiplier_bargmann3d"]["details"]
-    assert tm["n_pure_boost"] == 20
+    # TINY's 3 time cases are all pure boosts: no general pair ran
+    assert tm["n_pure_boost"] == 3
+    assert tm["general_max"] == 0.0
     assert tm["pure_boost_max"] < 1e-9
 
     # complex values render as [re, im] so the output is plain JSON
@@ -1019,3 +1027,81 @@ def test_cli_error_paths(tmp_path, capsys):
 
     assert main(["action", "--gamma", "1.0", "--t", "1.0",
                  "--pair", str(tmp_path / "missing.json")]) == 2
+
+
+def test_in_process_main_leaves_the_collector_alone(tmp_path, capsys):
+    path = _write_config(tmp_path, TINY)
+    before = gc.get_freeze_count()
+    assert main(["verify-all", "--config", str(path)]) == 0
+    assert main(["verify-all", "--config", str(tmp_path / "missing")]) == 2
+    assert main(["frobnicate"]) == 2
+    assert gc.get_freeze_count() == before
+
+
+def _console_script():
+    """The `galiray` console script: the function pyproject.toml names."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, name = re.search(r'^galiray = "([\w.]+):(\w+)"$', text,
+                             re.M).groups()
+    return getattr(importlib.import_module(module), name)()
+
+
+def _python_m():
+    """`python -m galiray.cli`, in process: the module's __main__ block."""
+    with warnings.catch_warnings():
+        # this process has imported galiray.cli; runpy runs a fresh copy
+        warnings.filterwarnings("ignore", "'galiray.cli' found in sys.modules",
+                                RuntimeWarning)
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("galiray.cli", run_name="__main__")
+    return exited.value.code
+
+
+@pytest.mark.parametrize("process_entry", [_console_script, _python_m],
+                         ids=["console_script", "python_m"])
+@pytest.mark.parametrize("overrides, code", [(TINY, 0), (OVERFLOWING, 1),
+                                             (None, 2)],
+                         ids=["pass", "fail", "input_error"])
+def test_the_process_entry_freezes_the_collector_once_after_its_output(
+        process_entry, overrides, code, tmp_path, monkeypatch, capsys):
+    path = (_write_config(tmp_path, overrides) if overrides
+            else tmp_path / "missing.json")
+    monkeypatch.setattr(sys, "argv",
+                        ["galiray", "verify-all", "--config", str(path)])
+    # each freeze records what the process had written by then
+    frozen = []
+    monkeypatch.setattr(gc, "freeze",
+                        lambda: frozen.append(capsys.readouterr()))
+    assert process_entry() == code
+    assert len(frozen) == 1
+    out, err = frozen[0]
+    assert capsys.readouterr() == ("", "")  # nothing after the freeze
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert _strict_json(out)["suite_pass"] is (code == 0) and err == ""
+
+
+def _without_timestamp(text: bytes) -> bytes:
+    return b"".join(line for line in text.splitlines(keepends=True)
+                    if b'"generated_at":' not in line)
+
+
+@pytest.mark.parametrize("overrides", [TINY, OVERFLOWING],
+                         ids=["pass", "fail"])
+def test_a_verify_all_process_prints_the_in_process_report(overrides,
+                                                           tmp_path):
+    path = _write_config(tmp_path, overrides)
+    env = dict(os.environ)
+    # the child imports the galiray under test
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cli.__file__).parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "galiray.cli", "verify-all",
+                           "--config", str(path)], capture_output=True,
+                          env=env, timeout=120)
+    report = run_suite(default_config(**overrides))
+    assert done.returncode == (0 if report["suite_pass"] else 1)
+    assert done.stderr == b""
+    assert _without_timestamp(done.stdout) == _without_timestamp(
+        (report_json(report) + "\n").encode())
