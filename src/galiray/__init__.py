@@ -26,8 +26,7 @@ from .states import (DEFAULT_MAX_DEGREE, DegreeOverflowError,
 from .representations import (KIND_DIMS, MOMENTUM_KINDS, RepDescriptor,
                               apply_batch, apply_time,
                               basis_generator_pairing, generator,
-                              generator_names, rep_from_dict, rep_to_dict,
-                              static_generator)
+                              generator_names, rep_to_dict, static_generator)
 from .verify import (MultiplierBatch, check_initial_condition,
                      check_time_multiplier_batch, default_sample_points,
                      expected_multiplier_exponent_batch,

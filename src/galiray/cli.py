@@ -14,8 +14,8 @@ from .cocycles import (_EXPONENTS, DEFAULT_TAU_SEQUENCE, PhaseExponent,
                        evaluate_batch, infinitesimal_exponent_batch)
 from .algebra import basis_rows
 from .group import element_from_dict, random_element_batch
-from .harness import (DEFAULT_TOLERANCES, _check_heisenberg, _fails,
-                      _finite_positive, _multipliers_pass,
+from .harness import (DEFAULT_TOLERANCES, SuiteConfig, _check_heisenberg,
+                      _fails, _finite_positive, _multipliers_pass,
                       _read_json, cocycle_sweep, default_config, load_config,
                       report_json, run_suite)
 from .representations import KIND_DIMS, MOMENTUM_KINDS, rep_to_dict
@@ -63,7 +63,7 @@ def _cmd_cocycle(args) -> int:
 
 
 def _cmd_multiplier(args) -> int:
-    rep = {r.kind: r for r in default_config().reps}[args.rep]
+    rep = {r.kind: r for r in SuiteConfig.reps}[args.rep]
     r, s = _load_pair(args.pair, rep.dim, args.seed)
     state = random_state(args.seed + 1, rep.dim)
     # a pair that overflows gives NaN residuals, as a sweep's case does

@@ -10,9 +10,9 @@ its subjects) draws from the seed cfg.seed + 1009 (offset + k), where the
 family's offset is group_axioms 1, algebra 11, cocycles 30, infinitesimal
 50, unitarity 60, time_zero 70, multipliers 80, time_multiplier 90,
 heisenberg 100 and initial_conditions 110 (the offsets of FAMILIES).  A
-check's seed depends on its family and k alone, so a rep appended to
-cfg.reps, or the last one dropped, leaves every other entry
-byte-identical.
+check's seed depends on its family and k alone.  The reps are the four of
+SuiteConfig.reps, fixed as the rest of the battery is: a config chooses its
+seed, scale and case counts only.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import json
 import math
 import typing
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from types import MappingProxyType
 
@@ -40,7 +40,7 @@ from .group import (_from_raw, _is_number, _raw_width, _uniform,
                     multiply, multiply_batch, random_element_batch,
                     stack_batches)
 from .representations import (MOMENTUM_KINDS, RepDescriptor, apply_batch,
-                              generator_names, rep_from_dict, rep_to_dict)
+                              generator_names)
 from .states import (_state_widths, _states_from_blocks, inner_product_batch,
                      random_state)
 from .verify import (_modulus, _term_mismatch, check_initial_condition,
@@ -99,20 +99,12 @@ def _finite_positive(x) -> bool:
     return _is_number(x) and math.isfinite(x) and x > 0
 
 
-def _default_reps():
-    return (
-        RepDescriptor("schrodinger2d", gamma=1.3, s=0.7),
-        RepDescriptor("nonabelian2d", gamma=1.1, lam=0.8, s=-0.4),
-        RepDescriptor("bargmann3d", gamma=0.9),
-        RepDescriptor("position1d", m=1.0, force_f=0.5, V0=0.25, hbar=1.0),
-    )
-
-
 @dataclass(frozen=True)
 class SuiteConfig:
-    """The seed, scale, case counts and reps of one run of the battery.
+    """The seed, scale and case counts of one run of the battery.
 
-    The battery itself is fixed: the times at which xi_t and the carrier
+    The battery itself is fixed: the representations it checks, in the order
+    their families run them (reps), the times at which xi_t and the carrier
     families are checked (t_samples), the check that is expected to fail
     (expected_divergences), the tolerances (DEFAULT_TOLERANCES) and the
     Richardson taus (cocycles.DEFAULT_TAU_SEQUENCE) are constants, not
@@ -122,12 +114,17 @@ class SuiteConfig:
     scale: float = 1.0
     n_triples: int = 1000
     n_pairs: int = 500
-    reps: tuple = field(default_factory=_default_reps)
     n_time_cases: int = 200
     n_unitarity_cases: int = 100
     n_time_zero_cases: int = 100
     n_exponent_triples: int = 60
 
+    reps = (
+        RepDescriptor("schrodinger2d", gamma=1.3, s=0.7),
+        RepDescriptor("nonabelian2d", gamma=1.1, lam=0.8, s=-0.4),
+        RepDescriptor("bargmann3d", gamma=0.9),
+        RepDescriptor("position1d", m=1.0, force_f=0.5, V0=0.25, hbar=1.0),
+    )
     t_samples = (0.5, 1.7)
     expected_divergences = ("heisenberg_position1d",)
 
@@ -147,14 +144,6 @@ class SuiteConfig:
         if not _finite_positive(self.scale):
             raise ValueError(f"scale must be finite and positive, "
                              f"got {self.scale!r}")
-        if not (isinstance(self.reps, (tuple, list)) and all(
-                isinstance(rep, RepDescriptor) for rep in self.reps)):
-            raise ValueError(f"reps has the wrong type: {self.reps!r}")
-        kinds = [rep.kind for rep in self.reps]
-        repeated = sorted({k for k in kinds if kinds.count(k) > 1})
-        if repeated:
-            raise ValueError(f"reps must give distinct check names: kinds "
-                             f"{repeated} appear more than once")
 
 
 def default_config(**overrides) -> SuiteConfig:
@@ -169,10 +158,10 @@ def config_to_dict(cfg: SuiteConfig) -> dict:
 
 def config_from_dict(data: dict) -> SuiteConfig:
     """The config of a JSON document.  Only JSON forms are converted here: a
-    number to a float, a count written as a whole float to an int, and the
-    list of rep documents to a tuple of RepDescriptors; SuiteConfig rejects
-    any value still of the wrong type or out of range, as it does from
-    Python."""
+    number to a float, and a count written as a whole float to an int;
+    SuiteConfig rejects any value still of the wrong type or out of range,
+    as it does from Python.  A key that is not a field, a constant of the
+    battery (reps, t_samples, ...) included, is a ValueError."""
     types = typing.get_type_hints(SuiteConfig)
     unknown = set(data) - set(types)
     if unknown:
@@ -184,8 +173,6 @@ def config_from_dict(data: dict) -> SuiteConfig:
             value = int(value)
         elif kind is float and _is_number(value):
             value = float(value)
-        elif key == "reps" and isinstance(value, list):
-            value = tuple(map(rep_from_dict, value))
         kwargs[key] = value
     return SuiteConfig(**kwargs)
 
@@ -219,13 +206,11 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_safe(obj):
-    """obj as standard JSON values: a numpy scalar as a Python one, a rep as
-    its document, a complex number as [re, im], and a float that is not
-    finite as the string "NaN", "Infinity" or "-Infinity"."""
+    """obj as standard JSON values: a numpy scalar as a Python one, a
+    complex number as [re, im], and a float that is not finite as the string
+    "NaN", "Infinity" or "-Infinity"."""
     if isinstance(obj, np.generic):
         obj = obj.item()
-    if isinstance(obj, RepDescriptor):
-        return rep_to_dict(obj)
     if isinstance(obj, Mapping):
         return {str(k): _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -23,7 +23,6 @@ __all__ = [
     "MOMENTUM_KINDS",
     "RepDescriptor",
     "rep_to_dict",
-    "rep_from_dict",
     "apply_time",
     "apply_batch",
     "generator",
@@ -105,23 +104,6 @@ class RepDescriptor:
 
 def rep_to_dict(rep: RepDescriptor) -> dict:
     return {key: getattr(rep, name) for key, name in _REP_KEYS.items()}
-
-
-def rep_from_dict(d: dict) -> RepDescriptor:
-    """Inverse of rep_to_dict; ValueError for any other document, one with
-    a key that rep_to_dict does not write too."""
-    if not isinstance(d, dict):
-        raise ValueError(f"a representation must be an object, got {d!r}")
-    unknown = set(d) - set(_REP_KEYS)
-    if unknown:
-        raise ValueError(f"unknown representation keys: "
-                         f"{sorted(unknown, key=str)}")
-    if "kind" not in d:
-        raise ValueError("representation lacks the key 'kind'")
-    try:
-        return RepDescriptor(**{_REP_KEYS[key]: v for key, v in d.items()})
-    except TypeError as exc:
-        raise ValueError(f"malformed representation {d!r}: {exc}") from exc
 
 
 def _require_momentum(rep: RepDescriptor, op: str):

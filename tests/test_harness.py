@@ -22,7 +22,7 @@ from galiray import cli, harness, representations
 from galiray.cli import main
 from galiray.cocycles import DEFAULT_TAU_SEQUENCE
 from galiray.group import GalileiElement, element_to_dict, identity_batch
-from galiray.representations import RepDescriptor, rep_from_dict, rep_to_dict
+from galiray.representations import RepDescriptor, rep_to_dict
 from galiray.harness import (
     DEFAULT_TOLERANCES,
     config_from_dict,
@@ -48,10 +48,10 @@ def test_default_config_is_valid():
     assert cfg.seed == 12345
     assert cfg.n_triples == 1000
     assert cfg.n_pairs == 500
-    # the times, the documented exception, the tolerances and the taus are
-    # the battery's constants, not fields
+    # the reps, the times, the documented exception, the tolerances and the
+    # taus are the battery's constants, not fields
     assert [f.name for f in dataclasses.fields(cfg)] == [
-        "seed", "scale", "n_triples", "n_pairs", "reps", "n_time_cases",
+        "seed", "scale", "n_triples", "n_pairs", "n_time_cases",
         "n_unitarity_cases", "n_time_zero_cases", "n_exponent_triples"]
     assert cfg.t_samples == (0.5, 1.7)
     assert cfg.expected_divergences == ("heisenberg_position1d",)
@@ -72,7 +72,8 @@ def test_config_validation_rejects_bad_values():
 FIXED_KEYS = {"tolerances": dict(DEFAULT_TOLERANCES),
               "tau_sequence": list(DEFAULT_TAU_SEQUENCE),
               "t_samples": list(harness.SuiteConfig.t_samples),
-              "expected_divergences": ["heisenberg_position1d"]}
+              "expected_divergences": ["heisenberg_position1d"],
+              "reps": [rep_to_dict(r) for r in harness.SuiteConfig.reps]}
 
 
 def _python_error(overrides):
@@ -147,9 +148,9 @@ WRONG_TYPES = {
 
 @pytest.mark.parametrize("overrides", WRONG_TYPES.values(), ids=WRONG_TYPES)
 def test_config_rejects_wrongly_typed_values(overrides, tmp_path, capsys):
-    # the same value from Python fails before any check runs: a dict is not
-    # a RepDescriptor, no string stands for a number, and a key of the
-    # battery's constants is no keyword
+    # the same value from Python fails before any check runs: no string
+    # stands for a number, and a key of the battery's constants (reps
+    # among them) is no keyword
     with pytest.raises(_python_error(overrides)):
         default_config(**overrides)
     path = _write_config(tmp_path, overrides)
@@ -180,32 +181,22 @@ def test_config_rejects_t_samples_that_share_a_check_name(t_samples,
 
 
 REPEATED_KINDS = {
-    "twice": (["bargmann3d", "bargmann3d"], "['bargmann3d']"),
-    "apart": (["bargmann3d", "position1d", "schrodinger2d", "bargmann3d"],
-              "['bargmann3d']"),
-    "two_kinds": (["position1d", "schrodinger2d", "position1d",
-                   "schrodinger2d"], "['position1d', 'schrodinger2d']"),
+    "twice": ["bargmann3d", "bargmann3d"],
+    "apart": ["bargmann3d", "position1d", "schrodinger2d", "bargmann3d"],
+    "two_kinds": ["position1d", "schrodinger2d", "position1d",
+                  "schrodinger2d"],
 }
 
 
-@pytest.mark.parametrize("kinds, repeated", REPEATED_KINDS.values(),
-                         ids=REPEATED_KINDS)
-def test_config_rejects_reps_that_repeat_a_kind(kinds, repeated, tmp_path,
-                                                capsys):
+@pytest.mark.parametrize("kinds", REPEATED_KINDS.values(), ids=REPEATED_KINDS)
+def test_config_rejects_reps_that_repeat_a_kind(kinds, tmp_path, capsys):
     # every rep names its checks by its kind, so two descriptors of one kind
-    # would give two entries of one check name
-    by_kind = {rep.kind: rep for rep in default_config().reps}
-    reps = [by_kind[kind] for kind in kinds]
-    with pytest.raises(ValueError, match=re.escape(repeated)):
-        default_config(reps=tuple(reps))
-    docs = [rep_to_dict(rep) for rep in reps]
-    path = _write_config(tmp_path, {"reps": docs})
-    with pytest.raises(ValueError, match=re.escape(repeated)):
-        load_config(str(path))
-    assert main(["verify-all", "--config", str(path)]) == 2
-    assert repeated in capsys.readouterr().err
-    # distinct kinds, even in another order, are accepted
-    default_config(reps=tuple(by_kind[kind] for kind in sorted(set(kinds))))
+    # would give two entries of one check name: the battery's own kinds are
+    # distinct, and a config cannot name other reps
+    by_kind = {rep.kind: rep for rep in harness.SuiteConfig.reps}
+    assert len(by_kind) == len(harness.SuiteConfig.reps)
+    docs = [rep_to_dict(by_kind[kind]) for kind in kinds]
+    _assert_rejects_a_fixed_key({"reps": docs}, "reps", tmp_path, capsys)
 
 
 REPEATED_TAUS = {
@@ -290,11 +281,19 @@ NON_FINITE_REPS = {
 }
 
 
+def _descriptor(doc: dict) -> RepDescriptor:
+    """The RepDescriptor of a rep document, as rep_to_dict writes one."""
+    return RepDescriptor(**{representations._REP_KEYS[key]: value
+                            for key, value in doc.items()})
+
+
 @pytest.mark.parametrize("rep", NON_FINITE_REPS.values(), ids=NON_FINITE_REPS)
 def test_config_rejects_non_finite_rep_labels(rep, tmp_path):
-    with pytest.raises(ValueError):
-        default_config(reps=(rep_from_dict(rep),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be a finite number"):
+        _descriptor(rep)
+    # a config names no rep, at any label
+    with pytest.raises(ValueError, match=re.escape(
+            "unknown config keys: ['reps']")):
         load_config(str(_write_config(tmp_path, {"reps": [rep]})))
 
 
@@ -302,9 +301,11 @@ def test_config_rejects_non_finite_rep_labels(rep, tmp_path):
 IGNORED_LABELS = (("schrodinger2d", "lambda", 0.9), ("bargmann3d", "s", 0.5),
                   ("bargmann3d", "lambda", 0.9), ("position1d", "gamma", 7),
                   ("position1d", "s", 2), ("nonabelian2d", "hbar", 2))
+# each rep document, with what RepDescriptor says of it from Python (None:
+# it is refused at the config's reps key alone)
 REJECTED_REPS = {
-    "misspelt_key": ({"kind": "bargmann3d", "gammma": 2}, "gammma"),
-    "string": ("bargmann3d", "object"),
+    "misspelt_key": ({"kind": "bargmann3d", "gammma": 2}, None),
+    "string": ("bargmann3d", None),
     **{f"{kind}_{key}": ({"kind": kind, key: value},
                          f"{kind} does not read the label '{key}'")
        for kind, key, value in IGNORED_LABELS}}
@@ -316,18 +317,13 @@ def test_config_rejects_a_rep_document_rep_to_dict_does_not_write(rep,
                                                                   message,
                                                                   tmp_path,
                                                                   capsys):
-    # a misspelt label would otherwise run at its default, gamma = 1, and
-    # an ignored one would be reported as if it had been tested
-    doc = {"reps": [rep]}
-    with pytest.raises(ValueError, match=re.escape(message)):
-        config_from_dict(doc)
-    path = tmp_path / "suite.json"
-    path.write_text(json.dumps(doc))
-    assert main(["verify-all", "--config", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
+    # a config names no rep, so no label of one can run at its default or
+    # be reported as if it had been tested; a descriptor built from Python
+    # must keep the labels its kind does not read at their defaults
+    _assert_rejects_a_fixed_key({"reps": [rep]}, "reps", tmp_path, capsys)
+    if message is not None:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _descriptor(rep)
 
 
 # what config_from_dict converts: (document, field, value it loads as); the
@@ -349,15 +345,16 @@ def test_config_from_dict_converts_json_forms_only(doc, key, loaded):
     assert repr(getattr(back, key)) == repr(loaded)
 
 
-def test_dropping_the_last_rep_keeps_every_other_entry():
+def test_dropping_the_last_rep_keeps_every_other_entry(monkeypatch):
     # a check's seed depends on its family and its place in the family
     # alone, so an entry keeps its bytes whatever reps follow its own
-    full_cfg = default_config(**TINY)
-    full = {c["check"]: c for c in run_suite(full_cfg)["checks"]}
+    reps = harness.SuiteConfig.reps
+    full = {c["check"]: c for c in run_suite(default_config(**TINY))["checks"]}
     for n in (3, 2):
-        kept = {c["check"]: c for c in run_suite(default_config(
-            reps=full_cfg.reps[:n], **TINY))["checks"]}
-        gone = {rep.kind for rep in full_cfg.reps[n:]}
+        monkeypatch.setattr(harness.SuiteConfig, "reps", reps[:n])
+        kept = {c["check"]: c
+                for c in run_suite(default_config(**TINY))["checks"]}
+        gone = {rep.kind for rep in reps[n:]}
         assert set(kept) == {name for name, c in full.items()
                              if c["rep"] not in gone}
         for name, entry in kept.items():
@@ -368,22 +365,23 @@ def test_dropping_the_last_rep_keeps_every_other_entry():
     "ROADMAP item 18: a check's seed hangs on its place in its family, so "
     "reordering reps or dropping one moves other entries; seeds from check "
     "names land after item 9"))
-def test_an_entry_depends_on_its_own_check_alone():
+def test_an_entry_depends_on_its_own_check_alone(monkeypatch):
     # with a seed that is one function of the suite seed and the check's
     # name, no two checks share a stream, and an entry keeps its bytes
-    # whatever other reps the config holds, and in whatever order
-    full_cfg = default_config(**TINY)
-    full = {c["check"]: report_json(c) for c in run_suite(full_cfg)["checks"]}
+    # whatever other reps the battery holds, and in whatever order
+    full = {c["check"]: report_json(c)
+            for c in run_suite(default_config(**TINY))["checks"]}
     seeds = [json.loads(entry)["seed"] for entry in full.values()]
     assert len(full) == 4 + 2 * 2 + 1 + 6 + 4 * 3 + 2 * 4
     assert len(set(seeds)) == len(seeds)
-    reps = full_cfg.reps
-    variants = [dataclasses.replace(full_cfg, reps=reps[::-1])]
-    variants += [dataclasses.replace(full_cfg, reps=reps[:k] + reps[k + 1:])
-                 for k in range(len(reps))]
-    for cfg in variants:
-        kept = {c["check"]: report_json(c) for c in run_suite(cfg)["checks"]}
-        gone = {f"{prefix}_{rep.kind}" for rep in set(reps) - set(cfg.reps)
+    reps = harness.SuiteConfig.reps
+    variants = [reps[::-1]] + [reps[:k] + reps[k + 1:]
+                               for k in range(len(reps))]
+    for variant in variants:
+        monkeypatch.setattr(harness.SuiteConfig, "reps", variant)
+        kept = {c["check"]: report_json(c)
+                for c in run_suite(default_config(**TINY))["checks"]}
+        gone = {f"{prefix}_{rep.kind}" for rep in set(reps) - set(variant)
                 for prefix in ("unitarity", "time_zero", "multiplier",
                                "time_multiplier", "heisenberg",
                                "initial_conditions")}
@@ -392,11 +390,50 @@ def test_an_entry_depends_on_its_own_check_alone():
             assert entry == full[name], name
 
 
+# reps at labels other than the battery's, each a set the battery must pass
+# at: position1d breaks the Heisenberg law for P by 2|f|, so its entry is
+# the documented exception exactly when f is not 0
+OTHER_LABELS = {
+    "mixed_signs": (RepDescriptor("schrodinger2d", gamma=2.0, s=-1.3),
+                    RepDescriptor("nonabelian2d", gamma=0.7, lam=-1.5, s=2.2),
+                    RepDescriptor("bargmann3d", gamma=1.7),
+                    RepDescriptor("position1d", m=2.0, hbar=0.5,
+                                  force_f=-0.3, V0=0.25)),
+    "negative_gamma_force_free": (
+        RepDescriptor("schrodinger2d", gamma=-0.8, s=0.3),
+        RepDescriptor("nonabelian2d", gamma=-1.6, lam=4.0, s=-0.9),
+        RepDescriptor("bargmann3d", gamma=-2.5),
+        RepDescriptor("position1d", m=0.7, hbar=1.4, force_f=0.0, V0=-1.0)),
+    "wide_labels": (RepDescriptor("schrodinger2d", gamma=0.25, s=5.0),
+                    RepDescriptor("nonabelian2d", gamma=3.5, lam=-0.2),
+                    RepDescriptor("bargmann3d", gamma=0.3),
+                    RepDescriptor("position1d", m=0.4, hbar=3.0,
+                                  force_f=2.5, V0=3.0)),
+}
+
+
+@pytest.mark.parametrize("reps", OTHER_LABELS.values(), ids=OTHER_LABELS)
+def test_the_battery_holds_at_other_labels(reps, monkeypatch):
+    # a config cannot choose the labels, so the battery's formulas are
+    # checked away from its own here
+    monkeypatch.setattr(harness.SuiteConfig, "reps", reps)
+    report = run_suite(default_config(**TINY))
+    assert report["suite_pass"] is True
+    assert report["n_checks"] == 35
+    [entry] = [c for c in report["checks"]
+               if c["check"] == "heisenberg_position1d"]
+    force = reps[-1].force_f
+    assert entry["max_residual"] == pytest.approx(2 * abs(force), rel=1e-15)
+    assert entry["documented_exception"] is (force != 0)
+    failing = [c["check"] for c in report["checks"] if not c["pass"]]
+    assert failing == ["heisenberg_position1d"] * (force != 0)
+
+
 @pytest.mark.parametrize("key, value", FIXED_KEYS.items(), ids=FIXED_KEYS)
 def test_config_rejects_a_key_of_the_fixed_battery(key, value, tmp_path,
                                                    capsys, monkeypatch):
-    # the times, taus, tolerances and documented exception are what the
-    # verdict means, not settings: a config that names one is an input
+    # the reps, times, taus, tolerances and documented exception are what
+    # the verdict means, not settings: a config that names one is an input
     # error, even at the battery's own value
     monkeypatch.setattr(cli, "run_suite", lambda cfg: pytest.fail("ran"))
     _assert_rejects_a_fixed_key({"seed": 7, key: value}, key, tmp_path,
@@ -417,20 +454,6 @@ def test_config_dict_round_trip():
     assert config_from_dict(config_to_dict(cfg)) == cfg
     with pytest.raises(ValueError):
         config_from_dict({"n_tripels": 5})
-
-
-def test_every_rep_round_trips_through_a_config_document():
-    # labels given as integers are kept as floats, so a reloaded config
-    # writes the document it was read from
-    reps = (RepDescriptor("schrodinger2d", gamma=2, s=1),
-            RepDescriptor("nonabelian2d", gamma=1, lam=-1),
-            RepDescriptor("bargmann3d", gamma=3),
-            RepDescriptor("position1d", hbar=1, m=2, force_f=1, V0=0))
-    for cfg in (default_config(**TINY), default_config(reps=reps, **TINY)):
-        doc = config_to_dict(cfg)
-        back = config_from_dict(json.loads(json.dumps(doc)))
-        assert back == cfg
-        assert json.dumps(config_to_dict(back)) == json.dumps(doc)
 
 
 def test_load_config_json_format(tmp_path):
@@ -995,6 +1018,33 @@ def test_cli_heisenberg_prints_the_suite_entry(capsys):
         assert json.loads(capsys.readouterr().out) == entry
         assert code == (0 if entry["pass"] or entry["documented_exception"]
                         else 1)
+
+
+# the cocycle flag of each parameter that a cocycle entry's details list
+COCYCLE_FLAGS = {"gamma": "--gamma", "lambda": "--lam", "S": "--S",
+                 "a1": "--a1", "a2": "--a2", "t": "--t"}
+
+
+@pytest.mark.parametrize("scale", (1.0, 0.01))
+def test_cli_cocycle_replays_every_cocycle_entry(scale, capsys):
+    # README: galiray cocycle NAME --dim D --triples n --seed <entry seed>
+    # --scale X, with the flags of details.params, prints the entry's
+    # max_residual
+    report = run_suite(default_config(scale=scale, **TINY))
+    entries = [c for c in report["checks"] if c["check"].startswith("cocycle_")]
+    assert len(entries) == 8
+    for entry in entries:
+        name, dim = re.fullmatch(r"cocycle_(\w+?)_dim(\d)(_t.*)?",
+                                 entry["check"]).group(1, 2)
+        argv = ["cocycle", name, "--dim", dim, "--triples",
+                str(entry["n_cases"]), "--seed", str(entry["seed"]),
+                "--scale", repr(scale)]
+        for key, value in entry["details"]["params"].items():
+            argv += [COCYCLE_FLAGS[key], repr(value)]
+        assert main(argv) == 0, argv
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["max_residual"] == entry["max_residual"], entry["check"]
+        assert doc["params"] == entry["details"]["params"]
 
 
 def test_a_negated_hamiltonian_fails_the_cli_heisenberg(monkeypatch, capsys):
